@@ -1,10 +1,11 @@
 package sparker_test
 
-// One benchmark per table/figure of the paper (see the DESIGN.md
-// experiment index E1–E9), plus the design-choice ablations and
-// micro-benchmarks of the hot paths. Regenerate the EXPERIMENTS.md tables
-// with cmd/sparker-bench; these benchmarks time the same code paths under
-// testing.B so that
+// One benchmark per table/figure of the paper (experiments E1–E9, see
+// the internal/experiments package doc and its section banners), plus
+// the design-choice ablations and micro-benchmarks of the hot paths
+// (README "Performance"). cmd/sparker-bench prints the experiment
+// tables; these benchmarks time the same code paths under testing.B so
+// that
 //
 //	go test -bench=. -benchmem
 //
@@ -228,7 +229,7 @@ func BenchmarkE11Bibliographic(b *testing.B) {
 }
 
 // BenchmarkAblationSchemes times meta-blocking per weight scheme
-// (Blast pruning, entropy on), the DESIGN.md section-5 ablation.
+// (Blast pruning, entropy on), the experiments.AblationSchemes table.
 func BenchmarkAblationSchemes(b *testing.B) {
 	d := benchDataset(b)
 	part := looseschema.Partition(d.Collection, looseschema.Options{Threshold: 0.3})

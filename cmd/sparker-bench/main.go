@@ -1,6 +1,7 @@
-// Command sparker-bench regenerates every experiment of DESIGN.md's index
-// (E1–E9 plus the ablations) in one run and prints the tables recorded in
-// EXPERIMENTS.md. Use -markdown to emit GitHub tables.
+// Command sparker-bench regenerates every experiment of the paper's
+// evaluation (E1–E9 plus the ablations, indexed in the
+// internal/experiments package doc) in one run and prints their tables.
+// Use -markdown to emit GitHub tables.
 package main
 
 import (

@@ -15,25 +15,25 @@
 //
 //	sparker-serve -generate
 //
-// Endpoints (versioned under /v1/, with the historical unversioned
-// paths kept as aliases): POST /v1/query, POST /v1/upsert, POST
+// Endpoints, all under /v1/: POST /v1/query, POST /v1/upsert, POST
 // /v1/bulk (JSON-lines bodies, "id" field plus attributes; ?source=1
 // targets the second clean source), POST /v1/snapshot/save, GET
-// /v1/stats. Every 4xx/5xx answers the typed JSON error envelope
-// {"error": {"code", "message"}}.
+// /v1/stats; /metrics, /healthz and /readyz are unversioned operator
+// conventions. Every 4xx/5xx — an unknown path included — answers the
+// typed JSON error envelope {"error": {"code", "message"}}.
 //
 // With -lsh fallback (or union) the index also maintains MinHash/LSH
 // bucket postings beside the token postings: queries whose tokens are
 // all purged as too common — invisible to token blocking — fall back to
-// an LSH probe that recovers high-overlap matches. /query accepts
-// per-request ?probe= and ?probe_floor= overrides, and /stats reports
-// bucket and probe counters.
+// an LSH probe that recovers high-overlap matches. /v1/query accepts
+// per-request ?probe= and ?probe_floor= overrides, and /v1/stats
+// reports bucket and probe counters.
 //
 // Durable snapshots make restarts warm: with -snapshot the server
 // restores the index from the file at boot (falling back to a fresh
 // build from the input flags when the file is absent or written by an
 // incompatible format version), saves it on SIGTERM/SIGINT and on POST
-// /snapshot/save, and with -snapshot-interval also on a timer. With
+// /v1/snapshot/save, and with -snapshot-interval also on a timer. With
 // -delta-interval the timer writes delta snapshots instead: only the
 // ops applied since the last save are appended to the file, so the
 // persistence cost tracks the write rate, not the index size. Once the
@@ -42,18 +42,18 @@
 // index rejects upserts (HTTP 403) — the replica serving mode: point
 // several read-only processes at one snapshot file. A replica only
 // ever reads that file: automatic saves are disabled and
-// /snapshot/save answers 403, so a stale replica can never clobber the
+// /v1/snapshot/save answers 403, so a stale replica can never clobber the
 // primary's newer snapshot.
 //
 //	sparker-serve -generate -snapshot /var/lib/sparker/idx.snap
 //	# ... kill it, restart with the same flags: no re-indexing.
 //
 // Replication: every sparker-serve keeps an in-memory op log (bounded
-// by -oplog-retain) and serves it on GET /deltas, with GET /snapshot
-// streaming a full bootstrap image. A replica started with -follow
-// bootstraps from its leader over HTTP, serves read-only at its last
-// applied sequence number, and tails the leader's delta feed; /stats
-// and /metrics report the replication lag. A follower that falls off
+// by -oplog-retain) and serves it on GET /v1/deltas, with GET
+// /v1/snapshot streaming a full bootstrap image. A replica started with
+// -follow bootstraps from its leader over HTTP, serves read-only at its
+// last applied sequence number, and tails the leader's delta feed;
+// /v1/stats and /metrics report the replication lag. A follower that falls off
 // the leader's retention window re-bootstraps automatically.
 //
 //	sparker-serve -generate -addr :8080                  # leader
@@ -66,7 +66,10 @@
 // merge deterministically, and a dead shard degrades answers (the
 // surviving shards' merged results, marked "degraded") rather than
 // failing them. Shard health is probed via /readyz; the coordinator's
-// own /readyz drains only when no shard is left. -index-shards (the
+// own /readyz drains only when no shard is left. The coordinator runs
+// the same front end as a node — the same admission gate, body cap and
+// degradation ladder, with the same -default-budget-ms precedence — and
+// rejects the flags that configure a local index. -index-shards (the
 // per-process index shard count) is unrelated to cluster mode.
 //
 //	sparker-serve -addr :8081 &                 # shard 0
@@ -80,7 +83,7 @@
 // included — the next boot restores the newest snapshot, replays the
 // log tail past it, truncates a torn or bit-flipped tail at the last
 // good frame, and repopulates the in-memory delta window, so followers
-// catch up over /deltas without a re-bootstrap. Full snapshots prune
+// catch up over /v1/deltas without a re-bootstrap. Full snapshots prune
 // segments the snapshot already covers.
 //
 //	sparker-serve -generate -snapshot idx.snap -oplog-dir ./oplog -oplog-fsync always
@@ -101,7 +104,7 @@
 //	sparker-serve -generate -max-inflight 64 -shed-wait 50ms -default-budget-ms 20ms
 //
 // Observability: GET /metrics serves the Prometheus text exposition
-// (disable with -metrics=false), /query?debug=1 returns a per-stage
+// (disable with -metrics=false), /v1/query?debug=1 returns a per-stage
 // timing breakdown inline, -slow-query logs any query slower than the
 // given duration with its full stage breakdown, and -pprof starts
 // net/http/pprof on a separate address so profiling traffic never
@@ -138,268 +141,394 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	cfg, err := parseConfig(os.Args[1:])
+	if err == nil {
+		err = run(cfg)
+	}
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "sparker-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		fileA    = flag.String("a", "", "CSV file of the first clean source")
-		fileB    = flag.String("b", "", "CSV file of the second clean source")
-		dirty    = flag.String("dirty", "", "CSV file of a single dirty source")
-		idCol    = flag.String("id", "id", "identifier column name")
-		generate = flag.Bool("generate", false, "serve the generated SynthAbtBuy benchmark")
+// config is the validated command line: the listener both modes share
+// and exactly one of coordinator (-shards) and node.
+type config struct {
+	addr        string
+	pprofAddr   string
+	coordinator *coordinatorConfig
+	node        *nodeConfig
+}
 
-		snapshot         = flag.String("snapshot", "", "snapshot file: restore at boot, save on SIGTERM and POST /snapshot/save")
-		snapshotInterval = flag.Duration("snapshot-interval", 0, "also save a full snapshot periodically (0 disables)")
-		deltaInterval    = flag.Duration("delta-interval", 0, "append a delta snapshot (ops since the last save) periodically (0 disables)")
-		compactOps       = flag.Int("compact-ops", 10000, "compact to a full snapshot once the delta tail holds this many ops (0: never compact on the delta timer)")
-		readOnly         = flag.Bool("read-only", false, "replica mode: reject upserts (HTTP 403)")
+// coordinatorConfig is coordinator mode: a different program — no
+// index, no persistence, just the scatter-gather front end over the
+// listed shards.
+type coordinatorConfig struct {
+	shards []string
+	opts   serve.ClusterOptions
+}
 
-		follow      = flag.String("follow", "", "replicate from this leader URL: bootstrap via GET /snapshot, tail GET /deltas, serve read-only")
-		oplogRetain = flag.Int("oplog-retain", 0, "op frames retained in memory for /deltas and delta saves (0: default window)")
+// nodeConfig is index-server mode: where the index comes from, how it
+// persists and replicates, and how it is built and served.
+type nodeConfig struct {
+	fileA, fileB, dirty, idCol string
+	generate                   bool
 
-		oplogDir      = flag.String("oplog-dir", "", "durable op-log directory: append every op to rotating segment files before applying it, replay the tail at boot (crash-safe restart)")
-		oplogFsync    = flag.String("oplog-fsync", "interval", "op-log fsync policy: always (fsync per append), interval (background flush), never (OS page cache only)")
-		oplogSegBytes = flag.Int64("oplog-segment-bytes", 0, "rotate op-log segments at this size (0: default 16 MiB)")
+	snapshotInterval, deltaInterval time.Duration
+	compactOps                      int
+	readOnly                        bool
+	follow                          string
+	wal                             index.WALConfig // Dir empty: no durable op log
 
-		metrics   = flag.Bool("metrics", true, "serve the Prometheus text exposition on GET /metrics")
-		pprofAddr = flag.String("pprof", "", "also serve net/http/pprof on this address (empty disables)")
-		slowQuery = flag.Duration("slow-query", 0, "log queries slower than this with a per-stage breakdown (0 disables)")
+	index index.Config
+	opts  serve.Options // SnapshotPath is -snapshot
+}
 
-		maxInFlight   = flag.Int("max-inflight", 0, "admission gate: max concurrently served /query+/upsert+/bulk requests; beyond it requests shed with 429/503 instead of queueing (0 disables)")
-		shedWait      = flag.Duration("shed-wait", 0, "how long an over-limit request may wait for an admission slot before a 503 (0: shed immediately with 429)")
-		defaultBudget = flag.Duration("default-budget-ms", 0, "per-query wall-clock budget applied when the request carries no ?budget_ms= (0 = unlimited); accepts any duration, e.g. 50ms")
-		maxBody       = flag.Int64("max-body", serve.DefaultMaxBodyBytes, "max request body bytes on /query, /upsert and /bulk (413 beyond it)")
+// cli is the flag set together with everything registering it binds:
+// the config the flags fill directly, and the raw values that need
+// parsing or belong to one mode only.
+type cli struct {
+	fs   *flag.FlagSet
+	cfg  config
+	node nodeConfig
+	// shared names the flags both modes accept — those registered before
+	// the local-index ones. Coordinator mode rejects every other flag,
+	// so a flag added to the index section can never be silently ignored
+	// there.
+	shared map[string]bool
 
-		shardURLs   = flag.String("shards", "", "coordinator mode: comma-separated shard base URLs (e.g. http://s0:8081,http://s1:8082); scatter-gathers queries and hash-routes writes instead of serving an index")
-		probeEvery  = flag.Duration("probe-interval", 500*time.Millisecond, "coordinator mode: shard /readyz health-probe cadence")
-		indexShards = flag.Int("index-shards", 16, "index shard count (a restored snapshot keeps its saved count)")
-		scheme      = flag.String("scheme", "CBS", "candidate weight scheme (CBS, ECBS, JS, ARCS)")
-		prune       = flag.String("prune", "top-k", "candidate pruning rule (mean, top-k, none)")
-		topK        = flag.Int("k", 10, "candidates kept by top-k pruning")
-		measure     = flag.String("measure", "jaccard", "match measure (jaccard, dice)")
-		threshold   = flag.Float64("threshold", 0.3, "match threshold (negative keeps every scored candidate)")
+	metrics       bool
+	shards        string
+	probeInterval time.Duration
 
-		filterRatio  = flag.Float64("filter-ratio", 0, "block filtering: keep this fraction of a query's smallest hit postings (0: package default; 1 disables — required for shard-count-independent answers)")
-		maxBlockFrac = flag.Float64("max-block-fraction", 0, "block purging: skip postings holding more than this fraction of profiles (0: package default; 1 disables — required for shard-count-independent answers)")
+	scheme, prune, measure     string
+	lsh, lshWeight, oplogFsync string
+}
 
-		lshPolicy    = flag.String("lsh", "off", "LSH probe policy (off, fallback, union); non-off maintains MinHash signatures beside the token postings")
-		lshSignature = flag.Int("lsh-signature", 128, "MinHash signature length (a restored snapshot keeps its saved parameters)")
-		lshThreshold = flag.Float64("lsh-threshold", 0.5, "LSH banding target Jaccard similarity in (0, 1]")
-		lshFloor     = flag.Int("lsh-floor", 1, "fallback probes when token blocking found fewer than this many candidates")
-		lshWeight    = flag.String("lsh-weight", "est-jaccard", "probe-only candidate weighting (est-jaccard, buckets)")
-	)
-	flag.Parse()
+func newCLI() *cli {
+	c := &cli{fs: flag.NewFlagSet("sparker-serve", flag.ContinueOnError), shared: map[string]bool{}}
+	fs, n, o, ix := c.fs, &c.node, &c.node.opts, &c.node.index
+	*ix = index.DefaultConfig()
 
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
+	fs.StringVar(&c.cfg.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&c.cfg.pprofAddr, "pprof", "", "also serve net/http/pprof on this address (empty disables)")
+	fs.BoolVar(&c.metrics, "metrics", true, "serve the Prometheus text exposition on GET /metrics")
+	fs.IntVar(&o.MaxInFlight, "max-inflight", 0, "admission gate: max concurrently served /v1/query+/v1/upsert+/v1/bulk requests; beyond it requests shed with 429/503 instead of queueing (0 disables)")
+	fs.DurationVar(&o.ShedWait, "shed-wait", 0, "how long an over-limit request may wait for an admission slot before a 503 (0: shed immediately with 429)")
+	fs.DurationVar(&o.DefaultBudget, "default-budget-ms", 0, "per-query wall-clock budget applied when the request carries no ?budget_ms= (0 = unlimited); accepts any duration, e.g. 50ms")
+	fs.Int64Var(&o.MaxBodyBytes, "max-body", serve.DefaultMaxBodyBytes, "max request body bytes on /v1/query, /v1/upsert and /v1/bulk (413 beyond it)")
+	fs.StringVar(&c.shards, "shards", "", "coordinator mode: comma-separated shard base URLs (e.g. http://s0:8081,http://s1:8082); scatter-gathers queries and hash-routes writes instead of serving an index")
+	fs.DurationVar(&c.probeInterval, "probe-interval", 500*time.Millisecond, "coordinator mode: shard /readyz health-probe cadence")
+	fs.VisitAll(func(f *flag.Flag) { c.shared[f.Name] = true })
 
-	// Coordinator mode is a different program: no index, no persistence,
-	// just the scatter-gather front end over the listed shards. Flags
-	// that configure a local index are a misconfiguration here, not a
-	// silent no-op.
-	if *shardURLs != "" {
-		indexOnly := map[string]bool{
-			"a": true, "b": true, "dirty": true, "id": true, "generate": true,
-			"snapshot": true, "snapshot-interval": true, "delta-interval": true,
-			"compact-ops": true, "read-only": true, "follow": true,
-			"oplog-retain": true, "oplog-dir": true, "oplog-fsync": true,
-			"oplog-segment-bytes": true, "index-shards": true, "scheme": true,
-			"prune": true, "k": true, "measure": true, "threshold": true,
-			"lsh": true, "lsh-signature": true, "lsh-threshold": true,
-			"lsh-floor": true, "lsh-weight": true, "slow-query": true,
-			"filter-ratio": true, "max-block-fraction": true,
-		}
+	// Everything below configures a local index: node mode only.
+	fs.StringVar(&n.fileA, "a", "", "CSV file of the first clean source")
+	fs.StringVar(&n.fileB, "b", "", "CSV file of the second clean source")
+	fs.StringVar(&n.dirty, "dirty", "", "CSV file of a single dirty source")
+	fs.StringVar(&n.idCol, "id", "id", "identifier column name")
+	fs.BoolVar(&n.generate, "generate", false, "serve the generated SynthAbtBuy benchmark")
+
+	fs.StringVar(&o.SnapshotPath, "snapshot", "", "snapshot file: restore at boot, save on SIGTERM and POST /v1/snapshot/save")
+	fs.DurationVar(&n.snapshotInterval, "snapshot-interval", 0, "also save a full snapshot periodically (0 disables)")
+	fs.DurationVar(&n.deltaInterval, "delta-interval", 0, "append a delta snapshot (ops since the last save) periodically (0 disables)")
+	fs.IntVar(&n.compactOps, "compact-ops", 10000, "compact to a full snapshot once the delta tail holds this many ops (0: never compact on the delta timer)")
+	fs.BoolVar(&n.readOnly, "read-only", false, "replica mode: reject upserts (HTTP 403)")
+
+	fs.StringVar(&n.follow, "follow", "", "replicate from this leader URL: bootstrap via GET /v1/snapshot, tail GET /v1/deltas, serve read-only")
+	fs.IntVar(&ix.OpLog.MaxOps, "oplog-retain", 0, "op frames retained in memory for /v1/deltas and delta saves (0: default window)")
+
+	fs.StringVar(&n.wal.Dir, "oplog-dir", "", "durable op-log directory: append every op to rotating segment files before applying it, replay the tail at boot (crash-safe restart)")
+	fs.StringVar(&c.oplogFsync, "oplog-fsync", "interval", "op-log fsync policy: always (fsync per append), interval (background flush), never (OS page cache only)")
+	fs.Int64Var(&n.wal.SegmentBytes, "oplog-segment-bytes", 0, "rotate op-log segments at this size (0: default 16 MiB)")
+
+	fs.DurationVar(&o.SlowQuery, "slow-query", 0, "log queries slower than this with a per-stage breakdown (0 disables)")
+
+	fs.IntVar(&ix.Shards, "index-shards", 16, "index shard count (a restored snapshot keeps its saved count)")
+	fs.StringVar(&c.scheme, "scheme", "CBS", "candidate weight scheme (CBS, ECBS, JS, ARCS)")
+	fs.StringVar(&c.prune, "prune", "top-k", "candidate pruning rule (mean, top-k, none)")
+	fs.IntVar(&ix.MaxCandidates, "k", 10, "candidates kept by top-k pruning")
+	fs.StringVar(&c.measure, "measure", "jaccard", "match measure (jaccard, dice)")
+	fs.Float64Var(&ix.MatchThreshold, "threshold", 0.3, "match threshold (negative keeps every scored candidate)")
+
+	fs.Float64Var(&ix.FilterRatio, "filter-ratio", 0, "block filtering: keep this fraction of a query's smallest hit postings (0: package default; 1 disables — required for shard-count-independent answers)")
+	fs.Float64Var(&ix.MaxBlockFraction, "max-block-fraction", 0, "block purging: skip postings holding more than this fraction of profiles (0: package default; 1 disables — required for shard-count-independent answers)")
+
+	fs.StringVar(&c.lsh, "lsh", "off", "LSH probe policy (off, fallback, union); non-off maintains MinHash signatures beside the token postings")
+	fs.IntVar(&ix.LSH.SignatureLen, "lsh-signature", 128, "MinHash signature length (a restored snapshot keeps its saved parameters)")
+	fs.Float64Var(&ix.LSH.Threshold, "lsh-threshold", 0.5, "LSH banding target Jaccard similarity in (0, 1]")
+	fs.IntVar(&ix.LSH.FallbackFloor, "lsh-floor", 1, "fallback probes when token blocking found fewer than this many candidates")
+	fs.StringVar(&c.lshWeight, "lsh-weight", "est-jaccard", "probe-only candidate weighting (est-jaccard, buckets)")
+	return c
+}
+
+// parseConfig turns the command line into one validated config: every
+// range, enumeration and flag-combination check happens here, before
+// anything is opened, loaded or listened on.
+func parseConfig(args []string) (config, error) {
+	c := newCLI()
+	if err := c.fs.Parse(args); err != nil {
+		return config{}, err
+	}
+	if c.fs.NArg() > 0 {
+		return config{}, fmt.Errorf("unexpected argument %q", c.fs.Arg(0))
+	}
+	cfg, n := c.cfg, &c.node
+	n.opts.NoMetrics = !c.metrics
+
+	// In coordinator mode a flag that configures a local index is a
+	// misconfiguration, not a silent no-op.
+	if c.shards != "" {
 		var bad []string
-		flag.Visit(func(f *flag.Flag) {
-			if indexOnly[f.Name] {
+		c.fs.Visit(func(f *flag.Flag) {
+			if !c.shared[f.Name] {
 				bad = append(bad, "-"+f.Name)
 			}
 		})
 		if len(bad) > 0 {
-			return fmt.Errorf("coordinator mode (-shards) serves no local index; drop %s", strings.Join(bad, ", "))
+			return config{}, fmt.Errorf("coordinator mode (-shards) serves no local index; drop %s", strings.Join(bad, ", "))
 		}
-		return runCoordinator(coordinatorConfig{
-			addr:          *addr,
-			shards:        *shardURLs,
-			logger:        logger,
-			maxInFlight:   *maxInFlight,
-			shedWait:      *shedWait,
-			defaultBudget: *defaultBudget,
-			maxBody:       *maxBody,
-			probeInterval: *probeEvery,
-			metrics:       *metrics,
-		})
+		cc := &coordinatorConfig{opts: serve.ClusterOptions{
+			MaxInFlight:   n.opts.MaxInFlight,
+			ShedWait:      n.opts.ShedWait,
+			DefaultBudget: n.opts.DefaultBudget,
+			MaxBodyBytes:  n.opts.MaxBodyBytes,
+			ProbeInterval: c.probeInterval,
+			NoMetrics:     n.opts.NoMetrics,
+		}}
+		for _, u := range strings.Split(c.shards, ",") {
+			if u = strings.TrimSpace(u); u != "" {
+				cc.shards = append(cc.shards, u)
+			}
+		}
+		cfg.coordinator = cc
+		return cfg, nil
 	}
 
-	// Validate at the flag layer: Config treats zero as "unset", so an
-	// explicit 0 here would be silently replaced by a default.
-	if *indexShards <= 0 {
-		return fmt.Errorf("-index-shards must be positive, got %d", *indexShards)
+	// Validate at the flag layer: index.Config treats zero as "unset",
+	// so an explicit 0 here would be silently replaced by a default.
+	ix := &n.index
+	if ix.Shards <= 0 {
+		return config{}, fmt.Errorf("-index-shards must be positive, got %d", ix.Shards)
 	}
-	if *topK <= 0 {
-		return fmt.Errorf("-k must be positive, got %d", *topK)
+	if ix.MaxCandidates <= 0 {
+		return config{}, fmt.Errorf("-k must be positive, got %d", ix.MaxCandidates)
 	}
-	if *follow != "" {
-		if err := serve.ValidateLeaderURL(*follow); err != nil {
-			return err
+	if n.follow != "" {
+		if err := serve.ValidateLeaderURL(n.follow); err != nil {
+			return config{}, err
 		}
-		if *fileA != "" || *fileB != "" || *dirty != "" || *generate {
-			return fmt.Errorf("-follow bootstraps from the leader; drop -a/-b/-dirty/-generate")
+		if n.fileA != "" || n.fileB != "" || n.dirty != "" || n.generate {
+			return config{}, fmt.Errorf("-follow bootstraps from the leader; drop -a/-b/-dirty/-generate")
 		}
 		// A follower swaps its whole index on re-bootstrap, which would
 		// orphan an attached WAL mid-flight; its durability is the
 		// leader's job.
-		if *oplogDir != "" {
-			return fmt.Errorf("-oplog-dir is a leader-side durability flag; a -follow replica replays the leader's log instead")
+		if n.wal.Dir != "" {
+			return config{}, fmt.Errorf("-oplog-dir is a leader-side durability flag; a -follow replica replays the leader's log instead")
 		}
 	}
-	var walCfg index.WALConfig
-	if *oplogDir != "" {
-		syncPolicy, err := index.ParseWALSyncPolicy(*oplogFsync)
-		if err != nil {
-			return err
+	if n.wal.Dir != "" {
+		var err error
+		if n.wal.Sync, err = index.ParseWALSyncPolicy(c.oplogFsync); err != nil {
+			return config{}, err
 		}
-		if *oplogSegBytes < 0 {
-			return fmt.Errorf("-oplog-segment-bytes must be non-negative, got %d", *oplogSegBytes)
+		if n.wal.SegmentBytes < 0 {
+			return config{}, fmt.Errorf("-oplog-segment-bytes must be non-negative, got %d", n.wal.SegmentBytes)
 		}
-		walCfg = index.WALConfig{Dir: *oplogDir, Sync: syncPolicy, SegmentBytes: *oplogSegBytes}
 	}
-	// A follower never writes; -read-only covers the shared-snapshot
-	// replica mode.
-	isReadOnly := *readOnly || *follow != ""
-
-	cfg := index.DefaultConfig()
-	cfg.Shards = *indexShards
-	// Every serving process keeps an op log: it is what /deltas serves
-	// and what delta saves append, and its memory is bounded by the
-	// retention window regardless of index size.
-	cfg.OpLog.Enabled = true
-	if *oplogRetain > 0 {
-		cfg.OpLog.MaxOps = *oplogRetain
+	// Every serving process keeps an op log: it is what /v1/deltas
+	// serves and what delta saves append, and its memory is bounded by
+	// the retention window regardless of index size.
+	ix.OpLog.Enabled = true
+	if ix.FilterRatio < 0 || ix.FilterRatio > 1 {
+		return config{}, fmt.Errorf("-filter-ratio must be in [0, 1], got %g", ix.FilterRatio)
 	}
-	cfg.MaxCandidates = *topK
-	if *filterRatio < 0 || *filterRatio > 1 {
-		return fmt.Errorf("-filter-ratio must be in [0, 1], got %g", *filterRatio)
+	if ix.MaxBlockFraction < 0 || ix.MaxBlockFraction > 1 {
+		return config{}, fmt.Errorf("-max-block-fraction must be in [0, 1], got %g", ix.MaxBlockFraction)
 	}
-	if *filterRatio > 0 {
-		cfg.FilterRatio = *filterRatio
+	if ix.MatchThreshold == 0 {
+		ix.MatchThreshold = -1 // keep everything scoring >= 0, as asked
 	}
-	if *maxBlockFrac < 0 || *maxBlockFrac > 1 {
-		return fmt.Errorf("-max-block-fraction must be in [0, 1], got %g", *maxBlockFrac)
-	}
-	if *maxBlockFrac > 0 {
-		cfg.MaxBlockFraction = *maxBlockFrac
-	}
-	cfg.MatchThreshold = *threshold
-	if *threshold == 0 {
-		cfg.MatchThreshold = -1 // keep everything scoring >= 0, as asked
-	}
-	switch *scheme {
+	switch c.scheme {
 	case "CBS":
-		cfg.Scheme = metablocking.CBS
+		ix.Scheme = metablocking.CBS
 	case "ECBS":
-		cfg.Scheme = metablocking.ECBS
+		ix.Scheme = metablocking.ECBS
 	case "JS":
-		cfg.Scheme = metablocking.JS
+		ix.Scheme = metablocking.JS
 	case "ARCS":
-		cfg.Scheme = metablocking.ARCS
+		ix.Scheme = metablocking.ARCS
 	default:
-		return fmt.Errorf("unknown scheme %q", *scheme)
+		return config{}, fmt.Errorf("unknown scheme %q", c.scheme)
 	}
-	switch *prune {
+	switch c.prune {
 	case "mean":
-		cfg.Prune = index.PruneMean
+		ix.Prune = index.PruneMean
 	case "top-k":
-		cfg.Prune = index.PruneTopK
+		ix.Prune = index.PruneTopK
 	case "none":
-		cfg.Prune = index.PruneNone
+		ix.Prune = index.PruneNone
 	default:
-		return fmt.Errorf("unknown pruning rule %q", *prune)
+		return config{}, fmt.Errorf("unknown pruning rule %q", c.prune)
 	}
-	switch *measure {
+	switch c.measure {
 	case "jaccard":
 		// Leave Measure nil: the index installs whole-profile Jaccard
 		// itself and unlocks its cached-token-bag scoring fast path.
 	case "dice":
-		cfg.Measure = matching.DiceMeasure(cfg.Tokenizer)
+		ix.Measure = matching.DiceMeasure(ix.Tokenizer)
 	default:
-		return fmt.Errorf("unknown measure %q", *measure)
+		return config{}, fmt.Errorf("unknown measure %q", c.measure)
 	}
-	probePolicy, err := index.ParseProbePolicy(*lshPolicy)
-	if err != nil {
-		return err
+	var err error
+	if ix.LSH.Policy, err = index.ParseProbePolicy(c.lsh); err != nil {
+		return config{}, err
 	}
-	if probePolicy != index.ProbeOff {
-		if *lshSignature <= 0 {
-			return fmt.Errorf("-lsh-signature must be positive, got %d", *lshSignature)
+	if ix.LSH.Policy == index.ProbeOff {
+		ix.LSH = index.LSHConfig{} // the -lsh-* defaults configure nothing
+	} else {
+		if ix.LSH.SignatureLen <= 0 {
+			return config{}, fmt.Errorf("-lsh-signature must be positive, got %d", ix.LSH.SignatureLen)
 		}
-		if !(*lshThreshold > 0 && *lshThreshold <= 1) {
-			return fmt.Errorf("-lsh-threshold must be in (0, 1], got %v", *lshThreshold)
+		if !(ix.LSH.Threshold > 0 && ix.LSH.Threshold <= 1) {
+			return config{}, fmt.Errorf("-lsh-threshold must be in (0, 1], got %v", ix.LSH.Threshold)
 		}
-		if *lshFloor < 1 {
-			return fmt.Errorf("-lsh-floor must be at least 1, got %d", *lshFloor)
+		if ix.LSH.FallbackFloor < 1 {
+			return config{}, fmt.Errorf("-lsh-floor must be at least 1, got %d", ix.LSH.FallbackFloor)
 		}
-		cfg.LSH = index.LSHConfig{
-			Policy:        probePolicy,
-			SignatureLen:  *lshSignature,
-			Threshold:     *lshThreshold,
-			FallbackFloor: *lshFloor,
-		}
-		switch *lshWeight {
+		switch c.lshWeight {
 		case "est-jaccard":
-			cfg.LSH.Weight = index.LSHWeightJaccard
+			ix.LSH.Weight = index.LSHWeightJaccard
 		case "buckets":
-			cfg.LSH.Weight = index.LSHWeightBuckets
+			ix.LSH.Weight = index.LSHWeightBuckets
 		default:
-			return fmt.Errorf("unknown LSH weighting %q", *lshWeight)
+			return config{}, fmt.Errorf("unknown LSH weighting %q", c.lshWeight)
 		}
 	}
+	cfg.node = n
+	return cfg, nil
+}
+
+func run(cfg config) error {
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
+
+	// The pprof handlers live on their own mux and address so profiling
+	// traffic (and its unauthenticated endpoints) never shares the
+	// serving listener.
+	if cfg.pprofAddr != "" {
+		pm := http.NewServeMux()
+		pm.HandleFunc("/debug/pprof/", pprof.Index)
+		pm.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		pm.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		go func() {
+			if err := http.ListenAndServe(cfg.pprofAddr, pm); err != nil {
+				logger.Error("pprof listener failed", "addr", cfg.pprofAddr, "err", err)
+			}
+		}()
+		logger.Info("pprof listening", "addr", cfg.pprofAddr)
+	}
+
+	// Coordinator mode: /v1 queries fan out to every shard and merge,
+	// writes hash-route to one shard, and a dead shard degrades answers
+	// instead of failing them.
+	if cc := cfg.coordinator; cc != nil {
+		cc.opts.Logger = logger
+		cluster, err := serve.NewCluster(cc.shards, cc.opts)
+		if err != nil {
+			return err
+		}
+		logger.Info("coordinating", "shards", len(cc.shards))
+		return serveUntilSignal(cfg.addr, cluster, logger, cluster.Close)
+	}
+	return runNode(cfg.addr, cfg.node, logger)
+}
+
+// serveUntilSignal is the one server lifecycle: listen, serve until
+// SIGINT/SIGTERM, drain in-flight requests, then run the mode's own
+// shutdown work. The server-level timeouts close the slowloris hole: a
+// client that trickles headers or never reads its response is cut off
+// instead of holding a connection (and, with admission on, a slot)
+// forever.
+func serveUntilSignal(addr string, handler http.Handler, logger *slog.Logger, onShutdown func()) error {
+	srv := &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       time.Minute,
+		WriteTimeout:      2 * time.Minute,
+		IdleTimeout:       2 * time.Minute,
+	}
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.ListenAndServe() }()
+	logger.Info("listening", "addr", addr)
+
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	select {
+	case err := <-errCh:
+		return err
+	case sig := <-stop:
+		logger.Info("shutting down", "signal", sig.String())
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			logger.Error("shutdown failed", "err", err)
+		}
+		onShutdown()
+		return nil
+	}
+}
+
+// runNode serves one local index: restore or build it, attach the
+// durable op log, start the save timers and the follower loop, serve.
+func runNode(addr string, n *nodeConfig, logger *slog.Logger) error {
+	snapshot := n.opts.SnapshotPath
+	// A follower never writes; -read-only covers the shared-snapshot
+	// replica mode.
+	isReadOnly := n.readOnly || n.follow != ""
 
 	// Restore at boot: a follower bootstraps from its leader over HTTP;
 	// otherwise a present, version-compatible snapshot skips loading and
 	// re-indexing the input files entirely.
 	var idx *index.Index
-	var follower *serve.Follower
-	if *follow != "" {
-		follower = serve.NewFollower(*follow, cfg, serve.FollowerOptions{Logger: logger})
+	if n.follow != "" {
+		n.opts.Follower = serve.NewFollower(n.follow, n.index, serve.FollowerOptions{Logger: logger})
 		bctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		x, err := follower.Bootstrap(bctx)
+		x, err := n.opts.Follower.Bootstrap(bctx)
 		cancel()
 		if err != nil {
 			return err
 		}
 		idx = x
 		logger.Info("bootstrapped from leader",
-			"leader", *follow,
+			"leader", n.follow,
 			"profiles", x.Size(),
 			"seq", x.Seq())
-	} else if *snapshot != "" {
-		x, err := index.Load(*snapshot, cfg)
+	} else if snapshot != "" {
+		x, err := index.Load(snapshot, n.index)
 		switch {
 		case err == nil:
 			idx = x
 			st, _ := x.PersistState()
 			logger.Info("restored snapshot",
-				"path", *snapshot,
+				"path", snapshot,
 				"profiles", x.Size(),
 				"bytes", st.Bytes,
 				"saved_at", st.SavedAt.Format(time.RFC3339))
 		case errors.Is(err, fs.ErrNotExist), errors.Is(err, index.ErrSnapshotVersion):
-			logger.Warn("snapshot unavailable, building fresh index", "path", *snapshot, "err", err)
+			logger.Warn("snapshot unavailable, building fresh index", "path", snapshot, "err", err)
 		default:
 			return err
 		}
 	}
 	if idx == nil {
-		c, err := loadCollection(*fileA, *fileB, *dirty, *idCol, *generate)
+		c, err := loadCollection(n.fileA, n.fileB, n.dirty, n.idCol, n.generate)
 		if err != nil {
 			return err
 		}
-		if idx, err = index.NewFromCollection(c, cfg); err != nil {
+		if idx, err = index.NewFromCollection(c, n.index); err != nil {
 			return err
 		}
 		snap := idx.Snapshot()
@@ -409,7 +538,7 @@ func run() error {
 			"shards", snap.Shards,
 			"max_block_size", snap.MaxBlockSize)
 	}
-	if *readOnly {
+	if n.readOnly {
 		idx.SetReadOnly(true)
 		logger.Info("read-only replica mode: upserts rejected")
 	}
@@ -417,16 +546,16 @@ func run() error {
 	// Attach the durable op log after the snapshot restore: recovery
 	// replays only the segment tail past the restored sequence number,
 	// repopulating the in-memory window so followers resume from
-	// /deltas without a re-bootstrap. From here every op hits disk
+	// /v1/deltas without a re-bootstrap. From here every op hits disk
 	// before it mutates the index.
-	if *oplogDir != "" {
-		rec, err := idx.OpenWAL(walCfg)
+	if n.wal.Dir != "" {
+		rec, err := idx.OpenWAL(n.wal)
 		if err != nil {
 			return fmt.Errorf("op-log recovery: %w", err)
 		}
 		logger.Info("op log attached",
-			"dir", *oplogDir,
-			"fsync", walCfg.Sync.String(),
+			"dir", n.wal.Dir,
+			"fsync", n.wal.Sync.String(),
 			"segments", rec.Segments,
 			"replayed_ops", rec.Replayed,
 			"skipped_ops", rec.SkippedOps,
@@ -435,37 +564,23 @@ func run() error {
 			"seq", idx.Seq())
 	}
 
-	// A read-only replica consumes the snapshot file, never produces it:
+	// save writes a full or (write = idx.SaveDelta) delta snapshot. A
+	// read-only replica consumes the snapshot file, never produces it:
 	// auto-saving would overwrite a newer primary snapshot with this
 	// replica's stale copy.
-	save := func(reason string) {
-		if *snapshot == "" || isReadOnly {
+	save := func(write func(string) (index.PersistState, error), what, reason string) {
+		if snapshot == "" || isReadOnly {
 			return
 		}
 		start := time.Now()
-		st, err := idx.Save(*snapshot)
+		st, err := write(snapshot)
 		if err != nil {
-			logger.Error("snapshot save failed", "reason", reason, "path", *snapshot, "err", err)
+			logger.Error(what+" save failed", "reason", reason, "path", snapshot, "err", err)
 			return
 		}
-		logger.Info("saved snapshot",
+		logger.Info("saved "+what,
 			"path", st.Path,
 			"bytes", st.Bytes,
-			"elapsed", time.Since(start).Round(time.Millisecond),
-			"reason", reason)
-	}
-	saveDelta := func(reason string) {
-		if *snapshot == "" || isReadOnly {
-			return
-		}
-		start := time.Now()
-		st, err := idx.SaveDelta(*snapshot)
-		if err != nil {
-			logger.Error("delta save failed", "reason", reason, "path", *snapshot, "err", err)
-			return
-		}
-		logger.Info("saved delta",
-			"path", st.Path,
 			"seq", st.Seq,
 			"delta_ops", st.DeltaOps,
 			"delta_bytes", st.DeltaBytes,
@@ -477,33 +592,33 @@ func run() error {
 	// save, and the goroutine never outlives the graceful exit.
 	var saveLoop sync.WaitGroup
 	stopSaves := make(chan struct{})
-	if (*snapshotInterval > 0 || *deltaInterval > 0) && *snapshot != "" && !isReadOnly {
+	if (n.snapshotInterval > 0 || n.deltaInterval > 0) && snapshot != "" && !isReadOnly {
 		saveLoop.Add(1)
 		go func() {
 			defer saveLoop.Done()
 			var fullC, deltaC <-chan time.Time
-			if *snapshotInterval > 0 {
-				t := time.NewTicker(*snapshotInterval)
+			if n.snapshotInterval > 0 {
+				t := time.NewTicker(n.snapshotInterval)
 				defer t.Stop()
 				fullC = t.C
 			}
-			if *deltaInterval > 0 {
-				t := time.NewTicker(*deltaInterval)
+			if n.deltaInterval > 0 {
+				t := time.NewTicker(n.deltaInterval)
 				defer t.Stop()
 				deltaC = t.C
 			}
 			for {
 				select {
 				case <-fullC:
-					save("interval")
+					save(idx.Save, "snapshot", "interval")
 				case <-deltaC:
 					// Compaction: once the delta tail holds enough ops,
 					// pay for one full save and start a fresh tail —
 					// replay cost at restore stays bounded.
-					if st, ok := idx.PersistState(); ok && *compactOps > 0 && st.DeltaOps >= int64(*compactOps) {
-						save("compact")
+					if st, ok := idx.PersistState(); ok && n.compactOps > 0 && st.DeltaOps >= int64(n.compactOps) {
+						save(idx.Save, "snapshot", "compact")
 					} else {
-						saveDelta("interval")
+						save(idx.SaveDelta, "delta", "interval")
 					}
 				case <-stopSaves:
 					return
@@ -512,82 +627,29 @@ func run() error {
 		}()
 	}
 
-	// The pprof handlers live on their own mux and address so profiling
-	// traffic (and its unauthenticated endpoints) never shares the
-	// serving listener.
-	if *pprofAddr != "" {
-		pm := http.NewServeMux()
-		pm.HandleFunc("/debug/pprof/", pprof.Index)
-		pm.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		pm.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, pm); err != nil {
-				logger.Error("pprof listener failed", "addr", *pprofAddr, "err", err)
-			}
-		}()
-		logger.Info("pprof listening", "addr", *pprofAddr)
-	}
-
-	// The handler itself refuses /snapshot/save on a read-only index
-	// (403), so the path can be passed through unconditionally. The
-	// server-level timeouts close the slowloris hole: a client that
-	// trickles headers or never reads its response is cut off instead
-	// of holding a connection (and, with admission on, a slot) forever.
-	handler := serve.NewHandlerOptions(idx, serve.Options{
-		SnapshotPath:  *snapshot,
-		Logger:        logger,
-		SlowQuery:     *slowQuery,
-		NoMetrics:     !*metrics,
-		MaxInFlight:   *maxInFlight,
-		ShedWait:      *shedWait,
-		DefaultBudget: *defaultBudget,
-		MaxBodyBytes:  *maxBody,
-		Follower:      follower,
-	})
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       time.Minute,
-		WriteTimeout:      2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	if *maxInFlight > 0 {
+	// The handler itself refuses /v1/snapshot/save on a read-only index
+	// (403), so the path can be passed through unconditionally.
+	n.opts.Logger = logger
+	handler := serve.NewHandlerOptions(idx, n.opts)
+	if n.opts.MaxInFlight > 0 {
 		logger.Info("admission control on",
-			"max_inflight", *maxInFlight,
-			"shed_wait", shedWait.String(),
-			"default_budget", defaultBudget.String())
+			"max_inflight", n.opts.MaxInFlight,
+			"shed_wait", n.opts.ShedWait.String(),
+			"default_budget", n.opts.DefaultBudget.String())
 	}
 	runCtx, cancelRun := context.WithCancel(context.Background())
 	defer cancelRun()
-	if follower != nil {
-		go func() { _ = follower.Run(runCtx, handler) }()
-		logger.Info("following leader", "leader", *follow)
+	if f := n.opts.Follower; f != nil {
+		go func() { _ = f.Run(runCtx, handler) }()
+		logger.Info("following leader", "leader", n.follow)
 	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	logger.Info("listening", "addr", *addr)
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		return err
-	case sig := <-stop:
-		logger.Info("shutting down", "signal", sig.String())
+	return serveUntilSignal(addr, handler, logger, func() {
 		cancelRun()
-		// Stop the timed saves first and wait the loop out: the final
-		// save below must not race an in-flight interval save.
+		// Stop the timed saves and wait the loop out: the final save
+		// below must not race an in-flight interval save.
 		close(stopSaves)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			logger.Error("shutdown failed", "err", err)
-		}
 		saveLoop.Wait()
-		save("shutdown")
+		save(idx.Save, "snapshot", "shutdown")
 		// After the final save so a full snapshot prunes now-covered
 		// segments; close syncs whatever the flush policy left pending.
 		if idx.WALEnabled() {
@@ -595,76 +657,11 @@ func run() error {
 				logger.Error("op log close failed", "err", err)
 			}
 		}
-		return nil
-	}
-}
-
-// coordinatorConfig is the flag subset coordinator mode consumes.
-type coordinatorConfig struct {
-	addr          string
-	shards        string
-	logger        *slog.Logger
-	maxInFlight   int
-	shedWait      time.Duration
-	defaultBudget time.Duration
-	maxBody       int64
-	probeInterval time.Duration
-	metrics       bool
-}
-
-// runCoordinator serves the scatter-gather front end: /v1 queries fan
-// out to every shard and merge, writes hash-route to one shard, and a
-// dead shard degrades answers instead of failing them.
-func runCoordinator(cc coordinatorConfig) error {
-	var urls []string
-	for _, u := range strings.Split(cc.shards, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-	cluster, err := serve.NewCluster(urls, serve.ClusterOptions{
-		Logger:        cc.logger,
-		MaxInFlight:   cc.maxInFlight,
-		ShedWait:      cc.shedWait,
-		DefaultBudget: cc.defaultBudget,
-		MaxBodyBytes:  cc.maxBody,
-		ProbeInterval: cc.probeInterval,
-		NoMetrics:     !cc.metrics,
 	})
-	if err != nil {
-		return err
-	}
-	defer cluster.Close()
-	srv := &http.Server{
-		Addr:              cc.addr,
-		Handler:           cluster,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       time.Minute,
-		WriteTimeout:      2 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	cc.logger.Info("coordinator listening", "addr", cc.addr, "shards", len(urls))
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		return err
-	case sig := <-stop:
-		cc.logger.Info("shutting down", "signal", sig.String())
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			cc.logger.Error("shutdown failed", "err", err)
-		}
-		return nil
-	}
 }
 
 // loadCollection assembles the startup collection from the flags; with no
-// inputs it serves an empty clean-clean index ready for /bulk loads.
+// inputs it serves an empty clean-clean index ready for /v1/bulk loads.
 func loadCollection(fileA, fileB, dirty, idCol string, generate bool) (*profile.Collection, error) {
 	switch {
 	case generate:

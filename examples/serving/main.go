@@ -92,13 +92,13 @@ func main() {
 	}
 
 	// Bulk-load two new source-B products.
-	bulk := post("/bulk?source=1",
+	bulk := post("/v1/bulk?source=1",
 		`{"id": "b4", "title": "Starlight projector lamp"}`+"\n"+
 			`{"id": "b5", "title": "Acme TurboBlend 5000 refurbished blender"}`)
 	fmt.Printf("bulk load: %v new profiles\n", bulk["upserted"])
 
 	// Query: the refurbished blender now shows up as a second match.
-	q := post("/query", `{"id": "probe", "name": "Acme TurboBlend 5000 blender"}`)
+	q := post("/v1/query", `{"id": "probe", "name": "Acme TurboBlend 5000 blender"}`)
 	fmt.Printf("http query: %d candidate(s), %v posting(s) scanned\n",
 		len(q["candidates"].([]any)), q["postings_scanned"])
 	for _, m := range q["matches"].([]any) {
@@ -107,11 +107,11 @@ func main() {
 	}
 
 	// Upsert replaces in place: b4 becomes a blender too.
-	up := post("/upsert?source=1", `{"id": "b4", "title": "Acme blender stand"}`)
+	up := post("/v1/upsert?source=1", `{"id": "b4", "title": "Acme blender stand"}`)
 	fmt.Printf("upsert b4: created=%v\n", up["created"])
 
 	// Stats reflect everything that happened.
-	resp, err := http.Get(srv.URL + "/stats")
+	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func main() {
 	// and /metrics serves the Prometheus text exposition a scraper would
 	// collect — count how many sparker_* families this little session
 	// already produced.
-	dbg := post("/query?debug=1", `{"id": "probe", "name": "Acme TurboBlend 5000 blender"}`)
+	dbg := post("/v1/query?debug=1", `{"id": "probe", "name": "Acme TurboBlend 5000 blender"}`)
 	if d, ok := dbg["debug"].(map[string]any); ok {
 		stages := d["stages"].([]any)
 		first := stages[0].(map[string]any)
@@ -185,7 +185,7 @@ func main() {
 	// The restored index answers immediately — same profiles, same
 	// counters, no rebuild. Compare the pre-kill query against it.
 	q2 := func() map[string]any {
-		resp, err := http.Post(srv2.URL+"/query", "application/json",
+		resp, err := http.Post(srv2.URL+"/v1/query", "application/json",
 			bytes.NewBufferString(`{"id": "probe", "name": "Acme TurboBlend 5000 blender"}`))
 		if err != nil {
 			log.Fatal(err)
@@ -221,7 +221,7 @@ func main() {
 	// scoring), so a truncated answer is the best-first prefix of the
 	// full one.
 	capped := func() map[string]any {
-		resp, err := http.Post(srv2.URL+"/query?max_comparisons=1", "application/json",
+		resp, err := http.Post(srv2.URL+"/v1/query?max_comparisons=1", "application/json",
 			bytes.NewBufferString(`{"id": "probe", "name": "Acme TurboBlend 5000 blender"}`))
 		if err != nil {
 			log.Fatal(err)
@@ -261,7 +261,7 @@ func main() {
 	slowDone := make(chan struct{})
 	go func() {
 		defer close(slowDone)
-		resp, err := http.Post(srv3.URL+"/query", "application/json",
+		resp, err := http.Post(srv3.URL+"/v1/query", "application/json",
 			bytes.NewBufferString(`{"id": "probe", "name": "Acme TurboBlend 5000 blender"}`))
 		if err != nil {
 			log.Fatal(err)
@@ -270,7 +270,7 @@ func main() {
 	}()
 	<-entered // the slow query now holds the only admission slot
 
-	resp2, err := http.Post(srv3.URL+"/query", "application/json",
+	resp2, err := http.Post(srv3.URL+"/v1/query", "application/json",
 		bytes.NewBufferString(`{"id": "probe", "name": "Zenix SoundWave speaker"}`))
 	if err != nil {
 		log.Fatal(err)
@@ -285,8 +285,8 @@ func main() {
 
 	// 7. Replication: a leader streams its op log to a read replica over
 	// HTTP. This is what `sparker-serve -follow <leader-url>` wires up —
-	// the follower bootstraps from GET /snapshot, serves read-only, and
-	// tails GET /deltas. Build a leader whose index keeps an op log
+	// the follower bootstraps from GET /v1/snapshot, serves read-only, and
+	// tails GET /v1/deltas. Build a leader whose index keeps an op log
 	// (sparker-serve always enables it; embedders opt in via
 	// IndexOpLogConfig):
 	leaderCfg := sparker.DefaultIndexConfig()
@@ -325,7 +325,7 @@ func main() {
 		}
 		resp.Body.Close()
 	}
-	postTo(leader.URL, "/upsert?source=1", `{"id": "b6", "title": "Acme TurboBlend 6000 blender"}`)
+	postTo(leader.URL, "/v1/upsert?source=1", `{"id": "b6", "title": "Acme TurboBlend 6000 blender"}`)
 	for followerH.Index().Seq() < leaderIdx.Seq() {
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -335,7 +335,7 @@ func main() {
 	// Both must answer byte-identically: the follower's index is the
 	// same state at the same sequence number.
 	ask := func(base string) []byte {
-		resp, err := http.Post(base+"/query", "application/json",
+		resp, err := http.Post(base+"/v1/query", "application/json",
 			bytes.NewBufferString(`{"id": "probe", "name": "Acme TurboBlend 6000"}`))
 		if err != nil {
 			log.Fatal(err)
@@ -401,8 +401,8 @@ func main() {
 	go func() { _ = tail.Run(tailCtx, tailH) }()
 
 	// Mid-traffic writes land on disk and replicate...
-	postTo(frontSrv.URL, "/upsert?source=1", `{"id": "b7", "title": "Acme QuietCool fan mk2"}`)
-	postTo(frontSrv.URL, "/upsert?source=1", `{"id": "b8", "title": "Zenix SoundWave mini speaker"}`)
+	postTo(frontSrv.URL, "/v1/upsert?source=1", `{"id": "b7", "title": "Acme QuietCool fan mk2"}`)
+	postTo(frontSrv.URL, "/v1/upsert?source=1", `{"id": "b8", "title": "Zenix SoundWave mini speaker"}`)
 	for tailH.Index().Seq() < durIdx.Seq() {
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -414,7 +414,7 @@ func main() {
 
 	// Restart: restore the snapshot, then replay the log tail past it.
 	// Recovery also re-retains the replayed frames in the in-memory
-	// window, so the follower's next /deltas poll is answered from
+	// window, so the follower's next /v1/deltas poll is answered from
 	// before the crash — no 410, no re-bootstrap.
 	recovered, err := sparker.LoadIndex(durSnap, leaderCfg)
 	if err != nil {
@@ -430,7 +430,7 @@ func main() {
 
 	// The follower keeps tailing across the restart as if nothing
 	// happened: new writes flow, the resync counter stays at zero.
-	postTo(frontSrv.URL, "/upsert?source=1", `{"id": "b9", "title": "Luxor floor lamp"}`)
+	postTo(frontSrv.URL, "/v1/upsert?source=1", `{"id": "b9", "title": "Luxor floor lamp"}`)
 	for tailH.Index().Seq() < recovered.Seq() {
 		time.Sleep(5 * time.Millisecond)
 	}

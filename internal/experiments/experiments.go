@@ -1,9 +1,20 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (the Figure 6 demo walkthrough, the Figure 1/2 toys, and the
 // scalability claims delegated to the technical report). Each experiment
-// returns structured rows; cmd/sparker-bench renders them as the tables
-// recorded in EXPERIMENTS.md, and bench_test.go wraps them as testing.B
-// benchmarks. See DESIGN.md for the experiment index (E1–E9).
+// returns structured rows; cmd/sparker-bench renders them as tables and
+// bench_test.go wraps them as testing.B benchmarks. The experiment
+// index is this file's section banners:
+//
+//	E1/E2  Figure 1 and Figure 2 toys
+//	E3     Figure 6(a,b): the LSH threshold sweep
+//	E4     Figure 6(c,d): manual partition edit, lost-pair drill-down
+//	E5     Figure 6(e): meta-blocking with entropy
+//	E6     scalability: executor sweep over the distributed blocker
+//	E7     broadcast-join meta-blocking vs naive edge materialisation
+//	E8     end-to-end pipeline (Figures 3 and 5)
+//	E9     debug-sample representativeness (Section 3)
+//
+// followed by the weight-scheme and pruning-rule ablations.
 package experiments
 
 import (
@@ -528,7 +539,7 @@ func ProgressiveRecall(d *Dataset, budgets []int) []ProgressiveRow {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations — weight schemes and pruning rules (DESIGN.md section 5).
+// Ablations — weight schemes and pruning rules.
 
 // AblationRow is one (scheme, pruning) quality/cost point.
 type AblationRow struct {

@@ -2,21 +2,22 @@ package serve
 
 // Admission control and graceful degradation: the front door of the
 // serving tier. A bounded semaphore caps in-flight work on the
-// expensive routes (/query, /upsert, /bulk); an over-limit request
-// waits at most Options.ShedWait for a slot (bounded by its own
+// expensive routes (/v1/query, /v1/upsert, /v1/bulk); an over-limit
+// request waits at most Options.ShedWait for a slot (bounded by its own
 // context) and is otherwise shed with 429 (gate full, no wait
 // configured) or 503 (wait expired) plus Retry-After — the server
 // answers fast instead of queueing without bound. Admitted queries
 // carry a degradation level derived from gate occupancy; the ladder
-// (degrade* below) tightens their budget and probe policy so a loaded
+// (degrade below) tightens their budget and probe policy so a loaded
 // server keeps answering with cheaper, truncated best-first results.
+// The gate and the ladder are the same on a single node and on the
+// shard coordinator: both reach them through frontend.handleGated.
 
 import (
 	"context"
 	"net/http"
 	"time"
 
-	"sparker/internal/index"
 	"sparker/internal/obs"
 )
 
@@ -99,22 +100,6 @@ func (a *admission) acquire(ctx context.Context) (release func(), level, status 
 	}
 }
 
-// gated wraps a handler behind the gate: over-limit requests shed with
-// 429/503 + Retry-After instead of queueing, and the admission level
-// rides in the request context for the degradation ladder. Shared by
-// the single-node Handler and the cluster Coordinator.
-func (a *admission) gated(retryAfterSecs int64, fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		release, level, status := a.acquire(r.Context())
-		if status != 0 {
-			shedResponse(w, status, retryAfterSecs)
-			return
-		}
-		defer release()
-		fn(w, r.WithContext(context.WithValue(r.Context(), admissionLevelKey{}, level)))
-	}
-}
-
 // levelFor maps gate occupancy onto the degradation ladder: 0 below
 // half-full (healthy), 1 at half, 2 at three-quarters, 3 when the
 // request had to wait for a slot (the gate was full on arrival).
@@ -146,39 +131,31 @@ const (
 // level 0 leaves the request's own cap untouched.
 var degradedMaxComparisons = [4]int{0, 1024, 256, 64}
 
-// degrade tightens a request's resolve options per the admission
-// level, in ladder order: level 1 tightens the wall-clock budget and
-// caps comparisons, level 2 also drops a union probe to fallback,
-// level 3 drops the probe entirely. The (possibly imposed) wall-clock
-// budget is returned so the caller can stamp the deadline once.
-func degrade(opts *index.ResolveOptions, level int, budget time.Duration) time.Duration {
+// degrade is the degradation ladder, the only one: it tightens a
+// query's knobs per the admission level, after the server's default
+// budget has been applied (see frontend.throttle), and is used verbatim
+// by the single node (before the knobs become resolve options) and the
+// coordinator (before the per-shard budget split). Level 1 tightens the
+// wall-clock budget and caps comparisons, level 2 also drops a union
+// probe to fallback, level 3 drops the probe entirely. Both an absent
+// budget and an explicit unlimited one (0) get the cap imposed.
+func degrade(p *QueryParams, level int) {
 	if level <= 0 {
-		return budget
+		return
 	}
+	budget := time.Duration(p.BudgetMS * float64(time.Millisecond))
 	if budget == 0 || budget > degradedBudgetCap {
 		budget = degradedBudgetCap
 	}
-	budget >>= uint(level - 1)
-	if budget < degradedBudgetFloor {
-		budget = degradedBudgetFloor
-	}
-	if lim := degradedMaxComparisons[level]; opts.Budget.MaxComparisons == 0 || opts.Budget.MaxComparisons > lim {
-		opts.Budget.MaxComparisons = lim
+	budget = max(budget>>uint(level-1), degradedBudgetFloor)
+	p.BudgetMS, p.BudgetSet = float64(budget)/float64(time.Millisecond), true
+	if lim := degradedMaxComparisons[level]; p.MaxComparisons == 0 || p.MaxComparisons > lim {
+		p.MaxComparisons, p.MaxComparisonsSet = lim, true
 	}
 	switch {
 	case level >= 3:
-		opts.Probe.Policy = index.ProbeOff
-	case level >= 2 && opts.Probe.Policy == index.ProbeUnion:
-		opts.Probe.Policy = index.ProbeFallback
+		p.Probe = "off"
+	case level >= 2 && p.Probe == "union":
+		p.Probe = "fallback"
 	}
-	return budget
-}
-
-// shed writes the 429/503 shed response: Retry-After (derived from the
-// configured shed wait — see retryAfterSeconds) so well-behaved clients
-// back off for at least as long as the server would have let them wait
-// for a slot, and the typed error envelope like every other error
-// surface, with retry_after_seconds mirroring the header.
-func shedResponse(w http.ResponseWriter, status int, retryAfterSecs int64) {
-	httpErrorRetry(w, status, ErrCodeOverloaded, retryAfterSecs, errOverloaded)
 }

@@ -2,9 +2,8 @@ package serve
 
 // The versioned /v1 API contract: one typed JSON error envelope for
 // every 4xx/5xx response, and one typed codec for the per-request
-// query knobs. Routes are registered under /v1/ with the historical
-// unversioned paths kept as aliases, so existing clients keep working
-// while new surfaces (the cluster coordinator above all) speak a
+// query knobs. Every API route lives under /v1/ and nowhere else, so
+// every topology (the cluster coordinator above all) speaks one
 // stable, forwardable contract.
 //
 // The knob codec is the piece that makes scatter-gather trustworthy:
@@ -79,11 +78,6 @@ func httpErrorRetry(w http.ResponseWriter, status int, code string, retryAfterSe
 	_ = json.NewEncoder(w).Encode(APIError{Err: APIErrorDetail{
 		Code: code, Message: err.Error(), RetryAfterSeconds: retryAfterSecs,
 	}})
-}
-
-// methodError is the 405 every GET/POST-only route writes.
-func methodError(w http.ResponseWriter, want string) {
-	httpError(w, http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, fmt.Errorf("use %s", want))
 }
 
 // QueryParams is the typed form of the per-request knobs on /v1/query
@@ -194,37 +188,34 @@ func (p QueryParams) Values() url.Values {
 // Encode is Values().Encode(): the canonical query string.
 func (p QueryParams) Encode() string { return p.Values().Encode() }
 
-// resolveOptions turns the parsed knobs into the index call: the probe
+// resolveOptions turns the knobs — as the default budget and the
+// degradation ladder left them — into the index call: the probe
 // overrides (explicitly requesting a probe on an index without LSH is
-// a client error, not a silent no-op) and the work budget. The
-// wall-clock budget is returned as a duration — the deadline itself is
-// stamped by the caller after the degradation ladder had its say.
-func (p QueryParams) resolveOptions(x *index.Index, defaultBudget time.Duration) (index.ResolveOptions, time.Duration, error) {
+// a client error, not a silent no-op) and the work budget, its
+// wall-clock part stamped as a deadline from now.
+func (p QueryParams) resolveOptions(x *index.Index) (index.ResolveOptions, error) {
 	opts := index.ResolveOptions{Probe: index.ProbeOptions{Policy: x.ProbePolicy()}}
-	budget := defaultBudget
 	if p.Probe != "" {
 		pol, err := index.ParseProbePolicy(p.Probe)
 		if err != nil {
-			return opts, 0, err
+			return opts, err
 		}
 		if pol != index.ProbeOff && !x.LSHEnabled() {
-			return opts, 0, fmt.Errorf("probe=%s needs an LSH-enabled index (start sparker-serve with -lsh)", p.Probe)
+			return opts, fmt.Errorf("probe=%s needs an LSH-enabled index (start sparker-serve with -lsh)", p.Probe)
 		}
 		opts.Probe.Policy = pol
 	}
 	if p.ProbeFloor > 0 {
 		if !x.LSHEnabled() {
-			return opts, 0, fmt.Errorf("probe_floor needs an LSH-enabled index (start sparker-serve with -lsh)")
+			return opts, fmt.Errorf("probe_floor needs an LSH-enabled index (start sparker-serve with -lsh)")
 		}
 		opts.Probe.Floor = p.ProbeFloor
 	}
-	if p.BudgetSet {
-		budget = time.Duration(p.BudgetMS * float64(time.Millisecond))
+	if budget := time.Duration(p.BudgetMS * float64(time.Millisecond)); budget > 0 {
+		opts.Budget.Deadline = index.DeadlineIn(budget)
 	}
-	if p.MaxComparisonsSet {
-		opts.Budget.MaxComparisons = p.MaxComparisons
-	}
-	return opts, budget, nil
+	opts.Budget.MaxComparisons = p.MaxComparisons
+	return opts, nil
 }
 
 // DeltaParams is the typed form of the /v1/deltas knobs, shared by the

@@ -14,9 +14,10 @@ import (
 )
 
 // TestErrorEnvelope pins the /v1 error contract: every 4xx/5xx path —
-// method, knob, payload, read-only, not-found, and both admission shed
-// shapes — answers the one typed envelope with a machine-matchable
-// code. A client that switches on error.code must never meet an
+// method, knob, payload, read-only, not-found (a disabled surface, an
+// unknown route, a removed unversioned path — on a node and on a
+// coordinator alike), and both admission shed shapes — answers the one
+// typed envelope with a machine-matchable code. A client that switches on error.code must never meet an
 // ad-hoc body.
 func TestErrorEnvelope(t *testing.T) {
 	writable := index.New(false, index.DefaultConfig())
@@ -34,6 +35,14 @@ func TestErrorEnvelope(t *testing.T) {
 	shed503 := NewHandlerOptions(writable, Options{MaxInFlight: 1, ShedWait: time.Millisecond})
 	shed503.gate.sem <- struct{}{}
 
+	// A coordinator over one (never contacted) shard: the front end
+	// answers these itself.
+	coord, err := NewCluster([]string{"http://127.0.0.1:1"}, ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
 	profileBody := `{"id": "p1", "name": "acme blender"}`
 	for _, tc := range []struct {
 		name       string
@@ -48,7 +57,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"method not allowed", plain, http.MethodGet, "/v1/query", "", http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, false},
 		{"bad budget knob", plain, http.MethodPost, "/v1/query?budget_ms=nope", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
 		{"bad probe knob", plain, http.MethodPost, "/v1/query?probe=bogus", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
-		{"bad probe knob via alias", plain, http.MethodPost, "/query?probe=bogus", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
+		{"bad source knob on upsert", plain, http.MethodPost, "/v1/upsert?source=9", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
 		{"malformed body", plain, http.MethodPost, "/v1/query", "not json", http.StatusBadRequest, ErrCodeBadRequest, false},
 		{"probe without lsh", plain, http.MethodPost, "/v1/query?probe=union", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
 		{"snapshot save unconfigured", plain, http.MethodPost, "/v1/snapshot/save", "", http.StatusNotFound, ErrCodeNotFound, false},
@@ -57,7 +66,12 @@ func TestErrorEnvelope(t *testing.T) {
 		{"payload too large", plain, http.MethodPost, "/v1/upsert",
 			`{"id": "big", "name": "` + strings.Repeat("x", 200) + `"}`, http.StatusRequestEntityTooLarge, ErrCodePayloadTooLarge, false},
 		{"read-only upsert", readOnly, http.MethodPost, "/v1/upsert", profileBody, http.StatusForbidden, ErrCodeReadOnly, false},
-		{"read-only upsert via alias", readOnly, http.MethodPost, "/upsert", profileBody, http.StatusForbidden, ErrCodeReadOnly, false},
+		{"read-only bulk", readOnly, http.MethodPost, "/v1/bulk", profileBody, http.StatusForbidden, ErrCodeReadOnly, false},
+		{"unknown route", plain, http.MethodGet, "/v1/nope", "", http.StatusNotFound, ErrCodeNotFound, false},
+		{"unknown route on coordinator", coord, http.MethodGet, "/v1/deltas", "", http.StatusNotFound, ErrCodeNotFound, false},
+		{"legacy unversioned path", plain, http.MethodPost, "/query", profileBody, http.StatusNotFound, ErrCodeNotFound, false},
+		{"legacy unversioned path on coordinator", coord, http.MethodPost, "/query", profileBody, http.StatusNotFound, ErrCodeNotFound, false},
+		{"method not allowed on coordinator", coord, http.MethodGet, "/v1/query", "", http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, false},
 		{"shed immediately", shed429, http.MethodPost, "/v1/query", profileBody, http.StatusTooManyRequests, ErrCodeOverloaded, true},
 		{"shed after wait", shed503, http.MethodPost, "/v1/query", profileBody, http.StatusServiceUnavailable, ErrCodeOverloaded, true},
 	} {

@@ -19,7 +19,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -78,18 +77,17 @@ type ClusterOptions struct {
 }
 
 // Cluster is the scatter-gather coordinator: an http.Handler exposing
-// the /v1 API (plus the legacy aliases) over a fleet of shard
-// processes. Construct with NewCluster; Close stops the health prober.
+// the /v1 API over a fleet of shard processes — the shared front end
+// (the same gate, knob decode, body cap, default-budget precedence and
+// degradation ladder a single node runs) plus what a request does
+// against N shards. Construct with NewCluster; Close stops the health
+// prober.
 type Cluster struct {
-	router
-	shards     []*shardClient
-	opts       ClusterOptions
-	logger     *slog.Logger
-	gate       *admission
-	maxBody    int64
-	retryAfter int64
-	retries    int
-	retryBase  time.Duration
+	frontend
+	shards    []*shardClient
+	opts      ClusterOptions
+	retries   int
+	retryBase time.Duration
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -98,8 +96,6 @@ type Cluster struct {
 	// Cluster telemetry: the sparker_cluster_* metric families.
 	fanouts         obs.Counter // scatter-gather queries served
 	degradedFanouts obs.Counter // queries answered with >=1 shard missing
-	degraded        obs.Counter // queries served at a non-zero ladder level
-	truncated       obs.Counter // merged answers with a tripped budget
 	mergeNanos      obs.Histogram
 	stageNanos      [index.NumStages]obs.Histogram // aggregated shard stage timings
 }
@@ -138,20 +134,10 @@ func NewCluster(shardURLs []string, opts ClusterOptions) (*Cluster, error) {
 		client = &http.Client{}
 	}
 	c := &Cluster{
-		opts:       opts,
-		logger:     opts.Logger,
-		gate:       newAdmission(opts.MaxInFlight, opts.ShedWait),
-		maxBody:    opts.MaxBodyBytes,
-		retryAfter: retryAfterSeconds(opts.ShedWait),
-		retries:    opts.ShardRetries,
-		retryBase:  opts.RetryBase,
-		stop:       make(chan struct{}),
-	}
-	if c.logger == nil {
-		c.logger = slog.Default()
-	}
-	if c.maxBody <= 0 {
-		c.maxBody = DefaultMaxBodyBytes
+		opts:      opts,
+		retries:   opts.ShardRetries,
+		retryBase: opts.RetryBase,
+		stop:      make(chan struct{}),
 	}
 	if c.retries == 0 {
 		c.retries = 1
@@ -167,16 +153,12 @@ func NewCluster(shardURLs []string, opts ClusterOptions) (*Cluster, error) {
 		}
 		c.shards = append(c.shards, &shardClient{url: trimSlash(u), client: client})
 	}
-	c.router.init()
-	c.handle("/v1/query", c.gate.gated(c.retryAfter, c.query), "/query")
-	c.handle("/v1/upsert", c.gate.gated(c.retryAfter, c.upsert), "/upsert")
-	c.handle("/v1/bulk", c.gate.gated(c.retryAfter, c.bulk), "/bulk")
-	c.handle("/v1/stats", c.stats, "/stats")
-	c.handle("/healthz", c.healthz)
-	c.handle("/readyz", c.readyz)
-	if !opts.NoMetrics {
-		c.handle("/metrics", c.metrics)
-	}
+	c.init(opts.Logger, opts.MaxInFlight, opts.ShedWait, opts.DefaultBudget, opts.MaxBodyBytes)
+	c.handleGated("/v1/query", c.query)
+	c.handleGated("/v1/upsert", c.upsert)
+	c.handleGated("/v1/bulk", c.bulk)
+	c.handle(http.MethodGet, "/v1/stats", c.stats)
+	c.handleOperator(c.readyz, c.metrics, opts.NoMetrics)
 	c.probeAll()
 	c.probeWG.Add(1)
 	go c.probeLoop()
@@ -335,85 +317,19 @@ type clusterQueryResponse struct {
 	Cluster  clusterInfoJSON `json:"cluster"`
 }
 
-// degradeParams is the coordinator-side degradation ladder: the same
-// schedule as degrade() applied to the forwardable knobs instead of
-// resolve options, so pressure at the coordinator tightens what the
-// shards are asked to do.
-func degradeParams(p *QueryParams, level int) {
-	if level <= 0 {
-		return
-	}
-	budget := time.Duration(p.BudgetMS * float64(time.Millisecond))
-	if !p.BudgetSet || budget == 0 || budget > degradedBudgetCap {
-		budget = degradedBudgetCap
-	}
-	budget >>= uint(level - 1)
-	if budget < degradedBudgetFloor {
-		budget = degradedBudgetFloor
-	}
-	p.BudgetMS = float64(budget) / float64(time.Millisecond)
-	p.BudgetSet = true
-	if lim := degradedMaxComparisons[level]; !p.MaxComparisonsSet || p.MaxComparisons == 0 || p.MaxComparisons > lim {
-		p.MaxComparisons = lim
-		p.MaxComparisonsSet = true
-	}
-	switch {
-	case level >= 3:
-		p.Probe = "off"
-	case level >= 2 && p.Probe == "union":
-		p.Probe = "fallback"
-	}
-}
-
-// readBody slurps a bounded request body (POST only).
-func (c *Cluster) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	if r.Method != http.MethodPost {
-		methodError(w, http.MethodPost)
-		return nil, false
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, c.maxBody)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, ErrCodePayloadTooLarge,
-				fmt.Errorf("request body exceeds %d bytes (split the upload or raise -max-body)", tooBig.Limit))
-			return nil, false
-		}
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return nil, false
-	}
-	return body, true
-}
-
 // query scatter-gathers one profile across every shard and merges the
 // ranked partials. Shard failures degrade the answer; only a total
 // failure is a 503.
-func (c *Cluster) query(w http.ResponseWriter, r *http.Request) {
-	params, err := ParseQueryParams(r.URL.Query())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return
-	}
-	body, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
-	level := admissionLevel(r)
-	degradeParams(&params, level)
-
-	// The forwarded knobs: the client's (post-ladder), with the budget
-	// split for the parallel fan-out and debug forced on so the
-	// coordinator can aggregate per-shard stage timings. The client's
-	// own debug choice governs the response, not the wire.
-	fwd := params
-	if !fwd.BudgetSet && c.opts.DefaultBudget > 0 {
-		fwd.BudgetMS = float64(c.opts.DefaultBudget) / float64(time.Millisecond)
-		fwd.BudgetSet = true
-	}
-	if fwd.BudgetSet && fwd.BudgetMS > 0 {
-		fwd.BudgetMS *= shardBudgetFraction
-	}
+func (c *Cluster) query(w http.ResponseWriter, r *http.Request, q call) {
+	// The forwarded knobs: the client's, after the default budget and
+	// the ladder (pressure at the coordinator tightens what the shards
+	// are asked to do), with the budget split for the parallel fan-out
+	// and debug forced on so the coordinator can aggregate per-shard
+	// stage timings. The client's own debug choice governs the
+	// response, not the wire.
+	fwd, body, level := q.params, q.body, q.level
+	c.throttle(&fwd, level)
+	fwd.BudgetMS *= shardBudgetFraction
 	fwd.Debug = true
 	pathAndQuery := "/v1/query?" + fwd.Encode()
 
@@ -470,12 +386,7 @@ func (c *Cluster) query(w http.ResponseWriter, r *http.Request) {
 	if len(failed) > 0 {
 		c.degradedFanouts.Inc()
 	}
-	if level > 0 {
-		c.degraded.Inc()
-	}
-	if merged.Truncated {
-		c.truncated.Inc()
-	}
+	c.countQuery(level, merged.Truncated)
 	resp := clusterQueryResponse{
 		Partial: *merged,
 		Cluster: clusterInfoJSON{
@@ -493,7 +404,7 @@ func (c *Cluster) query(w http.ResponseWriter, r *http.Request) {
 			resp.Degraded = l
 		}
 	}
-	if params.Debug {
+	if q.params.Debug {
 		resp.Debug = mergeDebug(debugs)
 	}
 	writeJSON(w, resp)
@@ -602,17 +513,8 @@ func relayShardError(w http.ResponseWriter, resp *http.Response) {
 
 // upsert routes one profile to its hash-designated shard, forwarding
 // the record bytes untouched.
-func (c *Cluster) upsert(w http.ResponseWriter, r *http.Request) {
-	params, err := ParseQueryParams(r.URL.Query())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return
-	}
-	body, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
-	ids, raws, err := decodeRecords(body)
+func (c *Cluster) upsert(w http.ResponseWriter, r *http.Request, q call) {
+	ids, raws, err := decodeRecords(q.body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 		return
@@ -623,7 +525,7 @@ func (c *Cluster) upsert(w http.ResponseWriter, r *http.Request) {
 	}
 	shard := ShardFor(ids[0], len(c.shards))
 	s := c.shards[shard]
-	resp, err := s.do(r.Context(), http.MethodPost, "/v1/upsert?"+params.Encode(), raws[0], c.retries, c.retryBase)
+	resp, err := s.do(r.Context(), http.MethodPost, "/v1/upsert?"+q.params.Encode(), raws[0], c.retries, c.retryBase)
 	if err != nil {
 		s.fail(err)
 		httpError(w, http.StatusServiceUnavailable, ErrCodeUnavailable,
@@ -656,17 +558,8 @@ type clusterBulkResponse struct {
 // its hash-designated shard, records grouped into one /v1/bulk call
 // per shard. Any shard failure fails the load (reporting how much was
 // applied) — partial silent success would lose profiles.
-func (c *Cluster) bulk(w http.ResponseWriter, r *http.Request) {
-	params, err := ParseQueryParams(r.URL.Query())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return
-	}
-	body, ok := c.readBody(w, r)
-	if !ok {
-		return
-	}
-	ids, raws, err := decodeRecords(body)
+func (c *Cluster) bulk(w http.ResponseWriter, r *http.Request, q call) {
+	ids, raws, err := decodeRecords(q.body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 		return
@@ -677,7 +570,7 @@ func (c *Cluster) bulk(w http.ResponseWriter, r *http.Request) {
 		groups[shard] = append(groups[shard], raws[i]...)
 		groups[shard] = append(groups[shard], '\n')
 	}
-	qs := "/v1/bulk?" + params.Encode()
+	qs := "/v1/bulk?" + q.params.Encode()
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -766,16 +659,13 @@ type clusterStatsResponse struct {
 	Admission       admissionStatsJSON `json:"admission"`
 }
 
-func (c *Cluster) stats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
+func (c *Cluster) stats(w http.ResponseWriter, _ *http.Request) {
 	resp := clusterStatsResponse{
 		Healthy:         c.healthyCount(),
 		Fanouts:         c.fanouts.Load(),
 		DegradedFanouts: c.degradedFanouts.Load(),
 		HTTP:            c.routeStats(),
+		Admission:       c.admissionStats(),
 	}
 	for _, s := range c.shards {
 		row := shardStatsJSON{
@@ -789,46 +679,19 @@ func (c *Cluster) stats(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Shards = append(resp.Shards, row)
 	}
-	resp.Admission = admissionStatsJSON{
-		MaxInFlight: c.gate.capacity(),
-		InFlight:    c.gate.inFlight(),
-		Degraded:    c.degraded.Load(),
-		Truncated:   c.truncated.Load(),
-	}
-	if c.gate != nil {
-		resp.Admission.Waiting = int(c.gate.waiting.Load())
-		resp.Admission.ShedFull = c.gate.shedFull.Load()
-		resp.Admission.ShedTimeout = c.gate.shedTimeout.Load()
-	}
 	writeJSON(w, resp)
-}
-
-func (c *Cluster) healthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
-	writeJSON(w, map[string]any{"status": "ok"})
 }
 
 // readyz: the coordinator is ready while at least one shard is (a
 // degraded cluster still answers) and its own gate is not saturated.
 // With every shard down there is nothing to serve — drain.
-func (c *Cluster) readyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
+func (c *Cluster) readyz(w http.ResponseWriter, _ *http.Request) {
 	healthy := c.healthyCount()
+	var drain map[string]any
 	if healthy == 0 {
-		writeNotReady(w, c.retryAfter, map[string]any{"status": "no_shards", "shards": len(c.shards)})
-		return
+		drain = map[string]any{"status": "no_shards", "shards": len(c.shards)}
 	}
-	if c.gate.saturated() {
-		writeNotReady(w, c.retryAfter, map[string]any{"status": "shedding", "in_flight": c.gate.inFlight()})
-		return
-	}
-	writeJSON(w, map[string]any{
+	c.ready(w, drain, map[string]any{
 		"status":   "ok",
 		"shards":   len(c.shards),
 		"healthy":  healthy,
@@ -836,17 +699,9 @@ func (c *Cluster) readyz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// metrics serves the coordinator's Prometheus exposition: the
-// sparker_cluster_* families plus the shared admission and HTTP
-// families.
-func (c *Cluster) metrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	e := obs.NewExpo(w)
-
+// metrics renders the coordinator's part of GET /metrics: the
+// sparker_cluster_* families.
+func (c *Cluster) metrics(e *obs.Expo) {
 	e.Gauge("sparker_cluster_shards", "Configured shard processes.", float64(len(c.shards)))
 	e.Gauge("sparker_cluster_shards_healthy", "Shards whose last /readyz probe answered 200.", float64(c.healthyCount()))
 	e.Counter("sparker_cluster_fanouts_total", "Scatter-gather queries served.", float64(c.fanouts.Load()))
@@ -868,20 +723,4 @@ func (c *Cluster) metrics(w http.ResponseWriter, r *http.Request) {
 			c.stageNanos[s].Snapshot(), 1e-9, obs.Label{Name: "stage", Value: index.Stage(s).String()})
 	}
 	e.Histogram("sparker_cluster_merge_seconds", "Partial-result merge latency at the coordinator.", c.mergeNanos.Snapshot(), 1e-9)
-
-	adm := c.gate
-	e.Gauge("sparker_admission_max_in_flight", "Configured admission gate capacity (0 = admission off).", float64(adm.capacity()))
-	e.Gauge("sparker_admission_in_flight", "Requests currently admitted through the gate.", float64(adm.inFlight()))
-	if adm != nil {
-		e.Gauge("sparker_admission_waiting", "Requests waiting for an admission slot.", float64(adm.waiting.Load()))
-		e.Counter("sparker_admission_shed_total", "Requests shed by the admission gate.", float64(adm.shedFull.Load()),
-			obs.Label{Name: "reason", Value: "full"})
-		e.Counter("sparker_admission_shed_total", "Requests shed by the admission gate.", float64(adm.shedTimeout.Load()),
-			obs.Label{Name: "reason", Value: "timeout"})
-	}
-	e.Counter("sparker_queries_degraded_total", "Queries served at a non-zero degradation level.", float64(c.degraded.Load()))
-	e.Counter("sparker_queries_truncated_total", "Merged answers truncated by a per-request budget.", float64(c.truncated.Load()))
-
-	c.writeHTTPMetrics(e)
-	_ = e.Flush()
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -377,6 +378,71 @@ func TestClusterForwardsKnobsVerbatim(t *testing.T) {
 	if got != want {
 		t.Errorf("budget_ms=0 forwarded as %q, want %q", got, want)
 	}
+}
+
+// TestClusterDefaultBudgetBeforeLadder pins the budget precedence under
+// coordinator pressure: the coordinator's default budget is applied
+// before the degradation ladder, exactly as on a single node, so a
+// degraded query forwards at most the default (20 ms, 18 ms after the
+// per-shard split) — not the ladder's 200 ms cap imposed on a request
+// that looked budget-less.
+func TestClusterDefaultBudgetBeforeLadder(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	shard := NewHandler(overloadIndex(t, blockFirstComparison(entered, release)))
+	forwarded := make(chan string, 2)
+	shardSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/query" {
+			forwarded <- r.URL.RawQuery
+		}
+		shard.ServeHTTP(w, r)
+	}))
+	defer shardSrv.Close()
+	cluster, err := NewCluster([]string{shardSrv.URL}, ClusterOptions{DefaultBudget: 20 * time.Millisecond, MaxInFlight: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	coord := httptest.NewServer(cluster)
+	defer coord.Close()
+
+	// The first query parks inside the shard's scorer, holding one of the
+	// coordinator's two slots: the next arrival is admitted at level 1.
+	firstDone := make(chan struct{})
+	go func() {
+		defer close(firstDone)
+		resp, err := coord.Client().Post(coord.URL+"/v1/query", "application/json", strings.NewReader(queryBody))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp.Body.Close()
+	}()
+	<-entered
+	<-forwarded
+
+	resp := postQuery(t, coord.Client(), coord.URL+"/v1/query")
+	var got struct {
+		Degraded int `json:"degraded"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || got.Degraded < 1 {
+		t.Fatalf("second query = %d degraded %d (err %v), want 200 at level >= 1", resp.StatusCode, got.Degraded, err)
+	}
+	q, err := url.ParseQuery(<-forwarded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := ParseQueryParams(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !params.BudgetSet || params.BudgetMS <= 0 || params.BudgetMS > 18 {
+		t.Errorf("degraded query forwarded budget_ms=%v (set %v), want in (0, 18]: the 20ms default, split", params.BudgetMS, params.BudgetSet)
+	}
+	close(release)
+	<-firstDone
 }
 
 // TestClusterReadyz pins the coordinator's readiness semantics: ready

@@ -71,7 +71,7 @@ func TestQueryProbeKnobOverHTTP(t *testing.T) {
 	// override the policy per query.
 	srv2, _ := newLSHTestServer(t, sparker.IndexProbeOptions{Policy: sparker.ProbeFallback})
 
-	off, code := postQuery(t, srv2.URL+"/query?probe=off", lshProbeBody)
+	off, code := postQuery(t, srv2.URL+"/v1/query?probe=off", lshProbeBody)
 	if code != http.StatusOK {
 		t.Fatalf("probe=off status %d: %v", code, off)
 	}
@@ -82,7 +82,7 @@ func TestQueryProbeKnobOverHTTP(t *testing.T) {
 		t.Fatal("probe=off ran a probe")
 	}
 
-	fb, code := postQuery(t, srv2.URL+"/query?probe=fallback&probe_floor=2", lshProbeBody)
+	fb, code := postQuery(t, srv2.URL+"/v1/query?probe=fallback&probe_floor=2", lshProbeBody)
 	if code != http.StatusOK {
 		t.Fatalf("probe=fallback status %d: %v", code, fb)
 	}
@@ -116,29 +116,29 @@ func TestQueryProbeKnobOverHTTP(t *testing.T) {
 func TestProbeKnobRejectedWithoutLSH(t *testing.T) {
 	srv, _ := newLSHTestServer(t, sparker.IndexProbeOptions{Policy: sparker.ProbeOff})
 	for _, q := range []string{"?probe=fallback", "?probe=union", "?probe_floor=3"} {
-		if _, code := postQuery(t, srv.URL+"/query"+q, lshProbeBody); code != http.StatusBadRequest {
+		if _, code := postQuery(t, srv.URL+"/v1/query"+q, lshProbeBody); code != http.StatusBadRequest {
 			t.Fatalf("%s on a non-LSH index: status %d, want 400", q, code)
 		}
 	}
 	// probe=off is always acceptable, as are unknown-free plain queries.
-	if _, code := postQuery(t, srv.URL+"/query?probe=off", lshProbeBody); code != http.StatusOK {
+	if _, code := postQuery(t, srv.URL+"/v1/query?probe=off", lshProbeBody); code != http.StatusOK {
 		t.Fatalf("probe=off rejected: %d", code)
 	}
-	if _, code := postQuery(t, srv.URL+"/query?probe=sideways", lshProbeBody); code != http.StatusBadRequest {
+	if _, code := postQuery(t, srv.URL+"/v1/query?probe=sideways", lshProbeBody); code != http.StatusBadRequest {
 		t.Fatal("unknown probe policy accepted")
 	}
-	if _, code := postQuery(t, srv.URL+"/query?probe_floor=-1", lshProbeBody); code != http.StatusBadRequest {
+	if _, code := postQuery(t, srv.URL+"/v1/query?probe_floor=-1", lshProbeBody); code != http.StatusBadRequest {
 		t.Fatal("negative probe_floor accepted")
 	}
 }
 
-// TestStatsReportLSHCounters checks /stats surfaces the probe counters.
+// TestStatsReportLSHCounters checks /v1/stats surfaces the probe counters.
 func TestStatsReportLSHCounters(t *testing.T) {
 	srv, _ := newLSHTestServer(t, sparker.IndexProbeOptions{Policy: sparker.ProbeFallback})
-	if _, code := postQuery(t, srv.URL+"/query", lshProbeBody); code != http.StatusOK {
+	if _, code := postQuery(t, srv.URL+"/v1/query", lshProbeBody); code != http.StatusOK {
 		t.Fatalf("query status %d", code)
 	}
-	resp, err := http.Get(srv.URL + "/stats")
+	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

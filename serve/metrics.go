@@ -1,184 +1,19 @@
 package serve
 
-// Route instrumentation and the Prometheus /metrics endpoint. Every
-// handler is wrapped by handle(): request, 4xx and 5xx counters plus a
-// latency histogram per route, recorded with the allocation-free
-// internal/obs primitives. /metrics renders those counters together
-// with the index's per-stage query histograms in the text exposition
-// format, so one scrape answers both "is the HTTP surface healthy" and
-// "where do queries spend their time".
+// The single-node Prometheus /metrics endpoint: the index's gauges and
+// per-stage query histograms, then the front end's admission and
+// per-route HTTP families (frontend.writeMetrics), in the text
+// exposition format — one scrape answers both "is the HTTP surface
+// healthy" and "where do queries spend their time".
 
 import (
-	"net/http"
-
 	"sparker/internal/index"
 	"sparker/internal/obs"
 )
 
-// routeMetrics is the instrumentation of one route.
-type routeMetrics struct {
-	route     string
-	requests  obs.Counter
-	errors4xx obs.Counter
-	errors5xx obs.Counter
-	latency   obs.Histogram // nanos
-}
-
-// statusWriter captures the response status for the error counters.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// router is the instrumented route table shared by the single-node
-// Handler and the cluster Coordinator: one mux, one routeMetrics row
-// per canonical route. Aliases (the legacy unversioned paths) dispatch
-// to the same handler and count into the same row, labelled by the
-// canonical /v1 path — an operator's dashboards see one route however
-// clients spell it.
-type router struct {
-	mux    *http.ServeMux
-	routes []*routeMetrics
-}
-
-func (rt *router) init() { rt.mux = http.NewServeMux() }
-
-// ServeHTTP dispatches to the instrumented routes.
-func (rt *router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
-
-// handle registers an instrumented route on the mux, plus any aliases.
-func (rt *router) handle(route string, fn http.HandlerFunc, aliases ...string) {
-	rm := &routeMetrics{route: route}
-	rt.routes = append(rt.routes, rm)
-	instrumented := func(w http.ResponseWriter, r *http.Request) {
-		start := obs.Now()
-		sw := statusWriter{ResponseWriter: w}
-		fn(&sw, r)
-		code := sw.code
-		if code == 0 {
-			code = http.StatusOK
-		}
-		rm.requests.Inc()
-		switch {
-		case code >= 500:
-			rm.errors5xx.Inc()
-		case code >= 400:
-			rm.errors4xx.Inc()
-		}
-		rm.latency.Observe(obs.Now() - start)
-	}
-	rt.mux.HandleFunc(route, instrumented)
-	for _, alias := range aliases {
-		rt.mux.HandleFunc(alias, instrumented)
-	}
-}
-
-// routeStatsJSON is one route's counters on the /stats surface — the
-// JSON digest of what /metrics exposes as Prometheus families.
-type routeStatsJSON struct {
-	Route     string  `json:"route"`
-	Requests  int64   `json:"requests"`
-	Errors4xx int64   `json:"errors_4xx"`
-	Errors5xx int64   `json:"errors_5xx"`
-	P50Ms     float64 `json:"p50_ms"`
-	P99Ms     float64 `json:"p99_ms"`
-}
-
-func (rt *router) routeStats() []routeStatsJSON {
-	out := make([]routeStatsJSON, 0, len(rt.routes))
-	for _, rm := range rt.routes {
-		s := rm.latency.Snapshot()
-		out = append(out, routeStatsJSON{
-			Route:     rm.route,
-			Requests:  rm.requests.Load(),
-			Errors4xx: rm.errors4xx.Load(),
-			Errors5xx: rm.errors5xx.Load(),
-			P50Ms:     s.Quantile(0.5) / 1e6,
-			P99Ms:     s.Quantile(0.99) / 1e6,
-		})
-	}
-	return out
-}
-
-// admissionStatsJSON is the /stats digest of the admission gate and
-// the budget/degradation counters — what an operator reads to tell
-// "loaded but coping" (degraded/truncated climbing) from "refusing
-// work" (shed counters climbing).
-type admissionStatsJSON struct {
-	// MaxInFlight is the configured gate capacity (0 = admission off).
-	MaxInFlight int `json:"max_inflight"`
-	InFlight    int `json:"in_flight"`
-	Waiting     int `json:"waiting"`
-	// ShedFull counts requests shed immediately (429, no wait
-	// configured); ShedTimeout counts requests shed after the bounded
-	// wait expired or the client gave up (503).
-	ShedFull    int64 `json:"shed_full"`
-	ShedTimeout int64 `json:"shed_timeout"`
-	// Degraded counts queries served at a non-zero ladder level and
-	// Truncated responses whose budget tripped mid-resolution.
-	Degraded  int64 `json:"degraded_queries"`
-	Truncated int64 `json:"truncated_queries"`
-}
-
-func (h *Handler) admissionStats() admissionStatsJSON {
-	s := admissionStatsJSON{
-		MaxInFlight: h.gate.capacity(),
-		InFlight:    h.gate.inFlight(),
-		Degraded:    h.degraded.Load(),
-		Truncated:   h.truncated.Load(),
-	}
-	if h.gate != nil {
-		s.Waiting = int(h.gate.waiting.Load())
-		s.ShedFull = h.gate.shedFull.Load()
-		s.ShedTimeout = h.gate.shedTimeout.Load()
-	}
-	return s
-}
-
-// writeHTTPMetrics renders the per-route HTTP families. Families must
-// be contiguous in the exposition: each family is emitted across all
-// routes before moving to the next.
-func (rt *router) writeHTTPMetrics(e *obs.Expo) {
-	for _, rm := range rt.routes {
-		e.Counter("sparker_http_requests_total", "HTTP requests served.", float64(rm.requests.Load()),
-			obs.Label{Name: "route", Value: rm.route})
-	}
-	for _, rm := range rt.routes {
-		e.Counter("sparker_http_errors_total", "HTTP error responses.", float64(rm.errors4xx.Load()),
-			obs.Label{Name: "route", Value: rm.route}, obs.Label{Name: "class", Value: "4xx"})
-		e.Counter("sparker_http_errors_total", "HTTP error responses.", float64(rm.errors5xx.Load()),
-			obs.Label{Name: "route", Value: rm.route}, obs.Label{Name: "class", Value: "5xx"})
-	}
-	for _, rm := range rt.routes {
-		e.Histogram("sparker_http_request_seconds", "HTTP request latency.", rm.latency.Snapshot(), 1e-9,
-			obs.Label{Name: "route", Value: rm.route})
-	}
-}
-
-// metrics serves GET /metrics: the Prometheus text exposition of the
-// index and HTTP telemetry.
-func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	e := obs.NewExpo(w)
-
+// metrics renders the single node's part of GET /metrics: the index,
+// replication and budget telemetry.
+func (h *Handler) metrics(e *obs.Expo) {
 	x := h.Index()
 	snap := x.Snapshot()
 	e.Gauge("sparker_index_profiles", "Indexed profiles.", float64(snap.Profiles))
@@ -193,7 +28,7 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	if snap.OpLog != nil {
 		e.Gauge("sparker_oplog_ops", "Op frames retained in the in-memory op log.", float64(snap.OpLog.Ops))
 		e.Gauge("sparker_oplog_bytes", "Bytes retained in the in-memory op log.", float64(snap.OpLog.Bytes))
-		e.Gauge("sparker_oplog_floor_seq", "Oldest sequence number still served by /deltas.", float64(snap.OpLog.FloorSeq))
+		e.Gauge("sparker_oplog_floor_seq", "Oldest sequence number still served by /v1/deltas.", float64(snap.OpLog.FloorSeq))
 		e.Counter("sparker_oplog_appended_total", "Op frames appended to the op log since construction.", float64(snap.OpLog.Appended))
 	}
 
@@ -236,8 +71,8 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 	// the first thing an operator checks before trusting this replica's
 	// answers, applied/resync counters tell whether the feed is healthy
 	// or thrashing through full re-bootstraps.
-	if h.follower != nil {
-		rs := h.follower.Stats()
+	if h.opts.Follower != nil {
+		rs := h.opts.Follower.Stats()
 		e.Gauge("sparker_replication_ready", "1 once the follower has bootstrapped from its leader.", boolGauge(rs.Ready))
 		e.Gauge("sparker_replication_lag_seconds", "Seconds between the newest applied op's leader timestamp and now.", rs.LagSeconds)
 		e.Gauge("sparker_replication_applied_seq", "Highest op sequence number applied locally.", float64(rs.AppliedSeq))
@@ -247,23 +82,7 @@ func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
 		e.Counter("sparker_replication_errors_total", "Failed delta polls (network, decode or apply errors).", float64(rs.Errors))
 	}
 
-	// Admission gate and budget/degradation telemetry: the overload
-	// dashboards alert on shed and degraded rates long before latency
-	// histograms drift.
-	adm := h.admissionStats()
-	e.Gauge("sparker_admission_max_in_flight", "Configured admission gate capacity (0 = admission off).", float64(adm.MaxInFlight))
-	e.Gauge("sparker_admission_in_flight", "Requests currently admitted through the gate.", float64(adm.InFlight))
-	e.Gauge("sparker_admission_waiting", "Requests waiting for an admission slot.", float64(adm.Waiting))
-	e.Counter("sparker_admission_shed_total", "Requests shed by the admission gate.", float64(adm.ShedFull),
-		obs.Label{Name: "reason", Value: "full"})
-	e.Counter("sparker_admission_shed_total", "Requests shed by the admission gate.", float64(adm.ShedTimeout),
-		obs.Label{Name: "reason", Value: "timeout"})
-	e.Counter("sparker_queries_degraded_total", "Queries served at a non-zero degradation level.", float64(adm.Degraded))
-	e.Counter("sparker_queries_truncated_total", "Query responses truncated by a per-request budget.", float64(adm.Truncated))
 	e.Histogram("sparker_query_budget_spent_comparisons", "Comparisons spent per budgeted query.", h.budgetSpent.Snapshot(), 1)
-
-	h.writeHTTPMetrics(e)
-	_ = e.Flush()
 }
 
 func boolGauge(b bool) float64 {

@@ -55,19 +55,23 @@ func TestMetricsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(obsTestIndex(t)))
 	defer srv.Close()
 
-	// One query through the legacy alias and one through the canonical
-	// /v1 path: both must count into the same route="/v1/query" row.
-	if resp, body := postJSON(t, srv.URL+"/query", `{"id": "probe", "name": "acme turbo blender"}`); resp.StatusCode != 200 {
+	// Two queries: both count into the route="/v1/query" row. A removed
+	// unversioned path counts under the one fixed catch-all label, never
+	// under its own path.
+	if resp, body := postJSON(t, srv.URL+"/v1/query", `{"id": "probe", "name": "acme turbo blender"}`); resp.StatusCode != 200 {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
 	}
 	if resp, body := postJSON(t, srv.URL+"/v1/query", `{"id": "probe2", "name": "acme turbo blender"}`); resp.StatusCode != 200 {
 		t.Fatalf("v1 query: %d %s", resp.StatusCode, body)
 	}
-	if resp, _ := postJSON(t, srv.URL+"/upsert?source=1", `{"id": "b9", "name": "starlight projector"}`); resp.StatusCode != 200 {
+	if resp, _ := postJSON(t, srv.URL+"/v1/upsert?source=1", `{"id": "b9", "name": "starlight projector"}`); resp.StatusCode != 200 {
 		t.Fatalf("upsert: %d", resp.StatusCode)
 	}
+	if resp, _ := postJSON(t, srv.URL+"/query", `{"id": "probe", "name": "acme turbo blender"}`); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("legacy /query: %d, want 404", resp.StatusCode)
+	}
 	// One client error, for the 4xx counter.
-	if resp, _ := postJSON(t, srv.URL+"/query", `not json`); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postJSON(t, srv.URL+"/v1/query", `not json`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad query accepted: %d", resp.StatusCode)
 	}
 
@@ -102,6 +106,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`sparker_http_errors_total{route="/v1/query",class="4xx"} 1`,
 		`sparker_http_errors_total{route="/v1/query",class="5xx"} 0`,
 		`sparker_http_request_seconds_count{route="/v1/query"} 3`,
+		`sparker_http_requests_total{route="unmatched"} 1`,
+		`sparker_http_errors_total{route="unmatched",class="4xx"} 1`,
 	} {
 		if !strings.Contains(body, want+"\n") {
 			t.Errorf("missing %q in /metrics output", want)
@@ -122,13 +128,13 @@ func TestMetricsDisabledOption(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("/metrics with NoMetrics: %d, want 404", resp.StatusCode)
 	}
-	resp, err = http.Get(srv.URL + "/stats")
+	resp, err = http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
-		t.Fatalf("/stats: %d", resp.StatusCode)
+		t.Fatalf("/v1/stats: %d", resp.StatusCode)
 	}
 }
 
@@ -138,7 +144,7 @@ func TestDebugQueryMode(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(obsTestIndex(t)))
 	defer srv.Close()
 
-	resp, body := postJSON(t, srv.URL+"/query?debug=1", `{"id": "probe", "name": "acme turbo blender"}`)
+	resp, body := postJSON(t, srv.URL+"/v1/query?debug=1", `{"id": "probe", "name": "acme turbo blender"}`)
 	if resp.StatusCode != 200 {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
 	}
@@ -182,23 +188,23 @@ func TestDebugQueryMode(t *testing.T) {
 		t.Errorf("total nanos = %d, want positive", out.Debug.TotalNanos)
 	}
 
-	_, plain := postJSON(t, srv.URL+"/query", `{"id": "probe", "name": "acme turbo blender"}`)
+	_, plain := postJSON(t, srv.URL+"/v1/query", `{"id": "probe", "name": "acme turbo blender"}`)
 	if strings.Contains(plain, `"debug"`) {
 		t.Error("debug breakdown present without ?debug=1")
 	}
 }
 
-// TestStatsHTTPCounters checks the /stats surface gained the per-route
+// TestStatsHTTPCounters checks the /v1/stats surface gained the per-route
 // error counters while keeping the index snapshot fields inline.
 func TestStatsHTTPCounters(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(obsTestIndex(t)))
 	defer srv.Close()
 
-	postJSON(t, srv.URL+"/query", `{"id": "probe", "name": "acme turbo blender"}`)
-	postJSON(t, srv.URL+"/query", `garbage`) // 400
-	http.Get(srv.URL + "/query")             // 405 (GET on a POST route)
+	postJSON(t, srv.URL+"/v1/query", `{"id": "probe", "name": "acme turbo blender"}`)
+	postJSON(t, srv.URL+"/v1/query", `garbage`) // 400
+	http.Get(srv.URL + "/v1/query")             // 405 (GET on a POST route)
 
-	resp, err := http.Get(srv.URL + "/stats")
+	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +230,7 @@ func TestStatsHTTPCounters(t *testing.T) {
 		t.Errorf("snapshot fields lost: profiles=%d queries=%d", stats.Profiles, stats.Queries)
 	}
 	if len(stats.Timings) == 0 {
-		t.Error("no timing rows in /stats")
+		t.Error("no timing rows in /v1/stats")
 	}
 	var query struct {
 		requests, e4 int64
@@ -239,7 +245,7 @@ func TestStatsHTTPCounters(t *testing.T) {
 		t.Fatal("no /v1/query row in stats http counters")
 	}
 	if query.requests != 3 || query.e4 != 2 {
-		t.Errorf("/query counters requests=%d errors_4xx=%d, want 3/2", query.requests, query.e4)
+		t.Errorf("/v1/query counters requests=%d errors_4xx=%d, want 3/2", query.requests, query.e4)
 	}
 }
 
@@ -255,7 +261,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	if resp, body := postJSON(t, srv.URL+"/query", `{"id": "probe", "name": "acme turbo blender"}`); resp.StatusCode != 200 {
+	if resp, body := postJSON(t, srv.URL+"/v1/query", `{"id": "probe", "name": "acme turbo blender"}`); resp.StatusCode != 200 {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
 	}
 	var rec map[string]any
@@ -281,7 +287,7 @@ func TestSlowQueryLog(t *testing.T) {
 		SlowQuery: time.Hour,
 	}))
 	defer srv2.Close()
-	postJSON(t, srv2.URL+"/query", `{"id": "probe", "name": "acme turbo blender"}`)
+	postJSON(t, srv2.URL+"/v1/query", `{"id": "probe", "name": "acme turbo blender"}`)
 	if buf.Len() != 0 {
 		t.Errorf("fast query logged as slow: %s", buf.String())
 	}

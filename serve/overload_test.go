@@ -68,9 +68,9 @@ func decodeQuery(t *testing.T, resp *http.Response) queryResponse {
 
 func getStats(t *testing.T, client *http.Client, base string) statsResponse {
 	t.Helper()
-	resp, err := client.Get(base + "/stats")
+	resp, err := client.Get(base + "/v1/stats")
 	if err != nil {
-		t.Fatalf("GET /stats: %v", err)
+		t.Fatalf("GET /v1/stats: %v", err)
 	}
 	defer resp.Body.Close()
 	var st statsResponse
@@ -108,13 +108,13 @@ func TestAdmissionShedImmediate(t *testing.T) {
 
 	firstDone := make(chan int, 1)
 	go func() {
-		resp := postQuery(t, client, srv.URL+"/query")
+		resp := postQuery(t, client, srv.URL+"/v1/query")
 		resp.Body.Close()
 		firstDone <- resp.StatusCode
 	}()
 	<-entered // the first query is parked inside scoring, slot held
 
-	resp := postQuery(t, client, srv.URL+"/query")
+	resp := postQuery(t, client, srv.URL+"/v1/query")
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("second query status = %d, want 429", resp.StatusCode)
 	}
@@ -174,14 +174,14 @@ func TestAdmissionBoundedWaitShed(t *testing.T) {
 
 	firstDone := make(chan struct{})
 	go func() {
-		resp := postQuery(t, client, srv.URL+"/query")
+		resp := postQuery(t, client, srv.URL+"/v1/query")
 		resp.Body.Close()
 		close(firstDone)
 	}()
 	<-entered
 
 	start := time.Now()
-	resp := postQuery(t, client, srv.URL+"/query")
+	resp := postQuery(t, client, srv.URL+"/v1/query")
 	waited := time.Since(start)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
@@ -214,13 +214,13 @@ func TestDegradedQueryMarker(t *testing.T) {
 
 	firstDone := make(chan struct{})
 	go func() {
-		resp := postQuery(t, client, srv.URL+"/query")
+		resp := postQuery(t, client, srv.URL+"/v1/query")
 		resp.Body.Close()
 		close(firstDone)
 	}()
 	<-entered // one of two slots held: the next arrival finds occupancy 1/2
 
-	resp := postQuery(t, client, srv.URL+"/query")
+	resp := postQuery(t, client, srv.URL+"/v1/query")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded query status = %d, want 200", resp.StatusCode)
 	}
@@ -233,6 +233,71 @@ func TestDegradedQueryMarker(t *testing.T) {
 	<-firstDone
 	if st := getStats(t, client, srv.URL); st.Admission.Degraded < 1 {
 		t.Fatalf("degraded_queries = %d, want >= 1", st.Admission.Degraded)
+	}
+}
+
+// TestDegradeLadder pins the one ladder's schedule, on the knobs both
+// topologies feed it: the wall-clock budget capped at 200 ms and halved
+// per level down to the 5 ms floor (an absent budget and an explicit
+// unlimited one both get the cap imposed, a tighter one only ever
+// shrinks), the comparison caps 1024/256/64, and the probe policy
+// stepping union → fallback → off. Level 0 touches nothing.
+func TestDegradeLadder(t *testing.T) {
+	type budget struct {
+		ms  float64
+		set bool
+	}
+	for _, tc := range []struct {
+		name string
+		in   budget
+		want [4]budget // by level
+	}{
+		{"unset", budget{}, [4]budget{{}, {200, true}, {100, true}, {50, true}}},
+		{"explicit unlimited", budget{0, true}, [4]budget{{0, true}, {200, true}, {100, true}, {50, true}}},
+		{"20ms", budget{20, true}, [4]budget{{20, true}, {20, true}, {10, true}, {5, true}}},
+		{"8ms", budget{8, true}, [4]budget{{8, true}, {8, true}, {5, true}, {5, true}}},
+		{"1s", budget{1000, true}, [4]budget{{1000, true}, {200, true}, {100, true}, {50, true}}},
+	} {
+		for level, want := range tc.want {
+			p := QueryParams{BudgetMS: tc.in.ms, BudgetSet: tc.in.set, Probe: "union"}
+			degrade(&p, level)
+			if got := (budget{p.BudgetMS, p.BudgetSet}); got != want {
+				t.Errorf("budget %s at level %d = %+v, want %+v", tc.name, level, got, want)
+			}
+			if want := [4]int{0, 1024, 256, 64}[level]; p.MaxComparisons != want || p.MaxComparisonsSet != (level > 0) {
+				t.Errorf("budget %s at level %d: max_comparisons = %d (set %v), want %d",
+					tc.name, level, p.MaxComparisons, p.MaxComparisonsSet, want)
+			}
+			if want := [4]string{"union", "union", "fallback", "off"}[level]; p.Probe != want {
+				t.Errorf("budget %s at level %d: probe = %q, want %q", tc.name, level, p.Probe, want)
+			}
+		}
+	}
+
+	// A cap tighter than the level's survives; a cheaper policy is never
+	// promoted; an unnamed policy is only ever switched off.
+	p := QueryParams{MaxComparisons: 10, MaxComparisonsSet: true, Probe: "fallback"}
+	degrade(&p, 2)
+	if p.MaxComparisons != 10 || p.Probe != "fallback" {
+		t.Errorf("level 2 loosened %+v", p)
+	}
+	p = QueryParams{}
+	degrade(&p, 2)
+	if p.Probe != "" {
+		t.Errorf("level 2 named a probe policy %q for a request without one", p.Probe)
+	}
+	degrade(&p, 3)
+	if p.Probe != "off" {
+		t.Errorf("level 3 probe = %q, want off", p.Probe)
+	}
+
+	// The server default fills in before the ladder, never after: at
+	// level 1 a 20 ms default stays 20 ms, it is not replaced by the cap.
+	f := frontend{defaultBudget: 20 * time.Millisecond}
+	p = QueryParams{}
+	f.throttle(&p, 1)
+	if p.BudgetMS != 20 || !p.BudgetSet {
+		t.Errorf("default 20ms at level 1 = %v ms (set %v), want 20", p.BudgetMS, p.BudgetSet)
 	}
 }
 
@@ -267,7 +332,7 @@ func TestOverloadBoundedNoLeak(t *testing.T) {
 	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 	defer client.CloseIdleConnections()
 
-	postQuery(t, client, srv.URL+"/query").Body.Close() // warm-up
+	postQuery(t, client, srv.URL+"/v1/query").Body.Close() // warm-up
 	baseline := runtime.NumGoroutine()
 
 	const drivers = 16
@@ -279,7 +344,7 @@ func TestOverloadBoundedNoLeak(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perDriver; j++ {
-				resp, err := client.Post(srv.URL+"/query", "application/json", strings.NewReader(queryBody))
+				resp, err := client.Post(srv.URL+"/v1/query", "application/json", strings.NewReader(queryBody))
 				if err != nil {
 					statuses <- -1
 					continue
@@ -334,9 +399,9 @@ func TestBodyLimit413(t *testing.T) {
 	client := srv.Client()
 
 	big := fmt.Sprintf(`{"id":"huge","name":%q}`, strings.Repeat("x", 512))
-	resp, err := client.Post(srv.URL+"/upsert", "application/json", strings.NewReader(big))
+	resp, err := client.Post(srv.URL+"/v1/upsert", "application/json", strings.NewReader(big))
 	if err != nil {
-		t.Fatalf("POST /upsert: %v", err)
+		t.Fatalf("POST /v1/upsert: %v", err)
 	}
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized upsert status = %d, want 413", resp.StatusCode)
@@ -350,10 +415,10 @@ func TestBodyLimit413(t *testing.T) {
 		t.Fatalf("413 error = %+v, want %q naming the configured limit", body.Err, ErrCodePayloadTooLarge)
 	}
 
-	resp, err = client.Post(srv.URL+"/upsert", "application/json",
+	resp, err = client.Post(srv.URL+"/v1/upsert", "application/json",
 		bytes.NewReader([]byte(`{"id":"ok","name":"tok0 small"}`)))
 	if err != nil {
-		t.Fatalf("POST small /upsert: %v", err)
+		t.Fatalf("POST small /v1/upsert: %v", err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -405,7 +470,7 @@ func TestQueryBudgetKnobBadValues(t *testing.T) {
 		"budget_ms=nope", "budget_ms=-1",
 		"max_comparisons=x", "max_comparisons=-2",
 	} {
-		resp := postQuery(t, client, srv.URL+"/query?"+q)
+		resp := postQuery(t, client, srv.URL+"/v1/query?"+q)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("?%s status = %d, want 400", q, resp.StatusCode)
@@ -422,7 +487,7 @@ func TestQueryMaxComparisonsTruncates(t *testing.T) {
 	defer srv.Close()
 	client := srv.Client()
 
-	full := decodeQuery(t, postQuery(t, client, srv.URL+"/query"))
+	full := decodeQuery(t, postQuery(t, client, srv.URL+"/v1/query"))
 	if full.Truncated || full.TruncatedStage != "" {
 		t.Fatalf("unlimited query marked truncated: %+v", full)
 	}
@@ -430,7 +495,7 @@ func TestQueryMaxComparisonsTruncates(t *testing.T) {
 		t.Fatalf("unlimited query scored %d candidates, need >= 2 for the truncation test", full.Comparisons)
 	}
 
-	capped := decodeQuery(t, postQuery(t, client, srv.URL+"/query?max_comparisons=1"))
+	capped := decodeQuery(t, postQuery(t, client, srv.URL+"/v1/query?max_comparisons=1"))
 	if !capped.Truncated || capped.TruncatedStage != "score" {
 		t.Fatalf("capped query truncated=%v stage=%q, want true/score", capped.Truncated, capped.TruncatedStage)
 	}

@@ -2,16 +2,16 @@ package serve
 
 // HTTP replication: a leader streams its op log to read replicas.
 //
-// The leader side is two routes on the ordinary handler. GET /snapshot
-// streams a full binary snapshot (the follower bootstrap and resync
-// source); GET /deltas?since=<seq> returns the op frames applied after
-// that sequence number, long-polling up to ?wait_ms= when the follower
+// The leader side is two routes on the ordinary handler. GET
+// /v1/snapshot streams a full binary snapshot (the follower bootstrap
+// and resync source); GET /v1/deltas?since=<seq> returns the op frames
+// applied after that sequence number, long-polling up to ?wait_ms= when the follower
 // is caught up so a quiet leader costs one parked request instead of a
 // poll storm. The frames on the wire are byte-identical to what
 // SaveDelta appends to a snapshot file — one format, two transports.
 //
-// The follower side is the Follower loop: bootstrap from /snapshot,
-// mark the index read-only, then poll /deltas forever, applying each
+// The follower side is the Follower loop: bootstrap from /v1/snapshot,
+// mark the index read-only, then poll /v1/deltas forever, applying each
 // batch through Index.ApplyOps. Falling off the leader's retention
 // window (410 Gone) triggers a full re-bootstrap and an atomic index
 // swap on the handler; in-flight requests drain on the old index.
@@ -34,14 +34,14 @@ import (
 )
 
 const (
-	// deltaSeqHeader carries sequence numbers on the /deltas and
-	// /snapshot responses: on 200 the last sequence number included in
+	// deltaSeqHeader carries sequence numbers on the /v1/deltas and
+	// /v1/snapshot responses: on 200 the last sequence number included in
 	// the body, on 204 the leader's current head.
 	deltaSeqHeader = "X-Sparker-Seq"
 	// maxDeltaWait caps the ?wait_ms= long-poll, comfortably under any
 	// sane server write timeout so a parked poll never trips it.
 	maxDeltaWait = 30 * time.Second
-	// maxDeltaResponseBytes bounds one /deltas response. A follower far
+	// maxDeltaResponseBytes bounds one /v1/deltas response. A follower far
 	// behind drains the backlog across several requests instead of one
 	// unbounded body. OpsSince always returns at least one frame when
 	// any are pending, so progress is guaranteed regardless of frame
@@ -49,15 +49,11 @@ const (
 	maxDeltaResponseBytes = 1 << 20
 )
 
-// deltas serves GET /deltas?since=<seq>[&wait_ms=<ms>]: the op frames
+// deltas serves GET /v1/deltas?since=<seq>[&wait_ms=<ms>]: the op frames
 // applied after seq, 204 when caught up after the bounded wait, 410
 // when seq has fallen off the op-log retention window (re-bootstrap
-// from /snapshot), 404 when the index keeps no op log at all.
+// from /v1/snapshot), 404 when the index keeps no op log at all.
 func (h *Handler) deltas(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
 	x := h.Index()
 	if !x.OpLogEnabled() {
 		httpError(w, http.StatusNotFound, ErrCodeNotFound, fmt.Errorf("index keeps no op log (start sparker-serve with -oplog or -snapshot)"))
@@ -110,15 +106,11 @@ func (h *Handler) deltas(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// snapshotStream serves GET /snapshot: a full binary snapshot of the
+// snapshotStream serves GET /v1/snapshot: a full binary snapshot of the
 // index, streamed straight from the encoder. This is the follower
 // bootstrap (and resync) source; the stream is identical to what Save
 // writes to disk, so index.Decode consumes it unchanged.
-func (h *Handler) snapshotStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
+func (h *Handler) snapshotStream(w http.ResponseWriter, _ *http.Request) {
 	x := h.Index()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set(deltaSeqHeader, strconv.FormatInt(x.Seq(), 10))
@@ -151,7 +143,7 @@ type FollowerOptions struct {
 }
 
 // Follower replicates a leader's index over HTTP: bootstrap from
-// GET /snapshot, then apply the GET /deltas feed. Construct with
+// GET /v1/snapshot, then apply the GET /v1/deltas feed. Construct with
 // NewFollower, call Bootstrap to obtain the initial index, hand both
 // to the handler (Options.Follower) and run the loop with Run.
 type Follower struct {
@@ -211,7 +203,7 @@ func NewFollower(leaderURL string, cfg index.Config, opts FollowerOptions) *Foll
 	return f
 }
 
-// ReplicationStats is the follower's telemetry, surfaced by /stats
+// ReplicationStats is the follower's telemetry, surfaced by /v1/stats
 // (replication section) and /metrics (sparker_replication_* families).
 type ReplicationStats struct {
 	Leader     string  `json:"leader"`
@@ -337,7 +329,7 @@ func (f *Follower) Run(ctx context.Context, h *Handler) error {
 }
 
 // markHealthy resets the error backoff and clears the stale last_error
-// so /stats on a recovered replica stops reporting an old failure.
+// so /v1/stats on a recovered replica stops reporting an old failure.
 func (f *Follower) markHealthy(backoff *time.Duration) {
 	*backoff = 0
 	f.backoff.Store(0)
@@ -368,7 +360,7 @@ func jitteredBackoff(d time.Duration) time.Duration {
 	return half + time.Duration(rand.Int64N(int64(half)))
 }
 
-// poll issues one /deltas request from the index's current position
+// poll issues one /v1/deltas request from the index's current position
 // and applies whatever comes back.
 func (f *Follower) poll(ctx context.Context, x *index.Index) error {
 	// The poll URL is built from the same typed DeltaParams the leader

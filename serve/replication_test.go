@@ -1,6 +1,6 @@
 package serve
 
-// Tests of the replication surface: the /deltas and /snapshot leader
+// Tests of the replication surface: the /v1/deltas and /v1/snapshot leader
 // endpoints, the Follower loop end to end (bootstrap, tail, leader
 // death, retention-gap resync), the replica /readyz gate and the
 // Retry-After derivation.
@@ -73,7 +73,7 @@ func TestDeltasEndpointSemantics(t *testing.T) {
 	client := srv.Client()
 
 	// Frames from zero: everything, with the head seq in the header.
-	code, hdr, body := getBody(t, client, srv.URL+"/deltas?since=0")
+	code, hdr, body := getBody(t, client, srv.URL+"/v1/deltas?since=0")
 	if code != http.StatusOK {
 		t.Fatalf("since=0 status = %d, want 200", code)
 	}
@@ -97,38 +97,38 @@ func TestDeltasEndpointSemantics(t *testing.T) {
 	}
 
 	// Caught up with no wait: 204 and the head seq.
-	code, hdr, _ = getBody(t, client, srv.URL+"/deltas?since=10")
+	code, hdr, _ = getBody(t, client, srv.URL+"/v1/deltas?since=10")
 	if code != http.StatusNoContent || hdr.Get(deltaSeqHeader) != "10" {
 		t.Fatalf("caught-up poll: status %d, seq %q", code, hdr.Get(deltaSeqHeader))
 	}
 
 	// Ahead of the log: 410, the resync signal.
-	if code, _, _ = getBody(t, client, srv.URL+"/deltas?since=99"); code != http.StatusGone {
+	if code, _, _ = getBody(t, client, srv.URL+"/v1/deltas?since=99"); code != http.StatusGone {
 		t.Fatalf("ahead-of-log status = %d, want 410", code)
 	}
 
 	// Malformed params: 400.
 	for _, q := range []string{"?since=-1", "?since=abc", "?since=0&wait_ms=-5", "?since=0&wait_ms=x"} {
-		if code, _, _ = getBody(t, client, srv.URL+"/deltas"+q); code != http.StatusBadRequest {
+		if code, _, _ = getBody(t, client, srv.URL+"/v1/deltas"+q); code != http.StatusBadRequest {
 			t.Fatalf("deltas%s status = %d, want 400", q, code)
 		}
 	}
 
 	// Wrong method: 405.
-	resp, err := client.Post(srv.URL+"/deltas?since=0", "application/json", strings.NewReader("{}"))
+	resp, err := client.Post(srv.URL+"/v1/deltas?since=0", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /deltas status = %d, want 405", resp.StatusCode)
+		t.Fatalf("POST /v1/deltas status = %d, want 405", resp.StatusCode)
 	}
 
 	// No op log at all: 404.
 	plain := index.New(false, index.DefaultConfig())
 	psrv := httptest.NewServer(NewHandlerOptions(plain, Options{}))
 	defer psrv.Close()
-	if code, _, _ = getBody(t, psrv.Client(), psrv.URL+"/deltas?since=0"); code != http.StatusNotFound {
+	if code, _, _ = getBody(t, psrv.Client(), psrv.URL+"/v1/deltas?since=0"); code != http.StatusNotFound {
 		t.Fatalf("no-oplog status = %d, want 404", code)
 	}
 }
@@ -149,7 +149,7 @@ func TestDeltasLongPollWakes(t *testing.T) {
 	done := make(chan result, 1)
 	start := time.Now()
 	go func() {
-		code, _, body := getBody(t, srv.Client(), srv.URL+"/deltas?since=4&wait_ms=20000")
+		code, _, body := getBody(t, srv.Client(), srv.URL+"/v1/deltas?since=4&wait_ms=20000")
 		done <- result{code, body, time.Since(start)}
 	}()
 
@@ -174,17 +174,17 @@ func TestDeltasLongPollWakes(t *testing.T) {
 	}
 }
 
-// queryAnswer fetches one /query response body — the byte-identical
+// queryAnswer fetches one /v1/query response body — the byte-identical
 // comparison unit for leader/follower agreement.
 func queryAnswer(t *testing.T, client *http.Client, base string) []byte {
 	t.Helper()
-	resp, err := client.Post(base+"/query", "application/json", strings.NewReader(queryBody))
+	resp, err := client.Post(base+"/v1/query", "application/json", strings.NewReader(queryBody))
 	if err != nil {
-		t.Fatalf("POST /query: %v", err)
+		t.Fatalf("POST /v1/query: %v", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /query: status %d", resp.StatusCode)
+		t.Fatalf("POST /v1/query: status %d", resp.StatusCode)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -193,7 +193,7 @@ func queryAnswer(t *testing.T, client *http.Client, base string) []byte {
 	return body
 }
 
-// waitForSeq polls the follower's /stats until its applied sequence
+// waitForSeq polls the follower's /v1/stats until its applied sequence
 // number reaches want (the CI smoke does the same over two processes).
 func waitForSeq(t *testing.T, client *http.Client, base string, want int64) {
 	t.Helper()
@@ -201,7 +201,7 @@ func waitForSeq(t *testing.T, client *http.Client, base string, want int64) {
 	for time.Now().Before(deadline) {
 		st := getStats(t, client, base)
 		if st.Replication == nil {
-			t.Fatal("/stats carries no replication section")
+			t.Fatal("/v1/stats carries no replication section")
 		}
 		if st.Replication.AppliedSeq >= want {
 			if st.Replication.LagSeconds != 0 && st.Replication.AppliedSeq >= st.Replication.LeaderSeq {
@@ -245,7 +245,7 @@ func TestReplicationEndToEnd(t *testing.T) {
 	if code, _, _ := getBody(t, fsrv.Client(), fsrv.URL+"/readyz"); code != http.StatusOK {
 		t.Fatalf("follower /readyz = %d, want 200", code)
 	}
-	resp, err := fsrv.Client().Post(fsrv.URL+"/upsert", "application/json",
+	resp, err := fsrv.Client().Post(fsrv.URL+"/v1/upsert", "application/json",
 		strings.NewReader(`{"id":"w","name":"write"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestReplicationEndToEnd(t *testing.T) {
 	}
 
 	// Write through the leader; the delta feed must carry it over.
-	up, err := leader.Client().Post(leader.URL+"/upsert", "application/json",
+	up, err := leader.Client().Post(leader.URL+"/v1/upsert", "application/json",
 		strings.NewReader(`{"id":"p3","name":"tok3 tok1 shared3 renamed","desc":"word3 common"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +341,7 @@ func TestFollowerResyncsAfterGap(t *testing.T) {
 	}
 }
 
-// TestSnapshotStreamBootstrap pins the /snapshot endpoint directly:
+// TestSnapshotStreamBootstrap pins the /v1/snapshot endpoint directly:
 // the stream decodes into an index identical in size and sequence, and
 // non-GET is refused.
 func TestSnapshotStreamBootstrap(t *testing.T) {
@@ -349,9 +349,9 @@ func TestSnapshotStreamBootstrap(t *testing.T) {
 	srv := httptest.NewServer(NewHandlerOptions(x, Options{}))
 	defer srv.Close()
 
-	code, hdr, body := getBody(t, srv.Client(), srv.URL+"/snapshot")
+	code, hdr, body := getBody(t, srv.Client(), srv.URL+"/v1/snapshot")
 	if code != http.StatusOK {
-		t.Fatalf("GET /snapshot status = %d", code)
+		t.Fatalf("GET /v1/snapshot status = %d", code)
 	}
 	if ct := hdr.Get("Content-Type"); ct != "application/octet-stream" {
 		t.Fatalf("content type = %q", ct)
@@ -364,20 +364,20 @@ func TestSnapshotStreamBootstrap(t *testing.T) {
 		t.Fatalf("decoded %d profiles seq %d, want %d/%d", y.Size(), y.Seq(), x.Size(), x.Seq())
 	}
 
-	resp, err := srv.Client().Post(srv.URL+"/snapshot", "application/octet-stream", strings.NewReader(""))
+	resp, err := srv.Client().Post(srv.URL+"/v1/snapshot", "application/octet-stream", strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST /snapshot status = %d, want 405", resp.StatusCode)
+		t.Fatalf("POST /v1/snapshot status = %d, want 405", resp.StatusCode)
 	}
 }
 
 // TestReadyzEmptyReplica pins the replica readiness fix: a read-only
 // index that has never loaded a snapshot (and has no bootstrapped
 // follower) is held out of rotation with 503 + Retry-After, while an
-// empty writable index — a leader warming up on /bulk — stays ready.
+// empty writable index — a leader warming up on /v1/bulk — stays ready.
 func TestReadyzEmptyReplica(t *testing.T) {
 	empty := index.New(false, index.DefaultConfig())
 	empty.SetReadOnly(true)
@@ -436,7 +436,7 @@ func TestRetryAfterDerivedFromShedWait(t *testing.T) {
 
 	firstDone := make(chan struct{})
 	go func() {
-		resp := postQuery(t, client, srv.URL+"/query")
+		resp := postQuery(t, client, srv.URL+"/v1/query")
 		resp.Body.Close()
 		close(firstDone)
 	}()

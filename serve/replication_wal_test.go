@@ -81,7 +81,7 @@ func (fl *flakyLeader) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // TestBackoffAndLastErrorLifecycle pins the consumer-side hardening:
 // while the leader is down, errors accumulate and the backoff climbs
 // past the floor; once the leader returns, the follower catches up,
-// last_error clears (the stale-/stats bug) and the backoff resets.
+// last_error clears (the stale-/v1/stats bug) and the backoff resets.
 func TestBackoffAndLastErrorLifecycle(t *testing.T) {
 	leaderIdx := oplogIndex(t, oplogConfig(), 8)
 	fl := &flakyLeader{}
@@ -216,7 +216,7 @@ func TestChainedReplicationDepthTwo(t *testing.T) {
 // TestLeaderCrashRestartNoResync is the serve-level acceptance pin: a
 // leader with a durable op log dies mid-traffic (no clean shutdown, no
 // final save), restarts from snapshot + WAL, and its follower catches
-// up over the same /deltas feed — zero resyncs, byte-identical answers.
+// up over the same /v1/deltas feed — zero resyncs, byte-identical answers.
 func TestLeaderCrashRestartNoResync(t *testing.T) {
 	walDir := t.TempDir()
 	snap := filepath.Join(t.TempDir(), "leader.snap")

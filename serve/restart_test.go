@@ -18,8 +18,8 @@ import (
 
 // TestRestartFromSnapshotAnswersIdentically is the sparker-serve restart
 // scenario end to end: a ~10k-profile index is built once, snapshotted
-// through POST /snapshot/save, torn down, and a second process restores
-// it from disk without re-indexing (the restored flag in /stats proves
+// through POST /v1/snapshot/save, torn down, and a second process restores
+// it from disk without re-indexing (the restored flag in /v1/stats proves
 // the path taken). The restarted process must answer a fixed query set
 // byte-for-byte identically to the pre-restart process.
 func TestRestartFromSnapshotAnswersIdentically(t *testing.T) {
@@ -45,7 +45,7 @@ func TestRestartFromSnapshotAnswersIdentically(t *testing.T) {
 	queries := fixedQuerySet(t, c)
 	before := runQuerySet(t, srv1.URL, queries)
 
-	saveResp, err := http.Post(srv1.URL+"/snapshot/save", "application/json", nil)
+	saveResp, err := http.Post(srv1.URL+"/v1/snapshot/save", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestRestartFromSnapshotAnswersIdentically(t *testing.T) {
 // endpoint refuses rather than writing somewhere surprising.
 func TestSnapshotSaveEndpointDisabled(t *testing.T) {
 	srv := newTestServer(t) // plain NewHandler, no snapshot path
-	resp, err := http.Post(srv.URL+"/snapshot/save", "application/json", nil)
+	resp, err := http.Post(srv.URL+"/v1/snapshot/save", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestReadOnlyReplicaOverHTTP(t *testing.T) {
 	srv := httptest.NewServer(serve.NewHandler(idx))
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/upsert", "application/json",
+	resp, err := http.Post(srv.URL+"/v1/upsert", "application/json",
 		bytes.NewBufferString(`{"id": "a9", "name": "new thing"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestReadOnlyReplicaOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("read-only upsert status = %d, want 403", resp.StatusCode)
 	}
-	resp, err = http.Post(srv.URL+"/bulk", "application/json",
+	resp, err = http.Post(srv.URL+"/v1/bulk", "application/json",
 		bytes.NewBufferString(`{"id": "a9", "name": "new thing"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestReadOnlyReplicaOverHTTP(t *testing.T) {
 		t.Fatalf("read-only bulk status = %d, want 403", resp.StatusCode)
 	}
 
-	q, err := http.Post(srv.URL+"/query", "application/json",
+	q, err := http.Post(srv.URL+"/v1/query", "application/json",
 		bytes.NewBufferString(`{"id": "probe", "name": "acme turboblend"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestReadOnlyReplicaOverHTTP(t *testing.T) {
 	}
 	stats := getStats(t, srv.URL)
 	if !stats.ReadOnly {
-		t.Fatal("/stats does not report read-only mode")
+		t.Fatal("/v1/stats does not report read-only mode")
 	}
 	if stats.Profiles != 2 || stats.Upserts != 0 {
 		t.Fatalf("read-only index mutated: %+v", stats)
@@ -165,7 +165,7 @@ func TestReadOnlyReplicaOverHTTP(t *testing.T) {
 	snapPath := filepath.Join(t.TempDir(), "replica.snap")
 	srvSnap := httptest.NewServer(serve.NewHandlerOptions(idx, serve.Options{SnapshotPath: snapPath}))
 	defer srvSnap.Close()
-	resp, err = http.Post(srvSnap.URL+"/snapshot/save", "application/json", nil)
+	resp, err = http.Post(srvSnap.URL+"/v1/snapshot/save", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func runQuerySet(t *testing.T, baseURL string, queries []string) [][]byte {
 	t.Helper()
 	out := make([][]byte, 0, len(queries))
 	for i, q := range queries {
-		resp, err := http.Post(baseURL+"/query", "application/json", bytes.NewBufferString(q))
+		resp, err := http.Post(baseURL+"/v1/query", "application/json", bytes.NewBufferString(q))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,10 +226,10 @@ func runQuerySet(t *testing.T, baseURL string, queries []string) [][]byte {
 	return out
 }
 
-// getStats decodes GET /stats.
+// getStats decodes GET /v1/stats.
 func getStats(t *testing.T, baseURL string) sparker.IndexSnapshot {
 	t.Helper()
-	resp, err := http.Get(baseURL + "/stats")
+	resp, err := http.Get(baseURL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,11 @@
 package serve
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -21,22 +19,17 @@ import (
 	"sparker/internal/profile"
 )
 
-// DefaultMaxBodyBytes caps /query, /upsert and /bulk request bodies
-// when Options.MaxBodyBytes is zero: large enough for generous bulk
-// loads, small enough that one request can never balloon the heap.
-const DefaultMaxBodyBytes int64 = 32 << 20
-
 // Options configures the optional persistence, observability and
 // admission-control surfaces of the handler.
 type Options struct {
-	// SnapshotPath enables POST /snapshot/save: each call writes a
+	// SnapshotPath enables POST /v1/snapshot/save: each call writes a
 	// durable snapshot of the index there (atomically). Empty disables
 	// the endpoint.
 	SnapshotPath string
 	// Logger receives the slow-query log (structured, slog). Nil uses
 	// slog.Default().
 	Logger *slog.Logger
-	// SlowQuery logs any /query resolution taking at least this long,
+	// SlowQuery logs any /v1/query resolution taking at least this long,
 	// with its per-stage timing breakdown — the first question to ask of
 	// a slow resolver is which stage ate the time. Zero disables the
 	// slow-query log.
@@ -45,8 +38,8 @@ type Options struct {
 	NoMetrics bool
 
 	// MaxInFlight caps concurrently served requests on the resolution
-	// routes (/query, /upsert, /bulk). Beyond the cap, requests wait at
-	// most ShedWait and are then shed with 429/503 + Retry-After
+	// routes (/v1/query, /v1/upsert, /v1/bulk). Beyond the cap, requests
+	// wait at most ShedWait and are then shed with 429/503 + Retry-After
 	// instead of queueing; admitted queries degrade by gate occupancy
 	// (see admission.go). Zero disables admission control entirely.
 	MaxInFlight int
@@ -54,24 +47,24 @@ type Options struct {
 	// (also bounded by the request's own context). Zero sheds
 	// immediately with 429; with a wait, expiry sheds with 503.
 	ShedWait time.Duration
-	// DefaultBudget is the wall-clock budget applied to /query requests
-	// that do not carry ?budget_ms= themselves. Zero means unlimited
-	// (until the degradation ladder imposes one under pressure).
+	// DefaultBudget is the wall-clock budget applied to /v1/query
+	// requests that do not carry ?budget_ms= themselves, before the
+	// degradation ladder. Zero means unlimited (until the ladder imposes
+	// one under pressure).
 	DefaultBudget time.Duration
-	// MaxBodyBytes caps request bodies on /query, /upsert and /bulk
-	// (413 beyond it). Zero uses DefaultMaxBodyBytes.
+	// MaxBodyBytes caps request bodies on /v1/query, /v1/upsert and
+	// /v1/bulk (413 beyond it). Zero uses DefaultMaxBodyBytes.
 	MaxBodyBytes int64
 
 	// Follower, when non-nil, is the replication loop feeding this
 	// handler's index from a leader (see replication.go). The handler
-	// reports its lag in /stats and /metrics, and /readyz holds the
+	// reports its lag in /v1/stats and /metrics, and /readyz holds the
 	// replica out of rotation until the follower has bootstrapped.
 	Follower *Follower
 }
 
-// NewHandler serves an index over HTTP. Every route lives under the
-// versioned /v1/ prefix with the historical unversioned path kept as
-// an alias (same handler, same counters):
+// NewHandler serves an index over HTTP. Every API route lives under
+// the versioned /v1/ prefix, and only there:
 //
 //	POST /v1/query         — body: one JSON profile {"id": "...",
 //	                      "attr": "value"}; ranks candidates and scores
@@ -123,9 +116,9 @@ type Options struct {
 // /metrics, /healthz and /readyz stay unversioned: they are operator
 // conventions (scrapers and load balancers), not API surfaces.
 //
-// Every 4xx/5xx response carries the typed JSON error envelope
-// {"error": {"code", "message", "retry_after_seconds?"}} — see
-// APIError and the ErrCode* constants.
+// Every 4xx/5xx response — an unknown path's 404 included — carries
+// the typed JSON error envelope {"error": {"code", "message",
+// "retry_after_seconds?"}}; see APIError and the ErrCode* constants.
 //
 // With Options.MaxInFlight set, /v1/query, /v1/upsert and /v1/bulk sit
 // behind an admission gate: over-limit requests wait at most
@@ -135,8 +128,9 @@ type Options struct {
 // those routes are bounded by Options.MaxBodyBytes (413 beyond it).
 //
 // Every route is instrumented: request, 4xx and 5xx counters plus a
-// latency histogram per route (labelled by the canonical /v1 path,
-// aliases included), surfaced by both /v1/stats and /metrics. Upserts
+// latency histogram per route (labelled by its path; every unknown
+// path counts under the one fixed label "unmatched"), surfaced by both
+// /v1/stats and /metrics. Upserts
 // against a read-only replica fail with 403. Profiles use the loader's
 // JSON-lines wire format; the "id" field is the original identifier,
 // every other field an attribute.
@@ -145,55 +139,31 @@ func NewHandler(x *index.Index) *Handler { return NewHandlerOptions(x, Options{}
 // NewHandlerOptions is NewHandler with the persistence, observability,
 // admission and replication surfaces configured.
 func NewHandlerOptions(x *index.Index, opts Options) *Handler {
-	h := &Handler{opts: opts, logger: opts.Logger, follower: opts.Follower}
+	h := &Handler{opts: opts}
 	h.idx.Store(x)
-	if h.logger == nil {
-		h.logger = slog.Default()
-	}
-	h.gate = newAdmission(opts.MaxInFlight, opts.ShedWait)
-	h.maxBody = opts.MaxBodyBytes
-	if h.maxBody <= 0 {
-		h.maxBody = DefaultMaxBodyBytes
-	}
-	h.retryAfter = retryAfterSeconds(opts.ShedWait)
-	h.router.init()
-	h.handle("/v1/query", h.gated(h.query), "/query")
-	h.handle("/v1/upsert", h.gated(h.upsert), "/upsert")
-	h.handle("/v1/bulk", h.gated(h.bulk), "/bulk")
-	h.handle("/v1/snapshot/save", h.snapshotSave, "/snapshot/save")
-	h.handle("/v1/snapshot", h.snapshotStream, "/snapshot")
-	h.handle("/v1/deltas", h.deltas, "/deltas")
-	h.handle("/v1/stats", h.stats, "/stats")
-	h.handle("/healthz", h.healthz)
-	h.handle("/readyz", h.readyz)
-	if !opts.NoMetrics {
-		h.handle("/metrics", h.metrics)
-	}
+	h.init(opts.Logger, opts.MaxInFlight, opts.ShedWait, opts.DefaultBudget, opts.MaxBodyBytes)
+	h.handleGated("/v1/query", h.query)
+	h.handleGated("/v1/upsert", h.upsert)
+	h.handleGated("/v1/bulk", h.bulk)
+	h.handle(http.MethodPost, "/v1/snapshot/save", h.snapshotSave)
+	h.handle(http.MethodGet, "/v1/snapshot", h.snapshotStream)
+	h.handle(http.MethodGet, "/v1/deltas", h.deltas)
+	h.handle(http.MethodGet, "/v1/stats", h.stats)
+	h.handleOperator(h.readyz, h.metrics, opts.NoMetrics)
 	return h
 }
 
-// Handler serves an index over HTTP (see NewHandler for the routes). It
+// Handler serves an index over HTTP (see NewHandler for the routes):
+// the shared front end plus what a request does against one index. It
 // holds the index behind an atomic pointer so a follower resync can
 // swap in a freshly bootstrapped index without a lock on the request
 // path: each request pins one index for its whole duration and the old
 // one drains naturally.
 type Handler struct {
-	router
-	idx      atomic.Pointer[index.Index]
-	opts     Options
-	logger   *slog.Logger
-	gate     *admission
-	maxBody  int64
-	follower *Follower
-	// retryAfter is the Retry-After value (whole seconds) of every shed
-	// and not-ready response, derived from Options.ShedWait: a client
-	// told to come back should wait at least as long as the server
-	// itself would have let it wait for a slot.
-	retryAfter int64
+	frontend
+	idx  atomic.Pointer[index.Index]
+	opts Options
 
-	// Budget/degradation accounting, exposed by /stats and /metrics.
-	degraded    obs.Counter   // queries served at a non-zero ladder level
-	truncated   obs.Counter   // responses whose budget tripped
 	budgetSpent obs.Histogram // comparisons spent per budgeted query
 }
 
@@ -204,188 +174,89 @@ func (h *Handler) Index() *index.Index { return h.idx.Load() }
 // path: in-flight requests finish on the index they started with.
 func (h *Handler) SetIndex(x *index.Index) { h.idx.Store(x) }
 
-// retryAfterSeconds renders a shed wait as a whole-second Retry-After
-// value, rounding up so clients never come back before a slot could
-// have opened; the floor of 1 keeps the header meaningful when no wait
-// is configured.
-func retryAfterSeconds(wait time.Duration) int64 {
-	secs := int64(math.Ceil(wait.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
-// errOverloaded is the shed response body: what a client sees when the
-// admission gate refuses its request.
-var errOverloaded = errors.New("server overloaded, retry later")
-
-// gated wraps a handler behind the admission gate: over-limit requests
-// shed with 429/503 + Retry-After instead of queueing. The admission
-// level rides in the request context for the query handler's
-// degradation ladder.
-func (h *Handler) gated(fn http.HandlerFunc) http.HandlerFunc {
-	return h.gate.gated(h.retryAfter, fn)
-}
-
-// admissionLevelKey carries the degradation level from the gate to the
-// query handler.
-type admissionLevelKey struct{}
-
-func admissionLevel(r *http.Request) int {
-	level, _ := r.Context().Value(admissionLevelKey{}).(int)
-	return level
-}
-
-func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
-	params, ok := h.readParams(w, r)
-	if !ok {
-		return
-	}
-	p, ok := h.readOneProfile(w, r, params)
-	if !ok {
-		return
-	}
+func (h *Handler) query(w http.ResponseWriter, _ *http.Request, c call) {
 	x := h.Index()
-	opts, budget, err := params.resolveOptions(x, h.opts.DefaultBudget)
+	ps, ok := decodeProfiles(w, x, c, true)
+	if !ok {
+		return
+	}
+	// The ladder demotes the policy the query would actually run under,
+	// so name the index's own default when the request did not choose.
+	params := c.params
+	if params.Probe == "" {
+		params.Probe = x.ProbePolicy().String()
+	}
+	// Under gate pressure, tighten the budget (imposing one if neither
+	// the request nor the server default carried any) and cheapen the
+	// probe policy — cheaper truncated answers instead of queueing delay.
+	h.throttle(&params, c.level)
+	opts, err := params.resolveOptions(x)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 		return
 	}
-	// The degradation ladder: under gate pressure, tighten the budget
-	// (imposing one if the request carried none) and cheapen the probe
-	// policy — cheaper truncated answers instead of queueing delay.
-	level := admissionLevel(r)
-	budget = degrade(&opts, level, budget)
-	if budget > 0 {
-		opts.Budget.Deadline = index.DeadlineIn(budget)
-	}
-	budgeted := budget > 0 || opts.Budget.MaxComparisons > 0
 
 	start := obs.Now()
-	res := x.ResolveWithOptions(p, opts)
+	res := x.ResolveWithOptions(&ps[0], opts)
 	elapsed := obs.Now() - start
 	if h.opts.SlowQuery > 0 && elapsed >= int64(h.opts.SlowQuery) {
-		h.logSlowQuery(p, res, elapsed)
+		h.logSlowQuery(&ps[0], res, elapsed)
 	}
-	if level > 0 {
-		h.degraded.Inc()
-	}
-	if res.Query.Truncated {
-		h.truncated.Inc()
-	}
-	if budgeted {
+	h.countQuery(c.level, res.Query.Truncated)
+	if opts.Budget != (index.Budget{}) {
 		h.budgetSpent.Observe(int64(res.Comparisons))
 	}
 	resp := newQueryResponse(x, res)
-	resp.Degraded = level
+	resp.Degraded = c.level
 	if params.Debug {
 		resp.Debug = newDebugJSON(res)
 	}
 	writeJSON(w, resp)
 }
 
-// readParams decodes the typed request knobs, answering the 400 itself
-// on a malformed knob.
-func (h *Handler) readParams(w http.ResponseWriter, r *http.Request) (QueryParams, bool) {
-	params, err := ParseQueryParams(r.URL.Query())
-	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return params, false
-	}
-	return params, true
-}
-
-func (h *Handler) upsert(w http.ResponseWriter, r *http.Request) {
-	params, ok := h.readParams(w, r)
+func (h *Handler) upsert(w http.ResponseWriter, _ *http.Request, c call) {
+	x := h.Index()
+	ps, ok := decodeProfiles(w, x, c, true)
 	if !ok {
 		return
 	}
-	p, ok := h.readOneProfile(w, r, params)
-	if !ok {
-		return
-	}
-	id, created, err := h.Index().Upsert(*p)
+	id, created, err := x.Upsert(ps[0])
 	if err != nil {
-		code, status := upsertErrorStatus(err)
-		httpError(w, status, code, err)
+		upsertError(w, err)
 		return
 	}
 	writeJSON(w, upsertResponse{ID: id, Created: created})
 }
 
-func (h *Handler) bulk(w http.ResponseWriter, r *http.Request) {
-	params, ok := h.readParams(w, r)
-	if !ok {
-		return
-	}
-	ps, ok := h.readProfiles(w, r, params)
-	if !ok {
-		return
-	}
+func (h *Handler) bulk(w http.ResponseWriter, _ *http.Request, c call) {
 	x := h.Index()
+	ps, ok := decodeProfiles(w, x, c, false)
+	if !ok {
+		return
+	}
 	for _, p := range ps {
 		if _, _, err := x.Upsert(p); err != nil {
-			code, status := upsertErrorStatus(err)
-			httpError(w, status, code, err)
+			upsertError(w, err)
 			return
 		}
 	}
 	writeJSON(w, bulkResponse{Upserted: len(ps)})
 }
 
-// healthz is liveness: the process is up and the handler answers.
-func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
-	writeJSON(w, map[string]any{"status": "ok"})
-}
-
 // readyz is readiness: the index holds data and the admission gate is
-// not saturated. A load balancer drains a replica answering 503 here
-// while /healthz keeps it alive — shedding hard is a reason to stop
-// sending traffic, not to restart the process. A read-only replica
-// that has never loaded a snapshot (and whose follower has not
-// bootstrapped) answers "empty" 503: routing traffic to it would serve
-// zero-candidate answers that look like successes.
-func (h *Handler) readyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
+// not saturated (see frontend.ready). A read-only replica that has
+// never loaded a snapshot (and whose follower has not bootstrapped)
+// answers "empty" 503: routing traffic to it would serve zero-candidate
+// answers that look like successes.
+func (h *Handler) readyz(w http.ResponseWriter, _ *http.Request) {
+	var drain map[string]any
+	if x := h.Index(); x.ReadOnly() && !x.Restored() && x.Size() == 0 && (h.opts.Follower == nil || !h.opts.Follower.Ready()) {
+		drain = map[string]any{"status": "empty", "read_only": true}
 	}
-	if x := h.Index(); x.ReadOnly() && !x.Restored() && x.Size() == 0 && (h.follower == nil || !h.follower.Ready()) {
-		h.notReady(w, map[string]any{"status": "empty", "read_only": true})
-		return
-	}
-	if h.gate.saturated() {
-		h.notReady(w, map[string]any{"status": "shedding", "in_flight": h.gate.inFlight()})
-		return
-	}
-	writeJSON(w, map[string]any{"status": "ok"})
+	h.ready(w, drain, map[string]any{"status": "ok"})
 }
 
-// notReady writes the /readyz 503 with the same Retry-After a shed
-// response carries. The body stays status-shaped (not the error
-// envelope): readiness probes report state, they do not fail requests.
-func (h *Handler) notReady(w http.ResponseWriter, body map[string]any) {
-	writeNotReady(w, h.retryAfter, body)
-}
-
-// writeNotReady is the shared /readyz 503 writer (Handler and Cluster).
-func writeNotReady(w http.ResponseWriter, retryAfterSecs int64, body map[string]any) {
-	w.Header().Set("Retry-After", strconv.FormatInt(retryAfterSecs, 10))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func (h *Handler) snapshotSave(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		methodError(w, http.MethodPost)
-		return
-	}
+func (h *Handler) snapshotSave(w http.ResponseWriter, _ *http.Request) {
 	if h.opts.SnapshotPath == "" {
 		httpError(w, http.StatusNotFound, ErrCodeNotFound, fmt.Errorf("no snapshot path configured (start sparker-serve with -snapshot)"))
 		return
@@ -412,7 +283,7 @@ func (h *Handler) snapshotSave(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// statsResponse is the /stats body: the index snapshot (its fields
+// statsResponse is the /v1/stats body: the index snapshot (its fields
 // inline, exactly the pre-observability shape) plus the per-route HTTP
 // counters and admission/budget accounting the serving layer owns.
 type statsResponse struct {
@@ -422,14 +293,10 @@ type statsResponse struct {
 	Replication *ReplicationStats  `json:"replication,omitempty"`
 }
 
-func (h *Handler) stats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		methodError(w, http.MethodGet)
-		return
-	}
+func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
 	resp := statsResponse{Snapshot: h.Index().Snapshot(), HTTP: h.routeStats(), Admission: h.admissionStats()}
-	if h.follower != nil {
-		st := h.follower.Stats()
+	if h.opts.Follower != nil {
+		st := h.opts.Follower.Stats()
 		resp.Replication = &st
 	}
 	writeJSON(w, resp)
@@ -458,14 +325,14 @@ func (h *Handler) logSlowQuery(p *profile.Profile, res *index.Resolution, elapse
 	h.logger.Warn("slow query", attrs...)
 }
 
-// upsertErrorStatus maps index write errors onto the envelope code and
-// HTTP status: writes against a read-only replica are refused, not
-// malformed.
-func upsertErrorStatus(err error) (code string, status int) {
+// upsertError answers a failed index write: a write against a read-only
+// replica is refused (403), anything else is a malformed profile (400).
+func upsertError(w http.ResponseWriter, err error) {
 	if errors.Is(err, index.ErrReadOnly) {
-		return ErrCodeReadOnly, http.StatusForbidden
+		httpError(w, http.StatusForbidden, ErrCodeReadOnly, err)
+		return
 	}
-	return ErrCodeBadRequest, http.StatusBadRequest
+	httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 }
 
 // upsertResponse and bulkResponse are the typed write acknowledgements.
@@ -584,53 +451,24 @@ func newQueryResponse(x *index.Index, r *index.Resolution) queryResponse {
 	return resp
 }
 
-// readOneProfile parses exactly one JSON profile from a POST body.
-func (h *Handler) readOneProfile(w http.ResponseWriter, r *http.Request, params QueryParams) (*profile.Profile, bool) {
-	ps, ok := h.readProfiles(w, r, params)
-	if !ok {
-		return nil, false
+// decodeProfiles parses a gated request's JSON-lines body against the
+// index the request pinned, applying the decoded ?source knob; one
+// demands exactly one profile (/v1/query, /v1/upsert).
+func decodeProfiles(w http.ResponseWriter, x *index.Index, c call, one bool) ([]profile.Profile, bool) {
+	ps, err := loader.ReadProfilesJSONL(bytes.NewReader(c.body), "id")
+	switch {
+	case err != nil:
+	case c.params.Source == 1 && !x.Clean():
+		err = fmt.Errorf("source=1 needs a clean-clean index")
+	case one && len(ps) != 1:
+		err = fmt.Errorf("expected one profile, got %d", len(ps))
 	}
-	if len(ps) != 1 {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, fmt.Errorf("expected one profile, got %d", len(ps)))
-		return nil, false
-	}
-	return &ps[0], true
-}
-
-// readProfiles parses a JSON-lines POST body, applying the decoded
-// ?source knob. The body is bounded by Options.MaxBodyBytes — one huge
-// upload answers 413, it does not balloon the heap.
-func (h *Handler) readProfiles(w http.ResponseWriter, r *http.Request, params QueryParams) ([]profile.Profile, bool) {
-	x := h.Index()
-	if r.Method != http.MethodPost {
-		methodError(w, http.MethodPost)
-		return nil, false
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, h.maxBody)
-	ps, err := loader.ReadProfilesJSONL(r.Body, "id")
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, ErrCodePayloadTooLarge,
-				fmt.Errorf("request body exceeds %d bytes (split the upload or raise -max-body)", tooBig.Limit))
-			return nil, false
-		}
 		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
 		return nil, false
 	}
-	if params.SourceSet && params.Source == 1 && !x.Clean() {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, fmt.Errorf("source=1 needs a clean-clean index"))
-		return nil, false
-	}
 	for i := range ps {
-		ps[i].SourceID = params.Source
+		ps[i].SourceID = c.params.Source
 	}
 	return ps, true
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

@@ -60,11 +60,11 @@ func TestHandlerEndToEnd(t *testing.T) {
 	}
 
 	// Upsert a new source-1 profile, then query for it from source 0.
-	up := post("/upsert?source=1", `{"id": "b9", "title": "starlight projector lamp"}`)
+	up := post("/v1/upsert?source=1", `{"id": "b9", "title": "starlight projector lamp"}`)
 	if up["created"] != true {
 		t.Fatalf("upsert response = %v", up)
 	}
-	q := post("/query", `{"id": "probe", "name": "starlight projector"}`)
+	q := post("/v1/query", `{"id": "probe", "name": "starlight projector"}`)
 	cands := q["candidates"].([]any)
 	if len(cands) != 1 {
 		t.Fatalf("candidates = %v", cands)
@@ -73,12 +73,12 @@ func TestHandlerEndToEnd(t *testing.T) {
 		t.Fatalf("top candidate = %v", cands[0])
 	}
 
-	bulk := post("/bulk?source=1", "{\"id\": \"b10\", \"title\": \"copper kettle\"}\n{\"id\": \"b11\", \"title\": \"steel kettle\"}")
+	bulk := post("/v1/bulk?source=1", "{\"id\": \"b10\", \"title\": \"copper kettle\"}\n{\"id\": \"b11\", \"title\": \"steel kettle\"}")
 	if bulk["upserted"] != float64(2) {
 		t.Fatalf("bulk response = %v", bulk)
 	}
 
-	resp, err := http.Get(srv.URL + "/stats")
+	resp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +95,16 @@ func TestHandlerEndToEnd(t *testing.T) {
 func TestHandlerRejectsBadRequests(t *testing.T) {
 	srv := newTestServer(t)
 
-	if resp, err := http.Get(srv.URL + "/query"); err != nil {
+	if resp, err := http.Get(srv.URL + "/v1/query"); err != nil {
 		t.Fatal(err)
 	} else if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /query status = %d", resp.StatusCode)
+		t.Fatalf("GET /v1/query status = %d", resp.StatusCode)
 	}
 	for _, tc := range []struct{ path, body string }{
-		{"/upsert?source=9", `{"id": "z"}`},
-		{"/query", `{"id": oops`},
-		{"/query", "{\"id\": \"p1\"}\n{\"id\": \"p2\"}"},
-		{"/query", ""},
+		{"/v1/upsert?source=9", `{"id": "z"}`},
+		{"/v1/query", `{"id": oops`},
+		{"/v1/query", "{\"id\": \"p1\"}\n{\"id\": \"p2\"}"},
+		{"/v1/query", ""},
 	} {
 		resp, err := http.Post(srv.URL+tc.path, "application/json", bytes.NewBufferString(tc.body))
 		if err != nil {
