@@ -13,6 +13,7 @@ package sparker_test
 
 import (
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,6 +184,22 @@ func BenchmarkE8EndToEnd(b *testing.B) {
 	}
 }
 
+// BenchmarkE8EndToEndScaled2 times one sequential Resolve alone (no
+// evaluation) on the twice-scaled benchmark, the collection the
+// batch-resolve workload of the end-to-end harness runs; its allocs/op
+// and B/op are the pass's whole memory bill.
+func BenchmarkE8EndToEndScaled2(b *testing.B) {
+	c := datagen.Generate(datagen.AbtBuy().Scaled(2)).Collection
+	pipeline := sparker.NewPipeline(sparker.DefaultConfig(), nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := pipeline.Resolve(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkE9Sampling times the debug-sample construction.
 func BenchmarkE9Sampling(b *testing.B) {
 	d := benchDataset(b)
@@ -337,8 +354,20 @@ func BenchmarkAttributePartitioning(b *testing.B) {
 	}
 }
 
-// BenchmarkMatching times candidate scoring with Jaccard.
+// singleP runs the rest of a single-goroutine benchmark on one P and
+// returns the undo. The tokenizer workspace is leased from a sync.Pool,
+// whose fast slot is per P: every migration of the benchmark goroutine
+// is a pool miss that re-interns the whole vocabulary, which moves
+// allocs/op by tens of percent from run to run and past the CI gate.
+func singleP() (restore func()) {
+	prev := runtime.GOMAXPROCS(1)
+	return func() { runtime.GOMAXPROCS(prev) }
+}
+
+// BenchmarkMatching times candidate scoring with Jaccard: one
+// preparation of the collection plus a merge per candidate pair.
 func BenchmarkMatching(b *testing.B) {
+	defer singleP()()
 	d := benchDataset(b)
 	cfg := sparker.DefaultConfig()
 	res, err := sparker.NewPipeline(cfg, nil).RunBlocker(d.Collection)
@@ -346,9 +375,25 @@ func BenchmarkMatching(b *testing.B) {
 		b.Fatal(err)
 	}
 	measure := matching.JaccardMeasure(tokenize.Options{})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		matching.MatchPairs(d.Collection, res.Candidates, measure, 0.3)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(res.Candidates)), "ns/pair")
+}
+
+// BenchmarkMatchingPrepare times the preparation alone (every profile
+// tokenised once into sorted interned token IDs): the fixed cost
+// BenchmarkMatching amortises over its candidate pairs.
+func BenchmarkMatchingPrepare(b *testing.B) {
+	defer singleP()()
+	d := benchDataset(b)
+	measure := matching.JaccardMeasure(tokenize.Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		measure.Prepare(d.Collection)
 	}
 }
 

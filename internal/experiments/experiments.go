@@ -11,7 +11,11 @@
 //	E5     Figure 6(e): meta-blocking with entropy
 //	E6     scalability: executor sweep over the distributed blocker
 //	E7     broadcast-join meta-blocking vs naive edge materialisation
-//	E8     end-to-end pipeline (Figures 3 and 5)
+//	E8     end-to-end pipeline (Figures 3 and 5); since the matcher
+//	       scores from bags prepared once per collection and Blast
+//	       meta-blocking no longer sorts neighbourhoods, one pass is
+//	       dominated by neighbourhood materialisation, not by
+//	       tokenisation (README "Performance", "Matching")
 //	E9     debug-sample representativeness (Section 3)
 //
 // followed by the weight-scheme and pruning-rule ablations.

@@ -630,7 +630,7 @@ func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Res
 				hook()
 			}
 			r.Comparisons++
-			score := x.cfg.Measure(p, &c.sp.p)
+			score := x.cfg.Measure.Score(p, &c.sp.p)
 			if score >= x.cfg.MatchThreshold {
 				r.Matches = append(r.Matches, matching.Match{A: queryID, B: c.id, Score: score})
 			}

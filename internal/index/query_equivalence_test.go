@@ -210,8 +210,11 @@ func TestQueryMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestResolveFastPathMatchesJaccardMeasure proves the cached-bag scorer
-// is bitwise-identical to the generic matching.JaccardMeasure path.
+// TestResolveFastPathMatchesJaccardMeasure is the cross-layer scoring
+// pin: for the same pair, the index's cached-bag scorer, the generic
+// matching.JaccardMeasure one-off path (Measure.Score, what a configured
+// measure runs) and the batch matcher's prepared scorer over the same
+// profiles agree bit for bit.
 func TestResolveFastPathMatchesJaccardMeasure(t *testing.T) {
 	fastCfg := DefaultConfig() // Measure nil: fast path
 	slowCfg := DefaultConfig()
@@ -220,15 +223,21 @@ func TestResolveFastPathMatchesJaccardMeasure(t *testing.T) {
 	fastCfg.MatchThreshold = -1
 	fast := New(false, fastCfg)
 	slow := New(false, slowCfg)
-	for _, p := range synthQueryProfiles(80, 1, 13) {
-		if _, _, err := fast.Upsert(p); err != nil {
+	profiles := synthQueryProfiles(80, 1, 13)
+	batchID := map[profile.ID]profile.ID{} // index ID -> ID in the batch collection
+	for i, p := range profiles {
+		id, _, err := fast.Upsert(p)
+		if err != nil {
 			t.Fatal(err)
 		}
+		batchID[id] = profile.ID(i)
 		if _, _, err := slow.Upsert(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, p := range synthQueryProfiles(80, 1, 13) {
+	batch := matching.JaccardMeasure(fastCfg.Tokenizer).Prepare(profile.NewDirty(profiles))
+	scored := 0
+	for i, p := range profiles {
 		p := p
 		fr := fast.Resolve(&p)
 		sr := slow.Resolve(&p)
@@ -236,13 +245,21 @@ func TestResolveFastPathMatchesJaccardMeasure(t *testing.T) {
 			t.Fatalf("query %s: fast %d matches/%d comparisons, slow %d/%d",
 				p.OriginalID, len(fr.Matches), fr.Comparisons, len(sr.Matches), sr.Comparisons)
 		}
-		for i := range fr.Matches {
-			if fr.Matches[i].B != sr.Matches[i].B ||
-				math.Float64bits(fr.Matches[i].Score) != math.Float64bits(sr.Matches[i].Score) {
+		for k := range fr.Matches {
+			if fr.Matches[k].B != sr.Matches[k].B ||
+				math.Float64bits(fr.Matches[k].Score) != math.Float64bits(sr.Matches[k].Score) {
 				t.Fatalf("query %s match %d: fast %+v vs slow %+v",
-					p.OriginalID, i, fr.Matches[i], sr.Matches[i])
+					p.OriginalID, k, fr.Matches[k], sr.Matches[k])
 			}
+			if got := batch(profile.ID(i), batchID[fr.Matches[k].B]); math.Float64bits(got) != math.Float64bits(fr.Matches[k].Score) {
+				t.Fatalf("query %s match %d: batch scorer %v vs index %v",
+					p.OriginalID, k, got, fr.Matches[k].Score)
+			}
+			scored++
 		}
+	}
+	if scored == 0 {
+		t.Fatal("no pair was scored")
 	}
 }
 

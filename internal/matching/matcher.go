@@ -1,7 +1,9 @@
 package matching
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sparker/internal/blocking"
@@ -18,40 +20,109 @@ type Match struct {
 	Score float64
 }
 
-// Measure scores the similarity of two profiles in [0, 1].
-type Measure func(a, b *profile.Profile) float64
+// Measure scores the similarity of two profiles in [0, 1]. Every entry
+// point that scores many pairs of one collection (MatchPairs,
+// MatchPairsDistributed, ScorePairs, TuneThreshold) calls Prepare once
+// and scores from the result, so a measure does its per-profile work —
+// tokenising, weighing — once per profile, not once per pair.
+type Measure interface {
+	// Score compares two profiles on their own: the one-off path (the
+	// online index scoring a query against a candidate).
+	Score(a, b *profile.Profile) float64
+	// Prepare readies the measure for the profiles of c and returns the
+	// scorer of c's pairs.
+	Prepare(c *profile.Collection) PairScorer
+}
+
+// PairScorer scores two profiles of the collection it was prepared for,
+// by ID. It only reads its prepared state: safe for concurrent use.
+type PairScorer func(a, b profile.ID) float64
+
+// MeasureFunc adapts a plain comparison function — a user-supplied
+// custom measure — to Measure; it has nothing to prepare.
+type MeasureFunc func(a, b *profile.Profile) float64
+
+// Score calls f.
+func (f MeasureFunc) Score(a, b *profile.Profile) float64 { return f(a, b) }
+
+// Prepare returns f over c's profiles.
+func (f MeasureFunc) Prepare(c *profile.Collection) PairScorer {
+	return func(a, b profile.ID) float64 { return f(c.Get(a), c.Get(b)) }
+}
+
+// bagMeasure is a set similarity over whole-profile token bags: sim maps
+// the overlap and the two distinct-token counts to the score.
+type bagMeasure struct {
+	tok tokenize.Options
+	sim func(inter, na, nb int) float64
+}
+
+func (m bagMeasure) Score(a, b *profile.Profile) float64 {
+	return m.prepare([]profile.Profile{*a, *b})(0, 1)
+}
+
+func (m bagMeasure) Prepare(c *profile.Collection) PairScorer { return m.prepare(c.Profiles) }
+
+func (m bagMeasure) prepare(ps []profile.Profile) PairScorer {
+	b := prepareBags(ps, m.tok, false)
+	return func(p, q profile.ID) float64 {
+		x, y := b.of(p), b.of(q)
+		return m.sim(intersectSorted(x, y), len(x), len(y))
+	}
+}
 
 // JaccardMeasure scores profiles by the Jaccard similarity of their
 // whole-profile token bags, the unsupervised default.
 func JaccardMeasure(tok tokenize.Options) Measure {
-	return func(a, b *profile.Profile) float64 {
-		return JaccardTokens(ProfileBag(a, tok), ProfileBag(b, tok))
-	}
+	return bagMeasure{tok: tok, sim: func(inter, na, nb int) float64 {
+		union := na + nb - inter
+		if union == 0 {
+			return 0
+		}
+		return float64(inter) / float64(union)
+	}}
 }
 
 // DiceMeasure scores profiles with the Dice coefficient of their bags.
 func DiceMeasure(tok tokenize.Options) Measure {
-	return func(a, b *profile.Profile) float64 {
-		return DiceTokens(ProfileBag(a, tok), ProfileBag(b, tok))
-	}
+	return bagMeasure{tok: tok, sim: func(inter, na, nb int) float64 {
+		if na+nb == 0 {
+			return 0
+		}
+		return 2 * float64(inter) / float64(na+nb)
+	}}
 }
+
+// cosineMeasure is TF-IDF cosine under a corpus model.
+type cosineMeasure struct{ m *TFIDF }
+
+func (c cosineMeasure) Score(a, b *profile.Profile) float64 { return c.m.Cosine(a, b) }
+
+func (c cosineMeasure) Prepare(col *profile.Collection) PairScorer { return c.m.prepare(col.Profiles) }
 
 // CosineMeasure scores profiles with TF-IDF cosine similarity (the CSA
 // stand-in).
-func CosineMeasure(m *TFIDF) Measure {
-	return func(a, b *profile.Profile) float64 { return m.Cosine(a, b) }
-}
+func CosineMeasure(m *TFIDF) Measure { return cosineMeasure{m} }
 
 // AttributeMeasure compares one attribute of each profile with a string
 // similarity; useful for schema-aware supervised configurations.
 func AttributeMeasure(attrA, attrB string, sim func(a, b string) float64) Measure {
-	return func(a, b *profile.Profile) float64 {
+	return MeasureFunc(func(a, b *profile.Profile) float64 {
 		return sim(a.Value(attrA), b.Value(attrB))
-	}
+	})
+}
+
+// ensemble is a weighted average of measures.
+type ensemble struct {
+	measures []Measure
+	weights  []float64
+	total    float64
 }
 
 // Ensemble averages several measures with weights. Weights are normalised;
-// a nil weight slice averages uniformly.
+// a nil weight slice averages uniformly. A non-empty weight slice must
+// have one weight per measure: anything else is a programming error and
+// panics here, at construction.
 func Ensemble(measures []Measure, weights []float64) Measure {
 	if len(weights) == 0 {
 		weights = make([]float64, len(measures))
@@ -59,60 +130,87 @@ func Ensemble(measures []Measure, weights []float64) Measure {
 			weights[i] = 1
 		}
 	}
-	var total float64
+	if len(weights) != len(measures) {
+		panic(fmt.Sprintf("matching: Ensemble of %d measures given %d weights", len(measures), len(weights)))
+	}
+	e := ensemble{measures: measures, weights: weights}
 	for _, w := range weights {
-		total += w
+		e.total += w
 	}
-	return func(a, b *profile.Profile) float64 {
+	return e
+}
+
+func (e ensemble) Score(a, b *profile.Profile) float64 {
+	var s float64
+	for i, m := range e.measures {
+		s += e.weights[i] * m.Score(a, b)
+	}
+	return e.normalise(s)
+}
+
+// Prepare prepares every member once.
+func (e ensemble) Prepare(c *profile.Collection) PairScorer {
+	scorers := make([]PairScorer, len(e.measures))
+	for i, m := range e.measures {
+		scorers[i] = m.Prepare(c)
+	}
+	return func(a, b profile.ID) float64 {
 		var s float64
-		for i, m := range measures {
-			s += weights[i] * m(a, b)
+		for i, score := range scorers {
+			s += e.weights[i] * score(a, b)
 		}
-		if total == 0 {
-			return 0
-		}
-		return s / total
+		return e.normalise(s)
 	}
+}
+
+func (e ensemble) normalise(sum float64) float64 {
+	if e.total == 0 {
+		return 0
+	}
+	return sum / e.total
 }
 
 // ScorePairs scores every candidate pair without thresholding; used by the
 // debug workflow and the supervised tuner.
 func ScorePairs(c *profile.Collection, pairs []blocking.Pair, measure Measure) []Match {
-	out := make([]Match, 0, len(pairs))
-	for _, p := range pairs {
-		out = append(out, Match{A: p.A, B: p.B, Score: measure(c.Get(p.A), c.Get(p.B))})
+	score := measure.Prepare(c)
+	out := make([]Match, len(pairs))
+	for i, p := range pairs {
+		out[i] = Match{A: p.A, B: p.B, Score: score(p.A, p.B)}
 	}
 	return out
 }
 
 // MatchPairs scores candidate pairs and keeps those at or above the
-// threshold, sorted by (A, B).
+// threshold, sorted by (A, B). The result is never nil.
 func MatchPairs(c *profile.Collection, pairs []blocking.Pair, measure Measure, threshold float64) []Match {
-	var out []Match
-	for _, p := range pairs {
-		score := measure(c.Get(p.A), c.Get(p.B))
-		if score >= threshold {
-			out = append(out, Match{A: p.A, B: p.B, Score: score})
-		}
-	}
+	out := appendMatches([]Match{}, measure.Prepare(c), pairs, threshold)
 	sortMatches(out)
 	return out
 }
 
-// MatchPairsDistributed is MatchPairs on the dataflow engine: the profile
-// store is broadcast and candidate pairs are scored partition-parallel,
-// mirroring how SparkER invokes a matcher over the blocker's output.
+// appendMatches is the thresholded pair-scoring loop MatchPairs and every
+// task of MatchPairsDistributed share: it appends the pairs scoring at or
+// above the threshold to dst.
+func appendMatches(dst []Match, score PairScorer, pairs []blocking.Pair, threshold float64) []Match {
+	for _, p := range pairs {
+		if s := score(p.A, p.B); s >= threshold {
+			dst = append(dst, Match{A: p.A, B: p.B, Score: s})
+		}
+	}
+	return dst
+}
+
+// MatchPairsDistributed is MatchPairs on the dataflow engine: the measure
+// is prepared once on the driver, the prepared scorer is broadcast, and
+// candidate pairs are scored partition-parallel, mirroring how SparkER
+// invokes a matcher over the blocker's output.
 func MatchPairsDistributed(ctx *dataflow.Context, c *profile.Collection, pairs []blocking.Pair,
 	measure Measure, threshold float64, numPartitions int) ([]Match, error) {
-	bprofiles := dataflow.NewBroadcast(ctx, c)
+	bscore := dataflow.NewBroadcast(ctx, measure.Prepare(c))
 	rdd := dataflow.Parallelize(ctx, pairs, numPartitions)
-	scored := dataflow.FlatMap(rdd, func(p blocking.Pair) []Match {
-		col := bprofiles.Value()
-		score := measure(col.Get(p.A), col.Get(p.B))
-		if score < threshold {
-			return nil
-		}
-		return []Match{{A: p.A, B: p.B, Score: score}}
+	scored := dataflow.MapPartitions(rdd, func(part []blocking.Pair) ([]Match, error) {
+		return appendMatches(nil, bscore.Value(), part, threshold), nil
 	})
 	out, err := scored.Collect()
 	if err != nil {
@@ -123,11 +221,11 @@ func MatchPairsDistributed(ctx *dataflow.Context, c *profile.Collection, pairs [
 }
 
 func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].A != ms[j].A {
-			return ms[i].A < ms[j].A
+	slices.SortFunc(ms, func(x, y Match) int {
+		if c := cmp.Compare(x.A, y.A); c != 0 {
+			return c
 		}
-		return ms[i].B < ms[j].B
+		return cmp.Compare(x.B, y.B)
 	})
 }
 
@@ -148,9 +246,9 @@ func TuneThreshold(c *profile.Collection, labeled []LabeledPair, measure Measure
 	}
 	items := make([]scored, 0, len(labeled))
 	positives := 0
+	score := measure.Prepare(c)
 	for _, lp := range labeled {
-		s := measure(c.Get(lp.Pair.A), c.Get(lp.Pair.B))
-		items = append(items, scored{score: s, isMatch: lp.IsMatch})
+		items = append(items, scored{score: score(lp.Pair.A, lp.Pair.B), isMatch: lp.IsMatch})
 		if lp.IsMatch {
 			positives++
 		}

@@ -5,11 +5,25 @@
 // paper plugs Magellan in here and lists Jaccard, edit distance and CSA as
 // example scores; this package provides those measures (TF-IDF cosine
 // standing in for CSA) over profile bags-of-words.
+//
+// A Measure has a prepare-once / score-many shape, and that is the only
+// path: MatchPairs, MatchPairsDistributed, ScorePairs and TuneThreshold
+// call Measure.Prepare on the collection once and score every pair from
+// the result. The built-in whole-profile measures prepare by tokenising
+// each profile exactly once into a distinct, sorted run of interned
+// token IDs (prepareBags) and score a pair by a linear merge of two runs
+// — for TF-IDF the IDs follow sorted-term order and carry the term
+// weights, so sums keep their order. A custom MeasureFunc prepares to
+// itself. Preparation costs one tokenisation per profile where the old
+// per-pair scorer paid two per pair, so it is amortised as soon as
+// pairs outnumber profiles — always, after meta-blocking (tens of
+// candidates per profile). Scores are bit-identical to the per-pair
+// implementations retained in matching_test.go.
 package matching
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -261,12 +275,17 @@ func TrigramJaccard(a, b string) float64 {
 }
 
 // ProfileBag returns the concatenated token bag of every attribute value
-// of a profile.
+// of a profile (nil for a profile without tokens). The slice is the
+// caller's own; the tokens are derived through a pooled tokenizer
+// workspace, as the batch blocker derives its keys.
 func ProfileBag(p *profile.Profile, tok tokenize.Options) []string {
+	sc := bagScratchPool.Get().(*bagScratch)
+	sc.toks = appendBag(sc.toks[:0], p, tok, &sc.tok)
 	var out []string
-	for _, kv := range p.Attributes {
-		out = append(out, tok.Tokens(kv.Value)...)
+	if len(sc.toks) > 0 {
+		out = slices.Clone(sc.toks)
 	}
+	bagScratchPool.Put(sc)
 	return out
 }
 
@@ -280,68 +299,68 @@ type TFIDF struct {
 
 // NewTFIDF builds the model from every profile in the collection.
 func NewTFIDF(c *profile.Collection, tok tokenize.Options) *TFIDF {
-	df := map[string]int{}
-	for i := range c.Profiles {
-		seen := map[string]bool{}
-		for _, t := range ProfileBag(&c.Profiles[i], tok) {
-			if !seen[t] {
-				seen[t] = true
-				df[t]++
-			}
-		}
+	b := prepareBags(c.Profiles, tok, false)
+	df := make([]int, len(b.vocab))
+	for _, id := range b.ids {
+		df[id]++
 	}
 	m := &TFIDF{idf: make(map[string]float64, len(df)), tok: tok, docs: c.Size()}
-	for t, n := range df {
-		m.idf[t] = math.Log(float64(m.docs+1) / float64(n+1))
+	for id, n := range df {
+		m.idf[b.vocab[id]] = math.Log(float64(m.docs+1) / float64(n+1))
 	}
 	return m
 }
 
-// vector builds the TF-IDF vector of a profile bag.
-func (m *TFIDF) vector(tokens []string) map[string]float64 {
-	tf := map[string]float64{}
-	for _, t := range tokens {
-		tf[t]++
-	}
-	for t := range tf {
-		idf, ok := m.idf[t]
-		if !ok {
-			idf = math.Log(float64(m.docs + 1))
-		}
-		tf[t] *= idf
-	}
-	return tf
-}
-
 // Cosine computes cosine similarity of two profiles' TF-IDF vectors.
-// Terms are accumulated in sorted order so scores are bit-identical
-// across runs (map iteration order is randomised in Go).
 func (m *TFIDF) Cosine(a, b *profile.Profile) float64 {
-	va := m.vector(ProfileBag(a, m.tok))
-	vb := m.vector(ProfileBag(b, m.tok))
-	var dot, na, nb float64
-	for _, t := range sortedTerms(va) {
-		x := va[t]
-		na += x * x
-		if y, ok := vb[t]; ok {
-			dot += x * y
-		}
-	}
-	for _, t := range sortedTerms(vb) {
-		y := vb[t]
-		nb += y * y
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
+	return m.prepare([]profile.Profile{*a, *b})(0, 1)
 }
 
-func sortedTerms(v map[string]float64) []string {
-	terms := make([]string, 0, len(v))
-	for t := range v {
-		terms = append(terms, t)
+// prepare weighs every profile's terms once. Terms carry IDs in sorted
+// order, so the norms and every pair's dot product are accumulated in
+// sorted-term order: scores are bit-identical across runs and between
+// the one-off and the batch path.
+func (m *TFIDF) prepare(ps []profile.Profile) PairScorer {
+	b := prepareBags(ps, m.tok, true)
+	idf := make([]float64, len(b.vocab))
+	for id, t := range b.vocab {
+		v, ok := m.idf[t]
+		if !ok {
+			v = math.Log(float64(m.docs + 1))
+		}
+		idf[id] = v
 	}
-	sort.Strings(terms)
-	return terms
+	weights := make([]float64, len(b.ids))
+	norms := make([]float64, len(ps)) // √Σx², 0 for an empty vector
+	for i := range ps {
+		var sq float64
+		for k := b.start[i]; k < b.start[i+1]; k++ {
+			x := float64(b.tf[k]) * idf[b.ids[k]]
+			weights[k] = x
+			sq += x * x
+		}
+		norms[i] = math.Sqrt(sq)
+	}
+	return func(p, q profile.ID) float64 {
+		np, nq := norms[p], norms[q]
+		if np == 0 || nq == 0 {
+			return 0
+		}
+		var dot float64
+		i, iEnd := b.start[p], b.start[p+1]
+		j, jEnd := b.start[q], b.start[q+1]
+		for i < iEnd && j < jEnd {
+			switch x, y := b.ids[i], b.ids[j]; {
+			case x < y:
+				i++
+			case x > y:
+				j++
+			default:
+				dot += weights[i] * weights[j]
+				i++
+				j++
+			}
+		}
+		return dot / (np * nq)
+	}
 }

@@ -36,49 +36,50 @@ func RunDistributed(ctx *dataflow.Context, idx *blocking.Index, opts Options, nu
 	// per-block entropies and comparison cardinalities — exactly the
 	// structures the Spark implementation ships to each executor.
 	bg := dataflow.NewBroadcast(ctx, g)
+	// Node thresholds are computed over every node; the passes that walk
+	// edges partition only the nodes that own a forward edge, so no task
+	// is handed a range of side-B nodes with nothing to emit.
 	nodes := dataflow.Parallelize(ctx, ids, numPartitions)
+	owners := dataflow.Parallelize(ctx, g.forwardOwners(ids), numPartitions)
 
 	switch opts.Pruning {
 	case WEP:
-		return distWEP(ctx, bg, nodes)
+		return distWEP(bg, owners)
 	case CEP:
 		k := opts.TopK
 		if k <= 0 {
 			k = defaultTopK(idx, CEP)
 		}
-		return distCEP(ctx, bg, nodes, k)
+		return distCEP(bg, owners, k)
 	case WNP, ReciprocalWNP, BlastPruning:
-		return distNodeThreshold(ctx, bg, nodes, opts.Pruning)
+		return distNodeThreshold(ctx, bg, nodes, owners, opts.Pruning)
 	case CNP, ReciprocalCNP:
 		k := opts.TopK
 		if k <= 0 {
 			k = defaultTopK(idx, CNP)
 		}
-		return distCNP(ctx, bg, nodes, k, opts.Pruning == ReciprocalCNP)
+		return distCNP(ctx, bg, nodes, owners, k, opts.Pruning == ReciprocalCNP)
 	}
 	return nil, fmt.Errorf("metablocking: unsupported pruning rule %v", opts.Pruning)
 }
 
-// emitEdges materialises neighbourhoods partition-locally and emits each
-// undirected edge once, applying keep. Each dataflow task leases one flat
-// scratch from the broadcast context's pool for its whole partition.
-func emitEdges(bg *dataflow.Broadcast[*graphContext], nodes *dataflow.RDD[profile.ID],
+// emitEdges materialises the owners' neighbourhoods partition-locally and
+// emits each undirected edge once, applying keep. Each dataflow task
+// leases one flat scratch from the broadcast context's pool for its
+// whole partition.
+func emitEdges(bg *dataflow.Broadcast[*graphContext], owners *dataflow.RDD[profile.ID],
 	keep func(a, b profile.ID, w float64) bool) *dataflow.RDD[Edge] {
-	return dataflow.MapPartitions(nodes, func(part []profile.ID) ([]Edge, error) {
+	return dataflow.MapPartitions(owners, func(part []profile.ID) ([]Edge, error) {
 		g := bg.Value()
 		s := g.scratch.get()
 		defer g.scratch.put(s)
 		var out []Edge
 		for _, id := range part {
-			g.neighbourhood(id, s)
-			for _, other := range s.Touched() {
-				if other < id {
-					continue
-				}
-				if w := g.weight(id, other, s.At(other)); keep(id, other, w) {
+			g.forwardEdges(id, s, func(other profile.ID, w float64) {
+				if keep(id, other, w) {
 					out = append(out, Edge{A: id, B: other, Weight: w})
 				}
-			}
+			})
 		}
 		return out, nil
 	})
@@ -98,17 +99,17 @@ type sumCount struct {
 	Count int64
 }
 
-func distWEP(ctx *dataflow.Context, bg *dataflow.Broadcast[*graphContext], nodes *dataflow.RDD[profile.ID]) ([]Edge, error) {
+func distWEP(bg *dataflow.Broadcast[*graphContext], owners *dataflow.RDD[profile.ID]) ([]Edge, error) {
 	// Stage 1: per-node partial sums of forward-edge weights, reduced on
 	// the driver in ascending node order — the same grouping the
 	// sequential implementation uses, so thresholds match bitwise.
-	partials, err := dataflow.MapPartitions(nodes, func(part []profile.ID) ([]dataflow.KV[profile.ID, sumCount], error) {
+	partials, err := dataflow.MapPartitions(owners, func(part []profile.ID) ([]dataflow.KV[profile.ID, sumCount], error) {
 		g := bg.Value()
 		sc := g.scratch.get()
 		defer g.scratch.put(sc)
 		var out []dataflow.KV[profile.ID, sumCount]
 		for _, id := range part {
-			s, n := nodePartialSum(g.weightedNeighbours(id, sc), id)
+			s, n := nodePartialSum(g.orderedNeighbours(id, sc), id)
 			if n > 0 {
 				out = append(out, dataflow.KV[profile.ID, sumCount]{Key: id, Value: sumCount{Sum: s, Count: n}})
 			}
@@ -130,26 +131,20 @@ func distWEP(ctx *dataflow.Context, bg *dataflow.Broadcast[*graphContext], nodes
 	}
 	threshold := sum / float64(count)
 	// Stage 2: prune.
-	return collectSorted(emitEdges(bg, nodes, func(_, _ profile.ID, w float64) bool {
+	return collectSorted(emitEdges(bg, owners, func(_, _ profile.ID, w float64) bool {
 		return w >= threshold
 	}))
 }
 
-func distCEP(ctx *dataflow.Context, bg *dataflow.Broadcast[*graphContext], nodes *dataflow.RDD[profile.ID], k int) ([]Edge, error) {
+func distCEP(bg *dataflow.Broadcast[*graphContext], owners *dataflow.RDD[profile.ID], k int) ([]Edge, error) {
 	// Stage 1: collect the weight distribution (weights only, not edges).
-	weights, err := dataflow.MapPartitions(nodes, func(part []profile.ID) ([]float64, error) {
+	weights, err := dataflow.MapPartitions(owners, func(part []profile.ID) ([]float64, error) {
 		g := bg.Value()
 		s := g.scratch.get()
 		defer g.scratch.put(s)
 		var out []float64
 		for _, id := range part {
-			g.neighbourhood(id, s)
-			for _, other := range s.Touched() {
-				if other < id {
-					continue
-				}
-				out = append(out, g.weight(id, other, s.At(other)))
-			}
+			g.forwardEdges(id, s, func(_ profile.ID, w float64) { out = append(out, w) })
 		}
 		return out, nil
 	}).Collect()
@@ -164,12 +159,13 @@ func distCEP(ctx *dataflow.Context, bg *dataflow.Broadcast[*graphContext], nodes
 		k = len(weights)
 	}
 	threshold := weights[k-1]
-	return collectSorted(emitEdges(bg, nodes, func(_, _ profile.ID, w float64) bool {
+	return collectSorted(emitEdges(bg, owners, func(_, _ profile.ID, w float64) bool {
 		return w >= threshold
 	}))
 }
 
-func distNodeThreshold(ctx *dataflow.Context, bg *dataflow.Broadcast[*graphContext], nodes *dataflow.RDD[profile.ID], rule Pruning) ([]Edge, error) {
+func distNodeThreshold(ctx *dataflow.Context, bg *dataflow.Broadcast[*graphContext],
+	nodes, owners *dataflow.RDD[profile.ID], rule Pruning) ([]Edge, error) {
 	blast := rule == BlastPruning
 	// Stage 1: per-node thresholds, computed where the node lives.
 	thresholdKVs, err := dataflow.MapPartitions(nodes, func(part []profile.ID) ([]dataflow.KV[profile.ID, float64], error) {
@@ -178,7 +174,7 @@ func distNodeThreshold(ctx *dataflow.Context, bg *dataflow.Broadcast[*graphConte
 		defer g.scratch.put(s)
 		var out []dataflow.KV[profile.ID, float64]
 		for _, id := range part {
-			nws := g.weightedNeighbours(id, s)
+			nws := g.thresholdNeighbours(id, s, blast)
 			if len(nws) == 0 {
 				continue
 			}
@@ -198,7 +194,7 @@ func distNodeThreshold(ctx *dataflow.Context, bg *dataflow.Broadcast[*graphConte
 	bth := dataflow.NewBroadcast(ctx, thresholds)
 	reciprocal := rule == ReciprocalWNP
 	// Stage 2: prune with both endpoints' thresholds available locally.
-	return collectSorted(emitEdges(bg, nodes, func(a, b profile.ID, w float64) bool {
+	return collectSorted(emitEdges(bg, owners, func(a, b profile.ID, w float64) bool {
 		t := bth.Value()
 		okA := w >= t[a]
 		okB := w >= t[b]
@@ -209,7 +205,8 @@ func distNodeThreshold(ctx *dataflow.Context, bg *dataflow.Broadcast[*graphConte
 	}))
 }
 
-func distCNP(ctx *dataflow.Context, bg *dataflow.Broadcast[*graphContext], nodes *dataflow.RDD[profile.ID], k int, reciprocal bool) ([]Edge, error) {
+func distCNP(ctx *dataflow.Context, bg *dataflow.Broadcast[*graphContext],
+	nodes, owners *dataflow.RDD[profile.ID], k int, reciprocal bool) ([]Edge, error) {
 	// Stage 1: per-node k-th largest weight.
 	kthKVs, err := dataflow.MapPartitions(nodes, func(part []profile.ID) ([]dataflow.KV[profile.ID, float64], error) {
 		g := bg.Value()
@@ -233,7 +230,7 @@ func distCNP(ctx *dataflow.Context, bg *dataflow.Broadcast[*graphContext], nodes
 		kth[kv.Key] = kv.Value
 	}
 	bkth := dataflow.NewBroadcast(ctx, kth)
-	return collectSorted(emitEdges(bg, nodes, func(a, b profile.ID, w float64) bool {
+	return collectSorted(emitEdges(bg, owners, func(a, b profile.ID, w float64) bool {
 		t := bkth.Value()
 		okA := w >= t[a]
 		okB := w >= t[b]

@@ -86,10 +86,8 @@ func Explain(idx *blocking.Index, opts Options, a, b profile.ID) PairExplanation
 	switch opts.Pruning {
 	case WNP, ReciprocalWNP, BlastPruning:
 		blast := opts.Pruning == BlastPruning
-		nwsA := g.weightedNeighbours(a, s)
-		out.ThresholdA = nodeThreshold(nwsA, blast)
-		nwsB := g.weightedNeighbours(b, s)
-		out.ThresholdB = nodeThreshold(nwsB, blast)
+		out.ThresholdA = nodeThreshold(g.thresholdNeighbours(a, s, blast), blast)
+		out.ThresholdB = nodeThreshold(g.thresholdNeighbours(b, s, blast), blast)
 		okA := out.Weight >= out.ThresholdA
 		okB := out.Weight >= out.ThresholdB
 		if opts.Pruning == ReciprocalWNP {

@@ -1,7 +1,7 @@
 package metablocking
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"sparker/internal/kernel"
@@ -16,8 +16,8 @@ import (
 // dataflow task from the graphContext's sync.Pool.
 type neighbourScratch struct {
 	kernel.Scratch[edgeAccumulator]
-	// nws is the reusable buffer weightedNeighbours returns; callers must
-	// consume it before the next weightedNeighbours call on this scratch.
+	// nws is the reusable buffer weightedNeighbours and orderedNeighbours
+	// return; callers must consume it before the next call on this scratch.
 	nws []neighbourWeight
 	// wbuf is the reusable weight buffer of kthLargestWeight.
 	wbuf []float64
@@ -36,12 +36,12 @@ func (s *neighbourScratch) kthLargestWeight(nws []neighbourWeight, k int) float6
 	for _, nw := range nws {
 		weights = append(weights, nw.w)
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(weights)))
+	slices.Sort(weights)
 	s.wbuf = weights
 	if k > len(weights) {
 		k = len(weights)
 	}
-	return weights[k-1]
+	return weights[len(weights)-k]
 }
 
 // scratchPool hands out neighbourScratches sized for one graphContext.

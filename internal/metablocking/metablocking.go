@@ -207,28 +207,81 @@ func (g *graphContext) neighbourhood(id profile.ID, s *neighbourScratch) {
 	}
 }
 
-// neighbourWeight is one weighted edge endpoint, used wherever weights
-// must be summed in a deterministic order: float addition is not
-// associative, and the sequential and distributed implementations must
-// produce bitwise-identical thresholds.
+// neighbourWeight is one weighted edge endpoint.
 type neighbourWeight struct {
 	id profile.ID
 	w  float64
 }
 
 // weightedNeighbours materialises the neighbourhood of id and returns its
-// weighted edges sorted by neighbour ID. The returned slice aliases the
-// scratch's reusable buffer: consume it before the next call on the same
-// scratch.
+// weighted edges in first-touch order. That is all a maximum (Blast), a
+// k-th largest weight (CNP) or a best-first schedule needs; a float sum
+// over the neighbourhood takes orderedNeighbours instead. The returned
+// slice aliases the scratch's reusable buffer: consume it before the
+// next call on the same scratch.
 func (g *graphContext) weightedNeighbours(id profile.ID, s *neighbourScratch) []neighbourWeight {
 	g.neighbourhood(id, s)
+	return g.weigh(id, s)
+}
+
+// orderedNeighbours is weightedNeighbours ascending by neighbour ID, the
+// fixed order of every float sum over a neighbourhood (WNP's mean, WEP's
+// partial sums): float addition is not associative, and sequential and
+// distributed runs must agree bitwise. Only those sums pay for the sort.
+func (g *graphContext) orderedNeighbours(id profile.ID, s *neighbourScratch) []neighbourWeight {
+	g.neighbourhood(id, s)
 	s.SortTouched()
+	return g.weigh(id, s)
+}
+
+// weigh turns the neighbourhood materialised in s into weighted edges,
+// in the touched list's current order.
+func (g *graphContext) weigh(id profile.ID, s *neighbourScratch) []neighbourWeight {
 	out := s.nws[:0]
 	for _, other := range s.Touched() {
 		out = append(out, neighbourWeight{id: other, w: g.weight(id, other, s.At(other))})
 	}
 	s.nws = out
 	return out
+}
+
+// thresholdNeighbours returns id's neighbourhood in the order its node
+// threshold reads it: Blast takes a maximum, WNP a mean.
+func (g *graphContext) thresholdNeighbours(id profile.ID, s *neighbourScratch, blast bool) []neighbourWeight {
+	if blast {
+		return g.weightedNeighbours(id, s)
+	}
+	return g.orderedNeighbours(id, s)
+}
+
+// forwardEdges materialises id's neighbourhood and calls fn once per
+// forward edge (neighbour ID above id's), so that a pass over every
+// owner visits each undirected edge exactly once. Edges come in
+// first-touch order; passes that emit them sort globally afterwards.
+func (g *graphContext) forwardEdges(id profile.ID, s *neighbourScratch, fn func(other profile.ID, w float64)) {
+	g.neighbourhood(id, s)
+	for _, other := range s.Touched() {
+		if other > id {
+			fn(other, g.weight(id, other, s.At(other)))
+		}
+	}
+}
+
+// forwardOwners returns the prefix of ids (ascending) whose nodes can own
+// a forward edge. Every neighbour of a clean-clean side-B node is on
+// side A, so the side-B tail past the last side-A node — under the
+// collection's ID layout (first source below the separator) all of
+// side B, half the graph — owns none, and the edge passes skip
+// materialising neighbourhoods they would discard whole.
+func (g *graphContext) forwardOwners(ids []profile.ID) []profile.ID {
+	if !g.idx.Blocks.CleanClean {
+		return ids
+	}
+	n := len(ids)
+	for n > 0 && g.idx.BlocksOf(ids[n-1])[0].SideB() {
+		n--
+	}
+	return ids[:n]
 }
 
 // weight computes the scheme weight of the edge (a, b) from its

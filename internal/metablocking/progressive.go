@@ -167,6 +167,8 @@ func scheduleRandom(g *graphContext, ids []profile.ID) []Edge {
 	forEachEdge(g, ids, func(a, b profile.ID, w float64) {
 		edges = append(edges, Edge{A: a, B: b, Weight: w})
 	})
+	// The seeded shuffle permutes positions, so fix them first.
+	sortEdges(edges)
 	rng := rand.New(rand.NewSource(20190326)) // EDBT 2019 opening day
 	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	return edges

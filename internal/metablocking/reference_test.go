@@ -425,7 +425,7 @@ func TestFlatKernelNeighbourhoodsMatchReference(t *testing.T) {
 			acc := map[profile.ID]*edgeAccumulator{}
 			for _, id := range ids {
 				want := rg.weightedNeighbours(id, acc)
-				got := g.weightedNeighbours(id, sc)
+				got := g.orderedNeighbours(id, sc)
 				if len(want) != len(got) {
 					t.Fatalf("%v node %d: %d neighbours, reference %d", s, id, len(got), len(want))
 				}

@@ -1,6 +1,8 @@
 package metablocking
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"sparker/internal/blocking"
@@ -38,34 +40,31 @@ func Run(idx *blocking.Index, opts Options) []Edge {
 	return nil
 }
 
-// forEachEdge materialises every node's neighbourhood and calls fn once
-// per undirected edge (a < b), in deterministic (a, b) order.
+// forEachEdge materialises the neighbourhood of every node that owns a
+// forward edge and calls fn once per undirected edge (a < b), ascending
+// in a; callers that need a total order sort what they collect.
 func forEachEdge(g *graphContext, ids []profile.ID, fn func(a, b profile.ID, w float64)) {
 	s := g.scratch.get()
 	defer g.scratch.put(s)
-	for _, id := range ids {
-		for _, nw := range g.weightedNeighbours(id, s) {
-			if nw.id < id {
-				continue // count each undirected edge once
-			}
-			fn(id, nw.id, nw.w)
-		}
+	for _, id := range g.forwardOwners(ids) {
+		g.forwardEdges(id, s, func(other profile.ID, w float64) { fn(id, other, w) })
 	}
 }
 
 func sortEdges(edges []Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].A != edges[j].A {
-			return edges[i].A < edges[j].A
+	slices.SortFunc(edges, func(x, y Edge) int {
+		if c := cmp.Compare(x.A, y.A); c != 0 {
+			return c
 		}
-		return edges[i].B < edges[j].B
+		return cmp.Compare(x.B, y.B)
 	})
 }
 
 // nodePartialSum sums the weights of a node's forward edges (neighbour ID
-// greater than the node's). Grouping the global WEP sum into per-node
-// partials, accumulated in ascending node order, gives the sequential and
-// distributed implementations bitwise-identical thresholds.
+// greater than the node's) over its ordered neighbourhood. Grouping the
+// global WEP sum into per-node partials, accumulated in ascending node
+// order, gives the sequential and distributed implementations
+// bitwise-identical thresholds.
 func nodePartialSum(nws []neighbourWeight, id profile.ID) (float64, int64) {
 	var sum float64
 	var count int64
@@ -83,8 +82,8 @@ func runWEP(g *graphContext, ids []profile.ID) []Edge {
 	var sum float64
 	var count int64
 	sc := g.scratch.get()
-	for _, id := range ids {
-		s, n := nodePartialSum(g.weightedNeighbours(id, sc), id)
+	for _, id := range g.forwardOwners(ids) {
+		s, n := nodePartialSum(g.orderedNeighbours(id, sc), id)
 		sum += s
 		count += n
 	}
@@ -128,10 +127,11 @@ func runCEP(g *graphContext, ids []profile.ID, k int) []Edge {
 	return out
 }
 
-// nodeThreshold computes one node's pruning threshold from its sorted
-// weighted neighbourhood: the mean edge weight for WNP, or half the
-// maximum for Blast. Summation order is fixed (ascending neighbour ID) so
-// that sequential and distributed runs agree bitwise.
+// nodeThreshold computes one node's pruning threshold from its weighted
+// neighbourhood (see thresholdNeighbours): the mean edge weight for WNP,
+// or half the maximum for Blast. The mean's summation order is fixed
+// (ascending neighbour ID) so that sequential and distributed runs agree
+// bitwise.
 func nodeThreshold(nws []neighbourWeight, blast bool) float64 {
 	if blast {
 		maxW := 0.0
@@ -157,7 +157,7 @@ func nodeThresholds(g *graphContext, ids []profile.ID, blast bool) []float64 {
 	s := g.scratch.get()
 	defer g.scratch.put(s)
 	for _, id := range ids {
-		nws := g.weightedNeighbours(id, s)
+		nws := g.thresholdNeighbours(id, s, blast)
 		if len(nws) == 0 {
 			continue
 		}

@@ -8,6 +8,7 @@ package profile
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -147,9 +148,11 @@ func (c *Collection) AttributeNames() []string {
 }
 
 // QualifiedAttribute builds the source-qualified attribute name used by
-// loose-schema processing.
+// loose-schema processing. A plain concatenation, not Sprintf: the
+// blocker looks one up per token, and a short concatenation used only
+// as a map key stays off the heap.
 func QualifiedAttribute(sourceID int, key string) string {
-	return fmt.Sprintf("%d:%s", sourceID, key)
+	return strconv.Itoa(sourceID) + ":" + key
 }
 
 // NewCleanClean merges two duplicate-free sources into one collection,

@@ -5,10 +5,16 @@ package sparker_test
 // with testing/quick-style seed variation.
 
 import (
+	"cmp"
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"slices"
 	"testing"
 
 	"sparker"
 	"sparker/internal/blocking"
+	"sparker/internal/dataflow"
 	"sparker/internal/datagen"
 	"sparker/internal/evaluation"
 	"sparker/internal/looseschema"
@@ -179,5 +185,112 @@ func TestInvariantProgressivePrefixRecallDominates(t *testing.T) {
 			t.Fatalf("recall dropped with a larger budget: %d < %d", found, prevFound)
 		}
 		prevFound = found
+	}
+}
+
+// goldenPass is one recorded whole-pipeline outcome: edge and match
+// counts, the FNV-1a of the (A, B, Float64bits(Weight)) edge list and of
+// the (A, B, Float64bits(Score)) match list, and the order-free
+// entity-set hash.
+type goldenPass struct {
+	edges, matches            int
+	edgeFNV, matchFNV, entFNV uint64
+}
+
+// weightedPairHash hashes n (a, b, weight) triples in order.
+func weightedPairHash(n int, at func(i int) (a, b sparker.ProfileID, w float64)) uint64 {
+	h := fnv.New64a()
+	var buf [16]byte
+	for i := 0; i < n; i++ {
+		a, b, w := at(i)
+		binary.LittleEndian.PutUint32(buf[0:], uint32(a))
+		binary.LittleEndian.PutUint32(buf[4:], uint32(b))
+		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(w))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// entitySetHash identifies an entity set whatever order its entities and
+// members come in.
+func entitySetHash(es []sparker.Entity) uint64 {
+	keys := make([][]sparker.ProfileID, len(es))
+	for i, e := range es {
+		keys[i] = slices.Clone(e.Profiles)
+		slices.Sort(keys[i])
+	}
+	slices.SortFunc(keys, func(a, b []sparker.ProfileID) int { return cmp.Compare(a[0], b[0]) })
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, k := range keys {
+		for _, id := range k {
+			binary.LittleEndian.PutUint32(buf[:], uint32(id))
+			h.Write(buf[:])
+		}
+		h.Write([]byte{0xff, 0xff, 0xff, 0xff})
+	}
+	return h.Sum64()
+}
+
+// TestGoldenWholePass pins the whole pipeline's output, recorded at the
+// commit before the matcher moved to prepared bags and meta-blocking
+// stopped sorting neighbourhoods it only takes a maximum of: same edges
+// and weights bit for bit, same matches, same entities, sequentially
+// and on the dataflow engine. WEP and WNP exercise the order-dependent
+// float sums; the dirty collection exercises the side-less
+// neighbourhood.
+func TestGoldenWholePass(t *testing.T) {
+	abt := datagen.AbtBuy()
+	abt.Seed = 1
+	wnp := sparker.DefaultConfig()
+	wnp.Pruning = metablocking.WNP
+	rcnp := sparker.DefaultConfig()
+	rcnp.Scheme = metablocking.JS
+	rcnp.Pruning = metablocking.ReciprocalCNP
+	cosine := sparker.DefaultConfig()
+	cosine.Measure = sparker.MeasureCosineTFIDF
+	clean := datagen.Generate(abt).Collection
+	dirty := datagen.GenerateDirty(400, 1).Collection
+	cases := []struct {
+		name string
+		c    *sparker.Collection
+		cfg  sparker.Config
+		want goldenPass
+	}{
+		{"abtbuy/default", clean, sparker.DefaultConfig(), goldenPass{20693, 850, 0x373876b3072c23ef, 0xdeb3a0c8afab03b4, 0x2a7e7dd1d4ddfccc}},
+		{"abtbuy/schema-agnostic", clean, sparker.SchemaAgnosticConfig(), goldenPass{79368, 850, 0xb81f93f1049b9c1a, 0xdeb3a0c8afab03b4, 0x2a7e7dd1d4ddfccc}},
+		{"abtbuy/wnp", clean, wnp, goldenPass{80318, 850, 0xd483dc0efdb5c09d, 0xdeb3a0c8afab03b4, 0x2a7e7dd1d4ddfccc}},
+		{"abtbuy/reciprocal-cnp", clean, rcnp, goldenPass{11417, 850, 0xc81fadc70602cb71, 0xdeb3a0c8afab03b4, 0x2a7e7dd1d4ddfccc}},
+		{"abtbuy/cosine", clean, cosine, goldenPass{20693, 1053, 0x373876b3072c23ef, 0xccea5e65eed11c3, 0x476becedcad7331e}},
+		{"dirty/default", dirty, sparker.DefaultConfig(), goldenPass{11788, 440, 0x7069a137c9ecb0db, 0x59419c6907caeb0d, 0x8120266f4c4a1941}},
+		{"dirty/schema-agnostic", dirty, sparker.SchemaAgnosticConfig(), goldenPass{32104, 441, 0x835a556c8b0096a, 0x9b78294dffefb4dc, 0x84925746b4348b38}},
+		{"dirty/wnp", dirty, wnp, goldenPass{31935, 441, 0x4e022169a71f5a54, 0x9b78294dffefb4dc, 0x84925746b4348b38}},
+		{"dirty/reciprocal-cnp", dirty, rcnp, goldenPass{4200, 441, 0xf28491f0a50fb335, 0x9b78294dffefb4dc, 0x84925746b4348b38}},
+	}
+	ctx := dataflow.NewContext(dataflow.WithParallelism(3))
+	defer ctx.Close()
+	for _, tc := range cases {
+		for _, dctx := range []*dataflow.Context{nil, ctx} {
+			res, err := sparker.NewPipeline(tc.cfg, dctx).Resolve(tc.c)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			edges, matches := res.Blocker.Edges, res.Matches
+			got := goldenPass{
+				edges:   len(edges),
+				matches: len(matches),
+				edgeFNV: weightedPairHash(len(edges), func(i int) (a, b sparker.ProfileID, w float64) {
+					return edges[i].A, edges[i].B, edges[i].Weight
+				}),
+				matchFNV: weightedPairHash(len(matches), func(i int) (a, b sparker.ProfileID, w float64) {
+					return matches[i].A, matches[i].B, matches[i].Score
+				}),
+				entFNV: entitySetHash(res.Entities),
+			}
+			if got != tc.want {
+				t.Errorf("%s (dataflow=%v): got {%d, %d, %#x, %#x, %#x}, recorded %+v",
+					tc.name, dctx != nil, got.edges, got.matches, got.edgeFNV, got.matchFNV, got.entFNV, tc.want)
+			}
+		}
 	}
 }

@@ -142,8 +142,12 @@ func RecomputeEntropies(p *Partitioning, aps []*AttributeProfile) {
 	looseschema.ComputeEntropies(p, aps)
 }
 
-// Measure scores the similarity of two profiles in [0, 1].
+// Measure scores the similarity of two profiles in [0, 1]; the batch
+// matcher prepares it once per collection and scores pairs from that.
 type Measure = matching.Measure
+
+// MeasureFunc adapts a custom comparison function to Measure.
+type MeasureFunc = matching.MeasureFunc
 
 // LabeledPair is a supervised training example.
 type LabeledPair = matching.LabeledPair
