@@ -651,43 +651,6 @@ func BenchmarkIndexSave(b *testing.B) {
 	b.ReportMetric(float64(st.Bytes), "snapshot_bytes")
 }
 
-// BenchmarkIndexSaveDelta times appending a delta snapshot — 100
-// upserts' op frames plus one fsync — against the same ~10k profile
-// index BenchmarkIndexSave writes in full. This ratio is the point of
-// the op log: the delta cost tracks the write rate between saves, not
-// the index size.
-func BenchmarkIndexSaveDelta(b *testing.B) {
-	c := indexBenchCollection(b)
-	cfg := index.DefaultConfig()
-	cfg.OpLog.Enabled = true
-	idx, err := index.NewFromCollection(c, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	path := filepath.Join(b.TempDir(), "bench.snap")
-	if _, err := idx.Save(path); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var st index.PersistState
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		// Replacement upserts: constant index size, 100 fresh ops per
-		// delta save.
-		for j := 0; j < 100; j++ {
-			if _, _, err := idx.Upsert(c.Profiles[(100*i+j)%c.Size()]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StartTimer()
-		if st, err = idx.SaveDelta(path); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(st.DeltaBytes)/float64(b.N), "delta_bytes/op")
-}
-
 // BenchmarkIndexLoad times restoring a fully queryable index from the
 // snapshot — the work a sparker-serve restart pays instead of
 // re-tokenizing and re-indexing the whole collection.

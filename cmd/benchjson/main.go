@@ -8,12 +8,17 @@
 //	  | go run ./cmd/benchjson > BENCH_hotpath.json
 //
 // With -compare it additionally gates on a committed baseline: any
-// benchmark present in both runs whose ns/op or allocs/op regressed by
+// benchmark present in both runs whose allocs/op or B/op regressed by
 // more than -max-regress (default 0.25, i.e. 25%) fails the run with
 // exit status 1 after printing the offending rows to stderr — the CI
 // bench-regression gate:
 //
 //	... | go run ./cmd/benchjson -compare BENCH_baseline.json > BENCH_hotpath.json
+//
+// Only those deterministic columns gate. ns/op depends on the machine (a
+// baseline recorded elsewhere fails before any code changes), so its
+// drift is printed as a note; wall-clock claims go through bench/run.sh,
+// which compares against a parent run on the same host.
 //
 // Benchmarks only present on one side are reported to stderr but never
 // fail the gate (new benchmarks land together with their baseline row on
@@ -108,7 +113,8 @@ type regression struct {
 }
 
 // compareResults checks every benchmark present in both runs against the
-// allowed regression ratio; missing counterparts are reported via notes.
+// allowed regression ratio: allocs/op and B/op gate, ns/op drift and
+// missing counterparts are reported via notes.
 func compareResults(baseline, current []Result, maxRegress float64) (regs []regression, notes []string) {
 	base := make(map[string]Result, len(baseline))
 	for _, r := range baseline {
@@ -123,12 +129,16 @@ func compareResults(baseline, current []Result, maxRegress float64) (regs []regr
 			continue
 		}
 		if b.NsPerOp > 0 && cur.NsPerOp > b.NsPerOp*(1+maxRegress) {
-			regs = append(regs, regression{name: cur.Name, metric: "ns/op", baseline: b.NsPerOp, current: cur.NsPerOp})
+			notes = append(notes, fmt.Sprintf("%s: ns/op %.6g -> %.6g (+%.1f%%; advisory, wall clock is gated by bench/run.sh)",
+				cur.Name, b.NsPerOp, cur.NsPerOp, (cur.NsPerOp/b.NsPerOp-1)*100))
 		}
-		if b.AllocsPerOp != nil && cur.AllocsPerOp != nil &&
-			*cur.AllocsPerOp > *b.AllocsPerOp*(1+maxRegress) {
-			regs = append(regs, regression{name: cur.Name, metric: "allocs/op", baseline: *b.AllocsPerOp, current: *cur.AllocsPerOp})
+		gate := func(metric string, base, now *float64) {
+			if base != nil && now != nil && *now > *base*(1+maxRegress) {
+				regs = append(regs, regression{name: cur.Name, metric: metric, baseline: *base, current: *now})
+			}
 		}
+		gate("allocs/op", b.AllocsPerOp, cur.AllocsPerOp)
+		gate("B/op", b.BytesPerOp, cur.BytesPerOp)
 	}
 	for _, r := range baseline {
 		if !seen[r.Name] {
@@ -140,7 +150,7 @@ func compareResults(baseline, current []Result, maxRegress float64) (regs []regr
 
 func main() {
 	comparePath := flag.String("compare", "", "baseline JSON (as previously emitted by benchjson); exit 1 on regression beyond -max-regress")
-	maxRegress := flag.Float64("max-regress", 0.25, "allowed fractional regression of ns/op and allocs/op vs the baseline")
+	maxRegress := flag.Float64("max-regress", 0.25, "allowed fractional regression of allocs/op and B/op vs the baseline (ns/op drift beyond it is a note, not a failure)")
 	flag.Parse()
 
 	results := []Result{}

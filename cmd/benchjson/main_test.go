@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func fp(v float64) *float64 { return &v }
 
@@ -45,33 +48,36 @@ func TestNormalizeName(t *testing.T) {
 
 func TestCompareResults(t *testing.T) {
 	baseline := []Result{
-		{Name: "BenchmarkA-8", NsPerOp: 100, AllocsPerOp: fp(10)},
-		{Name: "BenchmarkB-8", NsPerOp: 100, AllocsPerOp: fp(0)},
+		{Name: "BenchmarkA-8", NsPerOp: 100, AllocsPerOp: fp(10), BytesPerOp: fp(1000)},
+		{Name: "BenchmarkB-8", NsPerOp: 100, AllocsPerOp: fp(0), BytesPerOp: fp(0)},
 		{Name: "BenchmarkGone-8", NsPerOp: 50},
 	}
 	current := []Result{
-		{Name: "BenchmarkA-8", NsPerOp: 124, AllocsPerOp: fp(12)}, // within 25%
-		{Name: "BenchmarkB-8", NsPerOp: 126, AllocsPerOp: fp(0)},  // ns/op regressed
-		{Name: "BenchmarkNew-8", NsPerOp: 1},                      // no baseline: note only
+		{Name: "BenchmarkA-8", NsPerOp: 124, AllocsPerOp: fp(12), BytesPerOp: fp(1250)}, // within 25%
+		{Name: "BenchmarkB-8", NsPerOp: 300, AllocsPerOp: fp(0), BytesPerOp: fp(0)},     // ns/op tripled: a note
+		{Name: "BenchmarkNew-8", NsPerOp: 1},                                            // no baseline: note only
 	}
+	// Wall clock never gates: the baseline's machine is not this one.
 	regs, notes := compareResults(baseline, current, 0.25)
-	if len(regs) != 1 || regs[0].name != "BenchmarkB-8" || regs[0].metric != "ns/op" {
-		t.Fatalf("regressions = %+v", regs)
+	if len(regs) != 0 {
+		t.Fatalf("regressions = %+v, want none (ns/op is advisory)", regs)
 	}
-	if len(notes) != 2 {
-		t.Fatalf("notes = %v", notes)
+	if len(notes) != 3 || !strings.Contains(strings.Join(notes, "\n"), "BenchmarkB-8: ns/op 100 -> 300") {
+		t.Fatalf("notes = %v, want the ns/op drift, the new and the gone benchmark", notes)
 	}
 
-	// Alloc regressions gate too, including the 0 -> n case.
-	current[0].AllocsPerOp = fp(13) // 10 -> 13 = +30%
-	current[1] = Result{Name: "BenchmarkB-8", NsPerOp: 100, AllocsPerOp: fp(1)}
+	// The deterministic columns gate, including the 0 -> n case.
+	current[0].AllocsPerOp = fp(13)  // 10 -> 13 = +30%
+	current[0].BytesPerOp = fp(1251) // just past +25%
+	current[1].AllocsPerOp = fp(1)   // 0 -> 1
+	current[1].BytesPerOp = fp(0)    // unchanged
 	regs, _ = compareResults(baseline, current, 0.25)
-	if len(regs) != 2 {
-		t.Fatalf("regressions = %+v", regs)
-	}
+	var got []string
 	for _, r := range regs {
-		if r.metric != "allocs/op" {
-			t.Fatalf("unexpected regression %+v", r)
-		}
+		got = append(got, r.name+" "+r.metric)
+	}
+	want := []string{"BenchmarkA-8 allocs/op", "BenchmarkA-8 B/op", "BenchmarkB-8 allocs/op"}
+	if strings.Join(got, ", ") != strings.Join(want, ", ") {
+		t.Fatalf("regressions = %v, want %v", got, want)
 	}
 }

@@ -33,17 +33,14 @@
 // restores the index from the file at boot (falling back to a fresh
 // build from the input flags when the file is absent or written by an
 // incompatible format version), saves it on SIGTERM/SIGINT and on POST
-// /v1/snapshot/save, and with -snapshot-interval also on a timer. With
-// -delta-interval the timer writes delta snapshots instead: only the
-// ops applied since the last save are appended to the file, so the
-// persistence cost tracks the write rate, not the index size. Once the
-// accumulated delta tail exceeds -compact-ops operations the next
-// timed save compacts back to a full snapshot. With -read-only the
-// index rejects upserts (HTTP 403) — the replica serving mode: point
-// several read-only processes at one snapshot file. A replica only
-// ever reads that file: automatic saves are disabled and
-// /v1/snapshot/save answers 403, so a stale replica can never clobber the
-// primary's newer snapshot.
+// /v1/snapshot/save, and with -snapshot-interval also on a timer. A
+// snapshot is a checkpoint at one sequence number; what was written
+// after it survives a crash only in the op log (-oplog-dir, below).
+// With -read-only the index rejects upserts (HTTP 403) — the replica
+// serving mode: point several read-only processes at one snapshot file.
+// A replica only ever reads that file: automatic saves are disabled and
+// /v1/snapshot/save answers 403, so a stale replica can never clobber
+// the primary's newer snapshot.
 //
 //	sparker-serve -generate -snapshot /var/lib/sparker/idx.snap
 //	# ... kill it, restart with the same flags: no re-indexing.
@@ -78,13 +75,13 @@
 //
 // Durability: with -oplog-dir every op is appended to a CRC-framed,
 // rotating on-disk segment file *before* it mutates the index
-// (-oplog-fsync picks the always/interval/never fsync policy,
-// -oplog-segment-bytes the rotation size). After a crash — kill -9
-// included — the next boot restores the newest snapshot, replays the
-// log tail past it, truncates a torn or bit-flipped tail at the last
-// good frame, and repopulates the in-memory delta window, so followers
-// catch up over /v1/deltas without a re-bootstrap. Full snapshots prune
-// segments the snapshot already covers.
+// (-oplog-fsync picks the always/interval/never fsync policy). The
+// segment log is the only on-disk delta store: after a crash — kill -9
+// included — the next boot restores the snapshot, replays the log tail
+// past it, truncates a torn or bit-flipped tail at the last good frame,
+// and repopulates the in-memory delta window, so followers catch up
+// over /v1/deltas without a re-bootstrap. Every snapshot save prunes
+// the segments it covers.
 //
 //	sparker-serve -generate -snapshot idx.snap -oplog-dir ./oplog -oplog-fsync always
 //
@@ -174,11 +171,10 @@ type nodeConfig struct {
 	fileA, fileB, dirty, idCol string
 	generate                   bool
 
-	snapshotInterval, deltaInterval time.Duration
-	compactOps                      int
-	readOnly                        bool
-	follow                          string
-	wal                             index.WALConfig // Dir empty: no durable op log
+	snapshotInterval time.Duration
+	readOnly         bool
+	follow           string
+	wal              index.WALConfig // Dir empty: no durable op log
 
 	index index.Config
 	opts  serve.Options // SnapshotPath is -snapshot
@@ -229,17 +225,14 @@ func newCLI() *cli {
 	fs.BoolVar(&n.generate, "generate", false, "serve the generated SynthAbtBuy benchmark")
 
 	fs.StringVar(&o.SnapshotPath, "snapshot", "", "snapshot file: restore at boot, save on SIGTERM and POST /v1/snapshot/save")
-	fs.DurationVar(&n.snapshotInterval, "snapshot-interval", 0, "also save a full snapshot periodically (0 disables)")
-	fs.DurationVar(&n.deltaInterval, "delta-interval", 0, "append a delta snapshot (ops since the last save) periodically (0 disables)")
-	fs.IntVar(&n.compactOps, "compact-ops", 10000, "compact to a full snapshot once the delta tail holds this many ops (0: never compact on the delta timer)")
+	fs.DurationVar(&n.snapshotInterval, "snapshot-interval", 0, "also save the snapshot periodically (0 disables; needs -snapshot)")
 	fs.BoolVar(&n.readOnly, "read-only", false, "replica mode: reject upserts (HTTP 403)")
 
 	fs.StringVar(&n.follow, "follow", "", "replicate from this leader URL: bootstrap via GET /v1/snapshot, tail GET /v1/deltas, serve read-only")
-	fs.IntVar(&ix.OpLog.MaxOps, "oplog-retain", 0, "op frames retained in memory for /v1/deltas and delta saves (0: default window)")
+	fs.IntVar(&ix.OpLog.MaxOps, "oplog-retain", 0, "op frames retained in memory for /v1/deltas (0: default window)")
 
 	fs.StringVar(&n.wal.Dir, "oplog-dir", "", "durable op-log directory: append every op to rotating segment files before applying it, replay the tail at boot (crash-safe restart)")
-	fs.StringVar(&c.oplogFsync, "oplog-fsync", "interval", "op-log fsync policy: always (fsync per append), interval (background flush), never (OS page cache only)")
-	fs.Int64Var(&n.wal.SegmentBytes, "oplog-segment-bytes", 0, "rotate op-log segments at this size (0: default 16 MiB)")
+	fs.StringVar(&c.oplogFsync, "oplog-fsync", "", "op-log fsync policy: always (fsync per append), interval (background flush, the default), never (OS page cache only); needs -oplog-dir")
 
 	fs.DurationVar(&o.SlowQuery, "slow-query", 0, "log queries slower than this with a per-stage breakdown (0 disables)")
 
@@ -327,18 +320,25 @@ func parseConfig(args []string) (config, error) {
 			return config{}, fmt.Errorf("-oplog-dir is a leader-side durability flag; a -follow replica replays the leader's log instead")
 		}
 	}
-	if n.wal.Dir != "" {
-		var err error
-		if n.wal.Sync, err = index.ParseWALSyncPolicy(c.oplogFsync); err != nil {
-			return config{}, err
-		}
-		if n.wal.SegmentBytes < 0 {
-			return config{}, fmt.Errorf("-oplog-segment-bytes must be non-negative, got %d", n.wal.SegmentBytes)
-		}
+	switch {
+	case n.snapshotInterval == 0:
+	case n.snapshotInterval < 0:
+		return config{}, fmt.Errorf("-snapshot-interval must be non-negative, got %s", n.snapshotInterval)
+	case n.opts.SnapshotPath == "":
+		return config{}, fmt.Errorf("-snapshot-interval needs -snapshot (the file to save to)")
+	case n.readOnly || n.follow != "":
+		return config{}, fmt.Errorf("-snapshot-interval saves nothing on a replica: -read-only and -follow never write the snapshot")
+	}
+	if n.wal.Dir == "" && c.oplogFsync != "" {
+		return config{}, fmt.Errorf("-oplog-fsync needs -oplog-dir (there is no op log on disk to fsync)")
+	}
+	var err error
+	if n.wal.Sync, err = index.ParseWALSyncPolicy(c.oplogFsync); err != nil {
+		return config{}, err
 	}
 	// Every serving process keeps an op log: it is what /v1/deltas
-	// serves and what delta saves append, and its memory is bounded by
-	// the retention window regardless of index size.
+	// serves, and its memory is bounded by the retention window
+	// regardless of index size.
 	ix.OpLog.Enabled = true
 	if ix.FilterRatio < 0 || ix.FilterRatio > 1 {
 		return config{}, fmt.Errorf("-filter-ratio must be in [0, 1], got %g", ix.FilterRatio)
@@ -380,7 +380,6 @@ func parseConfig(args []string) (config, error) {
 	default:
 		return config{}, fmt.Errorf("unknown measure %q", c.measure)
 	}
-	var err error
 	if ix.LSH.Policy, err = index.ParseProbePolicy(c.lsh); err != nil {
 		return config{}, err
 	}
@@ -482,7 +481,7 @@ func serveUntilSignal(addr string, handler http.Handler, logger *slog.Logger, on
 }
 
 // runNode serves one local index: restore or build it, attach the
-// durable op log, start the save timers and the follower loop, serve.
+// durable op log, start the save timer and the follower loop, serve.
 func runNode(addr string, n *nodeConfig, logger *slog.Logger) error {
 	snapshot := n.opts.SnapshotPath
 	// A follower never writes; -read-only covers the shared-snapshot
@@ -564,62 +563,41 @@ func runNode(addr string, n *nodeConfig, logger *slog.Logger) error {
 			"seq", idx.Seq())
 	}
 
-	// save writes a full or (write = idx.SaveDelta) delta snapshot. A
-	// read-only replica consumes the snapshot file, never produces it:
+	// A read-only replica consumes the snapshot file, never produces it:
 	// auto-saving would overwrite a newer primary snapshot with this
 	// replica's stale copy.
-	save := func(write func(string) (index.PersistState, error), what, reason string) {
+	save := func(reason string) {
 		if snapshot == "" || isReadOnly {
 			return
 		}
 		start := time.Now()
-		st, err := write(snapshot)
+		st, err := idx.Save(snapshot)
 		if err != nil {
-			logger.Error(what+" save failed", "reason", reason, "path", snapshot, "err", err)
+			logger.Error("snapshot save failed", "reason", reason, "path", snapshot, "err", err)
 			return
 		}
-		logger.Info("saved "+what,
+		logger.Info("saved snapshot",
 			"path", st.Path,
 			"bytes", st.Bytes,
 			"seq", st.Seq,
-			"delta_ops", st.DeltaOps,
-			"delta_bytes", st.DeltaBytes,
 			"elapsed", time.Since(start).Round(time.Millisecond),
 			"reason", reason)
 	}
-	// One goroutine owns both save timers so shutdown can stop it and
-	// wait: the final save-on-SIGTERM never races an in-flight interval
-	// save, and the goroutine never outlives the graceful exit.
+	// The save timer runs on a goroutine shutdown can stop and wait for:
+	// the final save-on-SIGTERM never races an in-flight interval save,
+	// and the goroutine never outlives the graceful exit.
 	var saveLoop sync.WaitGroup
 	stopSaves := make(chan struct{})
-	if (n.snapshotInterval > 0 || n.deltaInterval > 0) && snapshot != "" && !isReadOnly {
+	if n.snapshotInterval > 0 {
 		saveLoop.Add(1)
 		go func() {
 			defer saveLoop.Done()
-			var fullC, deltaC <-chan time.Time
-			if n.snapshotInterval > 0 {
-				t := time.NewTicker(n.snapshotInterval)
-				defer t.Stop()
-				fullC = t.C
-			}
-			if n.deltaInterval > 0 {
-				t := time.NewTicker(n.deltaInterval)
-				defer t.Stop()
-				deltaC = t.C
-			}
+			t := time.NewTicker(n.snapshotInterval)
+			defer t.Stop()
 			for {
 				select {
-				case <-fullC:
-					save(idx.Save, "snapshot", "interval")
-				case <-deltaC:
-					// Compaction: once the delta tail holds enough ops,
-					// pay for one full save and start a fresh tail —
-					// replay cost at restore stays bounded.
-					if st, ok := idx.PersistState(); ok && n.compactOps > 0 && st.DeltaOps >= int64(n.compactOps) {
-						save(idx.Save, "snapshot", "compact")
-					} else {
-						save(idx.SaveDelta, "delta", "interval")
-					}
+				case <-t.C:
+					save("interval")
 				case <-stopSaves:
 					return
 				}
@@ -649,8 +627,8 @@ func runNode(addr string, n *nodeConfig, logger *slog.Logger) error {
 		// below must not race an in-flight interval save.
 		close(stopSaves)
 		saveLoop.Wait()
-		save(idx.Save, "snapshot", "shutdown")
-		// After the final save so a full snapshot prunes now-covered
+		save("shutdown")
+		// After the final save so the snapshot prunes now-covered
 		// segments; close syncs whatever the flush policy left pending.
 		if idx.WALEnabled() {
 			if err := idx.CloseWAL(); err != nil {

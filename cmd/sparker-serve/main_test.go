@@ -72,7 +72,12 @@ func TestParseConfigRejects(t *testing.T) {
 		{"-lsh fallback -lsh-threshold 0", "-lsh-threshold must be in (0, 1]"},
 		{"-lsh union -lsh-threshold 1.1", "-lsh-threshold must be in (0, 1]"},
 		{"-lsh union -lsh-floor 0", "-lsh-floor must be at least 1"},
-		{"-oplog-dir wal -oplog-segment-bytes -1", "-oplog-segment-bytes must be non-negative"},
+		{"-snapshot-interval 1m", "-snapshot-interval needs -snapshot"},
+		{"-snapshot s.snap -snapshot-interval -1s", "-snapshot-interval must be non-negative"},
+		{"-snapshot s.snap -snapshot-interval 1m -read-only", "-snapshot-interval saves nothing on a replica"},
+		{"-snapshot s.snap -snapshot-interval 1m -follow http://l:1", "-snapshot-interval saves nothing on a replica"},
+		{"-oplog-fsync always", "-oplog-fsync needs -oplog-dir"},
+		{"-oplog-fsync sometimes", "-oplog-fsync needs -oplog-dir"},
 
 		{"-scheme cbs", `unknown scheme "cbs"`}, // upper case only, as ever
 		{"-scheme EJS", `unknown scheme "EJS"`},
@@ -163,6 +168,5 @@ func TestParseConfigAccepts(t *testing.T) {
 	// Values that are only read in another mode or behind another flag
 	// stay accepted, exactly as before.
 	parse("-lsh-weight heavy")
-	parse("-oplog-fsync sometimes")
 	parse("-shards http://a:1 -pprof 127.0.0.1:6060")
 }

@@ -104,9 +104,9 @@ type Config struct {
 	// lsh.go). The zero value disables it.
 	LSH LSHConfig
 	// OpLog enables the bounded in-memory op log (oplog.go): every
-	// upsert is framed and retained, enabling delta saves (SaveDelta)
-	// and HTTP replication to followers (OpsSince/ApplyOps). The zero
-	// value disables it and upserts cost nothing extra.
+	// upsert is framed and retained, enabling HTTP replication to
+	// followers (OpsSince/ApplyOps) and the durable WAL (OpenWAL). The
+	// zero value disables it and upserts cost nothing extra.
 	OpLog OpLogConfig
 	// DisableMetrics turns off the per-stage timing and histogram
 	// recording of the query/upsert hot paths (metrics.go): Metrics()
@@ -241,11 +241,11 @@ type Index struct {
 	upserts     atomic.Int64
 
 	// seq numbers applied writes 1, 2, 3, … — the replication clock: a
-	// v3 snapshot records it, op frames carry it, and followers track
+	// snapshot records it, op frames carry it, and followers track
 	// it. Advanced under writeMu; read lock-free (Seq, OpsSince).
 	seq atomic.Int64
-	// oplog retains recent op frames for delta saves and follower
-	// streaming (nil unless Config.OpLog.Enabled).
+	// oplog retains recent op frames for follower streaming (nil unless
+	// Config.OpLog.Enabled).
 	oplog *opLog
 	// wal is the durable half of the op log (wal.go): frames are
 	// appended to disk segments before the in-memory structures are
@@ -380,48 +380,23 @@ func (x *Index) Upsert(p profile.Profile) (profile.ID, bool, error) {
 	x.writeMu.Lock()
 	defer x.writeMu.Unlock()
 
-	created := true
 	oldID, replacing := x.lookupOrig(origKey(&p))
 	if replacing {
-		created = false
 		p.ID = oldID
 	} else {
 		p.ID = x.nextID
 	}
-	// Frame the op before mutating anything: a profile the op/snapshot
-	// bounds reject fails the upsert cleanly instead of entering an
-	// index it could never leave through a save or a replica.
-	var rec opRec
-	if x.oplog != nil {
-		var err error
-		if rec, err = x.nextOpFrame(&p); err != nil {
-			return 0, false, err
-		}
+	rec, err := x.nextOpRec(&p)
+	if err == nil {
+		err = x.commitLocked(p, replacing, rec)
 	}
-	// Write-ahead: the frame reaches the durable log before any
-	// in-memory structure changes, so an append failure aborts the
-	// upsert with the index untouched and a crash after this point
-	// still replays the op at the next boot.
-	if x.wal != nil {
-		if err := x.wal.append(rec.seq, rec.frame); err != nil {
-			return 0, false, err
-		}
-	}
-	if replacing {
-		x.removeLocked(oldID)
-	} else {
-		x.nextID++
-	}
-	x.putLocked(p)
-	x.upserts.Add(1)
-	x.seq.Add(1)
-	if x.oplog != nil {
-		x.oplog.append(rec)
+	if err != nil {
+		return 0, false, err
 	}
 	if m != nil {
 		m.Upsert.Observe(obs.Now() - start)
 	}
-	return p.ID, created, nil
+	return p.ID, !replacing, nil
 }
 
 // Get returns a copy of the indexed profile with the given internal ID.

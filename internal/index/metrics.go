@@ -74,13 +74,10 @@ type Metrics struct {
 	// Upsert is the write-path latency (key/signature derivation plus
 	// posting updates), successful upserts only.
 	Upsert obs.Histogram
-	// Save and Load time durable-snapshot encodes and restores;
-	// SaveDelta times op-frame appends (persist.go), the O(ops) save
-	// path — the gap between Save and SaveDelta is what delta snapshots
-	// buy.
-	Save      obs.Histogram
-	SaveDelta obs.Histogram
-	Load      obs.Histogram
+	// Save and Load time durable-snapshot encodes and restores
+	// (persist.go).
+	Save obs.Histogram
+	Load obs.Histogram
 	// WALAppend times one durable-log append (frame write plus, under
 	// WALSyncAlways, its fsync) — the write-path latency the fsync
 	// policy choice trades against durability (wal.go).
@@ -114,7 +111,7 @@ type TimingStats struct {
 // stages first, then the operation-level totals. The row set is fixed
 // so the JSON shape is stable from the first scrape.
 func (m *Metrics) timingRows() []TimingStats {
-	rows := make([]TimingStats, 0, NumStages+7)
+	rows := make([]TimingStats, 0, NumStages+6)
 	for s := Stage(0); int(s) < NumStages; s++ {
 		rows = append(rows, timingRow(s.String(), &m.Stages[s]))
 	}
@@ -123,7 +120,6 @@ func (m *Metrics) timingRows() []TimingStats {
 		timingRow("resolve_total", &m.Resolve),
 		timingRow("upsert", &m.Upsert),
 		timingRow("snapshot_save", &m.Save),
-		timingRow("snapshot_save_delta", &m.SaveDelta),
 		timingRow("snapshot_load", &m.Load),
 		timingRow("wal_append", &m.WALAppend),
 	)

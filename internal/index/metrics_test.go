@@ -116,8 +116,8 @@ func TestSnapshotTimings(t *testing.T) {
 	x.Resolve(&q)
 
 	rows := x.Snapshot().Timings
-	if len(rows) != NumStages+7 {
-		t.Fatalf("timing rows = %d, want %d", len(rows), NumStages+7)
+	if len(rows) != NumStages+6 {
+		t.Fatalf("timing rows = %d, want %d", len(rows), NumStages+6)
 	}
 	byName := map[string]TimingStats{}
 	for _, r := range rows {

@@ -2,17 +2,15 @@ package index
 
 // The op log: every applied write is assigned a monotonically increasing
 // sequence number and, when the log is enabled, encoded as one
-// length-prefixed, CRC-framed record. The same frame bytes serve three
+// length-prefixed, CRC-framed record. The same frame bytes serve two
 // consumers:
 //
-//   - SaveDelta appends the frames since the last save to the snapshot
-//     file, so persistence cost is O(ops since last save) instead of
-//     O(index size) (persist.go);
-//   - GET /deltas streams them to network followers, which replay them
-//     with ApplyOps — the replication transport of the serving tier;
-//   - Decode replays frames it finds after a v3 snapshot's CRC trailer
-//     at restore time, dropping a torn or bit-flipped tail instead of
-//     failing the whole restore.
+//   - GET /v1/deltas streams them from the in-memory window to network
+//     followers, which replay them with ApplyOps — the replication
+//     transport of the serving tier;
+//   - the WAL appends them to on-disk segments before the write mutates
+//     anything and replays them at boot (wal.go) — the only on-disk
+//     delta store.
 //
 // Frame wire/file format (identical everywhere):
 //
@@ -40,8 +38,7 @@ package index
 //
 // The in-memory log retains a bounded window (OpLogConfig.MaxOps /
 // MaxBytes). A follower that falls behind the window gets ErrOpLogGap
-// and must bootstrap a fresh snapshot; a delta save that would need
-// evicted ops falls back to a full (compacting) save.
+// and must bootstrap a fresh snapshot.
 
 import (
 	"bufio"
@@ -83,8 +80,7 @@ var (
 )
 
 // OpLogConfig enables and bounds the in-memory op log. The zero value
-// disables it: upserts then cost nothing extra, and SaveDelta degrades
-// to a full save.
+// disables it: upserts then cost nothing extra.
 type OpLogConfig struct {
 	// Enabled turns the op log on.
 	Enabled bool
@@ -192,45 +188,38 @@ func (l *opLog) stats() OpLogStats {
 // (since, …], bounded by maxBytes (at least one frame is returned when
 // any is pending). gap reports that ops after since existed but were
 // evicted — or that since runs ahead of the log — so the caller must
-// resynchronise. last is the sequence of the final returned frame.
-func (l *opLog) framesAfter(since int64, maxBytes int) (frames []byte, last int64, gap bool) {
+// resynchronise.
+func (l *opLog) framesAfter(since int64, maxBytes int) (frames []byte, gap bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	if len(l.recs) == 0 {
 		// Nothing retained: with appended ops evicted, anything before
 		// the current head is unservable. The caller distinguishes
 		// "caught up" (since == current seq) before calling.
-		return nil, since, false
+		return nil, false
 	}
 	floor, head := l.recs[0].seq, l.recs[len(l.recs)-1].seq
 	if since >= head {
-		if since > head {
-			return nil, since, true // ahead of the log: stale leader state
-		}
-		return nil, since, false
+		return nil, since > head // ahead of the log: stale leader state
 	}
 	if since+1 < floor {
-		return nil, since, true // behind the retained window
+		return nil, true // behind the retained window
 	}
-	total := 0
-	last = since
 	for _, rec := range l.recs[since+1-floor:] {
-		if total > 0 && total+len(rec.frame) > maxBytes {
+		if len(frames) > 0 && len(frames)+len(rec.frame) > maxBytes {
 			break
 		}
 		frames = append(frames, rec.frame...)
-		total += len(rec.frame)
-		last = rec.seq
 	}
-	return frames, last, false
+	return frames, false
 }
 
 // OpLogEnabled reports whether the index maintains an op log (and can
-// therefore serve deltas and take delta saves).
+// therefore serve deltas and attach a WAL).
 func (x *Index) OpLogEnabled() bool { return x.oplog != nil }
 
 // Seq returns the sequence number of the last applied write. It is 0 on
-// a fresh index and restored from v3 snapshots, so a restarted leader
+// a fresh index and restored from snapshots, so a restarted leader
 // keeps handing out sequence numbers its followers can track.
 func (x *Index) Seq() int64 { return x.seq.Load() }
 
@@ -267,7 +256,7 @@ func (x *Index) OpsSince(since int64, maxBytes int) (frames []byte, seq int64, e
 	if since > cur {
 		return nil, cur, fmt.Errorf("%w: since %d ahead of seq %d", ErrOpLogGap, since, cur)
 	}
-	frames, _, gap := x.oplog.framesAfter(since, maxBytes)
+	frames, gap := x.oplog.framesAfter(since, maxBytes)
 	if gap || frames == nil {
 		// Either explicitly behind the window, or the pending ops were
 		// all evicted (framesAfter saw an empty/advanced log).
@@ -334,10 +323,7 @@ func encodeOpFrame(seq, tstamp int64, p *profile.Profile) []byte {
 		payload = appendOpString(payload, kv.Key)
 		payload = appendOpString(payload, kv.Value)
 	}
-	frame := make([]byte, 0, opFrameOverhead+len(payload))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	return binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	return frameOf(payload)
 }
 
 // readOpFrame reads one frame from r and returns its validated payload.
@@ -481,13 +467,40 @@ func decodeOpPayload(payload []byte, clean bool) (op, error) {
 	return o, nil
 }
 
-// applyOpLocked replays one decoded op, mirroring Upsert exactly:
-// replace-by-identity, posting updates, counters, sequence advance and
-// op-log retention (so a replica can chain its own followers and a
-// restarted leader keeps serving the tail it reloaded). The caller holds
-// writeMu (or owns the index exclusively, as Decode does). The read-only
-// guard deliberately does not apply: replication is how a read-only
-// replica's state advances.
+// commitLocked is the one write path. It lands an upsert whose identity
+// is resolved (p.ID final; replacing: that ID is being overwritten) in
+// write-ahead order: the frame reaches the durable log before anything
+// in memory changes, so a failed append leaves the index untouched and a
+// crash after it replays the op at the next boot. rec.frame is nil
+// without an op log. Caller holds writeMu.
+func (x *Index) commitLocked(p profile.Profile, replacing bool, rec opRec) error {
+	if x.wal != nil {
+		if err := x.wal.append(rec.seq, rec.frame); err != nil {
+			return err
+		}
+	}
+	if replacing {
+		x.removeLocked(p.ID)
+	}
+	x.putLocked(p)
+	if p.ID >= x.nextID {
+		x.nextID = p.ID + 1
+	}
+	x.upserts.Add(1)
+	x.seq.Store(rec.seq)
+	if x.oplog != nil {
+		x.oplog.append(rec)
+	}
+	return nil
+}
+
+// applyOpLocked replays one decoded op — a follower's delta, or a WAL
+// frame at boot (recovery runs with x.wal unset, so frames read back
+// from disk are not re-appended) — once the replica is seen to make the
+// leader's decisions (next sequence, same ID). Retaining the frame lets
+// a replica chain its own followers and a restarted leader keep serving
+// the tail it reloaded. The caller holds writeMu. The read-only guard
+// does not apply: replication is how a read-only replica advances.
 func (x *Index) applyOpLocked(o op, payload []byte) error {
 	if want := x.seq.Load() + 1; o.seq != want {
 		return fmt.Errorf("op seq %d does not follow %d", o.seq, want-1)
@@ -500,36 +513,16 @@ func (x *Index) applyOpLocked(o op, payload []byte) error {
 	} else if o.p.ID != x.nextID {
 		return fmt.Errorf("op assigns ID %d, replica would assign %d", o.p.ID, x.nextID)
 	}
-	// Write-ahead, as in Upsert: the frame is durable before anything
-	// mutates (recovery replays with x.wal unset, so frames being read
-	// back from disk are not re-appended).
-	var frame []byte
-	if x.wal != nil || x.oplog != nil {
-		frame = frameOf(payload)
-	}
-	if x.wal != nil {
-		if err := x.wal.append(o.seq, frame); err != nil {
-			return err
-		}
-	}
-	if replacing {
-		x.removeLocked(oldID)
-	}
-	x.putLocked(o.p)
-	if o.p.ID >= x.nextID {
-		x.nextID = o.p.ID + 1
-	}
-	x.upserts.Add(1)
-	x.seq.Store(o.seq)
+	rec := opRec{seq: o.seq, tstamp: o.tstamp}
 	if x.oplog != nil {
-		x.oplog.append(opRec{seq: o.seq, tstamp: o.tstamp, frame: frame})
+		rec.frame = frameOf(payload)
 	}
-	return nil
+	return x.commitLocked(o.p, replacing, rec)
 }
 
 // ApplyOps replays a stream of op frames — the follower half of
-// replication: the bytes a leader's GET /deltas returns (or a delta
-// file's tail) applied in order. It works on a read-only replica; that
+// replication: the bytes a leader's GET /v1/deltas returns, applied in
+// order. It works on a read-only replica; that
 // guard rejects out-of-band writes, not replication. Frames are applied
 // one at a time under the writer lock, so queries interleave freely.
 // Any framing, checksum, or sequence error stops the stream and is
@@ -562,16 +555,19 @@ func (x *Index) ApplyOps(r io.Reader) (applied int, lastStamp int64, err error) 
 	}
 }
 
-// nextOpFrame encodes the op record for the upsert the caller is about
-// to apply: caller holds writeMu and has assigned p.ID but not yet
-// mutated anything, so a bounds rejection here leaves the index
-// untouched. The caller advances seq and appends the record only after
-// the write lands.
-func (x *Index) nextOpFrame(p *profile.Profile) (opRec, error) {
+// nextOpRec numbers — and, with the op log on, frames — the upsert the
+// caller is about to commit: caller holds writeMu and has assigned p.ID
+// but not yet mutated anything, so a bounds rejection here keeps out a
+// profile that could never leave through a save or a replica.
+func (x *Index) nextOpRec(p *profile.Profile) (opRec, error) {
+	rec := opRec{seq: x.seq.Load() + 1}
+	if x.oplog == nil {
+		return rec, nil
+	}
 	if err := checkOpBounds(p); err != nil {
 		return opRec{}, err
 	}
-	seq := x.seq.Load() + 1
-	now := time.Now().UnixNano()
-	return opRec{seq: seq, tstamp: now, frame: encodeOpFrame(seq, now, p)}, nil
+	rec.tstamp = time.Now().UnixNano()
+	rec.frame = encodeOpFrame(rec.seq, rec.tstamp, p)
+	return rec, nil
 }

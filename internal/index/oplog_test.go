@@ -1,18 +1,15 @@
 package index
 
-// Op log and delta-snapshot coverage: stream replay equivalence (the
-// replication contract), OpsSince/ApplyOps edge semantics, SaveDelta
-// round trips and fallbacks, torn-tail crash recovery, and the
-// concurrent upsert-during-delta-save battery run under -race in CI.
+// Op log coverage: stream replay equivalence (the replication contract),
+// OpsSince/ApplyOps edge semantics, and the one-write-path pin (a leader
+// driven by Upsert and a WAL-attached replica fed its frames agree byte
+// for byte in memory, on disk and on the wire).
 
 import (
 	"bufio"
 	"bytes"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
-	"sync"
 	"testing"
 
 	"sparker/internal/profile"
@@ -40,8 +37,8 @@ func upsertAll(t testing.TB, x *Index, ps []profile.Profile) {
 // posting list, counter and the sequence number agree exactly.
 func encodesEqual(t *testing.T, what string, a, b *Index) {
 	t.Helper()
-	ea := encodeVersionToBytes(t, a, snapshotVersion)
-	eb := encodeVersionToBytes(t, b, snapshotVersion)
+	ea := encodePinned(t, a)
+	eb := encodePinned(t, b)
 	if !bytes.Equal(ea, eb) {
 		t.Fatalf("%s: encodes differ (%d vs %d bytes)", what, len(ea), len(eb))
 	}
@@ -233,296 +230,4 @@ func TestApplyOpsRejects(t *testing.T) {
 	if _, _, err := d.ApplyOps(bytes.NewReader(frames)); err == nil {
 		t.Fatal("divergent replica applied a conflicting stream")
 	}
-}
-
-// TestSaveDeltaRoundTrip drives the delta lifecycle: full save, delta
-// appends, restore, further deltas on the restored file, and compaction.
-func TestSaveDeltaRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "idx.snap")
-	cfg := opLogConfig()
-	x := New(true, cfg)
-	upsertAll(t, x, synthQueryProfiles(20, 2, 7))
-
-	base, err := x.Save(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.BaseSeq != 20 || base.Seq != 20 || base.DeltaOps != 0 {
-		t.Fatalf("full-save state = %+v", base)
-	}
-
-	upsertAll(t, x, synthQueryProfiles(26, 2, 13)[20:])
-	st, err := x.SaveDelta(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.BaseSeq != 20 || st.Seq != 26 || st.DeltaOps != 6 || st.DeltaBytes == 0 {
-		t.Fatalf("delta-save state = %+v", st)
-	}
-	if st.Bytes != base.Bytes+st.DeltaBytes {
-		t.Fatalf("bytes %d, want base %d + delta %d", st.Bytes, base.Bytes, st.DeltaBytes)
-	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() != st.Bytes {
-		t.Fatalf("file size %v, want %d (err %v)", fi, st.Bytes, err)
-	}
-
-	// A delta save with nothing new leaves the file and state alone.
-	same, err := x.SaveDelta(path)
-	if err != nil || same != st {
-		t.Fatalf("idle delta save = %+v, err %v; want unchanged", same, err)
-	}
-
-	y, err := Load(path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encodesEqual(t, "base+delta restore", x, y)
-	if yst, _ := y.PersistState(); yst.DeltaOps != 6 || yst.Seq != 26 || yst.BaseSeq != 20 {
-		t.Fatalf("restored persist state = %+v", yst)
-	}
-
-	// The restored index can keep extending the same file: its op log
-	// holds the replayed tail, and the size/seq bookkeeping lines up.
-	upsertAll(t, y, []profile.Profile{mkProfile("extra", "name", "tok2 shared0")})
-	yst, err := y.SaveDelta(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if yst.Seq != 27 || yst.DeltaOps != 7 {
-		t.Fatalf("restored-then-delta state = %+v", yst)
-	}
-	z, err := Load(path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encodesEqual(t, "restored chain", y, z)
-
-	// Compaction: a full save folds the tail back into the image.
-	upsertAll(t, y, []profile.Profile{mkProfile("extra2", "name", "tok3")})
-	cst, err := y.Save(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cst.BaseSeq != 28 || cst.Seq != 28 || cst.DeltaOps != 0 || cst.DeltaBytes != 0 {
-		t.Fatalf("compacted state = %+v", cst)
-	}
-	w, err := Load(path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encodesEqual(t, "compacted restore", y, w)
-}
-
-// TestSaveDeltaFallsBackToFull enumerates the conditions under which a
-// delta append cannot be proven safe; each must produce a correct full
-// save, never an error or a corrupt file.
-func TestSaveDeltaFallsBackToFull(t *testing.T) {
-	dir := t.TempDir()
-	newLeader := func(cfg Config) *Index {
-		x := New(true, cfg)
-		upsertAll(t, x, synthQueryProfiles(10, 2, 7))
-		return x
-	}
-	expectFull := func(name string, x *Index, path string) {
-		t.Helper()
-		st, err := x.SaveDelta(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if st.DeltaOps != 0 || st.BaseSeq != st.Seq || st.Seq != x.Seq() {
-			t.Fatalf("%s: state %+v is not a full save", name, st)
-		}
-		y, err := Load(path, x.cfg)
-		if err != nil {
-			t.Fatalf("%s: reload: %v", name, err)
-		}
-		encodesEqual(t, name, x, y)
-	}
-
-	// Op log disabled: SaveDelta is Save.
-	expectFull("oplog disabled", newLeader(DefaultConfig()), filepath.Join(dir, "plain.snap"))
-
-	// Never saved: nothing to append to.
-	expectFull("first save", newLeader(opLogConfig()), filepath.Join(dir, "first.snap"))
-
-	// Saved to a different path: the recorded state describes another file.
-	x := newLeader(opLogConfig())
-	if _, err := x.Save(filepath.Join(dir, "a.snap")); err != nil {
-		t.Fatal(err)
-	}
-	upsertAll(t, x, []profile.Profile{mkProfile("n1", "name", "tok1")})
-	expectFull("path switch", x, filepath.Join(dir, "b.snap"))
-
-	// File tampered with since the last save (size mismatch).
-	p := filepath.Join(dir, "trunc.snap")
-	y := newLeader(opLogConfig())
-	if _, err := y.Save(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(p, 10); err != nil {
-		t.Fatal(err)
-	}
-	upsertAll(t, y, []profile.Profile{mkProfile("n2", "name", "tok1")})
-	expectFull("size mismatch", y, p)
-
-	// Retention gap: the ops since the last save were evicted.
-	small := DefaultConfig()
-	small.OpLog = OpLogConfig{Enabled: true, MaxOps: 3}
-	z := New(true, small)
-	upsertAll(t, z, synthQueryProfiles(6, 2, 7))
-	gp := filepath.Join(dir, "gap.snap")
-	if _, err := z.Save(gp); err != nil {
-		t.Fatal(err)
-	}
-	upsertAll(t, z, synthQueryProfiles(12, 2, 19)[6:])
-	expectFull("retention gap", z, gp)
-
-	// Read-only replicas never save, delta or otherwise.
-	z.SetReadOnly(true)
-	if _, err := z.SaveDelta(gp); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("read-only SaveDelta err = %v, want ErrReadOnly", err)
-	}
-}
-
-// TestDeltaTailRecovery is the crash-safety pin: a torn or bit-flipped
-// delta tail loses only the frames at and past the damage — the base
-// image and the valid prefix always restore.
-func TestDeltaTailRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "idx.snap")
-	cfg := opLogConfig()
-	x := New(true, cfg)
-	upsertAll(t, x, synthQueryProfiles(10, 2, 7))
-	base, err := x.Save(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	upsertAll(t, x, synthQueryProfiles(16, 2, 23)[10:])
-	st, err := x.SaveDelta(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	valid, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	restore := func(name string, b []byte) *Index {
-		t.Helper()
-		y, err := Decode(bytes.NewReader(b), cfg)
-		if err != nil {
-			t.Fatalf("%s: recovery failed outright: %v", name, err)
-		}
-		return y
-	}
-
-	// Crash mid-append: the file ends inside a frame.
-	for _, cut := range []int64{1, 3, int64(st.DeltaBytes) / 2, int64(st.DeltaBytes) - 1} {
-		y := restore("torn tail", valid[:base.Bytes+int64(st.DeltaBytes)-cut])
-		if y.Seq() < base.Seq || y.Seq() >= st.Seq {
-			t.Fatalf("cut %d: recovered seq %d outside [%d, %d)", cut, y.Seq(), base.Seq, st.Seq)
-		}
-	}
-
-	// Bit flip inside the tail: the frame CRC stops replay there; every
-	// op before the damage is recovered.
-	flipped := append([]byte(nil), valid...)
-	flipped[base.Bytes+st.DeltaBytes/2] ^= 0x04
-	y := restore("bit-flipped tail", flipped)
-	if y.Seq() < base.Seq || y.Seq() >= st.Seq {
-		t.Fatalf("bit flip: recovered seq %d outside [%d, %d)", y.Seq(), base.Seq, st.Seq)
-	}
-
-	// The recovered prefix is exactly the leader's state at that seq:
-	// cut precisely at the first frame boundary and compare against a
-	// leader stopped at the same op.
-	ref := New(true, cfg)
-	upsertAll(t, ref, synthQueryProfiles(10, 2, 7))
-	upsertAll(t, ref, synthQueryProfiles(16, 2, 23)[10:11])
-	one, _, err := x.OpsSince(base.Seq, 1) // byte budget 1 → exactly one frame
-	if err != nil {
-		t.Fatal(err)
-	}
-	y = restore("exact prefix", valid[:base.Bytes+int64(len(one))])
-	if y.Seq() != base.Seq+1 {
-		t.Fatalf("exact prefix recovered seq %d, want %d", y.Seq(), base.Seq+1)
-	}
-	encodesEqual(t, "exact prefix", ref, y)
-}
-
-// TestConcurrentUpsertDuringSaveDelta is the -race battery: writers
-// hammer the index while delta and full saves interleave on the same
-// file, then the final file must restore bitwise-identical to the live
-// index — the equivalence full-save+replay(deltas) == direct full save.
-func TestConcurrentUpsertDuringSaveDelta(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "idx.snap")
-	cfg := opLogConfig()
-	x := New(true, cfg)
-	upsertAll(t, x, synthQueryProfiles(40, 2, 7))
-	if _, err := x.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	const writers, perWriter = 4, 30
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ps := synthQueryProfiles(perWriter, 2, uint64(100+w))
-			for i, p := range ps {
-				p.OriginalID = p.OriginalID + "w" + string(rune('a'+w))
-				if _, _, err := x.Upsert(p); err != nil {
-					t.Errorf("writer %d upsert %d: %v", w, i, err)
-					return
-				}
-			}
-		}(w)
-	}
-	saveDone := make(chan struct{})
-	go func() {
-		defer close(saveDone)
-		for i := 0; i < 20; i++ {
-			var err error
-			if i%5 == 4 {
-				_, err = x.Save(path) // periodic compaction in the mix
-			} else {
-				_, err = x.SaveDelta(path)
-			}
-			if err != nil {
-				t.Errorf("save %d: %v", i, err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	<-saveDone
-	if t.Failed() {
-		t.FailNow()
-	}
-
-	// Quiesced: one final delta covers everything, and the file restores
-	// to the exact live state.
-	st, err := x.SaveDelta(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Seq != x.Seq() {
-		t.Fatalf("final delta seq %d, want %d", st.Seq, x.Seq())
-	}
-	y, err := Load(path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encodesEqual(t, "concurrent battery", x, y)
-
-	// And the same state reached by pure full save agrees too.
-	fullPath := filepath.Join(t.TempDir(), "full.snap")
-	if _, err := x.Save(fullPath); err != nil {
-		t.Fatal(err)
-	}
-	z, err := Load(fullPath, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encodesEqual(t, "delta vs full", y, z)
 }

@@ -8,26 +8,22 @@ package index
 // File layout (integers are varints, strings are uvarint length + bytes):
 //
 //	magic   "SPKRIDX1" (8 bytes)
-//	uvarint format version (currently 3; version-1/-2 files still load)
+//	uvarint format version (3; any other answers ErrSnapshotVersion)
 //	header  clean flag, shard count, save timestamp, nextID,
-//	        queries/upserts counters, (v3+) base sequence number,
-//	        profile count, posting count
-//	LSH     (v2+) presence byte; when set: signature length, MinHash
-//	        seed, banding threshold bits, probe counters
+//	        queries/upserts counters, sequence number, profile count,
+//	        posting count
+//	LSH     presence byte; when set: signature length, MinHash seed,
+//	        banding threshold bits, probe counters
 //	profiles section: per profile ID, source, original ID, attributes,
 //	        blocking keys (with clusters), optional cached token bag,
-//	        and (v2+, LSH present) an optional MinHash signature
+//	        and (LSH present) an optional MinHash signature
 //	per-shard sections: posting count, then per posting key, cluster,
 //	        and the source-A / source-B ID lists in live order
 //	trailer CRC-32 (IEEE) of every preceding byte
-//	deltas  (v3+, optional) appended op frames — see oplog.go. SaveDelta
-//	        appends the ops applied since the file's last save instead
-//	        of rewriting the image, so save cost is O(ops), not O(index
-//	        size); a full Save compacts them back into the image. Each
-//	        frame carries its own CRC, and recovery replays the tail in
-//	        sequence order, dropping a torn or corrupt suffix (a crash
-//	        mid-append loses at most the unsynced frames, never the
-//	        base image).
+//
+// Nothing follows the trailer. A snapshot is a checkpoint at one sequence
+// number; the writes after it live in the WAL segments (wal.go), the only
+// on-disk delta store, and bytes past the CRC fail the load.
 //
 // LSH bucket postings are not serialized: band keys are a pure function
 // of (signature, banding layout), so Decode re-derives the buckets from
@@ -61,13 +57,8 @@ import (
 
 const (
 	snapshotMagic = "SPKRIDX1"
-	// snapshotVersion is the format this build writes; snapshotVersionV1
-	// (no LSH section, no sequence number or delta tail) and
-	// snapshotVersionV2 (no sequence number or delta tail) are still
-	// accepted by Decode.
-	snapshotVersion   = 3
-	snapshotVersionV1 = 1
-	snapshotVersionV2 = 2
+	// snapshotVersion is the one format this build writes and reads.
+	snapshotVersion = 3
 
 	// maxSnapshotString bounds any single length-prefixed string
 	// (attribute values, blocking keys) a snapshot may carry. Enforced
@@ -97,6 +88,8 @@ var (
 	// ErrSnapshotVersion marks a snapshot written by an incompatible
 	// format version; callers typically fall back to a fresh build.
 	ErrSnapshotVersion = errors.New("index: unsupported snapshot version")
+	// errSnapshotTrailing marks bytes after a snapshot's CRC trailer.
+	errSnapshotTrailing = errors.New("snapshot has trailing data after its checksum (a snapshot ends at its CRC; deltas live in the WAL)")
 )
 
 // PersistState describes the index's durable-snapshot state: the most
@@ -110,19 +103,11 @@ type PersistState struct {
 	// Bytes is the encoded snapshot size.
 	Bytes int64 `json:"bytes,omitempty"`
 	// SavedAt is when the snapshot was written (for a restored index,
-	// when the restored file was originally saved). Delta saves append
-	// to that file and do not move it.
+	// when the restored file was originally saved).
 	SavedAt time.Time `json:"saved_at,omitempty"`
-	// BaseSeq is the sequence number compacted into the file's full
-	// image (the last full Save, or the restored file's header).
-	BaseSeq int64 `json:"base_seq,omitempty"`
-	// Seq is the last sequence number the file covers: BaseSeq plus any
-	// delta frames appended by SaveDelta (or replayed at restore).
+	// Seq is the sequence number the file is a checkpoint at: recovery
+	// replays the WAL from Seq+1.
 	Seq int64 `json:"seq,omitempty"`
-	// DeltaOps and DeltaBytes count the op frames currently appended
-	// after the base image — what the next full Save will compact.
-	DeltaOps   int64 `json:"delta_ops,omitempty"`
-	DeltaBytes int64 `json:"delta_bytes,omitempty"`
 }
 
 // PersistState returns the durable-snapshot state, or ok=false when the
@@ -168,21 +153,7 @@ func (x *Index) Save(path string) (PersistState, error) {
 	}
 	x.saveMu.Lock()
 	defer x.saveMu.Unlock()
-	st, err := x.saveFullLocked(path)
-	if err != nil {
-		return st, err
-	}
-	if m := x.metrics; m != nil {
-		m.Save.Observe(obs.Now() - saveStart)
-		m.SnapshotBytes.Store(st.Bytes)
-	}
-	return st, nil
-}
 
-// saveFullLocked writes the complete image (compacting any delta tail
-// the previous file carried, since the rename replaces it wholesale).
-// Caller holds saveMu.
-func (x *Index) saveFullLocked(path string) (PersistState, error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -193,9 +164,10 @@ func (x *Index) saveFullLocked(path string) (PersistState, error) {
 
 	x.writeMu.Lock()
 	n, err := x.encodeLocked(bw, now)
-	// The image compacts exactly the writes applied so far: capture the
-	// sequence under the same writer-lock hold as the encode.
-	seq := x.seq.Load()
+	// The image holds exactly the writes applied so far: capture the
+	// sequence and the attached WAL under the same writer-lock hold as
+	// the encode.
+	seq, w := x.seq.Load(), x.wal
 	x.writeMu.Unlock()
 
 	if err == nil {
@@ -223,119 +195,26 @@ func (x *Index) saveFullLocked(path string) (PersistState, error) {
 		_ = dir.Sync()
 		dir.Close()
 	}
-	st := PersistState{
-		Restored: x.restored, Path: path, Bytes: n, SavedAt: now,
-		BaseSeq: seq, Seq: seq,
-	}
+	st := PersistState{Restored: x.restored, Path: path, Bytes: n, SavedAt: now, Seq: seq}
 	x.persistMu.Lock()
 	x.persist = st
 	x.persistMu.Unlock()
 	// The snapshot now covers everything up to seq; WAL segments whose
 	// frames are all at or below it are no longer needed for recovery.
-	if w := x.walRef(); w != nil {
+	if w != nil {
 		w.prune(seq)
 	}
-	return st, nil
-}
-
-// walRef reads the attached WAL under the writer lock (OpenWAL/CloseWAL
-// swap it there).
-func (x *Index) walRef() *wal {
-	x.writeMu.Lock()
-	w := x.wal
-	x.writeMu.Unlock()
-	return w
-}
-
-// SaveDelta appends the op frames applied since the file's last save to
-// the snapshot at path, making persistence cost O(ops since last save)
-// instead of O(index size). It degrades to a full Save whenever a delta
-// append cannot be proven safe: the op log is disabled, path is not the
-// file the last save wrote, the file on disk no longer matches the
-// recorded size (truncated, replaced, or torn by an earlier failure),
-// or the needed ops have been evicted from the retention window.
-// Callers alternate it with periodic full Saves, which compact the
-// accumulated tail (sparker-serve's -delta-interval / -compact-ops).
-func (x *Index) SaveDelta(path string) (PersistState, error) {
-	if x.readOnly.Load() {
-		return PersistState{}, fmt.Errorf("index: save delta: %w", ErrReadOnly)
-	}
-	var saveStart int64
-	if x.metrics != nil {
-		saveStart = obs.Now()
-	}
-	x.saveMu.Lock()
-	defer x.saveMu.Unlock()
-
-	x.persistMu.Lock()
-	st := x.persist
-	x.persistMu.Unlock()
-
-	full := func() (PersistState, error) {
-		st, err := x.saveFullLocked(path)
-		if err != nil {
-			return st, err
-		}
-		if m := x.metrics; m != nil {
-			m.Save.Observe(obs.Now() - saveStart)
-			m.SnapshotBytes.Store(st.Bytes)
-		}
-		return st, nil
-	}
-	if x.oplog == nil || st.Path != path || st == (PersistState{}) {
-		return full()
-	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() != st.Bytes {
-		return full()
-	}
-	frames, last, gap := x.oplog.framesAfter(st.Seq, math.MaxInt)
-	if gap {
-		return full()
-	}
-	if len(frames) == 0 {
-		// Nothing new since the last save; the file already covers seq.
-		if m := x.metrics; m != nil {
-			m.SaveDelta.Observe(obs.Now() - saveStart)
-		}
-		return st, nil
-	}
-
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return full()
-	}
-	_, err = f.Write(frames)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		// The append may be torn mid-frame; recovery drops the bad tail,
-		// and the size check above forces the next save to go full.
-		return PersistState{}, fmt.Errorf("index: save delta %s: %w", path, err)
-	}
-
-	// Sequence numbers are consecutive, so the op count is the span.
-	st.DeltaOps += last - st.Seq
-	st.Seq = last
-	st.Bytes += int64(len(frames))
-	st.DeltaBytes += int64(len(frames))
-	x.persistMu.Lock()
-	x.persist = st
-	x.persistMu.Unlock()
-	// The snapshot file (base image + delta tail) now covers st.Seq, so
-	// retention can release WAL segments at or below it.
-	if w := x.walRef(); w != nil {
-		w.prune(st.Seq)
-	}
 	if m := x.metrics; m != nil {
-		m.SaveDelta.Observe(obs.Now() - saveStart)
+		m.Save.Observe(obs.Now() - saveStart)
 		m.SnapshotBytes.Store(st.Bytes)
 	}
 	return st, nil
 }
+
+// Deprecated: the snapshot delta tail is gone and this is Save. The
+// name survives only because the frozen benchmark (bench/probe.go) times
+// it; the benchmark PR that retires that traced metric deletes it.
+func (x *Index) SaveDelta(path string) (PersistState, error) { return x.Save(path) }
 
 // Encode streams a snapshot to w without the file handling of Save. The
 // writer lock is held for the duration, like Save.
@@ -387,9 +266,9 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot version: %w", err)
 	}
-	if version < snapshotVersionV1 || version > snapshotVersion {
-		return nil, fmt.Errorf("%w: file has version %d, this build reads %d through %d",
-			ErrSnapshotVersion, version, snapshotVersionV1, snapshotVersion)
+	if version != snapshotVersion {
+		return nil, fmt.Errorf("%w: file has version %d, this build reads %d",
+			ErrSnapshotVersion, version, snapshotVersion)
 	}
 
 	cleanByte, err := cr.byte()
@@ -417,15 +296,9 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 	if err != nil || upserts > math.MaxInt64 {
 		return nil, fmt.Errorf("snapshot upsert counter: %w", orBad(err, 0))
 	}
-	// v3 records the base sequence number the image compacts; earlier
-	// formats predate the op log, where seq simply tracked the upsert
-	// counter (every applied write advances both by one).
-	baseSeq := upserts
-	if version >= 3 {
-		baseSeq, err = cr.uvarint()
-		if err != nil || baseSeq > math.MaxInt64 {
-			return nil, fmt.Errorf("snapshot sequence number: %w", orBad(err, 0))
-		}
+	seq, err := cr.uvarint()
+	if err != nil || seq > math.MaxInt64 {
+		return nil, fmt.Errorf("snapshot sequence number: %w", orBad(err, 0))
 	}
 	numProfiles, err := cr.uvarint()
 	// The index never deletes a profile outright (removals only happen
@@ -442,47 +315,44 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("snapshot posting count: %w", err)
 	}
 
-	// LSH section header (v2+): the MinHash parameters are data — two
-	// indexes only agree on signatures when length, seed and banding
-	// threshold match — so, like the shard count, the file's values
-	// override cfg's when the snapshot carries signatures. The probe
-	// policy, floor and weighting stay query-time configuration.
-	fileLSH := false
+	// LSH section header: the MinHash parameters are data — two indexes
+	// only agree on signatures when length, seed and banding threshold
+	// match — so, like the shard count, the file's values override cfg's
+	// when the snapshot carries signatures. The probe policy, floor and
+	// weighting stay query-time configuration.
 	var (
 		fileSigLen              uint64
 		fileSeed                int64
 		fileThreshold           float64
 		fileProbes, fileLSHOnly uint64
 	)
-	if version >= 2 {
-		lshByte, err := cr.byte()
-		if err != nil || lshByte > 1 {
-			return nil, fmt.Errorf("snapshot LSH flag: %w", orBad(err, lshByte))
+	lshByte, err := cr.byte()
+	if err != nil || lshByte > 1 {
+		return nil, fmt.Errorf("snapshot LSH flag: %w", orBad(err, lshByte))
+	}
+	fileLSH := lshByte == 1
+	if fileLSH {
+		fileSigLen, err = cr.uvarint()
+		if err != nil || fileSigLen < 1 || fileSigLen > maxSnapshotSigLen {
+			return nil, fmt.Errorf("snapshot signature length %d: %w", fileSigLen, orBad(err, 0))
 		}
-		fileLSH = lshByte == 1
-		if fileLSH {
-			fileSigLen, err = cr.uvarint()
-			if err != nil || fileSigLen < 1 || fileSigLen > maxSnapshotSigLen {
-				return nil, fmt.Errorf("snapshot signature length %d: %w", fileSigLen, orBad(err, 0))
-			}
-			if fileSeed, err = cr.varint(); err != nil {
-				return nil, fmt.Errorf("snapshot LSH seed: %w", err)
-			}
-			bits, err := cr.uvarint()
-			fileThreshold = math.Float64frombits(bits)
-			// NaN fails the comparison chain too: the threshold must be a
-			// real similarity in (0, 1].
-			if err != nil || !(fileThreshold > 0 && fileThreshold <= 1) {
-				return nil, fmt.Errorf("snapshot LSH threshold %v: %w", fileThreshold, orBad(err, 0))
-			}
-			fileProbes, err = cr.uvarint()
-			if err != nil || fileProbes > math.MaxInt64 {
-				return nil, fmt.Errorf("snapshot LSH probe counter: %w", orBad(err, 0))
-			}
-			fileLSHOnly, err = cr.uvarint()
-			if err != nil || fileLSHOnly > math.MaxInt64 {
-				return nil, fmt.Errorf("snapshot LSH candidate counter: %w", orBad(err, 0))
-			}
+		if fileSeed, err = cr.varint(); err != nil {
+			return nil, fmt.Errorf("snapshot LSH seed: %w", err)
+		}
+		bits, err := cr.uvarint()
+		fileThreshold = math.Float64frombits(bits)
+		// NaN fails the comparison chain too: the threshold must be a
+		// real similarity in (0, 1].
+		if err != nil || !(fileThreshold > 0 && fileThreshold <= 1) {
+			return nil, fmt.Errorf("snapshot LSH threshold %v: %w", fileThreshold, orBad(err, 0))
+		}
+		fileProbes, err = cr.uvarint()
+		if err != nil || fileProbes > math.MaxInt64 {
+			return nil, fmt.Errorf("snapshot LSH probe counter: %w", orBad(err, 0))
+		}
+		fileLSHOnly, err = cr.uvarint()
+		if err != nil || fileLSHOnly > math.MaxInt64 {
+			return nil, fmt.Errorf("snapshot LSH candidate counter: %w", orBad(err, 0))
 		}
 	}
 
@@ -512,7 +382,7 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 		}
 		// Bucket postings are a pure function of (signature, banding):
 		// re-derive them instead of trusting serialized lists. A file
-		// without signatures (v1, or saved with LSH off) gets them
+		// without signatures (saved with LSH off) gets them
 		// computed from the token bags, exactly as a fresh build would.
 		if x.lshOn() {
 			if sp.sig == nil && !fileLSH {
@@ -561,51 +431,30 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 	x.numBlocks.Store(int64(totalPostings))
 	x.queries.Store(int64(queries))
 	x.upserts.Store(int64(upserts))
-	x.seq.Store(int64(baseSeq))
+	x.seq.Store(int64(seq))
 	if x.lshOn() && fileLSH {
 		x.lshProbes.Store(int64(fileProbes))
 		x.lshOnly.Store(int64(fileLSHOnly))
 	}
 	x.restored = true
 
-	// After the trailer: v1/v2 require clean EOF; a v3 file may carry a
-	// delta tail of op frames SaveDelta appended after the base image.
-	// Replay it in sequence order, applying each frame exactly as a
-	// follower would. The tail is lenient where the image is strict: a
-	// torn, bit-flipped, or otherwise invalid frame ends recovery there
-	// and the valid prefix stands — that is the crash-safety contract
-	// of an append-only tail (a crash mid-append loses at most the
-	// frames past the last valid one). Each frame carries its own CRC,
-	// so silent corruption cannot be replayed.
-	deltaOps, deltaBytes := int64(0), int64(0)
-	if version >= 3 {
-		for {
-			payload, err := readOpFrame(cr.r)
-			if err != nil {
-				break // clean EOF or a torn/corrupt frame: drop the rest
-			}
-			o, err := decodeOpPayload(payload, x.clean)
-			if err != nil {
-				break
-			}
-			if err := x.applyOpLocked(o, payload); err != nil {
-				break
-			}
-			deltaOps++
-			deltaBytes += int64(opFrameOverhead + len(payload))
-		}
-	} else if _, err := cr.r.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("trailing data after snapshot checksum")
+	// Nothing may follow the trailer. Stray bytes are a hard error and
+	// deliberately not ErrSnapshotVersion: a file that once carried a
+	// delta tail holds acknowledged writes, and the fresh-build fallback
+	// that error invites would silently lose them.
+	extra, err := io.Copy(io.Discard, cr.r)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: reading past the checksum: %w", err)
+	}
+	if extra > 0 {
+		return nil, fmt.Errorf("%w: %d bytes", errSnapshotTrailing, extra)
 	}
 
 	x.persist = PersistState{
-		Restored:   true,
-		Bytes:      cr.n + int64(len(trailer)) + deltaBytes,
-		SavedAt:    time.Unix(0, savedAtNanos),
-		BaseSeq:    int64(baseSeq),
-		Seq:        x.seq.Load(),
-		DeltaOps:   deltaOps,
-		DeltaBytes: deltaBytes,
+		Restored: true,
+		Bytes:    cr.n + int64(len(trailer)),
+		SavedAt:  time.Unix(0, savedAtNanos),
+		Seq:      int64(seq),
 	}
 	return x, nil
 }
@@ -613,19 +462,9 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 // encodeLocked streams the snapshot; caller holds writeMu, so no writer
 // can interleave and the byID/shard reads need no further locking.
 func (x *Index) encodeLocked(w io.Writer, savedAt time.Time) (int64, error) {
-	return x.encodeVersionLocked(w, savedAt, snapshotVersion)
-}
-
-// encodeVersionLocked writes the requested format version: Save and
-// Encode always pass snapshotVersion; the backward-compatibility tests
-// pass snapshotVersionV1 or snapshotVersionV2 to produce genuine old
-// byte streams (v1 has no LSH section, so an LSH-enabled index writes
-// its signatures only at v2+; the sequence-number header field and the
-// right to carry a delta tail arrive at v3).
-func (x *Index) encodeVersionLocked(w io.Writer, savedAt time.Time, version uint64) (int64, error) {
 	cw := &crcWriter{w: w}
 	cw.bytes([]byte(snapshotMagic))
-	cw.uvarint(version)
+	cw.uvarint(snapshotVersion)
 	if x.clean {
 		cw.byte(1)
 	} else {
@@ -636,24 +475,20 @@ func (x *Index) encodeVersionLocked(w io.Writer, savedAt time.Time, version uint
 	cw.uvarint(uint64(x.nextID))
 	cw.uvarint(uint64(x.queries.Load()))
 	cw.uvarint(uint64(x.upserts.Load()))
-	if version >= 3 {
-		cw.uvarint(uint64(x.seq.Load()))
-	}
+	cw.uvarint(uint64(x.seq.Load()))
 	cw.uvarint(uint64(len(x.byID)))
 	cw.uvarint(uint64(x.numBlocks.Load()))
 
-	withLSH := version >= 2 && x.lshOn()
-	if version >= 2 {
-		if withLSH {
-			cw.byte(1)
-			cw.uvarint(uint64(x.cfg.LSH.SignatureLen))
-			cw.varint(x.cfg.LSH.Seed)
-			cw.uvarint(math.Float64bits(x.cfg.LSH.Threshold))
-			cw.uvarint(uint64(x.lshProbes.Load()))
-			cw.uvarint(uint64(x.lshOnly.Load()))
-		} else {
-			cw.byte(0)
-		}
+	withLSH := x.lshOn()
+	if withLSH {
+		cw.byte(1)
+		cw.uvarint(uint64(x.cfg.LSH.SignatureLen))
+		cw.varint(x.cfg.LSH.Seed)
+		cw.uvarint(math.Float64bits(x.cfg.LSH.Threshold))
+		cw.uvarint(uint64(x.lshProbes.Load()))
+		cw.uvarint(uint64(x.lshOnly.Load()))
+	} else {
+		cw.byte(0)
 	}
 
 	ids := make([]profile.ID, 0, len(x.byID))

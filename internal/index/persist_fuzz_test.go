@@ -7,14 +7,15 @@ import (
 
 // FuzzLoadIndex feeds arbitrary bytes to the snapshot decoder. The
 // contract under fuzzing: any input either decodes into an internally
-// consistent, queryable index or returns an error — never a panic, and
-// never an allocation proportional to a lying length header rather than
-// to the input actually supplied. Seeds cover valid snapshots of both
-// task types (with and without entropy keys), LSH-enabled snapshots,
-// genuine version-1/-2 files and a v3 file carrying a delta tail of op
-// frames, plus the mutation classes the decoder must reject (or, in the
-// tail, drop): truncation, bit flips, and version bumps. Every input is
-// decoded under a plain config and an LSH-enabled one: the v2 LSH
+// consistent, queryable index that accounts for every input byte, or
+// returns an error — never a panic, and never an allocation proportional
+// to a lying length header rather than to the input actually supplied.
+// Seeds cover valid snapshots of both task types (with and without
+// entropy keys) and LSH-enabled snapshots, three must-fail seeds with
+// bytes after the CRC (a stray byte, noise, and the delta tail of valid
+// op frames older builds appended there), plus the mutation classes the
+// decoder must reject: truncation, bit flips, and version bumps. Every
+// input is decoded under a plain config and an LSH-enabled one: the LSH
 // section must hold up whether its signatures are kept or discarded.
 func FuzzLoadIndex(f *testing.F) {
 	dirty := encodeToBytes(f, smallTestIndex(f, false))
@@ -53,12 +54,12 @@ func FuzzLoadIndex(f *testing.F) {
 	}
 	withLSH := encodeToBytes(f, smallLSH(false))
 	cleanLSH := encodeToBytes(f, smallLSH(true))
-	v1 := encodeVersionToBytes(f, smallTestIndex(f, false), snapshotVersionV1)
-	v2 := encodeVersionToBytes(f, smallTestIndex(f, true), snapshotVersionV2)
+	stray := append(append([]byte(nil), dirty...), 0xaa)
+	noise := append(append([]byte(nil), clean...), bytes.Repeat([]byte{0xde, 0xad, 0xbe, 0xef}, 16)...)
 
-	// Delta seed: a base image with op frames appended (what SaveDelta
-	// writes), so mutations land in the lenient tail-replay path too —
-	// the decoder must drop a damaged tail, never panic or mis-apply.
+	// Delta seed: a base image followed by the valid op frames that
+	// continue it. The decoder must refuse it whole — replaying the tail
+	// or dropping it would both be wrong.
 	deltaIdx := New(true, opLogConfig())
 	for _, p := range synthQueryProfiles(8, 2, 29) {
 		if _, _, err := deltaIdx.Upsert(p); err != nil {
@@ -77,7 +78,7 @@ func FuzzLoadIndex(f *testing.F) {
 	}
 	delta := append(append([]byte(nil), deltaBase...), tail...)
 
-	for _, seed := range [][]byte{dirty, clean, entropy, empty, withLSH, cleanLSH, v1, v2, delta} {
+	for _, seed := range [][]byte{dirty, clean, entropy, empty, withLSH, cleanLSH, stray, noise, delta} {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])                      // truncated
 		f.Add(seed[:len(seed)-3])                      // lost trailer
@@ -102,7 +103,11 @@ func FuzzLoadIndex(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			// Decoded successfully: the index must hold together under use.
+			// Decoded successfully: nothing was left unread (the must-fail
+			// seeds stay refused), and the index holds together under use.
+			if st, _ := x.PersistState(); st.Bytes != int64(len(data)) {
+				t.Fatalf("decode accepted %d bytes of a %d-byte input", st.Bytes, len(data))
+			}
 			s := x.Snapshot()
 			if s.Profiles != x.Size() {
 				t.Fatalf("snapshot profiles %d != size %d", s.Profiles, x.Size())

@@ -7,12 +7,13 @@ import (
 	"time"
 )
 
-// encodeVersionToBytes encodes the index at an explicit format version.
-func encodeVersionToBytes(t testing.TB, x *Index, version uint64) []byte {
+// encodePinned encodes the index at a fixed save timestamp, so two
+// indexes in the same state encode to the same bytes.
+func encodePinned(t testing.TB, x *Index) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	x.writeMu.Lock()
-	_, err := x.encodeVersionLocked(&buf, time.Unix(0, 42), version)
+	_, err := x.encodeLocked(&buf, time.Unix(0, 42))
 	x.writeMu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +50,7 @@ func lshSnapshotIndex(t testing.TB, clean bool) *Index {
 // TestSnapshotRoundTripLSH pins that a save/load cycle of an LSH-enabled
 // index preserves query results bitwise under every probe policy, and
 // that re-encoding the restored index reproduces the original bytes
-// (apart from the timestamp, which the explicit-version encoder pins).
+// (apart from the timestamp, which encodePinned pins).
 func TestSnapshotRoundTripLSH(t *testing.T) {
 	for _, clean := range []bool{false, true} {
 		sources := 1
@@ -61,7 +62,7 @@ func TestSnapshotRoundTripLSH(t *testing.T) {
 		probes := synthQueryProfiles(40, sources, 17)
 		x.Query(&probes[0])
 
-		data := encodeVersionToBytes(t, x, snapshotVersion)
+		data := encodePinned(t, x)
 		y, err := Decode(bytes.NewReader(data), lshTestConfig(ProbeFallback))
 		if err != nil {
 			t.Fatalf("clean=%v: decode: %v", clean, err)
@@ -91,7 +92,7 @@ func TestSnapshotRoundTripLSH(t *testing.T) {
 			}
 		}
 
-		redata := encodeVersionToBytes(t, y, snapshotVersion)
+		redata := encodePinned(t, y)
 		// The probe counters moved while comparing queries above; rebuild
 		// the expectation from a second decode instead of a byte compare
 		// of live indexes.
@@ -107,87 +108,27 @@ func TestSnapshotRoundTripLSH(t *testing.T) {
 }
 
 // TestSnapshotBytesDeterministicLSH pins byte-level determinism of the
-// v2 encoding: decode then re-encode with a pinned timestamp reproduces
+// encoding: decode then re-encode with a pinned timestamp reproduces
 // the input exactly.
 func TestSnapshotBytesDeterministicLSH(t *testing.T) {
 	x := lshSnapshotIndex(t, false)
-	data := encodeVersionToBytes(t, x, snapshotVersion)
+	data := encodePinned(t, x)
 	y, err := Decode(bytes.NewReader(data), lshTestConfig(ProbeFallback))
 	if err != nil {
 		t.Fatal(err)
 	}
-	redata := encodeVersionToBytes(t, y, snapshotVersion)
+	redata := encodePinned(t, y)
 	if !bytes.Equal(data, redata) {
 		t.Fatalf("decode/re-encode changed the bytes: %d vs %d", len(data), len(redata))
 	}
 }
 
-// TestLoadV1Snapshot is the backward-compatibility acceptance test: a
-// genuine version-1 byte stream (no LSH section) still loads — both
-// under a plain config and under an LSH-enabled one, where signatures
-// and buckets are recomputed from the token bags exactly as a fresh
-// build would produce them.
-func TestLoadV1Snapshot(t *testing.T) {
-	for _, clean := range []bool{false, true} {
-		src := smallTestIndex(t, clean)
-		v1 := encodeVersionToBytes(t, src, snapshotVersionV1)
-
-		plain, err := Decode(bytes.NewReader(v1), DefaultConfig())
-		if err != nil {
-			t.Fatalf("clean=%v: v1 snapshot rejected under plain config: %v", clean, err)
-		}
-		if plain.Size() != src.Size() || plain.LSHEnabled() {
-			t.Fatalf("clean=%v: plain v1 restore: size %d/%d, lsh %v",
-				clean, plain.Size(), src.Size(), plain.LSHEnabled())
-		}
-
-		lshIdx, err := Decode(bytes.NewReader(v1), lshTestConfig(ProbeFallback))
-		if err != nil {
-			t.Fatalf("clean=%v: v1 snapshot rejected under LSH config: %v", clean, err)
-		}
-		if !lshIdx.LSHEnabled() {
-			t.Fatal("LSH config did not enable the subsystem on a v1 restore")
-		}
-		lshInvariants(t, lshIdx)
-
-		// The recomputed state must equal a fresh LSH build of the same
-		// profiles: identical signatures, identical probe results.
-		sources := 1
-		if clean {
-			sources = 2
-		}
-		fresh := New(clean, lshTestConfig(ProbeFallback))
-		for _, p := range synthQueryProfiles(12, sources, 7) {
-			if _, _, err := fresh.Upsert(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, p := range synthQueryProfiles(12, sources, 7) {
-			p := p
-			want := fresh.QueryWith(&p, ProbeOptions{Policy: ProbeUnion})
-			got := lshIdx.QueryWith(&p, ProbeOptions{Policy: ProbeUnion})
-			if len(want.Candidates) != len(got.Candidates) {
-				t.Fatalf("clean=%v query %s: %d candidates, fresh build %d",
-					clean, p.OriginalID, len(got.Candidates), len(want.Candidates))
-			}
-			for i := range want.Candidates {
-				w, g := want.Candidates[i], got.Candidates[i]
-				if w.ID != g.ID || w.SharedBuckets != g.SharedBuckets ||
-					math.Float64bits(w.Weight) != math.Float64bits(g.Weight) {
-					t.Fatalf("clean=%v query %s candidate %d: %+v vs fresh %+v",
-						clean, p.OriginalID, i, g, w)
-				}
-			}
-		}
-	}
-}
-
-// TestLoadLSHSnapshotWithLSHOff pins the downgrade path: a v2 file with
+// TestLoadLSHSnapshotWithLSHOff pins the downgrade path: a file with
 // signatures loads under a plain config, drops the signatures, serves
 // queries identically to a never-LSH index, and re-saves as hasLSH=0.
 func TestLoadLSHSnapshotWithLSHOff(t *testing.T) {
 	x := lshSnapshotIndex(t, false)
-	data := encodeVersionToBytes(t, x, snapshotVersion)
+	data := encodePinned(t, x)
 	y, err := Decode(bytes.NewReader(data), DefaultConfig())
 	if err != nil {
 		t.Fatalf("LSH snapshot rejected under plain config: %v", err)
@@ -214,7 +155,7 @@ func TestLoadLSHSnapshotWithLSHOff(t *testing.T) {
 		}
 	}
 	// Re-save drops the section cleanly and the result loads everywhere.
-	again := encodeVersionToBytes(t, y, snapshotVersion)
+	again := encodePinned(t, y)
 	if _, err := Decode(bytes.NewReader(again), lshTestConfig(ProbeUnion)); err != nil {
 		t.Fatalf("re-saved plain snapshot rejected under LSH config: %v", err)
 	}
@@ -224,7 +165,7 @@ func TestLoadLSHSnapshotWithLSHOff(t *testing.T) {
 // LSH section: every one must produce an error, never a panic.
 func TestDecodeRejectsCraftedLSHSections(t *testing.T) {
 	x := lshSnapshotIndex(t, false)
-	valid := encodeVersionToBytes(t, x, snapshotVersion)
+	valid := encodePinned(t, x)
 	if _, err := Decode(bytes.NewReader(valid), lshTestConfig(ProbeFallback)); err != nil {
 		t.Fatalf("valid LSH snapshot rejected: %v", err)
 	}
@@ -233,7 +174,7 @@ func TestDecodeRejectsCraftedLSHSections(t *testing.T) {
 	// Locate it by decoding the prefix the same way the decoder does.
 	offset := len(snapshotMagic)
 	br := bytes.NewReader(valid[offset:])
-	for i := 0; i < 10; i++ { // version + 9 header fields (seq since v3)
+	for i := 0; i < 10; i++ { // version + 9 header fields
 		for {
 			b, err := br.ReadByte()
 			if err != nil {

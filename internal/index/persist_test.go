@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sparker/internal/profile"
@@ -368,32 +370,43 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	mutate("flipped crc bit", func(b []byte) []byte { b[len(b)-1] ^= 0x01; return b })
 	mutate("empty input", func(b []byte) []byte { return nil })
 
-	// Bytes after the checksum: a v3 file may legitimately carry a delta
-	// tail of op frames there, so garbage is treated as a torn tail and
-	// dropped — the decode succeeds with zero ops applied. The pre-delta
-	// formats stay strict: nothing may follow their checksum.
-	garbage := append(append([]byte(nil), valid...), 0xaa)
-	y, err := Decode(bytes.NewReader(garbage), cfg)
-	if err != nil {
-		t.Fatalf("v3 trailing garbage: torn delta tail not dropped: %v", err)
+	// Every format version but the one this build writes surfaces as
+	// ErrSnapshotVersion, so boot code can fall back to a fresh build.
+	for _, v := range []byte{1, 2, snapshotVersion + 1} {
+		other := append([]byte(nil), valid...)
+		other[len(snapshotMagic)] = v
+		if _, err := Decode(bytes.NewReader(other), cfg); !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("version %d error = %v, want ErrSnapshotVersion", v, err)
+		}
 	}
-	if st, _ := y.PersistState(); st.DeltaOps != 0 {
-		t.Fatalf("v3 trailing garbage: %d ops applied from garbage tail", st.DeltaOps)
-	}
-	v2 := encodeVersionToBytes(t, smallTestIndex(t, true), snapshotVersionV2)
-	if _, err := Decode(bytes.NewReader(v2), cfg); err != nil {
-		t.Fatalf("valid v2 snapshot rejected: %v", err)
-	}
-	if _, err := Decode(bytes.NewReader(append(v2, 0xaa)), cfg); err == nil {
-		t.Fatal("v2 trailing garbage: corrupt snapshot accepted")
-	}
+}
 
-	// Version bump specifically surfaces as ErrSnapshotVersion so boot
-	// code can fall back to a fresh build.
-	bumped := append([]byte(nil), valid...)
-	bumped[len(snapshotMagic)] = snapshotVersion + 1
-	if _, err := Decode(bytes.NewReader(bumped), cfg); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("version bump error = %v, want ErrSnapshotVersion", err)
+// TestDecodeRejectsTrailingBytes is the one-store contract: a snapshot
+// ends at its CRC. Whatever follows — a stray byte, noise, or a perfectly
+// valid next op frame, which is what a pre-WAL delta tail looks like — is
+// refused with an error naming its length, never dropped and never
+// replayed, and not as ErrSnapshotVersion: that invites a fresh-build
+// fallback, which under a WAL would lose the acknowledged writes.
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	cfg := opLogConfig()
+	x := New(true, cfg)
+	upsertAll(t, x, synthQueryProfiles(12, 2, 7))
+	valid := encodeToBytes(t, x)
+	upsertAll(t, x, []profile.Profile{mkProfile("next", "name", "tok1 tail")})
+	frame, _, err := x.OpsSince(12, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tail := range map[string][]byte{
+		"one stray byte":     {0xaa},
+		"one valid op frame": frame,
+		"garbage":            bytes.Repeat([]byte{0xde, 0xad, 0xbe, 0xef}, 64),
+	} {
+		_, err := Decode(bytes.NewReader(append(append([]byte(nil), valid...), tail...)), cfg)
+		if !errors.Is(err, errSnapshotTrailing) || errors.Is(err, ErrSnapshotVersion) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("%d bytes", len(tail))) {
+			t.Errorf("%s: err = %v, want the trailing-data error naming %d bytes", name, err, len(tail))
+		}
 	}
 }
 

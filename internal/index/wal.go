@@ -25,10 +25,15 @@ package index
 // segments after the damage cannot be replayed (the sequence would gap)
 // and are dropped, with both reported in WALRecovery.
 //
-// Retention: prune(seq) — called after every successful full or delta
-// save — deletes sealed segments whose every frame is at or below the
-// seq the snapshot now covers, so snapshot + remaining WAL always
-// reconstructs the full state. The active segment is never pruned.
+// A failed write or fsync is sticky: the segment may end in torn bytes
+// (recovery would drop everything behind them) or hold pages the kernel
+// gave up on, so every later append fails until the log is reopened and
+// recovery has re-established a clean tail.
+//
+// Retention: prune(seq) — called after every successful Save — deletes
+// sealed segments whose every frame is at or below the seq the snapshot
+// now covers, so snapshot + remaining WAL always reconstructs the full
+// state. The active segment is never pruned.
 
 import (
 	"bufio"
@@ -177,6 +182,7 @@ type wal struct {
 	last   int64 // newest seq on disk (0 when empty)
 	dirty  bool  // bytes written since the last fsync
 	closed bool
+	failed error // sticky first write/fsync error: every append returns it
 
 	appended  int64
 	syncs     int64
@@ -234,6 +240,9 @@ func (w *wal) append(seq int64, frame []byte) error {
 	if w.closed {
 		return errors.New("index: wal closed")
 	}
+	if w.failed != nil {
+		return w.failed
+	}
 	// Rotate once the active segment passes the threshold — or when a
 	// recovered-but-empty segment's name would not match the first frame
 	// written into it (possible only after operator surgery; a fresh,
@@ -261,25 +270,36 @@ func (w *wal) append(seq int64, frame []byte) error {
 	n, err := w.f.Write(frame)
 	w.size += int64(n)
 	if err != nil {
-		// A short write leaves a torn tail; recovery truncates it, and
-		// the failed op was never applied, so the file stays consistent
-		// with the index.
-		w.dirty = true
-		return fmt.Errorf("index: wal append: %w", err)
+		// A short write leaves a torn tail that recovery truncates; the
+		// failed op was never applied, so disk and index still agree —
+		// as long as nothing is appended behind the tear.
+		w.failed = fmt.Errorf("index: wal append: %w", err)
+		return w.failed
 	}
 	w.dirty = true
 	w.last = seq
 	w.appended++
 	if w.cfg.Sync == WALSyncAlways {
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("index: wal sync: %w", err)
+		if err := w.syncLocked(); err != nil {
+			return err
 		}
-		w.syncs++
-		w.dirty = false
 	}
 	if w.metrics != nil {
 		w.metrics.WALAppend.Observe(obs.Now() - start)
 	}
+	return nil
+}
+
+// syncLocked fsyncs the active segment — the one fsync every policy,
+// rotation and close go through. A failure is sticky. Caller holds mu
+// and has checked w.f.
+func (w *wal) syncLocked() error {
+	if err := w.f.Sync(); err != nil {
+		w.failed = fmt.Errorf("index: wal sync: %w", err)
+		return w.failed
+	}
+	w.syncs++
+	w.dirty = false
 	return nil
 }
 
@@ -290,12 +310,9 @@ func (w *wal) sealActiveLocked() error {
 		return nil
 	}
 	if w.cfg.Sync != WALSyncNever {
-		if err := w.f.Sync(); err != nil {
-			w.f.Close()
-			return fmt.Errorf("index: wal seal: %w", err)
+		if err := w.syncLocked(); err != nil {
+			return err
 		}
-		w.syncs++
-		w.dirty = false
 	}
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("index: wal seal: %w", err)
@@ -345,11 +362,8 @@ func (w *wal) flushLoop() {
 			return
 		case <-t.C:
 			w.mu.Lock()
-			if !w.closed && w.dirty && w.f != nil {
-				if err := w.f.Sync(); err == nil {
-					w.syncs++
-					w.dirty = false
-				}
+			if !w.closed && w.failed == nil && w.dirty && w.f != nil {
+				_ = w.syncLocked() // sticky: the next append reports it
 			}
 			w.mu.Unlock()
 		}
@@ -373,19 +387,17 @@ func (w *wal) close() error {
 	if w.f == nil {
 		return nil
 	}
-	err := w.f.Sync()
-	if err == nil {
-		w.syncs++
-		w.dirty = false
+	// Sync even after a failure (frames acknowledged before it may be
+	// unflushed) and report it: the flusher's has no other way out.
+	err := w.failed
+	if serr := w.syncLocked(); err == nil {
+		err = serr
 	}
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
+	if cerr := w.f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("index: wal close: %w", cerr)
 	}
 	w.f = nil
-	if err != nil {
-		return fmt.Errorf("index: wal close: %w", err)
-	}
-	return nil
+	return err
 }
 
 // stats snapshots the WAL for Snapshot.

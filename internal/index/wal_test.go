@@ -3,9 +3,10 @@ package index
 // Durable op-log (WAL) coverage: recovery equivalence with and without a
 // snapshot (the crash-safe restart contract), torn and bit-flipped tail
 // truncation, mid-log damage dropping later segments, rotation and
-// retention pruning, fsync policies, OpsSince across a restart (the
-// no-follower-resync pin), and a crash-image battery that recovers the
-// log at arbitrary byte boundaries.
+// retention pruning, fsync policies, sticky write/fsync failures,
+// OpsSince across a restart (the no-follower-resync pin), and a
+// crash-image battery that recovers the log at arbitrary byte boundaries
+// and around every step of a checkpoint.
 
 import (
 	"bufio"
@@ -326,7 +327,7 @@ func TestWALMidLogDamageDropsLaterSegments(t *testing.T) {
 }
 
 // TestWALRotationAndPrune drives rotation with a small threshold, then
-// verifies a full save prunes everything the snapshot covers and that
+// verifies a save prunes everything the snapshot covers and that
 // snapshot + surviving segments still recover the full state.
 func TestWALRotationAndPrune(t *testing.T) {
 	dir := t.TempDir()
@@ -350,13 +351,13 @@ func TestWALRotationAndPrune(t *testing.T) {
 	}
 	after := x.Snapshot().WAL
 	if after.PrunedSegments == 0 || after.Segments != 1 {
-		t.Fatalf("after full save WAL stats = %+v, want all sealed segments pruned", after)
+		t.Fatalf("after save WAL stats = %+v, want all sealed segments pruned", after)
 	}
 
-	// More writes, then a delta save: retention keeps honoring the seq
+	// More writes, then a second save: retention keeps honoring the seq
 	// the snapshot file covers.
 	upsertAll(t, x, synthQueryProfiles(60, 2, 17)[40:])
-	if _, err := x.SaveDelta(snap); err != nil {
+	if _, err := x.Save(snap); err != nil {
 		t.Fatal(err)
 	}
 	if err := x.CloseWAL(); err != nil {
@@ -459,21 +460,31 @@ func TestWALSyncPolicies(t *testing.T) {
 	}
 }
 
+// dirBytes reads every file of a flat directory, keyed by name.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = b
+	}
+	return files
+}
+
 // copyDir snapshots a WAL directory into a fresh one — a crash image:
 // what the filesystem would hold if the process died at this instant.
 func copyDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		b, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+	for name, b := range dirBytes(t, src) {
+		if err := os.WriteFile(filepath.Join(dst, name), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -484,7 +495,9 @@ func copyDir(t *testing.T, src string) string {
 // final log, cut the tail segment at every byte boundary in its last two
 // frames (and a spread of earlier offsets), and require each image to
 // recover without error to some sequence S whose state is bitwise
-// exactly the first S ops — never a torn half-op, never a panic.
+// exactly the first S ops — never a torn half-op, never a panic. Then a
+// checkpoint mid-history: a crash between any two steps of Save (encode
+// to .tmp, rename, prune) recovers bitwise to the acknowledged state.
 func TestWALCrashImageBattery(t *testing.T) {
 	dir := t.TempDir()
 	leader := walIndex(t, dir, 15)
@@ -550,5 +563,148 @@ func TestWALCrashImageBattery(t *testing.T) {
 		}
 		encodesEqual(t, "crash image", reference(s), recovered)
 		_ = rec
+	}
+
+	// The checkpoint: an old snapshot at seq 20, 25 more acknowledged ops
+	// across several segments, then a Save caught at each of its steps.
+	readFile := func(path string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	walDir := t.TempDir()
+	snap := filepath.Join(t.TempDir(), "idx.snap")
+	cfg := walConfig(walDir)
+	cfg.SegmentBytes = 256
+	x := New(true, opLogConfig())
+	if _, err := x.OpenWAL(cfg); err != nil {
+		t.Fatal(err)
+	}
+	upsertAll(t, x, synthQueryProfiles(20, 2, 7))
+	if _, err := x.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	upsertAll(t, x, synthQueryProfiles(44, 2, 29)[20:])
+	upsertAll(t, x, []profile.Profile{mkProfile("p3", "name", "overwritten past the old checkpoint")})
+	oldSnap, unpruned := readFile(snap), copyDir(t, walDir)
+	halfWritten := encodeToBytes(t, x)
+	halfWritten = halfWritten[:len(halfWritten)/2]
+	if _, err := x.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	newSnap, pruned := readFile(snap), copyDir(t, walDir)
+	if len(segmentPaths(t, pruned)) >= len(segmentPaths(t, unpruned)) {
+		t.Fatal("the checkpoint pruned nothing: the images below would not differ")
+	}
+	for _, img := range []struct {
+		name      string
+		snap, tmp []byte
+		wal       string
+	}{
+		{"before the save", oldSnap, nil, unpruned},
+		{"stale .tmp beside the old snapshot", oldSnap, halfWritten, unpruned},
+		{"renamed, nothing pruned", newSnap, nil, unpruned},
+		{"pruned", newSnap, nil, pruned},
+	} {
+		path := filepath.Join(t.TempDir(), "idx.snap")
+		if err := os.WriteFile(path, img.snap, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if img.tmp != nil {
+			if err := os.WriteFile(path+".tmp", img.tmp, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recovered, err := Load(path, opLogConfig())
+		if err != nil {
+			t.Fatalf("%s: load: %v", img.name, err)
+		}
+		cfg.Dir = copyDir(t, img.wal)
+		if _, err := recovered.OpenWAL(cfg); err != nil {
+			t.Fatalf("%s: recovery: %v", img.name, err)
+		}
+		encodesEqual(t, img.name, x, recovered)
+		if err := recovered.CloseWAL(); err != nil {
+			t.Fatalf("%s: %v", img.name, err)
+		}
+	}
+	if err := x.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALFailureIsSticky: once a segment write or fsync fails, the log
+// acknowledges nothing more — appending behind torn bytes would put
+// acknowledged frames where recovery, which truncates at the first bad
+// frame, drops them. Every later Upsert fails until the log is reopened,
+// and the reopened log holds exactly the acknowledged ops.
+func TestWALFailureIsSticky(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sync WALSyncPolicy
+		// bad returns an fd standing in for the active segment.
+		bad func(t *testing.T, path string) *os.File
+	}{
+		{"write", WALSyncNever, func(t *testing.T, path string) *os.File {
+			f, err := os.Open(path) // read-only: Write fails
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}},
+		{"fsync", WALSyncAlways, func(t *testing.T, _ string) *os.File {
+			r, w, err := os.Pipe() // Write succeeds, Sync fails
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { r.Close() })
+			return w
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := WALConfig{Dir: t.TempDir(), Sync: tc.sync}
+			x := New(true, opLogConfig())
+			if _, err := x.OpenWAL(cfg); err != nil {
+				t.Fatal(err)
+			}
+			upsertAll(t, x, synthQueryProfiles(5, 2, 7))
+
+			w := x.wal
+			w.mu.Lock()
+			good := w.f
+			bad := tc.bad(t, w.path)
+			w.f = bad
+			w.mu.Unlock()
+			if _, _, err := x.Upsert(mkProfile("lost", "name", "never acknowledged")); err == nil {
+				t.Fatalf("upsert through a failing %s succeeded", tc.name)
+			}
+			// The fault clears; the log must not resume on its own.
+			w.mu.Lock()
+			w.f = good
+			w.mu.Unlock()
+			bad.Close()
+			if _, _, err := x.Upsert(mkProfile("behind", "name", "would land behind the tear")); err == nil {
+				t.Fatalf("upsert after a %s failure was acknowledged", tc.name)
+			}
+			if x.Seq() != 5 || x.Size() != 5 {
+				t.Fatalf("failed upserts changed the index: seq %d size %d", x.Seq(), x.Size())
+			}
+			if err := x.CloseWAL(); err == nil {
+				t.Fatal("CloseWAL hid the failure")
+			}
+
+			reopened := New(true, opLogConfig())
+			if _, err := reopened.OpenWAL(cfg); err != nil {
+				t.Fatal(err)
+			}
+			encodesEqual(t, "reopened log", x, reopened)
+			upsertAll(t, reopened, []profile.Profile{mkProfile("healed", "name", "acknowledged again")})
+			if err := reopened.CloseWAL(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -61,7 +61,6 @@ func (h *Handler) metrics(e *obs.Expo) {
 		e.Histogram("sparker_query_candidates", "Ranked candidates returned per query.", m.Candidates.Snapshot(), 1)
 		e.Histogram("sparker_resolve_comparisons", "Candidates scored per resolve.", m.Comparisons.Snapshot(), 1)
 		e.Histogram("sparker_snapshot_save_seconds", "Durable snapshot save latency.", m.Save.Snapshot(), 1e-9)
-		e.Histogram("sparker_snapshot_save_delta_seconds", "Delta snapshot append latency.", m.SaveDelta.Snapshot(), 1e-9)
 		e.Histogram("sparker_snapshot_load_seconds", "Durable snapshot restore latency.", m.Load.Snapshot(), 1e-9)
 		e.Histogram("sparker_wal_append_seconds", "Durable op-log append latency (including fsync under the always policy).", m.WALAppend.Snapshot(), 1e-9)
 		e.Gauge("sparker_snapshot_bytes", "Encoded size of the last snapshot.", float64(m.SnapshotBytes.Load()))

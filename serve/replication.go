@@ -7,8 +7,9 @@ package serve
 // and resync source); GET /v1/deltas?since=<seq> returns the op frames
 // applied after that sequence number, long-polling up to ?wait_ms= when the follower
 // is caught up so a quiet leader costs one parked request instead of a
-// poll storm. The frames on the wire are byte-identical to what
-// SaveDelta appends to a snapshot file — one format, two transports.
+// poll storm. The frames on the wire are byte-identical to what the
+// leader's WAL appends to its segment files — one format, two
+// transports.
 //
 // The follower side is the Follower loop: bootstrap from /v1/snapshot,
 // mark the index read-only, then poll /v1/deltas forever, applying each

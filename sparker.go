@@ -300,9 +300,9 @@ var (
 
 type (
 	// IndexOpLogConfig enables and bounds the in-memory op log
-	// (IndexConfig.OpLog): the source of delta snapshots
-	// (SaveIndexDelta) and of the replication feed (Index.OpsSince /
-	// Index.ApplyOps).
+	// (IndexConfig.OpLog): the source of the replication feed
+	// (Index.OpsSince / Index.ApplyOps) and the prerequisite of the
+	// durable log (Index.OpenWAL).
 	IndexOpLogConfig = index.OpLogConfig
 	// IndexOpLogStats summarises the op log in IndexSnapshot.
 	IndexOpLogStats = index.OpLogStats
@@ -341,14 +341,6 @@ func ParseWALSyncPolicy(s string) (IndexWALSyncPolicy, error) {
 	return index.ParseWALSyncPolicy(s)
 }
 
-// SaveIndexDelta appends the ops applied since the last save to the
-// snapshot at path — persistence cost proportional to the write rate,
-// not the index size. It falls back to a full save whenever appending
-// would be unsafe (no previous save at this path, a file that changed
-// underneath, ops already evicted from the op log). A full SaveIndex
-// compacts the file back to a pure snapshot.
-func SaveIndexDelta(x *Index, path string) (IndexPersistState, error) { return x.SaveDelta(path) }
-
 // SaveIndex writes a durable snapshot of the index to path, atomically
 // (temp file + rename): a crash mid-save never corrupts a previous
 // snapshot at the same path. Saving a read-only replica returns
@@ -361,9 +353,9 @@ func SaveIndex(x *Index, path string) (IndexPersistState, error) { return x.Save
 // tokenizer/clustering/entropy/measure the snapshot was saved under
 // (code is not serialized); the shard count comes from the file, and so
 // do the MinHash parameters when cfg enables LSH and the file carries
-// signatures (v2+ snapshots). A
-// missing file surfaces as fs.ErrNotExist and an incompatible format as
-// ErrIndexSnapshotVersion, both via errors.Is. Use Index.SetReadOnly to
+// signatures. A missing file surfaces as fs.ErrNotExist and any format
+// version but the current one as ErrIndexSnapshotVersion, both via
+// errors.Is; bytes after the file's checksum are a plain error. Use Index.SetReadOnly to
 // serve the restored index as a write-rejecting replica.
 func LoadIndex(path string, cfg IndexConfig) (*Index, error) { return index.Load(path, cfg) }
 
