@@ -158,21 +158,25 @@ func TestBudgetDeadlineTruncatesScoring(t *testing.T) {
 }
 
 func TestBudgetExpiredDeadlineTruncatesCandidates(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Prune = PruneNone
-	x := budgetTestIndex(t, cfg)
-	for _, p := range synthQueryProfiles(5, 1, 21) {
-		p := p
-		r := x.ResolveWithOptions(&p, ResolveOptions{Budget: Budget{Deadline: DeadlineIn(-time.Second)}})
-		if !r.Query.Truncated {
-			t.Fatalf("query %s: pre-expired deadline not marked truncated", p.OriginalID)
-		}
-		if r.Query.TruncatedStage != "candidates" {
-			t.Fatalf("query %s: truncated stage %q, want candidates", p.OriginalID, r.Query.TruncatedStage)
-		}
-		if len(r.Query.Candidates) != 0 || r.Comparisons != 0 {
-			t.Fatalf("query %s: pre-expired deadline still did work: %d candidates, %d comparisons",
-				p.OriginalID, len(r.Query.Candidates), r.Comparisons)
+	// Bounded selection (top-k) and keep-all alike: nothing is touched, so
+	// nothing is ranked and nothing counts as pruned.
+	for _, rule := range []PruneRule{PruneNone, PruneTopK} {
+		cfg := DefaultConfig()
+		cfg.Prune = rule
+		x := budgetTestIndex(t, cfg)
+		for _, p := range synthQueryProfiles(5, 1, 21) {
+			p := p
+			r := x.ResolveWithOptions(&p, ResolveOptions{Budget: Budget{Deadline: DeadlineIn(-time.Second)}})
+			if !r.Query.Truncated {
+				t.Fatalf("%v query %s: pre-expired deadline not marked truncated", rule, p.OriginalID)
+			}
+			if r.Query.TruncatedStage != "candidates" {
+				t.Fatalf("%v query %s: truncated stage %q, want candidates", rule, p.OriginalID, r.Query.TruncatedStage)
+			}
+			if len(r.Query.Candidates) != 0 || r.Comparisons != 0 || r.Query.Pruned != 0 {
+				t.Fatalf("%v query %s: pre-expired deadline still did work: %d candidates, %d comparisons, %d pruned",
+					rule, p.OriginalID, len(r.Query.Candidates), r.Comparisons, r.Query.Pruned)
+			}
 		}
 	}
 }

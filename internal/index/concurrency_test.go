@@ -3,8 +3,10 @@ package index
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"sparker/internal/metablocking"
 	"sparker/internal/profile"
 )
 
@@ -95,4 +97,76 @@ func TestConcurrentQueryUpsert(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOverwriteNeverHidesProfile races overwrites of a fixed ID set (and
+// fresh inserts beside them) against Resolve and Meta. An ID a reader
+// found in a posting must resolve to a profile — the one being replaced
+// or its replacement — so no candidate may skip scoring or come back
+// without an original ID. Run with -race.
+func TestOverwriteNeverHidesProfile(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scheme = metablocking.JS // reads every candidate's stored profile in weigh
+	cfg.Prune = PruneNone
+	cfg.MaxBlockFraction = 1
+	cfg.FilterRatio = 1
+	cfg.MatchThreshold = -1 // every scored candidate is a match
+	x := New(false, cfg)
+	const fixed = 32
+	for i := 0; i < fixed; i++ {
+		if _, _, err := x.Upsert(mkProfile(fmt.Sprintf("p%d", i), "name", fmt.Sprintf("widget rev0 unit%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer done.Store(true)
+		for rev := 1; rev <= 60; rev++ {
+			for i := 0; i < fixed; i++ {
+				if _, _, err := x.Upsert(mkProfile(fmt.Sprintf("p%d", i), "name", fmt.Sprintf("widget rev%d unit%d", rev, i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if _, _, err := x.Upsert(mkProfile(fmt.Sprintf("fresh%d", rev), "name", "widget fresh")); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q := mkProfile("probe", "name", "widget")
+			for !done.Load() {
+				res := x.Resolve(&q)
+				if res.Comparisons != len(res.Query.Candidates) {
+					t.Errorf("%d of %d candidates scored", res.Comparisons, len(res.Query.Candidates))
+					return
+				}
+				for i, c := range res.Query.Candidates {
+					if res.CandidateIdentities[i].OriginalID == "" {
+						t.Errorf("candidate %d came back without an original ID", c.ID)
+						return
+					}
+					if orig, _, ok := x.Meta(c.ID); !ok || orig == "" {
+						t.Errorf("Meta(%d) = %q/%v for a returned candidate", c.ID, orig, ok)
+						return
+					}
+				}
+				for i, m := range res.Matches {
+					if res.MatchIdentities[i].OriginalID == "" {
+						t.Errorf("match %d came back without an original ID", m.B)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

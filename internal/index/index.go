@@ -23,6 +23,7 @@ package index
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -343,7 +344,7 @@ func (x *Index) Size() int { return int(x.numProfiles.Load()) }
 
 // origKey is the replacement identity of a profile: source + original ID.
 func origKey(p *profile.Profile) string {
-	return fmt.Sprintf("%d|%s", p.SourceID, p.OriginalID)
+	return strconv.Itoa(p.SourceID) + "|" + p.OriginalID
 }
 
 // shardFor hashes a blocking key onto its shard with inline FNV-1a —
@@ -415,8 +416,8 @@ func (x *Index) Get(id profile.ID) (profile.Profile, bool) {
 }
 
 // Meta returns a profile's identity fields without copying its
-// attributes — what response builders need per candidate, cheaper than
-// Get's defensive attribute copy.
+// attributes — cheaper than Get's defensive attribute copy. A Resolution
+// already carries the identities of its candidates and matches.
 func (x *Index) Meta(id profile.ID) (originalID string, sourceID int, ok bool) {
 	x.mu.RLock()
 	sp, found := x.byID[id]
@@ -435,7 +436,10 @@ func (x *Index) lookupOrig(key string) (profile.ID, bool) {
 	return id, ok
 }
 
-// putLocked indexes one profile. Caller holds writeMu; p.ID is final.
+// putLocked indexes one profile, replacing the stored profile of the same
+// ID if unlinkLocked left one. Caller holds writeMu; p.ID is final. The
+// profile maps are written before any posting names the ID, so a reader
+// that finds the ID in a posting always finds a profile behind it.
 func (x *Index) putLocked(p profile.Profile) {
 	if b := int64(p.ID) + 1; b > x.idBound.Load() {
 		x.idBound.Store(b)
@@ -446,6 +450,16 @@ func (x *Index) putLocked(p profile.Profile) {
 	}
 	if x.lshOn() {
 		sp.sig = x.signatureOf(sp)
+	}
+	x.mu.Lock()
+	_, replaced := x.byID[p.ID]
+	x.byID[p.ID] = sp
+	x.byOrig[origKey(&p)] = p.ID
+	x.mu.Unlock()
+	if !replaced {
+		x.numProfiles.Add(1)
+	}
+	if x.lshOn() {
 		x.addLSHLocked(sp)
 	}
 	for _, kt := range sp.keys {
@@ -464,23 +478,18 @@ func (x *Index) putLocked(p profile.Profile) {
 		}
 		s.mu.Unlock()
 	}
-	x.mu.Lock()
-	x.byID[p.ID] = sp
-	x.byOrig[origKey(&p)] = p.ID
-	x.mu.Unlock()
-	x.numProfiles.Add(1)
 }
 
-// removeLocked unindexes one profile. Caller holds writeMu.
-func (x *Index) removeLocked(id profile.ID) {
-	x.mu.Lock()
-	sp, ok := x.byID[id]
-	if ok {
-		delete(x.byID, id)
-		delete(x.byOrig, origKey(&sp.p))
-	}
-	x.mu.Unlock()
-	if !ok {
+// unlinkLocked takes a profile that is about to be replaced out of its
+// postings and LSH buckets. Caller holds writeMu and follows up with
+// putLocked for the same ID. The profile maps keep the old entry until
+// putLocked swaps in the new one: a reader racing the overwrite resolves
+// the ID to the old profile or the new one, never to nothing.
+func (x *Index) unlinkLocked(id profile.ID) {
+	x.mu.RLock()
+	sp := x.byID[id]
+	x.mu.RUnlock()
+	if sp == nil {
 		return
 	}
 	for _, kt := range sp.keys {
@@ -502,7 +511,6 @@ func (x *Index) removeLocked(id profile.ID) {
 	if x.lshOn() {
 		x.removeLSHLocked(sp)
 	}
-	x.numProfiles.Add(-1)
 }
 
 // distinctBag returns the profile's distinct whole-profile tokens, the

@@ -60,19 +60,6 @@ type Partial struct {
 	TruncatedStage string `json:"truncated_stage,omitempty"`
 }
 
-// stageRank maps a stage name from the wire back onto its pipeline
-// position, so the merged TruncatedStage is the earliest stage any
-// shard tripped in — deterministic regardless of shard arrival order.
-// Unknown names rank last: a merged answer never invents a stage.
-func stageRank(name string) int {
-	for s := 0; s < NumStages; s++ {
-		if Stage(s).String() == name {
-			return s
-		}
-	}
-	return NumStages
-}
-
 // MergePartials merges ranked shard answers into one, deterministically:
 //
 //   - Candidates re-rank by weight descending, ties broken by
@@ -84,7 +71,9 @@ func stageRank(name string) int {
 //     tokenizes the same query profile and a lagging value only means
 //     that shard answered before warming its tokenizer cache.
 //   - Truncated/LSHProbed flags OR-merge; TruncatedStage is the
-//     earliest tripped stage across shards.
+//     earliest tripped stage across shards, by pipeline position, so it
+//     does not depend on shard arrival order. Unknown names rank last: a
+//     merged answer never invents a stage.
 //
 // Shards own disjoint profile populations (the coordinator routes
 // upserts by hash of the original ID), so no deduplication is
@@ -116,7 +105,11 @@ func MergePartials(parts []*Partial) *Partial {
 		m.LSHCandidates += p.LSHCandidates
 		if p.Truncated {
 			m.Truncated = true
-			if r := stageRank(p.TruncatedStage); r < truncRank {
+			r := NumStages
+			if s, ok := StageByName(p.TruncatedStage); ok {
+				r = int(s)
+			}
+			if r < truncRank {
 				truncRank = r
 				m.TruncatedStage = p.TruncatedStage
 			}

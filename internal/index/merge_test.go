@@ -120,12 +120,24 @@ func TestMergePartialsSkipsNilShards(t *testing.T) {
 }
 
 func TestStageRankUnknownLast(t *testing.T) {
-	if stageRank("no-such-stage") != NumStages {
-		t.Errorf("unknown stage rank = %d, want %d", stageRank("no-such-stage"), NumStages)
+	if s, ok := StageByName("no-such-stage"); ok {
+		t.Errorf("StageByName(unknown) = %v, want a miss", s)
 	}
-	for s := 0; s < NumStages; s++ {
-		if stageRank(Stage(s).String()) != s {
-			t.Errorf("stageRank(%q) = %d, want %d", Stage(s).String(), stageRank(Stage(s).String()), s)
+	for s := Stage(0); int(s) < NumStages; s++ {
+		if got, ok := StageByName(s.String()); !ok || got != s {
+			t.Errorf("StageByName(%q) = %v/%v, want %v", s.String(), got, ok, s)
 		}
+	}
+	// An unknown stage ranks after every known one, whatever the order
+	// the shards answered in.
+	unknown := &Partial{Truncated: true, TruncatedStage: "no-such-stage"}
+	score := &Partial{Truncated: true, TruncatedStage: StageScore.String()}
+	for _, parts := range [][]*Partial{{unknown, score}, {score, unknown}} {
+		if m := MergePartials(parts); m.TruncatedStage != StageScore.String() {
+			t.Errorf("TruncatedStage = %q, want %q", m.TruncatedStage, StageScore.String())
+		}
+	}
+	if m := MergePartials([]*Partial{unknown}); m.TruncatedStage != "no-such-stage" {
+		t.Errorf("TruncatedStage = %q, want the shard's own name", m.TruncatedStage)
 	}
 }

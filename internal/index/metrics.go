@@ -57,6 +57,18 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
+// StageByName maps a stage name from the wire (a shard's ?debug=1 rows,
+// a partial answer's truncated_stage) back onto its pipeline position;
+// false for a name this build does not know.
+func StageByName(name string) (Stage, bool) {
+	for s := Stage(0); int(s) < NumStages; s++ {
+		if s.String() == name {
+			return s, true
+		}
+	}
+	return 0, false
+}
+
 // Metrics is the observability core of one index: per-stage latency
 // histograms plus operation-level histograms and gauges, all atomic and
 // allocation-free on the hot path (see internal/obs). Enabled by

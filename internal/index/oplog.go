@@ -480,7 +480,7 @@ func (x *Index) commitLocked(p profile.Profile, replacing bool, rec opRec) error
 		}
 	}
 	if replacing {
-		x.removeLocked(p.ID)
+		x.unlinkLocked(p.ID)
 	}
 	x.putLocked(p)
 	if p.ID >= x.nextID {

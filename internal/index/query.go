@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"sparker/internal/blocking"
@@ -228,11 +227,11 @@ func (x *Index) queryBudget(p *profile.Profile, opts ProbeOptions, budget Budget
 	// Block filtering, applied per query: scan only the smallest (most
 	// distinctive) FilterRatio fraction of the hit postings.
 	if x.cfg.FilterRatio < 1 && len(probes) > 0 {
-		sort.SliceStable(probes, func(i, j int) bool {
-			if probes[i].size != probes[j].size {
-				return probes[i].size < probes[j].size
+		slices.SortStableFunc(probes, func(a, b probe) int {
+			if a.size != b.size {
+				return cmp.Compare(a.size, b.size)
 			}
-			return probes[i].key < probes[j].key
+			return cmp.Compare(a.key, b.key)
 		})
 		keep := int(math.Ceil(x.cfg.FilterRatio * float64(len(probes))))
 		if keep < 1 {
@@ -327,9 +326,9 @@ func (x *Index) queryBudget(p *profile.Profile, opts ProbeOptions, budget Budget
 	}
 
 	res.selfID = selfID
-	x.weigh(res, liveKeys, sc, qsig, budget)
+	dropped := x.weigh(res, liveKeys, sc, qsig, budget)
 	clk.Tick(res.StageNanos[:], int(StageWeigh))
-	res.Pruned = x.prune(res)
+	res.Pruned = dropped + x.prune(res)
 	clk.Tick(res.StageNanos[:], int(StagePrune))
 	if m != nil {
 		var total int64
@@ -397,9 +396,19 @@ func (x *Index) probeLSH(p *profile.Profile, qsig []uint64, selfID profile.ID, m
 // blocking key — every co-occurrence scheme scores them zero) are
 // weighted by estimated Jaccard against qsig, or by shared-bucket count,
 // per LSHConfig.Weight.
-func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []uint64, budget Budget) {
-	if len(sc.Touched()) == 0 {
-		return
+//
+// The prune rule decides how many ranked candidates can survive, and
+// weigh keeps no more than that: under PruneTopK the touched list streams
+// through a MaxCandidates-slot selection (cardinality pruning needs the
+// k heaviest, not a total order of the neighbourhood), while PruneMean
+// and PruneNone keep every candidate and sort them all. Either way
+// res.Candidates is exactly the leading part of the full ranking. It
+// returns how many weighed candidates the selection dropped, which prune
+// adds to its own count.
+func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []uint64, budget Budget) (dropped int) {
+	touched := sc.Touched()
+	if len(touched) == 0 {
+		return 0
 	}
 	numBlocks := float64(x.numBlocks.Load())
 	// Only the ratio schemes need each candidate's block count; CBS and
@@ -409,13 +418,19 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []
 	case metablocking.ECBS, metablocking.JS, metablocking.EJS:
 		needsCandKeys = true
 	}
-	out := make([]Candidate, 0, len(sc.Touched()))
+	keep := len(touched)
+	if x.cfg.Prune == PruneTopK && x.cfg.MaxCandidates < keep {
+		keep = x.cfg.MaxCandidates
+	}
+	top := topK{keep: keep, best: make([]Candidate, 0, keep)}
+	weighed := len(touched)
 	x.mu.RLock()
-	for i, id := range sc.Touched() {
+	for i, id := range touched {
 		// Deadline boundary, every weighCheckInterval candidates: the
 		// candidates weighed so far still rank best-first below.
 		if budget.Deadline != 0 && i%weighCheckInterval == 0 && budget.expired() {
 			res.truncate(StageWeigh)
+			weighed = i
 			break
 		}
 		a := sc.At(id)
@@ -428,7 +443,7 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []
 					w = lsh.EstimateJaccard(qsig, sp.sig)
 				}
 			}
-			out = append(out, Candidate{ID: id, Weight: w, SharedBuckets: a.buckets})
+			top.offer(Candidate{ID: id, Weight: w, SharedBuckets: a.buckets})
 			res.LSHCandidates++
 			continue
 		}
@@ -438,7 +453,7 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []
 				candKeys = len(sp.keys)
 			}
 		}
-		out = append(out, Candidate{
+		top.offer(Candidate{
 			ID:            id,
 			Weight:        x.weight(a, queryKeys, candKeys, numBlocks),
 			SharedKeys:    a.cbs,
@@ -449,13 +464,68 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []
 	if res.LSHCandidates > 0 {
 		x.lshOnly.Add(int64(res.LSHCandidates))
 	}
-	slices.SortFunc(out, func(a, b Candidate) int {
-		if a.Weight != b.Weight {
-			return cmp.Compare(b.Weight, a.Weight)
+	slices.SortFunc(top.best, compareRank)
+	res.Candidates = top.best
+	return weighed - len(top.best)
+}
+
+// compareRank is the ranking of a query's candidates: weight descending,
+// ties by ascending ID. IDs are unique within a neighbourhood, so the
+// order is total and the first k of it are one well-defined set.
+func compareRank(a, b Candidate) int {
+	if a.Weight != b.Weight {
+		return cmp.Compare(b.Weight, a.Weight)
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// topK keeps the keep best-ranked candidates offered to it. Until an
+// offer overflows it, it only appends (with keep = everything, that is all
+// it ever does); from then on best is a binary heap with the worst-ranked
+// kept candidate at the root, so the common offer — a candidate ranking
+// below everything kept — costs one comparison, and a better one replaces
+// the root in O(log keep). keep is at least 1 (withDefaults).
+type topK struct {
+	keep   int
+	best   []Candidate
+	heaped bool
+}
+
+func (t *topK) offer(c Candidate) {
+	if len(t.best) < t.keep {
+		t.best = append(t.best, c)
+		return
+	}
+	if !t.heaped {
+		for i := t.keep/2 - 1; i >= 0; i-- {
+			t.siftDown(i)
 		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-	res.Candidates = out
+		t.heaped = true
+	}
+	if compareRank(c, t.best[0]) >= 0 {
+		return
+	}
+	t.best[0] = c
+	t.siftDown(0)
+}
+
+// siftDown restores the worst-at-root heap order below slot i.
+func (t *topK) siftDown(i int) {
+	h := t.best
+	for {
+		worst := i
+		if l := 2*i + 1; l < len(h) && compareRank(h[l], h[worst]) > 0 {
+			worst = l
+		}
+		if r := 2*i + 2; r < len(h) && compareRank(h[r], h[worst]) > 0 {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // weight mirrors metablocking's edge weighting for one query/candidate
@@ -524,6 +594,13 @@ func (x *Index) prune(res *QueryResult) int {
 	return before - len(res.Candidates)
 }
 
+// Identity is a profile's identity outside this index: the original ID
+// and source it was upserted under.
+type Identity struct {
+	OriginalID string
+	SourceID   int
+}
+
 // Resolution is the online analogue of one pipeline run for a single
 // query profile: the ranked blocking candidates plus the scored matches.
 type Resolution struct {
@@ -537,6 +614,13 @@ type Resolution struct {
 	// Comparisons is the number of candidate profiles actually scored —
 	// the per-query matcher work.
 	Comparisons int
+	// CandidateIdentities[i] identifies Query.Candidates[i] and
+	// MatchIdentities[i] identifies Matches[i]. They are read under the
+	// lock acquisition that pins the candidates' profiles for scoring, so
+	// an answer names exactly the profiles it scored and a response
+	// builder needs no further index lookups.
+	CandidateIdentities []Identity
+	MatchIdentities     []Identity
 }
 
 // Resolve runs Query and then scores every surviving candidate with the
@@ -568,18 +652,21 @@ func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Res
 		clk.Start()
 	}
 
-	// Collect candidate profile snapshots under the read lock, score after
-	// releasing it: upserts replace stored profiles instead of mutating
-	// them, so the pointers stay valid.
+	// Collect candidate profile snapshots and identities under the read
+	// lock, score after releasing it: upserts replace stored profiles
+	// instead of mutating them, so the pointers stay valid.
 	type scored struct {
-		id profile.ID
-		sp *storedProfile
+		id    profile.ID
+		sp    *storedProfile
+		score float64
 	}
 	cands := make([]scored, 0, len(qr.Candidates))
+	r.CandidateIdentities = make([]Identity, len(qr.Candidates))
 	x.mu.RLock()
-	for _, c := range qr.Candidates {
+	for i, c := range qr.Candidates {
 		if sp := x.byID[c.ID]; sp != nil {
 			cands = append(cands, scored{id: c.ID, sp: sp})
+			r.CandidateIdentities[i] = Identity{OriginalID: sp.p.OriginalID, SourceID: sp.p.SourceID}
 		}
 	}
 	x.mu.RUnlock()
@@ -596,52 +683,53 @@ func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Res
 	}
 	hook := x.cfg.ScoreHook
 
+	// Default-Jaccard fast path: candidates carry their distinct token
+	// bag from upsert time, so the query is tokenized once and each
+	// comparison is a set intersection — bitwise-identical scores to
+	// matching.JaccardMeasure with none of its per-pair tokenization.
+	var qset map[string]struct{}
 	if x.cfg.defaultJaccard {
-		// Default-Jaccard fast path: candidates carry their distinct token
-		// bag from upsert time, so the query is tokenized once and each
-		// comparison is a set intersection — bitwise-identical scores to
-		// matching.JaccardMeasure with none of its per-pair tokenization.
 		qbag := matching.ProfileBag(p, x.cfg.Tokenizer)
-		qset := make(map[string]struct{}, len(qbag))
+		qset = make(map[string]struct{}, len(qbag))
 		for _, t := range qbag {
 			qset[t] = struct{}{}
 		}
-		for _, c := range cands {
-			if budget.expired() {
-				qr.truncate(StageScore)
-				break
-			}
-			if hook != nil {
-				hook()
-			}
-			r.Comparisons++
-			score := jaccardBagSet(qset, c.sp.bag)
-			if score >= x.cfg.MatchThreshold {
-				r.Matches = append(r.Matches, matching.Match{A: queryID, B: c.id, Score: score})
-			}
+	}
+	// Matches compact into the front of cands (the write index never
+	// passes the read index), so ranking them moves their profiles along.
+	matched := cands[:0]
+	for _, c := range cands {
+		if budget.expired() {
+			qr.truncate(StageScore)
+			break
 		}
-	} else {
-		for _, c := range cands {
-			if budget.expired() {
-				qr.truncate(StageScore)
-				break
-			}
-			if hook != nil {
-				hook()
-			}
-			r.Comparisons++
-			score := x.cfg.Measure.Score(p, &c.sp.p)
-			if score >= x.cfg.MatchThreshold {
-				r.Matches = append(r.Matches, matching.Match{A: queryID, B: c.id, Score: score})
-			}
+		if hook != nil {
+			hook()
+		}
+		r.Comparisons++
+		if x.cfg.defaultJaccard {
+			c.score = jaccardBagSet(qset, c.sp.bag)
+		} else {
+			c.score = x.cfg.Measure.Score(p, &c.sp.p)
+		}
+		if c.score >= x.cfg.MatchThreshold {
+			matched = append(matched, c)
 		}
 	}
-	sort.Slice(r.Matches, func(i, j int) bool {
-		if r.Matches[i].Score != r.Matches[j].Score {
-			return r.Matches[i].Score > r.Matches[j].Score
+	slices.SortFunc(matched, func(a, b scored) int {
+		if a.score != b.score {
+			return cmp.Compare(b.score, a.score)
 		}
-		return r.Matches[i].B < r.Matches[j].B
+		return cmp.Compare(a.id, b.id)
 	})
+	if len(matched) > 0 {
+		r.Matches = make([]matching.Match, len(matched))
+		r.MatchIdentities = make([]Identity, len(matched))
+		for i, c := range matched {
+			r.Matches[i] = matching.Match{A: queryID, B: c.id, Score: c.score}
+			r.MatchIdentities[i] = Identity{OriginalID: c.sp.p.OriginalID, SourceID: c.sp.p.SourceID}
+		}
+	}
 	clk.Tick(qr.StageNanos[:], int(StageScore))
 	if m != nil {
 		m.Stages[StageScore].Observe(qr.StageNanos[StageScore])

@@ -418,23 +418,12 @@ func (c *Cluster) observeStages(debugs []*debugJSON) {
 			continue
 		}
 		for _, row := range d.Stages {
-			if s := stageIndex(row.Stage); s >= 0 {
+			// A newer shard may report stages this coordinator does not know.
+			if s, ok := index.StageByName(row.Stage); ok {
 				c.stageNanos[s].Observe(row.Nanos)
 			}
 		}
 	}
-}
-
-// stageIndex maps a wire stage name back onto its pipeline position
-// (-1 when unknown — a newer shard may report stages this coordinator
-// does not know).
-func stageIndex(name string) int {
-	for s := 0; s < index.NumStages; s++ {
-		if index.Stage(s).String() == name {
-			return s
-		}
-	}
-	return -1
 }
 
 // mergeDebug merges shard debug breakdowns by per-stage maximum: the

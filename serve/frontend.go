@@ -265,11 +265,11 @@ func (f *frontend) ready(w http.ResponseWriter, drain, ok map[string]any) {
 	_ = json.NewEncoder(w).Encode(drain)
 }
 
+// writeJSON answers 200 with v as compact JSON, one line: whitespace on
+// the wire is encode time on a node and decode time on the coordinator.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // routeStatsJSON is one route's counters on the /v1/stats surface — the

@@ -206,7 +206,7 @@ func (h *Handler) query(w http.ResponseWriter, _ *http.Request, c call) {
 	if opts.Budget != (index.Budget{}) {
 		h.budgetSpent.Observe(int64(res.Comparisons))
 	}
-	resp := newQueryResponse(x, res)
+	resp := newQueryResponse(res)
 	resp.Degraded = c.level
 	if params.Debug {
 		resp.Debug = newDebugJSON(res)
@@ -414,7 +414,7 @@ type queryResponse struct {
 	Debug *debugJSON `json:"debug,omitempty"`
 }
 
-func newQueryResponse(x *index.Index, r *index.Resolution) queryResponse {
+func newQueryResponse(r *index.Resolution) queryResponse {
 	resp := queryResponse{
 		Candidates:      make([]candidateJSON, 0, len(r.Query.Candidates)),
 		Matches:         make([]matchJSON, 0, len(r.Matches)),
@@ -432,21 +432,16 @@ func newQueryResponse(x *index.Index, r *index.Resolution) queryResponse {
 		Truncated:       r.Query.Truncated,
 		TruncatedStage:  r.Query.TruncatedStage,
 	}
-	for _, c := range r.Query.Candidates {
-		cj := candidateJSON{ID: c.ID, Weight: c.Weight, SharedKeys: c.SharedKeys, SharedBuckets: c.SharedBuckets}
-		if orig, src, ok := x.Meta(c.ID); ok {
-			cj.OriginalID = orig
-			cj.Source = src
-		}
-		resp.Candidates = append(resp.Candidates, cj)
+	for i, c := range r.Query.Candidates {
+		who := r.CandidateIdentities[i]
+		resp.Candidates = append(resp.Candidates, candidateJSON{
+			ID: c.ID, OriginalID: who.OriginalID, Source: who.SourceID,
+			Weight: c.Weight, SharedKeys: c.SharedKeys, SharedBuckets: c.SharedBuckets,
+		})
 	}
-	for _, m := range r.Matches {
-		mj := matchJSON{ID: m.B, Score: m.Score}
-		if orig, src, ok := x.Meta(m.B); ok {
-			mj.OriginalID = orig
-			mj.Source = src
-		}
-		resp.Matches = append(resp.Matches, mj)
+	for i, m := range r.Matches {
+		who := r.MatchIdentities[i]
+		resp.Matches = append(resp.Matches, matchJSON{ID: m.B, OriginalID: who.OriginalID, Source: who.SourceID, Score: m.Score})
 	}
 	return resp
 }

@@ -3,8 +3,10 @@ package serve_test
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"sparker"
@@ -89,6 +91,43 @@ func TestHandlerEndToEnd(t *testing.T) {
 	}
 	if snap.Profiles != 9 || snap.Upserts != 3 {
 		t.Fatalf("stats = %+v", snap)
+	}
+}
+
+// TestResponsesAreCompact pins the wire shape: every 200 body is one
+// line of JSON without indentation, matches included, and a match names
+// the profile it scored.
+func TestResponsesAreCompact(t *testing.T) {
+	srv := newTestServer(t)
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/query?debug=1", `{"id": "probe", "name": "acme turboblend blender"}`},
+		{http.MethodPost, "/v1/upsert?source=1", `{"id": "b9", "title": "starlight projector lamp"}`},
+		{http.MethodGet, "/v1/stats", ""},
+		{http.MethodGet, "/healthz", ""},
+	} {
+		req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d, err %v", tc.method, tc.path, resp.StatusCode, err)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, body); err != nil {
+			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
+		}
+		if got, want := string(body), compact.String()+"\n"; got != want {
+			t.Fatalf("%s %s answered\n%swant the compact form\n%s", tc.method, tc.path, got, want)
+		}
+		if tc.path == "/v1/query?debug=1" && !strings.Contains(string(body), `"matches":[{"id":3,"original_id":"b1","source":1,`) {
+			t.Fatalf("query answer does not name its match: %s", body)
+		}
 	}
 }
 
