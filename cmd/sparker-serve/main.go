@@ -237,7 +237,7 @@ func newCLI() *cli {
 	fs.DurationVar(&o.SlowQuery, "slow-query", 0, "log queries slower than this with a per-stage breakdown (0 disables)")
 
 	fs.IntVar(&ix.Shards, "index-shards", 16, "index shard count (a restored snapshot keeps its saved count)")
-	fs.StringVar(&c.scheme, "scheme", "CBS", "candidate weight scheme (CBS, ECBS, JS, ARCS)")
+	fs.StringVar(&c.scheme, "scheme", "CBS", "candidate weight scheme: cbs|ecbs|js|arcs, any case")
 	fs.StringVar(&c.prune, "prune", "top-k", "candidate pruning rule (mean, top-k, none)")
 	fs.IntVar(&ix.MaxCandidates, "k", 10, "candidates kept by top-k pruning")
 	fs.StringVar(&c.measure, "measure", "jaccard", "match measure (jaccard, dice)")
@@ -349,17 +349,11 @@ func parseConfig(args []string) (config, error) {
 	if ix.MatchThreshold == 0 {
 		ix.MatchThreshold = -1 // keep everything scoring >= 0, as asked
 	}
-	switch c.scheme {
-	case "CBS":
-		ix.Scheme = metablocking.CBS
-	case "ECBS":
-		ix.Scheme = metablocking.ECBS
-	case "JS":
-		ix.Scheme = metablocking.JS
-	case "ARCS":
-		ix.Scheme = metablocking.ARCS
-	default:
-		return config{}, fmt.Errorf("unknown scheme %q", c.scheme)
+	if ix.Scheme, err = metablocking.ParseScheme(c.scheme); err != nil {
+		return config{}, err
+	}
+	if ix.Scheme == metablocking.EJS {
+		return config{}, fmt.Errorf("-scheme %s: the online index keeps no node degrees, which EJS scales JS by; use js", c.scheme)
 	}
 	switch c.prune {
 	case "mean":

@@ -79,8 +79,9 @@ func TestParseConfigRejects(t *testing.T) {
 		{"-oplog-fsync always", "-oplog-fsync needs -oplog-dir"},
 		{"-oplog-fsync sometimes", "-oplog-fsync needs -oplog-dir"},
 
-		{"-scheme cbs", `unknown scheme "cbs"`}, // upper case only, as ever
-		{"-scheme EJS", `unknown scheme "EJS"`},
+		{"-scheme jaccard", `unknown scheme "jaccard"`},
+		{"-scheme EJS", "keeps no node degrees"},
+		{"-scheme ejs", "keeps no node degrees"},
 		{"-prune topk", `unknown pruning rule "topk"`},
 		{"-measure cosine", `unknown measure "cosine"`},
 		{"-lsh sideways", "unknown probe policy"},
@@ -163,6 +164,15 @@ func TestParseConfigAccepts(t *testing.T) {
 	}
 	if !n.readOnly {
 		t.Error("-read-only not carried")
+	}
+
+	// Scheme names are the batch CLI's and the stored configurations', in
+	// any case.
+	for _, arg := range []string{"cbs", "CBS", "Ecbs"} {
+		want, err := metablocking.ParseScheme(arg)
+		if got := parse("-scheme " + arg).node.index.Scheme; err != nil || got != want {
+			t.Errorf("-scheme %s: got %v, want %v (%v)", arg, got, want, err)
+		}
 	}
 
 	// Values that are only read in another mode or behind another flag

@@ -27,6 +27,7 @@ import (
 	"sparker/internal/evaluation"
 	"sparker/internal/loader"
 	"sparker/internal/matching"
+	"sparker/internal/metablocking"
 	"sparker/internal/profile"
 )
 
@@ -78,10 +79,10 @@ func run() error {
 	cfg.MatchThreshold = *matchTh
 	cfg.Measure = core.MeasureKind(*measure)
 	cfg.Clusterer = core.ClusterAlgorithm(*clusterer)
-	if cfg.Scheme, err = core.ParseScheme(*scheme); err != nil {
+	if cfg.Scheme, err = metablocking.ParseScheme(*scheme); err != nil {
 		return err
 	}
-	if cfg.Pruning, err = core.ParsePruning(*pruning); err != nil {
+	if cfg.Pruning, err = metablocking.ParsePruning(*pruning); err != nil {
 		return err
 	}
 	if *configFile != "" {

@@ -33,44 +33,6 @@ type configJSON struct {
 	Seed            int64   `json:"seed,omitempty"`
 }
 
-var schemeNames = map[metablocking.Scheme]string{
-	metablocking.CBS:  "cbs",
-	metablocking.ECBS: "ecbs",
-	metablocking.JS:   "js",
-	metablocking.EJS:  "ejs",
-	metablocking.ARCS: "arcs",
-}
-
-var pruningNames = map[metablocking.Pruning]string{
-	metablocking.WEP:           "wep",
-	metablocking.CEP:           "cep",
-	metablocking.WNP:           "wnp",
-	metablocking.ReciprocalWNP: "rwnp",
-	metablocking.CNP:           "cnp",
-	metablocking.ReciprocalCNP: "rcnp",
-	metablocking.BlastPruning:  "blast",
-}
-
-// ParseScheme resolves a symbolic weight-scheme name.
-func ParseScheme(name string) (metablocking.Scheme, error) {
-	for s, n := range schemeNames {
-		if n == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown scheme %q", name)
-}
-
-// ParsePruning resolves a symbolic pruning-rule name.
-func ParsePruning(name string) (metablocking.Pruning, error) {
-	for p, n := range pruningNames {
-		if n == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown pruning %q", name)
-}
-
 // SaveConfig writes the configuration as indented JSON.
 func SaveConfig(w io.Writer, cfg Config) error {
 	cj := configJSON{
@@ -79,8 +41,8 @@ func SaveConfig(w io.Writer, cfg Config) error {
 		PurgeFactor:     cfg.PurgeFactor,
 		FilterRatio:     cfg.FilterRatio,
 		MetaBlocking:    cfg.MetaBlocking,
-		Scheme:          schemeNames[cfg.Scheme],
-		Pruning:         pruningNames[cfg.Pruning],
+		Scheme:          cfg.Scheme.Name(),
+		Pruning:         cfg.Pruning.Name(),
 		UseEntropy:      cfg.UseEntropy,
 		Measure:         string(cfg.Measure),
 		MatchThreshold:  cfg.MatchThreshold,
@@ -118,12 +80,12 @@ func LoadConfig(r io.Reader) (Config, error) {
 	}
 	var err error
 	if cj.Scheme != "" {
-		if cfg.Scheme, err = ParseScheme(cj.Scheme); err != nil {
+		if cfg.Scheme, err = metablocking.ParseScheme(cj.Scheme); err != nil {
 			return Config{}, err
 		}
 	}
 	if cj.Pruning != "" {
-		if cfg.Pruning, err = ParsePruning(cj.Pruning); err != nil {
+		if cfg.Pruning, err = metablocking.ParsePruning(cj.Pruning); err != nil {
 			return Config{}, err
 		}
 	}

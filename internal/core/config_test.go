@@ -98,18 +98,16 @@ func TestLoadConfigDefaultsEmptyEnums(t *testing.T) {
 	}
 }
 
+// TestParseHelpers: a stored configuration's scheme and pruning names go
+// through metablocking's one name table, so a hand-edited file may spell
+// them in any case.
 func TestParseHelpers(t *testing.T) {
-	if s, err := ParseScheme("arcs"); err != nil || s != metablocking.ARCS {
-		t.Fatalf("got %v %v", s, err)
+	cfg, err := LoadConfig(strings.NewReader(`{"scheme": "ARCS", "pruning": "Blast"}`))
+	if err != nil || cfg.Scheme != metablocking.ARCS || cfg.Pruning != metablocking.BlastPruning {
+		t.Fatalf("got %v/%v, %v", cfg.Scheme, cfg.Pruning, err)
 	}
-	if _, err := ParseScheme("x"); err == nil {
-		t.Fatal("want error")
-	}
-	if p, err := ParsePruning("blast"); err != nil || p != metablocking.BlastPruning {
-		t.Fatalf("got %v %v", p, err)
-	}
-	if _, err := ParsePruning("x"); err == nil {
-		t.Fatal("want error")
+	if _, err := LoadConfig(strings.NewReader(`{"scheme": "arcs", "pruning": "WNP-reciprocal"}`)); err == nil {
+		t.Fatal("want error for a report name in place of the configuration spelling rwnp")
 	}
 }
 

@@ -34,9 +34,6 @@ type Option func(*Config)
 // WithParallelism sets the executor count.
 func WithParallelism(n int) Option { return func(c *Config) { c.Parallelism = n } }
 
-// WithDefaultPartitions sets the default partition count.
-func WithDefaultPartitions(n int) Option { return func(c *Config) { c.DefaultPartitions = n } }
-
 // WithMaxTaskAttempts sets the per-task attempt budget.
 func WithMaxTaskAttempts(n int) Option { return func(c *Config) { c.MaxTaskAttempts = n } }
 
@@ -268,19 +265,3 @@ func (f *faultInjector) shouldFail() bool {
 	}
 	return false
 }
-
-// Accumulator is a write-only counter usable from any task, mirroring
-// Spark accumulators. Reads on the driver see the running total.
-type Accumulator struct {
-	v atomic.Int64
-}
-
-// NewAccumulator creates an accumulator registered on the context. The
-// context handle is unused today but keeps the call shape of Spark.
-func NewAccumulator(_ *Context) *Accumulator { return &Accumulator{} }
-
-// Add increments the accumulator.
-func (a *Accumulator) Add(delta int64) { a.v.Add(delta) }
-
-// Value reads the running total.
-func (a *Accumulator) Value() int64 { return a.v.Load() }

@@ -1,9 +1,18 @@
 // Package dataflow is a from-scratch, in-process reimplementation of the
-// subset of Apache Spark that SparkER relies on: lazy, partitioned,
+// subset of Apache Spark that SparkER relies on — the operators the
+// pipeline calls and no others (surface_test.go fails on an exported
+// function without a caller elsewhere in the module): lazy, partitioned,
 // generic RDDs with lineage; narrow transformations that pipeline inside a
-// task; wide (shuffle) transformations with a stage barrier; broadcast
-// variables; accumulators; and a scheduler that executes the tasks of each
-// stage on a fixed pool of simulated executors.
+// task; a hash shuffle with a stage barrier; broadcast variables; and a
+// scheduler that executes the tasks of each stage on a fixed pool of
+// simulated executors.
+//
+//   - sources and narrow transformations: Parallelize, Map, FlatMap,
+//     Filter, MapPartitions, and RDD.Persist;
+//   - the shuffle: GroupByKey, ReduceByKey (map-side combined);
+//   - actions: RDD.Collect, RDD.Count, Aggregate, CollectAsMap;
+//   - NewBroadcast; the Context with its metrics, task retries
+//     (WithMaxTaskAttempts) and fault injection (WithFaultInjection).
 //
 // The engine exists so that the distributed algorithms of the paper
 // (distributed token blocking, broadcast-join meta-blocking, iterative
@@ -22,12 +31,12 @@
 //	defer ctx.Close()
 //	nums := dataflow.Parallelize(ctx, []int{1, 2, 3, 4}, 4)
 //	sq := dataflow.Map(nums, func(x int) int { return x * x })
-//	total, err := dataflow.Reduce(sq, func(a, b int) int { return a + b })
+//	squares, err := sq.Collect()
 //
 // Keyed operations work on RDDs of KV pairs:
 //
 //	pairs := dataflow.Map(words, func(w string) dataflow.KV[string, int] {
 //		return dataflow.KV[string, int]{Key: w, Value: 1}
 //	})
-//	counts := dataflow.ReduceByKey(pairs, func(a, b int) int { return a + b })
+//	counts := dataflow.ReduceByKey(pairs, func(a, b int) int { return a + b }, 0)
 package dataflow

@@ -16,7 +16,8 @@ func TestFaultInjectionRecovers(t *testing.T) {
 	defer ctx.Close()
 
 	r := Parallelize(ctx, intsUpTo(1000), 16)
-	sum, err := Reduce(Map(r, func(x int) int { return x }), func(a, b int) int { return a + b })
+	add := func(a, b int) int { return a + b }
+	sum, err := Aggregate(Map(r, func(x int) int { return x }), func() int { return 0 }, add, add)
 	if err != nil {
 		t.Fatalf("job failed despite retries: %v", err)
 	}

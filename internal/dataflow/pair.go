@@ -8,39 +8,6 @@ type KV[K comparable, V any] struct {
 	Value V
 }
 
-// Pair holds the two sides of a join.
-type Pair[A, B any] struct {
-	A A
-	B B
-}
-
-// CoGrouped holds, for one key, all values from each side of a cogroup.
-type CoGrouped[V, W any] struct {
-	Left  []V
-	Right []W
-}
-
-// KeyBy turns an RDD into a keyed RDD using f to derive the key.
-func KeyBy[T any, K comparable](r *RDD[T], f func(T) K) *RDD[KV[K, T]] {
-	return Map(r, func(v T) KV[K, T] { return KV[K, T]{Key: f(v), Value: v} })
-}
-
-// Keys projects the keys of a keyed RDD.
-func Keys[K comparable, V any](r *RDD[KV[K, V]]) *RDD[K] {
-	return Map(r, func(kv KV[K, V]) K { return kv.Key })
-}
-
-// Values projects the values of a keyed RDD.
-func Values[K comparable, V any](r *RDD[KV[K, V]]) *RDD[V] {
-	return Map(r, func(kv KV[K, V]) V { return kv.Value })
-}
-
-// MapValues transforms the values of a keyed RDD, keeping keys (and thus
-// any partitioning) intact.
-func MapValues[K comparable, V, W any](r *RDD[KV[K, V]], f func(V) W) *RDD[KV[K, W]] {
-	return Map(r, func(kv KV[K, V]) KV[K, W] { return KV[K, W]{Key: kv.Key, Value: f(kv.Value)} })
-}
-
 // shuffleState materialises the hash-exchange output of a wide dependency
 // exactly once. prepare() runs it on the driver, giving the stage barrier.
 type shuffleState[T any] struct {
@@ -80,9 +47,9 @@ func exchange[K comparable, V any](r *RDD[KV[K, V]], numPartitions int) *shuffle
 	return st
 }
 
-// PartitionBy redistributes a keyed RDD across numPartitions partitions by
+// partitionBy redistributes a keyed RDD across numPartitions partitions by
 // key hash. A non-positive numPartitions uses the context default.
-func PartitionBy[K comparable, V any](r *RDD[KV[K, V]], numPartitions int) *RDD[KV[K, V]] {
+func partitionBy[K comparable, V any](r *RDD[KV[K, V]], numPartitions int) *RDD[KV[K, V]] {
 	if numPartitions < 1 {
 		numPartitions = r.ctx.DefaultPartitions()
 	}
@@ -103,7 +70,7 @@ func PartitionBy[K comparable, V any](r *RDD[KV[K, V]], numPartitions int) *RDD[
 
 // GroupByKey shuffles the RDD and groups all values sharing a key.
 func GroupByKey[K comparable, V any](r *RDD[KV[K, V]], numPartitions int) *RDD[KV[K, []V]] {
-	part := PartitionBy(r, numPartitions)
+	part := partitionBy(r, numPartitions)
 	return MapPartitions(part, func(in []KV[K, V]) ([]KV[K, []V], error) {
 		groups := make(map[K][]V)
 		var order []K
@@ -143,131 +110,13 @@ func ReduceByKey[K comparable, V any](r *RDD[KV[K, V]], combine func(V, V) V, nu
 		return out, nil
 	})
 	grouped := GroupByKey(combined, numPartitions)
-	return MapValues(grouped, func(vs []V) V {
-		acc := vs[0]
-		for _, v := range vs[1:] {
+	return Map(grouped, func(kv KV[K, []V]) KV[K, V] {
+		acc := kv.Value[0]
+		for _, v := range kv.Value[1:] {
 			acc = combine(acc, v)
 		}
-		return acc
+		return KV[K, V]{Key: kv.Key, Value: acc}
 	})
-}
-
-// AggregateByKey folds values per key into an accumulator type.
-func AggregateByKey[K comparable, V, A any](r *RDD[KV[K, V]], zero func() A,
-	seq func(A, V) A, comb func(A, A) A, numPartitions int) *RDD[KV[K, A]] {
-	partial := MapPartitions(r, func(in []KV[K, V]) ([]KV[K, A], error) {
-		acc := make(map[K]A)
-		var order []K
-		for _, kv := range in {
-			a, seen := acc[kv.Key]
-			if !seen {
-				a = zero()
-				order = append(order, kv.Key)
-			}
-			acc[kv.Key] = seq(a, kv.Value)
-		}
-		out := make([]KV[K, A], 0, len(order))
-		for _, k := range order {
-			out = append(out, KV[K, A]{Key: k, Value: acc[k]})
-		}
-		return out, nil
-	})
-	grouped := GroupByKey(partial, numPartitions)
-	return MapValues(grouped, func(as []A) A {
-		acc := as[0]
-		for _, a := range as[1:] {
-			acc = comb(acc, a)
-		}
-		return acc
-	})
-}
-
-// CoGroup shuffles both RDDs to the same partitioning and groups the
-// values of each side per key.
-func CoGroup[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], numPartitions int) *RDD[KV[K, CoGrouped[V, W]]] {
-	if numPartitions < 1 {
-		numPartitions = a.ctx.DefaultPartitions()
-	}
-	left := PartitionBy(a, numPartitions)
-	right := PartitionBy(b, numPartitions)
-	prepare := func() error {
-		if err := left.prepare(); err != nil {
-			return err
-		}
-		return right.prepare()
-	}
-	return newRDD(a.ctx, "cogroup", numPartitions, prepare, func(p int, tc *TaskContext) ([]KV[K, CoGrouped[V, W]], error) {
-		lvs, err := left.partition(p, tc)
-		if err != nil {
-			return nil, err
-		}
-		rvs, err := right.partition(p, tc)
-		if err != nil {
-			return nil, err
-		}
-		groups := make(map[K]*CoGrouped[V, W])
-		var order []K
-		for _, kv := range lvs {
-			g, seen := groups[kv.Key]
-			if !seen {
-				g = &CoGrouped[V, W]{}
-				groups[kv.Key] = g
-				order = append(order, kv.Key)
-			}
-			g.Left = append(g.Left, kv.Value)
-		}
-		for _, kv := range rvs {
-			g, seen := groups[kv.Key]
-			if !seen {
-				g = &CoGrouped[V, W]{}
-				groups[kv.Key] = g
-				order = append(order, kv.Key)
-			}
-			g.Right = append(g.Right, kv.Value)
-		}
-		out := make([]KV[K, CoGrouped[V, W]], 0, len(order))
-		for _, k := range order {
-			out = append(out, KV[K, CoGrouped[V, W]]{Key: k, Value: *groups[k]})
-		}
-		return out, nil
-	})
-}
-
-// Join computes the inner join of two keyed RDDs.
-func Join[K comparable, V, W any](a *RDD[KV[K, V]], b *RDD[KV[K, W]], numPartitions int) *RDD[KV[K, Pair[V, W]]] {
-	cg := CoGroup(a, b, numPartitions)
-	return FlatMap(cg, func(kv KV[K, CoGrouped[V, W]]) []KV[K, Pair[V, W]] {
-		var out []KV[K, Pair[V, W]]
-		for _, v := range kv.Value.Left {
-			for _, w := range kv.Value.Right {
-				out = append(out, KV[K, Pair[V, W]]{Key: kv.Key, Value: Pair[V, W]{A: v, B: w}})
-			}
-		}
-		return out
-	})
-}
-
-// Distinct removes duplicate elements (requires comparable elements).
-func Distinct[T comparable](r *RDD[T], numPartitions int) *RDD[T] {
-	keyed := Map(r, func(v T) KV[T, struct{}] { return KV[T, struct{}]{Key: v} })
-	grouped := GroupByKey(keyed, numPartitions)
-	return Map(grouped, func(kv KV[T, []struct{}]) T { return kv.Key })
-}
-
-// CountByKey returns a map from key to occurrence count, computed on the
-// driver after a map-side combine.
-func CountByKey[K comparable, V any](r *RDD[KV[K, V]]) (map[K]int64, error) {
-	ones := MapValues(r, func(V) int64 { return 1 })
-	counted := ReduceByKey(ones, func(a, b int64) int64 { return a + b }, 0)
-	kvs, err := counted.Collect()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[K]int64, len(kvs))
-	for _, kv := range kvs {
-		out[kv.Key] = kv.Value
-	}
-	return out, nil
 }
 
 // CollectAsMap collects a keyed RDD into a map (later duplicates win).

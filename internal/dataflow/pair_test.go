@@ -77,130 +77,13 @@ func TestGroupByKeyEachKeyInOnePartition(t *testing.T) {
 	}
 }
 
-func TestAggregateByKey(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	pairs := []KV[string, int]{{"a", 1}, {"a", 2}, {"b", 10}}
-	r := Parallelize(ctx, pairs, 2)
-	type acc struct{ n, sum int }
-	agg := AggregateByKey(r,
-		func() acc { return acc{} },
-		func(a acc, v int) acc { return acc{a.n + 1, a.sum + v} },
-		func(a, b acc) acc { return acc{a.n + b.n, a.sum + b.sum} }, 2)
-	got, err := CollectAsMap(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]acc{"a": {2, 3}, "b": {1, 10}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestJoin(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	left := Parallelize(ctx, []KV[int, string]{{1, "a"}, {2, "b"}, {2, "bb"}, {3, "c"}}, 2)
-	right := Parallelize(ctx, []KV[int, float64]{{2, 0.5}, {3, 1.5}, {4, 9.9}}, 2)
-	joined, err := Join(left, right, 3).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	type row struct {
-		k int
-		v string
-		w float64
-	}
-	var rows []row
-	for _, kv := range joined {
-		rows = append(rows, row{kv.Key, kv.Value.A, kv.Value.B})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].k != rows[j].k {
-			return rows[i].k < rows[j].k
-		}
-		return rows[i].v < rows[j].v
-	})
-	want := []row{{2, "b", 0.5}, {2, "bb", 0.5}, {3, "c", 1.5}}
-	if !reflect.DeepEqual(rows, want) {
-		t.Fatalf("got %v", rows)
-	}
-}
-
-func TestCoGroupKeysFromBothSides(t *testing.T) {
-	ctx := newTestContext(t, 2)
-	left := Parallelize(ctx, []KV[string, int]{{"only-left", 1}}, 1)
-	right := Parallelize(ctx, []KV[string, int]{{"only-right", 2}}, 1)
-	got, err := CoGroup(left, right, 2).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("got %d keys, want 2", len(got))
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	r := Parallelize(ctx, []int{1, 2, 2, 3, 3, 3, 1}, 3)
-	got, err := Distinct(r, 2).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Ints(got)
-	if !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestCountByKey(t *testing.T) {
-	ctx := newTestContext(t, 2)
-	r := Parallelize(ctx, []KV[string, int]{{"a", 0}, {"a", 0}, {"b", 0}}, 2)
-	got, err := CountByKey(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int64{"a": 2, "b": 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestKeysValuesMapValues(t *testing.T) {
-	ctx := newTestContext(t, 2)
-	r := Parallelize(ctx, []KV[string, int]{{"a", 1}, {"b", 2}}, 1)
-	keys, err := Keys(r).Collect()
-	if err != nil || !reflect.DeepEqual(keys, []string{"a", "b"}) {
-		t.Fatalf("keys=%v err=%v", keys, err)
-	}
-	vals, err := Values(r).Collect()
-	if err != nil || !reflect.DeepEqual(vals, []int{1, 2}) {
-		t.Fatalf("vals=%v err=%v", vals, err)
-	}
-	doubled, err := Values(MapValues(r, func(v int) int { return v * 2 })).Collect()
-	if err != nil || !reflect.DeepEqual(doubled, []int{2, 4}) {
-		t.Fatalf("doubled=%v err=%v", doubled, err)
-	}
-}
-
-func TestKeyBy(t *testing.T) {
-	ctx := newTestContext(t, 2)
-	r := Parallelize(ctx, []string{"apple", "fig"}, 1)
-	got, err := KeyBy(r, func(s string) int { return len(s) }).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []KV[int, string]{{5, "apple"}, {3, "fig"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestPartitionByPlacesEqualKeysTogether(t *testing.T) {
 	ctx := newTestContext(t, 4)
 	var pairs []KV[string, int]
 	for i := 0; i < 100; i++ {
 		pairs = append(pairs, KV[string, int]{Key: string(rune('a' + i%5)), Value: i})
 	}
-	r := PartitionBy(Parallelize(ctx, pairs, 7), 3)
+	r := partitionBy(Parallelize(ctx, pairs, 7), 3)
 	perPart, err := collectPartitions(r)
 	if err != nil {
 		t.Fatal(err)
@@ -297,33 +180,6 @@ func TestQuickReduceByKeyMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestQuickDistinctMatchesSet(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	f := func(data []uint8) bool {
-		r := Parallelize(ctx, data, 3)
-		got, err := Distinct(r, 2).Collect()
-		if err != nil {
-			return false
-		}
-		want := map[uint8]bool{}
-		for _, v := range data {
-			want[v] = true
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for _, v := range got {
-			if !want[v] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBroadcastVisibleInTasks(t *testing.T) {
 	ctx := newTestContext(t, 4)
 	lookup := NewBroadcast(ctx, map[int]string{1: "one", 2: "two"})
@@ -337,17 +193,5 @@ func TestBroadcastVisibleInTasks(t *testing.T) {
 	}
 	if ctx.Metrics().BroadcastsBuilt != 1 {
 		t.Fatal("broadcast not counted")
-	}
-}
-
-func TestAccumulator(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	acc := NewAccumulator(ctx)
-	r := Parallelize(ctx, intsUpTo(100), 8)
-	if err := Map(r, func(x int) int { acc.Add(1); return x }).ForEach(func(int) {}); err != nil {
-		t.Fatal(err)
-	}
-	if acc.Value() != 100 {
-		t.Fatalf("acc=%d", acc.Value())
 	}
 }

@@ -1,10 +1,6 @@
 package dataflow
 
-import (
-	"fmt"
-	"math/rand"
-	"sync"
-)
+import "sync"
 
 // RDD is a lazy, partitioned dataset. Transformations build lineage;
 // nothing executes until an action runs. An RDD is safe for concurrent
@@ -94,11 +90,6 @@ func Parallelize[T any](ctx *Context, data []T, numPartitions int) *RDD[T] {
 	})
 }
 
-// Empty returns an RDD with no elements and a single empty partition.
-func Empty[T any](ctx *Context) *RDD[T] {
-	return newRDD(ctx, "empty", 1, nil, func(int, *TaskContext) ([]T, error) { return nil, nil })
-}
-
 // Map applies f to every element.
 func Map[T, U any](r *RDD[T], f func(T) U) *RDD[U] {
 	return newRDD(r.ctx, r.name+".map", r.parts, r.prepare, func(p int, tc *TaskContext) ([]U, error) {
@@ -152,58 +143,13 @@ func Filter[T any](r *RDD[T], pred func(T) bool) *RDD[T] {
 // MapPartitions applies f to each whole partition. The input slice must be
 // treated as read-only.
 func MapPartitions[T, U any](r *RDD[T], f func([]T) ([]U, error)) *RDD[U] {
-	return MapPartitionsWithIndex(r, func(_ int, in []T) ([]U, error) { return f(in) })
-}
-
-// MapPartitionsWithIndex applies f to each whole partition along with its
-// partition index.
-func MapPartitionsWithIndex[T, U any](r *RDD[T], f func(int, []T) ([]U, error)) *RDD[U] {
 	return newRDD(r.ctx, r.name+".mapPartitions", r.parts, r.prepare, func(p int, tc *TaskContext) ([]U, error) {
 		in, err := r.partition(p, tc)
 		if err != nil {
 			return nil, err
 		}
 		r.ctx.metrics.RecordsProcessed.Add(int64(len(in)))
-		return f(p, in)
-	})
-}
-
-// Union concatenates two RDDs (no deduplication), preserving partitioning.
-func Union[T any](a, b *RDD[T]) *RDD[T] {
-	if a.ctx != b.ctx {
-		panic("dataflow: Union across different contexts")
-	}
-	prepare := func() error {
-		if err := a.prepare(); err != nil {
-			return err
-		}
-		return b.prepare()
-	}
-	parts := a.parts + b.parts
-	return newRDD(a.ctx, "union", parts, prepare, func(p int, tc *TaskContext) ([]T, error) {
-		if p < a.parts {
-			return a.partition(p, tc)
-		}
-		return b.partition(p-a.parts, tc)
-	})
-}
-
-// Sample keeps each element independently with probability fraction, using
-// a deterministic per-partition stream derived from seed.
-func Sample[T any](r *RDD[T], fraction float64, seed int64) *RDD[T] {
-	return newRDD(r.ctx, r.name+".sample", r.parts, r.prepare, func(p int, tc *TaskContext) ([]T, error) {
-		in, err := r.partition(p, tc)
-		if err != nil {
-			return nil, err
-		}
-		rng := rand.New(rand.NewSource(seed + int64(p)*1_000_003))
-		var out []T
-		for _, v := range in {
-			if rng.Float64() < fraction {
-				out = append(out, v)
-			}
-		}
-		return out, nil
+		return f(in)
 	})
 }
 
@@ -272,120 +218,6 @@ func (r *RDD[T]) Count() (int64, error) {
 	return total, nil
 }
 
-// Take returns up to n elements from the first partitions. Partitions are
-// scanned incrementally — one stage over a geometrically growing batch of
-// partitions, stopping as soon as n elements are gathered — so a Take
-// over a wide RDD does not materialise every partition the way Collect
-// does (the same ramp-up Spark's take action uses).
-func (r *RDD[T]) Take(n int) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	r.ctx.metrics.JobsRun.Add(1)
-	if err := r.prepare(); err != nil {
-		return nil, err
-	}
-	out := make([]T, 0, n)
-	for scanned, batch := 0, 1; scanned < r.parts && len(out) < n; batch *= 4 {
-		base := scanned
-		end := base + batch
-		if end > r.parts {
-			end = r.parts
-		}
-		parts := make([][]T, end-base)
-		err := r.ctx.runStage(end-base, func(tc *TaskContext) error {
-			data, err := r.partition(base+tc.Partition, tc)
-			if err != nil {
-				return err
-			}
-			parts[tc.Partition] = data
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range parts {
-			out = append(out, p...)
-		}
-		scanned = end
-	}
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out, nil
-}
-
-// First returns the first element or an error if the RDD is empty.
-func (r *RDD[T]) First() (T, error) {
-	var zero T
-	got, err := r.Take(1)
-	if err != nil {
-		return zero, err
-	}
-	if len(got) == 0 {
-		return zero, fmt.Errorf("dataflow: First on empty RDD")
-	}
-	return got[0], nil
-}
-
-// ForEach applies f to every element on the driver, in partition order.
-func (r *RDD[T]) ForEach(f func(T)) error {
-	all, err := r.Collect()
-	if err != nil {
-		return err
-	}
-	for _, v := range all {
-		f(v)
-	}
-	return nil
-}
-
-// Reduce combines all elements with an associative, commutative f.
-func Reduce[T any](r *RDD[T], f func(T, T) T) (T, error) {
-	var zero T
-	r.ctx.metrics.JobsRun.Add(1)
-	if err := r.prepare(); err != nil {
-		return zero, err
-	}
-	partial := make([]T, r.parts)
-	nonEmpty := make([]bool, r.parts)
-	err := r.ctx.runStage(r.parts, func(tc *TaskContext) error {
-		data, err := r.partition(tc.Partition, tc)
-		if err != nil {
-			return err
-		}
-		if len(data) == 0 {
-			return nil
-		}
-		acc := data[0]
-		for _, v := range data[1:] {
-			acc = f(acc, v)
-		}
-		partial[tc.Partition] = acc
-		nonEmpty[tc.Partition] = true
-		return nil
-	})
-	if err != nil {
-		return zero, err
-	}
-	var acc T
-	seeded := false
-	for p, ok := range nonEmpty {
-		if !ok {
-			continue
-		}
-		if !seeded {
-			acc, seeded = partial[p], true
-		} else {
-			acc = f(acc, partial[p])
-		}
-	}
-	if !seeded {
-		return zero, fmt.Errorf("dataflow: Reduce on empty RDD")
-	}
-	return acc, nil
-}
-
 // Aggregate folds every element into a per-partition accumulator with seq
 // and merges the partials with comb.
 func Aggregate[T, A any](r *RDD[T], zero func() A, seq func(A, T) A, comb func(A, A) A) (A, error) {
@@ -415,29 +247,4 @@ func Aggregate[T, A any](r *RDD[T], zero func() A, seq func(A, T) A, comb func(A
 		acc = comb(acc, p)
 	}
 	return acc, nil
-}
-
-// Coalesce reduces the partition count without a shuffle by concatenating
-// adjacent partitions.
-func Coalesce[T any](r *RDD[T], numPartitions int) *RDD[T] {
-	if numPartitions < 1 {
-		numPartitions = 1
-	}
-	if numPartitions >= r.parts {
-		return r
-	}
-	old := r.parts
-	return newRDD(r.ctx, r.name+".coalesce", numPartitions, r.prepare, func(p int, tc *TaskContext) ([]T, error) {
-		lo := p * old / numPartitions
-		hi := (p + 1) * old / numPartitions
-		var out []T
-		for q := lo; q < hi; q++ {
-			data, err := r.partition(q, tc)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, data...)
-		}
-		return out, nil
-	})
 }

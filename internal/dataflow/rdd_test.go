@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -102,52 +101,6 @@ func TestFlatMap(t *testing.T) {
 	}
 }
 
-func TestMapPartitionsWithIndexCoversAllPartitions(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	r := Parallelize(ctx, intsUpTo(40), 5)
-	idx := MapPartitionsWithIndex(r, func(p int, in []int) ([]int, error) {
-		return []int{p, len(in)}, nil
-	})
-	got, err := idx.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 {
-		t.Fatalf("got %v", got)
-	}
-	total := 0
-	for i := 1; i < len(got); i += 2 {
-		total += got[i]
-	}
-	if total != 40 {
-		t.Fatalf("partition sizes sum to %d, want 40", total)
-	}
-}
-
-func TestCountAndReduce(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	r := Parallelize(ctx, intsUpTo(101), 6)
-	n, err := r.Count()
-	if err != nil || n != 101 {
-		t.Fatalf("count=%d err=%v", n, err)
-	}
-	sum, err := Reduce(r, func(a, b int) int { return a + b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 5050 {
-		t.Fatalf("sum=%d want 5050", sum)
-	}
-}
-
-func TestReduceEmptyErrors(t *testing.T) {
-	ctx := newTestContext(t, 2)
-	r := Empty[int](ctx)
-	if _, err := Reduce(r, func(a, b int) int { return a + b }); err == nil {
-		t.Fatal("want error on empty reduce")
-	}
-}
-
 func TestAggregate(t *testing.T) {
 	ctx := newTestContext(t, 4)
 	r := Parallelize(ctx, intsUpTo(50), 5)
@@ -164,104 +117,6 @@ func TestAggregate(t *testing.T) {
 	}
 	if got.n != 50 || got.sum != 1225 {
 		t.Fatalf("got %+v", got)
-	}
-}
-
-func TestUnion(t *testing.T) {
-	ctx := newTestContext(t, 2)
-	a := Parallelize(ctx, []int{1, 2}, 2)
-	b := Parallelize(ctx, []int{3, 4, 5}, 2)
-	got, err := Union(a, b).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []int{1, 2, 3, 4, 5}) {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestTakeFirst(t *testing.T) {
-	ctx := newTestContext(t, 2)
-	r := Parallelize(ctx, intsUpTo(10), 3)
-	got, err := r.Take(3)
-	if err != nil || !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Fatalf("take got %v err %v", got, err)
-	}
-	first, err := r.First()
-	if err != nil || first != 0 {
-		t.Fatalf("first got %v err %v", first, err)
-	}
-	if _, err := Empty[int](ctx).First(); err == nil {
-		t.Fatal("want error on First of empty RDD")
-	}
-}
-
-func TestTakeScansIncrementally(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	// 100 elements over 10 partitions: Take(5) must be satisfied by the
-	// first partition alone, so the Map below should never see the rest.
-	var processed atomic.Int64
-	r := Map(Parallelize(ctx, intsUpTo(100), 10), func(v int) int {
-		processed.Add(1)
-		return v
-	})
-	got, err := r.Take(5)
-	if err != nil || !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
-		t.Fatalf("take got %v err %v", got, err)
-	}
-	if n := processed.Load(); n >= 100 {
-		t.Fatalf("Take materialised all %d elements; want an incremental scan", n)
-	}
-	// Larger n spans several ramp-up rounds but still stops early.
-	processed.Store(0)
-	got, err = r.Take(35)
-	if err != nil || len(got) != 35 {
-		t.Fatalf("take(35) got %d elements err %v", len(got), err)
-	}
-	if n := processed.Load(); n >= 100 {
-		t.Fatalf("Take(35) materialised all %d elements", n)
-	}
-	// Oversized and non-positive n degrade gracefully.
-	if got, err := r.Take(1000); err != nil || len(got) != 100 {
-		t.Fatalf("take(1000) got %d err %v", len(got), err)
-	}
-	if got, err := r.Take(0); err != nil || len(got) != 0 {
-		t.Fatalf("take(0) got %v err %v", got, err)
-	}
-}
-
-func TestCoalesce(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	r := Parallelize(ctx, intsUpTo(20), 8)
-	c := Coalesce(r, 3)
-	if c.NumPartitions() != 3 {
-		t.Fatalf("partitions=%d", c.NumPartitions())
-	}
-	got, err := c.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, intsUpTo(20)) {
-		t.Fatalf("coalesce reordered data: %v", got)
-	}
-}
-
-func TestSampleDeterministic(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	r := Parallelize(ctx, intsUpTo(1000), 4)
-	s1, err := Sample(r, 0.1, 42).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Sample(r, 0.1, 42).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatal("same seed produced different samples")
-	}
-	if len(s1) < 50 || len(s1) > 200 {
-		t.Fatalf("sample size %d implausible for 10%% of 1000", len(s1))
 	}
 }
 
@@ -364,66 +219,6 @@ func TestQuickCountMatchesLen(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestQuickReduceSumMatchesSequential(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	f := func(data []int16) bool {
-		if len(data) == 0 {
-			return true
-		}
-		var want int64
-		ints := make([]int64, len(data))
-		for i, v := range data {
-			ints[i] = int64(v)
-			want += int64(v)
-		}
-		r := Parallelize(ctx, ints, 5)
-		got, err := Reduce(r, func(a, b int64) int64 { return a + b })
-		return err == nil && got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSortBy(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	data := make([]int, 0, 500)
-	for i := 0; i < 500; i++ {
-		data = append(data, (i*7919)%500)
-	}
-	r := Parallelize(ctx, data, 8)
-	sorted, err := SortBy(r, func(x int) int { return x }, 4).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sort.IntsAreSorted(sorted) {
-		t.Fatal("output not sorted")
-	}
-	if len(sorted) != 500 {
-		t.Fatalf("lost records: %d", len(sorted))
-	}
-}
-
-func TestSortByEmpty(t *testing.T) {
-	ctx := newTestContext(t, 2)
-	got, err := SortBy(Empty[int](ctx), func(x int) int { return x }, 4).Collect()
-	if err != nil || len(got) != 0 {
-		t.Fatalf("got %v err %v", got, err)
-	}
-}
-
-func TestTop(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	r := Parallelize(ctx, intsUpTo(100), 8)
-	top, err := Top(r, 3, func(x int) int { return x })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(top, []int{99, 98, 97}) {
-		t.Fatalf("got %v", top)
 	}
 }
 

@@ -74,8 +74,9 @@ type Config struct {
 	Clustering blocking.AttributeClustering
 	// Entropy enables Blast-style entropy re-weighting of shared keys.
 	Entropy metablocking.EntropyProvider
-	// Scheme weights candidates (CBS, ECBS, JS, ARCS; EJS needs global
-	// graph degrees and falls back to JS online).
+	// Scheme weights candidates (CBS, ECBS, JS, ARCS). EJS scales JS by
+	// the blocking graph's node degrees, which an online index does not
+	// maintain: withDefaults resolves it to JS.
 	Scheme metablocking.Scheme
 	// MaxBlockFraction is the online analogue of block purging: postings
 	// holding more than this fraction of the indexed profiles are skipped
@@ -156,6 +157,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxCandidates <= 0 {
 		c.MaxCandidates = 10
+	}
+	if c.Scheme == metablocking.EJS {
+		c.Scheme = metablocking.JS // no node degrees online: see Scheme
 	}
 	if c.MatchThreshold == 0 {
 		c.MatchThreshold = 0.3 // negative = keep every scored candidate

@@ -92,16 +92,14 @@ type QueryResult struct {
 	selfID profile.ID
 }
 
-// candAcc accumulates the per-candidate co-occurrence statistics the
-// weight schemes need, mirroring metablocking's edge accumulator.
-// buckets counts shared LSH buckets; a candidate with cbs zero and
-// buckets non-zero was found by the probe alone.
-type candAcc struct {
-	cbs        int
-	arcs       float64
-	entropySum float64
-	entArcs    float64
-	buckets    int
+// candStats is what a query accumulates per candidate: the co-occurrence
+// statistics every weight scheme reads — the meta-blocker's own, filled
+// through the same Add — plus buckets, the shared LSH buckets. A
+// candidate with CBS zero and buckets non-zero was found by the probe
+// alone.
+type candStats struct {
+	metablocking.PairStats
+	buckets int
 }
 
 // keyBufPool recycles the per-query blocking-key buffers of Query.
@@ -109,14 +107,14 @@ var keyBufPool = sync.Pool{New: func() any { return new([]blocking.KeyedToken) }
 
 // queryScratch is the flat-array candidate kernel of the query hot path:
 // the shared dense, epoch-stamped scratch primitive the meta-blocker
-// uses, instantiated with the candidate accumulator and indexed by the
+// uses, instantiated with the candidate statistics and indexed by the
 // index's dense internal profile IDs. Scratches are pooled on the Index
 // (sync.Pool is per-P sharded, so concurrent queries never contend),
-// replacing the historical map[profile.ID]candAcc that re-allocated and
+// replacing the historical per-query map that re-allocated and
 // re-hashed per query. Kernel growth (Slot's Ensure path) also covers
 // concurrent upserts appending fresh profiles to a posting between the
 // size probe and the scan.
-type queryScratch = kernel.Scratch[candAcc]
+type queryScratch = kernel.Scratch[candStats]
 
 // getScratch leases a query scratch sized for the current ID space.
 func (x *Index) getScratch() *queryScratch {
@@ -269,18 +267,14 @@ func (x *Index) queryBudget(p *profile.Profile, opts ProbeOptions, budget Budget
 		if useEntropy {
 			entropy = x.cfg.Entropy.EntropyOf(pl.cluster)
 		}
-		card := pl.comparisons(x.clean)
+		c := metablocking.BlockContribution(entropy, pl.comparisons(x.clean))
 		visit := func(ids []profile.ID) {
 			res.PostingsScanned += len(ids)
 			for _, id := range ids {
 				if id == selfID {
 					continue
 				}
-				a := sc.Slot(id)
-				a.cbs++
-				a.arcs += 1 / card
-				a.entropySum += entropy
-				a.entArcs += entropy / card
+				sc.Slot(id).Add(c)
 			}
 		}
 		if x.clean {
@@ -411,13 +405,10 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []
 		return 0
 	}
 	numBlocks := float64(x.numBlocks.Load())
+	useEntropy := x.cfg.Entropy != nil
 	// Only the ratio schemes need each candidate's block count; CBS and
 	// ARCS skip the per-candidate profile lookups entirely.
-	needsCandKeys := false
-	switch x.cfg.Scheme {
-	case metablocking.ECBS, metablocking.JS, metablocking.EJS:
-		needsCandKeys = true
-	}
+	needsCandKeys := x.cfg.Scheme.ReadsEndpoints()
 	keep := len(touched)
 	if x.cfg.Prune == PruneTopK && x.cfg.MaxCandidates < keep {
 		keep = x.cfg.MaxCandidates
@@ -434,7 +425,7 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []
 			break
 		}
 		a := sc.At(id)
-		if a.cbs == 0 {
+		if a.CBS == 0 {
 			// Probe-only candidate: reachable only when an LSH probe ran.
 			w := float64(a.buckets)
 			if x.cfg.LSH.Weight == LSHWeightJaccard {
@@ -454,9 +445,11 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []
 			}
 		}
 		top.offer(Candidate{
-			ID:            id,
-			Weight:        x.weight(a, queryKeys, candKeys, numBlocks),
-			SharedKeys:    a.cbs,
+			ID: id,
+			// The query is endpoint a, the candidate b. There is no degree
+			// factor: EJS never reaches here (withDefaults).
+			Weight:        metablocking.Weight(x.cfg.Scheme, &a.PairStats, useEntropy, queryKeys, candKeys, numBlocks, 1),
+			SharedKeys:    int(a.CBS),
 			SharedBuckets: a.buckets,
 		})
 	}
@@ -525,46 +518,6 @@ func (t *topK) siftDown(i int) {
 		}
 		h[i], h[worst] = h[worst], h[i]
 		i = worst
-	}
-}
-
-// weight mirrors metablocking's edge weighting for one query/candidate
-// pair. EJS needs the full graph's node degrees, which an online index
-// does not maintain, so it degrades to JS.
-func (x *Index) weight(a *candAcc, queryKeys, candKeys int, numBlocks float64) float64 {
-	cbs := float64(a.cbs)
-	if cbs == 0 {
-		return 0
-	}
-	useEntropy := x.cfg.Entropy != nil
-	meanEntropy := a.entropySum / cbs
-	switch x.cfg.Scheme {
-	case metablocking.ECBS:
-		w := cbs * metablocking.LogRatio(numBlocks, float64(queryKeys)) * metablocking.LogRatio(numBlocks, float64(candKeys))
-		if useEntropy {
-			w *= meanEntropy
-		}
-		return w
-	case metablocking.JS, metablocking.EJS:
-		union := float64(queryKeys) + float64(candKeys) - cbs
-		if union <= 0 {
-			return 0
-		}
-		w := cbs / union
-		if useEntropy {
-			w *= meanEntropy
-		}
-		return w
-	case metablocking.ARCS:
-		if useEntropy {
-			return a.entArcs
-		}
-		return a.arcs
-	default: // CBS
-		if useEntropy {
-			return a.entropySum
-		}
-		return cbs
 	}
 }
 

@@ -17,6 +17,24 @@ import (
 // bitwise-identical for every scheme × prune rule × task type, with and
 // without entropy weighting.
 
+// candAcc is the historical per-candidate accumulator: refCandidates
+// fills it field by field in a map, sharing no accumulation code with
+// the flat kernel's candStats.
+type candAcc struct {
+	cbs        int
+	arcs       float64
+	entropySum float64
+	entArcs    float64
+}
+
+// weight hands the reference's statistics to metablocking.Weight, the
+// one formula (pinned bitwise against the batch reference's own copy in
+// internal/metablocking/reference_test.go).
+func (x *Index) weight(a *candAcc, queryKeys, candKeys int, numBlocks float64) float64 {
+	st := metablocking.PairStats{CBS: int32(a.cbs), ARCS: a.arcs, EntropySum: a.entropySum, EntropyARCS: a.entArcs}
+	return metablocking.Weight(x.cfg.Scheme, &st, x.cfg.Entropy != nil, queryKeys, candKeys, numBlocks, 1)
+}
+
 // refCandidates replicates Query on the historical map accumulator path.
 func refCandidates(x *Index, p *profile.Profile) []Candidate {
 	if !x.clean && p.SourceID != 0 {
@@ -173,7 +191,7 @@ func TestQueryMatchesMapReference(t *testing.T) {
 			sources = 2
 		}
 		for _, useEntropy := range []bool{false, true} {
-			for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.ARCS} {
+			for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.EJS, metablocking.ARCS} {
 				for _, rule := range []PruneRule{PruneTopK, PruneMean, PruneNone} {
 					cfg := DefaultConfig()
 					cfg.Scheme = scheme
@@ -183,6 +201,9 @@ func TestQueryMatchesMapReference(t *testing.T) {
 						cfg.Entropy = rampEntropy{}
 					}
 					x := New(clean, cfg)
+					if scheme == metablocking.EJS && x.cfg.Scheme != metablocking.JS {
+						t.Fatalf("an EJS index weighs by %v; want JS (no node degrees online)", x.cfg.Scheme)
+					}
 					for _, p := range synthQueryProfiles(60, sources, 5) {
 						if _, _, err := x.Upsert(p); err != nil {
 							t.Fatal(err)

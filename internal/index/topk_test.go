@@ -126,7 +126,7 @@ func TestTopKSelectionMatchesFullSort(t *testing.T) {
 // keys[i] blocking keys, which the ratio schemes read.
 type weighFixture struct {
 	touched []profile.ID
-	accs    []candAcc
+	accs    []candStats
 	keys    []int
 }
 
@@ -195,10 +195,10 @@ func (f weighFixture) check(x *Index, n, k int) error {
 // answer is the top k of exactly the prefix weighed before the trip.
 func TestTopKSelectionMidWeighDeadline(t *testing.T) {
 	const n = 100_000
-	f := weighFixture{touched: make([]profile.ID, n), accs: make([]candAcc, n)}
+	f := weighFixture{touched: make([]profile.ID, n), accs: make([]candStats, n)}
 	for i := range f.touched {
 		f.touched[i] = profile.ID((i * 7919) % n) // a permutation: 7919 is prime to n
-		f.accs[i] = candAcc{cbs: 1 + i%4}
+		f.accs[i].CBS = int32(1 + i%4)
 	}
 	x := f.index(0)
 	for d := 5 * time.Microsecond; d < time.Second; d += d / 2 {
@@ -232,16 +232,17 @@ func TestTopKSelectionMidWeighDeadline(t *testing.T) {
 // field means most candidates tie on weight.
 func selectionFixture(data []byte) weighFixture {
 	n := min(len(data)/2, 4096)
-	f := weighFixture{touched: make([]profile.ID, n), accs: make([]candAcc, n), keys: make([]int, n)}
+	f := weighFixture{touched: make([]profile.ID, n), accs: make([]candStats, n), keys: make([]int, n)}
 	for i := 0; i < n; i++ {
 		a, b := data[2*i], data[2*i+1]
-		acc := candAcc{cbs: int(a & 3), buckets: int(a >> 2 & 3)}
-		if acc.cbs == 0 && acc.buckets == 0 {
+		acc := candStats{buckets: int(a >> 2 & 3)}
+		acc.CBS = int32(a & 3)
+		if acc.CBS == 0 && acc.buckets == 0 {
 			acc.buckets = 1 // every touched candidate was reached somehow
 		}
-		acc.arcs = float64(b&7) / 8
-		acc.entropySum = float64(acc.cbs) * (0.5 + float64(b>>3&3)/4)
-		acc.entArcs = acc.arcs * 0.75
+		acc.ARCS = float64(b&7) / 8
+		acc.EntropySum = float64(acc.CBS) * (0.5 + float64(b>>3&3)/4)
+		acc.EntropyARCS = acc.ARCS * 0.75
 		f.touched[i] = profile.ID((i * 7919) % n) // a permutation: 7919 is a prime above n
 		f.accs[i] = acc
 		f.keys[i] = 3 + int(a>>4&3)

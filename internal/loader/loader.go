@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strings"
 
 	"sparker/internal/blocking"
@@ -79,14 +80,32 @@ func ReadProfilesCSVFile(path, idColumn string) ([]profile.Profile, error) {
 // {"id": "...", "attr": ["v1", "v2"]}.
 type jsonProfile map[string]any
 
+// JSONText is the text a profile stores for one decoded JSON-lines value,
+// an id or an attribute value alike. The decoders of this format read
+// numbers with UseNumber, so a number keeps the digits it was written
+// with: {"id": 1234567} names the same profile as the CSV cell 1234567
+// (a float64 round trip printed 1.234567e+06), ids beyond 2^53 stay
+// distinct, and 1000000 is tokenised as written. The shard coordinator
+// routes a record by exactly this text of its id.
+func JSONText(v any) string {
+	if s, ok := v.(string); ok {
+		return s
+	}
+	return fmt.Sprint(v)
+}
+
 // ReadProfilesJSONL parses one source dataset from JSON-lines. idField
-// names the identifier key (default "id").
+// names the identifier key (default "id"). Attributes are added in
+// sorted key order, so one body always decodes to the same profile (and
+// the same snapshot and op-log bytes), whatever order a map yields.
 func ReadProfilesJSONL(r io.Reader, idField string) ([]profile.Profile, error) {
 	if idField == "" {
 		idField = "id"
 	}
 	dec := json.NewDecoder(r)
+	dec.UseNumber()
 	var out []profile.Profile
+	var keys []string
 	row := 0
 	for dec.More() {
 		var jp jsonProfile
@@ -95,19 +114,23 @@ func ReadProfilesJSONL(r io.Reader, idField string) ([]profile.Profile, error) {
 		}
 		p := profile.Profile{OriginalID: fmt.Sprintf("row-%d", row)}
 		if v, ok := jp[idField]; ok {
-			p.OriginalID = fmt.Sprintf("%v", v)
+			p.OriginalID = JSONText(v)
 		}
-		for k, v := range jp {
-			if k == idField {
-				continue
+		keys = keys[:0]
+		for k := range jp {
+			if k != idField {
+				keys = append(keys, k)
 			}
-			switch vv := v.(type) {
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			switch vv := jp[k].(type) {
 			case []any:
 				for _, item := range vv {
-					p.Add(k, fmt.Sprintf("%v", item))
+					p.Add(k, JSONText(item))
 				}
 			default:
-				p.Add(k, fmt.Sprintf("%v", vv))
+				p.Add(k, JSONText(vv))
 			}
 		}
 		out = append(out, p)

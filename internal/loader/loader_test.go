@@ -3,6 +3,7 @@ package loader
 import (
 	"bytes"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -76,6 +77,65 @@ func TestReadProfilesJSONL(t *testing.T) {
 	}
 	if count != 2 {
 		t.Fatalf("tags attributes: %d", count)
+	}
+}
+
+// TestReadProfilesJSONLNumbersKeepTheirText: a JSON number is stored in
+// the digits it was written with, as an id and as an attribute value, so
+// it names the same profile as a CSV cell and ids past 2^53 (where
+// float64 stops telling neighbours apart) stay distinct.
+func TestReadProfilesJSONLNumbersKeepTheirText(t *testing.T) {
+	data := `{"id": 1234567, "price": 1000000, "sizes": [10, 2.50]}
+{"id": "1234567"}
+{"id": 9007199254740992}
+{"id": 9007199254740993}`
+	ps, err := ReadProfilesJSONL(strings.NewReader(data), "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps[0].OriginalID != "1234567" || ps[0].OriginalID != ps[1].OriginalID {
+		t.Fatalf("number and string spellings of one id: %q and %q", ps[0].OriginalID, ps[1].OriginalID)
+	}
+	if ps[2].OriginalID != "9007199254740992" || ps[3].OriginalID != "9007199254740993" {
+		t.Fatalf("ids past 2^53: %q and %q", ps[2].OriginalID, ps[3].OriginalID)
+	}
+	want := []profile.KeyValue{{Key: "price", Value: "1000000"}, {Key: "sizes", Value: "10"}, {Key: "sizes", Value: "2.50"}}
+	if !reflect.DeepEqual(ps[0].Attributes, want) {
+		t.Fatalf("attributes %v, want %v", ps[0].Attributes, want)
+	}
+	csv, err := ReadProfilesCSV(strings.NewReader("id,price\n1234567,1000000\n"), "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if csv[0].OriginalID != ps[0].OriginalID || csv[0].Attributes[0] != ps[0].Attributes[0] {
+		t.Fatalf("CSV row %+v and JSONL record %+v disagree", csv[0], ps[0])
+	}
+}
+
+// TestReadProfilesJSONLAttributeOrder: one record always decodes to the
+// same attribute order (sorted by key), not to the order a Go map yields.
+func TestReadProfilesJSONLAttributeOrder(t *testing.T) {
+	record := `{"zeta": "z", "id": "r", "alpha": "a", "mid": ["m1", "m2"], "beta": "b", "omega": "o", "gamma": "g", "delta": "d"}`
+	var first []profile.KeyValue
+	for i := 0; i < 20; i++ {
+		ps, err := ReadProfilesJSONL(strings.NewReader(record), "id")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = ps[0].Attributes
+			keys := make([]string, len(first))
+			for j, kv := range first {
+				keys[j] = kv.Key
+			}
+			if !sort.StringsAreSorted(keys) || len(keys) != 8 {
+				t.Fatalf("attribute keys %v: want all eight, sorted", keys)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(ps[0].Attributes, first) {
+			t.Fatalf("decode %d gave %v, the first gave %v", i, ps[0].Attributes, first)
+		}
 	}
 }
 

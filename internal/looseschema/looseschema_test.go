@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"sparker/internal/dataflow"
 	"sparker/internal/profile"
 	"sparker/internal/tokenize"
 )
@@ -202,37 +201,6 @@ func TestCrossSourceOnlyRestriction(t *testing.T) {
 	})
 	if p.ClusterOf(0, "x") != BlobCluster || p.ClusterOf(0, "y") != BlobCluster {
 		t.Fatalf("same-source attributes clustered despite CrossSourceOnly: %s", p)
-	}
-}
-
-func TestDistributedExtractionMatchesSequential(t *testing.T) {
-	c := twoSchemaCollection()
-	seq := ExtractAttributeProfiles(c, tokenize.Options{})
-
-	ctx := dataflow.NewContext(dataflow.WithParallelism(3))
-	defer ctx.Close()
-	dist, err := ExtractAttributeProfilesDistributed(ctx, c, tokenize.Options{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dist) != len(seq) {
-		t.Fatalf("attribute count %d vs %d", len(dist), len(seq))
-	}
-	for i := range seq {
-		if dist[i].Name != seq[i].Name || dist[i].Total != seq[i].Total {
-			t.Fatalf("attribute %d: %s/%d vs %s/%d",
-				i, dist[i].Name, dist[i].Total, seq[i].Name, seq[i].Total)
-		}
-		if !reflect.DeepEqual(dist[i].Counts, seq[i].Counts) {
-			t.Fatalf("attribute %s: token counts differ", seq[i].Name)
-		}
-	}
-	// The partitioning built on either extraction is identical (token
-	// order does not matter to MinHash or entropy).
-	p1 := PartitionAttributes(seq, true, Options{Threshold: 0.3})
-	p2 := PartitionAttributes(dist, true, Options{Threshold: 0.3})
-	if !reflect.DeepEqual(p1.Clusters, p2.Clusters) {
-		t.Fatalf("partitionings differ:\n%s\nvs\n%s", p1, p2)
 	}
 }
 

@@ -18,8 +18,10 @@ type PairExplanation struct {
 	CommonBlocks []CommonBlock
 	// Weight under the explanation's options.
 	Weight float64
-	// ThresholdA and ThresholdB are the endpoints' pruning thresholds
-	// (meaningful for node-centric rules; zero for cardinality rules).
+	// ThresholdA and ThresholdB are the thresholds the weight was held
+	// against: the endpoints' own under the node-centric rules (the mean,
+	// Blast's half maximum, CNP's k-th largest weight), the graph-wide
+	// one in both fields under WEP and CEP.
 	ThresholdA, ThresholdB float64
 	// Retained reports the pruning decision under the options' rule.
 	Retained bool
@@ -33,16 +35,12 @@ type CommonBlock struct {
 	Size      int
 }
 
-// Explain reconstructs the meta-blocking decision for one pair. It
-// supports the node-threshold rules (WNP, reciprocal WNP, Blast) — the
-// rules the pipeline defaults to; for other rules the thresholds are
-// reported as zero and Retained reflects weight > 0 only.
+// Explain reconstructs the meta-blocking decision for one pair, under
+// any scheme and rule: it asks the plan Run executes, so Retained is
+// membership in Run's edges.
 func Explain(idx *blocking.Index, opts Options, a, b profile.ID) PairExplanation {
-	ids := idx.ProfileIDs()
-	g := newGraphContext(idx, opts)
-	if needsDegrees(opts.Scheme) {
-		g.computeDegrees(ids)
-	}
+	p := newPlan(idx, opts)
+	g := p.g
 	if b < a {
 		a, b = b, a
 	}
@@ -83,20 +81,14 @@ func Explain(idx *blocking.Index, opts Options, a, b profile.ID) PairExplanation
 	}
 	out.Weight = g.weight(a, b, ea)
 
-	switch opts.Pruning {
-	case WNP, ReciprocalWNP, BlastPruning:
-		blast := opts.Pruning == BlastPruning
-		out.ThresholdA = nodeThreshold(g.thresholdNeighbours(a, s, blast), blast)
-		out.ThresholdB = nodeThreshold(g.thresholdNeighbours(b, s, blast), blast)
-		okA := out.Weight >= out.ThresholdA
-		okB := out.Weight >= out.ThresholdB
-		if opts.Pruning == ReciprocalWNP {
-			out.Retained = okA && okB
-		} else {
-			out.Retained = okA || okB
-		}
-	default:
-		out.Retained = out.Weight > 0
+	// A node rule reads the two endpoints' statistics only; a graph-wide
+	// threshold needs pass 1 over the whole graph.
+	nodes := []profile.ID{a, b}
+	if p.global() {
+		nodes = p.statNodes()
 	}
+	k := p.decide(p.stats(nodes, s))
+	out.ThresholdA, out.ThresholdB = k.thresholds(a, b)
+	out.Retained = k.edge(a, b, out.Weight)
 	return out
 }

@@ -68,6 +68,57 @@ func TestExplainBlastDecision(t *testing.T) {
 	}
 }
 
+// TestExplainAgreesWithRun holds Explain to Run under every scheme and
+// rule: for each edge of the unpruned graph, Retained is membership in
+// Run's edges, and the reported thresholds are the ones that decide it.
+func TestExplainAgreesWithRun(t *testing.T) {
+	idx := testIndex(24, 34)
+	type pair = [2]profile.ID
+	var graph []pair
+	forEachEdge(newGraphContext(idx, Options{}), idx.ProfileIDs(), func(a, b profile.ID, _ float64) {
+		graph = append(graph, pair{a, b})
+	})
+	if len(graph) < 50 {
+		t.Fatalf("fixture has only %d edges", len(graph))
+	}
+	for _, s := range allSchemes() {
+		for _, p := range allPrunings() {
+			opts := Options{Scheme: s, Pruning: p}
+			retained := map[pair]float64{}
+			for _, e := range Run(idx, opts) {
+				retained[pair{e.A, e.B}] = e.Weight
+			}
+			if len(retained) == 0 || len(retained) == len(graph) && p != CEP {
+				// CEP's default K (BC/2) exceeds this graph's edge count.
+				t.Fatalf("%v/%v: Run kept %d of %d edges; the fixture decides nothing", s, p, len(retained), len(graph))
+			}
+			for _, e := range graph {
+				ex := Explain(idx, opts, e[0], e[1])
+				w, kept := retained[e]
+				if ex.Retained != kept {
+					t.Fatalf("%v/%v pair %v: Explain says retained=%v (weight %g, thresholds %g/%g), Run says %v",
+						s, p, e, ex.Retained, ex.Weight, ex.ThresholdA, ex.ThresholdB, kept)
+				}
+				if kept && math.Float64bits(w) != math.Float64bits(ex.Weight) {
+					t.Fatalf("%v/%v pair %v: Explain weight %g, Run weight %g", s, p, e, ex.Weight, w)
+				}
+				okA, okB := ex.Weight >= ex.ThresholdA, ex.Weight >= ex.ThresholdB
+				want := okA || okB
+				if p == ReciprocalWNP || p == ReciprocalCNP {
+					want = okA && okB
+				}
+				if ex.Retained != want {
+					t.Fatalf("%v/%v pair %v: retained=%v does not follow from weight %g and thresholds %g/%g",
+						s, p, e, ex.Retained, ex.Weight, ex.ThresholdA, ex.ThresholdB)
+				}
+				if (p == WEP || p == CEP) && ex.ThresholdA != ex.ThresholdB {
+					t.Fatalf("%v/%v pair %v: global rule reported thresholds %g and %g", s, p, e, ex.ThresholdA, ex.ThresholdB)
+				}
+			}
+		}
+	}
+}
+
 func TestExplainUnrelatedPair(t *testing.T) {
 	idx := testIndex(20, 32)
 	// Find two profiles with no shared block.

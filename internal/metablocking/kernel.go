@@ -9,13 +9,13 @@ import (
 
 // neighbourScratch is the flat-array neighbourhood kernel: the
 // allocation-free replacement of the historical
-// map[profile.ID]*edgeAccumulator, instantiated from the shared
+// map of per-pair accumulators, instantiated from the shared
 // kernel.Scratch primitive (dense ID-indexed slots, epoch-stamped
 // O(touched) clears). One scratch serves one worker at a time: the
 // sequential Run reuses a single one, RunDistributed leases one per
 // dataflow task from the graphContext's sync.Pool.
 type neighbourScratch struct {
-	kernel.Scratch[edgeAccumulator]
+	kernel.Scratch[PairStats]
 	// nws is the reusable buffer weightedNeighbours and orderedNeighbours
 	// return; callers must consume it before the next call on this scratch.
 	nws []neighbourWeight
@@ -25,7 +25,7 @@ type neighbourScratch struct {
 
 // newNeighbourScratch sizes a scratch for profile IDs in [0, n).
 func newNeighbourScratch(n int) *neighbourScratch {
-	return &neighbourScratch{Scratch: *kernel.NewScratch[edgeAccumulator](n)}
+	return &neighbourScratch{Scratch: *kernel.NewScratch[PairStats](n)}
 }
 
 // kthLargestWeight returns the k-th largest weight of a neighbourhood

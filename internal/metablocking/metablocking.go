@@ -7,16 +7,24 @@
 // node-local threshold. The surviving edges are the candidate pairs handed
 // to the entity matcher.
 //
-// Three implementations share the same semantics: a sequential
-// node-centric one, a distributed broadcast-join one (the paper's parallel
-// algorithm: partition the nodes, broadcast the block index, materialise
-// one node neighbourhood at a time), and a naive distributed baseline that
-// materialises every edge through the shuffle, used to quantify what the
-// broadcast-join design saves.
+// The algorithm is written once. Weight (weight.go) is the one place a
+// scheme becomes arithmetic. Each pruning rule is a plan (plan.go) over
+// two node passes: pass 1 computes per-node or global statistics, a
+// driver-side step turns them into one keep predicate, pass 2 emits the
+// forward edges that pass it. Two drivers run that plan and differ only
+// in how a pass is mapped over contiguous ID ranges: Run is one loop
+// with one scratch; RunDistributed is the paper's parallel algorithm —
+// partition the nodes, broadcast the block index and the pass-1
+// statistics, materialise one node neighbourhood at a time, shuffle
+// nothing. RunNaiveDistributed is a separate baseline that materialises
+// every edge through the shuffle, kept to quantify what the
+// broadcast-join design saves; reference_test.go retains the map-based
+// reference all of them are pinned against bitwise.
 package metablocking
 
 import (
-	"math"
+	"fmt"
+	"strings"
 
 	"sparker/internal/blocking"
 	"sparker/internal/profile"
@@ -39,21 +47,35 @@ const (
 	ARCS
 )
 
+// schemeNames is the one table of scheme spellings: what stored
+// configurations and the command-line flags say, and (upper-cased) what
+// reports print.
+var schemeNames = [...]string{CBS: "cbs", ECBS: "ecbs", JS: "js", EJS: "ejs", ARCS: "arcs"}
+
+// Name is the scheme's configuration spelling; ParseScheme inverts it.
+func (s Scheme) Name() string {
+	if s < 0 || int(s) >= len(schemeNames) {
+		return "unknown"
+	}
+	return schemeNames[s]
+}
+
 // String names the scheme for reports.
 func (s Scheme) String() string {
-	switch s {
-	case CBS:
-		return "CBS"
-	case ECBS:
-		return "ECBS"
-	case JS:
-		return "JS"
-	case EJS:
-		return "EJS"
-	case ARCS:
-		return "ARCS"
+	if s < 0 || int(s) >= len(schemeNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return strings.ToUpper(schemeNames[s])
+}
+
+// ParseScheme resolves a scheme name, ignoring case.
+func ParseScheme(name string) (Scheme, error) {
+	for s, n := range schemeNames {
+		if strings.EqualFold(n, name) {
+			return Scheme(s), nil
+		}
+	}
+	return 0, fmt.Errorf("metablocking: unknown scheme %q (want %s)", name, strings.Join(schemeNames[:], ", "))
 }
 
 // Pruning selects the edge-pruning rule.
@@ -101,6 +123,31 @@ func (p Pruning) String() string {
 	return "unknown"
 }
 
+// pruningNames is the one table of pruning-rule configuration spellings
+// (String keeps the longer report names).
+var pruningNames = [...]string{
+	WEP: "wep", CEP: "cep", WNP: "wnp", ReciprocalWNP: "rwnp",
+	CNP: "cnp", ReciprocalCNP: "rcnp", BlastPruning: "blast",
+}
+
+// Name is the rule's configuration spelling; ParsePruning inverts it.
+func (p Pruning) Name() string {
+	if p < 0 || int(p) >= len(pruningNames) {
+		return "unknown"
+	}
+	return pruningNames[p]
+}
+
+// ParsePruning resolves a pruning-rule name, ignoring case.
+func ParsePruning(name string) (Pruning, error) {
+	for p, n := range pruningNames {
+		if strings.EqualFold(n, name) {
+			return Pruning(p), nil
+		}
+	}
+	return 0, fmt.Errorf("metablocking: unknown pruning %q (want %s)", name, strings.Join(pruningNames[:], ", "))
+}
+
 // EntropyProvider supplies the entropy of the attribute cluster a block's
 // key belongs to. looseschema.Partitioning implements it.
 type EntropyProvider interface {
@@ -126,14 +173,6 @@ type Edge struct {
 	Weight float64
 }
 
-// edgeAccumulator gathers the per-pair statistics a weight scheme needs.
-type edgeAccumulator struct {
-	cbs        int32   // number of shared blocks
-	arcs       float64 // Σ 1/||b|| over shared blocks
-	entropySum float64 // Σ entropy(cluster(b)) over shared blocks
-	entArcs    float64 // Σ entropy/||b||
-}
-
 // graphContext caches everything the weighting functions need.
 type graphContext struct {
 	idx        *blocking.Index
@@ -145,11 +184,15 @@ type graphContext struct {
 	// scratch leases flat neighbourhood kernels sized maxID+1; the pool is
 	// shared by every dataflow task when the context is broadcast.
 	scratch scratchPool
-	// EJS support, filled lazily: degrees is dense, indexed by profile ID.
+	// EJS support, nil for every other scheme: degrees is dense, indexed by
+	// profile ID.
 	degrees    []int32
 	totalEdges float64
 }
 
+// newGraphContext derives the per-block caches and, for EJS, runs the
+// degree pass: the one preamble of Run, RunDistributed, Explain and
+// Schedule.
 func newGraphContext(idx *blocking.Index, opts Options) *graphContext {
 	blocks := idx.Blocks.Blocks
 	g := &graphContext{
@@ -173,6 +216,9 @@ func newGraphContext(idx *blocking.Index, opts Options) *graphContext {
 			g.entropy[i] = 1
 		}
 	}
+	if needsDegrees(opts.Scheme) {
+		g.computeDegrees(idx.ProfileIDs())
+	}
 	return g
 }
 
@@ -191,18 +237,12 @@ func (g *graphContext) neighbourhood(id profile.ID, s *neighbourScratch) {
 		if col.CleanClean && !ref.SideB() {
 			others = b.B
 		}
-		arcs := 1 / g.comparison[bi]
-		ent := g.entropy[bi]
-		entArcs := ent / g.comparison[bi]
+		c := BlockContribution(g.entropy[bi], g.comparison[bi])
 		for _, other := range others {
 			if other == id {
 				continue
 			}
-			a := s.Slot(other)
-			a.cbs++
-			a.arcs += arcs
-			a.entropySum += ent
-			a.entArcs += entArcs
+			s.Slot(other).Add(c)
 		}
 	}
 }
@@ -257,7 +297,7 @@ func (g *graphContext) thresholdNeighbours(id profile.ID, s *neighbourScratch, b
 // forwardEdges materialises id's neighbourhood and calls fn once per
 // forward edge (neighbour ID above id's), so that a pass over every
 // owner visits each undirected edge exactly once. Edges come in
-// first-touch order; passes that emit them sort globally afterwards.
+// first-touch order; whoever emits them sorts.
 func (g *graphContext) forwardEdges(id profile.ID, s *neighbourScratch, fn func(other profile.ID, w float64)) {
 	g.neighbourhood(id, s)
 	for _, other := range s.Touched() {
@@ -284,73 +324,17 @@ func (g *graphContext) forwardOwners(ids []profile.ID) []profile.ID {
 	return ids[:n]
 }
 
-// weight computes the scheme weight of the edge (a, b) from its
-// accumulator. With entropy enabled, counting schemes replace each shared
-// block's unit contribution with the block's cluster entropy, and ratio
-// schemes are scaled by the mean entropy of the shared blocks — this is
-// the re-weighting Figure 2(c) shows.
-func (g *graphContext) weight(a, b profile.ID, acc *edgeAccumulator) float64 {
-	cbs := float64(acc.cbs)
-	if cbs == 0 {
-		return 0
+// weight is Weight for the edge (a, b) of this graph: it looks up the
+// endpoints' block counts and, under EJS, their degree factor.
+func (g *graphContext) weight(a, b profile.ID, st *PairStats) float64 {
+	if !g.scheme.ReadsEndpoints() {
+		return Weight(g.scheme, st, g.useEntropy, 0, 0, 0, 0)
 	}
-	meanEntropy := acc.entropySum / cbs
-	switch g.scheme {
-	case CBS:
-		if g.useEntropy {
-			return acc.entropySum
-		}
-		return cbs
-	case ECBS:
-		w := cbs * LogRatio(g.numBlocks, float64(g.idx.NumBlocksOf(a))) *
-			LogRatio(g.numBlocks, float64(g.idx.NumBlocksOf(b)))
-		if g.useEntropy {
-			w *= meanEntropy
-		}
-		return w
-	case JS:
-		union := float64(g.idx.NumBlocksOf(a)) + float64(g.idx.NumBlocksOf(b)) - cbs
-		if union <= 0 {
-			return 0
-		}
-		w := cbs / union
-		if g.useEntropy {
-			w *= meanEntropy
-		}
-		return w
-	case EJS:
-		union := float64(g.idx.NumBlocksOf(a)) + float64(g.idx.NumBlocksOf(b)) - cbs
-		if union <= 0 {
-			return 0
-		}
-		w := cbs / union
-		da, db := float64(g.degrees[a]), float64(g.degrees[b])
-		w *= LogRatio(g.totalEdges, da) * LogRatio(g.totalEdges, db)
-		if g.useEntropy {
-			w *= meanEntropy
-		}
-		return w
-	case ARCS:
-		if g.useEntropy {
-			return acc.entArcs
-		}
-		return acc.arcs
+	degreeFactor := 1.0
+	if g.degrees != nil {
+		degreeFactor = LogRatio(g.totalEdges, float64(g.degrees[a])) * LogRatio(g.totalEdges, float64(g.degrees[b]))
 	}
-	return 0
-}
-
-// LogRatio is the clamped log10(total/part) factor of the ECBS and EJS
-// schemes, shared with the online index so both sides keep the same
-// clamping semantics.
-func LogRatio(total, part float64) float64 {
-	if part <= 0 || total <= 0 {
-		return 0
-	}
-	v := math.Log10(total / part)
-	if v < 0 {
-		return 0
-	}
-	return v
+	return Weight(g.scheme, st, g.useEntropy, g.idx.NumBlocksOf(a), g.idx.NumBlocksOf(b), g.numBlocks, degreeFactor)
 }
 
 // needsDegrees reports whether the scheme requires the EJS degree pass.

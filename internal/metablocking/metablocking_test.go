@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -62,6 +63,34 @@ func TestSchemeAndPruningNames(t *testing.T) {
 		}
 	}
 	if Scheme(99).String() != "unknown" || Pruning(99).String() != "unknown" {
+		t.Fatal("out-of-range names")
+	}
+}
+
+// TestParseInvertsName pins the one name table: parsing a scheme's or a
+// rule's configuration spelling, in any case, gives it back.
+func TestParseInvertsName(t *testing.T) {
+	for _, s := range allSchemes() {
+		for _, name := range []string{s.Name(), strings.ToUpper(s.Name()), s.String()} {
+			if got, err := ParseScheme(name); err != nil || got != s {
+				t.Fatalf("ParseScheme(%q) = %v, %v; want %v", name, got, err, s)
+			}
+		}
+	}
+	for _, p := range allPrunings() {
+		for _, name := range []string{p.Name(), strings.ToUpper(p.Name())} {
+			if got, err := ParsePruning(name); err != nil || got != p {
+				t.Fatalf("ParsePruning(%q) = %v, %v; want %v", name, got, err, p)
+			}
+		}
+	}
+	if _, err := ParseScheme("x"); err == nil {
+		t.Fatal("ParseScheme accepted an unknown name")
+	}
+	if _, err := ParsePruning(""); err == nil {
+		t.Fatal("ParsePruning accepted an empty name")
+	}
+	if Scheme(99).Name() != "unknown" || Pruning(-1).Name() != "unknown" {
 		t.Fatal("out-of-range names")
 	}
 }
@@ -240,22 +269,24 @@ func TestARCSFavoursSmallBlocks(t *testing.T) {
 }
 
 // TestDistributedMatchesSequential is the central equivalence claim of
-// the parallel algorithm: identical output to the reference for every
-// scheme and pruning rule, at several executor counts.
+// the parallel algorithm: bitwise-identical output to the sequential
+// driver for every scheme and pruning rule, at several executor counts
+// and partition counts — one of them above the node count, so ranges of
+// one node and the clamp both run. Both drivers execute one plan, so a
+// tolerance here could only hide a driver bug.
 func TestDistributedMatchesSequential(t *testing.T) {
 	idx := testIndex(50, 7)
 	for _, workers := range []int{1, 3} {
 		ctx := dataflow.NewContext(dataflow.WithParallelism(workers))
-		for _, s := range allSchemes() {
-			for _, p := range allPrunings() {
-				seq := Run(idx, Options{Scheme: s, Pruning: p})
-				dist, err := RunDistributed(ctx, idx, Options{Scheme: s, Pruning: p}, workers*2)
-				if err != nil {
-					t.Fatalf("%v/%v: %v", s, p, err)
-				}
-				if !edgesEqual(seq, dist) {
-					t.Fatalf("workers=%d %v/%v: distributed diverges from sequential\nseq  %v\ndist %v",
-						workers, s, p, seq, dist)
+		for _, partitions := range []int{workers * 2, idx.NumProfiles() + 7} {
+			for _, s := range allSchemes() {
+				for _, p := range allPrunings() {
+					seq := Run(idx, Options{Scheme: s, Pruning: p})
+					dist, err := RunDistributed(ctx, idx, Options{Scheme: s, Pruning: p}, partitions)
+					if err != nil {
+						t.Fatalf("%v/%v: %v", s, p, err)
+					}
+					requireBitwiseEqual(t, fmt.Sprintf("workers=%d partitions=%d %v/%v", workers, partitions, s, p), seq, dist)
 				}
 			}
 		}
@@ -314,6 +345,10 @@ func TestNaiveShufflesMoreThanBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	broadcastShuffle := ctx1.Metrics().ShuffleRecords
+	if built := ctx1.Metrics().BroadcastsBuilt; broadcastShuffle != 0 || built != 2 {
+		t.Fatalf("broadcast plan shuffled %d records and registered %d broadcasts; want 0 and 2 (the plan, the keep predicate)",
+			broadcastShuffle, built)
+	}
 	ctx1.Close()
 
 	ctx2 := dataflow.NewContext(dataflow.WithParallelism(2))

@@ -55,9 +55,6 @@ func (s ScheduleStrategy) String() string {
 func Schedule(idx *blocking.Index, opts Options, strategy ScheduleStrategy, budget int) []Edge {
 	ids := idx.ProfileIDs()
 	g := newGraphContext(idx, opts)
-	if needsDegrees(opts.Scheme) {
-		g.computeDegrees(ids)
-	}
 	var out []Edge
 	switch strategy {
 	case GlobalTop:

@@ -19,6 +19,15 @@ import (
 // linear scan instead of the BlockRef side bit, map degrees and map
 // thresholds — so the two code paths share as little as possible.
 
+// edgeAccumulator is the historical per-pair accumulator, the reference's
+// own since the kernel fills the shared PairStats through Add.
+type edgeAccumulator struct {
+	cbs        int32   // number of shared blocks
+	arcs       float64 // Σ 1/||b|| over shared blocks
+	entropySum float64 // Σ entropy(cluster(b)) over shared blocks
+	entArcs    float64 // Σ entropy/||b||
+}
+
 // refGraph mirrors the historical graphContext.
 type refGraph struct {
 	idx        *blocking.Index
@@ -415,10 +424,9 @@ func TestFlatKernelNeighbourhoodsMatchReference(t *testing.T) {
 		ids := idx.ProfileIDs()
 		for _, s := range allSchemes() {
 			opts := Options{Scheme: s, Entropy: rampEntropy{}}
-			g := newGraphContext(idx, opts)
+			g := newGraphContext(idx, opts) // runs its own degree pass
 			rg := newRefGraph(idx, opts)
 			if needsDegrees(s) {
-				g.computeDegrees(ids)
 				rg.computeDegrees(ids)
 			}
 			sc := g.scratch.get()

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"sparker/internal/index"
+	"sparker/internal/loader"
 	"sparker/internal/obs"
 )
 
@@ -451,30 +452,30 @@ func mergeDebug(debugs []*debugJSON) *debugJSON {
 }
 
 // decodeRecords splits a JSONL body into its raw records and their
-// original IDs, using the same streaming decoder as the loader so a
-// record the coordinator routes is exactly a record a shard will
-// accept. Every record must carry an explicit "id": the single-node
-// row-N auto-ID cannot survive sharding (the coordinator and the shard
-// would number rows differently, splitting one profile's identity).
+// original IDs, using the same streaming decoder and the same id text
+// as the loader (numbers read with UseNumber, loader.JSONText), so a
+// record the coordinator routes is exactly a record a shard will accept,
+// under exactly the ID the shard will store. The raw records alias body.
+// Every record must carry an explicit "id": the single-node row-N
+// auto-ID cannot survive sharding (the coordinator and the shard would
+// number rows differently, splitting one profile's identity).
 func decodeRecords(body []byte) (ids []string, raws []json.RawMessage, err error) {
 	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
 	row := 0
 	for dec.More() {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			return nil, nil, fmt.Errorf("JSONL record %d: %w", row+1, err)
-		}
+		start := dec.InputOffset()
 		var rec struct {
 			ID any `json:"id"`
 		}
-		if err := json.Unmarshal(raw, &rec); err != nil {
+		if err := dec.Decode(&rec); err != nil {
 			return nil, nil, fmt.Errorf("JSONL record %d: %w", row+1, err)
 		}
 		if rec.ID == nil {
 			return nil, nil, fmt.Errorf("JSONL record %d: missing \"id\" (cluster writes need explicit ids)", row+1)
 		}
-		ids = append(ids, fmt.Sprintf("%v", rec.ID))
-		raws = append(raws, raw)
+		ids = append(ids, loader.JSONText(rec.ID))
+		raws = append(raws, bytes.TrimSpace(body[start:dec.InputOffset()]))
 		row++
 	}
 	return ids, raws, nil

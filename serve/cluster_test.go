@@ -322,6 +322,47 @@ func TestClusterUpsertRouting(t *testing.T) {
 	}
 }
 
+// TestNumericIDsKeepTheirText: the number and the string spelling of one
+// id are one profile — they route to one shard and the second write
+// overwrites the first there — and ids that differ only past 2^53, where
+// a float64 cannot tell them apart, are two.
+func TestNumericIDsKeepTheirText(t *testing.T) {
+	coord, _, _ := startShards(t, 3, ClusterOptions{})
+	upsert := func(record string) (created bool, shard int) {
+		t.Helper()
+		code, body := postBody(t, coord.URL+"/v1/upsert", record)
+		if code != http.StatusOK {
+			t.Fatalf("upsert %s: %d %s", record, code, body)
+		}
+		var ack clusterUpsertResponse
+		if err := json.Unmarshal(body, &ack); err != nil {
+			t.Fatal(err)
+		}
+		return ack.Created, ack.Shard
+	}
+	created, shard := upsert(`{"id": 1234567, "name": "alpha beta"}`)
+	if want := ShardFor("1234567", 3); !created || shard != want {
+		t.Fatalf("numeric id: created=%v on shard %d, want a new profile on shard %d", created, shard, want)
+	}
+	if created, again := upsert(`{"id": "1234567", "name": "alpha gamma"}`); created || again != shard {
+		t.Fatalf("string spelling: created=%v on shard %d, want an overwrite on shard %d", created, again, shard)
+	}
+	if created, again := upsert(`{"id": 1234567, "name": "alpha delta"}`); created || again != shard {
+		t.Fatalf("numeric spelling again: created=%v on shard %d, want an overwrite on shard %d", created, again, shard)
+	}
+	for _, id := range []string{"9007199254740992", "9007199254740993"} {
+		if created, shard := upsert(`{"id": ` + id + `, "name": "big"}`); !created || shard != ShardFor(id, 3) {
+			t.Fatalf("id %s: created=%v on shard %d, want a new profile on shard %d", id, created, shard, ShardFor(id, 3))
+		}
+	}
+
+	ids, raws, err := decodeRecords([]byte(" {\"id\": 12, \"n\": 1}\n\n{\"id\":\"12\"} "))
+	if err != nil || len(ids) != 2 || ids[0] != "12" || ids[1] != "12" ||
+		string(raws[0]) != `{"id": 12, "n": 1}` || string(raws[1]) != `{"id":"12"}` {
+		t.Fatalf("decodeRecords: ids %q raws %q err %v", ids, raws, err)
+	}
+}
+
 // TestClusterForwardsKnobsVerbatim pins the knob forwarding contract:
 // what the coordinator sends a shard is the canonical encoding of the
 // client's decoded knobs — with exactly two deliberate changes (the
