@@ -719,6 +719,64 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkWALReplay times a crash restart end to end: Load of the
+// ~10k-profile snapshot, then OpenWAL replaying a 2 000-op tail of
+// inserts and overwrites through the one write path — what a kill -9'd
+// sparker-serve leader pays before it answers again, and (minus the
+// file reads) what a follower bootstrap plus catch-up pays.
+func BenchmarkWALReplay(b *testing.B) {
+	c := indexBenchCollection(b)
+	cfg := index.DefaultConfig()
+	cfg.OpLog.Enabled = true
+	idx, err := index.NewFromCollection(c, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	snap := filepath.Join(dir, "bench.snap")
+	walCfg := index.WALConfig{Dir: filepath.Join(dir, "oplog"), Sync: index.WALSyncNever}
+	if _, err := idx.OpenWAL(walCfg); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := idx.Save(snap); err != nil {
+		b.Fatal(err)
+	}
+	const tail = 2000
+	for i := 0; i < tail; i++ {
+		p := c.Profiles[(i*7)%c.Size()]
+		if i%2 == 1 { // every other op inserts a profile the snapshot lacks
+			p.OriginalID = "replay-" + p.OriginalID
+		}
+		if _, _, err := idx.Upsert(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := idx.CloseWAL(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var replayed int64
+	for i := 0; i < b.N; i++ {
+		x, err := index.Load(snap, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec, err := x.OpenWAL(walCfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		replayed = rec.Replayed
+		if err := x.CloseWAL(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if replayed != tail {
+		b.Fatalf("replayed %d ops, want %d", replayed, tail)
+	}
+	b.ReportMetric(float64(replayed), "replayed_ops")
+}
+
 func benchName(prefix string, n int) string {
 	digits := ""
 	if n == 0 {

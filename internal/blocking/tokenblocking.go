@@ -58,50 +58,102 @@ type KeyedToken struct {
 }
 
 // keyScratch bundles the reusable state of key derivation: the per-call
-// dedup set, the tokenizer's normalise-and-intern scratch, and the token
+// dedup sets, the tokenizer's normalise-and-intern scratch, and the token
 // buffer. Key derivation runs once per profile on both the batch blocking
-// and index upsert/query hot paths; pooling this state (clearing the set
+// and index upsert/query hot paths; pooling this state (clearing a set
 // compiles to a cheap map reset) makes steady-state key derivation
 // allocation-free — tokens and keys alloc only on first sight, through
 // the scratch's intern table.
 type keyScratch struct {
 	seen map[string]struct{}
-	tok  tokenize.Scratch
-	toks []string
+	// seenTok dedups the token bag of AppendKeysAndBag under a Clustering,
+	// where one token can yield several keys (nil until first needed).
+	seenTok map[string]struct{}
+	tok     tokenize.Scratch
+	toks    []string
 }
 
 var keyScratchPool = sync.Pool{
 	New: func() any { return &keyScratch{seen: make(map[string]struct{}, 64)} },
 }
 
+// maxPooledSeen is the largest dedup set that goes back to the pool.
+// Clearing a Go map costs its capacity, not its length, so a set one huge
+// profile grew would tax every later derivation that drew that scratch.
+const maxPooledSeen = 4096
+
+// resetSeen empties a dedup set for reuse, swapping an oversized one for
+// a fresh small one.
+func resetSeen(m map[string]struct{}) map[string]struct{} {
+	if len(m) > maxPooledSeen {
+		return make(map[string]struct{}, 64)
+	}
+	clear(m)
+	return m
+}
+
 // AppendKeysOf appends the distinct blocking keys of one profile to dst
 // (in first-occurrence order) and returns the extended slice. Hot-path
-// callers — the sharded batch blocker, the distributed blocker's tasks,
-// the online index's query path — pass a reused buffer so key derivation
-// allocates nothing per profile in the steady state.
+// callers — the sharded batch blocker, the distributed blocker's tasks —
+// pass a reused buffer so key derivation allocates nothing per profile in
+// the steady state.
 func (o *Options) AppendKeysOf(dst []KeyedToken, p *profile.Profile) []KeyedToken {
+	dst, _ = o.appendKeys(dst, nil, false, p)
+	return dst
+}
+
+// AppendKeysAndBag is AppendKeysOf that also appends the profile's
+// distinct tokens to bag, in first-occurrence order, from the same single
+// tokenisation of each attribute value: in SparkER a profile's tokens are
+// at once its blocking keys and the bag the matcher compares. Without a
+// Clustering the key of a token is the token, so the bag is the key
+// strings themselves; with one, the same pass feeds a second dedup set.
+// The online index derives both sides of every write and query here.
+func (o *Options) AppendKeysAndBag(keys []KeyedToken, bag []string, p *profile.Profile) ([]KeyedToken, []string) {
+	return o.appendKeys(keys, bag, true, p)
+}
+
+func (o *Options) appendKeys(dst []KeyedToken, bag []string, wantBag bool, p *profile.Profile) ([]KeyedToken, []string) {
 	ks := keyScratchPool.Get().(*keyScratch)
+	tokenDedup := wantBag && o.Clustering != nil
+	if tokenDedup && ks.seenTok == nil {
+		ks.seenTok = make(map[string]struct{}, 64)
+	}
 	for _, kv := range p.Attributes {
 		ks.toks = o.Tokenizer.AppendTokens(ks.toks[:0], kv.Value, &ks.tok)
 		for _, tok := range ks.toks {
 			key, cluster := o.KeyFor(p.SourceID, kv.Key, tok)
-			if _, dup := ks.seen[key]; !dup {
+			_, dup := ks.seen[key]
+			if !dup {
 				ks.seen[key] = struct{}{}
 				dst = append(dst, KeyedToken{Key: key, Cluster: cluster})
 			}
+			if !wantBag {
+				continue
+			}
+			if tokenDedup {
+				if _, dup = ks.seenTok[tok]; !dup {
+					ks.seenTok[tok] = struct{}{}
+				}
+			}
+			if !dup {
+				bag = append(bag, tok)
+			}
 		}
 	}
-	clear(ks.seen)
+	ks.seen = resetSeen(ks.seen)
+	if tokenDedup {
+		ks.seenTok = resetSeen(ks.seenTok)
+	}
 	keyScratchPool.Put(ks)
-	return dst
+	return dst, bag
 }
 
 // KeysOf enumerates the distinct blocking keys of one profile, in first-
 // occurrence order, in a freshly allocated slice the caller may retain.
 // It is the unit of work of token blocking, exposed so that online
-// consumers (the incremental entity index) derive keys exactly as the
-// batch blocker does. Transient callers should prefer AppendKeysOf with a
-// reused buffer.
+// consumers derive keys exactly as the batch blocker does. Transient
+// callers should prefer AppendKeysOf with a reused buffer.
 func (o *Options) KeysOf(p *profile.Profile) []KeyedToken {
 	return o.AppendKeysOf(nil, p)
 }

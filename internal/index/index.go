@@ -23,6 +23,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -283,6 +284,9 @@ type Index struct {
 	restored  bool
 	persistMu sync.Mutex
 	persist   PersistState
+	// imageBytes is the size of the last snapshot encoded or decoded, the
+	// buffer hint of the next Image.
+	imageBytes atomic.Int64
 	// saveMu serializes Save end to end (open, encode, fsync, rename):
 	// concurrent saves to one path would share the fixed temp file, and
 	// writeMu alone does not cover the file I/O around the encode.
@@ -448,10 +452,8 @@ func (x *Index) putLocked(p profile.Profile) {
 	if b := int64(p.ID) + 1; b > x.idBound.Load() {
 		x.idBound.Store(b)
 	}
-	sp := &storedProfile{p: p, keys: x.opts.KeysOf(&p)}
-	if x.cfg.defaultJaccard {
-		sp.bag = distinctBag(&p, x.cfg)
-	}
+	sp := &storedProfile{p: p}
+	sp.keys, sp.bag = x.keysAndBag(&p)
 	if x.lshOn() {
 		sp.sig = x.signatureOf(sp)
 	}
@@ -517,19 +519,36 @@ func (x *Index) unlinkLocked(id profile.ID) {
 	}
 }
 
-// distinctBag returns the profile's distinct whole-profile tokens, the
-// cached operand of the default Jaccard scorer.
-func distinctBag(p *profile.Profile, cfg Config) []string {
-	bag := matching.ProfileBag(p, cfg.Tokenizer)
-	seen := make(map[string]struct{}, len(bag))
-	out := bag[:0]
-	for _, t := range bag {
-		if _, dup := seen[t]; !dup {
-			seen[t] = struct{}{}
-			out = append(out, t)
-		}
+// keyBuf is the pooled workspace of key+bag derivation. Every write
+// (putLocked), the restore fallback for a snapshot without bags, and
+// every query fill one through blocking's AppendKeysAndBag — a single
+// tokenisation of each attribute value yields the blocking keys and the
+// distinct token bag. Schema-agnostic — the only configuration
+// sparker-serve can express — a token is its own key, so the bag is the
+// key strings in the same first-occurrence order and shares their bytes:
+// keys and bag cannot disagree about what a profile's tokens are.
+type keyBuf struct {
+	keys []blocking.KeyedToken
+	bag  []string
+}
+
+var keyBufPool = sync.Pool{New: func() any { return new(keyBuf) }}
+
+// keysAndBag returns p's keys and bag in exact-size slices a stored
+// profile retains. Both are nil when p has no tokens (a nil bag is what
+// the snapshot's bag flag byte records), and the bag is nil under a
+// custom Measure, which scores from the profiles themselves.
+func (x *Index) keysAndBag(p *profile.Profile) (keys []blocking.KeyedToken, bag []string) {
+	kb := keyBufPool.Get().(*keyBuf)
+	kb.keys, kb.bag = x.opts.AppendKeysAndBag(kb.keys[:0], kb.bag[:0], p)
+	if len(kb.keys) > 0 {
+		keys = slices.Clone(kb.keys)
 	}
-	return out
+	if x.cfg.defaultJaccard && len(kb.bag) > 0 {
+		bag = slices.Clone(kb.bag)
+	}
+	keyBufPool.Put(kb)
+	return keys, bag
 }
 
 // removeID deletes one ID from a posting list, preserving order.

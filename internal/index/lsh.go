@@ -23,8 +23,6 @@ import (
 
 	"sparker/internal/lsh"
 	"sparker/internal/matching"
-	"sparker/internal/profile"
-	"sparker/internal/tokenize"
 )
 
 // ProbePolicy selects when a query runs the LSH probe beside the token
@@ -190,14 +188,12 @@ func (x *Index) LSHEnabled() bool { return x.lshOn() }
 // Query and Resolve apply when no per-query override is given.
 func (x *Index) ProbePolicy() ProbePolicy { return x.cfg.LSH.Policy }
 
-// lshScratch is the pooled per-probe workspace: the query's token bag
-// and its signature, reused across probes so the query hot path stays
-// allocation-free at steady state. Band keys need no buffer — they are
-// derived one at a time inside the probe loop.
+// lshScratch is the pooled per-probe workspace: the query's signature,
+// reused across probes so the query hot path stays allocation-free at
+// steady state. Band keys need no buffer — they are derived one at a
+// time inside the probe loop.
 type lshScratch struct {
-	bag []string
 	sig []uint64
-	tok tokenize.Scratch
 }
 
 func (st *lshState) getScratch() *lshScratch {
@@ -209,7 +205,6 @@ func (st *lshState) getScratch() *lshScratch {
 }
 
 func (st *lshState) putScratch(s *lshScratch) {
-	s.bag = s.bag[:0]
 	s.sig = s.sig[:0]
 	st.pool.Put(s)
 }
@@ -287,14 +282,9 @@ func (x *Index) bucketShard(key uint64) *shard {
 	return x.shards[int(key%uint64(len(x.shards)))]
 }
 
-// querySignature derives the query profile's token bag and MinHash
-// signature into the pooled scratch, returning nil for an empty bag.
-func (x *Index) querySignature(ls *lshScratch, p *profile.Profile) []uint64 {
-	bag := ls.bag[:0]
-	for _, kv := range p.Attributes {
-		bag = x.cfg.Tokenizer.AppendTokens(bag, kv.Value, &ls.tok)
-	}
-	ls.bag = bag
+// querySignature signs the query's token bag into the pooled scratch,
+// returning nil for an empty bag.
+func (x *Index) querySignature(ls *lshScratch, bag []string) []uint64 {
 	if len(bag) == 0 {
 		return nil
 	}

@@ -426,6 +426,16 @@ func (c *opCursor) string() string {
 	return s
 }
 
+// capped bounds up-front slice capacity for decoded counts: growth past
+// it is paid for by input actually read, so a lying header cannot force
+// a large allocation.
+func capped(n uint64) int {
+	if n > 4096 {
+		return 4096
+	}
+	return int(n)
+}
+
 // decodeOpPayload parses and validates one frame payload against the
 // index's task semantics (clean-clean source discipline, ID range).
 func decodeOpPayload(payload []byte, clean bool) (op, error) {

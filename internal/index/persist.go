@@ -33,12 +33,35 @@ package index
 // Encoding is deterministic (profiles by ID, postings by key within each
 // shard, ID lists verbatim): save → load → save reproduces the exact
 // bytes apart from the save-timestamp varint and the CRC that covers it.
-// Decoding validates every length and cross-reference before allocating
-// proportionally, so corrupt input fails with an error rather than a
-// panic or an unbounded allocation.
+//
+// How a snapshot is read. Load reads the file whole into one buffer of
+// the file's size (Decode reads its stream to the end) and takes one
+// immutable string copy of it. A cursor then parses the varints in
+// place; every decoded string — original IDs, attribute keys and values,
+// blocking keys, bag tokens, posting keys — is a substring of that one
+// copy, and the items themselves (stored profiles, attribute, key, bag
+// and signature runs, posting structs, ID lists) are carved out of slabs
+// a few thousand items at a time, each run with its capacity clipped to
+// its length so a later append copies out instead of writing into its
+// neighbour. The CRC is one crc32 call over everything before the
+// trailer. Every count is checked against the bytes that remain before
+// anything is sized from it (each item occupies at least a byte or a
+// few), and every length and cross-reference is validated as it is read,
+// so corrupt input fails with an error rather than a panic or an
+// allocation out of proportion to the input actually supplied.
+//
+// What that retains: a restored index keeps the snapshot-sized string
+// and its slab chunks alive for as long as anything restored from them
+// is still referenced. Overwriting one restored profile frees nothing by
+// itself — its chunk goes when every item in it is gone, and the string
+// stays while any restored posting key or token is in use, which for
+// practical purposes is the life of the index. The bound is the file's
+// size plus the slabs, less than the two allocations per stored string
+// and one per list that they replace.
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -63,9 +86,8 @@ const (
 	// maxSnapshotString bounds any single length-prefixed string
 	// (attribute values, blocking keys) a snapshot may carry. Enforced
 	// symmetrically: encode rejects longer strings, so a successful Save
-	// is always loadable. Decode reads strings incrementally, so a
-	// corrupt length prefix can only cost allocation proportional to the
-	// input actually supplied, never to the claimed length.
+	// is always loadable. Decode makes a string a substring of the image,
+	// so a corrupt length prefix allocates nothing at all.
 	maxSnapshotString = 1 << 30
 	// maxSnapshotItems bounds per-profile attribute/key/bag counts, also
 	// enforced on both sides.
@@ -195,6 +217,7 @@ func (x *Index) Save(path string) (PersistState, error) {
 		_ = dir.Sync()
 		dir.Close()
 	}
+	x.imageBytes.Store(n)
 	st := PersistState{Restored: x.restored, Path: path, Bytes: n, SavedAt: now, Seq: seq}
 	x.persistMu.Lock()
 	x.persist = st
@@ -216,12 +239,24 @@ func (x *Index) Save(path string) (PersistState, error) {
 // it; the benchmark PR that retires that traced metric deletes it.
 func (x *Index) SaveDelta(path string) (PersistState, error) { return x.Save(path) }
 
-// Encode streams a snapshot to w without the file handling of Save. The
-// writer lock is held for the duration, like Save.
-func (x *Index) Encode(w io.Writer) (int64, error) {
+// Image returns a snapshot as bytes, with the sequence number it is a
+// checkpoint at. The writer lock is held only while the image is encoded
+// into memory, never while anyone consumes it: a reader of the bytes as
+// slow as it likes (a stalled follower bootstrap) delays no write.
+func (x *Index) Image() (image []byte, seq int64, err error) {
 	x.writeMu.Lock()
-	defer x.writeMu.Unlock()
-	return x.encodeLocked(w, time.Now())
+	// The last image's size is the hint; a little slack absorbs the
+	// writes since, so the buffer rarely regrows under the lock.
+	hint := x.imageBytes.Load()
+	buf := bytes.NewBuffer(make([]byte, 0, hint+hint/16+1024))
+	_, err = x.encodeLocked(buf, time.Now())
+	seq = x.seq.Load()
+	x.writeMu.Unlock()
+	if err != nil {
+		return nil, 0, err
+	}
+	x.imageBytes.Store(int64(buf.Len()))
+	return buf.Bytes(), seq, nil
 }
 
 // Load restores an index from a snapshot file. The tokenizer, clustering,
@@ -232,12 +267,11 @@ func (x *Index) Encode(w io.Writer) (int64, error) {
 // ErrSnapshotVersion, both via errors.Is.
 func Load(path string, cfg Config) (*Index, error) {
 	start := obs.Now()
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path) // one read into one buffer of the file's size
 	if err != nil {
 		return nil, fmt.Errorf("index: load: %w", err)
 	}
-	defer f.Close()
-	x, err := Decode(f, cfg)
+	x, err := decode(buf, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("index: load %s: %w", path, err)
 	}
@@ -251,18 +285,28 @@ func Load(path string, cfg Config) (*Index, error) {
 	return x, nil
 }
 
-// Decode restores an index from a snapshot stream. See Load.
+// Decode restores an index from a snapshot stream, which it reads to its
+// end before decoding. See Load.
 func Decode(r io.Reader, cfg Config) (*Index, error) {
-	cr := &crcReader{r: bufio.NewReaderSize(r, 1<<16)}
+	buf, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	return decode(buf, cfg)
+}
 
-	var magic [len(snapshotMagic)]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return nil, fmt.Errorf("snapshot magic: %w", err)
+// decode restores an index from a whole snapshot image (see the file
+// header for how the image is read and what the restored index retains).
+func decode(buf []byte, cfg Config) (*Index, error) {
+	d := &decoder{cursor: cursor{b: buf, s: string(buf)}}
+	if d.rest() < len(snapshotMagic) {
+		return nil, fmt.Errorf("snapshot magic: %w", io.ErrUnexpectedEOF)
 	}
-	if string(magic[:]) != snapshotMagic {
-		return nil, fmt.Errorf("not an index snapshot (bad magic %q)", magic[:])
+	if magic := d.s[:len(snapshotMagic)]; magic != snapshotMagic {
+		return nil, fmt.Errorf("not an index snapshot (bad magic %q)", magic)
 	}
-	version, err := cr.uvarint()
+	d.off = len(snapshotMagic)
+	version, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("snapshot version: %w", err)
 	}
@@ -271,36 +315,36 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 			ErrSnapshotVersion, version, snapshotVersion)
 	}
 
-	cleanByte, err := cr.byte()
+	cleanByte, err := d.byte()
 	if err != nil || cleanByte > 1 {
 		return nil, fmt.Errorf("snapshot clean flag: %w", orBad(err, cleanByte))
 	}
 	clean := cleanByte == 1
-	shards, err := cr.uvarint()
+	shards, err := d.uvarint()
 	if err != nil || shards < 1 || shards > maxSnapshotShards {
 		return nil, fmt.Errorf("snapshot shard count %d: %w", shards, orBad(err, 0))
 	}
-	savedAtNanos, err := cr.varint()
+	savedAtNanos, err := d.varint()
 	if err != nil {
 		return nil, fmt.Errorf("snapshot timestamp: %w", err)
 	}
-	nextID, err := cr.uvarint()
+	nextID, err := d.uvarint()
 	if err != nil || nextID > math.MaxInt32 {
 		return nil, fmt.Errorf("snapshot nextID %d: %w", nextID, orBad(err, 0))
 	}
-	queries, err := cr.uvarint()
+	queries, err := d.uvarint()
 	if err != nil || queries > math.MaxInt64 {
 		return nil, fmt.Errorf("snapshot query counter: %w", orBad(err, 0))
 	}
-	upserts, err := cr.uvarint()
+	upserts, err := d.uvarint()
 	if err != nil || upserts > math.MaxInt64 {
 		return nil, fmt.Errorf("snapshot upsert counter: %w", orBad(err, 0))
 	}
-	seq, err := cr.uvarint()
+	seq, err := d.uvarint()
 	if err != nil || seq > math.MaxInt64 {
 		return nil, fmt.Errorf("snapshot sequence number: %w", orBad(err, 0))
 	}
-	numProfiles, err := cr.uvarint()
+	numProfiles, err := d.count(minProfileBytes)
 	// The index never deletes a profile outright (removals only happen
 	// inside a replace), so every assigned ID is live: the ID bound must
 	// equal the profile count exactly. This also caps the dense query
@@ -310,7 +354,7 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("snapshot profile count %d does not match ID bound %d: %w",
 			numProfiles, nextID, orBad(err, 0))
 	}
-	numBlocks, err := cr.uvarint()
+	numBlocks, err := d.count(minPostingBytes)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot posting count: %w", err)
 	}
@@ -326,31 +370,31 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 		fileThreshold           float64
 		fileProbes, fileLSHOnly uint64
 	)
-	lshByte, err := cr.byte()
+	lshByte, err := d.byte()
 	if err != nil || lshByte > 1 {
 		return nil, fmt.Errorf("snapshot LSH flag: %w", orBad(err, lshByte))
 	}
 	fileLSH := lshByte == 1
 	if fileLSH {
-		fileSigLen, err = cr.uvarint()
+		fileSigLen, err = d.uvarint()
 		if err != nil || fileSigLen < 1 || fileSigLen > maxSnapshotSigLen {
 			return nil, fmt.Errorf("snapshot signature length %d: %w", fileSigLen, orBad(err, 0))
 		}
-		if fileSeed, err = cr.varint(); err != nil {
+		if fileSeed, err = d.varint(); err != nil {
 			return nil, fmt.Errorf("snapshot LSH seed: %w", err)
 		}
-		bits, err := cr.uvarint()
+		bits, err := d.uvarint()
 		fileThreshold = math.Float64frombits(bits)
 		// NaN fails the comparison chain too: the threshold must be a
 		// real similarity in (0, 1].
 		if err != nil || !(fileThreshold > 0 && fileThreshold <= 1) {
 			return nil, fmt.Errorf("snapshot LSH threshold %v: %w", fileThreshold, orBad(err, 0))
 		}
-		fileProbes, err = cr.uvarint()
+		fileProbes, err = d.uvarint()
 		if err != nil || fileProbes > math.MaxInt64 {
 			return nil, fmt.Errorf("snapshot LSH probe counter: %w", orBad(err, 0))
 		}
-		fileLSHOnly, err = cr.uvarint()
+		fileLSHOnly, err = d.uvarint()
 		if err != nil || fileLSHOnly > math.MaxInt64 {
 			return nil, fmt.Errorf("snapshot LSH candidate counter: %w", orBad(err, 0))
 		}
@@ -363,12 +407,15 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 		cfg.LSH.Threshold = fileThreshold
 	}
 	x := New(clean, cfg)
+	d.x = x
+	// The counts were checked against the bytes that remain, so sizing
+	// the profile maps from them up front is safe.
+	x.byID = make(map[profile.ID]*storedProfile, numProfiles)
+	x.byOrig = make(map[string]profile.ID, numProfiles)
 
-	// Profiles section. Every record consumes at least a few bytes, so a
-	// lying count fails on EOF long before allocation grows past the
-	// input size.
+	// Profiles section.
 	for i := uint64(0); i < numProfiles; i++ {
-		sp, err := decodeProfile(cr, x, nextID, fileLSH, int(fileSigLen))
+		sp, err := d.profile(nextID, int(numProfiles-i), fileLSH, int(fileSigLen))
 		if err != nil {
 			return nil, fmt.Errorf("snapshot profile %d/%d: %w", i, numProfiles, err)
 		}
@@ -397,15 +444,20 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 	}
 
 	// Per-shard posting sections. Postings are re-distributed through
-	// shardFor, so the section boundaries only structure the file.
+	// shardFor, so the section boundaries only structure the file — and
+	// hint at each shard's map size, since the encoder writes shard s's
+	// postings in section s.
 	var totalPostings uint64
 	for s := uint64(0); s < shards; s++ {
-		n, err := cr.uvarint()
+		n, err := d.count(minPostingBytes)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot shard %d: %w", s, err)
 		}
+		if sh := x.shards[s]; len(sh.postings) == 0 {
+			sh.postings = make(map[string]*posting, n)
+		}
 		for i := uint64(0); i < n; i++ {
-			if err := decodePosting(cr, x); err != nil {
+			if err := d.posting(int(n - i)); err != nil {
 				return nil, fmt.Errorf("snapshot shard %d posting %d: %w", s, i, err)
 			}
 		}
@@ -415,14 +467,21 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("snapshot holds %d postings, header says %d", totalPostings, numBlocks)
 	}
 
-	// Trailer: CRC of everything read so far.
-	sum := cr.sum
-	var trailer [4]byte
-	if _, err := io.ReadFull(cr.r, trailer[:]); err != nil {
-		return nil, fmt.Errorf("snapshot checksum: %w", err)
+	// Trailer: CRC of everything before it, in one pass.
+	end := d.off
+	if d.rest() < 4 {
+		return nil, fmt.Errorf("snapshot checksum: %w", io.ErrUnexpectedEOF)
 	}
-	if got := binary.LittleEndian.Uint32(trailer[:]); got != sum {
+	sum := crc32.ChecksumIEEE(buf[:end])
+	if got := binary.LittleEndian.Uint32(buf[end:]); got != sum {
 		return nil, fmt.Errorf("snapshot checksum mismatch: file %08x, computed %08x", got, sum)
+	}
+	// Nothing may follow the trailer. Stray bytes are a hard error and
+	// deliberately not ErrSnapshotVersion: a file that once carried a
+	// delta tail holds acknowledged writes, and the fresh-build fallback
+	// that error invites would silently lose them.
+	if extra := len(buf) - end - 4; extra > 0 {
+		return nil, fmt.Errorf("%w: %d bytes", errSnapshotTrailing, extra)
 	}
 
 	x.nextID = profile.ID(nextID)
@@ -437,22 +496,10 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 		x.lshOnly.Store(int64(fileLSHOnly))
 	}
 	x.restored = true
-
-	// Nothing may follow the trailer. Stray bytes are a hard error and
-	// deliberately not ErrSnapshotVersion: a file that once carried a
-	// delta tail holds acknowledged writes, and the fresh-build fallback
-	// that error invites would silently lose them.
-	extra, err := io.Copy(io.Discard, cr.r)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: reading past the checksum: %w", err)
-	}
-	if extra > 0 {
-		return nil, fmt.Errorf("%w: %d bytes", errSnapshotTrailing, extra)
-	}
-
+	x.imageBytes.Store(int64(len(buf)))
 	x.persist = PersistState{
 		Restored: true,
-		Bytes:    cr.n + int64(len(trailer)),
+		Bytes:    int64(len(buf)),
 		SavedAt:  time.Unix(0, savedAtNanos),
 		Seq:      int64(seq),
 	}
@@ -576,142 +623,173 @@ func (x *Index) encodeLocked(w io.Writer, savedAt time.Time) (int64, error) {
 	return cw.n, cw.err
 }
 
-// decodeProfile reads one profiles-section record. When the file carries
-// an LSH section (readSig), each record ends with an optional signature
-// of exactly sigLen values; it is consumed even when the decoding config
-// has LSH off, and discarded by the caller in that case.
-func decodeProfile(cr *crcReader, x *Index, idBound uint64, readSig bool, sigLen int) (*storedProfile, error) {
-	id, err := cr.uvarint()
+// decoder is the state of one decode: the cursor over the image, the
+// index being filled, and one slab per kind of item the image holds.
+type decoder struct {
+	cursor
+	x *Index
+
+	profiles slab[storedProfile]
+	attrs    slab[profile.KeyValue]
+	keys     slab[blocking.KeyedToken]
+	bags     slab[string]
+	sigs     slab[uint64]
+	postings slab[posting]
+	ids      slab[profile.ID]
+}
+
+// The fewest bytes one item of each kind can occupy in the image: what a
+// claimed count is checked against before a slab is sized from it.
+const (
+	minProfileBytes = 6 // ID, source, original-ID length, attribute count, key count, bag flag
+	minAttrBytes    = 2 // key length, value length
+	minKeyBytes     = 2 // key length, cluster
+	minPostingBytes = 6 // key length, one key byte, cluster, two list lengths, one ID
+)
+
+// profile reads one profiles-section record, the first of left that
+// remain. When the file carries an LSH section (readSig), each record
+// ends with an optional signature of exactly sigLen values; it is consumed
+// even when the decoding config has LSH off, and discarded by the caller
+// in that case.
+func (d *decoder) profile(idBound uint64, left int, readSig bool, sigLen int) (*storedProfile, error) {
+	x := d.x
+	id, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if id >= idBound {
 		return nil, fmt.Errorf("ID %d beyond bound %d", id, idBound)
 	}
-	src, err := cr.byte()
+	src, err := d.byte()
 	if err != nil {
 		return nil, err
 	}
 	if src > 1 || (!x.clean && src != 0) {
 		return nil, fmt.Errorf("bad source %d", src)
 	}
-	orig, err := cr.string()
+	orig, err := d.string()
 	if err != nil {
 		return nil, err
 	}
-	p := profile.Profile{ID: profile.ID(id), OriginalID: orig, SourceID: int(src)}
+	sp := &d.profiles.take(1, left)[0]
+	sp.p = profile.Profile{ID: profile.ID(id), OriginalID: orig, SourceID: int(src)}
 
-	nAttrs, err := cr.uvarint()
+	nAttrs, err := d.count(minAttrBytes)
 	if err != nil || nAttrs > maxSnapshotItems {
 		return nil, fmt.Errorf("attribute count %d: %w", nAttrs, orBad(err, 0))
 	}
 	if nAttrs > 0 {
-		p.Attributes = make([]profile.KeyValue, 0, capped(nAttrs))
-		for i := uint64(0); i < nAttrs; i++ {
-			key, err := cr.string()
-			if err != nil {
+		sp.p.Attributes = d.attrs.take(int(nAttrs), d.rest()/minAttrBytes)
+		for i := range sp.p.Attributes {
+			kv := &sp.p.Attributes[i]
+			if kv.Key, err = d.string(); err != nil {
 				return nil, err
 			}
-			value, err := cr.string()
-			if err != nil {
+			if kv.Value, err = d.string(); err != nil {
 				return nil, err
 			}
-			p.Attributes = append(p.Attributes, profile.KeyValue{Key: key, Value: value})
 		}
 	}
 
-	nKeys, err := cr.uvarint()
+	nKeys, err := d.count(minKeyBytes)
 	if err != nil || nKeys > maxSnapshotItems {
 		return nil, fmt.Errorf("key count %d: %w", nKeys, orBad(err, 0))
 	}
-	sp := &storedProfile{p: p}
 	if nKeys > 0 {
-		sp.keys = make([]blocking.KeyedToken, 0, capped(nKeys))
-		for i := uint64(0); i < nKeys; i++ {
-			key, err := cr.string()
-			if err != nil {
+		sp.keys = d.keys.take(int(nKeys), d.rest()/minKeyBytes)
+		for i := range sp.keys {
+			kt := &sp.keys[i]
+			if kt.Key, err = d.string(); err != nil {
 				return nil, err
 			}
-			cluster, err := cr.varint()
+			cluster, err := d.varint()
 			if err != nil || cluster < -1 || cluster > maxSnapshotCluster {
 				return nil, fmt.Errorf("cluster %d: %w", cluster, orBad(err, 0))
 			}
-			sp.keys = append(sp.keys, blocking.KeyedToken{Key: key, Cluster: int(cluster)})
+			kt.Cluster = int(cluster)
 		}
 	}
 
-	hasBag, err := cr.byte()
+	hasBag, err := d.byte()
 	if err != nil || hasBag > 1 {
 		return nil, fmt.Errorf("bag flag: %w", orBad(err, hasBag))
 	}
 	var bag []string
 	if hasBag == 1 {
-		nBag, err := cr.uvarint()
+		nBag, err := d.count(1)
 		if err != nil || nBag > maxSnapshotItems {
 			return nil, fmt.Errorf("bag size %d: %w", nBag, orBad(err, 0))
 		}
-		bag = make([]string, 0, capped(nBag))
-		for i := uint64(0); i < nBag; i++ {
-			t, err := cr.string()
-			if err != nil {
+		// A present bag stays non-nil even when empty: the flag byte
+		// records nil-ness, and a re-save must reproduce it.
+		bag = []string{}
+		if nBag > 0 {
+			bag = d.bags.take(int(nBag), d.rest())
+		}
+		for i := range bag {
+			if bag[i], err = d.string(); err != nil {
 				return nil, err
 			}
-			bag = append(bag, t)
 		}
 	}
 	if x.cfg.defaultJaccard {
 		// The cached-bag scorer needs a bag; snapshots written under a
 		// custom measure carry none, so recompute it.
 		if bag == nil {
-			bag = distinctBag(&sp.p, x.cfg)
+			_, bag = x.keysAndBag(&sp.p)
 		}
 		sp.bag = bag
 	}
 
 	if readSig {
-		hasSig, err := cr.byte()
+		hasSig, err := d.byte()
 		if err != nil || hasSig > 1 {
 			return nil, fmt.Errorf("signature flag: %w", orBad(err, hasSig))
 		}
 		if hasSig == 1 {
-			// sigLen is header-validated (≤ maxSnapshotSigLen) and every
-			// value costs at least one input byte, so a truncated file
-			// errors after at most one bounded allocation.
-			sig := make([]uint64, 0, sigLen)
-			for i := 0; i < sigLen; i++ {
-				v, err := cr.uvarint()
+			// sigLen is header-validated (≤ maxSnapshotSigLen); every
+			// value costs at least one input byte.
+			if sigLen > d.rest() {
+				return nil, fmt.Errorf("signature of %d values: %w", sigLen, io.ErrUnexpectedEOF)
+			}
+			sp.sig = d.sigs.take(sigLen, d.rest())
+			for i := range sp.sig {
+				v, err := d.uvarint()
 				if err != nil {
 					return nil, fmt.Errorf("signature value %d/%d: %w", i, sigLen, err)
 				}
 				if v >= maxSignatureValue {
 					return nil, fmt.Errorf("signature value %d out of range", v)
 				}
-				sig = append(sig, v)
+				sp.sig[i] = v
 			}
-			sp.sig = sig
 		}
 	}
 	return sp, nil
 }
 
-// decodePosting reads one posting record and installs it on its shard.
-func decodePosting(cr *crcReader, x *Index) error {
-	key, err := cr.string()
+// posting reads one posting record, the first of left that remain in its
+// section, and installs it on its shard.
+func (d *decoder) posting(left int) error {
+	x := d.x
+	key, err := d.string()
 	if err != nil {
 		return err
 	}
 	if key == "" {
 		return fmt.Errorf("empty posting key")
 	}
-	cluster, err := cr.varint()
+	cluster, err := d.varint()
 	if err != nil || cluster < -1 || cluster > maxSnapshotCluster {
 		return fmt.Errorf("cluster %d: %w", cluster, orBad(err, 0))
 	}
-	pl := &posting{cluster: int(cluster)}
-	if pl.a, err = decodeIDList(cr, x, 0); err != nil {
+	pl := &d.postings.take(1, left)[0]
+	pl.cluster = int(cluster)
+	if pl.a, err = d.idList(0); err != nil {
 		return fmt.Errorf("posting %q: %w", key, err)
 	}
-	if pl.b, err = decodeIDList(cr, x, 1); err != nil {
+	if pl.b, err = d.idList(1); err != nil {
 		return fmt.Errorf("posting %q: %w", key, err)
 	}
 	if !x.clean && len(pl.b) > 0 {
@@ -728,10 +806,11 @@ func decodePosting(cr *crcReader, x *Index) error {
 	return nil
 }
 
-// decodeIDList reads one posting side, validating every entry against
-// the already-decoded profiles (existence and source side).
-func decodeIDList(cr *crcReader, x *Index, wantSource int) ([]profile.ID, error) {
-	n, err := cr.uvarint()
+// idList reads one posting side, validating every entry against the
+// already-decoded profiles (existence and source side).
+func (d *decoder) idList(wantSource int) ([]profile.ID, error) {
+	x := d.x
+	n, err := d.count(1)
 	if err != nil {
 		return nil, err
 	}
@@ -741,9 +820,9 @@ func decodeIDList(cr *crcReader, x *Index, wantSource int) ([]profile.ID, error)
 	if n > uint64(len(x.byID)) {
 		return nil, fmt.Errorf("posting side of %d entries exceeds %d profiles", n, len(x.byID))
 	}
-	ids := make([]profile.ID, 0, capped(n))
-	for i := uint64(0); i < n; i++ {
-		raw, err := cr.uvarint()
+	ids := d.ids.take(int(n), d.rest())
+	for i := range ids {
+		raw, err := d.uvarint()
 		if err != nil {
 			return nil, err
 		}
@@ -759,19 +838,32 @@ func decodeIDList(cr *crcReader, x *Index, wantSource int) ([]profile.ID, error)
 			return nil, fmt.Errorf("profile %d (source %d) on the source-%d side",
 				id, sp.p.SourceID, wantSource)
 		}
-		ids = append(ids, id)
+		ids[i] = id
 	}
 	return ids, nil
 }
 
-// capped bounds up-front slice capacity for decoded counts: growth past
-// it is paid for by input actually read, so a lying header cannot force
-// a large allocation.
-func capped(n uint64) int {
-	if n > 4096 {
-		return 4096
+// slabChunk is how many items a decode slab allocates at a time.
+const slabChunk = 4096
+
+// slab carves the runs of one item kind out of chunk allocations — one
+// allocation per few thousand items where the decoder used to make one
+// or two per item.
+type slab[T any] struct{ free []T }
+
+// take returns a zeroed run of n items, n > 0, with its capacity clipped
+// to n: an append to a restored posting list or profile field copies out
+// instead of writing into a neighbour's run. atMost bounds how many more
+// items the input can still ask for (callers derive it from a checked
+// count or from the bytes that remain) and caps the chunk, so allocation
+// stays proportional to the input actually supplied.
+func (s *slab[T]) take(n, atMost int) []T {
+	if n > len(s.free) {
+		s.free = make([]T, max(n, min(slabChunk, atMost)))
 	}
-	return int(n)
+	run := s.free[:n:n]
+	s.free = s.free[n:]
+	return run
 }
 
 // orBad folds (err, bad value) checks into one %w operand: the read
@@ -828,43 +920,66 @@ func (c *crcWriter) string(s string) {
 	}
 }
 
-// crcReader checksums everything read through it (the trailer is read
-// from the underlying reader directly, bypassing the hash).
-type crcReader struct {
-	r   *bufio.Reader
-	sum uint32
-	n   int64
-	one [1]byte
+// cursor walks a snapshot image in place: b is the input as read, s the
+// one immutable copy of it that every decoded string is a substring of.
+// Running off the end is io.ErrUnexpectedEOF.
+type cursor struct {
+	b   []byte
+	s   string
+	off int
 }
 
-func (c *crcReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	if n > 0 {
-		c.sum = crc32.Update(c.sum, crc32.IEEETable, p[:n])
-		c.n += int64(n)
+// rest is the number of bytes not yet consumed.
+func (c *cursor) rest() int { return len(c.b) - c.off }
+
+func (c *cursor) byte() (byte, error) {
+	if c.off >= len(c.b) {
+		return 0, io.ErrUnexpectedEOF
+	}
+	v := c.b[c.off]
+	c.off++
+	return v, nil
+}
+
+func (c *cursor) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(c.b[c.off:])
+	if n <= 0 {
+		return 0, varintErr(n)
+	}
+	c.off += n
+	return v, nil
+}
+
+func (c *cursor) varint() (int64, error) {
+	v, n := binary.Varint(c.b[c.off:])
+	if n <= 0 {
+		return 0, varintErr(n)
+	}
+	c.off += n
+	return v, nil
+}
+
+// varintErr names a failed binary.Uvarint/Varint: 0 bytes consumed is a
+// truncated value, a negative count an overflowing one.
+func varintErr(n int) error {
+	if n == 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return errors.New("varint overflows 64 bits")
+}
+
+// count reads an item count and checks it against the bytes that remain:
+// every item occupies at least itemBytes, so a count the rest of the
+// input cannot hold fails here, before anything is sized from it.
+func (c *cursor) count(itemBytes int) (uint64, error) {
+	n, err := c.uvarint()
+	if err == nil && n > uint64(c.rest()/itemBytes) {
+		err = fmt.Errorf("%d items in %d bytes: %w", n, c.rest(), io.ErrUnexpectedEOF)
 	}
 	return n, err
 }
 
-// ReadByte lets binary.ReadUvarint consume one byte at a time.
-func (c *crcReader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	c.one[0] = b
-	c.sum = crc32.Update(c.sum, crc32.IEEETable, c.one[:])
-	c.n++
-	return b, nil
-}
-
-func (c *crcReader) byte() (byte, error) { return c.ReadByte() }
-
-func (c *crcReader) uvarint() (uint64, error) { return binary.ReadUvarint(c) }
-
-func (c *crcReader) varint() (int64, error) { return binary.ReadVarint(c) }
-
-func (c *crcReader) string() (string, error) {
+func (c *cursor) string() (string, error) {
 	n, err := c.uvarint()
 	if err != nil {
 		return "", err
@@ -872,28 +987,10 @@ func (c *crcReader) string() (string, error) {
 	if n > maxSnapshotString {
 		return "", fmt.Errorf("string of %d bytes exceeds limit", n)
 	}
-	// Read in bounded chunks: a lying length prefix on truncated input
-	// errors after allocating at most one chunk beyond the actual data.
-	const chunk = 64 << 10
-	if n <= chunk {
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(c, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
+	if n > uint64(c.rest()) {
+		return "", io.ErrUnexpectedEOF
 	}
-	buf := make([]byte, 0, chunk)
-	for remaining := n; remaining > 0; {
-		step := remaining
-		if step > chunk {
-			step = chunk
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, step)...)
-		if _, err := io.ReadFull(c, buf[start:]); err != nil {
-			return "", err
-		}
-		remaining -= step
-	}
-	return string(buf), nil
+	s := c.s[c.off : c.off+int(n)]
+	c.off += int(n)
+	return s, nil
 }

@@ -14,9 +14,11 @@ import (
 // entropy keys) and LSH-enabled snapshots, three must-fail seeds with
 // bytes after the CRC (a stray byte, noise, and the delta tail of valid
 // op frames older builds appended there), plus the mutation classes the
-// decoder must reject: truncation, bit flips, and version bumps. Every
-// input is decoded under a plain config and an LSH-enabled one: the LSH
-// section must hold up whether its signatures are kept or discarded.
+// decoder must reject: truncation, bit flips, version bumps, and 64-byte
+// inputs whose counts claim 2³⁰ items (refused before any slab or map is
+// sized from them). Every input is decoded under a plain config and an
+// LSH-enabled one: the LSH section must hold up whether its signatures
+// are kept or discarded.
 func FuzzLoadIndex(f *testing.F) {
 	dirty := encodeToBytes(f, smallTestIndex(f, false))
 	clean := encodeToBytes(f, smallTestIndex(f, true))
@@ -91,6 +93,9 @@ func FuzzLoadIndex(f *testing.F) {
 		bumped := append([]byte(nil), seed...)
 		bumped[len(snapshotMagic)] = snapshotVersion + 1 // future version
 		f.Add(bumped)
+	}
+	for _, lying := range lyingCountSnapshots() {
+		f.Add(lying)
 	}
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte{})

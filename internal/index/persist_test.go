@@ -295,11 +295,8 @@ func TestPartialWriteNeverLoaded(t *testing.T) {
 	path := filepath.Join(dir, "index.snap")
 
 	// A fully valid encoding left at the temp path must still be invisible.
-	var buf bytes.Buffer
-	if _, err := x.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path+".tmp", buf.Bytes(), 0o644); err != nil {
+	image := encodeToBytes(t, x)
+	if err := os.WriteFile(path+".tmp", image, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(path, cfg); !errors.Is(err, fs.ErrNotExist) {
@@ -307,7 +304,7 @@ func TestPartialWriteNeverLoaded(t *testing.T) {
 	}
 
 	// A truncated temp file must not break the next save either.
-	if err := os.WriteFile(path+".tmp", buf.Bytes()[:buf.Len()/2], 0o644); err != nil {
+	if err := os.WriteFile(path+".tmp", image[:len(image)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := x.Save(path); err != nil {
@@ -326,11 +323,11 @@ func TestPartialWriteNeverLoaded(t *testing.T) {
 // the corruption tests and the fuzz seeds.
 func encodeToBytes(t testing.TB, x *Index) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := x.Encode(&buf); err != nil {
+	image, _, err := x.Image()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return image
 }
 
 func smallTestIndex(t testing.TB, clean bool) *Index {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sync"
 
 	"sparker/internal/blocking"
 	"sparker/internal/core"
@@ -102,9 +101,6 @@ type candStats struct {
 	buckets int
 }
 
-// keyBufPool recycles the per-query blocking-key buffers of Query.
-var keyBufPool = sync.Pool{New: func() any { return new([]blocking.KeyedToken) }}
-
 // queryScratch is the flat-array candidate kernel of the query hot path:
 // the shared dense, epoch-stamped scratch primitive the meta-blocker
 // uses, instantiated with the candidate statistics and indexed by the
@@ -142,14 +138,20 @@ func (x *Index) Query(p *profile.Profile) *QueryResult {
 // rebuilding the index. On an index without LSH every policy degrades to
 // ProbeOff.
 func (x *Index) QueryWith(p *profile.Profile, opts ProbeOptions) *QueryResult {
-	return x.queryBudget(p, opts, Budget{})
+	kb := keyBufPool.Get().(*keyBuf)
+	res := x.queryBudget(p, opts, Budget{}, kb)
+	keyBufPool.Put(kb)
+	return res
 }
 
 // queryBudget is the budget-aware query core behind QueryWith and
 // ResolveWithOptions. A zero budget takes exactly the historical path:
 // every deadline check hides behind a non-zero-field test, so unlimited
-// queries stay bitwise-identical and allocation-identical.
-func (x *Index) queryBudget(p *profile.Profile, opts ProbeOptions, budget Budget) *QueryResult {
+// queries stay bitwise-identical and allocation-identical. The query's
+// keys and distinct token bag are derived into kb, the caller's pooled
+// buffer: the LSH probe signs the bag here and Resolve scores from it
+// after the call, so a query is tokenised exactly once.
+func (x *Index) queryBudget(p *profile.Profile, opts ProbeOptions, budget Budget, kb *keyBuf) *QueryResult {
 	x.queries.Add(1)
 	// The stage clock slices the query into contiguous per-stage
 	// durations: a stack value ticking into the result's fixed array,
@@ -168,15 +170,8 @@ func (x *Index) queryBudget(p *profile.Profile, opts ProbeOptions, budget Budget
 		q.SourceID = 0
 		p = &q
 	}
-	// Keys live only through the size probe below, so they are derived
-	// into a pooled buffer — the stored-profile path in Upsert keeps the
-	// allocating KeysOf, since it retains the slice.
-	kb := keyBufPool.Get().(*[]blocking.KeyedToken)
-	keys := x.opts.AppendKeysOf((*kb)[:0], p)
-	defer func() {
-		*kb = keys[:0]
-		keyBufPool.Put(kb)
-	}()
+	kb.keys, kb.bag = x.opts.AppendKeysAndBag(kb.keys[:0], kb.bag[:0], p)
+	keys := kb.keys
 	res.Keys = len(keys)
 	clk.Tick(res.StageNanos[:], int(StageTokenize))
 
@@ -308,7 +303,7 @@ func (x *Index) queryBudget(p *profile.Profile, opts ProbeOptions, budget Budget
 			res.truncate(StageLSHProbe)
 		} else if opts.Policy == ProbeUnion || len(sc.Touched()) < floor {
 			ls := x.lsh.getScratch()
-			qsig = x.querySignature(ls, p)
+			qsig = x.querySignature(ls, kb.bag)
 			if qsig != nil {
 				res.LSHProbed = true
 				x.lshProbes.Add(1)
@@ -596,7 +591,8 @@ func (x *Index) ResolveWith(p *profile.Profile, opts ProbeOptions) *Resolution {
 // stage that was running — the result is the best-first prefix of the
 // unlimited answer. A zero budget is the exact unlimited behaviour.
 func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Resolution {
-	qr := x.queryBudget(p, opts.Probe, opts.Budget)
+	kb := keyBufPool.Get().(*keyBuf)
+	qr := x.queryBudget(p, opts.Probe, opts.Budget, kb)
 	r := &Resolution{Query: qr}
 	queryID := qr.selfID
 	m := x.metrics
@@ -604,6 +600,20 @@ func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Res
 	if m != nil {
 		clk.Start()
 	}
+
+	// Default-Jaccard fast path: candidates carry their distinct token
+	// bag from upsert time and the query's came out of the same single
+	// tokenisation as its keys, so each comparison is a set intersection
+	// — bitwise-identical scores to matching.JaccardMeasure with none of
+	// its per-pair tokenization.
+	var qset map[string]struct{}
+	if x.cfg.defaultJaccard {
+		qset = make(map[string]struct{}, len(kb.bag))
+		for _, t := range kb.bag {
+			qset[t] = struct{}{}
+		}
+	}
+	keyBufPool.Put(kb)
 
 	// Collect candidate profile snapshots and identities under the read
 	// lock, score after releasing it: upserts replace stored profiles
@@ -636,18 +646,6 @@ func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Res
 	}
 	hook := x.cfg.ScoreHook
 
-	// Default-Jaccard fast path: candidates carry their distinct token
-	// bag from upsert time, so the query is tokenized once and each
-	// comparison is a set intersection — bitwise-identical scores to
-	// matching.JaccardMeasure with none of its per-pair tokenization.
-	var qset map[string]struct{}
-	if x.cfg.defaultJaccard {
-		qbag := matching.ProfileBag(p, x.cfg.Tokenizer)
-		qset = make(map[string]struct{}, len(qbag))
-		for _, t := range qbag {
-			qset[t] = struct{}{}
-		}
-	}
 	// Matches compact into the front of cands (the write index never
 	// passes the read index), so ranking them moves their profiles along.
 	matched := cands[:0]

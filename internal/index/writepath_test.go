@@ -31,7 +31,7 @@ func hugeString(t *testing.T, n int) string {
 // TestOneWritePath: Upsert on a leader and ApplyOps on a WAL-attached
 // replica are the same write. After inserts and overwrites shipped as
 // the leader's OpsSince frames, the two agree byte for byte in memory
-// (Encode), on disk (segment files, rotation points included) and on
+// (Image), on disk (segment files, rotation points included) and on
 // the wire (OpsSince(0)); a profile the op bounds reject changes none of
 // the three on the leader and gives the replica nothing to apply.
 func TestOneWritePath(t *testing.T) {

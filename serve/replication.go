@@ -108,14 +108,21 @@ func (h *Handler) deltas(w http.ResponseWriter, r *http.Request) {
 }
 
 // snapshotStream serves GET /v1/snapshot: a full binary snapshot of the
-// index, streamed straight from the encoder. This is the follower
-// bootstrap (and resync) source; the stream is identical to what Save
-// writes to disk, so index.Decode consumes it unchanged.
+// index, the follower bootstrap (and resync) source; the body is
+// identical to what Save writes to disk, so index.Decode consumes it
+// unchanged. The image is encoded into memory first and written with no
+// index lock held — a follower that stalls mid-body stalls only its own
+// response — and the sequence header is the image's own.
 func (h *Handler) snapshotStream(w http.ResponseWriter, _ *http.Request) {
-	x := h.Index()
+	image, seq, err := h.Index().Image()
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, ErrCodeInternal, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(deltaSeqHeader, strconv.FormatInt(x.Seq(), 10))
-	if _, err := x.Encode(w); err != nil {
+	w.Header().Set("Content-Length", strconv.Itoa(len(image)))
+	w.Header().Set(deltaSeqHeader, strconv.FormatInt(seq, 10))
+	if _, err := w.Write(image); err != nil {
 		// The status line is long gone; the truncated body fails the
 		// follower's CRC check, which is the recovery path anyway.
 		h.logger.Warn("snapshot stream aborted", slog.String("error", err.Error()))

@@ -12,8 +12,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -372,6 +374,114 @@ func TestSnapshotStreamBootstrap(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /v1/snapshot status = %d, want 405", resp.StatusCode)
 	}
+}
+
+// smallBufferListener shrinks the kernel send buffer of every accepted
+// connection, so a response of a few hundred KiB cannot disappear into
+// socket buffers: its writer blocks as soon as the peer stops reading.
+type smallBufferListener struct{ net.Listener }
+
+func (l smallBufferListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		_ = tc.SetWriteBuffer(4 << 10) // best effort: only tightens the test
+	}
+	return c, err
+}
+
+// TestSnapshotStalledReaderDoesNotBlockWrites: a follower that stops
+// reading its bootstrap mid-body must stall only its own response. The
+// handler used to encode straight into the ResponseWriter under the
+// index writer lock, so one stuck client froze every upsert.
+func TestSnapshotStalledReaderDoesNotBlockWrites(t *testing.T) {
+	x := oplogIndex(t, oplogConfig(), 5000)
+	srv := httptest.NewUnstartedServer(NewHandlerOptions(x, Options{Logger: quietLogger()}))
+	srv.Listener = smallBufferListener{srv.Listener}
+	srv.Start()
+	defer srv.Close()
+
+	client := &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
+			if tc, ok := c.(*net.TCPConn); ok {
+				_ = tc.SetReadBuffer(4 << 10) // best effort, as above
+			}
+			return c, err
+		},
+	}}
+	resp, err := client.Get(srv.URL + "/v1/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Closing the body mid-stream drops the connection, which is what
+	// releases the handler's blocked write before srv.Close waits on it.
+	defer resp.Body.Close()
+	if resp.ContentLength < 256<<10 {
+		t.Fatalf("snapshot of %d bytes is too small to outlast the socket buffers", resp.ContentLength)
+	}
+	if _, err := io.ReadFull(resp.Body, make([]byte, 16)); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		p := profile.Profile{OriginalID: "while-stalled"}
+		p.Add("name", "tok1 shared0")
+		_, _, err := x.Upsert(p)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Upsert still blocked 2s after a snapshot reader stalled")
+	}
+}
+
+// TestSnapshotHeadersDescribeTheBody: under concurrent writers the
+// sequence header is the sequence of the image that follows it (it used
+// to be read before the encode took the writer lock, so a racing write
+// left it one behind), and the body arrives with its Content-Length.
+func TestSnapshotHeadersDescribeTheBody(t *testing.T) {
+	x := oplogIndex(t, oplogConfig(), 50)
+	srv := httptest.NewServer(NewHandlerOptions(x, Options{}))
+	defer srv.Close()
+
+	stop := make(chan struct{})
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			p := profile.Profile{OriginalID: fmt.Sprintf("w%d", i%64)}
+			p.Add("name", fmt.Sprintf("tok%d shared%d", i%12, i%4))
+			if _, _, err := x.Upsert(p); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 40; i++ {
+		_, hdr, body := getBody(t, srv.Client(), srv.URL+"/v1/snapshot")
+		y, err := index.Decode(bytes.NewReader(body), oplogConfig())
+		if err != nil {
+			t.Fatalf("decode stream: %v", err)
+		}
+		if got := hdr.Get(deltaSeqHeader); got != strconv.FormatInt(y.Seq(), 10) {
+			t.Fatalf("%s = %s on an image at seq %d", deltaSeqHeader, got, y.Seq())
+		}
+		if got := hdr.Get("Content-Length"); got != strconv.Itoa(len(body)) {
+			t.Fatalf("Content-Length = %q for a %d-byte body", got, len(body))
+		}
+	}
+	close(stop)
+	<-writerDone
 }
 
 // TestReadyzEmptyReplica pins the replica readiness fix: a read-only
