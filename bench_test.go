@@ -574,61 +574,6 @@ func BenchmarkIndexUpsert(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexQueryLSH times concurrent point lookups with the LSH
-// probe subsystem enabled, per probe policy. fallback shows the
-// common-case cost (most queries are served by token postings and never
-// probe); union pays a signature + bucket walk on every query and bounds
-// the worst case. Probe candidates flow into the same pooled dense
-// kernel scratch as token candidates, so allocs/op stays flat.
-func BenchmarkIndexQueryLSH(b *testing.B) {
-	c := indexBenchCollection(b)
-	for _, pol := range []index.ProbePolicy{index.ProbeFallback, index.ProbeUnion} {
-		cfg := index.DefaultConfig()
-		cfg.LSH.Policy = pol
-		idx, err := index.NewFromCollection(c, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run("policy-"+pol.String(), func(b *testing.B) {
-			var comparisons, probes, next atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := int(next.Add(1)) % c.Size()
-					r := idx.Resolve(c.Get(profile.ID(i)))
-					comparisons.Add(int64(r.Comparisons))
-					if r.Query.LSHProbed {
-						probes.Add(1)
-					}
-				}
-			})
-			b.ReportMetric(float64(comparisons.Load())/float64(b.N), "comparisons/op")
-			b.ReportMetric(float64(probes.Load())/float64(b.N), "probes/op")
-		})
-	}
-}
-
-// BenchmarkIndexUpsertLSH times incremental replacement upserts with
-// signature and bucket maintenance on (compare BenchmarkIndexUpsert for
-// the token-postings-only baseline).
-func BenchmarkIndexUpsertLSH(b *testing.B) {
-	c := indexBenchCollection(b)
-	cfg := index.DefaultConfig()
-	cfg.LSH.Policy = index.ProbeFallback
-	idx, err := index.NewFromCollection(c, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := idx.Upsert(c.Profiles[i%c.Size()]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkIndexSave times writing a durable snapshot of the ~10k
 // profile serving index (encode + fsync + atomic rename); together with
 // BenchmarkIndexLoad it puts the cost of a warm restart into the CI

@@ -22,17 +22,11 @@
 // conventions. Every 4xx/5xx — an unknown path included — answers the
 // typed JSON error envelope {"error": {"code", "message"}}.
 //
-// With -lsh fallback (or union) the index also maintains MinHash/LSH
-// bucket postings beside the token postings: queries whose tokens are
-// all purged as too common — invisible to token blocking — fall back to
-// an LSH probe that recovers high-overlap matches. /v1/query accepts
-// per-request ?probe= and ?probe_floor= overrides, and /v1/stats
-// reports bucket and probe counters.
-//
 // Durable snapshots make restarts warm: with -snapshot the server
 // restores the index from the file at boot (falling back to a fresh
 // build from the input flags when the file is absent or written by an
-// incompatible format version), saves it on SIGTERM/SIGINT and on POST
+// incompatible format version; an LSH section an older -lsh build wrote
+// is read and dropped), saves it on SIGTERM/SIGINT and on POST
 // /v1/snapshot/save, and with -snapshot-interval also on a timer. A
 // snapshot is a checkpoint at one sequence number; what was written
 // after it survives a crash only in the op log (-oplog-dir, below).
@@ -88,8 +82,8 @@
 // Overload behavior: with -max-inflight the resolution routes sit
 // behind an admission gate — beyond the cap a request waits at most
 // -shed-wait for a slot and is then shed with 429/503 + Retry-After,
-// and admitted queries degrade under pressure (tightened budgets,
-// cheaper probe policies) instead of queueing. -default-budget-ms
+// and admitted queries degrade under pressure (tightened budgets and
+// comparison caps) instead of queueing. -default-budget-ms
 // bounds every query's wall clock; clients can tighten (or lift) it
 // per request with ?budget_ms= / ?max_comparisons=, and budget-bound
 // answers come back marked "truncated" with the stage that tripped.
@@ -197,8 +191,7 @@ type cli struct {
 	shards        string
 	probeInterval time.Duration
 
-	scheme, prune, measure     string
-	lsh, lshWeight, oplogFsync string
+	scheme, prune, measure, oplogFsync string
 }
 
 func newCLI() *cli {
@@ -245,12 +238,6 @@ func newCLI() *cli {
 
 	fs.Float64Var(&ix.FilterRatio, "filter-ratio", 0, "block filtering: keep this fraction of a query's smallest hit postings (0: package default; 1 disables — required for shard-count-independent answers)")
 	fs.Float64Var(&ix.MaxBlockFraction, "max-block-fraction", 0, "block purging: skip postings holding more than this fraction of profiles (0: package default; 1 disables — required for shard-count-independent answers)")
-
-	fs.StringVar(&c.lsh, "lsh", "off", "LSH probe policy (off, fallback, union); non-off maintains MinHash signatures beside the token postings")
-	fs.IntVar(&ix.LSH.SignatureLen, "lsh-signature", 128, "MinHash signature length (a restored snapshot keeps its saved parameters)")
-	fs.Float64Var(&ix.LSH.Threshold, "lsh-threshold", 0.5, "LSH banding target Jaccard similarity in (0, 1]")
-	fs.IntVar(&ix.LSH.FallbackFloor, "lsh-floor", 1, "fallback probes when token blocking found fewer than this many candidates")
-	fs.StringVar(&c.lshWeight, "lsh-weight", "est-jaccard", "probe-only candidate weighting (est-jaccard, buckets)")
 	return c
 }
 
@@ -373,30 +360,6 @@ func parseConfig(args []string) (config, error) {
 		ix.Measure = matching.DiceMeasure(ix.Tokenizer)
 	default:
 		return config{}, fmt.Errorf("unknown measure %q", c.measure)
-	}
-	if ix.LSH.Policy, err = index.ParseProbePolicy(c.lsh); err != nil {
-		return config{}, err
-	}
-	if ix.LSH.Policy == index.ProbeOff {
-		ix.LSH = index.LSHConfig{} // the -lsh-* defaults configure nothing
-	} else {
-		if ix.LSH.SignatureLen <= 0 {
-			return config{}, fmt.Errorf("-lsh-signature must be positive, got %d", ix.LSH.SignatureLen)
-		}
-		if !(ix.LSH.Threshold > 0 && ix.LSH.Threshold <= 1) {
-			return config{}, fmt.Errorf("-lsh-threshold must be in (0, 1], got %v", ix.LSH.Threshold)
-		}
-		if ix.LSH.FallbackFloor < 1 {
-			return config{}, fmt.Errorf("-lsh-floor must be at least 1, got %d", ix.LSH.FallbackFloor)
-		}
-		switch c.lshWeight {
-		case "est-jaccard":
-			ix.LSH.Weight = index.LSHWeightJaccard
-		case "buckets":
-			ix.LSH.Weight = index.LSHWeightBuckets
-		default:
-			return config{}, fmt.Errorf("unknown LSH weighting %q", c.lshWeight)
-		}
 	}
 	cfg.node = n
 	return cfg, nil

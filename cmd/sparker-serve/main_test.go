@@ -33,7 +33,7 @@ func TestCoordinatorRejectsIndexFlags(t *testing.T) {
 	})
 	// The registration really is split: the section marker did not
 	// swallow (or miss) everything.
-	for _, name := range []string{"a", "dirty", "generate", "snapshot", "follow", "oplog-dir", "slow-query", "k", "lsh", "filter-ratio"} {
+	for _, name := range []string{"a", "dirty", "generate", "snapshot", "follow", "oplog-dir", "slow-query", "k", "filter-ratio", "max-block-fraction"} {
 		if c.shared[name] {
 			t.Errorf("-%s counts as shared, want index-only", name)
 		}
@@ -68,10 +68,6 @@ func TestParseConfigRejects(t *testing.T) {
 		{"-filter-ratio 1.5", "-filter-ratio must be in [0, 1]"},
 		{"-max-block-fraction -1", "-max-block-fraction must be in [0, 1]"},
 		{"-max-block-fraction 2", "-max-block-fraction must be in [0, 1]"},
-		{"-lsh fallback -lsh-signature 0", "-lsh-signature must be positive"},
-		{"-lsh fallback -lsh-threshold 0", "-lsh-threshold must be in (0, 1]"},
-		{"-lsh union -lsh-threshold 1.1", "-lsh-threshold must be in (0, 1]"},
-		{"-lsh union -lsh-floor 0", "-lsh-floor must be at least 1"},
 		{"-snapshot-interval 1m", "-snapshot-interval needs -snapshot"},
 		{"-snapshot s.snap -snapshot-interval -1s", "-snapshot-interval must be non-negative"},
 		{"-snapshot s.snap -snapshot-interval 1m -read-only", "-snapshot-interval saves nothing on a replica"},
@@ -84,11 +80,15 @@ func TestParseConfigRejects(t *testing.T) {
 		{"-scheme ejs", "keeps no node degrees"},
 		{"-prune topk", `unknown pruning rule "topk"`},
 		{"-measure cosine", `unknown measure "cosine"`},
-		{"-lsh sideways", "unknown probe policy"},
-		{"-lsh fallback -lsh-weight heavy", `unknown LSH weighting "heavy"`},
 		{"-oplog-dir wal -oplog-fsync sometimes", "sometimes"},
 
 		{"-no-such-flag", "flag provided but not defined"},
+		// The retired LSH probe's flags are refused like any unknown one.
+		{"-lsh fallback", "flag provided but not defined: -lsh"},
+		{"-lsh-signature 16", "flag provided but not defined: -lsh-signature"},
+		{"-lsh-threshold 0.5", "flag provided but not defined: -lsh-threshold"},
+		{"-lsh-floor 2", "flag provided but not defined: -lsh-floor"},
+		{"-lsh-weight buckets", "flag provided but not defined: -lsh-weight"},
 		{"-k ten", "invalid value"},
 		{"stray", `unexpected argument "stray"`},
 	} {
@@ -122,7 +122,7 @@ func TestParseConfigAccepts(t *testing.T) {
 	def.OpLog.Enabled = true
 	if got := cfg.node.index; got.Shards != def.Shards || got.Scheme != def.Scheme || got.Prune != def.Prune ||
 		got.MaxCandidates != def.MaxCandidates || got.MatchThreshold != def.MatchThreshold ||
-		got.Measure != nil || got.LSH != (index.LSHConfig{}) || got.OpLog != def.OpLog ||
+		got.Measure != nil || got.OpLog != def.OpLog ||
 		got.FilterRatio != 0 || got.MaxBlockFraction != 0 {
 		t.Errorf("default flags build index config %+v, want the package defaults %+v", got, def)
 	}
@@ -151,16 +151,12 @@ func TestParseConfigAccepts(t *testing.T) {
 	}
 
 	// The cluster equivalence config and the knobs with remapped values.
-	cfg = parse("-prune none -filter-ratio 1 -max-block-fraction 1 -scheme ARCS -threshold 0 -k 5 -measure dice -lsh union -lsh-weight buckets -lsh-floor 3 -read-only -oplog-retain 100")
+	cfg = parse("-prune none -filter-ratio 1 -max-block-fraction 1 -scheme ARCS -threshold 0 -k 5 -measure dice -read-only -oplog-retain 100")
 	n := cfg.node
 	if ix := n.index; ix.Prune != index.PruneNone || ix.FilterRatio != 1 || ix.MaxBlockFraction != 1 ||
 		ix.Scheme != metablocking.ARCS || ix.MatchThreshold != -1 || ix.MaxCandidates != 5 || ix.Measure == nil ||
 		ix.OpLog.MaxOps != 100 {
 		t.Errorf("index config = %+v", ix)
-	}
-	if l := n.index.LSH; l.Policy != index.ProbeUnion || l.Weight != index.LSHWeightBuckets || l.FallbackFloor != 3 ||
-		l.SignatureLen != 128 || l.Threshold != 0.5 {
-		t.Errorf("lsh config = %+v", l)
 	}
 	if !n.readOnly {
 		t.Error("-read-only not carried")
@@ -175,8 +171,6 @@ func TestParseConfigAccepts(t *testing.T) {
 		}
 	}
 
-	// Values that are only read in another mode or behind another flag
-	// stay accepted, exactly as before.
-	parse("-lsh-weight heavy")
+	// A shared flag stays accepted beside -shards.
 	parse("-shards http://a:1 -pprof 127.0.0.1:6060")
 }

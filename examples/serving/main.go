@@ -154,13 +154,11 @@ func main() {
 	// the file. This is what `sparker-serve -snapshot idx.snap` does at
 	// boot and on SIGTERM — restores without re-tokenizing anything.
 	//
-	// Snapshot format note: since the LSH probe subsystem landed, Save
-	// writes format version 2, which adds an LSH section (MinHash
-	// parameters and per-profile signatures when the index has LSH
-	// enabled). Version-1 files written before the bump still load —
-	// and if the loading config enables LSH, signatures are recomputed
-	// from the stored token bags at boot, exactly as a fresh build
-	// would produce them.
+	// Snapshot format note: Save writes format version 3 and Load reads
+	// exactly that version. A version-3 file from an older node started
+	// with -lsh carries an LSH section (MinHash parameters and
+	// per-profile signatures); it still loads, the section is dropped,
+	// and the next save writes the file without it.
 	dir, err := os.MkdirTemp("", "sparker-serving")
 	if err != nil {
 		log.Fatal(err)

@@ -39,13 +39,9 @@ func DeadlineIn(d time.Duration) int64 { return obs.Now() + int64(d) }
 // deadline is set: the clock is only read behind the non-zero check.
 func (b Budget) expired() bool { return b.Deadline != 0 && obs.Now() >= b.Deadline }
 
-// ResolveOptions carries the per-request overrides of one resolution:
-// the LSH probe knobs QueryWith/ResolveWith always had, plus the work
-// budget. The zero value means "the index's configured defaults,
-// unlimited work".
+// ResolveOptions carries the per-request overrides of one resolution.
+// The zero value means unlimited work.
 type ResolveOptions struct {
-	// Probe overrides the LSH probe behaviour (see ProbeOptions).
-	Probe ProbeOptions
 	// Budget bounds this resolution's work (see Budget).
 	Budget Budget
 }

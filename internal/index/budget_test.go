@@ -39,7 +39,7 @@ func TestResolveUnlimitedBudgetEquivalence(t *testing.T) {
 		x := budgetTestIndex(t, cfg)
 		for _, p := range synthQueryProfiles(80, 1, 21) {
 			p := p
-			want := x.ResolveWith(&p, ProbeOptions{})
+			want := x.Resolve(&p)
 			got := x.ResolveWithOptions(&p, ResolveOptions{})
 			if got.Query.Truncated || got.Query.TruncatedStage != "" {
 				t.Fatalf("%v query %s: unlimited budget marked truncated (%q)",
@@ -138,7 +138,7 @@ func TestBudgetDeadlineTruncatesScoring(t *testing.T) {
 	var q *Resolution
 	for _, p := range synthQueryProfiles(20, 1, 21) {
 		p := p
-		full := x.ResolveWith(&p, ProbeOptions{})
+		full := x.Resolve(&p)
 		if full.Comparisons < 8 {
 			continue
 		}
@@ -178,24 +178,5 @@ func TestBudgetExpiredDeadlineTruncatesCandidates(t *testing.T) {
 					rule, p.OriginalID, len(r.Query.Candidates), r.Comparisons, r.Query.Pruned)
 			}
 		}
-	}
-}
-
-// TestBudgetDeadlineSkipsLSHProbe pins the probe gate: an expired
-// deadline on an LSH-enabled index must not start the bucket walk.
-func TestBudgetDeadlineSkipsLSHProbe(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LSH.Policy = ProbeUnion
-	x := budgetTestIndex(t, cfg)
-	p := synthQueryProfiles(1, 1, 21)[0]
-	r := x.ResolveWithOptions(&p, ResolveOptions{
-		Probe:  ProbeOptions{Policy: ProbeUnion},
-		Budget: Budget{Deadline: DeadlineIn(-time.Second)},
-	})
-	if r.Query.LSHProbed || r.Query.BucketsProbed != 0 {
-		t.Fatalf("expired deadline still probed LSH: probed=%v buckets=%d", r.Query.LSHProbed, r.Query.BucketsProbed)
-	}
-	if !r.Query.Truncated {
-		t.Fatal("expired deadline not marked truncated")
 	}
 }

@@ -102,10 +102,6 @@ type Config struct {
 	// Zero resolves to 0.3 (the unsupervised pipeline default); use a
 	// negative value to keep every scored candidate.
 	MatchThreshold float64
-	// LSH configures the MinHash/LSH probe subsystem, the second
-	// candidate-generation modality beside the token postings (see
-	// lsh.go). The zero value disables it.
-	LSH LSHConfig
 	// OpLog enables the bounded in-memory op log (oplog.go): every
 	// upsert is framed and retained, enabling HTTP replication to
 	// followers (OpsSince/ApplyOps) and the durable WAL (OpenWAL). The
@@ -169,7 +165,6 @@ func (c Config) withDefaults() Config {
 		c.Measure = matching.JaccardMeasure(c.Tokenizer)
 		c.defaultJaccard = true
 	}
-	c.LSH = c.LSH.withDefaults()
 	c.OpLog = c.OpLog.withDefaults()
 	return c
 }
@@ -200,15 +195,10 @@ func (pl *posting) comparisons(clean bool) float64 {
 	return c
 }
 
-// shard is one independently locked slice of the token space. When LSH
-// is enabled it also carries that key range's bucket postings: both maps
-// live under the one mutex, so the probe subsystem inherits the token
-// postings' locking discipline wholesale.
+// shard is one independently locked slice of the token space.
 type shard struct {
 	mu       sync.RWMutex
 	postings map[string]*posting
-	// buckets maps LSH band keys to bucket postings (nil when disabled).
-	buckets map[uint64]*posting
 }
 
 // storedProfile is an immutable snapshot of one indexed profile; Upsert
@@ -219,10 +209,6 @@ type storedProfile struct {
 	// bag is the distinct whole-profile token set, cached for the default
 	// Jaccard scorer (nil when a custom Measure is configured).
 	bag []string
-	// sig is the MinHash signature of the token bag (nil when LSH is
-	// disabled or the bag is empty). Band keys are a pure function of it,
-	// so removal re-derives them instead of storing them.
-	sig []uint64
 }
 
 // Index is a concurrent, sharded, incrementally maintainable entity index.
@@ -257,15 +243,6 @@ type Index struct {
 	// appended to disk segments before the in-memory structures are
 	// touched. Nil until OpenWAL attaches it; guarded by writeMu.
 	wal *wal
-
-	// lsh is the probe subsystem (nil when disabled); numBuckets counts
-	// live bucket postings (kept apart from numBlocks, which the ECBS
-	// weight consumes and must stay token-only), lshProbes the queries
-	// that ran a probe, and lshOnly the candidates only the probe found.
-	lsh        *lshState
-	numBuckets atomic.Int64
-	lshProbes  atomic.Int64
-	lshOnly    atomic.Int64
 
 	// idBound is one past the largest internal ID ever assigned; the
 	// query path sizes its flat candidate scratch to it.
@@ -311,12 +288,8 @@ func New(clean bool, cfg Config) *Index {
 	if cfg.OpLog.Enabled {
 		x.oplog = newOpLog(cfg.OpLog)
 	}
-	x.lsh = newLSHState(cfg.LSH)
 	for i := range x.shards {
 		x.shards[i] = &shard{postings: make(map[string]*posting)}
-		if x.lsh != nil {
-			x.shards[i].buckets = make(map[uint64]*posting)
-		}
 	}
 	return x
 }
@@ -454,9 +427,6 @@ func (x *Index) putLocked(p profile.Profile) {
 	}
 	sp := &storedProfile{p: p}
 	sp.keys, sp.bag = x.keysAndBag(&p)
-	if x.lshOn() {
-		sp.sig = x.signatureOf(sp)
-	}
 	x.mu.Lock()
 	_, replaced := x.byID[p.ID]
 	x.byID[p.ID] = sp
@@ -464,9 +434,6 @@ func (x *Index) putLocked(p profile.Profile) {
 	x.mu.Unlock()
 	if !replaced {
 		x.numProfiles.Add(1)
-	}
-	if x.lshOn() {
-		x.addLSHLocked(sp)
 	}
 	for _, kt := range sp.keys {
 		s := x.shardFor(kt.Key)
@@ -487,10 +454,10 @@ func (x *Index) putLocked(p profile.Profile) {
 }
 
 // unlinkLocked takes a profile that is about to be replaced out of its
-// postings and LSH buckets. Caller holds writeMu and follows up with
-// putLocked for the same ID. The profile maps keep the old entry until
-// putLocked swaps in the new one: a reader racing the overwrite resolves
-// the ID to the old profile or the new one, never to nothing.
+// postings. Caller holds writeMu and follows up with putLocked for the
+// same ID. The profile maps keep the old entry until putLocked swaps in
+// the new one: a reader racing the overwrite resolves the ID to the old
+// profile or the new one, never to nothing.
 func (x *Index) unlinkLocked(id profile.ID) {
 	x.mu.RLock()
 	sp := x.byID[id]
@@ -513,9 +480,6 @@ func (x *Index) unlinkLocked(id profile.ID) {
 			}
 		}
 		s.mu.Unlock()
-	}
-	if x.lshOn() {
-		x.removeLSHLocked(sp)
 	}
 }
 

@@ -21,11 +21,10 @@ import (
 // PartialCandidate is one ranked blocking candidate of a shard's
 // partial answer, identified globally by (OriginalID, Source).
 type PartialCandidate struct {
-	OriginalID    string  `json:"original_id"`
-	Source        int     `json:"source"`
-	Weight        float64 `json:"weight"`
-	SharedKeys    int     `json:"shared_keys"`
-	SharedBuckets int     `json:"shared_buckets,omitempty"`
+	OriginalID string  `json:"original_id"`
+	Source     int     `json:"source"`
+	Weight     float64 `json:"weight"`
+	SharedKeys int     `json:"shared_keys"`
 }
 
 // PartialMatch is one scored match of a shard's partial answer.
@@ -51,11 +50,6 @@ type Partial struct {
 	Pruned          int `json:"pruned"`
 	Comparisons     int `json:"comparisons"`
 
-	LSHProbed     bool `json:"lsh_probed,omitempty"`
-	BucketsProbed int  `json:"buckets_probed,omitempty"`
-	BucketsPurged int  `json:"buckets_purged,omitempty"`
-	LSHCandidates int  `json:"lsh_candidates,omitempty"`
-
 	Truncated      bool   `json:"truncated,omitempty"`
 	TruncatedStage string `json:"truncated_stage,omitempty"`
 }
@@ -70,7 +64,7 @@ type Partial struct {
 //     accounting) sum; Keys takes the maximum, since every shard
 //     tokenizes the same query profile and a lagging value only means
 //     that shard answered before warming its tokenizer cache.
-//   - Truncated/LSHProbed flags OR-merge; TruncatedStage is the
+//   - Truncated flags OR-merge; TruncatedStage is the
 //     earliest tripped stage across shards, by pipeline position, so it
 //     does not depend on shard arrival order. Unknown names rank last: a
 //     merged answer never invents a stage.
@@ -99,10 +93,6 @@ func MergePartials(parts []*Partial) *Partial {
 		m.PostingsScanned += p.PostingsScanned
 		m.Pruned += p.Pruned
 		m.Comparisons += p.Comparisons
-		m.LSHProbed = m.LSHProbed || p.LSHProbed
-		m.BucketsProbed += p.BucketsProbed
-		m.BucketsPurged += p.BucketsPurged
-		m.LSHCandidates += p.LSHCandidates
 		if p.Truncated {
 			m.Truncated = true
 			r := NumStages

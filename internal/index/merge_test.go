@@ -87,7 +87,7 @@ func TestMergePartialsTieBreak(t *testing.T) {
 
 func TestMergePartialsTruncationAndFlags(t *testing.T) {
 	clean := &Partial{}
-	scoreTrunc := &Partial{Truncated: true, TruncatedStage: StageScore.String(), LSHProbed: true}
+	scoreTrunc := &Partial{Truncated: true, TruncatedStage: StageScore.String()}
 	candTrunc := &Partial{Truncated: true, TruncatedStage: StageCandidates.String()}
 
 	m := MergePartials([]*Partial{clean, scoreTrunc, candTrunc})
@@ -98,9 +98,6 @@ func TestMergePartialsTruncationAndFlags(t *testing.T) {
 	// answer reports the earliest stage any shard tripped in.
 	if m.TruncatedStage != StageCandidates.String() {
 		t.Errorf("TruncatedStage = %q, want earliest %q", m.TruncatedStage, StageCandidates.String())
-	}
-	if !m.LSHProbed {
-		t.Error("LSHProbed did not OR-merge")
 	}
 
 	if got := MergePartials([]*Partial{clean, clean}); got.Truncated || got.TruncatedStage != "" {

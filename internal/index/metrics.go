@@ -21,9 +21,6 @@ const (
 	// StageCandidates covers the token posting scans accumulating
 	// co-occurrence statistics (pass 2, candidate generation).
 	StageCandidates
-	// StageLSHProbe covers MinHash signature derivation and the bucket
-	// walk (pass 3; only queries that actually probed observe into it).
-	StageLSHProbe
 	// StageWeigh covers scheme weighting and candidate ranking.
 	StageWeigh
 	// StagePrune covers the pruning rule.
@@ -45,8 +42,6 @@ func (s Stage) String() string {
 		return "purge_filter"
 	case StageCandidates:
 		return "candidates"
-	case StageLSHProbe:
-		return "lsh_probe"
 	case StageWeigh:
 		return "weigh"
 	case StagePrune:
@@ -76,15 +71,15 @@ func StageByName(name string) (Stage, bool) {
 // the instrumented-vs-bare benchmark pair measures the overhead with.
 type Metrics struct {
 	// Stages holds one latency histogram (nanoseconds) per query stage.
-	// Every query observes into tokenize..prune; only probing queries
-	// observe into lsh_probe, and only Resolve calls into score.
+	// Every query observes into tokenize..prune; only Resolve calls
+	// observe into score.
 	Stages [NumStages]obs.Histogram
 	// Query is the whole candidate-generation latency (sum of the
 	// tokenize..prune stages); Resolve adds scoring on top.
 	Query   obs.Histogram
 	Resolve obs.Histogram
-	// Upsert is the write-path latency (key/signature derivation plus
-	// posting updates), successful upserts only.
+	// Upsert is the write-path latency (key derivation plus posting
+	// updates), successful upserts only.
 	Upsert obs.Histogram
 	// Save and Load time durable-snapshot encodes and restores
 	// (persist.go).
@@ -119,7 +114,7 @@ type TimingStats struct {
 	P99Ms   float64 `json:"p99_ms"`
 }
 
-// timingRows summarises every histogram for Snapshot: the seven query
+// timingRows summarises every histogram for Snapshot: the six query
 // stages first, then the operation-level totals. The row set is fixed
 // so the JSON shape is stable from the first scrape.
 func (m *Metrics) timingRows() []TimingStats {

@@ -46,12 +46,8 @@ func TestMetricsRecording(t *testing.T) {
 	r := x.Resolve(&q)
 
 	for s := StageTokenize; s <= StageScore; s++ {
-		want := uint64(1)
-		if s == StageLSHProbe { // no LSH on this index: stage never observed
-			want = 0
-		}
-		if got := m.Stages[s].Snapshot().Count; got != want {
-			t.Errorf("stage %s observations = %d, want %d", s, got, want)
+		if got := m.Stages[s].Snapshot().Count; got != 1 {
+			t.Errorf("stage %s observations = %d, want 1", s, got)
 		}
 	}
 	if got := m.Query.Snapshot().Count; got != 1 {
@@ -137,8 +133,7 @@ func TestSnapshotTimings(t *testing.T) {
 	}
 }
 
-// TestMetricsSaveLoad checks the snapshot persistence histograms and
-// the fallback-rate stat on an LSH index.
+// TestMetricsSaveLoad checks the snapshot persistence histograms.
 func TestMetricsSaveLoad(t *testing.T) {
 	x := metricsTestIndex(t, DefaultConfig())
 	path := filepath.Join(t.TempDir(), "m.snap")
@@ -163,27 +158,5 @@ func TestMetricsSaveLoad(t *testing.T) {
 	}
 	if got := ym.SnapshotBytes.Load(); got != st.Bytes {
 		t.Errorf("restored snapshot bytes gauge = %d, want %d", got, st.Bytes)
-	}
-}
-
-// TestLSHFallbackRate drives a union-policy index (every query probes)
-// and checks the rate surfaces in Snapshot.
-func TestLSHFallbackRate(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LSH.Policy = ProbeUnion
-	x := metricsTestIndex(t, cfg)
-	q := profile.Profile{OriginalID: "probe"}
-	q.Add("name", "acme turbo blender")
-	x.Query(&q)
-	x.Query(&q)
-	s := x.Snapshot()
-	if s.LSH == nil {
-		t.Fatal("no LSH stats")
-	}
-	if s.LSH.FallbackRate != 1 {
-		t.Errorf("fallback rate = %v under union, want 1", s.LSH.FallbackRate)
-	}
-	if got := x.Metrics().Stages[StageLSHProbe].Snapshot().Count; got != 2 {
-		t.Errorf("lsh_probe stage observations = %d, want 2", got)
 	}
 }

@@ -27,7 +27,7 @@ package index
 //	string  original ID          (uvarint length + bytes)
 //	uvarint attribute count, then per attribute: string key, string value
 //
-// Blocking keys, token bags and MinHash signatures are pure functions of
+// Blocking keys and token bags are pure functions of
 // (profile, config) and are re-derived on apply, so frames stay small and
 // a replayed index is structurally identical to the directly written one.
 //

@@ -12,11 +12,10 @@ package index
 //	header  clean flag, shard count, save timestamp, nextID,
 //	        queries/upserts counters, sequence number, profile count,
 //	        posting count
-//	LSH     presence byte; when set: signature length, MinHash seed,
-//	        banding threshold bits, probe counters
+//	LSH     presence byte, always 0 when written (see below)
 //	profiles section: per profile ID, source, original ID, attributes,
-//	        blocking keys (with clusters), optional cached token bag,
-//	        and (LSH present) an optional MinHash signature
+//	        blocking keys (with clusters), optional cached token bag
+//	        (and, in a legacy LSH image, an optional MinHash signature)
 //	per-shard sections: posting count, then per posting key, cluster,
 //	        and the source-A / source-B ID lists in live order
 //	trailer CRC-32 (IEEE) of every preceding byte
@@ -25,10 +24,14 @@ package index
 // number; the writes after it live in the WAL segments (wal.go), the only
 // on-disk delta store, and bytes past the CRC fail the load.
 //
-// LSH bucket postings are not serialized: band keys are a pure function
-// of (signature, banding layout), so Decode re-derives the buckets from
-// the stored signatures — the snapshot stays smaller and a crafted file
-// cannot describe buckets inconsistent with the signatures.
+// The LSH section is a legacy of the online MinHash probe, which older
+// builds could enable (sparker-serve -lsh). Its presence byte set, the
+// header carries the signature length, MinHash seed, banding threshold
+// bits and two probe counters, and every profile record ends with a flag
+// byte and, when set, a signature of exactly that length. This build
+// writes the byte as 0. It still reads such an image, validating the
+// section as strictly as the rest of the file, and discards it: the
+// restored index is the one the same profiles build without it.
 //
 // Encoding is deterministic (profiles by ID, postings by key within each
 // shard, ID lists verbatim): save → load → save reproduces the exact
@@ -39,8 +42,8 @@ package index
 // immutable string copy of it. A cursor then parses the varints in
 // place; every decoded string — original IDs, attribute keys and values,
 // blocking keys, bag tokens, posting keys — is a substring of that one
-// copy, and the items themselves (stored profiles, attribute, key, bag
-// and signature runs, posting structs, ID lists) are carved out of slabs
+// copy, and the items themselves (stored profiles, attribute, key and
+// bag runs, posting structs, ID lists) are carved out of slabs
 // a few thousand items at a time, each run with its capacity clipped to
 // its length so a later append copies out instead of writing into its
 // neighbour. The CRC is one crc32 call over everything before the
@@ -96,11 +99,13 @@ const (
 	maxSnapshotShards = 1 << 12
 	// maxSnapshotCluster bounds decoded attribute-cluster IDs.
 	maxSnapshotCluster = 1 << 30
-	// maxSnapshotSigLen bounds the decoded MinHash signature length.
+	// maxSnapshotSigLen bounds the signature length of a legacy LSH
+	// section.
 	maxSnapshotSigLen = 1 << 12
 	// maxSignatureValue is one past the largest value a MinHash position
-	// can hold: lsh's Mersenne prime 2^61-1. Signatures are only stored
-	// for non-empty token bags, so every position is a real hash minimum.
+	// can hold: lsh's Mersenne prime 2^61-1. Legacy images stored
+	// signatures only for non-empty token bags, so every position is a
+	// real hash minimum.
 	maxSignatureValue = (1 << 61) - 1
 )
 
@@ -359,53 +364,12 @@ func decode(buf []byte, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("snapshot posting count: %w", err)
 	}
 
-	// LSH section header: the MinHash parameters are data — two indexes
-	// only agree on signatures when length, seed and banding threshold
-	// match — so, like the shard count, the file's values override cfg's
-	// when the snapshot carries signatures. The probe policy, floor and
-	// weighting stay query-time configuration.
-	var (
-		fileSigLen              uint64
-		fileSeed                int64
-		fileThreshold           float64
-		fileProbes, fileLSHOnly uint64
-	)
-	lshByte, err := d.byte()
-	if err != nil || lshByte > 1 {
-		return nil, fmt.Errorf("snapshot LSH flag: %w", orBad(err, lshByte))
-	}
-	fileLSH := lshByte == 1
-	if fileLSH {
-		fileSigLen, err = d.uvarint()
-		if err != nil || fileSigLen < 1 || fileSigLen > maxSnapshotSigLen {
-			return nil, fmt.Errorf("snapshot signature length %d: %w", fileSigLen, orBad(err, 0))
-		}
-		if fileSeed, err = d.varint(); err != nil {
-			return nil, fmt.Errorf("snapshot LSH seed: %w", err)
-		}
-		bits, err := d.uvarint()
-		fileThreshold = math.Float64frombits(bits)
-		// NaN fails the comparison chain too: the threshold must be a
-		// real similarity in (0, 1].
-		if err != nil || !(fileThreshold > 0 && fileThreshold <= 1) {
-			return nil, fmt.Errorf("snapshot LSH threshold %v: %w", fileThreshold, orBad(err, 0))
-		}
-		fileProbes, err = d.uvarint()
-		if err != nil || fileProbes > math.MaxInt64 {
-			return nil, fmt.Errorf("snapshot LSH probe counter: %w", orBad(err, 0))
-		}
-		fileLSHOnly, err = d.uvarint()
-		if err != nil || fileLSHOnly > math.MaxInt64 {
-			return nil, fmt.Errorf("snapshot LSH candidate counter: %w", orBad(err, 0))
-		}
+	sigLen, err := d.legacyLSHHeader()
+	if err != nil {
+		return nil, err
 	}
 
 	cfg.Shards = int(shards)
-	if cfg.LSH.Policy != ProbeOff && fileLSH {
-		cfg.LSH.SignatureLen = int(fileSigLen)
-		cfg.LSH.Seed = fileSeed
-		cfg.LSH.Threshold = fileThreshold
-	}
 	x := New(clean, cfg)
 	d.x = x
 	// The counts were checked against the bytes that remain, so sizing
@@ -415,7 +379,7 @@ func decode(buf []byte, cfg Config) (*Index, error) {
 
 	// Profiles section.
 	for i := uint64(0); i < numProfiles; i++ {
-		sp, err := d.profile(nextID, int(numProfiles-i), fileLSH, int(fileSigLen))
+		sp, err := d.profile(nextID, int(numProfiles-i), sigLen)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot profile %d/%d: %w", i, numProfiles, err)
 		}
@@ -426,18 +390,6 @@ func decode(buf []byte, cfg Config) (*Index, error) {
 		key := origKey(&sp.p)
 		if _, dup := x.byOrig[key]; dup {
 			return nil, fmt.Errorf("snapshot profile %d/%d: duplicate identity %s", i, numProfiles, key)
-		}
-		// Bucket postings are a pure function of (signature, banding):
-		// re-derive them instead of trusting serialized lists. A file
-		// without signatures (saved with LSH off) gets them
-		// computed from the token bags, exactly as a fresh build would.
-		if x.lshOn() {
-			if sp.sig == nil && !fileLSH {
-				sp.sig = x.signatureOf(sp)
-			}
-			x.addLSHLocked(sp)
-		} else {
-			sp.sig = nil
 		}
 		x.byID[id] = sp
 		x.byOrig[key] = id
@@ -491,10 +443,6 @@ func decode(buf []byte, cfg Config) (*Index, error) {
 	x.queries.Store(int64(queries))
 	x.upserts.Store(int64(upserts))
 	x.seq.Store(int64(seq))
-	if x.lshOn() && fileLSH {
-		x.lshProbes.Store(int64(fileProbes))
-		x.lshOnly.Store(int64(fileLSHOnly))
-	}
 	x.restored = true
 	x.imageBytes.Store(int64(len(buf)))
 	x.persist = PersistState{
@@ -525,18 +473,7 @@ func (x *Index) encodeLocked(w io.Writer, savedAt time.Time) (int64, error) {
 	cw.uvarint(uint64(x.seq.Load()))
 	cw.uvarint(uint64(len(x.byID)))
 	cw.uvarint(uint64(x.numBlocks.Load()))
-
-	withLSH := x.lshOn()
-	if withLSH {
-		cw.byte(1)
-		cw.uvarint(uint64(x.cfg.LSH.SignatureLen))
-		cw.varint(x.cfg.LSH.Seed)
-		cw.uvarint(math.Float64bits(x.cfg.LSH.Threshold))
-		cw.uvarint(uint64(x.lshProbes.Load()))
-		cw.uvarint(uint64(x.lshOnly.Load()))
-	} else {
-		cw.byte(0)
-	}
+	cw.byte(0) // no (legacy) LSH section
 
 	ids := make([]profile.ID, 0, len(x.byID))
 	for id := range x.byID {
@@ -573,16 +510,6 @@ func (x *Index) encodeLocked(w io.Writer, savedAt time.Time) (int64, error) {
 			}
 		} else {
 			cw.byte(0)
-		}
-		if withLSH {
-			if sp.sig != nil {
-				cw.byte(1)
-				for _, v := range sp.sig {
-					cw.uvarint(v)
-				}
-			} else {
-				cw.byte(0)
-			}
 		}
 	}
 
@@ -633,7 +560,6 @@ type decoder struct {
 	attrs    slab[profile.KeyValue]
 	keys     slab[blocking.KeyedToken]
 	bags     slab[string]
-	sigs     slab[uint64]
 	postings slab[posting]
 	ids      slab[profile.ID]
 }
@@ -648,11 +574,9 @@ const (
 )
 
 // profile reads one profiles-section record, the first of left that
-// remain. When the file carries an LSH section (readSig), each record
-// ends with an optional signature of exactly sigLen values; it is consumed
-// even when the decoding config has LSH off, and discarded by the caller
-// in that case.
-func (d *decoder) profile(idBound uint64, left int, readSig bool, sigLen int) (*storedProfile, error) {
+// remain. In a legacy LSH image (sigLen > 0) the record ends with an
+// optional signature of exactly sigLen values, validated and discarded.
+func (d *decoder) profile(idBound uint64, left int, sigLen int) (*storedProfile, error) {
 	x := d.x
 	id, err := d.uvarint()
 	if err != nil {
@@ -742,31 +666,67 @@ func (d *decoder) profile(idBound uint64, left int, readSig bool, sigLen int) (*
 		sp.bag = bag
 	}
 
-	if readSig {
-		hasSig, err := d.byte()
-		if err != nil || hasSig > 1 {
-			return nil, fmt.Errorf("signature flag: %w", orBad(err, hasSig))
-		}
-		if hasSig == 1 {
-			// sigLen is header-validated (≤ maxSnapshotSigLen); every
-			// value costs at least one input byte.
-			if sigLen > d.rest() {
-				return nil, fmt.Errorf("signature of %d values: %w", sigLen, io.ErrUnexpectedEOF)
-			}
-			sp.sig = d.sigs.take(sigLen, d.rest())
-			for i := range sp.sig {
-				v, err := d.uvarint()
-				if err != nil {
-					return nil, fmt.Errorf("signature value %d/%d: %w", i, sigLen, err)
-				}
-				if v >= maxSignatureValue {
-					return nil, fmt.Errorf("signature value %d out of range", v)
-				}
-				sp.sig[i] = v
-			}
+	if sigLen > 0 {
+		if err := d.legacySignature(sigLen); err != nil {
+			return nil, err
 		}
 	}
 	return sp, nil
+}
+
+// legacyLSHHeader reads the LSH section header and returns the signature
+// length every profile record then carries, or 0 when the image has no
+// section. The MinHash parameters and probe counters are validated and
+// dropped: nothing in this build reads them.
+func (d *decoder) legacyLSHHeader() (sigLen int, err error) {
+	present, err := d.byte()
+	if err != nil || present > 1 {
+		return 0, fmt.Errorf("snapshot LSH flag: %w", orBad(err, present))
+	}
+	if present == 0 {
+		return 0, nil
+	}
+	n, err := d.uvarint()
+	if err != nil || n < 1 || n > maxSnapshotSigLen {
+		return 0, fmt.Errorf("snapshot signature length %d: %w", n, orBad(err, 0))
+	}
+	if _, err := d.varint(); err != nil {
+		return 0, fmt.Errorf("snapshot LSH seed: %w", err)
+	}
+	bits, err := d.uvarint()
+	// NaN fails the comparison chain too: the threshold must be a real
+	// similarity in (0, 1].
+	if threshold := math.Float64frombits(bits); err != nil || !(threshold > 0 && threshold <= 1) {
+		return 0, fmt.Errorf("snapshot LSH threshold %v: %w", threshold, orBad(err, 0))
+	}
+	for _, what := range []string{"probe", "candidate"} {
+		if c, err := d.uvarint(); err != nil || c > math.MaxInt64 {
+			return 0, fmt.Errorf("snapshot LSH %s counter: %w", what, orBad(err, 0))
+		}
+	}
+	return int(n), nil
+}
+
+// legacySignature reads the optional MinHash signature that ends a
+// profile record in a legacy LSH image.
+func (d *decoder) legacySignature(sigLen int) error {
+	hasSig, err := d.byte()
+	if err != nil || hasSig > 1 {
+		return fmt.Errorf("signature flag: %w", orBad(err, hasSig))
+	}
+	if hasSig == 0 {
+		return nil
+	}
+	for i := 0; i < sigLen; i++ {
+		v, err := d.uvarint()
+		if err != nil {
+			return fmt.Errorf("signature value %d/%d: %w", i, sigLen, err)
+		}
+		if v >= maxSignatureValue {
+			return fmt.Errorf("signature value %d out of range", v)
+		}
+	}
+	return nil
 }
 
 // posting reads one posting record, the first of left that remain in its

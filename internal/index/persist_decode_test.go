@@ -147,17 +147,7 @@ func TestLoadAllocs(t *testing.T) {
 func craftedSnapshot(numProfiles, numBlocks uint64, body func(cw *crcWriter)) []byte {
 	var out bytes.Buffer
 	cw := &crcWriter{w: &out}
-	cw.bytes([]byte(snapshotMagic))
-	cw.uvarint(snapshotVersion)
-	cw.byte(0)              // dirty
-	cw.uvarint(1)           // shards
-	cw.varint(0)            // savedAt
-	cw.uvarint(numProfiles) // nextID
-	cw.uvarint(0)           // queries
-	cw.uvarint(0)           // upserts
-	cw.uvarint(0)           // seq
-	cw.uvarint(numProfiles)
-	cw.uvarint(numBlocks)
+	craftedHeader(cw, numProfiles, numBlocks)
 	cw.byte(0) // no LSH section
 	if body != nil {
 		body(cw)
@@ -169,6 +159,22 @@ func craftedSnapshot(numProfiles, numBlocks uint64, body func(cw *crcWriter)) []
 		out.WriteByte(0)
 	}
 	return out.Bytes()
+}
+
+// craftedHeader writes a dirty one-shard header up to the LSH presence
+// byte.
+func craftedHeader(cw *crcWriter, numProfiles, numBlocks uint64) {
+	cw.bytes([]byte(snapshotMagic))
+	cw.uvarint(snapshotVersion)
+	cw.byte(0)              // dirty
+	cw.uvarint(1)           // shards
+	cw.varint(0)            // savedAt
+	cw.uvarint(numProfiles) // nextID
+	cw.uvarint(0)           // queries
+	cw.uvarint(0)           // upserts
+	cw.uvarint(0)           // seq
+	cw.uvarint(numProfiles)
+	cw.uvarint(numBlocks)
 }
 
 // lyingCountSnapshots are 64-byte inputs whose counts claim far more
@@ -217,19 +223,14 @@ func lyingCountSnapshots() map[string][]byte {
 }
 
 // TestDecodeHardening pins what the in-place decoder must keep refusing:
-// every proper prefix of a valid snapshot, every single-byte corruption
+// every proper prefix of a valid snapshot (a current one and the two
+// legacy LSH images), every single-byte corruption
 // (by the CRC or by validation — and without panicking), and counts the
 // remaining bytes cannot hold, refused before anything is sized from
 // them. The trailing-byte refusal is TestDecodeRejectsTrailingBytes.
 func TestDecodeHardening(t *testing.T) {
 	cfg := DefaultConfig()
-	lshCfg := DefaultConfig()
-	lshCfg.LSH = LSHConfig{Policy: ProbeFallback, SignatureLen: 16}
-	withLSH := New(false, lshCfg)
-	upsertAll(t, withLSH, synthQueryProfiles(8, 1, 19))
-	for _, x := range []*Index{smallTestIndex(t, true), withLSH} {
-		cfg := x.cfg
-		valid := encodeToBytes(t, x)
+	for _, valid := range [][]byte{encodeToBytes(t, smallTestIndex(t, true)), legacyImage(t, false), legacyImage(t, true)} {
 		if _, err := Decode(bytes.NewReader(valid), cfg); err != nil {
 			t.Fatalf("valid snapshot rejected: %v", err)
 		}
@@ -315,8 +316,9 @@ func TestRestoredSlabsDoNotAlias(t *testing.T) {
 // TestParentImageReloadsByteIdentical: the byte format did not move. An
 // image written by the encoder this build shares with its parent decodes,
 // and re-encodes to the same bytes — schema-agnostic and clustered keys,
-// clean and dirty, with an LSH section, and without bags (custom
-// measure).
+// clean and dirty, and without bags (custom measure). The legacy LSH
+// images, written by an older build, re-encode to exactly the image the
+// same collection builds fresh: the section is all they lose.
 func TestParentImageReloadsByteIdentical(t *testing.T) {
 	clustered := DefaultConfig()
 	clustered.Clustering = lenClustering{}
@@ -326,7 +328,6 @@ func TestParentImageReloadsByteIdentical(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"default":        DefaultConfig(),
 		"clustering":     clustered,
-		"lsh":            lshTestConfig(ProbeFallback),
 		"custom measure": custom,
 	} {
 		for _, clean := range []bool{false, true} {
@@ -341,6 +342,12 @@ func TestParentImageReloadsByteIdentical(t *testing.T) {
 			if !bytes.Equal(encodePinned(t, y), image) {
 				t.Fatalf("%s clean=%v: re-encoded image differs", name, clean)
 			}
+		}
+	}
+	for _, clean := range []bool{false, true} {
+		fresh := encodePinned(t, legacyFresh(t, clean, DefaultConfig()))
+		if !bytes.Equal(encodePinned(t, legacyDecode(t, clean, DefaultConfig())), fresh) {
+			t.Fatalf("legacy LSH image clean=%v: re-encoded image differs from the fresh build's", clean)
 		}
 	}
 }

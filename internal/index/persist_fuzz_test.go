@@ -11,14 +11,14 @@ import (
 // returns an error — never a panic, and never an allocation proportional
 // to a lying length header rather than to the input actually supplied.
 // Seeds cover valid snapshots of both task types (with and without
-// entropy keys) and LSH-enabled snapshots, three must-fail seeds with
+// entropy keys), the two legacy LSH images (testdata/, see
+// persist_legacy_test.go) and a must-fail one whose signature value is
+// out of range, three must-fail seeds with
 // bytes after the CRC (a stray byte, noise, and the delta tail of valid
 // op frames older builds appended there), plus the mutation classes the
 // decoder must reject: truncation, bit flips, version bumps, and 64-byte
 // inputs whose counts claim 2³⁰ items (refused before any slab or map is
-// sized from them). Every input is decoded under a plain config and an
-// LSH-enabled one: the LSH section must hold up whether its signatures
-// are kept or discarded.
+// sized from them).
 func FuzzLoadIndex(f *testing.F) {
 	dirty := encodeToBytes(f, smallTestIndex(f, false))
 	clean := encodeToBytes(f, smallTestIndex(f, true))
@@ -36,26 +36,11 @@ func FuzzLoadIndex(f *testing.F) {
 
 	empty := encodeToBytes(f, New(true, DefaultConfig()))
 
-	// LSH seeds stay deliberately tiny (few profiles, short signatures):
-	// mutation throughput degrades with corpus entry size, and a 16-wide
-	// signature walks the same decode paths as a 128-wide one.
-	smallLSH := func(clean bool) *Index {
-		sources := 1
-		if clean {
-			sources = 2
-		}
-		cfg := DefaultConfig()
-		cfg.LSH = LSHConfig{Policy: ProbeFallback, SignatureLen: 16}
-		x := New(clean, cfg)
-		for _, p := range synthQueryProfiles(8, sources, 19) {
-			if _, _, err := x.Upsert(p); err != nil {
-				f.Fatal(err)
-			}
-		}
-		return x
-	}
-	withLSH := encodeToBytes(f, smallLSH(false))
-	cleanLSH := encodeToBytes(f, smallLSH(true))
+	// Legacy LSH images (an older build's -lsh section) and a crafted one
+	// whose signature value is out of range, which must stay refused.
+	withLSH := legacyImage(f, false)
+	cleanLSH := legacyImage(f, true)
+	badSig := legacySigSnapshot(1, maxSignatureValue)
 	stray := append(append([]byte(nil), dirty...), 0xaa)
 	noise := append(append([]byte(nil), clean...), bytes.Repeat([]byte{0xde, 0xad, 0xbe, 0xef}, 16)...)
 
@@ -80,7 +65,7 @@ func FuzzLoadIndex(f *testing.F) {
 	}
 	delta := append(append([]byte(nil), deltaBase...), tail...)
 
-	for _, seed := range [][]byte{dirty, clean, entropy, empty, withLSH, cleanLSH, stray, noise, delta} {
+	for _, seed := range [][]byte{dirty, clean, entropy, empty, withLSH, cleanLSH, badSig, stray, noise, delta} {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])                      // truncated
 		f.Add(seed[:len(seed)-3])                      // lost trailer
@@ -100,32 +85,25 @@ func FuzzLoadIndex(f *testing.F) {
 	f.Add([]byte(snapshotMagic))
 	f.Add([]byte{})
 
-	cfg := DefaultConfig()
-	lshCfg := lshTestConfig(ProbeFallback)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, c := range []Config{cfg, lshCfg} {
-			x, err := Decode(bytes.NewReader(data), c)
-			if err != nil {
-				continue
-			}
-			// Decoded successfully: nothing was left unread (the must-fail
-			// seeds stay refused), and the index holds together under use.
-			if st, _ := x.PersistState(); st.Bytes != int64(len(data)) {
-				t.Fatalf("decode accepted %d bytes of a %d-byte input", st.Bytes, len(data))
-			}
-			s := x.Snapshot()
-			if s.Profiles != x.Size() {
-				t.Fatalf("snapshot profiles %d != size %d", s.Profiles, x.Size())
-			}
-			q := mkProfile("probe", "name", "alpha shared0 tok1")
-			x.Query(&q)
-			x.Resolve(&q)
-			if x.LSHEnabled() {
-				x.QueryWith(&q, ProbeOptions{Policy: ProbeUnion})
-			}
-			if _, _, err := x.Upsert(mkProfile("fresh", "name", "post fuzz upsert")); err != nil {
-				t.Fatalf("upsert on decoded index: %v", err)
-			}
+		x, err := Decode(bytes.NewReader(data), DefaultConfig())
+		if err != nil {
+			return
+		}
+		// Decoded successfully: nothing was left unread (the must-fail
+		// seeds stay refused), and the index holds together under use.
+		if st, _ := x.PersistState(); st.Bytes != int64(len(data)) {
+			t.Fatalf("decode accepted %d bytes of a %d-byte input", st.Bytes, len(data))
+		}
+		s := x.Snapshot()
+		if s.Profiles != x.Size() {
+			t.Fatalf("snapshot profiles %d != size %d", s.Profiles, x.Size())
+		}
+		q := mkProfile("probe", "name", "alpha shared0 tok1")
+		x.Query(&q)
+		x.Resolve(&q)
+		if _, _, err := x.Upsert(mkProfile("fresh", "name", "post fuzz upsert")); err != nil {
+			t.Fatalf("upsert on decoded index: %v", err)
 		}
 	})
 }

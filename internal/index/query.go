@@ -9,7 +9,6 @@ import (
 	"sparker/internal/core"
 	"sparker/internal/evaluation"
 	"sparker/internal/kernel"
-	"sparker/internal/lsh"
 	"sparker/internal/matching"
 	"sparker/internal/metablocking"
 	"sparker/internal/obs"
@@ -19,19 +18,13 @@ import (
 // Candidate is one ranked match candidate of a query.
 type Candidate struct {
 	ID profile.ID
-	// Weight is the meta-blocking scheme weight of the candidate. A
-	// probe-only candidate (SharedKeys zero, surfaced by the LSH probe)
-	// is instead weighted by estimated Jaccard or shared-bucket count,
-	// per LSHConfig.Weight.
+	// Weight is the meta-blocking scheme weight of the candidate.
 	Weight float64
 	// SharedKeys is the number of blocking keys shared with the query.
 	SharedKeys int
-	// SharedBuckets is the number of LSH buckets shared with the query
-	// (zero unless a probe ran).
-	SharedBuckets int
 }
 
-// QueryResult carries the ranked candidates plus the probe accounting
+// QueryResult carries the ranked candidates plus the work accounting
 // that shows how much work the index avoided versus a full scan.
 type QueryResult struct {
 	// Candidates are ranked by weight descending (ties by ID).
@@ -47,9 +40,8 @@ type QueryResult struct {
 	// the query's blocks (the online analogue of block filtering).
 	BlocksFiltered int
 	// PostingsScanned counts profile entries read across probed postings
-	// (token postings and, when a probe ran, LSH buckets) — the true
-	// per-query work bound, orders of magnitude below the collection
-	// size for selective queries.
+	// — the true per-query work bound, orders of magnitude below the
+	// collection size for selective queries.
 	PostingsScanned int
 	// Pruned counts candidates dropped by the pruning rule.
 	Pruned int
@@ -61,20 +53,6 @@ type QueryResult struct {
 	// response and slow-query log. All zeros when Config.DisableMetrics
 	// turned instrumentation off.
 	StageNanos [NumStages]int64
-
-	// LSHProbed reports whether the LSH probe ran for this query (under
-	// ProbeFallback, only when token candidates fell below the floor).
-	LSHProbed bool
-	// BucketsProbed counts LSH bucket postings scanned by the probe;
-	// BucketsPurged counts buckets skipped as oversized (the same purge
-	// bound the token postings use).
-	BucketsProbed int
-	BucketsPurged int
-	// LSHCandidates counts candidates surfaced only by the probe — they
-	// share no blocking key with the query and token blocking alone
-	// would have missed them. Counted before pruning, so it can exceed
-	// len(Candidates).
-	LSHCandidates int
 
 	// Truncated reports that the per-request budget
 	// (ResolveOptions.Budget) tripped before the resolution completed:
@@ -91,26 +69,17 @@ type QueryResult struct {
 	selfID profile.ID
 }
 
-// candStats is what a query accumulates per candidate: the co-occurrence
-// statistics every weight scheme reads — the meta-blocker's own, filled
-// through the same Add — plus buckets, the shared LSH buckets. A
-// candidate with CBS zero and buckets non-zero was found by the probe
-// alone.
-type candStats struct {
-	metablocking.PairStats
-	buckets int
-}
-
 // queryScratch is the flat-array candidate kernel of the query hot path:
 // the shared dense, epoch-stamped scratch primitive the meta-blocker
-// uses, instantiated with the candidate statistics and indexed by the
-// index's dense internal profile IDs. Scratches are pooled on the Index
-// (sync.Pool is per-P sharded, so concurrent queries never contend),
-// replacing the historical per-query map that re-allocated and
-// re-hashed per query. Kernel growth (Slot's Ensure path) also covers
-// concurrent upserts appending fresh profiles to a posting between the
-// size probe and the scan.
-type queryScratch = kernel.Scratch[candStats]
+// uses, instantiated with the co-occurrence statistics every weight
+// scheme reads (the meta-blocker's own, filled through the same Add) and
+// indexed by the index's dense internal profile IDs. Scratches are
+// pooled on the Index (sync.Pool is per-P sharded, so concurrent queries
+// never contend), replacing the historical per-query map that
+// re-allocated and re-hashed per query. Kernel growth (Slot's Ensure
+// path) also covers concurrent upserts appending fresh profiles to a
+// posting between the size probe and the scan.
+type queryScratch = kernel.Scratch[metablocking.PairStats]
 
 // getScratch leases a query scratch sized for the current ID space.
 func (x *Index) getScratch() *queryScratch {
@@ -126,32 +95,23 @@ func (x *Index) getScratch() *queryScratch {
 func (x *Index) putScratch(s *queryScratch) { x.scratchPool.Put(s) }
 
 // Query ranks the candidate matches of p by probing only the postings its
-// blocking keys hit (plus, per the configured LSH policy, the LSH buckets
-// its signature hits). p does not need to be indexed; when it is (same
+// blocking keys hit. p does not need to be indexed; when it is (same
 // source and original ID), it is excluded from its own candidates.
 func (x *Index) Query(p *profile.Profile) *QueryResult {
-	return x.QueryWith(p, ProbeOptions{Policy: x.cfg.LSH.Policy})
-}
-
-// QueryWith is Query with per-query probe overrides: serving layers use
-// it to let one request opt into (or out of) the LSH probe without
-// rebuilding the index. On an index without LSH every policy degrades to
-// ProbeOff.
-func (x *Index) QueryWith(p *profile.Profile, opts ProbeOptions) *QueryResult {
 	kb := keyBufPool.Get().(*keyBuf)
-	res := x.queryBudget(p, opts, Budget{}, kb)
+	res := x.queryBudget(p, Budget{}, kb)
 	keyBufPool.Put(kb)
 	return res
 }
 
-// queryBudget is the budget-aware query core behind QueryWith and
+// queryBudget is the budget-aware query core behind Query and
 // ResolveWithOptions. A zero budget takes exactly the historical path:
 // every deadline check hides behind a non-zero-field test, so unlimited
 // queries stay bitwise-identical and allocation-identical. The query's
 // keys and distinct token bag are derived into kb, the caller's pooled
-// buffer: the LSH probe signs the bag here and Resolve scores from it
-// after the call, so a query is tokenised exactly once.
-func (x *Index) queryBudget(p *profile.Profile, opts ProbeOptions, budget Budget, kb *keyBuf) *QueryResult {
+// buffer: Resolve scores from the bag after the call, so a query is
+// tokenised exactly once.
+func (x *Index) queryBudget(p *profile.Profile, budget Budget, kb *keyBuf) *QueryResult {
 	x.queries.Add(1)
 	// The stage clock slices the query into contiguous per-stage
 	// durations: a stack value ticking into the result's fixed array,
@@ -286,47 +246,14 @@ func (x *Index) queryBudget(p *profile.Profile, opts ProbeOptions, budget Budget
 	}
 	clk.Tick(res.StageNanos[:], int(StageCandidates))
 
-	// Pass 3 — the LSH probe, when the policy asks for it: walk the
-	// bucket postings the query's signature hits, marking co-occurrence
-	// in the same pooled scratch. Shared-bucket counts never alter a
-	// token candidate's scheme weight; they only surface candidates the
-	// token postings missed (weighted in weigh below).
-	var qsig []uint64
-	if x.lshOn() && opts.Policy != ProbeOff {
-		floor := opts.Floor
-		if floor <= 0 {
-			floor = x.cfg.LSH.FallbackFloor
-		}
-		if budget.expired() {
-			// An expired deadline skips the probe outright (a bucket walk
-			// can't be stopped best-first; not starting it is the bound).
-			res.truncate(StageLSHProbe)
-		} else if opts.Policy == ProbeUnion || len(sc.Touched()) < floor {
-			ls := x.lsh.getScratch()
-			qsig = x.querySignature(ls, kb.bag)
-			if qsig != nil {
-				res.LSHProbed = true
-				x.lshProbes.Add(1)
-				x.probeLSH(p, qsig, selfID, maxSize, sc, res)
-			}
-			defer x.lsh.putScratch(ls)
-		}
-		clk.Tick(res.StageNanos[:], int(StageLSHProbe))
-	}
-
 	res.selfID = selfID
-	dropped := x.weigh(res, liveKeys, sc, qsig, budget)
+	dropped := x.weigh(res, liveKeys, sc, budget)
 	clk.Tick(res.StageNanos[:], int(StageWeigh))
 	res.Pruned = dropped + x.prune(res)
 	clk.Tick(res.StageNanos[:], int(StagePrune))
 	if m != nil {
 		var total int64
 		for s := StageTokenize; s <= StagePrune; s++ {
-			// The probe stage stays clean: only queries that actually
-			// probed observe into its histogram.
-			if s == StageLSHProbe && !res.LSHProbed {
-				continue
-			}
 			m.Stages[s].Observe(res.StageNanos[s])
 			total += res.StageNanos[s]
 		}
@@ -336,55 +263,9 @@ func (x *Index) queryBudget(p *profile.Profile, opts ProbeOptions, budget Budget
 	return res
 }
 
-// probeLSH scans the bucket postings of the query signature's band keys,
-// accumulating shared-bucket counts per candidate.
-func (x *Index) probeLSH(p *profile.Profile, qsig []uint64, selfID profile.ID, maxSize int, sc *queryScratch, res *QueryResult) {
-	for b := 0; b < x.lsh.bands; b++ {
-		key := lsh.BandKey(qsig, b, x.lsh.rows)
-		s := x.bucketShard(key)
-		s.mu.RLock()
-		pl := s.buckets[key]
-		if pl == nil {
-			s.mu.RUnlock()
-			continue
-		}
-		// The same per-query purge bound as the token postings: a bucket
-		// holding most of the collection (banding noise at low
-		// thresholds) is skipped, not scanned.
-		if pl.size() > maxSize {
-			res.BucketsPurged++
-			s.mu.RUnlock()
-			continue
-		}
-		res.BucketsProbed++
-		visit := func(ids []profile.ID) {
-			res.PostingsScanned += len(ids)
-			for _, id := range ids {
-				if id == selfID {
-					continue
-				}
-				sc.Slot(id).buckets++
-			}
-		}
-		if x.clean {
-			if p.SourceID == 1 {
-				visit(pl.a)
-			} else {
-				visit(pl.b)
-			}
-		} else {
-			visit(pl.a)
-		}
-		s.mu.RUnlock()
-	}
-}
-
 // weigh converts the accumulated co-occurrence statistics into ranked
 // weighted candidates using the configured meta-blocking scheme, filling
-// res.Candidates and res.LSHCandidates. Probe-only candidates (no shared
-// blocking key — every co-occurrence scheme scores them zero) are
-// weighted by estimated Jaccard against qsig, or by shared-bucket count,
-// per LSHConfig.Weight.
+// res.Candidates.
 //
 // The prune rule decides how many ranked candidates can survive, and
 // weigh keeps no more than that: under PruneTopK the touched list streams
@@ -394,7 +275,7 @@ func (x *Index) probeLSH(p *profile.Profile, qsig []uint64, selfID profile.ID, m
 // res.Candidates is exactly the leading part of the full ranking. It
 // returns how many weighed candidates the selection dropped, which prune
 // adds to its own count.
-func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []uint64, budget Budget) (dropped int) {
+func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, budget Budget) (dropped int) {
 	touched := sc.Touched()
 	if len(touched) == 0 {
 		return 0
@@ -420,19 +301,6 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []
 			break
 		}
 		a := sc.At(id)
-		if a.CBS == 0 {
-			// Probe-only candidate: reachable only when an LSH probe ran.
-			w := float64(a.buckets)
-			if x.cfg.LSH.Weight == LSHWeightJaccard {
-				w = 0
-				if sp := x.byID[id]; sp != nil {
-					w = lsh.EstimateJaccard(qsig, sp.sig)
-				}
-			}
-			top.offer(Candidate{ID: id, Weight: w, SharedBuckets: a.buckets})
-			res.LSHCandidates++
-			continue
-		}
 		candKeys := 0
 		if needsCandKeys {
 			if sp := x.byID[id]; sp != nil {
@@ -443,15 +311,11 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, qsig []
 			ID: id,
 			// The query is endpoint a, the candidate b. There is no degree
 			// factor: EJS never reaches here (withDefaults).
-			Weight:        metablocking.Weight(x.cfg.Scheme, &a.PairStats, useEntropy, queryKeys, candKeys, numBlocks, 1),
-			SharedKeys:    int(a.CBS),
-			SharedBuckets: a.buckets,
+			Weight:     metablocking.Weight(x.cfg.Scheme, a, useEntropy, queryKeys, candKeys, numBlocks, 1),
+			SharedKeys: int(a.CBS),
 		})
 	}
 	x.mu.RUnlock()
-	if res.LSHCandidates > 0 {
-		x.lshOnly.Add(int64(res.LSHCandidates))
-	}
 	slices.SortFunc(top.best, compareRank)
 	res.Candidates = top.best
 	return weighed - len(top.best)
@@ -576,23 +440,18 @@ type Resolution struct {
 // threshold — blocking, meta-blocking pruning and matching collapsed into
 // one sub-millisecond point lookup.
 func (x *Index) Resolve(p *profile.Profile) *Resolution {
-	return x.ResolveWith(p, ProbeOptions{Policy: x.cfg.LSH.Policy})
+	return x.ResolveWithOptions(p, ResolveOptions{})
 }
 
-// ResolveWith is Resolve with per-query probe overrides (see QueryWith).
-func (x *Index) ResolveWith(p *profile.Profile, opts ProbeOptions) *Resolution {
-	return x.ResolveWithOptions(p, ResolveOptions{Probe: opts})
-}
-
-// ResolveWithOptions is Resolve with per-query probe overrides and a
-// work budget: a deadline stops the pipeline at the next stage or
+// ResolveWithOptions is Resolve with a work budget: a deadline stops the
+// pipeline at the next stage or
 // comparison boundary, and MaxComparisons caps scoring to the
 // highest-ranked candidates. Either trip marks Query.Truncated with the
 // stage that was running — the result is the best-first prefix of the
 // unlimited answer. A zero budget is the exact unlimited behaviour.
 func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Resolution {
 	kb := keyBufPool.Get().(*keyBuf)
-	qr := x.queryBudget(p, opts.Probe, opts.Budget, kb)
+	qr := x.queryBudget(p, opts.Budget, kb)
 	r := &Resolution{Query: qr}
 	queryID := qr.selfID
 	m := x.metrics

@@ -19,7 +19,7 @@ import (
 
 // candAcc is the historical per-candidate accumulator: refCandidates
 // fills it field by field in a map, sharing no accumulation code with
-// the flat kernel's candStats.
+// the flat kernel's PairStats.
 type candAcc struct {
 	cbs        int
 	arcs       float64

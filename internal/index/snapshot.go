@@ -34,9 +34,6 @@ type Snapshot struct {
 	// Persist describes the durable-snapshot state (last save / restore
 	// source), or nil when the index has never been saved or restored.
 	Persist *PersistState `json:"persist,omitempty"`
-	// LSH describes the probe subsystem (bucket count, probe counters),
-	// or nil when LSH is disabled.
-	LSH *LSHStats `json:"lsh,omitempty"`
 	// Timings summarises the per-stage and per-operation latency
 	// histograms (metrics.go): one row per query stage, then the
 	// operation totals. Nil when Config.DisableMetrics turned
@@ -70,20 +67,6 @@ func (x *Index) Snapshot() Snapshot {
 	if x.wal != nil {
 		st := x.wal.stats()
 		s.WAL = &st
-	}
-	if x.lshOn() {
-		s.LSH = &LSHStats{
-			Policy:              x.cfg.LSH.Policy.String(),
-			SignatureLen:        x.cfg.LSH.SignatureLen,
-			Bands:               x.lsh.bands,
-			Rows:                x.lsh.rows,
-			Buckets:             int(x.numBuckets.Load()),
-			Probes:              x.lshProbes.Load(),
-			ProbeOnlyCandidates: x.lshOnly.Load(),
-		}
-		if s.Queries > 0 {
-			s.LSH.FallbackRate = float64(s.LSH.Probes) / float64(s.Queries)
-		}
 	}
 	if x.metrics != nil {
 		s.Timings = x.metrics.timingRows()

@@ -40,7 +40,7 @@ func sameCandidates(got, want []Candidate) error {
 	}
 	for i := range want {
 		g, w := got[i], want[i]
-		if g.ID != w.ID || g.SharedKeys != w.SharedKeys || g.SharedBuckets != w.SharedBuckets ||
+		if g.ID != w.ID || g.SharedKeys != w.SharedKeys ||
 			math.Float64bits(g.Weight) != math.Float64bits(w.Weight) {
 			return fmt.Errorf("candidate %d: %+v, want %+v", i, g, w)
 		}
@@ -49,13 +49,13 @@ func sameCandidates(got, want []Candidate) error {
 }
 
 // TestTopKSelectionMatchesFullSort runs real queries: one index per
-// scheme × entropy × task type × probe policy, each query answered once
+// scheme × entropy × task type × purge bound, each query answered once
 // unpruned (the full ranking) and once per k. The synthetic profiles draw
 // from a few dozen tokens, so a neighbourhood is hundreds of candidates
 // on a handful of distinct weights and the ID tie-break decides the cut.
 func TestTopKSelectionMatchesFullSort(t *testing.T) {
 	const n = 500
-	biggest, probeOnly := 0, 0
+	biggest := 0
 	for _, clean := range []bool{false, true} {
 		sources := 1
 		if clean {
@@ -64,19 +64,14 @@ func TestTopKSelectionMatchesFullSort(t *testing.T) {
 		profiles := synthQueryProfiles(n, sources, 17)
 		for _, useEntropy := range []bool{false, true} {
 			for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.ARCS} {
-				for _, policy := range []ProbePolicy{ProbeOff, ProbeUnion} {
+				for _, maxBlock := range []float64{0.5, 0.15} {
 					cfg := DefaultConfig()
 					cfg.Scheme = scheme
 					cfg.Prune = PruneNone
+					cfg.MaxBlockFraction = maxBlock // 0.15 purges the commonest tokens' postings
 					if useEntropy {
 						cfg.Clustering = lenClustering{}
 						cfg.Entropy = rampEntropy{}
-					}
-					if policy != ProbeOff {
-						cfg.LSH = LSHConfig{Policy: policy, SignatureLen: 32, Threshold: 0.3}
-						// Purge the commonest tokens' postings, so that half the
-						// neighbourhood is reachable through buckets alone.
-						cfg.MaxBlockFraction = 0.15
 					}
 					x := New(clean, cfg)
 					for _, p := range profiles {
@@ -84,7 +79,7 @@ func TestTopKSelectionMatchesFullSort(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					label := fmt.Sprintf("clean=%v entropy=%v %v probe=%v", clean, useEntropy, scheme, policy)
+					label := fmt.Sprintf("clean=%v entropy=%v %v max-block=%v", clean, useEntropy, scheme, maxBlock)
 					for qi := 0; qi < n; qi += 23 {
 						q := profiles[qi]
 						x.cfg.Prune = PruneNone
@@ -94,7 +89,6 @@ func TestTopKSelectionMatchesFullSort(t *testing.T) {
 							t.Fatalf("%s query %s unpruned: %v", label, q.OriginalID, err)
 						}
 						biggest = max(biggest, len(want))
-						probeOnly += full.LSHCandidates
 						for _, k := range []int{1, 3, 10, len(want) + 5} {
 							x.cfg.Prune = PruneTopK
 							x.cfg.MaxCandidates = k
@@ -106,9 +100,9 @@ func TestTopKSelectionMatchesFullSort(t *testing.T) {
 							if got.Pruned != len(want)-kept {
 								t.Fatalf("%s query %s k=%d: pruned %d, want %d", label, q.OriginalID, k, got.Pruned, len(want)-kept)
 							}
-							if got.LSHCandidates != full.LSHCandidates || got.PostingsScanned != full.PostingsScanned {
-								t.Fatalf("%s query %s k=%d: lsh candidates/postings %d/%d, unpruned %d/%d", label, q.OriginalID, k,
-									got.LSHCandidates, got.PostingsScanned, full.LSHCandidates, full.PostingsScanned)
+							if got.PostingsScanned != full.PostingsScanned {
+								t.Fatalf("%s query %s k=%d: postings %d, unpruned %d", label, q.OriginalID, k,
+									got.PostingsScanned, full.PostingsScanned)
 							}
 						}
 					}
@@ -116,8 +110,8 @@ func TestTopKSelectionMatchesFullSort(t *testing.T) {
 			}
 		}
 	}
-	if biggest < 200 || probeOnly == 0 {
-		t.Fatalf("largest neighbourhood %d candidates, %d probe-only: the fixture should reach hundreds and some of the latter", biggest, probeOnly)
+	if biggest < 200 {
+		t.Fatalf("largest neighbourhood %d candidates: the fixture should reach hundreds", biggest)
 	}
 }
 
@@ -126,7 +120,7 @@ func TestTopKSelectionMatchesFullSort(t *testing.T) {
 // keys[i] blocking keys, which the ratio schemes read.
 type weighFixture struct {
 	touched []profile.ID
-	accs    []candStats
+	accs    []metablocking.PairStats
 	keys    []int
 }
 
@@ -140,9 +134,6 @@ func (f weighFixture) index(mode uint8) *Index {
 	if mode&4 != 0 {
 		cfg.Entropy = rampEntropy{}
 	}
-	// Probe-only candidates (no shared key) rank by shared buckets; the
-	// estimated-Jaccard weighting needs stored signatures.
-	cfg.LSH.Weight = LSHWeightBuckets
 	x := New(mode&8 != 0, cfg)
 	x.numBlocks.Store(1000)
 	for i, n := range f.keys {
@@ -160,7 +151,7 @@ func (f weighFixture) weigh(x *Index, n int, budget Budget) (*QueryResult, int) 
 		*sc.Slot(id) = f.accs[i]
 	}
 	res := &QueryResult{}
-	dropped := x.weigh(res, 7, sc, nil, budget)
+	dropped := x.weigh(res, 7, sc, budget)
 	return res, dropped
 }
 
@@ -183,9 +174,8 @@ func (f weighFixture) check(x *Index, n, k int) error {
 	if err := sameCandidates(got.Candidates, want[:kept]); err != nil {
 		return fmt.Errorf("k=%d of %d: %v", k, n, err)
 	}
-	if dropped != n-kept || got.LSHCandidates != full.LSHCandidates {
-		return fmt.Errorf("k=%d of %d: dropped %d, lsh candidates %d, want %d and %d",
-			k, n, dropped, got.LSHCandidates, n-kept, full.LSHCandidates)
+	if dropped != n-kept {
+		return fmt.Errorf("k=%d of %d: dropped %d, want %d", k, n, dropped, n-kept)
 	}
 	return nil
 }
@@ -195,7 +185,7 @@ func (f weighFixture) check(x *Index, n, k int) error {
 // answer is the top k of exactly the prefix weighed before the trip.
 func TestTopKSelectionMidWeighDeadline(t *testing.T) {
 	const n = 100_000
-	f := weighFixture{touched: make([]profile.ID, n), accs: make([]candStats, n)}
+	f := weighFixture{touched: make([]profile.ID, n), accs: make([]metablocking.PairStats, n)}
 	for i := range f.touched {
 		f.touched[i] = profile.ID((i * 7919) % n) // a permutation: 7919 is prime to n
 		f.accs[i].CBS = int32(1 + i%4)
@@ -226,20 +216,17 @@ func TestTopKSelectionMidWeighDeadline(t *testing.T) {
 }
 
 // selectionFixture decodes fuzz bytes into a neighbourhood of up to 4096
-// candidates: two bytes each (shared keys 0–3, shared buckets 0–3, block
-// count 3–6, coarse ARCS and entropy shares), IDs a permutation so
+// candidates: two bytes each (shared keys 1–4, block count 3–6, coarse
+// ARCS and entropy shares), IDs a permutation so
 // first-touch order is unrelated to ID order. Few distinct values per
 // field means most candidates tie on weight.
 func selectionFixture(data []byte) weighFixture {
 	n := min(len(data)/2, 4096)
-	f := weighFixture{touched: make([]profile.ID, n), accs: make([]candStats, n), keys: make([]int, n)}
+	f := weighFixture{touched: make([]profile.ID, n), accs: make([]metablocking.PairStats, n), keys: make([]int, n)}
 	for i := 0; i < n; i++ {
 		a, b := data[2*i], data[2*i+1]
-		acc := candStats{buckets: int(a >> 2 & 3)}
-		acc.CBS = int32(a & 3)
-		if acc.CBS == 0 && acc.buckets == 0 {
-			acc.buckets = 1 // every touched candidate was reached somehow
-		}
+		// A touched candidate shares at least one key with the query.
+		acc := metablocking.PairStats{CBS: int32(1 + a&3)}
 		acc.ARCS = float64(b&7) / 8
 		acc.EntropySum = float64(acc.CBS) * (0.5 + float64(b>>3&3)/4)
 		acc.EntropyARCS = acc.ARCS * 0.75

@@ -6,14 +6,12 @@ import (
 	"testing"
 )
 
-// FuzzSignature drives the MinHash/banding primitives the online index's
-// probe path is built on. The contract under fuzzing: signatures are
-// deterministic, bounded by the Mersenne prime, identical between the
-// allocating and append-style paths, insensitive to token duplication;
-// Jaccard estimates stay in [0,1] and are symmetric; BandingParams always
-// returns a layout that tiles the signature exactly; and band keys are a
-// deterministic pure function of (signature, band, rows) that separates
-// bands sharing identical row values.
+// FuzzSignature drives the MinHash/banding primitives the loose-schema
+// attribute clustering is built on. The contract under fuzzing:
+// signatures are deterministic, bounded by the Mersenne prime and
+// insensitive to token duplication; Jaccard estimates stay in [0,1] and
+// are symmetric; and BandingParams always returns a layout that tiles the
+// signature exactly.
 func FuzzSignature(f *testing.F) {
 	f.Add("alpha beta gamma", "alpha beta delta", uint8(16), int64(1), 0.5)
 	f.Add("", "alpha", uint8(1), int64(42), 0.9)
@@ -31,10 +29,6 @@ func FuzzSignature(f *testing.F) {
 		siga := h.Signature(ta)
 		if got := h.Signature(ta); !equalSig(siga, got) {
 			t.Fatalf("signature not deterministic")
-		}
-		scratch := make([]uint64, 0, sigLen)
-		if got := h.AppendSignature(scratch, ta); !equalSig(siga, got) {
-			t.Fatalf("AppendSignature diverges from Signature")
 		}
 		// Duplicating the token set cannot change a minimum.
 		if got := h.Signature(append(append([]string(nil), ta...), ta...)); !equalSig(siga, got) {
@@ -65,19 +59,6 @@ func FuzzSignature(f *testing.F) {
 		if bands < 1 || rows < 1 || bands*rows != sigLen {
 			t.Fatalf("BandingParams(%d, %v) = (%d, %d): does not tile the signature",
 				sigLen, threshold, bands, rows)
-		}
-		for b := 0; b < bands; b++ {
-			k := BandKey(siga, b, rows)
-			if again := BandKey(siga, b, rows); again != k {
-				t.Fatalf("band %d: BandKey not deterministic (%x vs %x)", b, k, again)
-			}
-		}
-		if len(ta) == 0 && bands >= 2 {
-			// All-max signature: every band has identical row values, and
-			// the band index baked into the key must still separate them.
-			if BandKey(siga, 0, rows) == BandKey(siga, 1, rows) {
-				t.Fatal("band keys collide across bands with identical rows")
-			}
 		}
 	})
 }

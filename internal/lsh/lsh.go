@@ -39,9 +39,9 @@ func NewMinHasher(signatureLen int, seed int64) *MinHasher {
 // SignatureLen returns the length of signatures produced by the hasher.
 func (h *MinHasher) SignatureLen() int { return len(h.a) }
 
-// fnv64a hashes bytes-of-a-string with inline FNV-1a: identical values to
-// hash/fnv's New64a, without materialising the hash.Hash64 interface that
-// would heap-allocate once per token on the signature hot path.
+// The FNV-1a constants: tokenHash and rowsHash hash inline, with values
+// identical to hash/fnv's New64a, instead of materialising a hash.Hash64
+// that would heap-allocate once per token.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -58,22 +58,10 @@ func tokenHash(token string) uint64 {
 }
 
 // Signature computes the MinHash signature of a token set. Empty sets get
-// an all-max signature that matches nothing.
+// an all-max signature that matches nothing. Duplicate tokens do not
+// change the result: a minimum is idempotent under repetition.
 func (h *MinHasher) Signature(tokens []string) []uint64 {
-	return h.AppendSignature(nil, tokens)
-}
-
-// AppendSignature computes the MinHash signature of a token set into
-// dst's backing array (grown as needed) and returns the first
-// SignatureLen entries — the allocation-free form of Signature for hot
-// paths that pool the destination. Duplicate tokens do not change the
-// result: a minimum is idempotent under repetition.
-func (h *MinHasher) AppendSignature(dst []uint64, tokens []string) []uint64 {
-	n := len(h.a)
-	if cap(dst) < n {
-		dst = make([]uint64, n)
-	}
-	sig := dst[:n]
+	sig := make([]uint64, len(h.a))
 	for i := range sig {
 		sig[i] = ^uint64(0)
 	}
@@ -177,26 +165,6 @@ func BandingParams(signatureLen int, threshold float64) (bands, rows int) {
 // hash/fnv.New64a.
 func rowsHash(sig []uint64, band, rows int) uint64 {
 	h := uint64(fnvOffset64)
-	for r := 0; r < rows; r++ {
-		v := sig[band*rows+r]
-		for k := 0; k < 8; k++ {
-			h ^= uint64(byte(v >> (8 * k)))
-			h *= fnvPrime64
-		}
-	}
-	return h
-}
-
-// BandKey folds one band of a signature into a single 64-bit bucket key:
-// the band index is hashed in ahead of the row values, so the same row
-// pattern in different bands lands in different buckets. The online
-// index's per-shard bucket postings are keyed by it.
-func BandKey(sig []uint64, band, rows int) uint64 {
-	h := uint64(fnvOffset64)
-	for k := 0; k < 8; k++ {
-		h ^= uint64(byte(uint64(band) >> (8 * k)))
-		h *= fnvPrime64
-	}
 	for r := 0; r < rows; r++ {
 		v := sig[band*rows+r]
 		for k := 0; k < 8; k++ {

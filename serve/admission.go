@@ -8,7 +8,7 @@ package serve
 // configured) or 503 (wait expired) plus Retry-After — the server
 // answers fast instead of queueing without bound. Admitted queries
 // carry a degradation level derived from gate occupancy; the ladder
-// (degrade below) tightens their budget and probe policy so a loaded
+// (degrade below) tightens their budget and comparison cap so a loaded
 // server keeps answering with cheaper, truncated best-first results.
 // The gate and the ladder are the same on a single node and on the
 // shard coordinator: both reach them through frontend.handleGated.
@@ -135,27 +135,26 @@ var degradedMaxComparisons = [4]int{0, 1024, 256, 64}
 // query's knobs per the admission level, after the server's default
 // budget has been applied (see frontend.throttle), and is used verbatim
 // by the single node (before the knobs become resolve options) and the
-// coordinator (before the per-shard budget split). Level 1 tightens the
-// wall-clock budget and caps comparisons, level 2 also drops a union
-// probe to fallback, level 3 drops the probe entirely. Both an absent
-// budget and an explicit unlimited one (0) get the cap imposed.
+// coordinator (before the per-shard budget split). Each level halves the
+// wall-clock budget from degradedBudgetCap and caps comparisons tighter.
+// Both an absent budget and an explicit unlimited one (0) get the cap
+// imposed. degradedBudgetFloor bounds only what degradation imposes: a
+// request that arrived with a budget never leaves with a looser one.
 func degrade(p *QueryParams, level int) {
 	if level <= 0 {
 		return
 	}
-	budget := time.Duration(p.BudgetMS * float64(time.Millisecond))
+	arrived := time.Duration(p.BudgetMS * float64(time.Millisecond))
+	budget := arrived
 	if budget == 0 || budget > degradedBudgetCap {
 		budget = degradedBudgetCap
 	}
 	budget = max(budget>>uint(level-1), degradedBudgetFloor)
+	if arrived > 0 {
+		budget = min(budget, arrived)
+	}
 	p.BudgetMS, p.BudgetSet = float64(budget)/float64(time.Millisecond), true
 	if lim := degradedMaxComparisons[level]; p.MaxComparisons == 0 || p.MaxComparisons > lim {
 		p.MaxComparisons, p.MaxComparisonsSet = lim, true
-	}
-	switch {
-	case level >= 3:
-		p.Probe = "off"
-	case level >= 2 && p.Probe == "union":
-		p.Probe = "fallback"
 	}
 }

@@ -86,11 +86,6 @@ func httpErrorRetry(w http.ResponseWriter, status int, code string, retryAfterSe
 // explicit zero (?budget_ms=0 lifts the server's default budget) from
 // an absent knob (the default applies).
 type QueryParams struct {
-	// Probe overrides the index's LSH probe policy for this request
-	// ("off", "fallback" or "union"; empty = index default).
-	Probe string
-	// ProbeFloor overrides the fallback floor (0 = index default).
-	ProbeFloor int
 	// BudgetMS bounds the query's wall clock in milliseconds when
 	// BudgetSet; an explicit 0 means unlimited.
 	BudgetMS  float64
@@ -108,25 +103,11 @@ type QueryParams struct {
 }
 
 // ParseQueryParams decodes the request knobs, validating syntax and
-// ranges. Index-dependent validation (probe knobs need an LSH-enabled
-// index) happens where an index is at hand — see resolveOptions — so a
-// coordinator can parse and forward knobs for indexes it never sees.
-// Unknown parameters are ignored for forward compatibility.
+// ranges; none depends on the index, so a coordinator can parse and
+// forward knobs for indexes it never sees. Unknown parameters are
+// ignored for forward compatibility.
 func ParseQueryParams(q url.Values) (QueryParams, error) {
 	var p QueryParams
-	if s := q.Get("probe"); s != "" {
-		if _, err := index.ParseProbePolicy(s); err != nil {
-			return p, err
-		}
-		p.Probe = s
-	}
-	if s := q.Get("probe_floor"); s != "" {
-		floor, err := strconv.Atoi(s)
-		if err != nil || floor < 1 {
-			return p, fmt.Errorf("bad probe_floor %q", s)
-		}
-		p.ProbeFloor = floor
-	}
 	if s := q.Get("budget_ms"); s != "" {
 		ms, err := strconv.ParseFloat(s, 64)
 		if err != nil || ms < 0 {
@@ -164,12 +145,6 @@ func ParseQueryParams(q url.Values) (QueryParams, error) {
 // coordinator relies on to forward knobs faithfully.
 func (p QueryParams) Values() url.Values {
 	q := url.Values{}
-	if p.Probe != "" {
-		q.Set("probe", p.Probe)
-	}
-	if p.ProbeFloor > 0 {
-		q.Set("probe_floor", strconv.Itoa(p.ProbeFloor))
-	}
 	if p.BudgetSet {
 		q.Set("budget_ms", strconv.FormatFloat(p.BudgetMS, 'f', -1, 64))
 	}
@@ -189,33 +164,15 @@ func (p QueryParams) Values() url.Values {
 func (p QueryParams) Encode() string { return p.Values().Encode() }
 
 // resolveOptions turns the knobs — as the default budget and the
-// degradation ladder left them — into the index call: the probe
-// overrides (explicitly requesting a probe on an index without LSH is
-// a client error, not a silent no-op) and the work budget, its
+// degradation ladder left them — into the index call's work budget, its
 // wall-clock part stamped as a deadline from now.
-func (p QueryParams) resolveOptions(x *index.Index) (index.ResolveOptions, error) {
-	opts := index.ResolveOptions{Probe: index.ProbeOptions{Policy: x.ProbePolicy()}}
-	if p.Probe != "" {
-		pol, err := index.ParseProbePolicy(p.Probe)
-		if err != nil {
-			return opts, err
-		}
-		if pol != index.ProbeOff && !x.LSHEnabled() {
-			return opts, fmt.Errorf("probe=%s needs an LSH-enabled index (start sparker-serve with -lsh)", p.Probe)
-		}
-		opts.Probe.Policy = pol
-	}
-	if p.ProbeFloor > 0 {
-		if !x.LSHEnabled() {
-			return opts, fmt.Errorf("probe_floor needs an LSH-enabled index (start sparker-serve with -lsh)")
-		}
-		opts.Probe.Floor = p.ProbeFloor
-	}
+func (p QueryParams) resolveOptions() index.ResolveOptions {
+	var opts index.ResolveOptions
 	if budget := time.Duration(p.BudgetMS * float64(time.Millisecond)); budget > 0 {
 		opts.Budget.Deadline = index.DeadlineIn(budget)
 	}
 	opts.Budget.MaxComparisons = p.MaxComparisons
-	return opts, nil
+	return opts
 }
 
 // DeltaParams is the typed form of the /v1/deltas knobs, shared by the

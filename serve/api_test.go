@@ -56,10 +56,8 @@ func TestErrorEnvelope(t *testing.T) {
 	}{
 		{"method not allowed", plain, http.MethodGet, "/v1/query", "", http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed, false},
 		{"bad budget knob", plain, http.MethodPost, "/v1/query?budget_ms=nope", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
-		{"bad probe knob", plain, http.MethodPost, "/v1/query?probe=bogus", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
 		{"bad source knob on upsert", plain, http.MethodPost, "/v1/upsert?source=9", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
 		{"malformed body", plain, http.MethodPost, "/v1/query", "not json", http.StatusBadRequest, ErrCodeBadRequest, false},
-		{"probe without lsh", plain, http.MethodPost, "/v1/query?probe=union", profileBody, http.StatusBadRequest, ErrCodeBadRequest, false},
 		{"snapshot save unconfigured", plain, http.MethodPost, "/v1/snapshot/save", "", http.StatusNotFound, ErrCodeNotFound, false},
 		{"deltas without op log", plain, http.MethodGet, "/v1/deltas?since=0", "", http.StatusNotFound, ErrCodeNotFound, false},
 		{"bad deltas knob", plain, http.MethodGet, "/v1/deltas?since=-1", "", http.StatusNotFound, ErrCodeNotFound, false},
@@ -120,8 +118,6 @@ func TestErrorEnvelope(t *testing.T) {
 func TestQueryParamsRoundTrip(t *testing.T) {
 	for _, p := range []QueryParams{
 		{},
-		{Probe: "union", ProbeFloor: 3},
-		{Probe: "off"},
 		{BudgetMS: 12.5, BudgetSet: true},
 		{BudgetMS: 0, BudgetSet: true}, // explicit ?budget_ms=0: lift the default
 		{MaxComparisons: 64, MaxComparisonsSet: true},
@@ -129,7 +125,7 @@ func TestQueryParamsRoundTrip(t *testing.T) {
 		{Debug: true},
 		{Source: 1, SourceSet: true},
 		{Source: 0, SourceSet: true},
-		{Probe: "fallback", ProbeFloor: 2, BudgetMS: 7, BudgetSet: true,
+		{BudgetMS: 7, BudgetSet: true,
 			MaxComparisons: 128, MaxComparisonsSet: true, Debug: true, Source: 1, SourceSet: true},
 	} {
 		got, err := ParseQueryParams(p.Values())
@@ -150,9 +146,6 @@ func TestQueryParamsRoundTrip(t *testing.T) {
 // TestQueryParamsRejects pins the 400 knob validation.
 func TestQueryParamsRejects(t *testing.T) {
 	for _, qs := range []string{
-		"probe=bogus",
-		"probe_floor=0",
-		"probe_floor=x",
 		"budget_ms=-1",
 		"budget_ms=abc",
 		"max_comparisons=-5",

@@ -386,6 +386,8 @@ func TestClusterForwardsKnobsVerbatim(t *testing.T) {
 	coord := httptest.NewServer(cluster)
 	defer coord.Close()
 
+	// The retired probe knobs are unknown parameters now: dropped, not
+	// forwarded.
 	code, body := postBody(t,
 		coord.URL+"/v1/query?probe_floor=2&max_comparisons=64&source=1&budget_ms=100&probe=fallback",
 		clusterQuery)
@@ -394,8 +396,6 @@ func TestClusterForwardsKnobsVerbatim(t *testing.T) {
 	}
 	got := <-captured
 	want := QueryParams{
-		Probe:             "fallback",
-		ProbeFloor:        2,
 		BudgetMS:          100 * shardBudgetFraction,
 		BudgetSet:         true,
 		MaxComparisons:    64,

@@ -43,13 +43,6 @@ func (h *Handler) metrics(e *obs.Expo) {
 		e.Counter("sparker_wal_pruned_segments_total", "WAL segments deleted by snapshot-bounded retention.", float64(snap.WAL.PrunedSegments))
 	}
 
-	if snap.LSH != nil {
-		e.Gauge("sparker_lsh_buckets", "Live LSH bucket postings.", float64(snap.LSH.Buckets))
-		e.Counter("sparker_lsh_probes_total", "Queries that ran an LSH probe.", float64(snap.LSH.Probes))
-		e.Counter("sparker_lsh_probe_only_candidates_total", "Candidates surfaced by the probe alone.", float64(snap.LSH.ProbeOnlyCandidates))
-		e.Gauge("sparker_lsh_fallback_rate", "Fraction of queries that triggered a probe.", snap.LSH.FallbackRate)
-	}
-
 	if m := x.Metrics(); m != nil {
 		for s := 0; s < index.NumStages; s++ {
 			e.Histogram("sparker_query_stage_seconds", "Per-stage query latency.",

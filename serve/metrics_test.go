@@ -176,7 +176,7 @@ func TestDebugQueryMode(t *testing.T) {
 		seen[s.Stage] = true
 		sum += s.Nanos
 	}
-	for _, want := range []string{"tokenize", "purge_filter", "candidates", "lsh_probe", "weigh", "prune", "score"} {
+	for _, want := range []string{"tokenize", "purge_filter", "candidates", "weigh", "prune", "score"} {
 		if !seen[want] {
 			t.Errorf("debug breakdown missing stage %q", want)
 		}

@@ -240,8 +240,8 @@ func TestDegradedQueryMarker(t *testing.T) {
 // topologies feed it: the wall-clock budget capped at 200 ms and halved
 // per level down to the 5 ms floor (an absent budget and an explicit
 // unlimited one both get the cap imposed, a tighter one only ever
-// shrinks), the comparison caps 1024/256/64, and the probe policy
-// stepping union → fallback → off. Level 0 touches nothing.
+// shrinks, and one already under the floor is kept, never raised to it)
+// and the comparison caps 1024/256/64. Level 0 touches nothing.
 func TestDegradeLadder(t *testing.T) {
 	type budget struct {
 		ms  float64
@@ -256,10 +256,11 @@ func TestDegradeLadder(t *testing.T) {
 		{"explicit unlimited", budget{0, true}, [4]budget{{0, true}, {200, true}, {100, true}, {50, true}}},
 		{"20ms", budget{20, true}, [4]budget{{20, true}, {20, true}, {10, true}, {5, true}}},
 		{"8ms", budget{8, true}, [4]budget{{8, true}, {8, true}, {5, true}, {5, true}}},
+		{"2ms", budget{2, true}, [4]budget{{2, true}, {2, true}, {2, true}, {2, true}}},
 		{"1s", budget{1000, true}, [4]budget{{1000, true}, {200, true}, {100, true}, {50, true}}},
 	} {
 		for level, want := range tc.want {
-			p := QueryParams{BudgetMS: tc.in.ms, BudgetSet: tc.in.set, Probe: "union"}
+			p := QueryParams{BudgetMS: tc.in.ms, BudgetSet: tc.in.set}
 			degrade(&p, level)
 			if got := (budget{p.BudgetMS, p.BudgetSet}); got != want {
 				t.Errorf("budget %s at level %d = %+v, want %+v", tc.name, level, got, want)
@@ -268,27 +269,14 @@ func TestDegradeLadder(t *testing.T) {
 				t.Errorf("budget %s at level %d: max_comparisons = %d (set %v), want %d",
 					tc.name, level, p.MaxComparisons, p.MaxComparisonsSet, want)
 			}
-			if want := [4]string{"union", "union", "fallback", "off"}[level]; p.Probe != want {
-				t.Errorf("budget %s at level %d: probe = %q, want %q", tc.name, level, p.Probe, want)
-			}
 		}
 	}
 
-	// A cap tighter than the level's survives; a cheaper policy is never
-	// promoted; an unnamed policy is only ever switched off.
-	p := QueryParams{MaxComparisons: 10, MaxComparisonsSet: true, Probe: "fallback"}
+	// A cap tighter than the level's survives.
+	p := QueryParams{MaxComparisons: 10, MaxComparisonsSet: true}
 	degrade(&p, 2)
-	if p.MaxComparisons != 10 || p.Probe != "fallback" {
+	if p.MaxComparisons != 10 {
 		t.Errorf("level 2 loosened %+v", p)
-	}
-	p = QueryParams{}
-	degrade(&p, 2)
-	if p.Probe != "" {
-		t.Errorf("level 2 named a probe policy %q for a request without one", p.Probe)
-	}
-	degrade(&p, 3)
-	if p.Probe != "off" {
-		t.Errorf("level 3 probe = %q, want off", p.Probe)
 	}
 
 	// The server default fills in before the ladder, never after: at

@@ -69,19 +69,16 @@ type Options struct {
 //	POST /v1/query         — body: one JSON profile {"id": "...",
 //	                      "attr": "value"}; ranks candidates and scores
 //	                      matches. ?source=1 marks the query as coming
-//	                      from the second clean source.
-//	                      ?probe=off|fallback|union overrides the
-//	                      index's LSH probe policy for this query and
-//	                      ?probe_floor=N the fallback floor (both need
-//	                      an LSH-enabled index; see IndexConfig.LSH and
-//	                      sparker-serve -lsh). ?debug=1 adds a
+//	                      from the second clean source. ?debug=1 adds a
 //	                      per-stage timing breakdown of this query to
 //	                      the response. ?budget_ms= and
 //	                      ?max_comparisons= bound this query's work
 //	                      (wall-clock / scored candidates); a tripped
 //	                      budget returns the best-first prefix with
 //	                      "truncated": true and the tripping stage.
-//	                      The knob set is typed: see QueryParams.
+//	                      The knob set is typed: see QueryParams. Any
+//	                      other parameter is ignored, the retired LSH
+//	                      probe's ?probe= and ?probe_floor= included.
 //	POST /v1/upsert        — body: one JSON profile; inserts or
 //	                      replaces it.
 //	POST /v1/bulk          — body: JSON-lines profiles; upserts every
@@ -95,8 +92,8 @@ type Options struct {
 //	                      counters and admission/budget accounting.
 //	GET  /metrics       — Prometheus text exposition of the same
 //	                      telemetry (per-stage latency histograms,
-//	                      request/error counters, LSH probe rates,
-//	                      shed/degraded/truncated counters).
+//	                      request/error and shed/degraded/truncated
+//	                      counters).
 //	GET  /healthz       — liveness: 200 while the process serves.
 //	GET  /readyz        — readiness: 200 while the index holds data and
 //	                      the admission gate is not saturated; 503 tells
@@ -123,8 +120,8 @@ type Options struct {
 // With Options.MaxInFlight set, /v1/query, /v1/upsert and /v1/bulk sit
 // behind an admission gate: over-limit requests wait at most
 // Options.ShedWait and are then shed with 429/503 + Retry-After, and
-// admitted queries degrade under pressure (tightened budget, cheaper
-// probe policy) — see admission.go for the ladder. Request bodies on
+// admitted queries degrade under pressure (a tightened budget and
+// comparison cap) — see admission.go for the ladder. Request bodies on
 // those routes are bounded by Options.MaxBodyBytes (413 beyond it).
 //
 // Every route is instrumented: request, 4xx and 5xx counters plus a
@@ -180,21 +177,12 @@ func (h *Handler) query(w http.ResponseWriter, _ *http.Request, c call) {
 	if !ok {
 		return
 	}
-	// The ladder demotes the policy the query would actually run under,
-	// so name the index's own default when the request did not choose.
-	params := c.params
-	if params.Probe == "" {
-		params.Probe = x.ProbePolicy().String()
-	}
 	// Under gate pressure, tighten the budget (imposing one if neither
-	// the request nor the server default carried any) and cheapen the
-	// probe policy — cheaper truncated answers instead of queueing delay.
+	// the request nor the server default carried any) — cheaper truncated
+	// answers instead of queueing delay.
+	params := c.params
 	h.throttle(&params, c.level)
-	opts, err := params.resolveOptions(x)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, ErrCodeBadRequest, err)
-		return
-	}
+	opts := params.resolveOptions()
 
 	start := obs.Now()
 	res := x.ResolveWithOptions(&ps[0], opts)
@@ -320,7 +308,6 @@ func (h *Handler) logSlowQuery(p *profile.Profile, res *index.Resolution, elapse
 		slog.Int("candidates", len(res.Query.Candidates)),
 		slog.Int("comparisons", res.Comparisons),
 		slog.Int("matches", len(res.Matches)),
-		slog.Bool("lsh_probed", res.Query.LSHProbed),
 	)
 	h.logger.Warn("slow query", attrs...)
 }
@@ -347,12 +334,11 @@ type bulkResponse struct {
 
 // candidateJSON is one ranked blocking candidate on the wire.
 type candidateJSON struct {
-	ID            profile.ID `json:"id"`
-	OriginalID    string     `json:"original_id"`
-	Source        int        `json:"source"`
-	Weight        float64    `json:"weight"`
-	SharedKeys    int        `json:"shared_keys"`
-	SharedBuckets int        `json:"shared_buckets,omitempty"`
+	ID         profile.ID `json:"id"`
+	OriginalID string     `json:"original_id"`
+	Source     int        `json:"source"`
+	Weight     float64    `json:"weight"`
+	SharedKeys int        `json:"shared_keys"`
 }
 
 // matchJSON is one scored match on the wire.
@@ -386,7 +372,7 @@ func newDebugJSON(r *index.Resolution) *debugJSON {
 	return d
 }
 
-// queryResponse carries a resolution plus its probe accounting.
+// queryResponse carries a resolution plus its work accounting.
 type queryResponse struct {
 	Candidates      []candidateJSON `json:"candidates"`
 	Matches         []matchJSON     `json:"matches"`
@@ -397,17 +383,12 @@ type queryResponse struct {
 	PostingsScanned int             `json:"postings_scanned"`
 	Pruned          int             `json:"pruned"`
 	Comparisons     int             `json:"comparisons"`
-	// LSH probe accounting, present only when a probe ran.
-	LSHProbed     bool `json:"lsh_probed,omitempty"`
-	BucketsProbed int  `json:"buckets_probed,omitempty"`
-	BucketsPurged int  `json:"buckets_purged,omitempty"`
-	LSHCandidates int  `json:"lsh_candidates,omitempty"`
 	// Truncated marks a budget-bound answer: the best-first prefix the
 	// per-request budget allowed, with the stage that tripped it.
 	Truncated      bool   `json:"truncated,omitempty"`
 	TruncatedStage string `json:"truncated_stage,omitempty"`
 	// Degraded is the admission ladder level this query was served at
-	// (0 = healthy, omitted; 1..3 = tightened budget/probe policy).
+	// (0 = healthy, omitted; 1..3 = tightened budget and comparison cap).
 	Degraded int `json:"degraded,omitempty"`
 	// Debug is the per-stage timing breakdown, present only with
 	// ?debug=1.
@@ -425,10 +406,6 @@ func newQueryResponse(r *index.Resolution) queryResponse {
 		PostingsScanned: r.Query.PostingsScanned,
 		Pruned:          r.Query.Pruned,
 		Comparisons:     r.Comparisons,
-		LSHProbed:       r.Query.LSHProbed,
-		BucketsProbed:   r.Query.BucketsProbed,
-		BucketsPurged:   r.Query.BucketsPurged,
-		LSHCandidates:   r.Query.LSHCandidates,
 		Truncated:       r.Query.Truncated,
 		TruncatedStage:  r.Query.TruncatedStage,
 	}
@@ -436,7 +413,7 @@ func newQueryResponse(r *index.Resolution) queryResponse {
 		who := r.CandidateIdentities[i]
 		resp.Candidates = append(resp.Candidates, candidateJSON{
 			ID: c.ID, OriginalID: who.OriginalID, Source: who.SourceID,
-			Weight: c.Weight, SharedKeys: c.SharedKeys, SharedBuckets: c.SharedBuckets,
+			Weight: c.Weight, SharedKeys: c.SharedKeys,
 		})
 	}
 	for i, m := range r.Matches {

@@ -226,7 +226,7 @@ type (
 	IndexConfig = index.Config
 	// IndexCandidate is one ranked blocking candidate of a query.
 	IndexCandidate = index.Candidate
-	// IndexQueryResult carries ranked candidates plus probe accounting.
+	// IndexQueryResult carries ranked candidates plus work accounting.
 	IndexQueryResult = index.QueryResult
 	// IndexResolution is the scored (matched) result of one point lookup.
 	IndexResolution = index.Resolution
@@ -234,53 +234,19 @@ type (
 	IndexSnapshot = index.Snapshot
 	// IndexPersistState describes an index's durable-snapshot state.
 	IndexPersistState = index.PersistState
-	// IndexLSHConfig configures the MinHash/LSH probe subsystem: a
-	// second candidate-generation path beside the token postings for
-	// queries whose tokens are all too common (purged) or too rare.
-	IndexLSHConfig = index.LSHConfig
-	// IndexProbeOptions overrides the probe policy for one query
-	// (Index.QueryWith / Index.ResolveWith).
-	IndexProbeOptions = index.ProbeOptions
-	// IndexLSHStats summarises the probe subsystem in IndexSnapshot.
-	IndexLSHStats = index.LSHStats
 	// IndexBudget bounds the work of one resolution (wall-clock
 	// deadline and/or max scored comparisons); a tripped budget returns
 	// the best-first prefix marked Truncated. The zero value is
 	// unlimited and bitwise-identical to the unbudgeted path.
 	IndexBudget = index.Budget
-	// IndexResolveOptions carries the per-request probe overrides plus
-	// the work budget (Index.ResolveWithOptions).
+	// IndexResolveOptions carries the per-request work budget
+	// (Index.ResolveWithOptions).
 	IndexResolveOptions = index.ResolveOptions
 )
 
 // IndexDeadlineIn converts a wall-clock budget into the monotonic
 // deadline IndexBudget.Deadline expects.
 func IndexDeadlineIn(d time.Duration) int64 { return index.DeadlineIn(d) }
-
-// LSH probe policies (IndexLSHConfig.Policy, IndexProbeOptions.Policy).
-const (
-	// ProbeOff disables the LSH probe: token postings only (default).
-	ProbeOff = index.ProbeOff
-	// ProbeFallback probes LSH only when token blocking produced fewer
-	// than IndexLSHConfig.FallbackFloor candidates.
-	ProbeFallback = index.ProbeFallback
-	// ProbeUnion always probes LSH and unions both candidate sets.
-	ProbeUnion = index.ProbeUnion
-)
-
-// LSH probe-only candidate weighting (IndexLSHConfig.Weight).
-const (
-	// LSHWeightJaccard weights probe-only candidates by the estimated
-	// Jaccard similarity of the MinHash signatures (default).
-	LSHWeightJaccard = index.LSHWeightJaccard
-	// LSHWeightBuckets weights probe-only candidates by shared-bucket
-	// count.
-	LSHWeightBuckets = index.LSHWeightBuckets
-)
-
-// ParseProbePolicy parses "off", "fallback" or "union" — the flag/wire
-// form of a probe policy.
-func ParseProbePolicy(s string) (index.ProbePolicy, error) { return index.ParseProbePolicy(s) }
 
 // Durable index snapshots.
 var (
@@ -351,12 +317,12 @@ func SaveIndex(x *Index, path string) (IndexPersistState, error) { return x.Save
 // LoadIndex restores a fully queryable index from a snapshot file
 // without re-tokenizing or re-indexing. The cfg must carry the same
 // tokenizer/clustering/entropy/measure the snapshot was saved under
-// (code is not serialized); the shard count comes from the file, and so
-// do the MinHash parameters when cfg enables LSH and the file carries
-// signatures. A missing file surfaces as fs.ErrNotExist and any format
-// version but the current one as ErrIndexSnapshotVersion, both via
-// errors.Is; bytes after the file's checksum are a plain error. Use Index.SetReadOnly to
-// serve the restored index as a write-rejecting replica.
+// (code is not serialized); the shard count comes from the file. An LSH
+// section written by an older build is read and discarded. A missing
+// file surfaces as fs.ErrNotExist and any format version but the current
+// one as ErrIndexSnapshotVersion, both via errors.Is; bytes after the
+// file's checksum are a plain error. Use Index.SetReadOnly to serve the
+// restored index as a write-rejecting replica.
 func LoadIndex(path string, cfg IndexConfig) (*Index, error) { return index.Load(path, cfg) }
 
 // Index candidate-pruning rules.
