@@ -280,11 +280,13 @@ func BenchmarkAblationPruning(b *testing.B) {
 
 // --- micro-benchmarks of the hot paths ---
 
-// BenchmarkMetablockingSequential times the sequential flat-kernel
-// meta-blocker per weight scheme (Blast pruning, entropy on). Together
-// with BenchmarkIndexQuery it feeds the CI hot-path artifact
-// (BENCH_hotpath.json); allocs/op is the number the flat neighbourhood
-// kernel is accountable for.
+// BenchmarkMetablockingSequential times the in-process flat-kernel
+// meta-blocker, Run, per weight scheme (Blast pruning, entropy on). Run
+// maps each pass over one range per GOMAXPROCS worker, so this times it
+// on GOMAXPROCS workers; the name predates that and is kept so the CI
+// gate still finds its baseline row. Together with BenchmarkIndexQuery it
+// feeds the CI hot-path artifact (BENCH_hotpath.json); allocs/op is the
+// number the flat neighbourhood kernel is accountable for.
 func BenchmarkMetablockingSequential(b *testing.B) {
 	d := benchDataset(b)
 	part := looseschema.Partition(d.Collection, looseschema.Options{Threshold: 0.3})

@@ -5,7 +5,7 @@
 //
 // The Blocker (Figure 4) chains token blocking, optional loose-schema key
 // generation, block purging, block filtering and meta-blocking. Every step
-// runs either sequentially or on the dataflow engine, selected by whether
+// runs either in process or on the dataflow engine, selected by whether
 // the pipeline holds a cluster context. All intermediate artifacts are
 // kept in the step results so the process-debugging workflow (Section 3 of
 // the paper) can inspect and re-run any stage with different parameters.
@@ -122,14 +122,14 @@ func SchemaAgnosticConfig() Config {
 }
 
 // Pipeline executes the configured ER stack. A nil cluster context runs
-// everything sequentially; otherwise the distributed implementations run
+// everything in process; otherwise the distributed implementations run
 // on the simulated cluster.
 type Pipeline struct {
 	Config Config
 	ctx    *dataflow.Context
 }
 
-// NewPipeline builds a pipeline; ctx may be nil for sequential execution.
+// NewPipeline builds a pipeline; ctx may be nil for in-process execution.
 func NewPipeline(cfg Config, ctx *dataflow.Context) *Pipeline {
 	return &Pipeline{Config: cfg, ctx: ctx}
 }

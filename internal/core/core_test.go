@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sparker/internal/dataflow"
@@ -103,6 +104,33 @@ func TestDistributedMatchesSequential(t *testing.T) {
 	// Entity IDs may be numbered differently; compare as partitions.
 	if !samePartition(seqRes, distRes) {
 		t.Fatal("entity partitions differ")
+	}
+}
+
+// TestResolveIndependentOfWorkerCount holds the in-process Resolve to
+// one answer whatever GOMAXPROCS is: blocking and meta-blocking map
+// their passes over one range per worker, and the candidates and the
+// entity set must not depend on how many there are.
+func TestResolveIndependentOfWorkerCount(t *testing.T) {
+	ds := smallDataset()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want *Result
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		got, err := NewPipeline(DefaultConfig(), nil).Resolve(ds.Collection)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(want.Blocker.Candidates, got.Blocker.Candidates) {
+			t.Fatalf("GOMAXPROCS=%d: candidates differ: %d vs %d", procs, len(got.Blocker.Candidates), len(want.Blocker.Candidates))
+		}
+		if !samePartition(want, got) {
+			t.Fatalf("GOMAXPROCS=%d: entity partitions differ", procs)
+		}
 	}
 }
 

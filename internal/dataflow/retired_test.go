@@ -10,13 +10,11 @@ package dataflow
 // per PR, listing the tests as removed; add nothing to this file.
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -77,62 +75,6 @@ func Sample[T any](r *RDD[T], fraction float64, seed int64) *RDD[T] {
 		}
 		return out, nil
 	})
-}
-
-// Take returns up to n elements from the first partitions. Partitions are
-// scanned incrementally — one stage over a geometrically growing batch of
-// partitions, stopping as soon as n elements are gathered — so a Take
-// over a wide RDD does not materialise every partition the way Collect
-// does (the same ramp-up Spark's take action uses).
-func (r *RDD[T]) Take(n int) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	r.ctx.metrics.JobsRun.Add(1)
-	if err := r.prepare(); err != nil {
-		return nil, err
-	}
-	out := make([]T, 0, n)
-	for scanned, batch := 0, 1; scanned < r.parts && len(out) < n; batch *= 4 {
-		base := scanned
-		end := base + batch
-		if end > r.parts {
-			end = r.parts
-		}
-		parts := make([][]T, end-base)
-		err := r.ctx.runStage(end-base, func(tc *TaskContext) error {
-			data, err := r.partition(base+tc.Partition, tc)
-			if err != nil {
-				return err
-			}
-			parts[tc.Partition] = data
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range parts {
-			out = append(out, p...)
-		}
-		scanned = end
-	}
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out, nil
-}
-
-// First returns the first element or an error if the RDD is empty.
-func (r *RDD[T]) First() (T, error) {
-	var zero T
-	got, err := r.Take(1)
-	if err != nil {
-		return zero, err
-	}
-	if len(got) == 0 {
-		return zero, fmt.Errorf("dataflow: First on empty RDD")
-	}
-	return got[0], nil
 }
 
 // ForEach applies f to every element on the driver, in partition order.
@@ -438,102 +380,6 @@ func ln(x float64) float64 {
 	return math.Log(x)
 }
 
-// SortBy globally sorts an RDD by a derived key using range partitioning:
-// the driver samples keys to pick partition boundaries, records are
-// scattered into key ranges, and each partition sorts locally in parallel.
-// The result has numPartitions partitions in ascending key order.
-func SortBy[T any, O cmp.Ordered](r *RDD[T], key func(T) O, numPartitions int) *RDD[T] {
-	if numPartitions < 1 {
-		numPartitions = r.ctx.DefaultPartitions()
-	}
-	type state struct {
-		once    sync.Once
-		runFn   func()
-		buckets [][]T
-		err     error
-	}
-	st := &state{}
-	st.runFn = func() {
-		parts, err := collectPartitions(r)
-		if err != nil {
-			st.err = err
-			return
-		}
-		var all []T
-		for _, p := range parts {
-			all = append(all, p...)
-		}
-		if len(all) == 0 {
-			st.buckets = make([][]T, 1)
-			return
-		}
-		// Sample up to 1024 keys for boundaries.
-		sampleStride := len(all)/1024 + 1
-		var sample []O
-		for i := 0; i < len(all); i += sampleStride {
-			sample = append(sample, key(all[i]))
-		}
-		sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-		nb := numPartitions
-		if nb > len(sample) {
-			nb = len(sample)
-		}
-		bounds := make([]O, 0, nb-1)
-		for i := 1; i < nb; i++ {
-			bounds = append(bounds, sample[i*len(sample)/nb])
-		}
-		buckets := make([][]T, len(bounds)+1)
-		for _, v := range all {
-			k := key(v)
-			b := sort.Search(len(bounds), func(i int) bool { return k < bounds[i] })
-			buckets[b] = append(buckets[b], v)
-		}
-		r.ctx.metrics.ShuffleRecords.Add(int64(len(all)))
-		st.buckets = buckets
-	}
-	materialise := func() error {
-		st.once.Do(st.runFn)
-		return st.err
-	}
-	prepare := func() error {
-		if err := r.prepare(); err != nil {
-			return err
-		}
-		return materialise()
-	}
-	// Partition count is only known after materialisation; we fix it to the
-	// requested count and map empty tails to empty slices.
-	return newRDD(r.ctx, r.name+".sortBy", numPartitions, prepare, func(p int, _ *TaskContext) ([]T, error) {
-		if err := materialise(); err != nil {
-			return nil, err
-		}
-		if p >= len(st.buckets) {
-			return nil, nil
-		}
-		out := make([]T, len(st.buckets[p]))
-		copy(out, st.buckets[p])
-		sort.Slice(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
-		return out, nil
-	})
-}
-
-// Top returns the n largest elements by key, descending.
-func Top[T any, O cmp.Ordered](r *RDD[T], n int, key func(T) O) ([]T, error) {
-	partials, err := collectPartitions(Map(r, func(v T) T { return v }))
-	if err != nil {
-		return nil, err
-	}
-	var all []T
-	for _, p := range partials {
-		all = append(all, p...)
-	}
-	sort.Slice(all, func(i, j int) bool { return key(all[i]) > key(all[j]) })
-	if len(all) > n {
-		all = all[:n]
-	}
-	return all, nil
-}
-
 func TestMapPartitionsWithIndexCoversAllPartitions(t *testing.T) {
 	ctx := newTestContext(t, 4)
 	r := Parallelize(ctx, intsUpTo(40), 5)
@@ -593,56 +439,6 @@ func TestUnion(t *testing.T) {
 	}
 }
 
-func TestTakeFirst(t *testing.T) {
-	ctx := newTestContext(t, 2)
-	r := Parallelize(ctx, intsUpTo(10), 3)
-	got, err := r.Take(3)
-	if err != nil || !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Fatalf("take got %v err %v", got, err)
-	}
-	first, err := r.First()
-	if err != nil || first != 0 {
-		t.Fatalf("first got %v err %v", first, err)
-	}
-	if _, err := Empty[int](ctx).First(); err == nil {
-		t.Fatal("want error on First of empty RDD")
-	}
-}
-
-func TestTakeScansIncrementally(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	// 100 elements over 10 partitions: Take(5) must be satisfied by the
-	// first partition alone, so the Map below should never see the rest.
-	var processed atomic.Int64
-	r := Map(Parallelize(ctx, intsUpTo(100), 10), func(v int) int {
-		processed.Add(1)
-		return v
-	})
-	got, err := r.Take(5)
-	if err != nil || !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4}) {
-		t.Fatalf("take got %v err %v", got, err)
-	}
-	if n := processed.Load(); n >= 100 {
-		t.Fatalf("Take materialised all %d elements; want an incremental scan", n)
-	}
-	// Larger n spans several ramp-up rounds but still stops early.
-	processed.Store(0)
-	got, err = r.Take(35)
-	if err != nil || len(got) != 35 {
-		t.Fatalf("take(35) got %d elements err %v", len(got), err)
-	}
-	if n := processed.Load(); n >= 100 {
-		t.Fatalf("Take(35) materialised all %d elements", n)
-	}
-	// Oversized and non-positive n degrade gracefully.
-	if got, err := r.Take(1000); err != nil || len(got) != 100 {
-		t.Fatalf("take(1000) got %d err %v", len(got), err)
-	}
-	if got, err := r.Take(0); err != nil || len(got) != 0 {
-		t.Fatalf("take(0) got %v err %v", got, err)
-	}
-}
-
 func TestCoalesce(t *testing.T) {
 	ctx := newTestContext(t, 4)
 	r := Parallelize(ctx, intsUpTo(20), 8)
@@ -696,45 +492,6 @@ func TestQuickReduceSumMatchesSequential(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSortBy(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	data := make([]int, 0, 500)
-	for i := 0; i < 500; i++ {
-		data = append(data, (i*7919)%500)
-	}
-	r := Parallelize(ctx, data, 8)
-	sorted, err := SortBy(r, func(x int) int { return x }, 4).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sort.IntsAreSorted(sorted) {
-		t.Fatal("output not sorted")
-	}
-	if len(sorted) != 500 {
-		t.Fatalf("lost records: %d", len(sorted))
-	}
-}
-
-func TestSortByEmpty(t *testing.T) {
-	ctx := newTestContext(t, 2)
-	got, err := SortBy(Empty[int](ctx), func(x int) int { return x }, 4).Collect()
-	if err != nil || len(got) != 0 {
-		t.Fatalf("got %v err %v", got, err)
-	}
-}
-
-func TestTop(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	r := Parallelize(ctx, intsUpTo(100), 8)
-	top, err := Top(r, 3, func(x int) int { return x })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(top, []int{99, 98, 97}) {
-		t.Fatalf("got %v", top)
 	}
 }
 

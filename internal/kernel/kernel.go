@@ -22,9 +22,10 @@ type Scratch[A any] struct {
 	touched []profile.ID
 }
 
-// NewScratch sizes a scratch for profile IDs in [0, n).
+// NewScratch sizes a scratch for profile IDs in [0, n), its touched list
+// included, so a round that touches every slot appends without growing.
 func NewScratch[A any](n int) *Scratch[A] {
-	return &Scratch[A]{acc: make([]A, n), stamp: make([]uint32, n)}
+	return &Scratch[A]{acc: make([]A, n), stamp: make([]uint32, n), touched: make([]profile.ID, 0, n)}
 }
 
 // Begin opens a new accumulation round: bumping the epoch invalidates

@@ -10,7 +10,9 @@ package looseschema
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"sparker/internal/lsh"
 	"sparker/internal/profile"
@@ -35,26 +37,36 @@ type AttributeProfile struct {
 }
 
 // ExtractAttributeProfiles builds one AttributeProfile per qualified
-// attribute of the collection.
+// attribute of the collection, ordered by Name. Attributes are looked up
+// by (source, key), so a qualified name is built once per attribute
+// rather than once per value, and values are tokenised through one
+// reusable scratch.
 func ExtractAttributeProfiles(c *profile.Collection, tok tokenize.Options) []*AttributeProfile {
-	byName := map[string]*AttributeProfile{}
-	var order []string
+	type attribute struct {
+		source int
+		key    string
+	}
+	byAttr := map[attribute]*AttributeProfile{}
+	var out []*AttributeProfile
+	var sc tokenize.Scratch
+	var toks []string
 	for i := range c.Profiles {
 		p := &c.Profiles[i]
 		for _, kv := range p.Attributes {
-			name := profile.QualifiedAttribute(p.SourceID, kv.Key)
-			ap := byName[name]
+			attr := attribute{p.SourceID, kv.Key}
+			ap := byAttr[attr]
 			if ap == nil {
 				ap = &AttributeProfile{
-					Name:      name,
+					Name:      profile.QualifiedAttribute(p.SourceID, kv.Key),
 					SourceID:  p.SourceID,
 					Attribute: kv.Key,
 					Counts:    map[string]int{},
 				}
-				byName[name] = ap
-				order = append(order, name)
+				byAttr[attr] = ap
+				out = append(out, ap)
 			}
-			for _, t := range tok.Tokens(kv.Value) {
+			toks = tok.AppendTokens(toks[:0], kv.Value, &sc)
+			for _, t := range toks {
 				if ap.Counts[t] == 0 {
 					ap.Tokens = append(ap.Tokens, t)
 				}
@@ -63,11 +75,7 @@ func ExtractAttributeProfiles(c *profile.Collection, tok tokenize.Options) []*At
 			}
 		}
 	}
-	sort.Strings(order)
-	out := make([]*AttributeProfile, 0, len(order))
-	for _, name := range order {
-		out = append(out, byName[name])
-	}
+	slices.SortFunc(out, func(a, b *AttributeProfile) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 

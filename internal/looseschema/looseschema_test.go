@@ -3,9 +3,11 @@ package looseschema
 import (
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"sparker/internal/datagen"
 	"sparker/internal/profile"
 	"sparker/internal/tokenize"
 )
@@ -38,6 +40,67 @@ func twoSchemaCollection() *profile.Collection {
 			[2]string{"amount", priceB}))
 	}
 	return profile.NewCleanClean(a, b)
+}
+
+// refExtractAttributeProfiles is ExtractAttributeProfiles as it was
+// written first: attributes looked up by qualified name, built per value,
+// and every value tokenised into a fresh slice.
+func refExtractAttributeProfiles(c *profile.Collection, tok tokenize.Options) []*AttributeProfile {
+	byName := map[string]*AttributeProfile{}
+	var order []string
+	for i := range c.Profiles {
+		p := &c.Profiles[i]
+		for _, kv := range p.Attributes {
+			name := profile.QualifiedAttribute(p.SourceID, kv.Key)
+			ap := byName[name]
+			if ap == nil {
+				ap = &AttributeProfile{
+					Name:      name,
+					SourceID:  p.SourceID,
+					Attribute: kv.Key,
+					Counts:    map[string]int{},
+				}
+				byName[name] = ap
+				order = append(order, name)
+			}
+			for _, t := range tok.Tokens(kv.Value) {
+				if ap.Counts[t] == 0 {
+					ap.Tokens = append(ap.Tokens, t)
+				}
+				ap.Counts[t]++
+				ap.Total++
+			}
+		}
+	}
+	sort.Strings(order)
+	out := make([]*AttributeProfile, 0, len(order))
+	for _, name := range order {
+		out = append(out, byName[name])
+	}
+	return out
+}
+
+// TestExtractAttributeProfilesMatchesReference pins the one-scratch,
+// (source, key)-keyed extraction to the reference on a clean-clean and
+// a dirty generated set, under the default and a non-default tokenizer.
+func TestExtractAttributeProfilesMatchesReference(t *testing.T) {
+	sets := map[string]*profile.Collection{
+		"abt-buy x2": datagen.Generate(datagen.AbtBuy().Scaled(2)).Collection,
+		"dirty":      datagen.GenerateDirty(300, 5).Collection,
+	}
+	toks := []tokenize.Options{{}, {MinLength: 3, DropNumbers: true}}
+	for name, c := range sets {
+		for _, tok := range toks {
+			want := refExtractAttributeProfiles(c, tok)
+			got := ExtractAttributeProfiles(c, tok)
+			if len(want) < 2 {
+				t.Fatalf("%s: only %d attributes", name, len(want))
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %+v: attribute profiles differ from the reference", name, tok)
+			}
+		}
+	}
 }
 
 func TestExtractAttributeProfiles(t *testing.T) {

@@ -2,6 +2,7 @@ package metablocking
 
 import (
 	"fmt"
+	"slices"
 
 	"sparker/internal/blocking"
 	"sparker/internal/dataflow"
@@ -34,8 +35,12 @@ func RunDistributed(ctx *dataflow.Context, idx *blocking.Index, opts Options, nu
 	bk := dataflow.NewBroadcast(ctx, p.decide(stats))
 	// Pass 2 partitions only the nodes that own a forward edge, so no task
 	// is handed a range of side-B nodes with nothing to emit.
-	return mapRanges(ctx, bp, p.owners, numPartitions,
-		func(p *plan, part []profile.ID, s *neighbourScratch) []Edge { return p.edges(bk.Value(), part, s) })
+	chunks, err := mapRanges(ctx, bp, p.owners, numPartitions,
+		func(p *plan, part []profile.ID, s *neighbourScratch) [][]Edge { return p.edges(bk.Value(), part, s) })
+	if err != nil {
+		return nil, err
+	}
+	return slices.Concat(chunks...), nil
 }
 
 // mapRanges is how the dataflow driver maps one pass of the plan: ids

@@ -81,10 +81,11 @@ func Explain(idx *blocking.Index, opts Options, a, b profile.ID) PairExplanation
 	}
 	out.Weight = g.weight(a, b, ea)
 
-	// A node rule reads the two endpoints' statistics only; a graph-wide
-	// threshold needs pass 1 over the whole graph.
+	// WNP and CNP read the two endpoints' neighbourhoods only; a
+	// graph-wide threshold or Blast's folded maxima need pass 1 over the
+	// whole graph.
 	nodes := []profile.ID{a, b}
-	if p.global() {
+	if p.walksOwners() {
 		nodes = p.statNodes()
 	}
 	k := p.decide(p.stats(nodes, s))

@@ -11,9 +11,9 @@ import (
 // allocation-free replacement of the historical
 // map of per-pair accumulators, instantiated from the shared
 // kernel.Scratch primitive (dense ID-indexed slots, epoch-stamped
-// O(touched) clears). One scratch serves one worker at a time: the
-// sequential Run reuses a single one, RunDistributed leases one per
-// dataflow task from the graphContext's sync.Pool.
+// O(touched) clears). One scratch serves one worker at a time: Run
+// leases one per worker range, RunDistributed one per dataflow task,
+// both from the graphContext's sync.Pool.
 type neighbourScratch struct {
 	kernel.Scratch[PairStats]
 	// nws is the reusable buffer weightedNeighbours and orderedNeighbours
@@ -21,6 +21,9 @@ type neighbourScratch struct {
 	nws []neighbourWeight
 	// wbuf is the reusable weight buffer of kthLargestWeight.
 	wbuf []float64
+	// maxima is Blast's dense per-node maximum, by profile ID, of the
+	// range foldMaxima is folding.
+	maxima []float64
 }
 
 // newNeighbourScratch sizes a scratch for profile IDs in [0, n).

@@ -12,9 +12,10 @@
 // two node passes: pass 1 computes per-node or global statistics, a
 // driver-side step turns them into one keep predicate, pass 2 emits the
 // forward edges that pass it. Two drivers run that plan and differ only
-// in how a pass is mapped over contiguous ID ranges: Run is one loop
-// with one scratch; RunDistributed is the paper's parallel algorithm —
-// partition the nodes, broadcast the block index and the pass-1
+// in how a pass is mapped over contiguous ID ranges: Run maps it over one
+// range per GOMAXPROCS worker, each with a scratch of its own;
+// RunDistributed is the paper's parallel algorithm on the dataflow
+// engine — partition the nodes, broadcast the block index and the pass-1
 // statistics, materialise one node neighbourhood at a time, shuffle
 // nothing. RunNaiveDistributed is a separate baseline that materialises
 // every edge through the shuffle, kept to quantify what the
@@ -266,8 +267,8 @@ func (g *graphContext) weightedNeighbours(id profile.ID, s *neighbourScratch) []
 
 // orderedNeighbours is weightedNeighbours ascending by neighbour ID, the
 // fixed order of every float sum over a neighbourhood (WNP's mean, WEP's
-// partial sums): float addition is not associative, and sequential and
-// distributed runs must agree bitwise. Only those sums pay for the sort.
+// partial sums): float addition is not associative, and runs must agree
+// bitwise whatever ranges their passes are split into. Only those sums pay for the sort.
 func (g *graphContext) orderedNeighbours(id profile.ID, s *neighbourScratch) []neighbourWeight {
 	g.neighbourhood(id, s)
 	s.SortTouched()
@@ -283,15 +284,6 @@ func (g *graphContext) weigh(id profile.ID, s *neighbourScratch) []neighbourWeig
 	}
 	s.nws = out
 	return out
-}
-
-// thresholdNeighbours returns id's neighbourhood in the order its node
-// threshold reads it: Blast takes a maximum, WNP a mean.
-func (g *graphContext) thresholdNeighbours(id profile.ID, s *neighbourScratch, blast bool) []neighbourWeight {
-	if blast {
-		return g.weightedNeighbours(id, s)
-	}
-	return g.orderedNeighbours(id, s)
 }
 
 // forwardEdges materialises id's neighbourhood and calls fn once per
@@ -341,20 +333,26 @@ func (g *graphContext) weight(a, b profile.ID, st *PairStats) float64 {
 func needsDegrees(s Scheme) bool { return s == EJS }
 
 // computeDegrees fills g.degrees and g.totalEdges with the node degrees of
-// the full (unpruned) blocking graph. With the flat kernel a degree is
-// just the touched-list length, so the EJS pre-pass allocates nothing
-// beyond the dense degree array itself.
+// the full (unpruned) blocking graph, one contiguous range of ids per
+// worker. With the flat kernel a degree is just the touched-list length,
+// so the EJS pre-pass allocates little beyond the dense degree array
+// itself, which the ranges write disjointly.
 func (g *graphContext) computeDegrees(ids []profile.ID) {
 	g.degrees = make([]int32, g.scratch.n)
-	s := g.scratch.get()
-	defer g.scratch.put(s)
-	var total float64
-	for _, id := range ids {
-		g.neighbourhood(id, s)
-		g.degrees[id] = int32(len(s.Touched()))
-		total += float64(len(s.Touched()))
+	sums := inRanges(g, ids, func(part []profile.ID, s *neighbourScratch) int64 {
+		var sum int64
+		for _, id := range part {
+			g.neighbourhood(id, s)
+			g.degrees[id] = int32(len(s.Touched()))
+			sum += int64(len(s.Touched()))
+		}
+		return sum
+	})
+	var total int64
+	for _, sum := range sums {
+		total += sum
 	}
-	g.totalEdges = total / 2
+	g.totalEdges = float64(total) / 2
 	if g.totalEdges < 1 {
 		g.totalEdges = 1
 	}

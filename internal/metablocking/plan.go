@@ -14,15 +14,15 @@ import (
 // turns the collected statistics into one keep predicate on the driver,
 // and edges (pass 2) emits the forward edges that pass it. A pass only
 // reads the plan, one contiguous range of node IDs and a scratch of its
-// own, so a driver is free to map it over ranges one after another (Run)
-// or as concurrent tasks (RunDistributed); Explain asks the same plan
+// own, so a driver is free to map it over ranges as concurrent workers
+// (Run) or as dataflow tasks (RunDistributed); Explain asks the same plan
 // about a single pair.
 type plan struct {
 	g    *graphContext
 	rule Pruning
 	k    int // CEP's K, CNP's per-node k
 	// owners are the nodes that own a forward edge: what pass 2 walks, and
-	// pass 1 of the rules with one graph-wide threshold.
+	// pass 1 of every rule but WNP's and CNP's.
 	owners []profile.ID
 }
 
@@ -35,24 +35,28 @@ func newPlan(idx *blocking.Index, opts Options) *plan {
 	return p
 }
 
-// global reports whether the rule prunes at one graph-wide threshold
-// rather than at per-node ones.
-func (p *plan) global() bool { return p.rule == WEP || p.rule == CEP }
+// walksOwners reports whether pass 1 reads every edge once, from its
+// lower endpoint, which the forward owners cover: the graph-wide
+// thresholds, and Blast's maxima, which fold each edge into both
+// endpoints. WNP's ordered mean and CNP's k-th weight read the whole
+// neighbourhood of every node instead.
+func (p *plan) walksOwners() bool {
+	return p.rule == WEP || p.rule == CEP || p.rule == BlastPruning
+}
 
-// statNodes lists the nodes pass 1 visits. A graph-wide threshold reads
-// every edge once, which the forward owners cover; a node threshold
-// reads the whole neighbourhood of every node.
+// statNodes lists the nodes pass 1 visits.
 func (p *plan) statNodes() []profile.ID {
-	if p.global() {
+	if p.walksOwners() {
 		return p.owners
 	}
 	return p.g.idx.ProfileIDs()
 }
 
 // nodeStat is one pass-1 record: WEP's ordered partial sum v over the n
-// forward edges of node id, one forward-edge weight v for CEP, or node
-// id's threshold v for the node rules (the WNP mean, Blast's half
-// maximum, CNP's k-th largest weight).
+// forward edges of node id, one forward-edge weight v for CEP, the
+// maximum v over the edges of node id one range of owners holds for
+// Blast, or node id's threshold v for WNP (the mean) and CNP (the k-th
+// largest weight).
 type nodeStat struct {
 	id profile.ID
 	n  int32
@@ -61,6 +65,9 @@ type nodeStat struct {
 
 // stats is pass 1 over one range of statNodes, ascending like the range.
 func (p *plan) stats(part []profile.ID, s *neighbourScratch) []nodeStat {
+	if p.rule == BlastPruning {
+		return p.foldMaxima(part, s)
+	}
 	g := p.g
 	out := make([]nodeStat, 0, len(part)) // one record per node at most, except under CEP
 	for _, id := range part {
@@ -73,10 +80,9 @@ func (p *plan) stats(part []profile.ID, s *neighbourScratch) []nodeStat {
 			g.forwardEdges(id, s, func(_ profile.ID, w float64) {
 				out = append(out, nodeStat{id: id, v: w})
 			})
-		case WNP, ReciprocalWNP, BlastPruning:
-			blast := p.rule == BlastPruning
-			if nws := g.thresholdNeighbours(id, s, blast); len(nws) > 0 {
-				out = append(out, nodeStat{id: id, v: nodeThreshold(nws, blast)})
+		case WNP, ReciprocalWNP:
+			if nws := g.orderedNeighbours(id, s); len(nws) > 0 {
+				out = append(out, nodeStat{id: id, v: nodeMean(nws)})
 			}
 		case CNP, ReciprocalCNP:
 			if nws := g.weightedNeighbours(id, s); len(nws) > 0 {
@@ -103,20 +109,53 @@ func nodePartialSum(nws []neighbourWeight, id profile.ID) (float64, int64) {
 	return sum, count
 }
 
-// nodeThreshold computes one node's pruning threshold from its weighted
-// neighbourhood (see thresholdNeighbours): the mean edge weight for WNP,
-// or half the maximum for Blast. The mean's summation order is fixed
-// (ascending neighbour ID) so that every driver agrees bitwise.
-func nodeThreshold(nws []neighbourWeight, blast bool) float64 {
-	if blast {
-		maxW := 0.0
-		for _, nw := range nws {
-			if nw.w > maxW {
-				maxW = nw.w
-			}
-		}
-		return maxW / 2
+// foldMaxima is Blast's pass 1 over one range of owners: it materialises
+// only the owners' neighbourhoods, folds each forward edge's weight into
+// the maxima of both its endpoints, and reports one record per node with
+// a positive maximum. A maximum does not depend on the order it is taken
+// in, and decide takes it again over the ranges' records, so the result
+// is the maximum over the node's whole neighbourhood, bit for bit: both
+// endpoints accumulate a pair's statistics over the shared blocks in
+// ascending ordinal order. The weight seen from the far endpoint is the
+// edge's own except under ECBS, whose product runs in endpoint order.
+func (p *plan) foldMaxima(part []profile.ID, s *neighbourScratch) []nodeStat {
+	g := p.g
+	if len(s.maxima) < g.scratch.n {
+		s.maxima = make([]float64, g.scratch.n)
+	} else {
+		clear(s.maxima)
 	}
+	m := s.maxima
+	for _, id := range part {
+		own := m[id]
+		g.forwardEdges(id, s, func(other profile.ID, w float64) {
+			own = max(own, w)
+			if g.scheme == ECBS {
+				w = g.weight(other, id, s.At(other))
+			}
+			m[other] = max(m[other], w)
+		})
+		m[id] = own
+	}
+	n := 0
+	for _, v := range m {
+		if v > 0 {
+			n++
+		}
+	}
+	out := make([]nodeStat, 0, n)
+	for id, v := range m {
+		if v > 0 {
+			out = append(out, nodeStat{id: profile.ID(id), v: v})
+		}
+	}
+	return out
+}
+
+// nodeMean is WNP's node threshold: the mean weight over the node's
+// ordered neighbourhood. The summation order is fixed (ascending
+// neighbour ID) so that every driver agrees bitwise.
+func nodeMean(nws []neighbourWeight) float64 {
 	sum := 0.0
 	for _, nw := range nws {
 		sum += nw.w
@@ -137,8 +176,10 @@ type keep struct {
 }
 
 // decide is the driver-side step between the passes. stats must be the
-// pass-1 records in ascending node order — WEP's float sum is not
-// associative — which is the order contiguous ranges concatenate to.
+// pass-1 records of contiguous ranges concatenated in range order, so
+// that WEP's records ascend by node — its float sum is not associative.
+// Blast's ranges may each hold a record for the same node; decide takes
+// the maximum over them.
 func (p *plan) decide(stats []nodeStat) *keep {
 	k := &keep{global: math.Inf(1)} // no edge, or no such rule: keep nothing
 	switch p.rule {
@@ -159,7 +200,16 @@ func (p *plan) decide(stats []nodeStat) *keep {
 			slices.SortFunc(stats, func(x, y nodeStat) int { return cmp.Compare(y.v, x.v) })
 			k.global = stats[min(p.k, len(stats))-1].v
 		}
-	case WNP, ReciprocalWNP, BlastPruning, CNP, ReciprocalCNP:
+	case BlastPruning:
+		// Blast's threshold is half the node's maximum edge weight.
+		k.node = make([]float64, p.g.scratch.n)
+		for _, st := range stats {
+			k.node[st.id] = max(k.node[st.id], st.v)
+		}
+		for i := range k.node {
+			k.node[i] /= 2
+		}
+	case WNP, ReciprocalWNP, CNP, ReciprocalCNP:
 		k.node = make([]float64, p.g.scratch.n)
 		k.both = p.rule == ReciprocalWNP || p.rule == ReciprocalCNP
 		for _, st := range stats {
@@ -187,20 +237,40 @@ func (k *keep) edge(a, b profile.ID, w float64) bool {
 	return w >= ta || w >= tb
 }
 
+// edgeChunk is how many edges one chunk of pass 2's output holds.
+const edgeChunk = 1 << 12
+
 // edges is pass 2 over one range of owners: every forward edge that
-// passes k, sorted by (A, B). Owners ascend and each owner's run is
-// sorted by B as it is emitted, so ranges concatenate to the sorted whole
-// and no driver sorts the full edge list.
-func (p *plan) edges(k *keep, part []profile.ID, s *neighbourScratch) []Edge {
-	var out []Edge
+// passes k, sorted by (A, B), in chunks of edgeChunk edges (more when
+// one owner keeps more). Owners ascend and each owner's run is kept in
+// one chunk and sorted by B there, so ranges concatenate to the sorted
+// whole and no driver sorts the full edge list. Fixed-size chunks, not a
+// growing slice, keep what a range allocates to about what it keeps; the
+// driver copies them once into a result of the exact size.
+func (p *plan) edges(k *keep, part []profile.ID, s *neighbourScratch) [][]Edge {
+	var chunks [][]Edge
+	var cur []Edge
 	for _, id := range part {
-		run := len(out)
+		run := len(cur)
 		p.g.forwardEdges(id, s, func(other profile.ID, w float64) {
-			if k.edge(id, other, w) {
-				out = append(out, Edge{A: id, B: other, Weight: w})
+			if !k.edge(id, other, w) {
+				return
 			}
+			if len(cur) == cap(cur) {
+				// Carry the owner's run so far over to a fresh chunk.
+				next := make([]Edge, 0, max(edgeChunk, 2*(len(cur)-run)))
+				next = append(next, cur[run:]...)
+				if run > 0 {
+					chunks = append(chunks, cur[:run])
+				}
+				cur, run = next, 0
+			}
+			cur = append(cur, Edge{A: id, B: other, Weight: w})
 		})
-		slices.SortFunc(out[run:], func(x, y Edge) int { return cmp.Compare(x.B, y.B) })
+		slices.SortFunc(cur[run:], func(x, y Edge) int { return cmp.Compare(x.B, y.B) })
 	}
-	return out
+	if len(cur) > 0 {
+		chunks = append(chunks, cur)
+	}
+	return chunks
 }

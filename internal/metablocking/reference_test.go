@@ -1,7 +1,9 @@
 package metablocking
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -201,6 +203,25 @@ func (g *refGraph) forEachEdge(ids []profile.ID, fn func(a, b profile.ID, w floa
 	}
 }
 
+// refNodeThreshold is a node's WNP or Blast threshold from its whole
+// sorted neighbourhood: the mean edge weight, or half the maximum.
+func refNodeThreshold(nws []neighbourWeight, blast bool) float64 {
+	if blast {
+		maxW := 0.0
+		for _, nw := range nws {
+			if nw.w > maxW {
+				maxW = nw.w
+			}
+		}
+		return maxW / 2
+	}
+	sum := 0.0
+	for _, nw := range nws {
+		sum += nw.w
+	}
+	return sum / float64(len(nws))
+}
+
 func refKthLargestWeight(nws []neighbourWeight, k int) float64 {
 	weights := make([]float64, len(nws))
 	for i, nw := range nws {
@@ -271,7 +292,7 @@ func refRun(idx *blocking.Index, opts Options) []Edge {
 			if len(nws) == 0 {
 				continue
 			}
-			thresholds[id] = nodeThreshold(nws, blast)
+			thresholds[id] = refNodeThreshold(nws, blast)
 		}
 		reciprocal := opts.Pruning == ReciprocalWNP
 		return emit(func(a, b profile.ID, w float64) bool {
@@ -386,10 +407,14 @@ func requireBitwiseEqual(t *testing.T, label string, want, got []Edge) {
 // TestFlatKernelMatchesMapReference is the equivalence property of the
 // flat-array kernel: for every scheme × pruning rule × task type ×
 // entropy setting, Run and RunDistributed return bitwise-identical edges
-// to the retained map-based reference.
+// to the retained map-based reference. Run maps its passes over one range
+// per GOMAXPROCS worker, so it is held to the reference at several worker
+// counts; at 64 there are more ranges than the 48 nodes, and some are
+// empty.
 func TestFlatKernelMatchesMapReference(t *testing.T) {
 	ctx := dataflow.NewContext(dataflow.WithParallelism(3))
 	defer ctx.Close()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, clean := range []bool{false, true} {
 		for _, useEntropy := range []bool{false, true} {
 			idx := clusteredTestIndex(48, 11, clean)
@@ -403,7 +428,10 @@ func TestFlatKernelMatchesMapReference(t *testing.T) {
 						"/" + map[bool]string{false: "flat", true: "entropy"}[useEntropy] +
 						"/" + s.String() + "/" + p.String()
 					want := refRun(idx, opts)
-					requireBitwiseEqual(t, label+"/sequential", want, Run(idx, opts))
+					for _, procs := range []int{1, 2, 5, 64} {
+						runtime.GOMAXPROCS(procs)
+						requireBitwiseEqual(t, fmt.Sprintf("%s/sequential/procs=%d", label, procs), want, Run(idx, opts))
+					}
 					dist, err := RunDistributed(ctx, idx, opts, 4)
 					if err != nil {
 						t.Fatalf("%s: distributed: %v", label, err)
@@ -411,6 +439,71 @@ func TestFlatKernelMatchesMapReference(t *testing.T) {
 					requireBitwiseEqual(t, label+"/distributed", want, dist)
 				}
 			}
+		}
+	}
+}
+
+// TestEdgeChunksMatchReference holds pass 2's chunked output to the
+// reference where chunk boundaries are crossed: two owners whose runs are
+// each longer than a chunk, and a graph whose ranges keep several chunks
+// of edges, at one and two workers.
+func TestEdgeChunksMatchReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	wide := &blocking.Collection{NumProfiles: edgeChunk + 1002, CleanClean: true}
+	star := blocking.Block{Key: "star", CleanClean: true, A: []profile.ID{0, 1}}
+	for id := 2; id < wide.NumProfiles; id++ {
+		star.B = append(star.B, profile.ID(id))
+	}
+	wide.Blocks = []blocking.Block{star}
+	indexes := map[string]*blocking.Index{
+		"two long runs": blocking.BuildIndex(wide),
+		"many chunks":   clusteredTestIndex(3000, 5, false),
+	}
+	for name, idx := range indexes {
+		opts := Options{Scheme: JS, Pruning: WEP}
+		want := refRun(idx, opts)
+		if len(want) <= 2*edgeChunk {
+			t.Fatalf("%s: %d edges do not fill two chunks", name, len(want))
+		}
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			requireBitwiseEqual(t, fmt.Sprintf("%s/procs=%d", name, procs), want, Run(idx, opts))
+		}
+	}
+}
+
+// TestBlastFoldEqualsNodeMaximum pins the fold Blast's pass 1 makes over
+// the forward owners: every node's maximum, folded in from the edges of
+// both of its endpoints and taken again over the ranges' records, equals
+// the maximum over its whole weighted neighbourhood, bit for bit, under
+// every scheme and at several range counts.
+func TestBlastFoldEqualsNodeMaximum(t *testing.T) {
+	for _, clean := range []bool{false, true} {
+		idx := clusteredTestIndex(48, 11, clean)
+		for _, s := range allSchemes() {
+			p := newPlan(idx, Options{Scheme: s, Pruning: BlastPruning, Entropy: rampEntropy{}})
+			sc := p.g.scratch.get()
+			want := make([]float64, p.g.scratch.n)
+			for _, id := range idx.ProfileIDs() {
+				for _, nw := range p.g.weightedNeighbours(id, sc) {
+					want[id] = max(want[id], nw.w)
+				}
+			}
+			for _, ranges := range []int{1, 3, len(p.owners) + 5} {
+				var stats []nodeStat
+				for i := range ranges {
+					part := p.owners[i*len(p.owners)/ranges : (i+1)*len(p.owners)/ranges]
+					stats = append(stats, p.stats(part, sc)...)
+				}
+				got := p.decide(stats).node
+				for id := range want {
+					if math.Float64bits(got[id]) != math.Float64bits(want[id]/2) {
+						t.Fatalf("clean=%v %v ranges=%d node %d: folded threshold %g, half the neighbourhood maximum %g",
+							clean, s, ranges, id, got[id], want[id]/2)
+					}
+				}
+			}
+			p.g.scratch.put(sc)
 		}
 	}
 }

@@ -2,7 +2,7 @@
 // resolution tool designed for distributed execution. It covers the full
 // ER stack of the paper: schema-agnostic and loose-schema (Blast)
 // meta-blocking, entity matching, and entity clustering, running either
-// sequentially or on an embedded mini-Spark dataflow engine with a
+// in process or on an embedded mini-Spark dataflow engine with a
 // configurable number of simulated executors.
 //
 // Quick start:
@@ -100,11 +100,11 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // SchemaAgnosticConfig is the schema-agnostic baseline of Figure 1.
 func SchemaAgnosticConfig() Config { return core.SchemaAgnosticConfig() }
 
-// NewPipeline builds a pipeline; pass a nil cluster for sequential
+// NewPipeline builds a pipeline; pass a nil cluster for in-process
 // execution.
 func NewPipeline(cfg Config, cluster *Cluster) *Pipeline { return core.NewPipeline(cfg, cluster) }
 
-// Resolve runs the whole stack sequentially with the given configuration.
+// Resolve runs the whole stack in process with the given configuration.
 func Resolve(c *Collection, cfg Config) (*Result, error) {
 	return core.NewPipeline(cfg, nil).Resolve(c)
 }

@@ -77,7 +77,9 @@ func ProfileBlockingKeys(p *Profile, opts BlockingOptions) []BlockingKey {
 // MetaBlockingOptions configures graph-based comparison pruning.
 type MetaBlockingOptions = metablocking.Options
 
-// RunMetaBlocking prunes the blocking graph sequentially.
+// RunMetaBlocking prunes the blocking graph in process, one range of
+// nodes per GOMAXPROCS worker; the edges are the same for every worker
+// count.
 func RunMetaBlocking(idx *BlockIndex, opts MetaBlockingOptions) []MetaBlockingEdge {
 	return metablocking.Run(idx, opts)
 }
