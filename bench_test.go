@@ -324,7 +324,7 @@ func BenchmarkMetablockingDistributed(b *testing.B) {
 	}
 }
 
-// BenchmarkTokenBlocking times the parallel sharded block construction.
+// BenchmarkTokenBlocking times block construction, tokenisation included.
 // The flat-vs-reference comparison lives in internal/blocking's
 // BenchmarkTokenBlocking/BenchmarkBatchBlocking (same CI artifact).
 func BenchmarkTokenBlocking(b *testing.B) {
@@ -385,9 +385,9 @@ func BenchmarkMatching(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(res.Candidates)), "ns/pair")
 }
 
-// BenchmarkMatchingPrepare times the preparation alone (every profile
-// tokenised once into sorted interned token IDs): the fixed cost
-// BenchmarkMatching amortises over its candidate pairs.
+// BenchmarkMatchingPrepare times the preparation alone (a corpus of the
+// collection, then each profile's sorted distinct token IDs): the fixed
+// cost BenchmarkMatching amortises over its candidate pairs.
 func BenchmarkMatchingPrepare(b *testing.B) {
 	defer singleP()()
 	d := benchDataset(b)

@@ -1,11 +1,13 @@
 package blocking
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
 	"sparker/internal/datagen"
 	"sparker/internal/profile"
+	"sparker/internal/tokenize"
 )
 
 // Batch blocking pipeline benchmarks, flat/parallel vs the retained map
@@ -40,9 +42,19 @@ func BenchmarkTokenBlocking(b *testing.B) {
 		}
 	})
 	b.Run("flat-1worker", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			TokenBlocking(c, Options{Workers: 1})
+			TokenBlocking(c, Options{})
+		}
+	})
+	// The blocking stage alone, from a corpus the pass has already built.
+	b.Run("corpus", func(b *testing.B) {
+		cp := tokenize.NewCorpus(c, tokenize.Options{})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			TokenBlockingCorpus(cp, Options{})
 		}
 	})
 	b.Run("reference", func(b *testing.B) {

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"sparker/internal/kernel"
 	"sparker/internal/profile"
 )
 
@@ -103,9 +104,9 @@ func (c *Collection) DistinctPairs() []Pair {
 		return nil
 	}
 	bound := int(idx.MaxProfileID()) + 1
-	workers := maxWorkers(len(ids))
+	workers := kernel.Ranges(len(ids))
 	parts := make([][]Pair, workers)
-	parallelFor(len(ids), workers, func(w, lo, hi int) {
+	kernel.ForRanges(len(ids), workers, func(w, lo, hi int) {
 		marks := getMarkSet(bound)
 		defer putMarkSet(marks)
 		var out []Pair

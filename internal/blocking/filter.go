@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"sparker/internal/kernel"
 	"sparker/internal/profile"
 )
 
@@ -55,9 +56,9 @@ func Filter(c *Collection, ratio float64) *Collection {
 	// mark the smallest ceil(ratio*k) as kept. kept is indexed by CSR
 	// position, so workers write disjoint ranges.
 	kept := make([]bool, total)
-	workers := maxWorkers(numIDs)
+	workers := kernel.Ranges(numIDs)
 	blocks := c.Blocks
-	parallelFor(numIDs, workers, func(_, lo, hi int) {
+	kernel.ForRanges(numIDs, workers, func(_, lo, hi int) {
 		var perm []int32
 		for id := lo; id < hi; id++ {
 			start, end := offsets[id], offsets[id+1]
@@ -124,7 +125,7 @@ func Filter(c *Collection, ratio float64) *Collection {
 	// allocation per worker instead of one per surviving block.
 	outBlocks := make([]Block, nb)
 	alive := make([]bool, nb)
-	parallelFor(nb, workers, func(_, lo, hi int) {
+	kernel.ForRanges(nb, workers, func(_, lo, hi int) {
 		marks := getMarkSet(numIDs)
 		defer putMarkSet(marks)
 		type outSeg struct {

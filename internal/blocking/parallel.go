@@ -1,57 +1,17 @@
 package blocking
 
 import (
-	"runtime"
 	"sync"
 
 	"sparker/internal/kernel"
 	"sparker/internal/profile"
 )
 
-// This file holds the shared scaffolding of the parallel batch pipeline:
-// contiguous-range fan-out (so per-profile and per-shard outputs can be
-// concatenated back in deterministic order), the pooled epoch-stamped
-// mark sets the dedup passes lease, and the shard hash of the parallel
-// token blocker.
-
-// maxWorkers caps fan-out at the scheduler's parallelism.
-func maxWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// parallelFor splits [0, n) into one contiguous range per worker and runs
-// fn on each concurrently. Ranges are contiguous and ascending so that
-// per-worker outputs concatenated in worker order preserve the sequential
-// iteration order — the property every bitwise-equivalence guarantee in
-// this package leans on.
-func parallelFor(n, workers int, fn func(worker, lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			fn(0, 0, n)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-}
+// This file holds the shared scaffolding of the parallel batch passes:
+// the pooled epoch-stamped mark sets the dedup passes lease. The passes
+// fan out through kernel.ForRanges, whose contiguous ascending ranges
+// let per-worker outputs concatenate back in sequential order — the
+// property every bitwise-equivalence guarantee in this package leans on.
 
 // markSet is a dense, epoch-stamped profile-ID membership set — the
 // flat-kernel replacement of the historical map[profile.ID]bool keep sets
@@ -70,28 +30,6 @@ func getMarkSet(n int) *markSet {
 }
 
 func putMarkSet(m *markSet) { markSetPool.Put(m) }
-
-// shardHash is FNV-1a over the blocking key: deterministic (unlike
-// maphash) so a run under -race and a plain run shard identically, and
-// inlinable with zero allocation.
-func shardHash(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
-}
-
-// shardCount picks a power-of-two shard count for the given worker count:
-// enough shards that the merge phase keeps every worker busy, few enough
-// that per-shard grouping state stays cache-resident.
-func shardCount(workers int) int {
-	s := 1
-	for s < 2*workers {
-		s <<= 1
-	}
-	return s
-}
 
 // maxProfileID scans a block list for the largest profile ID (-1 when
 // there are no assignments) — the bound the dense ID-indexed passes size

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -13,10 +14,10 @@ import (
 
 // This file retains the pre-flat-kernel batch blocking pipeline as
 // map-based reference implementations and proves, property-style, that
-// the parallel sharded TokenBlocking, the CSR Filter, the flat BuildIndex
-// and the kernel DistinctPairs are exact drop-ins: block collections,
-// indexes and pair sets must be identical across clean/dirty ×
-// loose-schema × filter-ratio × min-block-size, for every worker count.
+// the corpus TokenBlocking, the CSR Filter, the flat BuildIndex and the
+// kernel DistinctPairs are exact drop-ins: block collections, indexes
+// and pair sets must be identical across clean/dirty × loose-schema ×
+// filter-ratio × min-block-size, for every worker count.
 // The references deliberately keep the old shapes — a global key map with
 // per-key *bucket allocations, map[profile.ID][]assignment plus
 // []map[profile.ID]bool keep sets, a map-backed index, map[Pair]bool
@@ -315,9 +316,10 @@ func requireSamePairs(t *testing.T, label string, want, got []Pair) {
 // TestBatchPipelineMatchesMapReference is the equivalence property of the
 // rebuilt batch pipeline: across clean/dirty × schema-agnostic/loose-
 // schema × filter ratios × min block sizes × seeds, every stage must
-// reproduce its retained map-based reference exactly — TokenBlocking for
-// several worker counts, Filter, BuildIndex and DistinctPairs end to end.
+// reproduce its retained map-based reference exactly — TokenBlocking at
+// several GOMAXPROCS, Filter, BuildIndex and DistinctPairs end to end.
 func TestBatchPipelineMatchesMapReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, clean := range []bool{false, true} {
 		for _, loose := range []bool{false, true} {
 			for _, seed := range []int64{1, 42} {
@@ -330,13 +332,11 @@ func TestBatchPipelineMatchesMapReference(t *testing.T) {
 					opts.MinBlockSize = minSize
 					label := fmt.Sprintf("clean=%v/loose=%v/seed=%d/min=%d", clean, loose, seed, minSize)
 
-					refOpts := opts
-					refOpts.Workers = 1 // KeysOf path is shared; workers only affect the new build
-					want := refTokenBlocking(c, refOpts)
-					for _, workers := range []int{1, 2, 3, 8} {
-						opts.Workers = workers
+					want := refTokenBlocking(c, opts)
+					for _, procs := range []int{1, 2, 3, 8} {
+						runtime.GOMAXPROCS(procs)
 						got := TokenBlocking(c, opts)
-						requireSameCollection(t, fmt.Sprintf("%s/workers=%d", label, workers), want, got)
+						requireSameCollection(t, fmt.Sprintf("%s/GOMAXPROCS=%d", label, procs), want, got)
 					}
 
 					for _, ratio := range []float64{0.3, 0.8, 1.0} {
@@ -433,19 +433,22 @@ func TestFilterEmptyAndDegenerate(t *testing.T) {
 	}
 }
 
-// TestTokenBlockingWorkersRace exercises the sharded build's fan-out with
-// more workers than profiles and under concurrent calls — the target of
-// the CI -race run for this package.
+// TestTokenBlockingWorkersRace exercises the corpus build's fan-out, up
+// to one range per minimum-size slice of the collection, under
+// concurrent calls at several GOMAXPROCS — the target of the CI -race
+// run for this package.
 func TestTokenBlockingWorkersRace(t *testing.T) {
-	c := matrixCollection(11, true, 30)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	c := matrixCollection(11, true, 600)
 	want := refTokenBlocking(c, Options{})
-	done := make(chan *Collection, 4)
-	for i := 0; i < 4; i++ {
-		go func(w int) {
-			done <- TokenBlocking(c, Options{Workers: w})
-		}(1 + i*3)
-	}
-	for i := 0; i < 4; i++ {
-		requireSameCollection(t, "race", want, <-done)
+	for _, procs := range []int{1, 4, 7, 64} {
+		runtime.GOMAXPROCS(procs)
+		done := make(chan *Collection, 4)
+		for i := 0; i < 4; i++ {
+			go func() { done <- TokenBlocking(c, Options{}) }()
+		}
+		for i := 0; i < 4; i++ {
+			requireSameCollection(t, fmt.Sprintf("race/GOMAXPROCS=%d", procs), want, <-done)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package blocking
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -15,8 +16,8 @@ import (
 // from the looseschema package; a nil clustering means schema-agnostic
 // blocking (every token is a key, regardless of attribute).
 //
-// ClusterOf must be safe for concurrent use: the sharded batch blocker
-// and the distributed blocker's tasks call it from multiple goroutines.
+// ClusterOf must be safe for concurrent use: the distributed blocker's
+// tasks and the online index call it from multiple goroutines.
 // (looseschema's Partitioning is a read-only lookup and qualifies.)
 type AttributeClustering interface {
 	// ClusterOf returns the cluster ID for an attribute of a source.
@@ -34,20 +35,29 @@ type Options struct {
 	// MinBlockSize drops blocks with fewer profiles (default 2: a block
 	// with one profile yields no comparisons).
 	MinBlockSize int
-	// Workers bounds the tokenize/merge parallelism of the sharded batch
-	// build (default: GOMAXPROCS). The output is identical for every
-	// worker count. Any Workers value above 1 (including the default)
-	// calls Clustering.ClusterOf from multiple goroutines concurrently.
-	Workers int
 }
 
 // KeyFor derives the blocking key of a token appearing in an attribute.
 func (o *Options) KeyFor(sourceID int, attribute, token string) (string, int) {
+	cluster := o.clusterOf(sourceID, attribute)
+	return o.key(token, cluster), cluster
+}
+
+// clusterOf resolves the attribute cluster every token of one attribute
+// value is keyed under: NoCluster without a Clustering.
+func (o *Options) clusterOf(sourceID int, attribute string) int {
 	if o.Clustering == nil {
-		return token, NoCluster
+		return NoCluster
 	}
-	cluster := o.Clustering.ClusterOf(sourceID, attribute)
-	return token + "_" + strconv.Itoa(cluster), cluster
+	return o.Clustering.ClusterOf(sourceID, attribute)
+}
+
+// key renders the blocking key of a token under its resolved cluster.
+func (o *Options) key(token string, cluster int) string {
+	if o.Clustering == nil {
+		return token
+	}
+	return token + "_" + strconv.Itoa(cluster)
 }
 
 // KeyedToken is one blocking key of a profile together with the
@@ -59,11 +69,11 @@ type KeyedToken struct {
 
 // keyScratch bundles the reusable state of key derivation: the per-call
 // dedup sets, the tokenizer's normalise-and-intern scratch, and the token
-// buffer. Key derivation runs once per profile on both the batch blocking
-// and index upsert/query hot paths; pooling this state (clearing a set
-// compiles to a cheap map reset) makes steady-state key derivation
-// allocation-free — tokens and keys alloc only on first sight, through
-// the scratch's intern table.
+// buffer. Key derivation runs once per profile on the index upsert and
+// query hot paths; pooling this state (clearing a set compiles to a
+// cheap map reset) makes steady-state schema-agnostic key derivation
+// allocation-free — tokens alloc only on first sight, through the
+// scratch's intern table.
 type keyScratch struct {
 	seen map[string]struct{}
 	// seenTok dedups the token bag of AppendKeysAndBag under a Clustering,
@@ -94,9 +104,10 @@ func resetSeen(m map[string]struct{}) map[string]struct{} {
 
 // AppendKeysOf appends the distinct blocking keys of one profile to dst
 // (in first-occurrence order) and returns the extended slice. Hot-path
-// callers — the sharded batch blocker, the distributed blocker's tasks —
-// pass a reused buffer so key derivation allocates nothing per profile in
-// the steady state.
+// callers pass a reused buffer so key derivation allocates nothing per
+// profile in the steady state. The batch blockers derive the same keys
+// from a corpus (slotKeys), each value's cluster resolved once here as
+// there.
 func (o *Options) AppendKeysOf(dst []KeyedToken, p *profile.Profile) []KeyedToken {
 	dst, _ = o.appendKeys(dst, nil, false, p)
 	return dst
@@ -120,9 +131,10 @@ func (o *Options) appendKeys(dst []KeyedToken, bag []string, wantBag bool, p *pr
 		ks.seenTok = make(map[string]struct{}, 64)
 	}
 	for _, kv := range p.Attributes {
+		cluster := o.clusterOf(p.SourceID, kv.Key)
 		ks.toks = o.Tokenizer.AppendTokens(ks.toks[:0], kv.Value, &ks.tok)
 		for _, tok := range ks.toks {
-			key, cluster := o.KeyFor(p.SourceID, kv.Key, tok)
+			key := o.key(tok, cluster)
 			_, dup := ks.seen[key]
 			if !dup {
 				ks.seen[key] = struct{}{}
@@ -150,228 +162,162 @@ func (o *Options) appendKeys(dst []KeyedToken, bag []string, wantBag bool, p *pr
 }
 
 // KeysOf enumerates the distinct blocking keys of one profile, in first-
-// occurrence order, in a freshly allocated slice the caller may retain.
-// It is the unit of work of token blocking, exposed so that online
-// consumers derive keys exactly as the batch blocker does. Transient
+// occurrence order, in a freshly allocated slice the caller may retain:
+// the keys the batch blocker assigns the profile. Transient
 // callers should prefer AppendKeysOf with a reused buffer.
 func (o *Options) KeysOf(p *profile.Profile) []KeyedToken {
 	return o.AppendKeysOf(nil, p)
 }
 
-// tbAssign is one (key → profile) block assignment emitted by the
-// tokenize phase of the sharded build.
-type tbAssign struct {
-	key     string
-	id      profile.ID
-	cluster int32
-	sideB   bool
+// keyTable is the key derivation of a corpus, the batch form of
+// AppendKeysOf: every distinct (cluster, token ID) key has a dense slot,
+// numbered in first-seen order, and profile i's distinct keys are the
+// slots profSlots[start[i]:start[i+1]], in first-occurrence order.
+type keyTable struct {
+	keys      []keySlot
+	start     []int
+	profSlots []int32
 }
 
-// tbWorker holds one tokenize worker's per-shard assignment buffers plus
-// its reusable key-derivation buffer; workers are pooled across
-// TokenBlocking calls so repeated builds (the Session debugging loop,
-// sparker-serve boots) reuse the grown buffers.
-type tbWorker struct {
-	shards [][]tbAssign
-	keyBuf []KeyedToken
+// keySlot is one distinct key. The slots of one token are chained
+// through next (one per cluster the token occurs under, so the chain is
+// short), which maps (cluster, token ID) to a slot with no hashing.
+type keySlot struct {
+	tok     uint32
+	cluster int
+	next    int32
 }
 
-var tbWorkerPool sync.Pool
-
-func getTBWorker(numShards int) *tbWorker {
-	w, _ := tbWorkerPool.Get().(*tbWorker)
-	if w == nil {
-		w = &tbWorker{}
+// slotKeys resolves each attribute value's cluster once and slots every
+// token occurrence of the corpus.
+func (o *Options) slotKeys(cp *tokenize.Corpus) *keyTable {
+	head := make([]int32, len(cp.Vocab)) // first slot of each token, -1 for none
+	for i := range head {
+		head[i] = -1
 	}
-	if cap(w.shards) < numShards {
-		w.shards = make([][]tbAssign, numShards)
-	} else {
-		w.shards = w.shards[:numShards]
-	}
-	for i := range w.shards {
-		w.shards[i] = w.shards[i][:0]
-	}
-	return w
-}
-
-// TokenBlocking builds the block collection with a parallel sharded
-// build: workers tokenize contiguous profile ranges and hash every key to
-// a shard, then per-shard merge workers group the assignments into blocks
-// through flat counting-and-carving state — no global lock, no per-key
-// bucket allocation. The result is deterministic and identical to the
-// historical sequential map build for every worker count (the retained
-// reference in reference_test.go pins this bitwise). For clean-clean
-// tasks, blocks that do not contain profiles from both sources are
-// dropped, since they yield no comparisons.
-func TokenBlocking(c *profile.Collection, opts Options) *Collection {
-	minSize := opts.MinBlockSize
-	if minSize < 2 {
-		minSize = 2
-	}
-	clean := c.IsClean()
-	n := len(c.Profiles)
-	out := &Collection{CleanClean: clean, NumProfiles: c.Size()}
-	if n == 0 {
-		return out
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = maxWorkers(n)
-	}
-	if workers > n {
-		workers = n
-	}
-	numShards := shardCount(workers)
-	mask := uint32(numShards - 1)
-
-	// Phase 1 — tokenize: each worker scans a contiguous profile range in
-	// ID order, so concatenating the workers' per-shard buffers in worker
-	// order visits assignments in ascending profile ID — exactly the
-	// sequential scan order.
-	ws := make([]*tbWorker, workers)
-	for w := range ws {
-		ws[w] = getTBWorker(numShards)
-	}
-	parallelFor(n, workers, func(w, lo, hi int) {
-		tw := ws[w]
-		for i := lo; i < hi; i++ {
-			p := &c.Profiles[i]
-			tw.keyBuf = opts.AppendKeysOf(tw.keyBuf[:0], p)
-			sideB := clean && p.SourceID == 1
-			for _, kt := range tw.keyBuf {
-				s := shardHash(kt.Key) & mask
-				tw.shards[s] = append(tw.shards[s], tbAssign{
-					key: kt.Key, id: p.ID, cluster: int32(kt.Cluster), sideB: sideB,
-				})
+	var last []int32 // the profile that last listed each slot
+	ps := cp.Collection.Profiles
+	kt := &keyTable{start: make([]int, len(ps)+1)}
+	for i := range ps {
+		p := &ps[i]
+		for k, kv := range p.Attributes {
+			cluster := o.clusterOf(p.SourceID, kv.Key)
+			for _, tok := range cp.Value(i, k) {
+				s := head[tok]
+				for s >= 0 && kt.keys[s].cluster != cluster {
+					s = kt.keys[s].next
+				}
+				if s < 0 {
+					s = int32(len(kt.keys))
+					kt.keys = append(kt.keys, keySlot{tok: tok, cluster: cluster, next: head[tok]})
+					head[tok] = s
+					last = append(last, -1)
+				}
+				if last[s] != int32(i) {
+					last[s] = int32(i)
+					kt.profSlots = append(kt.profSlots, s)
+				}
 			}
 		}
-	})
+		kt.start[i+1] = len(kt.profSlots)
+	}
+	return kt
+}
 
-	// Phase 2 — merge: each shard owns a disjoint key range, so shards
-	// group independently in parallel.
-	shardBlocks := make([][]Block, numShards)
-	parallelFor(numShards, workers, func(_, lo, hi int) {
-		for s := lo; s < hi; s++ {
-			shardBlocks[s] = mergeShard(s, ws, minSize, clean)
+// TokenBlocking builds the block collection. For clean-clean tasks,
+// blocks that do not contain profiles from both sources are dropped,
+// since they yield no comparisons.
+func TokenBlocking(c *profile.Collection, opts Options) *Collection {
+	return TokenBlockingCorpus(tokenize.NewCorpus(c, opts.Tokenizer), opts)
+}
+
+// TokenBlockingCorpus is TokenBlocking over a collection already
+// tokenised (opts.Tokenizer is not read: the corpus carries its own).
+// Every profile's keys are slotted once (slotKeys), a counting pass
+// sizes every slot's [A | B] member segment in one flat ID array, and a
+// fill pass scatters the IDs in profile order — so members come out
+// ascending, and the blocks equal the historical map build's exactly.
+// Each surviving slot renders its key string once.
+func TokenBlockingCorpus(cp *tokenize.Corpus, opts Options) *Collection {
+	minSize := max(opts.MinBlockSize, 2)
+	c := cp.Collection
+	clean := c.IsClean()
+	out := &Collection{CleanClean: clean, NumProfiles: c.Size()}
+	kt := opts.slotKeys(cp)
+	sideB := func(i int) bool { return clean && c.Profiles[i].SourceID == 1 }
+
+	na, nb := make([]int32, len(kt.keys)), make([]int32, len(kt.keys))
+	for i := range c.Profiles {
+		n := na
+		if sideB(i) {
+			n = nb
 		}
-	})
-	for _, w := range ws {
-		tbWorkerPool.Put(w)
+		for _, s := range kt.profSlots[kt.start[i]:kt.start[i+1]] {
+			n[s]++
+		}
 	}
 
-	total := 0
-	for _, bs := range shardBlocks {
-		total += len(bs)
+	// Carve the surviving slots' segments; a dropped slot keeps cursor -1.
+	curA, curB := make([]int32, len(kt.keys)), make([]int32, len(kt.keys))
+	total, kept := int32(0), 0
+	for s := range kt.keys {
+		curA[s], curB[s] = -1, -1
+		if int(na[s]+nb[s]) < minSize || clean && (na[s] == 0 || nb[s] == 0) {
+			continue
+		}
+		curA[s], curB[s] = total, total+na[s]
+		total += na[s] + nb[s]
+		kept++
 	}
-	out.Blocks = make([]Block, 0, total)
-	for _, bs := range shardBlocks {
-		out.Blocks = append(out.Blocks, bs...)
+	ids := make([]profile.ID, total)
+	out.Blocks = make([]Block, 0, kept)
+	for s := range kt.keys {
+		if curA[s] < 0 {
+			continue
+		}
+		k := kt.keys[s]
+		b := Block{Key: opts.key(cp.Vocab[k.tok], k.cluster), ClusterID: k.cluster, CleanClean: clean}
+		if o := curA[s]; na[s] > 0 {
+			b.A = ids[o : o+na[s] : o+na[s]]
+		}
+		if o := curB[s]; nb[s] > 0 {
+			b.B = ids[o : o+nb[s] : o+nb[s]]
+		}
+		out.Blocks = append(out.Blocks, b)
+	}
+	for i := range c.Profiles {
+		cur := curA
+		if sideB(i) {
+			cur = curB
+		}
+		for _, s := range kt.profSlots[kt.start[i]:kt.start[i+1]] {
+			if cur[s] >= 0 {
+				ids[cur[s]] = c.Profiles[i].ID
+				cur[s]++
+			}
+		}
 	}
 	sortBlocks(out.Blocks)
 	return out
 }
 
-// mergeShard groups one shard's assignments into blocks. A counting pass
-// assigns every distinct key a slot and tallies its per-side sizes, the
-// member lists are then carved out of a single flat backing array, and a
-// fill pass scatters the IDs — two linear scans, one map, and exactly one
-// ID allocation per shard in place of the historical per-key *bucket and
-// its two growing slices.
-func mergeShard(s int, ws []*tbWorker, minSize int, clean bool) []Block {
-	total := 0
-	for _, w := range ws {
-		total += len(w.shards[s])
-	}
-	if total == 0 {
-		return nil
-	}
-	type slot struct {
-		key            string
-		cluster        int32
-		aCount, bCount int32
-	}
-	slotOf := make(map[string]int32, total/2+1)
-	slots := make([]slot, 0, total/2+1)
-	for _, w := range ws {
-		for _, as := range w.shards[s] {
-			si, ok := slotOf[as.key]
-			if !ok {
-				si = int32(len(slots))
-				slotOf[as.key] = si
-				slots = append(slots, slot{key: as.key, cluster: as.cluster})
-			}
-			if as.sideB {
-				slots[si].bCount++
-			} else {
-				slots[si].aCount++
-			}
-		}
-	}
-
-	// Carve per-slot [A | B] segments out of one flat backing array.
-	ids := make([]profile.ID, total)
-	starts := make([]int32, len(slots))
-	curA := make([]int32, len(slots))
-	curB := make([]int32, len(slots))
-	off := int32(0)
-	for i := range slots {
-		starts[i] = off
-		curA[i] = off
-		curB[i] = off + slots[i].aCount
-		off += slots[i].aCount + slots[i].bCount
-	}
-	for _, w := range ws {
-		for _, as := range w.shards[s] {
-			si := slotOf[as.key]
-			if as.sideB {
-				ids[curB[si]] = as.id
-				curB[si]++
-			} else {
-				ids[curA[si]] = as.id
-				curA[si]++
-			}
-		}
-	}
-
-	blocks := make([]Block, 0, len(slots))
-	for i := range slots {
-		na, nb := slots[i].aCount, slots[i].bCount
-		if int(na+nb) < minSize {
-			continue
-		}
-		if clean && (na == 0 || nb == 0) {
-			continue
-		}
-		var a, b []profile.ID
-		if na > 0 {
-			a = ids[starts[i] : starts[i]+na : starts[i]+na]
-		}
-		if nb > 0 {
-			b = ids[starts[i]+na : starts[i]+na+nb : starts[i]+na+nb]
-		}
-		blocks = append(blocks, Block{
-			Key:        slots[i].key,
-			ClusterID:  int(slots[i].cluster),
-			CleanClean: clean,
-			A:          a,
-			B:          b,
-		})
-	}
-	return blocks
+// DistributedTokenBlocking builds the same block collection on the
+// dataflow engine.
+func DistributedTokenBlocking(ctx *dataflow.Context, c *profile.Collection, opts Options, numPartitions int) (*Collection, error) {
+	return DistributedTokenBlockingCorpus(ctx, tokenize.NewCorpus(c, opts.Tokenizer), opts, numPartitions)
 }
 
-// DistributedTokenBlocking builds the same block collection on the
-// dataflow engine: profiles are distributed, each task emits
-// (key, profileID) pairs, and a groupByKey shuffle assembles the blocks —
+// DistributedTokenBlockingCorpus is DistributedTokenBlocking over a
+// collection already tokenised (opts.Tokenizer is not read): profiles
+// are distributed, each task emits one (key, profile) pair per distinct
+// key of its profiles, and a groupByKey shuffle assembles the blocks —
 // the algorithm SparkER runs on Spark. Tasks map over profile indexes
-// into the shared collection (not profile values, whose attribute slices
-// would be copied per element) and derive keys through one reused buffer
-// per partition.
-func DistributedTokenBlocking(ctx *dataflow.Context, c *profile.Collection, opts Options, numPartitions int) (*Collection, error) {
-	minSize := opts.MinBlockSize
-	if minSize < 2 {
-		minSize = 2
-	}
+// into the shared corpus, resolve each value's cluster once, and key the
+// shuffle by (cluster, token ID) packed into one integer; a block
+// renders its key string once, after the shuffle.
+func DistributedTokenBlockingCorpus(ctx *dataflow.Context, cp *tokenize.Corpus, opts Options, numPartitions int) (*Collection, error) {
+	minSize := max(opts.MinBlockSize, 2)
+	c := cp.Collection
 	clean := c.IsClean()
 
 	indexes := make([]int32, len(c.Profiles))
@@ -380,32 +326,33 @@ func DistributedTokenBlocking(ctx *dataflow.Context, c *profile.Collection, opts
 	}
 	profiles := dataflow.Parallelize(ctx, indexes, numPartitions)
 	type assign struct {
-		Cluster int
-		ID      profile.ID
-		Src     int
+		ID    profile.ID
+		SideB bool
 	}
-	keyed := dataflow.MapPartitions(profiles, func(in []int32) ([]dataflow.KV[string, assign], error) {
-		out := make([]dataflow.KV[string, assign], 0, 8*len(in))
-		var keyBuf []KeyedToken
+	keyed := dataflow.MapPartitions(profiles, func(in []int32) ([]dataflow.KV[int64, assign], error) {
+		out := make([]dataflow.KV[int64, assign], 0, 8*len(in))
+		var keys []int64
 		for _, i := range in {
 			p := &c.Profiles[i]
-			keyBuf = opts.AppendKeysOf(keyBuf[:0], p)
-			for _, kt := range keyBuf {
-				out = append(out, dataflow.KV[string, assign]{
-					Key:   kt.Key,
-					Value: assign{Cluster: kt.Cluster, ID: p.ID, Src: p.SourceID},
-				})
+			keys = keys[:0]
+			for k, kv := range p.Attributes {
+				cluster := int64(opts.clusterOf(p.SourceID, kv.Key)) << 32
+				for _, tok := range cp.Value(int(i), k) {
+					keys = append(keys, cluster|int64(tok))
+				}
+			}
+			slices.Sort(keys)
+			for _, key := range slices.Compact(keys) {
+				out = append(out, dataflow.KV[int64, assign]{Key: key, Value: assign{ID: p.ID, SideB: clean && p.SourceID == 1}})
 			}
 		}
 		return out, nil
 	})
 	grouped := dataflow.GroupByKey(keyed, numPartitions)
-	blocks := dataflow.FlatMap(grouped, func(kv dataflow.KV[string, []assign]) []Block {
+	blocks := dataflow.FlatMap(grouped, func(kv dataflow.KV[int64, []assign]) []Block {
 		var a, b []profile.ID
-		cluster := NoCluster
 		for _, as := range kv.Value {
-			cluster = as.Cluster
-			if clean && as.Src == 1 {
+			if as.SideB {
 				b = append(b, as.ID)
 			} else {
 				a = append(a, as.ID)
@@ -417,7 +364,9 @@ func DistributedTokenBlocking(ctx *dataflow.Context, c *profile.Collection, opts
 		if clean && (len(a) == 0 || len(b) == 0) {
 			return nil
 		}
-		return []Block{{Key: kv.Key, ClusterID: cluster, CleanClean: clean, A: a, B: b}}
+		cluster := int(kv.Key >> 32)
+		key := opts.key(cp.Vocab[uint32(kv.Key)], cluster)
+		return []Block{{Key: key, ClusterID: cluster, CleanClean: clean, A: a, B: b}}
 	})
 	collected, err := blocks.Collect()
 	if err != nil {

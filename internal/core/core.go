@@ -150,6 +150,10 @@ type BlockerResult struct {
 	Edges []metablocking.Edge
 	// Candidates is the final candidate-pair set handed to the matcher.
 	Candidates []blocking.Pair
+
+	// corpus is the pass's one tokenisation of the collection: the
+	// loose-schema generator, token blocking and the matcher all read it.
+	corpus *tokenize.Corpus
 }
 
 // BlockingOptions exposes the exact key-generation options the blocker
@@ -165,13 +169,15 @@ func clusteringOrNil(p *looseschema.Partitioning) blocking.AttributeClustering {
 	return p
 }
 
-// RunBlocker executes the blocker (Figure 4) on the collection.
+// RunBlocker executes the blocker (Figure 4) on the collection. It
+// tokenises the collection once, into the corpus every later stage of
+// the pass reads.
 func (p *Pipeline) RunBlocker(c *profile.Collection) (*BlockerResult, error) {
 	cfg := p.Config
-	res := &BlockerResult{}
+	res := &BlockerResult{corpus: tokenize.NewCorpus(c, cfg.Tokenizer)}
 
 	if cfg.LooseSchema {
-		res.AttributeProfiles = looseschema.ExtractAttributeProfiles(c, cfg.Tokenizer)
+		res.AttributeProfiles = looseschema.ExtractAttributeProfilesCorpus(res.corpus)
 		res.Partitioning = looseschema.PartitionAttributes(res.AttributeProfiles, c.IsClean(), looseschema.Options{
 			Threshold: cfg.SchemaThreshold,
 			Seed:      cfg.Seed,
@@ -181,6 +187,15 @@ func (p *Pipeline) RunBlocker(c *profile.Collection) (*BlockerResult, error) {
 	return p.RunBlockerWithPartitioning(c, res)
 }
 
+// corpusOf returns the corpus res carries when it tokenises c as the
+// configuration does, and a new one otherwise.
+func (p *Pipeline) corpusOf(c *profile.Collection, res *BlockerResult) *tokenize.Corpus {
+	if cp := res.corpus; cp != nil && cp.Collection == c && cp.Options.Equal(p.Config.Tokenizer) {
+		return cp
+	}
+	return tokenize.NewCorpus(c, p.Config.Tokenizer)
+}
+
 // RunBlockerWithPartitioning runs the blocker from an existing (possibly
 // hand-edited) partitioning held in res — the supervised path where the
 // user adjusted clusters in the debugger and wants everything downstream
@@ -188,15 +203,16 @@ func (p *Pipeline) RunBlocker(c *profile.Collection) (*BlockerResult, error) {
 func (p *Pipeline) RunBlockerWithPartitioning(c *profile.Collection, res *BlockerResult) (*BlockerResult, error) {
 	cfg := p.Config
 	opts := blocking.Options{Tokenizer: cfg.Tokenizer, Clustering: clusteringOrNil(res.Partitioning)}
+	res.corpus = p.corpusOf(c, res)
 
 	var err error
 	if p.Distributed() {
-		res.Raw, err = blocking.DistributedTokenBlocking(p.ctx, c, opts, cfg.Partitions)
+		res.Raw, err = blocking.DistributedTokenBlockingCorpus(p.ctx, res.corpus, opts, cfg.Partitions)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		res.Raw = blocking.TokenBlocking(c, opts)
+		res.Raw = blocking.TokenBlockingCorpus(res.corpus, opts)
 	}
 
 	res.Purged = blocking.PurgeBySize(res.Raw, cfg.PurgeFactor)
@@ -233,13 +249,18 @@ func (p *Pipeline) RunBlockerWithPartitioning(c *profile.Collection, res *Blocke
 // Measure materialises the configured similarity measure; TF-IDF needs
 // the collection for corpus statistics.
 func (p *Pipeline) Measure(c *profile.Collection) (matching.Measure, error) {
+	return p.measure(func() *tokenize.Corpus { return tokenize.NewCorpus(c, p.Config.Tokenizer) })
+}
+
+// measure is Measure with the collection's corpus supplied on demand.
+func (p *Pipeline) measure(corpus func() *tokenize.Corpus) (matching.Measure, error) {
 	switch p.Config.Measure {
 	case MeasureJaccard, "":
 		return matching.JaccardMeasure(p.Config.Tokenizer), nil
 	case MeasureDice:
 		return matching.DiceMeasure(p.Config.Tokenizer), nil
 	case MeasureCosineTFIDF:
-		return matching.CosineMeasure(matching.NewTFIDF(c, p.Config.Tokenizer)), nil
+		return matching.CosineMeasure(matching.NewTFIDFCorpus(corpus())), nil
 	}
 	return nil, fmt.Errorf("core: unknown measure %q", p.Config.Measure)
 }
@@ -247,14 +268,20 @@ func (p *Pipeline) Measure(c *profile.Collection) (matching.Measure, error) {
 // RunMatcher scores the candidates and keeps pairs at or above the match
 // threshold.
 func (p *Pipeline) RunMatcher(c *profile.Collection, candidates []blocking.Pair) ([]matching.Match, error) {
-	measure, err := p.Measure(c)
+	return p.runMatcher(tokenize.NewCorpus(c, p.Config.Tokenizer), candidates)
+}
+
+// runMatcher is RunMatcher over the collection's corpus, which the
+// built-in measures prepare from.
+func (p *Pipeline) runMatcher(cp *tokenize.Corpus, candidates []blocking.Pair) ([]matching.Match, error) {
+	measure, err := p.measure(func() *tokenize.Corpus { return cp })
 	if err != nil {
 		return nil, err
 	}
 	if p.Distributed() {
-		return matching.MatchPairsDistributed(p.ctx, c, candidates, measure, p.Config.MatchThreshold, p.Config.Partitions)
+		return matching.MatchPairsDistributedCorpus(p.ctx, cp, candidates, measure, p.Config.MatchThreshold, p.Config.Partitions)
 	}
-	return matching.MatchPairs(c, candidates, measure, p.Config.MatchThreshold), nil
+	return matching.MatchPairsCorpus(cp, candidates, measure, p.Config.MatchThreshold), nil
 }
 
 // RunClusterer groups the matching pairs into entities (Figure 5).
@@ -282,13 +309,14 @@ type Result struct {
 	Entities []clustering.Entity
 }
 
-// Resolve runs the whole stack end to end.
+// Resolve runs the whole stack end to end, on one tokenisation of the
+// collection.
 func (p *Pipeline) Resolve(c *profile.Collection) (*Result, error) {
 	blocker, err := p.RunBlocker(c)
 	if err != nil {
 		return nil, fmt.Errorf("core: blocker: %w", err)
 	}
-	matches, err := p.RunMatcher(c, blocker.Candidates)
+	matches, err := p.runMatcher(blocker.corpus, blocker.Candidates)
 	if err != nil {
 		return nil, fmt.Errorf("core: matcher: %w", err)
 	}

@@ -134,6 +134,33 @@ func TestResolveIndependentOfWorkerCount(t *testing.T) {
 	}
 }
 
+// TestBlockerReusesItsCorpus: the blocker's corpus is the one every
+// later stage of the pass reads — a rerun from the same result keeps it,
+// and a collection or tokenizer it does not tokenise gets a new one.
+func TestBlockerReusesItsCorpus(t *testing.T) {
+	ds := smallDataset()
+	p := NewPipeline(DefaultConfig(), nil)
+	res, err := p.RunBlocker(ds.Collection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := res.corpus
+	if cp == nil || cp.Collection != ds.Collection {
+		t.Fatal("the blocker kept no corpus of its collection")
+	}
+	if p.corpusOf(ds.Collection, res) != cp {
+		t.Fatal("a rerun from the blocker's result tokenised the collection again")
+	}
+	if p.corpusOf(smallDataset().Collection, res) == cp {
+		t.Fatal("another collection reused the corpus")
+	}
+	strict := DefaultConfig()
+	strict.Tokenizer.MinLength = 3
+	if NewPipeline(strict, nil).corpusOf(ds.Collection, res) == cp {
+		t.Fatal("another tokenizer reused the corpus")
+	}
+}
+
 func samePartition(a, b *Result) bool {
 	key := func(r *Result) map[profile.ID]profile.ID {
 		rep := map[profile.ID]profile.ID{}

@@ -8,12 +8,13 @@ import (
 	"sparker/internal/looseschema"
 	"sparker/internal/metablocking"
 	"sparker/internal/profile"
+	"sparker/internal/tokenize"
 )
 
 // Session drives the interactive debugging loop of the paper's Section 3:
 // "the user try a configuration, if it is not satisfied changes it, and
-// repeat the step again". It caches the expensive invariants (attribute
-// vocabularies, the ground truth) so that changing the LSH threshold,
+// repeat the step again". It caches the expensive invariants (the
+// tokenised collection, attribute vocabularies, the ground truth) so that changing the LSH threshold,
 // editing a cluster by hand, or switching the pruning rule recomputes
 // only the affected stages. Typically built over a debug sample rather
 // than the full collection.
@@ -23,6 +24,7 @@ type Session struct {
 	cfg        Config
 
 	// Cached across reconfigurations.
+	corpus            *tokenize.Corpus
 	attributeProfiles []*looseschema.AttributeProfile
 
 	// Current state.
@@ -34,9 +36,9 @@ type Session struct {
 // truth is available (the paper then shows pairs to the user instead).
 // The initial blocker runs with the given configuration.
 func NewSession(c *profile.Collection, cfg Config, gt *evaluation.GroundTruth) (*Session, error) {
-	s := &Session{collection: c, gt: gt, cfg: cfg}
+	s := &Session{collection: c, gt: gt, cfg: cfg, corpus: tokenize.NewCorpus(c, cfg.Tokenizer)}
 	if cfg.LooseSchema {
-		s.attributeProfiles = looseschema.ExtractAttributeProfiles(c, cfg.Tokenizer)
+		s.attributeProfiles = looseschema.ExtractAttributeProfilesCorpus(s.corpus)
 		s.partitioning = looseschema.PartitionAttributes(s.attributeProfiles, c.IsClean(), looseschema.Options{
 			Threshold: cfg.SchemaThreshold,
 			Seed:      cfg.Seed,
@@ -54,6 +56,7 @@ func (s *Session) rebuild() error {
 	res := &BlockerResult{
 		Partitioning:      s.partitioning,
 		AttributeProfiles: s.attributeProfiles,
+		corpus:            s.corpus,
 	}
 	pipeline := NewPipeline(s.cfg, nil)
 	out, err := pipeline.RunBlockerWithPartitioning(s.collection, res)
@@ -175,7 +178,7 @@ func (s *Session) Candidates() []blocking.Pair { return s.blocker.Candidates }
 // session's current configuration.
 func (s *Session) Run() (*Result, error) {
 	pipeline := NewPipeline(s.cfg, nil)
-	matches, err := pipeline.RunMatcher(s.collection, s.blocker.Candidates)
+	matches, err := pipeline.runMatcher(s.blocker.corpus, s.blocker.Candidates)
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,6 @@ package dataflow
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -329,57 +328,6 @@ func MaxBy[T any](r *RDD[T], less func(a, b T) bool) (T, error) {
 	})
 }
 
-// CountApproxDistinct estimates the number of distinct elements with a
-// simple fixed-width linear counting over hashed values. It exists so
-// profile-scale statistics (distinct token counts) do not need a full
-// shuffle; the estimate is within a few percent for cardinalities well
-// below the register count.
-func CountApproxDistinct[T comparable](r *RDD[T], registers int) (int64, error) {
-	if registers < 1024 {
-		registers = 1024
-	}
-	type bitmapT = []uint64
-	words := (registers + 63) / 64
-	agg, err := Aggregate(r,
-		func() bitmapT { return make(bitmapT, words) },
-		func(bm bitmapT, v T) bitmapT {
-			h := hashKey(v, registers)
-			bm[h/64] |= 1 << (h % 64)
-			return bm
-		},
-		func(a, b bitmapT) bitmapT {
-			for i := range a {
-				a[i] |= b[i]
-			}
-			return a
-		})
-	if err != nil {
-		return 0, err
-	}
-	ones := 0
-	for _, w := range agg {
-		for ; w != 0; w &= w - 1 {
-			ones++
-		}
-	}
-	if ones >= registers {
-		ones = registers - 1
-	}
-	// Linear counting estimator: n ≈ -m * ln(1 - ones/m).
-	m := float64(registers)
-	frac := 1 - float64(ones)/m
-	est := -m * ln(frac)
-	return int64(est + 0.5), nil
-}
-
-// ln guards math.Log against the all-registers-set edge case.
-func ln(x float64) float64 {
-	if x <= 0 {
-		return -1e308
-	}
-	return math.Log(x)
-}
-
 func TestMapPartitionsWithIndexCoversAllPartitions(t *testing.T) {
 	ctx := newTestContext(t, 4)
 	r := Parallelize(ctx, intsUpTo(40), 5)
@@ -659,43 +607,5 @@ func TestMaxBy(t *testing.T) {
 	got, err := MaxBy(r, func(a, b int) bool { return a < b })
 	if err != nil || got != 9 {
 		t.Fatalf("max=%d err=%v", got, err)
-	}
-}
-
-func TestCountApproxDistinct(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	var data []string
-	for i := 0; i < 5000; i++ {
-		data = append(data, fmt.Sprintf("tok-%d", i%500)) // 500 distinct
-	}
-	r := Parallelize(ctx, data, 8)
-	est, err := CountApproxDistinct(r, 1<<14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(est)-500) > 50 {
-		t.Fatalf("estimate %d for 500 distinct", est)
-	}
-	exact, err := Distinct(r, 4).Count()
-	if err != nil || exact != 500 {
-		t.Fatalf("exact=%d err=%v", exact, err)
-	}
-}
-
-func TestCountApproxDistinctSaturated(t *testing.T) {
-	// More distinct values than registers must not panic or return junk
-	// below the register count's floor.
-	ctx := newTestContext(t, 2)
-	var data []int
-	for i := 0; i < 5000; i++ {
-		data = append(data, i)
-	}
-	r := Parallelize(ctx, data, 4)
-	est, err := CountApproxDistinct(r, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est < 1024 {
-		t.Fatalf("saturated estimate %d below register count", est)
 	}
 }

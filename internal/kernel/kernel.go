@@ -5,6 +5,8 @@
 // replaces map iteration. Meta-blocking instantiates it with its edge
 // accumulator and the online index with its candidate accumulator, so
 // the slot protocol (and the epoch-wrap hard-clear) lives in one place.
+// Beside it sits the one range splitter of the batch passes (ForRanges),
+// so every pass fans out over the same contiguous per-worker ranges.
 package kernel
 
 import (

@@ -37,42 +37,64 @@ type AttributeProfile struct {
 }
 
 // ExtractAttributeProfiles builds one AttributeProfile per qualified
-// attribute of the collection, ordered by Name. Attributes are looked up
-// by (source, key), so a qualified name is built once per attribute
-// rather than once per value, and values are tokenised through one
-// reusable scratch.
+// attribute of the collection, ordered by Name.
 func ExtractAttributeProfiles(c *profile.Collection, tok tokenize.Options) []*AttributeProfile {
+	return ExtractAttributeProfilesCorpus(tokenize.NewCorpus(c, tok))
+}
+
+// ExtractAttributeProfilesCorpus is ExtractAttributeProfiles over a
+// collection already tokenised. Attributes are looked up by (source,
+// key) once per value, and each attribute's tokens are counted by ID in
+// one dense array; the strings and the Counts map are made once per
+// distinct token of an attribute, not once per occurrence.
+func ExtractAttributeProfilesCorpus(cp *tokenize.Corpus) []*AttributeProfile {
 	type attribute struct {
 		source int
 		key    string
 	}
-	byAttr := map[attribute]*AttributeProfile{}
+	type valueRef struct{ profile, value int32 }
+	byAttr := map[attribute]int{}
 	var out []*AttributeProfile
-	var sc tokenize.Scratch
-	var toks []string
-	for i := range c.Profiles {
-		p := &c.Profiles[i]
-		for _, kv := range p.Attributes {
-			attr := attribute{p.SourceID, kv.Key}
-			ap := byAttr[attr]
-			if ap == nil {
-				ap = &AttributeProfile{
+	var refs [][]valueRef // the values of out[a], in collection order
+	ps := cp.Collection.Profiles
+	for i := range ps {
+		p := &ps[i]
+		for k, kv := range p.Attributes {
+			a, ok := byAttr[attribute{p.SourceID, kv.Key}]
+			if !ok {
+				a = len(out)
+				byAttr[attribute{p.SourceID, kv.Key}] = a
+				out = append(out, &AttributeProfile{
 					Name:      profile.QualifiedAttribute(p.SourceID, kv.Key),
 					SourceID:  p.SourceID,
 					Attribute: kv.Key,
-					Counts:    map[string]int{},
-				}
-				byAttr[attr] = ap
-				out = append(out, ap)
+				})
+				refs = append(refs, nil)
 			}
-			toks = tok.AppendTokens(toks[:0], kv.Value, &sc)
-			for _, t := range toks {
-				if ap.Counts[t] == 0 {
-					ap.Tokens = append(ap.Tokens, t)
+			refs[a] = append(refs[a], valueRef{int32(i), int32(k)})
+		}
+	}
+	counts := make([]int, len(cp.Vocab))
+	var seen []uint32 // an attribute's distinct IDs, first-seen order
+	for a, ap := range out {
+		seen = seen[:0]
+		for _, r := range refs[a] {
+			for _, id := range cp.Value(int(r.profile), int(r.value)) {
+				if counts[id] == 0 {
+					seen = append(seen, id)
 				}
-				ap.Counts[t]++
-				ap.Total++
+				counts[id]++
 			}
+		}
+		ap.Counts = make(map[string]int, len(seen))
+		if len(seen) > 0 {
+			ap.Tokens = make([]string, len(seen))
+		}
+		for j, id := range seen {
+			ap.Tokens[j] = cp.Vocab[id]
+			ap.Counts[cp.Vocab[id]] = counts[id]
+			ap.Total += counts[id]
+			counts[id] = 0
 		}
 	}
 	slices.SortFunc(out, func(a, b *AttributeProfile) int { return strings.Compare(a.Name, b.Name) })

@@ -3,6 +3,7 @@ package looseschema
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -99,6 +100,20 @@ func TestExtractAttributeProfilesMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s %+v: attribute profiles differ from the reference", name, tok)
 			}
+		}
+	}
+}
+
+// TestExtractAttributeProfilesCorpusWorkerCount: extraction from a
+// corpus equals the reference whatever worker count built the corpus.
+func TestExtractAttributeProfilesCorpusWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	c := datagen.Generate(datagen.AbtBuy().Scaled(2)).Collection
+	want := refExtractAttributeProfiles(c, tokenize.Options{})
+	for _, procs := range []int{1, 2, 5, 64} {
+		runtime.GOMAXPROCS(procs)
+		if got := ExtractAttributeProfilesCorpus(tokenize.NewCorpus(c, tokenize.Options{})); !reflect.DeepEqual(got, want) {
+			t.Fatalf("GOMAXPROCS=%d: attribute profiles differ from the reference", procs)
 		}
 	}
 }
@@ -274,4 +289,25 @@ func TestStringOutput(t *testing.T) {
 	if s == "" || !strings.Contains(s, "blob") {
 		t.Fatalf("String() = %q", s)
 	}
+}
+
+// BenchmarkExtractAttributeProfiles times the loose-schema generator's
+// first stage on the batch-resolve collection: from the collection
+// (tokenisation included) and from the corpus a pass has already built.
+func BenchmarkExtractAttributeProfiles(b *testing.B) {
+	c := datagen.Generate(datagen.AbtBuy().Scaled(2)).Collection
+	b.Run("collection", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ExtractAttributeProfiles(c, tokenize.Options{})
+		}
+	})
+	b.Run("corpus", func(b *testing.B) {
+		cp := tokenize.NewCorpus(c, tokenize.Options{})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ExtractAttributeProfilesCorpus(cp)
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 
 	"sparker/internal/blocking"
 	"sparker/internal/dataflow"
+	"sparker/internal/kernel"
 	"sparker/internal/profile"
 	"sparker/internal/tokenize"
 )
@@ -50,6 +51,32 @@ func (f MeasureFunc) Prepare(c *profile.Collection) PairScorer {
 	return func(a, b profile.ID) float64 { return f(c.Get(a), c.Get(b)) }
 }
 
+// corpusMeasure is a built-in measure, which can prepare from the corpus
+// a batch pass has already built instead of tokenising the collection
+// again.
+type corpusMeasure interface {
+	// tokenizer is how the measure tokenises: a corpus serves it only
+	// when built with the same options.
+	tokenizer() tokenize.Options
+	prepareCorpus(cp *tokenize.Corpus) PairScorer
+}
+
+// prepare readies m for the corpus's collection: from the corpus itself
+// when m is built-in and tokenises as the corpus did, else through
+// m.Prepare.
+func prepare(m Measure, cp *tokenize.Corpus) PairScorer {
+	if cm, ok := m.(corpusMeasure); ok && cm.tokenizer().Equal(cp.Options) {
+		return cm.prepareCorpus(cp)
+	}
+	return m.Prepare(cp.Collection)
+}
+
+// pairCorpus tokenises two profiles on their own, for one-off scoring;
+// in the corpus they are profiles 0 and 1.
+func pairCorpus(a, b *profile.Profile, tok tokenize.Options) *tokenize.Corpus {
+	return tokenize.NewCorpus(&profile.Collection{Profiles: []profile.Profile{*a, *b}}, tok)
+}
+
 // bagMeasure is a set similarity over whole-profile token bags: sim maps
 // the overlap and the two distinct-token counts to the score.
 type bagMeasure struct {
@@ -58,13 +85,17 @@ type bagMeasure struct {
 }
 
 func (m bagMeasure) Score(a, b *profile.Profile) float64 {
-	return m.prepare([]profile.Profile{*a, *b})(0, 1)
+	return m.prepareCorpus(pairCorpus(a, b, m.tok))(0, 1)
 }
 
-func (m bagMeasure) Prepare(c *profile.Collection) PairScorer { return m.prepare(c.Profiles) }
+func (m bagMeasure) Prepare(c *profile.Collection) PairScorer {
+	return m.prepareCorpus(tokenize.NewCorpus(c, m.tok))
+}
 
-func (m bagMeasure) prepare(ps []profile.Profile) PairScorer {
-	b := prepareBags(ps, m.tok, false)
+func (m bagMeasure) tokenizer() tokenize.Options { return m.tok }
+
+func (m bagMeasure) prepareCorpus(cp *tokenize.Corpus) PairScorer {
+	b := bagsOf(cp, false)
 	return func(p, q profile.ID) float64 {
 		x, y := b.of(p), b.of(q)
 		return m.sim(intersectSorted(x, y), len(x), len(y))
@@ -98,7 +129,13 @@ type cosineMeasure struct{ m *TFIDF }
 
 func (c cosineMeasure) Score(a, b *profile.Profile) float64 { return c.m.Cosine(a, b) }
 
-func (c cosineMeasure) Prepare(col *profile.Collection) PairScorer { return c.m.prepare(col.Profiles) }
+func (c cosineMeasure) Prepare(col *profile.Collection) PairScorer {
+	return c.m.prepareCorpus(tokenize.NewCorpus(col, c.m.tok))
+}
+
+func (c cosineMeasure) tokenizer() tokenize.Options { return c.m.tok }
+
+func (c cosineMeasure) prepareCorpus(cp *tokenize.Corpus) PairScorer { return c.m.prepareCorpus(cp) }
 
 // CosineMeasure scores profiles with TF-IDF cosine similarity (the CSA
 // stand-in).
@@ -184,14 +221,33 @@ func ScorePairs(c *profile.Collection, pairs []blocking.Pair, measure Measure) [
 // MatchPairs scores candidate pairs and keeps those at or above the
 // threshold, sorted by (A, B). The result is never nil.
 func MatchPairs(c *profile.Collection, pairs []blocking.Pair, measure Measure, threshold float64) []Match {
-	out := appendMatches([]Match{}, measure.Prepare(c), pairs, threshold)
+	return matchPrepared(measure.Prepare(c), pairs, threshold)
+}
+
+// MatchPairsCorpus is MatchPairs over a collection already tokenised: a
+// built-in measure that tokenises as the corpus did prepares from it.
+func MatchPairsCorpus(cp *tokenize.Corpus, pairs []blocking.Pair, measure Measure, threshold float64) []Match {
+	return matchPrepared(prepare(measure, cp), pairs, threshold)
+}
+
+// matchPrepared scores one contiguous range of pairs per GOMAXPROCS
+// worker and concatenates the ranges' matches, sorted by (A, B).
+func matchPrepared(score PairScorer, pairs []blocking.Pair, threshold float64) []Match {
+	parts := make([][]Match, kernel.Ranges(len(pairs)))
+	kernel.ForRanges(len(pairs), len(parts), func(r, lo, hi int) {
+		parts[r] = appendMatches(nil, score, pairs[lo:hi], threshold)
+	})
+	out := slices.Concat(parts...)
+	if out == nil {
+		out = []Match{}
+	}
 	sortMatches(out)
 	return out
 }
 
-// appendMatches is the thresholded pair-scoring loop MatchPairs and every
-// task of MatchPairsDistributed share: it appends the pairs scoring at or
-// above the threshold to dst.
+// appendMatches is the thresholded pair-scoring loop every range of
+// MatchPairs and every task of MatchPairsDistributed run: it appends the
+// pairs scoring at or above the threshold to dst.
 func appendMatches(dst []Match, score PairScorer, pairs []blocking.Pair, threshold float64) []Match {
 	for _, p := range pairs {
 		if s := score(p.A, p.B); s >= threshold {
@@ -207,7 +263,18 @@ func appendMatches(dst []Match, score PairScorer, pairs []blocking.Pair, thresho
 // invokes a matcher over the blocker's output.
 func MatchPairsDistributed(ctx *dataflow.Context, c *profile.Collection, pairs []blocking.Pair,
 	measure Measure, threshold float64, numPartitions int) ([]Match, error) {
-	bscore := dataflow.NewBroadcast(ctx, measure.Prepare(c))
+	return matchDistributed(ctx, measure.Prepare(c), pairs, threshold, numPartitions)
+}
+
+// MatchPairsDistributedCorpus is MatchPairsDistributed over a collection
+// already tokenised, prepared as MatchPairsCorpus prepares.
+func MatchPairsDistributedCorpus(ctx *dataflow.Context, cp *tokenize.Corpus, pairs []blocking.Pair,
+	measure Measure, threshold float64, numPartitions int) ([]Match, error) {
+	return matchDistributed(ctx, prepare(measure, cp), pairs, threshold, numPartitions)
+}
+
+func matchDistributed(ctx *dataflow.Context, score PairScorer, pairs []blocking.Pair, threshold float64, numPartitions int) ([]Match, error) {
+	bscore := dataflow.NewBroadcast(ctx, score)
 	rdd := dataflow.Parallelize(ctx, pairs, numPartitions)
 	scored := dataflow.MapPartitions(rdd, func(part []blocking.Pair) ([]Match, error) {
 		return appendMatches(nil, bscore.Value(), part, threshold), nil

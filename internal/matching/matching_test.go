@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -500,8 +501,10 @@ func tokenizerVariants() []tokenize.Options {
 }
 
 // requireScoresMatchReference checks, for every pair of the collection and
-// the three built-in measures, that the prepared scorer and the one-off
-// Score adapter both equal the retained per-pair reference bit for bit.
+// the three built-in measures, that the prepared scorer — prepared from
+// the collection, from a corpus tokenised alike, and through the
+// fallback for a corpus tokenised otherwise — and the one-off Score
+// adapter all equal the retained per-pair reference bit for bit.
 func requireScoresMatchReference(t *testing.T, c *profile.Collection, tok tokenize.Options) {
 	t.Helper()
 	model, refModel := NewTFIDF(c, tok), newRefTFIDF(c, tok)
@@ -514,15 +517,32 @@ func requireScoresMatchReference(t *testing.T, c *profile.Collection, tok tokeni
 		{"dice", DiceMeasure(tok), refDice(tok)},
 		{"cosine", CosineMeasure(model), refModel.cosine},
 	}
+	// A corpus tokenised as the measures tokenise serves them directly;
+	// one tokenised otherwise must fall back to Prepare.
+	other := tokenize.Options{MinLength: 2}
+	if other.Equal(tok) {
+		other.MinLength = 3
+	}
+	cp, otherCp := tokenize.NewCorpus(c, tok), tokenize.NewCorpus(c, other)
 	for _, tc := range cases {
-		prepared := tc.measure.Prepare(c)
+		if _, ok := tc.measure.(corpusMeasure); !ok {
+			t.Fatalf("%s: a built-in measure does not prepare from a corpus", tc.name)
+		}
+		scorers := map[string]PairScorer{
+			"prepared":         tc.measure.Prepare(c),
+			"corpus":           prepare(tc.measure, cp),
+			"other-tokenizer":  prepare(tc.measure, otherCp),
+			"reference-corpus": prepare(tc.ref, cp),
+		}
 		for a := range c.Profiles {
 			for b := range c.Profiles {
 				pa, pb := c.Get(profile.ID(a)), c.Get(profile.ID(b))
 				want := math.Float64bits(tc.ref(pa, pb))
-				if got := prepared(profile.ID(a), profile.ID(b)); math.Float64bits(got) != want {
-					t.Fatalf("%s %+v: prepared(%d,%d)=%v, reference %v\n%v\n%v",
-						tc.name, tok, a, b, got, math.Float64frombits(want), pa, pb)
+				for how, score := range scorers {
+					if got := score(profile.ID(a), profile.ID(b)); math.Float64bits(got) != want {
+						t.Fatalf("%s %+v: %s(%d,%d)=%v, reference %v\n%v\n%v",
+							tc.name, tok, how, a, b, got, math.Float64frombits(want), pa, pb)
+					}
 				}
 				if got := tc.measure.Score(pa, pb); math.Float64bits(got) != want {
 					t.Fatalf("%s %+v: Score(%d,%d)=%v, reference %v\n%v\n%v",
@@ -613,8 +633,8 @@ func candidatePairs(c *profile.Collection) []blocking.Pair {
 
 // TestMatchPairsEquivalence: on the three generated benchmark families
 // (product clean-clean, bibliographic clean-clean, dirty), MatchPairs
-// equals the retained per-pair loop bitwise, and MatchPairsDistributed
-// equals MatchPairs at every partition count from 1 to 8.
+// and MatchPairsCorpus equal the retained per-pair loop bitwise, and
+// MatchPairsDistributed equals it at every partition count from 1 to 8.
 func TestMatchPairsEquivalence(t *testing.T) {
 	abt := datagen.AbtBuy()
 	abt.CoreEntities, abt.AOnly, abt.BDup = 150, 12, 14
@@ -633,7 +653,8 @@ func TestMatchPairsEquivalence(t *testing.T) {
 		if len(pairs) < 1000 {
 			t.Fatalf("%s: only %d candidate pairs", name, len(pairs))
 		}
-		model, refModel := NewTFIDF(c, tok), newRefTFIDF(c, tok)
+		cp := tokenize.NewCorpus(c, tok)
+		model, refModel := NewTFIDFCorpus(cp), newRefTFIDF(c, tok)
 		cases := []struct {
 			name      string
 			measure   Measure
@@ -652,6 +673,12 @@ func TestMatchPairsEquivalence(t *testing.T) {
 			}
 			seq := MatchPairs(c, pairs, tc.measure, tc.threshold)
 			requireSameMatches(t, name+"/"+tc.name+"/sequential", want, seq)
+			requireSameMatches(t, name+"/"+tc.name+"/corpus", want, MatchPairsCorpus(cp, pairs, tc.measure, tc.threshold))
+			dist, err := MatchPairsDistributedCorpus(ctx, cp, pairs, tc.measure, tc.threshold, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameMatches(t, name+"/"+tc.name+"/distributed-corpus", want, dist)
 			for parts := 1; parts <= 8; parts++ {
 				dist, err := MatchPairsDistributed(ctx, c, pairs, tc.measure, tc.threshold, parts)
 				if err != nil {
@@ -660,6 +687,23 @@ func TestMatchPairsEquivalence(t *testing.T) {
 				requireSameMatches(t, fmt.Sprintf("%s/%s/partitions-%d", name, tc.name, parts), want, dist)
 			}
 		}
+	}
+}
+
+// TestMatchPairsCorpusWorkerCount: scoring from a corpus, one range of
+// pairs per worker, gives the reference matches at every GOMAXPROCS.
+func TestMatchPairsCorpusWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	abt := datagen.AbtBuy()
+	abt.CoreEntities, abt.AOnly, abt.BDup = 150, 12, 14
+	c := datagen.Generate(abt).Collection
+	pairs := candidatePairs(c)
+	tok := tokenize.Options{}
+	want := refMatchPairs(c, pairs, refJaccard(tok), 0.3)
+	for _, procs := range []int{1, 2, 5, 64} {
+		runtime.GOMAXPROCS(procs)
+		got := MatchPairsCorpus(tokenize.NewCorpus(c, tok), pairs, JaccardMeasure(tok), 0.3)
+		requireSameMatches(t, fmt.Sprintf("GOMAXPROCS=%d", procs), want, got)
 	}
 }
 
@@ -711,4 +755,26 @@ func TestProfileBagMatchesTokens(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkPrepareBags times the matcher's preparation on the
+// batch-resolve collection: from the collection (tokenisation included)
+// and from the corpus a pass has already built.
+func BenchmarkPrepareBags(b *testing.B) {
+	c := datagen.Generate(datagen.AbtBuy().Scaled(2)).Collection
+	measure := JaccardMeasure(tokenize.Options{})
+	b.Run("collection", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			measure.Prepare(c)
+		}
+	})
+	b.Run("corpus", func(b *testing.B) {
+		cp := tokenize.NewCorpus(c, tokenize.Options{})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			prepare(measure, cp)
+		}
+	})
 }

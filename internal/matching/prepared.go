@@ -3,14 +3,13 @@ package matching
 import (
 	"cmp"
 	"slices"
-	"sync"
 
 	"sparker/internal/profile"
 	"sparker/internal/tokenize"
 )
 
-// bags is a profile slice tokenised once, the operand every built-in
-// whole-profile measure scores from: profile i's distinct token IDs,
+// bags is a collection's whole-profile token bags, the operand every
+// built-in measure scores from: profile i's distinct token IDs,
 // ascending, are ids[start[i]:start[i+1]], so the overlap of two
 // profiles is a linear merge of two integer runs instead of two
 // tokenisations and two hash sets per pair (the set-similarity-join
@@ -28,90 +27,58 @@ type bags struct {
 // of returns profile i's distinct token IDs, ascending.
 func (b *bags) of(i profile.ID) []uint32 { return b.ids[b.start[i]:b.start[i+1]] }
 
-// bagScratch is the reusable workspace of whole-profile tokenisation.
-type bagScratch struct {
-	toks []string
-	tok  tokenize.Scratch
-}
-
-var bagScratchPool = sync.Pool{New: func() any { return &bagScratch{} }}
-
-// appendBag appends the tokens of every attribute value of p to dst.
-func appendBag(dst []string, p *profile.Profile, tok tokenize.Options, sc *tokenize.Scratch) []string {
-	for _, kv := range p.Attributes {
-		dst = tok.AppendTokens(dst, kv.Value, sc)
-	}
-	return dst
-}
-
-// prepareBags tokenises every profile exactly once and interns the
-// tokens to dense IDs. IDs are assigned in first-seen order unless
-// byTerm is set, which ranks them by term and keeps the term
-// frequencies: ascending-ID order is then the sorted-term order TF-IDF
-// sums in, which keeps its scores bit-identical across runs.
-func prepareBags(ps []profile.Profile, tok tokenize.Options, byTerm bool) *bags {
-	sc := bagScratchPool.Get().(*bagScratch)
-	b := &bags{start: make([]int, len(ps)+1)}
-	intern := map[string]uint32{}
-	for i := range ps {
-		sc.toks = appendBag(sc.toks[:0], &ps[i], tok, &sc.tok)
-		for _, t := range sc.toks {
-			id, ok := intern[t]
-			if !ok {
-				id = uint32(len(b.vocab))
-				intern[t] = id
-				b.vocab = append(b.vocab, t)
-			}
-			b.ids = append(b.ids, id)
-		}
-		b.start[i+1] = len(b.ids)
-	}
-	bagScratchPool.Put(sc)
-
+// bagsOf reads every profile's bag out of the corpus. IDs are the
+// corpus's own unless byTerm is set, which ranks them by term and keeps
+// the term frequencies: ascending-ID order is then the sorted-term order
+// TF-IDF sums in, which keeps its scores bit-identical across runs.
+func bagsOf(cp *tokenize.Corpus, byTerm bool) *bags {
+	n := cp.Len()
+	b := &bags{start: make([]int, n+1), vocab: cp.Vocab}
+	var rank []uint32 // rank[corpus ID] = ID by term
 	if byTerm {
-		order := make([]uint32, len(b.vocab)) // order[rank] = first-seen ID
+		order := make([]uint32, len(cp.Vocab)) // order[rank] = corpus ID
 		for i := range order {
 			order[i] = uint32(i)
 		}
-		slices.SortFunc(order, func(x, y uint32) int { return cmp.Compare(b.vocab[x], b.vocab[y]) })
-		rank := make([]uint32, len(order))
-		vocab := make([]string, len(order))
+		slices.SortFunc(order, func(x, y uint32) int { return cmp.Compare(cp.Vocab[x], cp.Vocab[y]) })
+		rank = make([]uint32, len(order))
+		b.vocab = make([]string, len(order))
 		for r, id := range order {
 			rank[id] = uint32(r)
-			vocab[r] = b.vocab[id]
+			b.vocab[r] = cp.Vocab[id]
 		}
-		for i, id := range b.ids {
-			b.ids[i] = rank[id]
-		}
-		b.vocab = vocab
-		b.tf = make([]uint32, len(b.ids))
+	}
+	total := 0
+	for i := 0; i < n; i++ {
+		total += len(cp.Tokens(i))
+	}
+	b.ids = make([]uint32, 0, total)
+	if byTerm {
+		b.tf = make([]uint32, 0, total)
 	}
 
-	// Sort every run and squeeze its duplicates out in place: the write
-	// cursor never passes the read cursor, so one backing array serves.
-	w := 0
-	for i := range ps {
-		run := b.ids[b.start[i]:b.start[i+1]]
+	// Sort a copy of every profile's tokens and squeeze its repeats out.
+	for i := 0; i < n; i++ {
+		run := append(b.ids[len(b.ids):], cp.Tokens(i)...)
+		if byTerm {
+			for k, id := range run {
+				run[k] = rank[id]
+			}
+		}
 		slices.Sort(run)
-		b.start[i] = w
 		for k, id := range run {
 			if k > 0 && id == run[k-1] {
 				if byTerm {
-					b.tf[w-1]++
+					b.tf[len(b.tf)-1]++
 				}
 				continue
 			}
-			b.ids[w] = id
+			b.ids = append(b.ids, id)
 			if byTerm {
-				b.tf[w] = 1
+				b.tf = append(b.tf, 1)
 			}
-			w++
 		}
-	}
-	b.start[len(ps)] = w
-	b.ids = b.ids[:w]
-	if byTerm {
-		b.tf = b.tf[:w]
+		b.start[i+1] = len(b.ids)
 	}
 	return b
 }

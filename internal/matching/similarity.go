@@ -9,16 +9,15 @@
 // A Measure has a prepare-once / score-many shape, and that is the only
 // path: MatchPairs, MatchPairsDistributed, ScorePairs and TuneThreshold
 // call Measure.Prepare on the collection once and score every pair from
-// the result. The built-in whole-profile measures prepare by tokenising
-// each profile exactly once into a distinct, sorted run of interned
-// token IDs (prepareBags) and score a pair by a linear merge of two runs
-// — for TF-IDF the IDs follow sorted-term order and carry the term
-// weights, so sums keep their order. A custom MeasureFunc prepares to
-// itself. Preparation costs one tokenisation per profile where the old
-// per-pair scorer paid two per pair, so it is amortised as soon as
-// pairs outnumber profiles — always, after meta-blocking (tens of
-// candidates per profile). Scores are bit-identical to the per-pair
-// implementations retained in matching_test.go.
+// the result. The built-in whole-profile measures prepare from a
+// tokenize.Corpus — the one a batch pass has already built
+// (MatchPairsCorpus, MatchPairsDistributedCorpus), or one built for the
+// call — as a distinct, sorted run of token IDs per profile (bagsOf),
+// and score a pair by a linear merge of two runs; for TF-IDF the IDs
+// follow sorted-term order and carry the term weights, so sums keep
+// their order. A custom MeasureFunc prepares to itself. Scores are
+// bit-identical to the per-pair implementations retained in
+// matching_test.go.
 package matching
 
 import (
@@ -26,6 +25,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"sparker/internal/profile"
 	"sparker/internal/tokenize"
@@ -277,10 +277,13 @@ func TrigramJaccard(a, b string) float64 {
 // ProfileBag returns the concatenated token bag of every attribute value
 // of a profile (nil for a profile without tokens). The slice is the
 // caller's own; the tokens are derived through a pooled tokenizer
-// workspace, as the batch blocker derives its keys.
+// workspace.
 func ProfileBag(p *profile.Profile, tok tokenize.Options) []string {
 	sc := bagScratchPool.Get().(*bagScratch)
-	sc.toks = appendBag(sc.toks[:0], p, tok, &sc.tok)
+	sc.toks = sc.toks[:0]
+	for _, kv := range p.Attributes {
+		sc.toks = tok.AppendTokens(sc.toks, kv.Value, &sc.tok)
+	}
 	var out []string
 	if len(sc.toks) > 0 {
 		out = slices.Clone(sc.toks)
@@ -288,6 +291,14 @@ func ProfileBag(p *profile.Profile, tok tokenize.Options) []string {
 	bagScratchPool.Put(sc)
 	return out
 }
+
+// bagScratch is ProfileBag's reusable tokenizer workspace.
+type bagScratch struct {
+	toks []string
+	tok  tokenize.Scratch
+}
+
+var bagScratchPool = sync.Pool{New: func() any { return &bagScratch{} }}
 
 // TFIDF is a corpus model for cosine similarity over profile bags; it
 // stands in for the CSA document-similarity measure cited by the paper.
@@ -299,29 +310,41 @@ type TFIDF struct {
 
 // NewTFIDF builds the model from every profile in the collection.
 func NewTFIDF(c *profile.Collection, tok tokenize.Options) *TFIDF {
-	b := prepareBags(c.Profiles, tok, false)
-	df := make([]int, len(b.vocab))
-	for _, id := range b.ids {
-		df[id]++
+	return NewTFIDFCorpus(tokenize.NewCorpus(c, tok))
+}
+
+// NewTFIDFCorpus is NewTFIDF over a collection already tokenised: a
+// token's document frequency is the number of profiles whose bag holds
+// its ID.
+func NewTFIDFCorpus(cp *tokenize.Corpus) *TFIDF {
+	df := make([]int, len(cp.Vocab))
+	last := make([]int, len(cp.Vocab)) // 1 + the last profile counted
+	for i := 0; i < cp.Len(); i++ {
+		for _, id := range cp.Tokens(i) {
+			if last[id] != i+1 {
+				last[id] = i + 1
+				df[id]++
+			}
+		}
 	}
-	m := &TFIDF{idf: make(map[string]float64, len(df)), tok: tok, docs: c.Size()}
+	m := &TFIDF{idf: make(map[string]float64, len(df)), tok: cp.Options, docs: cp.Len()}
 	for id, n := range df {
-		m.idf[b.vocab[id]] = math.Log(float64(m.docs+1) / float64(n+1))
+		m.idf[cp.Vocab[id]] = math.Log(float64(m.docs+1) / float64(n+1))
 	}
 	return m
 }
 
 // Cosine computes cosine similarity of two profiles' TF-IDF vectors.
 func (m *TFIDF) Cosine(a, b *profile.Profile) float64 {
-	return m.prepare([]profile.Profile{*a, *b})(0, 1)
+	return m.prepareCorpus(pairCorpus(a, b, m.tok))(0, 1)
 }
 
-// prepare weighs every profile's terms once. Terms carry IDs in sorted
-// order, so the norms and every pair's dot product are accumulated in
-// sorted-term order: scores are bit-identical across runs and between
-// the one-off and the batch path.
-func (m *TFIDF) prepare(ps []profile.Profile) PairScorer {
-	b := prepareBags(ps, m.tok, true)
+// prepareCorpus weighs every profile's terms once. Terms carry IDs in
+// sorted order, so the norms and every pair's dot product are
+// accumulated in sorted-term order: scores are bit-identical across runs
+// and between the one-off and the batch path.
+func (m *TFIDF) prepareCorpus(cp *tokenize.Corpus) PairScorer {
+	b := bagsOf(cp, true)
 	idf := make([]float64, len(b.vocab))
 	for id, t := range b.vocab {
 		v, ok := m.idf[t]
@@ -331,8 +354,8 @@ func (m *TFIDF) prepare(ps []profile.Profile) PairScorer {
 		idf[id] = v
 	}
 	weights := make([]float64, len(b.ids))
-	norms := make([]float64, len(ps)) // √Σx², 0 for an empty vector
-	for i := range ps {
+	norms := make([]float64, cp.Len()) // √Σx², 0 for an empty vector
+	for i := range norms {
 		var sq float64
 		for k := b.start[i]; k < b.start[i+1]; k++ {
 			x := float64(b.tf[k]) * idf[b.ids[k]]

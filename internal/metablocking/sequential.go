@@ -2,11 +2,10 @@ package metablocking
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
-	"sync"
 
 	"sparker/internal/blocking"
+	"sparker/internal/kernel"
 	"sparker/internal/profile"
 )
 
@@ -24,30 +23,16 @@ func Run(idx *blocking.Index, opts Options) []Edge {
 	return slices.Concat(slices.Concat(chunks...)...)
 }
 
-// inRanges splits ids into one contiguous range per GOMAXPROCS worker,
-// runs pass on the ranges concurrently, each on a scratch leased from
-// g's pool, and returns the results in range order. The calling
-// goroutine takes the last range. A range with no node (more workers
-// than ids) runs nothing and leaves its result zero.
+// inRanges runs pass over ids cut into one contiguous range per
+// GOMAXPROCS worker (kernel.ForRanges), each range on a scratch leased
+// from g's pool, and returns the results in range order.
 func inRanges[T any](g *graphContext, ids []profile.ID, pass func(part []profile.ID, s *neighbourScratch) T) []T {
-	out := make([]T, runtime.GOMAXPROCS(0))
-	run := func(i int) {
-		if part := ids[i*len(ids)/len(out) : (i+1)*len(ids)/len(out)]; len(part) > 0 {
-			s := g.scratch.get()
-			defer g.scratch.put(s)
-			out[i] = pass(part, s)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := range len(out) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run(i)
-		}()
-	}
-	run(len(out) - 1)
-	wg.Wait()
+	out := make([]T, kernel.Ranges(len(ids)))
+	kernel.ForRanges(len(ids), len(out), func(r, lo, hi int) {
+		s := g.scratch.get()
+		defer g.scratch.put(s)
+		out[r] = pass(ids[lo:hi], s)
+	})
 	return out
 }
 

@@ -1,9 +1,11 @@
 // Package tokenize turns attribute values into the tokens used as
 // schema-agnostic blocking keys and as the vocabulary for LSH attribute
-// partitioning, entropy extraction, and similarity scoring.
+// partitioning, entropy extraction, and similarity scoring. A Corpus
+// holds a whole collection tokenised once, for the batch stages to share.
 package tokenize
 
 import (
+	"maps"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -52,14 +54,7 @@ func Normalize(s string) string {
 
 // Tokens splits s into normalised tokens according to the options.
 func (o Options) Tokens(s string) []string {
-	stop := o.StopWords
-	if stop == nil {
-		stop = DefaultStopWords
-	}
-	minLen := o.MinLength
-	if minLen < 1 {
-		minLen = 1
-	}
+	stop, minLen := o.stopWords(), o.minLength()
 	fields := strings.Fields(Normalize(s))
 	out := make([]string, 0, len(fields))
 	for _, f := range fields {
@@ -74,9 +69,27 @@ func (o Options) Tokens(s string) []string {
 	return out
 }
 
+// stopWords is the effective stop-word set: nil means DefaultStopWords.
+func (o Options) stopWords() map[string]bool {
+	if o.StopWords == nil {
+		return DefaultStopWords
+	}
+	return o.StopWords
+}
+
+// minLength is the effective minimum token length: at least 1.
+func (o Options) minLength() int { return max(o.MinLength, 1) }
+
+// Equal reports whether o and p tokenise every string alike: the same
+// effective minimum length, number rule and stop words.
+func (o Options) Equal(p Options) bool {
+	return o.minLength() == p.minLength() && o.DropNumbers == p.DropNumbers &&
+		maps.Equal(o.stopWords(), p.stopWords())
+}
+
 // Scratch is a reusable tokenizer workspace for AppendTokens: the
 // normalisation buffer and the token intern table live across calls, so
-// steady-state tokenization of a hot loop (the batch blocker's workers,
+// steady-state tokenization of a hot loop (the corpus build's workers,
 // the online index's queries) allocates only when a token is seen for
 // the first time. A Scratch must not be shared between goroutines; pool
 // one per worker.
@@ -110,14 +123,15 @@ func (o Options) AppendTokens(dst []string, s string, sc *Scratch) []string {
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	stop := o.StopWords
-	if stop == nil {
-		stop = DefaultStopWords
-	}
-	minLen := o.MinLength
-	if minLen < 1 {
-		minLen = 1
-	}
+	o.eachToken(s, sc, func(f []byte) { dst = append(dst, sc.internToken(f)) })
+	return dst
+}
+
+// eachToken calls yield with every token of s, in order, as a view into
+// the scratch's normalisation buffer that is valid only until yield
+// returns: AppendTokens interns the views, a Corpus maps them to IDs.
+func (o Options) eachToken(s string, sc *Scratch, yield func(tok []byte)) {
+	stop, minLen := o.stopWords(), o.minLength()
 	buf := sc.buf[:0]
 	for _, r := range s {
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
@@ -144,9 +158,8 @@ func (o Options) AppendTokens(dst []string, s string, sc *Scratch) []string {
 		if o.DropNumbers && isNumericBytes(f) {
 			continue
 		}
-		dst = append(dst, sc.internToken(f))
+		yield(f)
 	}
-	return dst
 }
 
 func isNumericBytes(b []byte) bool {

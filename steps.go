@@ -24,10 +24,11 @@ type BlockingOptions = blocking.Options
 // BlockIndex is the profile-to-blocks index meta-blocking consumes.
 type BlockIndex = blocking.Index
 
-// TokenBlocking builds blocks on the local machine with the parallel
-// sharded build (schema-agnostic when opts.Clustering is nil,
-// loose-schema otherwise). opts.Workers bounds the parallelism (default
-// GOMAXPROCS); the output is identical for every worker count.
+// TokenBlocking builds blocks on the local machine (schema-agnostic when
+// opts.Clustering is nil, loose-schema otherwise): the collection is
+// tokenised once, one range of profiles per GOMAXPROCS worker, and the
+// blocks are built by counting. The output is identical for every
+// worker count.
 func TokenBlocking(c *Collection, opts BlockingOptions) *BlockCollection {
 	return blocking.TokenBlocking(c, opts)
 }
