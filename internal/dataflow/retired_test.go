@@ -249,63 +249,6 @@ func (a *Accumulator) Add(delta int64) { a.v.Add(delta) }
 // Value reads the running total.
 func (a *Accumulator) Value() int64 { return a.v.Load() }
 
-// ZipWithIndex pairs every element with its global ordinal (partition
-// order), like Spark's zipWithIndex. It materialises partition sizes
-// first, which costs one extra pass.
-func ZipWithIndex[T any](r *RDD[T]) *RDD[KV[int64, T]] {
-	// Partition sizes are computed lazily at prepare time so lineage stays
-	// intact.
-	type state struct {
-		offsets []int64
-		err     error
-		done    bool
-	}
-	st := &state{}
-	prepare := func() error {
-		if err := r.prepare(); err != nil {
-			return err
-		}
-		if st.done {
-			return st.err
-		}
-		st.done = true
-		sizes := make([]int64, r.parts)
-		err := r.ctx.runStage(r.parts, func(tc *TaskContext) error {
-			data, err := r.partition(tc.Partition, tc)
-			if err != nil {
-				return err
-			}
-			sizes[tc.Partition] = int64(len(data))
-			return nil
-		})
-		if err != nil {
-			st.err = err
-			return err
-		}
-		st.offsets = make([]int64, r.parts)
-		var total int64
-		for i, n := range sizes {
-			st.offsets[i] = total
-			total += n
-		}
-		return nil
-	}
-	return newRDD(r.ctx, r.name+".zipWithIndex", r.parts, prepare, func(p int, tc *TaskContext) ([]KV[int64, T], error) {
-		if st.err != nil {
-			return nil, st.err
-		}
-		data, err := r.partition(p, tc)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]KV[int64, T], len(data))
-		for i, v := range data {
-			out[i] = KV[int64, T]{Key: st.offsets[p] + int64(i), Value: v}
-		}
-		return out, nil
-	})
-}
-
 // Fold aggregates with a zero value and a single combining function.
 // Exactly like Spark's fold, the zero value is applied once per partition
 // and once more when merging the partials, so it must be the identity of
@@ -554,34 +497,6 @@ func TestAccumulator(t *testing.T) {
 	}
 	if acc.Value() != 100 {
 		t.Fatalf("acc=%d", acc.Value())
-	}
-}
-
-func TestZipWithIndex(t *testing.T) {
-	ctx := newTestContext(t, 3)
-	r := Parallelize(ctx, []string{"a", "b", "c", "d", "e"}, 3)
-	got, err := ZipWithIndex(r).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 {
-		t.Fatalf("elements: %d", len(got))
-	}
-	for i, kv := range got {
-		if kv.Key != int64(i) {
-			t.Fatalf("index %d has ordinal %d", i, kv.Key)
-		}
-	}
-	if got[0].Value != "a" || got[4].Value != "e" {
-		t.Fatalf("values reordered: %v", got)
-	}
-}
-
-func TestZipWithIndexEmpty(t *testing.T) {
-	ctx := newTestContext(t, 2)
-	got, err := ZipWithIndex(Empty[int](ctx)).Collect()
-	if err != nil || len(got) != 0 {
-		t.Fatalf("got %v err %v", got, err)
 	}
 }
 

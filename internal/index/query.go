@@ -8,7 +8,6 @@ import (
 	"sparker/internal/blocking"
 	"sparker/internal/core"
 	"sparker/internal/evaluation"
-	"sparker/internal/kernel"
 	"sparker/internal/matching"
 	"sparker/internal/metablocking"
 	"sparker/internal/obs"
@@ -70,16 +69,14 @@ type QueryResult struct {
 }
 
 // queryScratch is the flat-array candidate kernel of the query hot path:
-// the shared dense, epoch-stamped scratch primitive the meta-blocker
-// uses, instantiated with the co-occurrence statistics every weight
-// scheme reads (the meta-blocker's own, filled through the same Add) and
-// indexed by the index's dense internal profile IDs. Scratches are
-// pooled on the Index (sync.Pool is per-P sharded, so concurrent queries
-// never contend), replacing the historical per-query map that
-// re-allocated and re-hashed per query. Kernel growth (Slot's Ensure
-// path) also covers concurrent upserts appending fresh profiles to a
-// posting between the size probe and the scan.
-type queryScratch = kernel.Scratch[metablocking.PairStats]
+// the meta-blocker's own dense pair accumulator, filled through the same
+// AddBlock and indexed by the index's dense internal profile IDs.
+// Scratches are pooled on the Index (sync.Pool is per-P sharded, so
+// concurrent queries never contend), replacing the historical per-query
+// map that re-allocated and re-hashed per query. AddBlock's growth also
+// covers concurrent upserts appending fresh profiles to a posting
+// between the size probe and the scan.
+type queryScratch = metablocking.Accumulator
 
 // getScratch leases a query scratch sized for the current ID space.
 func (x *Index) getScratch() *queryScratch {
@@ -222,15 +219,10 @@ func (x *Index) queryBudget(p *profile.Profile, budget Budget, kb *keyBuf) *Quer
 		if useEntropy {
 			entropy = x.cfg.Entropy.EntropyOf(pl.cluster)
 		}
-		c := metablocking.BlockContribution(entropy, pl.comparisons(x.clean))
+		c := metablocking.BlockContribution(x.cfg.Scheme, useEntropy, entropy, pl.comparisons(x.clean))
 		visit := func(ids []profile.ID) {
 			res.PostingsScanned += len(ids)
-			for _, id := range ids {
-				if id == selfID {
-					continue
-				}
-				sc.Slot(id).Add(c)
-			}
+			sc.AddBlock(ids, selfID, c)
 		}
 		if x.clean {
 			// Clean-clean: candidates live in the opposite source only.

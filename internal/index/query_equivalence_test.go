@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"sparker/internal/blocking"
 	"sparker/internal/matching"
 	"sparker/internal/metablocking"
 	"sparker/internal/profile"
@@ -29,10 +30,20 @@ type candAcc struct {
 
 // weight hands the reference's statistics to metablocking.Weight, the
 // one formula (pinned bitwise against the batch reference's own copy in
-// internal/metablocking/reference_test.go).
+// internal/metablocking/reference_test.go), folding the four sums into
+// the one Sum the scheme reads only here.
 func (x *Index) weight(a *candAcc, queryKeys, candKeys int, numBlocks float64) float64 {
-	st := metablocking.PairStats{CBS: int32(a.cbs), ARCS: a.arcs, EntropySum: a.entropySum, EntropyARCS: a.entArcs}
-	return metablocking.Weight(x.cfg.Scheme, &st, x.cfg.Entropy != nil, queryKeys, candKeys, numBlocks, 1)
+	useEntropy := x.cfg.Entropy != nil
+	st := metablocking.PairStats{CBS: int32(a.cbs), Sum: float64(a.cbs)}
+	switch {
+	case x.cfg.Scheme == metablocking.ARCS && useEntropy:
+		st.Sum = a.entArcs
+	case x.cfg.Scheme == metablocking.ARCS:
+		st.Sum = a.arcs
+	case useEntropy:
+		st.Sum = a.entropySum
+	}
+	return metablocking.Weight(x.cfg.Scheme, &st, useEntropy, queryKeys, candKeys, numBlocks, 1)
 }
 
 // refCandidates replicates Query on the historical map accumulator path.
@@ -166,6 +177,29 @@ type rampEntropy struct{}
 
 func (rampEntropy) EntropyOf(cluster int) float64 { return 0.25 + 0.4*float64(cluster+2) }
 
+// nameClustering puts the "name" attribute in cluster 0 and every other
+// attribute in cluster 1.
+type nameClustering struct{}
+
+func (nameClustering) ClusterOf(_ int, attribute string) int {
+	if attribute == "name" {
+		return 0
+	}
+	return 1
+}
+
+// holeEntropy zeroes the entropy of cluster 0, so under nameClustering a
+// candidate that shares only name keys with the query sums to 0 and only
+// its shared-key count marks it touched.
+type holeEntropy struct{}
+
+func (holeEntropy) EntropyOf(cluster int) float64 {
+	if cluster == 0 {
+		return 0
+	}
+	return rampEntropy{}.EntropyOf(cluster)
+}
+
 // synthQueryProfiles builds overlapping-token profiles across sources.
 func synthQueryProfiles(n, sources int, seed uint64) []profile.Profile {
 	next := seed*2654435761 + 1
@@ -190,16 +224,18 @@ func TestQueryMatchesMapReference(t *testing.T) {
 		if clean {
 			sources = 2
 		}
-		for _, useEntropy := range []bool{false, true} {
+		for _, ent := range []struct {
+			name       string
+			clustering blocking.AttributeClustering
+			entropy    metablocking.EntropyProvider
+		}{{"flat", nil, nil}, {"entropy", lenClustering{}, rampEntropy{}}, {"zero-entropy", nameClustering{}, holeEntropy{}}} {
 			for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.EJS, metablocking.ARCS} {
 				for _, rule := range []PruneRule{PruneTopK, PruneMean, PruneNone} {
 					cfg := DefaultConfig()
 					cfg.Scheme = scheme
 					cfg.Prune = rule
-					if useEntropy {
-						cfg.Clustering = lenClustering{}
-						cfg.Entropy = rampEntropy{}
-					}
+					cfg.Clustering = ent.clustering
+					cfg.Entropy = ent.entropy
 					x := New(clean, cfg)
 					if scheme == metablocking.EJS && x.cfg.Scheme != metablocking.JS {
 						t.Fatalf("an EJS index weighs by %v; want JS (no node degrees online)", x.cfg.Scheme)
@@ -209,7 +245,8 @@ func TestQueryMatchesMapReference(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					label := fmt.Sprintf("clean=%v entropy=%v %v/%v", clean, useEntropy, scheme, rule)
+					label := fmt.Sprintf("clean=%v %s %v/%v", clean, ent.name, scheme, rule)
+					zeroes := 0
 					for _, p := range synthQueryProfiles(60, sources, 5) {
 						p := p
 						want := refCandidates(x, &p)
@@ -223,7 +260,13 @@ func TestQueryMatchesMapReference(t *testing.T) {
 								t.Fatalf("%s query %s candidate %d: %+v vs reference %+v",
 									label, p.OriginalID, i, got[i], want[i])
 							}
+							if want[i].Weight == 0 {
+								zeroes++
+							}
 						}
+					}
+					if ent.entropy == (holeEntropy{}) && scheme == metablocking.CBS && rule == PruneNone && zeroes == 0 {
+						t.Fatalf("%s: no candidate is reached through zero-entropy keys only", label)
 					}
 				}
 			}

@@ -148,7 +148,8 @@ func (f weighFixture) weigh(x *Index, n int, budget Budget) (*QueryResult, int) 
 	sc := x.getScratch()
 	defer x.putScratch(sc)
 	for i, id := range f.touched[:n] {
-		*sc.Slot(id) = f.accs[i]
+		sc.AddBlock([]profile.ID{id}, -1, 0)
+		*sc.At(id) = f.accs[i]
 	}
 	res := &QueryResult{}
 	dropped := x.weigh(res, 7, sc, budget)
@@ -189,6 +190,7 @@ func TestTopKSelectionMidWeighDeadline(t *testing.T) {
 	for i := range f.touched {
 		f.touched[i] = profile.ID((i * 7919) % n) // a permutation: 7919 is prime to n
 		f.accs[i].CBS = int32(1 + i%4)
+		f.accs[i].Sum = float64(f.accs[i].CBS)
 	}
 	x := f.index(0)
 	for d := 5 * time.Microsecond; d < time.Second; d += d / 2 {
@@ -216,8 +218,8 @@ func TestTopKSelectionMidWeighDeadline(t *testing.T) {
 }
 
 // selectionFixture decodes fuzz bytes into a neighbourhood of up to 4096
-// candidates: two bytes each (shared keys 1–4, block count 3–6, coarse
-// ARCS and entropy shares), IDs a permutation so
+// candidates: two bytes each (shared keys 1–4, block count 3–6, a coarse
+// contribution sum), IDs a permutation so
 // first-touch order is unrelated to ID order. Few distinct values per
 // field means most candidates tie on weight.
 func selectionFixture(data []byte) weighFixture {
@@ -227,9 +229,7 @@ func selectionFixture(data []byte) weighFixture {
 		a, b := data[2*i], data[2*i+1]
 		// A touched candidate shares at least one key with the query.
 		acc := metablocking.PairStats{CBS: int32(1 + a&3)}
-		acc.ARCS = float64(b&7) / 8
-		acc.EntropySum = float64(acc.CBS) * (0.5 + float64(b>>3&3)/4)
-		acc.EntropyARCS = acc.ARCS * 0.75
+		acc.Sum = float64(acc.CBS) * (float64(b&7)/8 + float64(b>>3&3)/4)
 		f.touched[i] = profile.ID((i * 7919) % n) // a permutation: 7919 is a prime above n
 		f.accs[i] = acc
 		f.keys[i] = 3 + int(a>>4&3)

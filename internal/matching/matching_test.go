@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -777,4 +778,66 @@ func BenchmarkPrepareBags(b *testing.B) {
 			prepare(measure, cp)
 		}
 	})
+}
+
+// TestIntersectSortedMatchesMapCount holds the branch-free merge to a
+// map-based count: random ascending runs of distinct IDs, and the edge
+// cases of a merge — empty, disjoint, identical and prefix runs, and IDs
+// near MaxUint32, where an overflowing comparison would show.
+func TestIntersectSortedMatchesMapCount(t *testing.T) {
+	mapCount := func(a, b []uint32) int {
+		in := make(map[uint32]bool, len(a))
+		for _, x := range a {
+			in[x] = true
+		}
+		n := 0
+		for _, y := range b {
+			if in[y] {
+				n++
+			}
+		}
+		return n
+	}
+	// run draws n distinct IDs from [base, base+span), ascending.
+	rng := rand.New(rand.NewSource(34))
+	run := func(n int, base, span uint32) []uint32 {
+		seen := map[uint32]bool{}
+		out := make([]uint32, 0, n)
+		for len(out) < n && len(out) < int(span) {
+			if x := base + uint32(rng.Int63n(int64(span))); !seen[x] {
+				seen[x] = true
+				out = append(out, x)
+			}
+		}
+		slices.Sort(out)
+		return out
+	}
+	top := uint32(math.MaxUint32)
+	cases := map[string][2][]uint32{
+		"both empty":     {nil, nil},
+		"left empty":     {nil, {1, 2, 3}},
+		"right empty":    {{1, 2, 3}, {}},
+		"disjoint":       {{1, 3, 5, 7}, {0, 2, 4, 6, 8}},
+		"disjoint tails": {{1, 2, 3}, {10, 11}},
+		"identical":      {{0, 4, 9, 17}, {0, 4, 9, 17}},
+		"prefix":         {{2, 3, 5}, {2, 3, 5, 7, 11}},
+		"prefix of left": {{2, 3, 5, 7, 11}, {2, 3}},
+		"near max":       {{0, top - 2, top - 1, top}, {top - 3, top - 1, top}},
+		"max only":       {{top}, {top}},
+	}
+	for i := range 200 {
+		span := uint32(8 + rng.Intn(200))
+		base := uint32(0)
+		if i%4 == 0 {
+			base = top - span + 1
+		}
+		cases[fmt.Sprintf("random %d", i)] = [2][]uint32{run(rng.Intn(40), base, span), run(rng.Intn(40), base, span)}
+	}
+	for name, c := range cases {
+		for _, ab := range [][2][]uint32{c, {c[1], c[0]}} {
+			if got, want := intersectSorted(ab[0], ab[1]), mapCount(ab[0], ab[1]); got != want {
+				t.Fatalf("%s: %v ∩ %v counted %d, map count %d", name, ab[0], ab[1], got, want)
+			}
+		}
+	}
 }

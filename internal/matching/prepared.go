@@ -83,20 +83,26 @@ func bagsOf(cp *tokenize.Corpus, byTerm bool) *bags {
 	return b
 }
 
-// intersectSorted counts the IDs two ascending distinct runs share.
+// intersectSorted counts the IDs two ascending distinct runs share. Each
+// step advances past the smaller head, or past both when they are equal,
+// without a branch on the comparison: the merge's outcome is data-driven
+// and unpredictable, so flag arithmetic beats a mispredicted jump.
 func intersectSorted(a, b []uint32) int {
-	n := 0
-	for i, j := 0, 0; i < len(a) && j < len(b); {
-		switch x, y := a[i], b[j]; {
-		case x < y:
-			i++
-		case x > y:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		n += b2i(x == y)
+		i += b2i(x <= y)
+		j += b2i(y <= x)
 	}
 	return n
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, not a jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

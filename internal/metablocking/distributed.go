@@ -86,10 +86,7 @@ func RunNaiveDistributed(ctx *dataflow.Context, idx *blocking.Index, opts Option
 	pairs := dataflow.FlatMap(blocks, func(bi int32) []dataflow.KV[[2]int32, float64] {
 		gg := bcol.Value()
 		b := &gg.idx.Blocks.Blocks[bi]
-		contribution := gg.entropy[bi] // 1 when entropy is disabled
-		if gg.scheme == ARCS {
-			contribution = gg.entropy[bi] / gg.comparison[bi]
-		}
+		contribution := gg.blockSum[bi]
 		var out []dataflow.KV[[2]int32, float64]
 		emit := func(x, y profile.ID) {
 			if y < x {

@@ -4,18 +4,90 @@ import (
 	"slices"
 	"sync"
 
-	"sparker/internal/kernel"
+	"sparker/internal/profile"
 )
 
-// neighbourScratch is the flat-array neighbourhood kernel: the
-// allocation-free replacement of the historical
-// map of per-pair accumulators, instantiated from the shared
-// kernel.Scratch primitive (dense ID-indexed slots, epoch-stamped
-// O(touched) clears). One scratch serves one worker at a time: Run
-// leases one per worker range, RunDistributed one per dataflow task,
-// both from the graphContext's sync.Pool.
+// Accumulator is the flat pair-statistics kernel of both meta-blocking
+// hot paths, the batch neighbourhood pass and the online index's
+// candidate scan: a dense PairStats slot per profile ID (the paper's IDs
+// are dense int32s) and a touched list that replaces map iteration. A
+// slot with CBS == 0 is untouched, so no stamp is kept: Begin zeroes the
+// slots the previous round touched, which costs O(touched), not O(maxID).
+// The zero value is usable and grows on demand.
+type Accumulator struct {
+	stats   []PairStats
+	touched []profile.ID
+}
+
+// Begin opens a new accumulation round.
+func (a *Accumulator) Begin() {
+	for _, id := range a.touched {
+		a.stats[id] = PairStats{}
+	}
+	a.touched = a.touched[:0]
+}
+
+// Ensure grows the accumulator to cover profile IDs in [0, n). Slots of
+// the current round survive growth.
+func (a *Accumulator) Ensure(n int) {
+	if n <= len(a.stats) {
+		return
+	}
+	a.stats = append(a.stats, make([]PairStats, max(n, 2*len(a.stats))-len(a.stats))...)
+}
+
+// AddBlock records one shared block, whose contribution is sum, for every
+// member but self. IDs beyond the accumulator's size grow it — the online
+// index can see fresh profiles appear mid-scan.
+func (a *Accumulator) AddBlock(members []profile.ID, self profile.ID, sum float64) {
+	stats, touched := a.stats, a.touched
+	for _, id := range members {
+		if id == self {
+			continue
+		}
+		if int(id) >= len(stats) {
+			a.Ensure(int(id) + 1)
+			stats = a.stats
+		}
+		st := &stats[id]
+		if st.CBS == 0 {
+			touched = append(touched, id)
+		}
+		st.CBS++
+		st.Sum += sum
+	}
+	a.touched = touched
+}
+
+// At returns the statistics of an ID touched this round; use it when
+// iterating Touched.
+func (a *Accumulator) At(id profile.ID) *PairStats { return &a.stats[id] }
+
+// Lookup returns the statistics of id if it was touched this round, or
+// nil.
+func (a *Accumulator) Lookup(id profile.ID) *PairStats {
+	if int(id) >= len(a.stats) || a.stats[id].CBS == 0 {
+		return nil
+	}
+	return &a.stats[id]
+}
+
+// Touched lists the IDs accumulated this round, in first-touch order
+// (or ascending after SortTouched).
+func (a *Accumulator) Touched() []profile.ID { return a.touched }
+
+// SortTouched orders the touched list by profile ID, for consumers that
+// need a deterministic summation order (float addition is not
+// associative, and sequential and distributed runs must agree bitwise).
+func (a *Accumulator) SortTouched() { slices.Sort(a.touched) }
+
+// neighbourScratch is one worker's neighbourhood kernel: the pair
+// accumulator plus the reusable buffers of the passes that read it. One
+// scratch serves one worker at a time: Run leases one per worker range,
+// RunDistributed one per dataflow task, both from the graphContext's
+// sync.Pool.
 type neighbourScratch struct {
-	kernel.Scratch[PairStats]
+	Accumulator
 	// nws is the reusable buffer weightedNeighbours and orderedNeighbours
 	// return; callers must consume it before the next call on this scratch.
 	nws []neighbourWeight
@@ -26,9 +98,11 @@ type neighbourScratch struct {
 	maxima []float64
 }
 
-// newNeighbourScratch sizes a scratch for profile IDs in [0, n).
+// newNeighbourScratch sizes a scratch for profile IDs in [0, n), its
+// touched list included, so a round that touches every slot appends
+// without growing.
 func newNeighbourScratch(n int) *neighbourScratch {
-	return &neighbourScratch{Scratch: *kernel.NewScratch[PairStats](n)}
+	return &neighbourScratch{Accumulator: Accumulator{stats: make([]PairStats, n), touched: make([]profile.ID, 0, n)}}
 }
 
 // kthLargestWeight returns the k-th largest weight of a neighbourhood

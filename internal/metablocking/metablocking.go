@@ -178,7 +178,7 @@ type Edge struct {
 type graphContext struct {
 	idx        *blocking.Index
 	numBlocks  float64
-	comparison []float64 // per block: comparison cardinality
+	blockSum   []float64 // per block: what it adds to a pair's Sum (BlockContribution)
 	entropy    []float64 // per block: cluster entropy (1 when disabled)
 	useEntropy bool
 	scheme     Scheme
@@ -199,7 +199,7 @@ func newGraphContext(idx *blocking.Index, opts Options) *graphContext {
 	g := &graphContext{
 		idx:        idx,
 		numBlocks:  float64(len(blocks)),
-		comparison: make([]float64, len(blocks)),
+		blockSum:   make([]float64, len(blocks)),
 		entropy:    make([]float64, len(blocks)),
 		useEntropy: opts.Entropy != nil,
 		scheme:     opts.Scheme,
@@ -210,12 +210,12 @@ func newGraphContext(idx *blocking.Index, opts Options) *graphContext {
 		if c < 1 {
 			c = 1
 		}
-		g.comparison[i] = float64(c)
 		if g.useEntropy {
 			g.entropy[i] = opts.Entropy.EntropyOf(blocks[i].ClusterID)
 		} else {
 			g.entropy[i] = 1
 		}
+		g.blockSum[i] = BlockContribution(g.scheme, g.useEntropy, g.entropy[i], float64(c))
 	}
 	if needsDegrees(opts.Scheme) {
 		g.computeDegrees(idx.ProfileIDs())
@@ -224,7 +224,7 @@ func newGraphContext(idx *blocking.Index, opts Options) *graphContext {
 }
 
 // neighbourhood materialises the weighted neighbourhood of node id into
-// the flat scratch (cleared first via its epoch). Pairs within the same
+// the flat scratch (cleared first by Begin). Pairs within the same
 // source of a clean-clean task are skipped: each BlockRef carries the
 // profile's side, so the kernel reads the opposite side of every block
 // directly instead of scanning for the profile's membership.
@@ -238,13 +238,7 @@ func (g *graphContext) neighbourhood(id profile.ID, s *neighbourScratch) {
 		if col.CleanClean && !ref.SideB() {
 			others = b.B
 		}
-		c := BlockContribution(g.entropy[bi], g.comparison[bi])
-		for _, other := range others {
-			if other == id {
-				continue
-			}
-			s.Slot(other).Add(c)
-		}
+		s.AddBlock(others, id, g.blockSum[bi])
 	}
 }
 
@@ -316,11 +310,12 @@ func (g *graphContext) forwardOwners(ids []profile.ID) []profile.ID {
 	return ids[:n]
 }
 
-// weight is Weight for the edge (a, b) of this graph: it looks up the
-// endpoints' block counts and, under EJS, their degree factor.
+// weight is Weight for the edge (a, b) of this graph: the pair's Sum
+// under CBS and ARCS; otherwise it looks up the endpoints' block counts
+// and, under EJS, their degree factor.
 func (g *graphContext) weight(a, b profile.ID, st *PairStats) float64 {
 	if !g.scheme.ReadsEndpoints() {
-		return Weight(g.scheme, st, g.useEntropy, 0, 0, 0, 0)
+		return st.Sum
 	}
 	degreeFactor := 1.0
 	if g.degrees != nil {

@@ -22,7 +22,7 @@ import (
 // thresholds — so the two code paths share as little as possible.
 
 // edgeAccumulator is the historical per-pair accumulator, the reference's
-// own since the kernel fills the shared PairStats through Add.
+// own since the kernel fills the shared PairStats through AddBlock.
 type edgeAccumulator struct {
 	cbs        int32   // number of shared blocks
 	arcs       float64 // Σ 1/||b|| over shared blocks
@@ -385,6 +385,25 @@ type rampEntropy struct{}
 
 func (rampEntropy) EntropyOf(cluster int) float64 { return 0.25 + 0.4*float64(cluster+1) }
 
+// holeEntropy zeroes the entropy of the even attribute clusters, so some
+// pairs share only zero-entropy blocks: their Sum stays 0, and only their
+// shared-block count marks them touched in the flat kernel.
+type holeEntropy struct{}
+
+func (holeEntropy) EntropyOf(cluster int) float64 {
+	if cluster%2 == 0 {
+		return 0
+	}
+	return rampEntropy{}.EntropyOf(cluster)
+}
+
+// entropySettings are the entropy rows of the equivalence tests: off, a
+// distinct entropy per cluster, and zero entropy for some clusters.
+var entropySettings = []struct {
+	name string
+	e    EntropyProvider
+}{{"flat", nil}, {"entropy", rampEntropy{}}, {"zero-entropy", holeEntropy{}}}
+
 func requireBitwiseEqual(t *testing.T, label string, want, got []Edge) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -406,7 +425,8 @@ func requireBitwiseEqual(t *testing.T, label string, want, got []Edge) {
 
 // TestFlatKernelMatchesMapReference is the equivalence property of the
 // flat-array kernel: for every scheme × pruning rule × task type ×
-// entropy setting, Run and RunDistributed return bitwise-identical edges
+// entropy setting (zero-entropy clusters included), Run and
+// RunDistributed return bitwise-identical edges
 // to the retained map-based reference. Run maps its passes over one range
 // per GOMAXPROCS worker, so it is held to the reference at several worker
 // counts; at 64 there are more ranges than the 48 nodes, and some are
@@ -416,17 +436,13 @@ func TestFlatKernelMatchesMapReference(t *testing.T) {
 	defer ctx.Close()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, clean := range []bool{false, true} {
-		for _, useEntropy := range []bool{false, true} {
+		for _, ent := range entropySettings {
 			idx := clusteredTestIndex(48, 11, clean)
 			for _, s := range allSchemes() {
 				for _, p := range allPrunings() {
-					opts := Options{Scheme: s, Pruning: p}
-					if useEntropy {
-						opts.Entropy = rampEntropy{}
-					}
+					opts := Options{Scheme: s, Pruning: p, Entropy: ent.e}
 					label := map[bool]string{false: "dirty", true: "clean"}[clean] +
-						"/" + map[bool]string{false: "flat", true: "entropy"}[useEntropy] +
-						"/" + s.String() + "/" + p.String()
+						"/" + ent.name + "/" + s.String() + "/" + p.String()
 					want := refRun(idx, opts)
 					for _, procs := range []int{1, 2, 5, 64} {
 						runtime.GOMAXPROCS(procs)
@@ -510,41 +526,52 @@ func TestBlastFoldEqualsNodeMaximum(t *testing.T) {
 
 // TestFlatKernelNeighbourhoodsMatchReference pins the kernel itself: per
 // node, the flat scratch must reproduce the map accumulator's sorted
-// weighted neighbourhood bitwise, including the EJS degree pass.
+// weighted neighbourhood bitwise, including the EJS degree pass. Under
+// holeEntropy some neighbours are reached only through zero-entropy
+// blocks (weight 0 under CBS); they must still appear.
 func TestFlatKernelNeighbourhoodsMatchReference(t *testing.T) {
 	for _, clean := range []bool{false, true} {
 		idx := clusteredTestIndex(40, 23, clean)
 		ids := idx.ProfileIDs()
-		for _, s := range allSchemes() {
-			opts := Options{Scheme: s, Entropy: rampEntropy{}}
-			g := newGraphContext(idx, opts) // runs its own degree pass
-			rg := newRefGraph(idx, opts)
-			if needsDegrees(s) {
-				rg.computeDegrees(ids)
-			}
-			sc := g.scratch.get()
-			acc := map[profile.ID]*edgeAccumulator{}
-			for _, id := range ids {
-				want := rg.weightedNeighbours(id, acc)
-				got := g.orderedNeighbours(id, sc)
-				if len(want) != len(got) {
-					t.Fatalf("%v node %d: %d neighbours, reference %d", s, id, len(got), len(want))
+		for _, ent := range entropySettings[1:] {
+			for _, s := range allSchemes() {
+				opts := Options{Scheme: s, Entropy: ent.e}
+				g := newGraphContext(idx, opts) // runs its own degree pass
+				rg := newRefGraph(idx, opts)
+				if needsDegrees(s) {
+					rg.computeDegrees(ids)
 				}
-				for i := range want {
-					if want[i].id != got[i].id || math.Float64bits(want[i].w) != math.Float64bits(got[i].w) {
-						t.Fatalf("%v node %d neighbour %d: (%d, %g) vs reference (%d, %g)",
-							s, id, i, got[i].id, got[i].w, want[i].id, want[i].w)
+				sc := g.scratch.get()
+				acc := map[profile.ID]*edgeAccumulator{}
+				zeroes := 0
+				for _, id := range ids {
+					want := rg.weightedNeighbours(id, acc)
+					got := g.orderedNeighbours(id, sc)
+					if len(want) != len(got) {
+						t.Fatalf("%s/%v node %d: %d neighbours, reference %d", ent.name, s, id, len(got), len(want))
+					}
+					for i := range want {
+						if want[i].id != got[i].id || math.Float64bits(want[i].w) != math.Float64bits(got[i].w) {
+							t.Fatalf("%s/%v node %d neighbour %d: (%d, %g) vs reference (%d, %g)",
+								ent.name, s, id, i, got[i].id, got[i].w, want[i].id, want[i].w)
+						}
+						if want[i].w == 0 {
+							zeroes++
+						}
 					}
 				}
+				if ent.e == (holeEntropy{}) && s == CBS && zeroes == 0 {
+					t.Fatalf("clean=%v: no neighbour is reached through zero-entropy blocks only", clean)
+				}
+				g.scratch.put(sc)
 			}
-			g.scratch.put(sc)
 		}
 	}
 }
 
 // TestFlatKernelScratchReuse runs two different graphs through one pooled
 // scratch path back to back, guarding against cross-run contamination of
-// the epoch-stamped slots.
+// the pooled slots.
 func TestFlatKernelScratchReuse(t *testing.T) {
 	a := clusteredTestIndex(30, 3, false)
 	b := clusteredTestIndex(30, 7, false)

@@ -3,33 +3,28 @@ package metablocking
 import "math"
 
 // PairStats gathers the per-pair co-occurrence statistics a weight scheme
-// needs. The batch neighbourhood kernel and the online index's candidate
-// scan fill one per touched profile, through Add; Weight reads it.
+// needs: the number of shared blocks, and the sum of the one per-block
+// contribution the scheme reads (BlockContribution). The batch
+// neighbourhood kernel and the online index's candidate scan fill one per
+// touched profile, through Accumulator; Weight reads it.
 type PairStats struct {
-	CBS         int32   // number of shared blocks
-	ARCS        float64 // Σ 1/||b|| over shared blocks
-	EntropySum  float64 // Σ entropy(cluster(b)) over shared blocks
-	EntropyARCS float64 // Σ entropy/||b||
+	CBS int32   // number of shared blocks; 0 marks an untouched slot
+	Sum float64 // Σ BlockContribution over shared blocks
 }
 
-// Contribution is what one shared block adds to a pair's statistics.
-type Contribution struct {
-	entropy, arcs, entropyARCS float64
-}
-
-// BlockContribution derives a block's contribution from its cluster
-// entropy (1 when entropy weighting is off) and its comparison
-// cardinality, once per block rather than once per member.
-func BlockContribution(entropy, comparisons float64) Contribution {
-	return Contribution{entropy: entropy, arcs: 1 / comparisons, entropyARCS: entropy / comparisons}
-}
-
-// Add records one more shared block.
-func (st *PairStats) Add(c Contribution) {
-	st.CBS++
-	st.ARCS += c.arcs
-	st.EntropySum += c.entropy
-	st.EntropyARCS += c.entropyARCS
+// BlockContribution is what one shared block adds to a pair's Sum under
+// the scheme, derived once per block rather than once per member: ARCS
+// sums entropy/‖b‖, every other scheme sums the block's cluster entropy.
+// With entropy weighting off the entropy is 1, so CBS sums ones (exact in
+// float64) and ARCS sums 1/‖b‖.
+func BlockContribution(scheme Scheme, useEntropy bool, entropy, comparisons float64) float64 {
+	if !useEntropy {
+		entropy = 1
+	}
+	if scheme == ARCS {
+		return entropy / comparisons
+	}
+	return entropy
 }
 
 // Weight computes the scheme weight of one edge from its statistics: the
@@ -39,10 +34,9 @@ func (st *PairStats) Add(c Contribution) {
 // the endpoints' block counts |B_a| and |B_b|, numBlocks the block total;
 // degreeFactor is the EJS node-degree factor
 // LogRatio(|E|, deg a) · LogRatio(|E|, deg b), ignored by every other
-// scheme. With entropy enabled, counting schemes replace each shared
-// block's unit contribution with the block's cluster entropy, and ratio
-// schemes are scaled by the mean entropy of the shared blocks — this is
-// the re-weighting Figure 2(c) shows.
+// scheme. CBS and ARCS are their Sum. With entropy enabled, the ratio
+// schemes are scaled by the mean entropy of the shared blocks, Sum/CBS —
+// this is the re-weighting Figure 2(c) shows.
 func Weight(scheme Scheme, st *PairStats, useEntropy bool, blocksA, blocksB int, numBlocks, degreeFactor float64) float64 {
 	cbs := float64(st.CBS)
 	if cbs == 0 {
@@ -50,16 +44,8 @@ func Weight(scheme Scheme, st *PairStats, useEntropy bool, blocksA, blocksB int,
 	}
 	var w float64
 	switch scheme {
-	case CBS:
-		if useEntropy {
-			return st.EntropySum
-		}
-		return cbs
-	case ARCS:
-		if useEntropy {
-			return st.EntropyARCS
-		}
-		return st.ARCS
+	case CBS, ARCS:
+		return st.Sum
 	case ECBS:
 		w = cbs * LogRatio(numBlocks, float64(blocksA)) * LogRatio(numBlocks, float64(blocksB))
 	case JS, EJS:
@@ -75,14 +61,15 @@ func Weight(scheme Scheme, st *PairStats, useEntropy bool, blocksA, blocksB int,
 		return 0
 	}
 	if useEntropy {
-		w *= st.EntropySum / cbs
+		w *= st.Sum / cbs
 	}
 	return w
 }
 
 // ReadsEndpoints reports whether Weight reads the endpoints' block counts
 // (and, for EJS, degree factor) under the scheme, or only the pair's own
-// statistics: callers skip the per-endpoint lookups for CBS and ARCS.
+// statistics: callers skip the per-endpoint lookups for CBS and ARCS,
+// whose weight is the pair's Sum.
 func (s Scheme) ReadsEndpoints() bool { return s == ECBS || s == JS || s == EJS }
 
 // LogRatio is the clamped log10(total/part) factor of the ECBS and EJS

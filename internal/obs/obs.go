@@ -154,8 +154,8 @@ func Now() int64 { return int64(time.Since(epoch)) }
 // reads total. A clock that was never started ticks as a no-op — the
 // hot path carries one branch, not a nil check per call site, when
 // metrics are disabled. StageClock is a plain value (stack-allocated at
-// the call site), the per-query analogue of the kernel's pooled
-// epoch-stamped scratch: reused storage, zero steady-state allocation.
+// the call site), the per-query analogue of the pooled pair
+// accumulator: reused storage, zero steady-state allocation.
 type StageClock struct {
 	last    int64
 	running bool
