@@ -10,7 +10,6 @@ package dataflow
 // per PR, listing the tests as removed; add nothing to this file.
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -86,52 +85,6 @@ func (r *RDD[T]) ForEach(f func(T)) error {
 		f(v)
 	}
 	return nil
-}
-
-// Reduce combines all elements with an associative, commutative f.
-func Reduce[T any](r *RDD[T], f func(T, T) T) (T, error) {
-	var zero T
-	r.ctx.metrics.JobsRun.Add(1)
-	if err := r.prepare(); err != nil {
-		return zero, err
-	}
-	partial := make([]T, r.parts)
-	nonEmpty := make([]bool, r.parts)
-	err := r.ctx.runStage(r.parts, func(tc *TaskContext) error {
-		data, err := r.partition(tc.Partition, tc)
-		if err != nil {
-			return err
-		}
-		if len(data) == 0 {
-			return nil
-		}
-		acc := data[0]
-		for _, v := range data[1:] {
-			acc = f(acc, v)
-		}
-		partial[tc.Partition] = acc
-		nonEmpty[tc.Partition] = true
-		return nil
-	})
-	if err != nil {
-		return zero, err
-	}
-	var acc T
-	seeded := false
-	for p, ok := range nonEmpty {
-		if !ok {
-			continue
-		}
-		if !seeded {
-			acc, seeded = partial[p], true
-		} else {
-			acc = f(acc, partial[p])
-		}
-	}
-	if !seeded {
-		return zero, fmt.Errorf("dataflow: Reduce on empty RDD")
-	}
-	return acc, nil
 }
 
 // Coalesce reduces the partition count without a shuffle by concatenating
@@ -261,16 +214,6 @@ func Fold[T any](r *RDD[T], zero T, combine func(T, T) T) (T, error) {
 		combine)
 }
 
-// MaxBy returns the element maximising key; errors on an empty RDD.
-func MaxBy[T any](r *RDD[T], less func(a, b T) bool) (T, error) {
-	return Reduce(r, func(a, b T) T {
-		if less(a, b) {
-			return b
-		}
-		return a
-	})
-}
-
 func TestMapPartitionsWithIndexCoversAllPartitions(t *testing.T) {
 	ctx := newTestContext(t, 4)
 	r := Parallelize(ctx, intsUpTo(40), 5)
@@ -290,30 +233,6 @@ func TestMapPartitionsWithIndexCoversAllPartitions(t *testing.T) {
 	}
 	if total != 40 {
 		t.Fatalf("partition sizes sum to %d, want 40", total)
-	}
-}
-
-func TestCountAndReduce(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	r := Parallelize(ctx, intsUpTo(101), 6)
-	n, err := r.Count()
-	if err != nil || n != 101 {
-		t.Fatalf("count=%d err=%v", n, err)
-	}
-	sum, err := Reduce(r, func(a, b int) int { return a + b })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum != 5050 {
-		t.Fatalf("sum=%d want 5050", sum)
-	}
-}
-
-func TestReduceEmptyErrors(t *testing.T) {
-	ctx := newTestContext(t, 2)
-	r := Empty[int](ctx)
-	if _, err := Reduce(r, func(a, b int) int { return a + b }); err == nil {
-		t.Fatal("want error on empty reduce")
 	}
 }
 
@@ -362,27 +281,6 @@ func TestSampleDeterministic(t *testing.T) {
 	}
 	if len(s1) < 50 || len(s1) > 200 {
 		t.Fatalf("sample size %d implausible for 10%% of 1000", len(s1))
-	}
-}
-
-func TestQuickReduceSumMatchesSequential(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	f := func(data []int16) bool {
-		if len(data) == 0 {
-			return true
-		}
-		var want int64
-		ints := make([]int64, len(data))
-		for i, v := range data {
-			ints[i] = int64(v)
-			want += int64(v)
-		}
-		r := Parallelize(ctx, ints, 5)
-		got, err := Reduce(r, func(a, b int64) int64 { return a + b })
-		return err == nil && got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -513,14 +411,5 @@ func TestFold(t *testing.T) {
 	empty, err := Fold(Empty[int](ctx), 7, func(a, b int) int { return a + b })
 	if err != nil || empty != 14 {
 		t.Fatalf("empty fold=%d err=%v", empty, err)
-	}
-}
-
-func TestMaxBy(t *testing.T) {
-	ctx := newTestContext(t, 2)
-	r := Parallelize(ctx, []int{3, 9, 1, 7}, 2)
-	got, err := MaxBy(r, func(a, b int) bool { return a < b })
-	if err != nil || got != 9 {
-		t.Fatalf("max=%d err=%v", got, err)
 	}
 }

@@ -309,10 +309,11 @@ func PartitionAttributes(aps []*AttributeProfile, cleanClean bool, opts Options)
 	o := opts.withDefaults()
 
 	hasher := lsh.NewMinHasher(o.SignatureLen, o.Seed)
-	sigs := make([][]uint64, len(aps))
+	vocabularies := make([][]string, len(aps))
 	for i, ap := range aps {
-		sigs[i] = hasher.Signature(ap.Tokens)
+		vocabularies[i] = ap.Tokens
 	}
+	sigs := hasher.Signatures(vocabularies)
 	bands, rows := lsh.BandingParams(o.SignatureLen, o.Threshold)
 
 	type scoredPair struct {

@@ -8,10 +8,10 @@ import (
 
 // FuzzSignature drives the MinHash/banding primitives the loose-schema
 // attribute clustering is built on. The contract under fuzzing:
-// signatures are deterministic, bounded by the Mersenne prime and
-// insensitive to token duplication; Jaccard estimates stay in [0,1] and
-// are symmetric; and BandingParams always returns a layout that tiles the
-// signature exactly.
+// signatures are deterministic, the same when split by row, bounded by
+// the Mersenne prime and insensitive to token duplication; Jaccard
+// estimates stay in [0,1] and are symmetric; and BandingParams always
+// returns a layout that tiles the signature exactly.
 func FuzzSignature(f *testing.F) {
 	f.Add("alpha beta gamma", "alpha beta delta", uint8(16), int64(1), 0.5)
 	f.Add("", "alpha", uint8(1), int64(42), 0.9)
@@ -44,6 +44,10 @@ func FuzzSignature(f *testing.F) {
 		}
 
 		sigb := h.Signature(tb)
+		// Split by row, the two signatures are the same.
+		if split := h.signatures([][]string{ta, tb}, 3); !equalSig(split[0], siga) || !equalSig(split[1], sigb) {
+			t.Fatalf("row-split signatures differ from Signature's")
+		}
 		est := EstimateJaccard(siga, sigb)
 		if est < 0 || est > 1 || math.IsNaN(est) {
 			t.Fatalf("estimate %v outside [0,1]", est)

@@ -9,6 +9,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
+
+	"sparker/internal/kernel"
 )
 
 // MinHasher computes fixed-length MinHash signatures. A signature position
@@ -61,16 +63,55 @@ func tokenHash(token string) uint64 {
 // an all-max signature that matches nothing. Duplicate tokens do not
 // change the result: a minimum is idempotent under repetition.
 func (h *MinHasher) Signature(tokens []string) []uint64 {
-	sig := make([]uint64, len(h.a))
+	sig := emptySignature(make([]uint64, len(h.a)))
+	h.foldRows(sig, tokens, 0, len(sig))
+	return sig
+}
+
+// Signatures computes the signature of every token set, each equal to
+// Signature's. The work is split by signature row, one contiguous range
+// of rows per GOMAXPROCS worker (kernel.ForRanges), not by set: there are
+// few sets (one per attribute) and they differ widely in size, while the
+// rows cost the same. Rows are independent minima, so the split does not
+// change a bit.
+func (h *MinHasher) Signatures(sets [][]string) [][]uint64 {
+	return h.signatures(sets, kernel.Ranges(len(h.a)))
+}
+
+// signatures is Signatures over the given number of row ranges.
+func (h *MinHasher) signatures(sets [][]string, ranges int) [][]uint64 {
+	n := len(h.a)
+	flat := emptySignature(make([]uint64, len(sets)*n))
+	sigs := make([][]uint64, len(sets))
+	for i := range sigs {
+		sigs[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
+	kernel.ForRanges(n, ranges, func(_, lo, hi int) {
+		for i, tokens := range sets {
+			h.foldRows(sigs[i], tokens, lo, hi)
+		}
+	})
+	return sigs
+}
+
+// emptySignature fills sig with the all-max value of the empty set.
+func emptySignature(sig []uint64) []uint64 {
 	for i := range sig {
 		sig[i] = ^uint64(0)
 	}
+	return sig
+}
+
+// foldRows folds tokens into rows [lo, hi) of sig: row i keeps the
+// minimum of h_i over the tokens.
+func (h *MinHasher) foldRows(sig []uint64, tokens []string, lo, hi int) {
+	a, b, sig := h.a[lo:hi], h.b[lo:hi], sig[lo:hi]
 	for _, tok := range tokens {
 		x := tokenHash(tok)
 		for i := range sig {
 			// (a*x + b) mod p with 128-bit-safe arithmetic: since a, x < 2^61
 			// the product fits in uint128 only; use modular multiplication.
-			v := mulmod(h.a[i], x) + h.b[i]
+			v := mulmod(a[i], x) + b[i]
 			if v >= mersennePrime {
 				v -= mersennePrime
 			}
@@ -79,7 +120,6 @@ func (h *MinHasher) Signature(tokens []string) []uint64 {
 			}
 		}
 	}
-	return sig
 }
 
 // mulmod computes a*b mod 2^61-1 using a 128-bit product and the Mersenne

@@ -9,6 +9,38 @@ import (
 	"testing/quick"
 )
 
+// TestSplitSignaturesEqualSignature pins the row split of Signatures: at
+// one range, at ranges that do and do not divide the rows, and at more
+// ranges than rows, every signature equals Signature's, sets of very
+// different sizes and the empty set included.
+func TestSplitSignaturesEqualSignature(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sets := [][]string{nil, {"solo"}}
+	for _, size := range []int{3, 40, 700} {
+		set := make([]string, size)
+		for i := range set {
+			set[i] = fmt.Sprintf("tok%d", rng.Intn(2*size))
+		}
+		sets = append(sets, set)
+	}
+	for _, sigLen := range []int{1, 7, 128} {
+		h := NewMinHasher(sigLen, 42)
+		want := make([][]uint64, len(sets))
+		for i, set := range sets {
+			want[i] = h.Signature(set)
+		}
+		for _, ranges := range []int{1, 2, 3, sigLen + 5} {
+			got := h.signatures(sets, ranges)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("signature length %d, %d ranges: split signatures differ from Signature's", sigLen, ranges)
+			}
+		}
+	}
+	if got := NewMinHasher(16, 1).Signatures(sets); len(got) != len(sets) {
+		t.Fatalf("Signatures returned %d signatures for %d sets", len(got), len(sets))
+	}
+}
+
 func TestSignatureDeterministic(t *testing.T) {
 	h := NewMinHasher(64, 7)
 	a := h.Signature([]string{"x", "y", "z"})

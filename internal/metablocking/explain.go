@@ -71,10 +71,11 @@ func Explain(idx *blocking.Index, opts Options, a, b profile.ID) PairExplanation
 		return out
 	}
 
-	// Weight via the edge accumulator of a's neighbourhood.
+	// Weight via the edge accumulator of a's neighbourhood: a round that
+	// reads one slot and does not drain, so the next Begin zeroes it.
 	s := g.scratch.get()
 	defer g.scratch.put(s)
-	g.neighbourhood(a, s)
+	g.accumulate(a, s)
 	ea := s.Lookup(b)
 	if ea == nil {
 		return out

@@ -49,11 +49,12 @@ func TestExplainBlastDecision(t *testing.T) {
 	}
 	g := newGraphContext(idx, opts)
 	checked := 0
-	forEachEdge(g, idx.ProfileIDs(), func(a, b profile.ID, _ float64) {
+	for _, e := range allEdges(g, idx.ProfileIDs()) {
 		if checked >= 50 {
-			return
+			break
 		}
 		checked++
+		a, b := e.A, e.B
 		ex := Explain(idx, opts, a, b)
 		if ex.Retained != retained[[2]profile.ID{a, b}] {
 			t.Fatalf("pair (%d,%d): explanation says %v, Run says %v",
@@ -62,7 +63,7 @@ func TestExplainBlastDecision(t *testing.T) {
 		if ex.Retained && ex.Weight < ex.ThresholdA && ex.Weight < ex.ThresholdB {
 			t.Fatalf("pair (%d,%d) retained below both thresholds: %+v", a, b, ex)
 		}
-	})
+	}
 	if checked == 0 {
 		t.Fatal("no edges checked")
 	}
@@ -75,9 +76,9 @@ func TestExplainAgreesWithRun(t *testing.T) {
 	idx := testIndex(24, 34)
 	type pair = [2]profile.ID
 	var graph []pair
-	forEachEdge(newGraphContext(idx, Options{}), idx.ProfileIDs(), func(a, b profile.ID, _ float64) {
-		graph = append(graph, pair{a, b})
-	})
+	for _, e := range allEdges(newGraphContext(idx, Options{}), idx.ProfileIDs()) {
+		graph = append(graph, pair{e.A, e.B})
+	}
 	if len(graph) < 50 {
 		t.Fatalf("fixture has only %d edges", len(graph))
 	}
@@ -127,7 +128,7 @@ func TestExplainUnrelatedPair(t *testing.T) {
 	s := g.scratch.get()
 	defer g.scratch.put(s)
 	for _, a := range ids {
-		g.neighbourhood(a, s)
+		g.accumulate(a, s)
 		for _, b := range ids {
 			if b <= a {
 				continue

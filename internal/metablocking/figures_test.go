@@ -172,9 +172,9 @@ func TestFigure2AllEdgeWeights(t *testing.T) {
 		{1, 2}: 0.4, {1, 3}: 1.2, {2, 3}: 0.4,
 	}
 	got := map[[2]profile.ID]float64{}
-	forEachEdge(g, idx.ProfileIDs(), func(a, b profile.ID, w float64) {
-		got[[2]profile.ID{a, b}] = w
-	})
+	for _, e := range allEdges(g, idx.ProfileIDs()) {
+		got[[2]profile.ID{e.A, e.B}] = e.Weight
+	}
 	if len(got) != len(want) {
 		t.Fatalf("edge count: got %v want %v", got, want)
 	}

@@ -11,9 +11,14 @@ import (
 // hot paths, the batch neighbourhood pass and the online index's
 // candidate scan: a dense PairStats slot per profile ID (the paper's IDs
 // are dense int32s) and a touched list that replaces map iteration. A
-// slot with CBS == 0 is untouched, so no stamp is kept: Begin zeroes the
-// slots the previous round touched, which costs O(touched), not O(maxID).
-// The zero value is usable and grows on demand.
+// slot with CBS == 0 is untouched, so no stamp is kept. A round ends in
+// one of two ways. Either the next Begin zeroes the slots the round
+// touched, which costs O(touched), not O(maxID): the online index's
+// rounds and Explain's Lookup end so. Or a draining read takes every
+// touched slot, clearing it as it reads it, and hands the list back
+// empty, so the next Begin has nothing to zero: every batch pass ends
+// its rounds so (graphContext.neighbourhood). The zero value is usable
+// and grows on demand.
 type Accumulator struct {
 	stats   []PairStats
 	touched []profile.ID
@@ -38,9 +43,14 @@ func (a *Accumulator) Ensure(n int) {
 
 // AddBlock records one shared block, whose contribution is sum, for every
 // member but self. IDs beyond the accumulator's size grow it — the online
-// index can see fresh profiles appear mid-scan.
+// index can see fresh profiles appear mid-scan. A first touch costs no
+// branch: the touched list is grown once per block, every member is
+// stored into its next slot, and the length advances only past a slot
+// that was untouched.
 func (a *Accumulator) AddBlock(members []profile.ID, self profile.ID, sum float64) {
-	stats, touched := a.stats, a.touched
+	stats, n := a.stats, len(a.touched)
+	touched := slices.Grow(a.touched, len(members))
+	touched = touched[:n+len(members)]
 	for _, id := range members {
 		if id == self {
 			continue
@@ -50,13 +60,21 @@ func (a *Accumulator) AddBlock(members []profile.ID, self profile.ID, sum float6
 			stats = a.stats
 		}
 		st := &stats[id]
-		if st.CBS == 0 {
-			touched = append(touched, id)
-		}
+		touched[n] = id
+		n += b2i(st.CBS == 0)
 		st.CBS++
 		st.Sum += sum
 	}
-	a.touched = touched
+	a.touched = touched[:n]
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // At returns the statistics of an ID touched this round; use it when
@@ -72,14 +90,26 @@ func (a *Accumulator) Lookup(id profile.ID) *PairStats {
 	return &a.stats[id]
 }
 
-// Touched lists the IDs accumulated this round, in first-touch order
-// (or ascending after SortTouched).
+// Touched lists the IDs accumulated this round, in first-touch order.
 func (a *Accumulator) Touched() []profile.ID { return a.touched }
 
-// SortTouched orders the touched list by profile ID, for consumers that
-// need a deterministic summation order (float addition is not
-// associative, and sequential and distributed runs must agree bitwise).
-func (a *Accumulator) SortTouched() { slices.Sort(a.touched) }
+// drain ends the round on the reader's side: it hands over the touched
+// list and empties the accumulator's, so the reader must take every slot
+// in it before the next round (the list aliases the accumulator's
+// buffer, which the next AddBlock overwrites).
+func (a *Accumulator) drain() []profile.ID {
+	touched := a.touched
+	a.touched = touched[:0]
+	return touched
+}
+
+// take is the draining read of one touched slot: its statistics, with
+// the slot cleared.
+func (a *Accumulator) take(id profile.ID) PairStats {
+	st := a.stats[id]
+	a.stats[id] = PairStats{}
+	return st
+}
 
 // neighbourScratch is one worker's neighbourhood kernel: the pair
 // accumulator plus the reusable buffers of the passes that read it. One

@@ -25,6 +25,7 @@ package metablocking
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sparker/internal/blocking"
@@ -182,6 +183,9 @@ type graphContext struct {
 	entropy    []float64 // per block: cluster entropy (1 when disabled)
 	useEntropy bool
 	scheme     Scheme
+	// sumOnly is set when the scheme's weight is the pair's Sum (CBS,
+	// ARCS), so weight reads no endpoint.
+	sumOnly bool
 	// scratch leases flat neighbourhood kernels sized maxID+1; the pool is
 	// shared by every dataflow task when the context is broadcast.
 	scratch scratchPool
@@ -203,6 +207,7 @@ func newGraphContext(idx *blocking.Index, opts Options) *graphContext {
 		entropy:    make([]float64, len(blocks)),
 		useEntropy: opts.Entropy != nil,
 		scheme:     opts.Scheme,
+		sumOnly:    !opts.Scheme.ReadsEndpoints(),
 	}
 	g.scratch.n = int(idx.MaxProfileID()) + 1
 	for i := range blocks {
@@ -223,12 +228,14 @@ func newGraphContext(idx *blocking.Index, opts Options) *graphContext {
 	return g
 }
 
-// neighbourhood materialises the weighted neighbourhood of node id into
-// the flat scratch (cleared first by Begin). Pairs within the same
-// source of a clean-clean task are skipped: each BlockRef carries the
-// profile's side, so the kernel reads the opposite side of every block
-// directly instead of scanning for the profile's membership.
-func (g *graphContext) neighbourhood(id profile.ID, s *neighbourScratch) {
+// accumulate materialises the weighted neighbourhood of node id into the
+// flat scratch (cleared first by Begin), leaving the round open: Explain
+// looks single slots up in it, and the next Begin zeroes them. Pairs
+// within the same source of a clean-clean task are skipped: each
+// BlockRef carries the profile's side, so the kernel reads the opposite
+// side of every block directly instead of scanning for the profile's
+// membership.
+func (g *graphContext) accumulate(id profile.ID, s *neighbourScratch) {
 	s.Begin()
 	col := g.idx.Blocks
 	for _, ref := range g.idx.BlocksOf(id) {
@@ -242,6 +249,17 @@ func (g *graphContext) neighbourhood(id profile.ID, s *neighbourScratch) {
 	}
 }
 
+// neighbourhood is the draining round every batch pass reads a
+// neighbourhood through: it accumulates id's neighbourhood and hands
+// over its neighbours in first-touch order. The caller must take every
+// one of them (s.take), the backward ones (ID at most id) included,
+// before the next round on s: each slot is cleared as it is read, so
+// the round leaves nothing for the next Begin to zero.
+func (g *graphContext) neighbourhood(id profile.ID, s *neighbourScratch) []profile.ID {
+	g.accumulate(id, s)
+	return s.drain()
+}
+
 // neighbourWeight is one weighted edge endpoint.
 type neighbourWeight struct {
 	id profile.ID
@@ -249,14 +267,13 @@ type neighbourWeight struct {
 }
 
 // weightedNeighbours materialises the neighbourhood of id and returns its
-// weighted edges in first-touch order. That is all a maximum (Blast), a
-// k-th largest weight (CNP) or a best-first schedule needs; a float sum
-// over the neighbourhood takes orderedNeighbours instead. The returned
-// slice aliases the scratch's reusable buffer: consume it before the
-// next call on the same scratch.
+// weighted edges in first-touch order. That is all a maximum, a k-th
+// largest weight (CNP) or a best-first schedule needs; a float sum over
+// the neighbourhood takes orderedNeighbours instead. The returned slice
+// aliases the scratch's reusable buffer: consume it before the next call
+// on the same scratch.
 func (g *graphContext) weightedNeighbours(id profile.ID, s *neighbourScratch) []neighbourWeight {
-	g.neighbourhood(id, s)
-	return g.weigh(id, s)
+	return g.weigh(id, g.neighbourhood(id, s), s)
 }
 
 // orderedNeighbours is weightedNeighbours ascending by neighbour ID, the
@@ -264,33 +281,21 @@ func (g *graphContext) weightedNeighbours(id profile.ID, s *neighbourScratch) []
 // partial sums): float addition is not associative, and runs must agree
 // bitwise whatever ranges their passes are split into. Only those sums pay for the sort.
 func (g *graphContext) orderedNeighbours(id profile.ID, s *neighbourScratch) []neighbourWeight {
-	g.neighbourhood(id, s)
-	s.SortTouched()
-	return g.weigh(id, s)
+	touched := g.neighbourhood(id, s)
+	slices.Sort(touched)
+	return g.weigh(id, touched, s)
 }
 
-// weigh turns the neighbourhood materialised in s into weighted edges,
-// in the touched list's current order.
-func (g *graphContext) weigh(id profile.ID, s *neighbourScratch) []neighbourWeight {
+// weigh drains the neighbours of id into weighted edges, in the order
+// given.
+func (g *graphContext) weigh(id profile.ID, touched []profile.ID, s *neighbourScratch) []neighbourWeight {
 	out := s.nws[:0]
-	for _, other := range s.Touched() {
-		out = append(out, neighbourWeight{id: other, w: g.weight(id, other, s.At(other))})
+	for _, other := range touched {
+		st := s.take(other)
+		out = append(out, neighbourWeight{id: other, w: g.weight(id, other, &st)})
 	}
 	s.nws = out
 	return out
-}
-
-// forwardEdges materialises id's neighbourhood and calls fn once per
-// forward edge (neighbour ID above id's), so that a pass over every
-// owner visits each undirected edge exactly once. Edges come in
-// first-touch order; whoever emits them sorts.
-func (g *graphContext) forwardEdges(id profile.ID, s *neighbourScratch, fn func(other profile.ID, w float64)) {
-	g.neighbourhood(id, s)
-	for _, other := range s.Touched() {
-		if other > id {
-			fn(other, g.weight(id, other, s.At(other)))
-		}
-	}
 }
 
 // forwardOwners returns the prefix of ids (ascending) whose nodes can own
@@ -311,12 +316,17 @@ func (g *graphContext) forwardOwners(ids []profile.ID) []profile.ID {
 }
 
 // weight is Weight for the edge (a, b) of this graph: the pair's Sum
-// under CBS and ARCS; otherwise it looks up the endpoints' block counts
-// and, under EJS, their degree factor.
+// under CBS and ARCS, decided once per graph, not per edge.
 func (g *graphContext) weight(a, b profile.ID, st *PairStats) float64 {
-	if !g.scheme.ReadsEndpoints() {
+	if g.sumOnly {
 		return st.Sum
 	}
+	return g.endpointWeight(a, b, st)
+}
+
+// endpointWeight is weight for the schemes that read the endpoints'
+// block counts and, under EJS, their degree factor.
+func (g *graphContext) endpointWeight(a, b profile.ID, st *PairStats) float64 {
 	degreeFactor := 1.0
 	if g.degrees != nil {
 		degreeFactor = LogRatio(g.totalEdges, float64(g.degrees[a])) * LogRatio(g.totalEdges, float64(g.degrees[b]))
@@ -329,28 +339,34 @@ func needsDegrees(s Scheme) bool { return s == EJS }
 
 // computeDegrees fills g.degrees and g.totalEdges with the node degrees of
 // the full (unpruned) blocking graph, one contiguous range of ids per
-// worker. With the flat kernel a degree is just the touched-list length,
-// so the EJS pre-pass allocates little beyond the dense degree array
-// itself, which the ranges write disjointly.
+// worker (degreePass). The ranges write the dense degree array
+// disjointly.
 func (g *graphContext) computeDegrees(ids []profile.ID) {
 	g.degrees = make([]int32, g.scratch.n)
-	sums := inRanges(g, ids, func(part []profile.ID, s *neighbourScratch) int64 {
-		var sum int64
-		for _, id := range part {
-			g.neighbourhood(id, s)
-			g.degrees[id] = int32(len(s.Touched()))
-			sum += int64(len(s.Touched()))
-		}
-		return sum
-	})
 	var total int64
-	for _, sum := range sums {
+	for _, sum := range inRanges(g, ids, g.degreePass) {
 		total += sum
 	}
 	g.totalEdges = float64(total) / 2
 	if g.totalEdges < 1 {
 		g.totalEdges = 1
 	}
+}
+
+// degreePass is the EJS degree pass over one range of nodes: with the
+// flat kernel a degree is the length of the drained neighbour list, so
+// it allocates nothing. It returns the range's degree sum.
+func (g *graphContext) degreePass(part []profile.ID, s *neighbourScratch) int64 {
+	var sum int64
+	for _, id := range part {
+		touched := g.neighbourhood(id, s)
+		for _, other := range touched {
+			s.take(other)
+		}
+		g.degrees[id] = int32(len(touched))
+		sum += int64(len(touched))
+	}
+	return sum
 }
 
 // defaultTopK derives the literature defaults for the cardinality rules.

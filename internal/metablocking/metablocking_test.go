@@ -121,8 +121,7 @@ func TestRunProducesCanonicalEdges(t *testing.T) {
 func TestPruningReducesEdges(t *testing.T) {
 	idx := testIndex(40, 2)
 	g := newGraphContext(idx, Options{Scheme: CBS})
-	total := 0
-	forEachEdge(g, idx.ProfileIDs(), func(_, _ profile.ID, _ float64) { total++ })
+	total := len(allEdges(g, idx.ProfileIDs()))
 	for _, p := range allPrunings() {
 		// Use the continuous JS weights: CBS weights on this dense toy
 		// graph are small integers whose ties make threshold rules
@@ -181,19 +180,19 @@ func TestCEPRespectsTopK(t *testing.T) {
 	}
 	// Every non-kept edge must weigh strictly less than the threshold.
 	g := newGraphContext(idx, Options{Scheme: CBS})
-	forEachEdge(g, idx.ProfileIDs(), func(a, b profile.ID, w float64) {
-		if w > minKept {
+	for _, all := range allEdges(g, idx.ProfileIDs()) {
+		if all.Weight > minKept {
 			found := false
 			for _, e := range edges {
-				if e.A == a && e.B == b {
+				if e.A == all.A && e.B == all.B {
 					found = true
 				}
 			}
 			if !found {
-				t.Fatalf("edge (%d,%d) w=%f above threshold %f but dropped", a, b, w, minKept)
+				t.Fatalf("edge (%d,%d) w=%f above threshold %f but dropped", all.A, all.B, all.Weight, minKept)
 			}
 		}
-	})
+	}
 }
 
 func TestCleanCleanSkipsSameSourceEdges(t *testing.T) {
@@ -259,9 +258,9 @@ func TestARCSFavoursSmallBlocks(t *testing.T) {
 	idx := blocking.BuildIndex(col)
 	g := newGraphContext(idx, Options{Scheme: ARCS})
 	weights := map[[2]profile.ID]float64{}
-	forEachEdge(g, idx.ProfileIDs(), func(a, b profile.ID, w float64) {
-		weights[[2]profile.ID{a, b}] = w
-	})
+	for _, e := range allEdges(g, idx.ProfileIDs()) {
+		weights[[2]profile.ID{e.A, e.B}] = e.Weight
+	}
 	if weights[[2]profile.ID{0, 1}] <= weights[[2]profile.ID{0, 2}] {
 		t.Fatalf("tiny-block edge %f not above huge-block edge %f",
 			weights[[2]profile.ID{0, 1}], weights[[2]profile.ID{0, 2}])

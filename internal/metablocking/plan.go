@@ -64,6 +64,8 @@ type nodeStat struct {
 }
 
 // stats is pass 1 over one range of statNodes, ascending like the range.
+// Every rule drains each neighbourhood it reads, taking the slots of the
+// neighbours it has no use for as well.
 func (p *plan) stats(part []profile.ID, s *neighbourScratch) []nodeStat {
 	if p.rule == BlastPruning {
 		return p.foldMaxima(part, s)
@@ -73,13 +75,31 @@ func (p *plan) stats(part []profile.ID, s *neighbourScratch) []nodeStat {
 	for _, id := range part {
 		switch p.rule {
 		case WEP:
-			if sum, n := nodePartialSum(g.orderedNeighbours(id, s), id); n > 0 {
-				out = append(out, nodeStat{id: id, n: int32(n), v: sum})
+			// The partial sum over the node's forward edges, in ascending
+			// neighbour order: grouping the global WEP sum into per-node
+			// partials, accumulated in ascending node order, gives every
+			// driver a bitwise-identical threshold.
+			touched := g.neighbourhood(id, s)
+			slices.Sort(touched)
+			var sum float64
+			var n int32
+			for _, other := range touched {
+				st := s.take(other)
+				if other > id {
+					sum += g.weight(id, other, &st)
+					n++
+				}
+			}
+			if n > 0 {
+				out = append(out, nodeStat{id: id, n: n, v: sum})
 			}
 		case CEP:
-			g.forwardEdges(id, s, func(_ profile.ID, w float64) {
-				out = append(out, nodeStat{id: id, v: w})
-			})
+			for _, other := range g.neighbourhood(id, s) {
+				st := s.take(other)
+				if other > id {
+					out = append(out, nodeStat{id: id, v: g.weight(id, other, &st)})
+				}
+			}
 		case WNP, ReciprocalWNP:
 			if nws := g.orderedNeighbours(id, s); len(nws) > 0 {
 				out = append(out, nodeStat{id: id, v: nodeMean(nws)})
@@ -93,22 +113,6 @@ func (p *plan) stats(part []profile.ID, s *neighbourScratch) []nodeStat {
 	return out
 }
 
-// nodePartialSum sums the weights of a node's forward edges (neighbour ID
-// greater than the node's) over its ordered neighbourhood. Grouping the
-// global WEP sum into per-node partials, accumulated in ascending node
-// order, gives every driver a bitwise-identical threshold.
-func nodePartialSum(nws []neighbourWeight, id profile.ID) (float64, int64) {
-	var sum float64
-	var count int64
-	for _, nw := range nws {
-		if nw.id > id {
-			sum += nw.w
-			count++
-		}
-	}
-	return sum, count
-}
-
 // foldMaxima is Blast's pass 1 over one range of owners: it materialises
 // only the owners' neighbourhoods, folds each forward edge's weight into
 // the maxima of both its endpoints, and reports one record per node with
@@ -118,6 +122,9 @@ func nodePartialSum(nws []neighbourWeight, id profile.ID) (float64, int64) {
 // endpoints accumulate a pair's statistics over the shared blocks in
 // ascending ordinal order. The weight seen from the far endpoint is the
 // edge's own except under ECBS, whose product runs in endpoint order.
+// Maxima are taken with a plain >, not the NaN- and sign-aware max:
+// weights are finite, non-negative and never −0
+// (TestKernelWeightsAreFiniteAndNonNegative), and there the two agree.
 func (p *plan) foldMaxima(part []profile.ID, s *neighbourScratch) []nodeStat {
 	g := p.g
 	if len(s.maxima) < g.scratch.n {
@@ -126,15 +133,25 @@ func (p *plan) foldMaxima(part []profile.ID, s *neighbourScratch) []nodeStat {
 		clear(s.maxima)
 	}
 	m := s.maxima
+	ecbs := g.scheme == ECBS
 	for _, id := range part {
 		own := m[id]
-		g.forwardEdges(id, s, func(other profile.ID, w float64) {
-			own = max(own, w)
-			if g.scheme == ECBS {
-				w = g.weight(other, id, s.At(other))
+		for _, other := range g.neighbourhood(id, s) {
+			st := s.take(other)
+			if other <= id {
+				continue
 			}
-			m[other] = max(m[other], w)
-		})
+			w := g.weight(id, other, &st)
+			if w > own {
+				own = w
+			}
+			if ecbs {
+				w = g.weight(other, id, &st)
+			}
+			if w > m[other] {
+				m[other] = w
+			}
+		}
 		m[id] = own
 	}
 	n := 0
@@ -250,11 +267,17 @@ const edgeChunk = 1 << 12
 func (p *plan) edges(k *keep, part []profile.ID, s *neighbourScratch) [][]Edge {
 	var chunks [][]Edge
 	var cur []Edge
+	g := p.g
 	for _, id := range part {
 		run := len(cur)
-		p.g.forwardEdges(id, s, func(other profile.ID, w float64) {
+		for _, other := range g.neighbourhood(id, s) {
+			st := s.take(other)
+			if other <= id {
+				continue
+			}
+			w := g.weight(id, other, &st)
 			if !k.edge(id, other, w) {
-				return
+				continue
 			}
 			if len(cur) == cap(cur) {
 				// Carry the owner's run so far over to a fresh chunk.
@@ -266,7 +289,7 @@ func (p *plan) edges(k *keep, part []profile.ID, s *neighbourScratch) [][]Edge {
 				cur, run = next, 0
 			}
 			cur = append(cur, Edge{A: id, B: other, Weight: w})
-		})
+		}
 		slices.SortFunc(cur[run:], func(x, y Edge) int { return cmp.Compare(x.B, y.B) })
 	}
 	if len(cur) > 0 {

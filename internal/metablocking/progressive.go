@@ -71,10 +71,7 @@ func Schedule(idx *blocking.Index, opts Options, strategy ScheduleStrategy, budg
 }
 
 func scheduleGlobalTop(g *graphContext, ids []profile.ID) []Edge {
-	var edges []Edge
-	forEachEdge(g, ids, func(a, b profile.ID, w float64) {
-		edges = append(edges, Edge{A: a, B: b, Weight: w})
-	})
+	edges := allEdges(g, ids)
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].Weight != edges[j].Weight {
 			return edges[i].Weight > edges[j].Weight
@@ -160,10 +157,7 @@ func scheduleProfiles(g *graphContext, ids []profile.ID) []Edge {
 }
 
 func scheduleRandom(g *graphContext, ids []profile.ID) []Edge {
-	var edges []Edge
-	forEachEdge(g, ids, func(a, b profile.ID, w float64) {
-		edges = append(edges, Edge{A: a, B: b, Weight: w})
-	})
+	edges := allEdges(g, ids)
 	// The seeded shuffle permutes positions, so fix them first.
 	sortEdges(edges)
 	rng := rand.New(rand.NewSource(20190326)) // EDBT 2019 opening day

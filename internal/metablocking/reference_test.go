@@ -176,6 +176,21 @@ func (g *refGraph) weightedNeighbours(id profile.ID, acc map[profile.ID]*edgeAcc
 	return out
 }
 
+// nodePartialSum sums the weights of a node's forward edges (neighbour ID
+// greater than the node's) over its ordered neighbourhood: the
+// reference's per-node WEP partial, summed in ascending node order.
+func nodePartialSum(nws []neighbourWeight, id profile.ID) (float64, int64) {
+	var sum float64
+	var count int64
+	for _, nw := range nws {
+		if nw.id > id {
+			sum += nw.w
+			count++
+		}
+	}
+	return sum, count
+}
+
 func (g *refGraph) computeDegrees(ids []profile.ID) {
 	g.degrees = make(map[profile.ID]int, len(ids))
 	acc := map[profile.ID]*edgeAccumulator{}
@@ -492,34 +507,37 @@ func TestEdgeChunksMatchReference(t *testing.T) {
 // the forward owners: every node's maximum, folded in from the edges of
 // both of its endpoints and taken again over the ranges' records, equals
 // the maximum over its whole weighted neighbourhood, bit for bit, under
-// every scheme and at several range counts.
+// every scheme and at several range counts. holeEntropy's zero weights
+// exercise the fold's plain > at +0.
 func TestBlastFoldEqualsNodeMaximum(t *testing.T) {
 	for _, clean := range []bool{false, true} {
 		idx := clusteredTestIndex(48, 11, clean)
-		for _, s := range allSchemes() {
-			p := newPlan(idx, Options{Scheme: s, Pruning: BlastPruning, Entropy: rampEntropy{}})
-			sc := p.g.scratch.get()
-			want := make([]float64, p.g.scratch.n)
-			for _, id := range idx.ProfileIDs() {
-				for _, nw := range p.g.weightedNeighbours(id, sc) {
-					want[id] = max(want[id], nw.w)
-				}
-			}
-			for _, ranges := range []int{1, 3, len(p.owners) + 5} {
-				var stats []nodeStat
-				for i := range ranges {
-					part := p.owners[i*len(p.owners)/ranges : (i+1)*len(p.owners)/ranges]
-					stats = append(stats, p.stats(part, sc)...)
-				}
-				got := p.decide(stats).node
-				for id := range want {
-					if math.Float64bits(got[id]) != math.Float64bits(want[id]/2) {
-						t.Fatalf("clean=%v %v ranges=%d node %d: folded threshold %g, half the neighbourhood maximum %g",
-							clean, s, ranges, id, got[id], want[id]/2)
+		for _, ent := range entropySettings[1:] {
+			for _, s := range allSchemes() {
+				p := newPlan(idx, Options{Scheme: s, Pruning: BlastPruning, Entropy: ent.e})
+				sc := p.g.scratch.get()
+				want := make([]float64, p.g.scratch.n)
+				for _, id := range idx.ProfileIDs() {
+					for _, nw := range p.g.weightedNeighbours(id, sc) {
+						want[id] = max(want[id], nw.w)
 					}
 				}
+				for _, ranges := range []int{1, 3, len(p.owners) + 5} {
+					var stats []nodeStat
+					for i := range ranges {
+						part := p.owners[i*len(p.owners)/ranges : (i+1)*len(p.owners)/ranges]
+						stats = append(stats, p.stats(part, sc)...)
+					}
+					got := p.decide(stats).node
+					for id := range want {
+						if math.Float64bits(got[id]) != math.Float64bits(want[id]/2) {
+							t.Fatalf("clean=%v %s %v ranges=%d node %d: folded threshold %g, half the neighbourhood maximum %g",
+								clean, ent.name, s, ranges, id, got[id], want[id]/2)
+						}
+					}
+				}
+				p.g.scratch.put(sc)
 			}
-			p.g.scratch.put(sc)
 		}
 	}
 }

@@ -36,15 +36,22 @@ func inRanges[T any](g *graphContext, ids []profile.ID, pass func(part []profile
 	return out
 }
 
-// forEachEdge materialises the neighbourhood of every node that owns a
-// forward edge and calls fn once per undirected edge (a < b), ascending
-// in a; callers that need a total order sort what they collect.
-func forEachEdge(g *graphContext, ids []profile.ID, fn func(a, b profile.ID, w float64)) {
+// allEdges materialises the neighbourhood of every node that owns a
+// forward edge and returns every undirected edge (A < B) once, ascending
+// in A; callers that need a total order sort it.
+func allEdges(g *graphContext, ids []profile.ID) []Edge {
 	s := g.scratch.get()
 	defer g.scratch.put(s)
+	var edges []Edge
 	for _, id := range g.forwardOwners(ids) {
-		g.forwardEdges(id, s, func(other profile.ID, w float64) { fn(id, other, w) })
+		for _, other := range g.neighbourhood(id, s) {
+			st := s.take(other)
+			if other > id {
+				edges = append(edges, Edge{A: id, B: other, Weight: g.weight(id, other, &st)})
+			}
+		}
 	}
+	return edges
 }
 
 func sortEdges(edges []Edge) {
