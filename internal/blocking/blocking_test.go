@@ -2,13 +2,11 @@ package blocking
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"sparker/internal/dataflow"
 	"sparker/internal/profile"
@@ -366,44 +364,37 @@ type stubClustering map[string]int
 
 func (s stubClustering) ClusterOf(_ int, attribute string) int { return s[attribute] }
 
-// TestHugeProfileDoesNotTaxLaterDerivations: the pooled dedup sets are
-// cleared at the cost of their capacity, so a set grown by one oversized
-// profile must not go back to the pool — or every later derivation that
-// draws that scratch pays for the huge profile again. Timed as the best
-// of several batches on each side of the huge derivation; the regression
-// this pins is a few hundred fold, the bound is 2×.
+// TestHugeProfileDoesNotTaxLaterDerivations: the pooled dedup set is
+// cleared at the cost of its capacity, so a set grown by one oversized
+// profile must not go back to the pool, or every later derivation that
+// draws that scratch pays for the huge profile again. appendKeys leaves
+// its scratch ready for the pool; the test hands it one of its own,
+// since what sync.Pool returns is not deterministic (under -race it
+// drops items at random). A set one key past maxPooledSeen must come
+// back as a different, empty map; one at the bound, or small, as the
+// same map, cleared.
 func TestHugeProfileDoesNotTaxLaterDerivations(t *testing.T) {
-	small := mkProfile("s", [2]string{"name", "acme cordless blender"}, [2]string{"desc", "two speed glass jar blender"})
-	var b strings.Builder
-	for i := 0; i < 200_000; i++ {
-		fmt.Fprintf(&b, "t%d ", i)
-	}
-	huge := mkProfile("h", [2]string{"text", b.String()})
-
-	for _, opts := range []Options{{}, {Clustering: stubClustering{"name": 1}}} {
-		var keys []KeyedToken
-		var bag []string
-		best := func() time.Duration {
-			min := time.Duration(math.MaxInt64)
-			for batch := 0; batch < 5; batch++ {
-				start := time.Now()
-				for i := 0; i < 1000; i++ {
-					keys, bag = opts.AppendKeysAndBag(keys[:0], bag[:0], &small)
-				}
-				if d := time.Since(start); d < min {
-					min = d
-				}
-			}
-			return min
+	var opts Options
+	ks := keyScratchPool.New().(*keyScratch)
+	for _, tc := range []struct {
+		tokens int
+		reused bool
+	}{{maxPooledSeen, true}, {maxPooledSeen + 1, false}, {3, true}} {
+		var b strings.Builder
+		for i := 0; i < tc.tokens; i++ {
+			fmt.Fprintf(&b, "t%d ", i)
 		}
-		before := best()
-		hk, hb := opts.AppendKeysAndBag(nil, nil, &huge)
-		if len(hk) != 200_000 || len(hb) != 200_000 {
-			t.Fatalf("huge profile: %d keys, %d bag tokens, want 200000 each", len(hk), len(hb))
+		p := mkProfile("h", [2]string{"text", b.String()})
+		before := reflect.ValueOf(ks.seen).Pointer()
+		if keys := opts.appendKeys(ks, nil, &p); len(keys) != tc.tokens {
+			t.Fatalf("%d-token profile: %d keys", tc.tokens, len(keys))
 		}
-		if after := best(); after > 2*before {
-			t.Errorf("clustering=%v: 1000 small derivations took %v before the huge profile, %v after",
-				opts.Clustering != nil, before, after)
+		if len(ks.seen) != 0 {
+			t.Fatalf("%d-token profile: the dedup set holds %d keys after the derivation", tc.tokens, len(ks.seen))
+		}
+		if reused := reflect.ValueOf(ks.seen).Pointer() == before; reused != tc.reused {
+			t.Fatalf("%d-token profile (pool bound %d): dedup set reused = %v, want %v",
+				tc.tokens, maxPooledSeen, reused, tc.reused)
 		}
 	}
 }

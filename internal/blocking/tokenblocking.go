@@ -17,7 +17,7 @@ import (
 // blocking (every token is a key, regardless of attribute).
 //
 // ClusterOf must be safe for concurrent use: the distributed blocker's
-// tasks and the online index call it from multiple goroutines.
+// tasks call it from multiple goroutines.
 // (looseschema's Partitioning is a read-only lookup and qualifies.)
 type AttributeClustering interface {
 	// ClusterOf returns the cluster ID for an attribute of a source.
@@ -68,7 +68,7 @@ type KeyedToken struct {
 }
 
 // keyScratch bundles the reusable state of key derivation: the per-call
-// dedup sets, the tokenizer's normalise-and-intern scratch, and the token
+// dedup set, the tokenizer's normalise-and-intern scratch, and the token
 // buffer. Key derivation runs once per profile on the index upsert and
 // query hot paths; pooling this state (clearing a set compiles to a
 // cheap map reset) makes steady-state schema-agnostic key derivation
@@ -76,11 +76,8 @@ type KeyedToken struct {
 // scratch's intern table.
 type keyScratch struct {
 	seen map[string]struct{}
-	// seenTok dedups the token bag of AppendKeysAndBag under a Clustering,
-	// where one token can yield several keys (nil until first needed).
-	seenTok map[string]struct{}
-	tok     tokenize.Scratch
-	toks    []string
+	tok  tokenize.Scratch
+	toks []string
 }
 
 var keyScratchPool = sync.Pool{
@@ -109,56 +106,29 @@ func resetSeen(m map[string]struct{}) map[string]struct{} {
 // from a corpus (slotKeys), each value's cluster resolved once here as
 // there.
 func (o *Options) AppendKeysOf(dst []KeyedToken, p *profile.Profile) []KeyedToken {
-	dst, _ = o.appendKeys(dst, nil, false, p)
+	ks := keyScratchPool.Get().(*keyScratch)
+	dst = o.appendKeys(ks, dst, p)
+	keyScratchPool.Put(ks)
 	return dst
 }
 
-// AppendKeysAndBag is AppendKeysOf that also appends the profile's
-// distinct tokens to bag, in first-occurrence order, from the same single
-// tokenisation of each attribute value: in SparkER a profile's tokens are
-// at once its blocking keys and the bag the matcher compares. Without a
-// Clustering the key of a token is the token, so the bag is the key
-// strings themselves; with one, the same pass feeds a second dedup set.
-// The online index derives both sides of every write and query here.
-func (o *Options) AppendKeysAndBag(keys []KeyedToken, bag []string, p *profile.Profile) ([]KeyedToken, []string) {
-	return o.appendKeys(keys, bag, true, p)
-}
-
-func (o *Options) appendKeys(dst []KeyedToken, bag []string, wantBag bool, p *profile.Profile) ([]KeyedToken, []string) {
-	ks := keyScratchPool.Get().(*keyScratch)
-	tokenDedup := wantBag && o.Clustering != nil
-	if tokenDedup && ks.seenTok == nil {
-		ks.seenTok = make(map[string]struct{}, 64)
-	}
+// appendKeys is AppendKeysOf on the caller's scratch, which it leaves
+// ready for the pool: its dedup set emptied, or swapped for a small one
+// when p grew it past maxPooledSeen.
+func (o *Options) appendKeys(ks *keyScratch, dst []KeyedToken, p *profile.Profile) []KeyedToken {
 	for _, kv := range p.Attributes {
 		cluster := o.clusterOf(p.SourceID, kv.Key)
 		ks.toks = o.Tokenizer.AppendTokens(ks.toks[:0], kv.Value, &ks.tok)
 		for _, tok := range ks.toks {
 			key := o.key(tok, cluster)
-			_, dup := ks.seen[key]
-			if !dup {
+			if _, dup := ks.seen[key]; !dup {
 				ks.seen[key] = struct{}{}
 				dst = append(dst, KeyedToken{Key: key, Cluster: cluster})
-			}
-			if !wantBag {
-				continue
-			}
-			if tokenDedup {
-				if _, dup = ks.seenTok[tok]; !dup {
-					ks.seenTok[tok] = struct{}{}
-				}
-			}
-			if !dup {
-				bag = append(bag, tok)
 			}
 		}
 	}
 	ks.seen = resetSeen(ks.seen)
-	if tokenDedup {
-		ks.seenTok = resetSeen(ks.seenTok)
-	}
-	keyScratchPool.Put(ks)
-	return dst, bag
+	return dst
 }
 
 // KeysOf enumerates the distinct blocking keys of one profile, in first-

@@ -10,7 +10,6 @@ package dataflow
 // per PR, listing the tests as removed; add nothing to this file.
 
 import (
-	"math/rand"
 	"reflect"
 	"sort"
 	"sync/atomic"
@@ -36,45 +35,6 @@ func MapPartitionsWithIndex[T, U any](r *RDD[T], f func(int, []T) ([]U, error)) 
 	})
 }
 
-// Union concatenates two RDDs (no deduplication), preserving partitioning.
-func Union[T any](a, b *RDD[T]) *RDD[T] {
-	if a.ctx != b.ctx {
-		panic("dataflow: Union across different contexts")
-	}
-	prepare := func() error {
-		if err := a.prepare(); err != nil {
-			return err
-		}
-		return b.prepare()
-	}
-	parts := a.parts + b.parts
-	return newRDD(a.ctx, "union", parts, prepare, func(p int, tc *TaskContext) ([]T, error) {
-		if p < a.parts {
-			return a.partition(p, tc)
-		}
-		return b.partition(p-a.parts, tc)
-	})
-}
-
-// Sample keeps each element independently with probability fraction, using
-// a deterministic per-partition stream derived from seed.
-func Sample[T any](r *RDD[T], fraction float64, seed int64) *RDD[T] {
-	return newRDD(r.ctx, r.name+".sample", r.parts, r.prepare, func(p int, tc *TaskContext) ([]T, error) {
-		in, err := r.partition(p, tc)
-		if err != nil {
-			return nil, err
-		}
-		rng := rand.New(rand.NewSource(seed + int64(p)*1_000_003))
-		var out []T
-		for _, v := range in {
-			if rng.Float64() < fraction {
-				out = append(out, v)
-			}
-		}
-		return out, nil
-	})
-}
-
 // ForEach applies f to every element on the driver, in partition order.
 func (r *RDD[T]) ForEach(f func(T)) error {
 	all, err := r.Collect()
@@ -85,31 +45,6 @@ func (r *RDD[T]) ForEach(f func(T)) error {
 		f(v)
 	}
 	return nil
-}
-
-// Coalesce reduces the partition count without a shuffle by concatenating
-// adjacent partitions.
-func Coalesce[T any](r *RDD[T], numPartitions int) *RDD[T] {
-	if numPartitions < 1 {
-		numPartitions = 1
-	}
-	if numPartitions >= r.parts {
-		return r
-	}
-	old := r.parts
-	return newRDD(r.ctx, r.name+".coalesce", numPartitions, r.prepare, func(p int, tc *TaskContext) ([]T, error) {
-		lo := p * old / numPartitions
-		hi := (p + 1) * old / numPartitions
-		var out []T
-		for q := lo; q < hi; q++ {
-			data, err := r.partition(q, tc)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, data...)
-		}
-		return out, nil
-	})
 }
 
 // KeyBy turns an RDD into a keyed RDD using f to derive the key.
@@ -233,54 +168,6 @@ func TestMapPartitionsWithIndexCoversAllPartitions(t *testing.T) {
 	}
 	if total != 40 {
 		t.Fatalf("partition sizes sum to %d, want 40", total)
-	}
-}
-
-func TestUnion(t *testing.T) {
-	ctx := newTestContext(t, 2)
-	a := Parallelize(ctx, []int{1, 2}, 2)
-	b := Parallelize(ctx, []int{3, 4, 5}, 2)
-	got, err := Union(a, b).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []int{1, 2, 3, 4, 5}) {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestCoalesce(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	r := Parallelize(ctx, intsUpTo(20), 8)
-	c := Coalesce(r, 3)
-	if c.NumPartitions() != 3 {
-		t.Fatalf("partitions=%d", c.NumPartitions())
-	}
-	got, err := c.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, intsUpTo(20)) {
-		t.Fatalf("coalesce reordered data: %v", got)
-	}
-}
-
-func TestSampleDeterministic(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	r := Parallelize(ctx, intsUpTo(1000), 4)
-	s1, err := Sample(r, 0.1, 42).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Sample(r, 0.1, 42).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatal("same seed produced different samples")
-	}
-	if len(s1) < 50 || len(s1) > 200 {
-		t.Fatalf("sample size %d implausible for 10%% of 1000", len(s1))
 	}
 }
 

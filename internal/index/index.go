@@ -71,10 +71,6 @@ type Config struct {
 	Shards int
 	// Tokenizer derives blocking keys and matcher token bags.
 	Tokenizer tokenize.Options
-	// Clustering enables loose-schema keys, exactly as in batch blocking.
-	Clustering blocking.AttributeClustering
-	// Entropy enables Blast-style entropy re-weighting of shared keys.
-	Entropy metablocking.EntropyProvider
 	// Scheme weights candidates (CBS, ECBS, JS, ARCS). EJS scales JS by
 	// the blocking graph's node degrees, which an online index does not
 	// maintain: withDefaults resolves it to JS.
@@ -172,8 +168,7 @@ func (c Config) withDefaults() Config {
 // posting is the online form of a block: the profiles one blocking key
 // currently hits, split by source for clean-clean tasks.
 type posting struct {
-	cluster int
-	a, b    []profile.ID
+	a, b []profile.ID
 }
 
 // size returns the number of profiles in the posting.
@@ -276,7 +271,7 @@ func New(clean bool, cfg Config) *Index {
 	cfg = cfg.withDefaults()
 	x := &Index{
 		cfg:    cfg,
-		opts:   blocking.Options{Tokenizer: cfg.Tokenizer, Clustering: cfg.Clustering},
+		opts:   blocking.Options{Tokenizer: cfg.Tokenizer},
 		clean:  clean,
 		shards: make([]*shard, cfg.Shards),
 		byID:   make(map[profile.ID]*storedProfile),
@@ -440,7 +435,7 @@ func (x *Index) putLocked(p profile.Profile) {
 		s.mu.Lock()
 		pl := s.postings[kt.Key]
 		if pl == nil {
-			pl = &posting{cluster: kt.Cluster}
+			pl = &posting{}
 			s.postings[kt.Key] = pl
 			x.numBlocks.Add(1)
 		}
@@ -485,12 +480,12 @@ func (x *Index) unlinkLocked(id profile.ID) {
 
 // keyBuf is the pooled workspace of key+bag derivation. Every write
 // (putLocked), the restore fallback for a snapshot without bags, and
-// every query fill one through blocking's AppendKeysAndBag — a single
-// tokenisation of each attribute value yields the blocking keys and the
-// distinct token bag. Schema-agnostic — the only configuration
-// sparker-serve can express — a token is its own key, so the bag is the
-// key strings in the same first-occurrence order and shares their bytes:
-// keys and bag cannot disagree about what a profile's tokens are.
+// every query fill one through derive — a single tokenisation of each
+// attribute value yields the blocking keys and the distinct token bag.
+// The index's keys are schema-agnostic: a token is its own key, so the
+// bag is the key strings in the same first-occurrence order and shares
+// their bytes, and keys and bag cannot disagree about what a profile's
+// tokens are.
 type keyBuf struct {
 	keys []blocking.KeyedToken
 	bag  []string
@@ -498,13 +493,22 @@ type keyBuf struct {
 
 var keyBufPool = sync.Pool{New: func() any { return new(keyBuf) }}
 
+// derive fills kb with p's distinct keys and its token bag.
+func (kb *keyBuf) derive(opts *blocking.Options, p *profile.Profile) {
+	kb.keys = opts.AppendKeysOf(kb.keys[:0], p)
+	kb.bag = kb.bag[:0]
+	for _, kt := range kb.keys {
+		kb.bag = append(kb.bag, kt.Key)
+	}
+}
+
 // keysAndBag returns p's keys and bag in exact-size slices a stored
 // profile retains. Both are nil when p has no tokens (a nil bag is what
 // the snapshot's bag flag byte records), and the bag is nil under a
 // custom Measure, which scores from the profiles themselves.
 func (x *Index) keysAndBag(p *profile.Profile) (keys []blocking.KeyedToken, bag []string) {
 	kb := keyBufPool.Get().(*keyBuf)
-	kb.keys, kb.bag = x.opts.AppendKeysAndBag(kb.keys[:0], kb.bag[:0], p)
+	kb.derive(&x.opts, p)
 	if len(kb.keys) > 0 {
 		keys = slices.Clone(kb.keys)
 	}

@@ -14,11 +14,15 @@ package index
 //	        posting count
 //	LSH     presence byte, always 0 when written (see below)
 //	profiles section: per profile ID, source, original ID, attributes,
-//	        blocking keys (with clusters), optional cached token bag
+//	        blocking keys (each with a cluster), optional cached token bag
 //	        (and, in a legacy LSH image, an optional MinHash signature)
 //	per-shard sections: posting count, then per posting key, cluster,
 //	        and the source-A / source-B ID lists in live order
 //	trailer CRC-32 (IEEE) of every preceding byte
+//
+// Every cluster is blocking.NoCluster: the index derives schema-agnostic
+// keys only. Any other value marks a loose-schema image, which the
+// decoder refuses (errLooseSchema).
 //
 // Nothing follows the trailer. A snapshot is a checkpoint at one sequence
 // number; the writes after it live in the WAL segments (wal.go), the only
@@ -97,8 +101,6 @@ const (
 	maxSnapshotItems = 1 << 26
 	// maxSnapshotShards bounds the decoded shard count.
 	maxSnapshotShards = 1 << 12
-	// maxSnapshotCluster bounds decoded attribute-cluster IDs.
-	maxSnapshotCluster = 1 << 30
 	// maxSnapshotSigLen bounds the signature length of a legacy LSH
 	// section.
 	maxSnapshotSigLen = 1 << 12
@@ -117,6 +119,9 @@ var (
 	ErrSnapshotVersion = errors.New("index: unsupported snapshot version")
 	// errSnapshotTrailing marks bytes after a snapshot's CRC trailer.
 	errSnapshotTrailing = errors.New("snapshot has trailing data after its checksum (a snapshot ends at its CRC; deltas live in the WAL)")
+	// errLooseSchema marks a key or posting under an attribute cluster:
+	// no query of this schema-agnostic index derives such a key.
+	errLooseSchema = errors.New("a loose-schema image (keys under attribute clusters); this build serves schema-agnostic keys only, so rebuild the index from its profiles")
 )
 
 // PersistState describes the index's durable-snapshot state: the most
@@ -264,11 +269,11 @@ func (x *Index) Image() (image []byte, seq int64, err error) {
 	return buf.Bytes(), seq, nil
 }
 
-// Load restores an index from a snapshot file. The tokenizer, clustering,
-// entropy and measure of cfg must match the configuration the snapshot
-// was saved under (they are code, not data, and are not serialized); the
-// shard count is restored from the file and overrides cfg.Shards. A
-// missing file surfaces as fs.ErrNotExist and an incompatible format as
+// Load restores an index from a snapshot file. The tokenizer and measure
+// of cfg must match the configuration the snapshot was saved under (they
+// are code, not data, and are not serialized); the shard count is
+// restored from the file and overrides cfg.Shards. A missing file
+// surfaces as fs.ErrNotExist and an incompatible format as
 // ErrSnapshotVersion, both via errors.Is.
 func Load(path string, cfg Config) (*Index, error) {
 	start := obs.Now()
@@ -500,7 +505,7 @@ func (x *Index) encodeLocked(w io.Writer, savedAt time.Time) (int64, error) {
 		cw.uvarint(uint64(len(sp.keys)))
 		for _, kt := range sp.keys {
 			cw.string(kt.Key)
-			cw.varint(int64(kt.Cluster))
+			cw.varint(blocking.NoCluster)
 		}
 		if sp.bag != nil {
 			cw.byte(1)
@@ -525,7 +530,7 @@ func (x *Index) encodeLocked(w io.Writer, savedAt time.Time) (int64, error) {
 		for _, key := range keys {
 			pl := sh.postings[key]
 			cw.string(key)
-			cw.varint(int64(pl.cluster))
+			cw.varint(blocking.NoCluster)
 			cw.uvarint(uint64(len(pl.a)))
 			for _, id := range pl.a {
 				cw.uvarint(uint64(id))
@@ -627,11 +632,10 @@ func (d *decoder) profile(idBound uint64, left int, sigLen int) (*storedProfile,
 			if kt.Key, err = d.string(); err != nil {
 				return nil, err
 			}
-			cluster, err := d.varint()
-			if err != nil || cluster < -1 || cluster > maxSnapshotCluster {
-				return nil, fmt.Errorf("cluster %d: %w", cluster, orBad(err, 0))
+			if err := d.noCluster(); err != nil {
+				return nil, fmt.Errorf("key %q: %w", kt.Key, err)
 			}
-			kt.Cluster = int(cluster)
+			kt.Cluster = blocking.NoCluster
 		}
 	}
 
@@ -740,12 +744,10 @@ func (d *decoder) posting(left int) error {
 	if key == "" {
 		return fmt.Errorf("empty posting key")
 	}
-	cluster, err := d.varint()
-	if err != nil || cluster < -1 || cluster > maxSnapshotCluster {
-		return fmt.Errorf("cluster %d: %w", cluster, orBad(err, 0))
+	if err := d.noCluster(); err != nil {
+		return fmt.Errorf("posting %q: %w", key, err)
 	}
 	pl := &d.postings.take(1, left)[0]
-	pl.cluster = int(cluster)
 	if pl.a, err = d.idList(0); err != nil {
 		return fmt.Errorf("posting %q: %w", key, err)
 	}
@@ -763,6 +765,19 @@ func (d *decoder) posting(left int) error {
 		return fmt.Errorf("posting %q: duplicate key", key)
 	}
 	sh.postings[key] = pl
+	return nil
+}
+
+// noCluster reads the cluster of a key or posting, which must be
+// blocking.NoCluster.
+func (d *decoder) noCluster() error {
+	c, err := d.varint()
+	if err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	if c != blocking.NoCluster {
+		return fmt.Errorf("cluster %d: %w", c, errLooseSchema)
+	}
 	return nil
 }
 

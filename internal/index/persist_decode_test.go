@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -19,6 +20,7 @@ import (
 	"sync"
 	"testing"
 
+	"sparker/internal/blocking"
 	"sparker/internal/matching"
 	"sparker/internal/profile"
 )
@@ -76,37 +78,33 @@ func randomProfiles(seed int64, n int) []profile.Profile {
 // the keys blocking's KeysOf yields and exactly the bag the separate
 // tokenisation used to — order, duplicates and nil-ness included (a
 // token-less profile stores a nil bag, which is what the snapshot's bag
-// flag byte records) — schema-agnostic and under a Clustering.
+// flag byte records).
 func TestKeysAndBagMatchReferences(t *testing.T) {
-	clustered := DefaultConfig()
-	clustered.Clustering = lenClustering{}
-	for name, cfg := range map[string]Config{"schema-agnostic": DefaultConfig(), "clustering": clustered} {
-		x := New(true, cfg)
-		tokenless := 0
-		for _, p := range randomProfiles(20260424, 400) {
-			p := p
-			keys, bag := x.keysAndBag(&p)
-			if want := x.opts.KeysOf(&p); !reflect.DeepEqual(keys, want) {
-				t.Fatalf("%s: %+v: keys %v, want %v", name, p, keys, want)
-			}
-			want := distinctBag(&p, x.cfg)
-			if !reflect.DeepEqual(bag, want) { // DeepEqual tells nil from empty
-				t.Fatalf("%s: %+v: bag %#v, want %#v", name, p, bag, want)
-			}
-			if want == nil {
-				tokenless++
-			}
-			id, _, err := x.Upsert(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sp := x.byID[id]; !reflect.DeepEqual(sp.keys, keys) || !reflect.DeepEqual(sp.bag, bag) {
-				t.Fatalf("%s: %+v: stored keys/bag differ from the derivation", name, p)
-			}
+	x := New(true, DefaultConfig())
+	tokenless := 0
+	for _, p := range randomProfiles(20260424, 400) {
+		p := p
+		keys, bag := x.keysAndBag(&p)
+		if want := x.opts.KeysOf(&p); !reflect.DeepEqual(keys, want) {
+			t.Fatalf("%+v: keys %v, want %v", p, keys, want)
 		}
-		if tokenless == 0 {
-			t.Fatalf("%s: fixture drew no token-less profile", name)
+		want := distinctBag(&p, x.cfg)
+		if !reflect.DeepEqual(bag, want) { // DeepEqual tells nil from empty
+			t.Fatalf("%+v: bag %#v, want %#v", p, bag, want)
 		}
+		if want == nil {
+			tokenless++
+		}
+		id, _, err := x.Upsert(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp := x.byID[id]; !reflect.DeepEqual(sp.keys, keys) || !reflect.DeepEqual(sp.bag, bag) {
+			t.Fatalf("%+v: stored keys/bag differ from the derivation", p)
+		}
+	}
+	if tokenless == 0 {
+		t.Fatal("fixture drew no token-less profile")
 	}
 
 	// A custom Measure scores from the profiles themselves: no bag.
@@ -315,19 +313,15 @@ func TestRestoredSlabsDoNotAlias(t *testing.T) {
 
 // TestParentImageReloadsByteIdentical: the byte format did not move. An
 // image written by the encoder this build shares with its parent decodes,
-// and re-encodes to the same bytes — schema-agnostic and clustered keys,
-// clean and dirty, and without bags (custom measure). The legacy LSH
-// images, written by an older build, re-encode to exactly the image the
-// same collection builds fresh: the section is all they lose.
+// and re-encodes to the same bytes — clean and dirty, and without bags
+// (custom measure). The legacy LSH images, written by an older build,
+// re-encode to exactly the image the same collection builds fresh: the
+// section is all they lose.
 func TestParentImageReloadsByteIdentical(t *testing.T) {
-	clustered := DefaultConfig()
-	clustered.Clustering = lenClustering{}
-	clustered.Entropy = rampEntropy{}
 	custom := DefaultConfig()
 	custom.Measure = matching.JaccardMeasure(custom.Tokenizer)
 	for name, cfg := range map[string]Config{
 		"default":        DefaultConfig(),
-		"clustering":     clustered,
 		"custom measure": custom,
 	} {
 		for _, clean := range []bool{false, true} {
@@ -366,3 +360,101 @@ func TestDecodeReportsStreamError(t *testing.T) {
 type errReader struct{ err error }
 
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// clusterOffsets walks a valid image without an LSH section and returns
+// the offsets of two cluster varints: the first profile's first key's
+// and the first posting's.
+func clusterOffsets(t testing.TB, image []byte) (key, posting int) {
+	t.Helper()
+	c := cursor{b: image, s: string(image), off: len(snapshotMagic)}
+	var header [10]uint64 // version, then the nine header fields
+	for i := range header {
+		header[i], _ = c.uvarint()
+	}
+	c.byte() // LSH presence byte
+	key = -1
+	for i := uint64(0); i < header[8]; i++ {
+		c.uvarint() // ID
+		c.byte()    // source
+		c.string()  // original ID
+		nAttrs, _ := c.uvarint()
+		for j := uint64(0); j < 2*nAttrs; j++ {
+			c.string()
+		}
+		nKeys, _ := c.uvarint()
+		for j := uint64(0); j < nKeys; j++ {
+			c.string()
+			if key < 0 {
+				key = c.off
+			}
+			c.varint()
+		}
+		if hasBag, _ := c.byte(); hasBag == 1 {
+			nBag, _ := c.uvarint()
+			for j := uint64(0); j < nBag; j++ {
+				c.string()
+			}
+		}
+	}
+	for posting = -1; posting < 0 && c.rest() > 4; {
+		if n, _ := c.uvarint(); n > 0 {
+			c.string()
+			posting = c.off
+		}
+	}
+	for _, off := range []int{key, posting} {
+		if v, n := binary.Varint(image[max(off, 0):]); off < 0 || n != 1 || v != blocking.NoCluster {
+			t.Fatalf("cluster offsets %d, %d: not a NoCluster varint", key, posting)
+		}
+	}
+	return key, posting
+}
+
+// looseSchemaImages are two copies of a valid default image, each with
+// one cluster varint set to 0 and its CRC recomputed, which is what a
+// loose-schema image holds there: the first profile's first key's in
+// badKey, the first posting's in badPosting.
+func looseSchemaImages(t testing.TB, clean bool) (badKey, badPosting []byte) {
+	t.Helper()
+	image := encodeToBytes(t, smallTestIndex(t, clean))
+	keyOff, postingOff := clusterOffsets(t, image)
+	badKey = append([]byte(nil), image...)
+	badKey[keyOff] = 0 // zigzag varint 0
+	badPosting = image
+	badPosting[postingOff] = 0
+	return reseal(badKey), reseal(badPosting)
+}
+
+// refusesLooseSchema asserts that Decode and Load both fail image with
+// the error that names a loose-schema image.
+func refusesLooseSchema(t *testing.T, image []byte) {
+	t.Helper()
+	if _, err := Decode(bytes.NewReader(image), DefaultConfig()); !errors.Is(err, errLooseSchema) {
+		t.Fatalf("Decode: err = %v, want a loose-schema refusal", err)
+	}
+	path := filepath.Join(t.TempDir(), "loose.snap")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(path, DefaultConfig()); !errors.Is(err, errLooseSchema) {
+		t.Fatalf("Load: err = %v, want a loose-schema refusal", err)
+	}
+}
+
+// TestDecodeRefusesKeyCluster: a stored key under attribute cluster 0 is
+// a loose-schema key, which no query of this index derives.
+func TestDecodeRefusesKeyCluster(t *testing.T) {
+	for _, clean := range []bool{false, true} {
+		badKey, _ := looseSchemaImages(t, clean)
+		refusesLooseSchema(t, badKey)
+	}
+}
+
+// TestDecodeRefusesPostingCluster: a posting under attribute cluster 0
+// would load as a posting that no query can reach.
+func TestDecodeRefusesPostingCluster(t *testing.T) {
+	for _, clean := range []bool{false, true} {
+		_, badPosting := looseSchemaImages(t, clean)
+		refusesLooseSchema(t, badPosting)
+	}
+}

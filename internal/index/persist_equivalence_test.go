@@ -13,9 +13,9 @@ import (
 // This file proves a restored snapshot is an exact stand-in for the live
 // index: after save → load, Query candidate sets (IDs, shared-key counts
 // and weight bits) and Resolve matches (IDs and score bits) must be
-// identical for every weight scheme × pruning rule × clean/dirty task ×
-// entropy setting — the same grid the flat-kernel equivalence harness
-// pins against the map reference.
+// identical for every weight scheme × pruning rule × clean/dirty task —
+// the same grid the flat-kernel equivalence harness pins against the map
+// reference.
 
 func TestPersistedQueryEquivalence(t *testing.T) {
 	for _, clean := range []bool{false, true} {
@@ -23,58 +23,50 @@ func TestPersistedQueryEquivalence(t *testing.T) {
 		if clean {
 			sources = 2
 		}
-		for _, useEntropy := range []bool{false, true} {
-			for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.ARCS} {
-				for _, rule := range []PruneRule{PruneTopK, PruneMean, PruneNone} {
-					cfg := DefaultConfig()
-					cfg.Scheme = scheme
-					cfg.Prune = rule
-					cfg.MatchThreshold = -1 // keep every scored candidate
-					if useEntropy {
-						// Clustering and entropy are code, not data: the
-						// load-side cfg must carry the same implementations.
-						cfg.Clustering = lenClustering{}
-						cfg.Entropy = rampEntropy{}
+		for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.ARCS} {
+			for _, rule := range []PruneRule{PruneTopK, PruneMean, PruneNone} {
+				cfg := DefaultConfig()
+				cfg.Scheme = scheme
+				cfg.Prune = rule
+				cfg.MatchThreshold = -1 // keep every scored candidate
+				label := fmt.Sprintf("clean=%v %v/%v", clean, scheme, rule)
+
+				x := New(clean, cfg)
+				for _, p := range synthQueryProfiles(60, sources, 5) {
+					if _, _, err := x.Upsert(p); err != nil {
+						t.Fatal(err)
 					}
-					label := fmt.Sprintf("clean=%v entropy=%v %v/%v", clean, useEntropy, scheme, rule)
+				}
+				y := saveLoad(t, x, cfg)
 
-					x := New(clean, cfg)
-					for _, p := range synthQueryProfiles(60, sources, 5) {
-						if _, _, err := x.Upsert(p); err != nil {
-							t.Fatal(err)
+				for _, p := range synthQueryProfiles(60, sources, 5) {
+					p := p
+					want := x.Query(&p).Candidates
+					got := y.Query(&p).Candidates
+					if len(want) != len(got) {
+						t.Fatalf("%s query %s: %d candidates, live index %d",
+							label, p.OriginalID, len(got), len(want))
+					}
+					for i := range want {
+						if want[i].ID != got[i].ID || want[i].SharedKeys != got[i].SharedKeys ||
+							math.Float64bits(want[i].Weight) != math.Float64bits(got[i].Weight) {
+							t.Fatalf("%s query %s candidate %d: %+v vs live %+v",
+								label, p.OriginalID, i, got[i], want[i])
 						}
 					}
-					y := saveLoad(t, x, cfg)
 
-					for _, p := range synthQueryProfiles(60, sources, 5) {
-						p := p
-						want := x.Query(&p).Candidates
-						got := y.Query(&p).Candidates
-						if len(want) != len(got) {
-							t.Fatalf("%s query %s: %d candidates, live index %d",
-								label, p.OriginalID, len(got), len(want))
-						}
-						for i := range want {
-							if want[i].ID != got[i].ID || want[i].SharedKeys != got[i].SharedKeys ||
-								math.Float64bits(want[i].Weight) != math.Float64bits(got[i].Weight) {
-								t.Fatalf("%s query %s candidate %d: %+v vs live %+v",
-									label, p.OriginalID, i, got[i], want[i])
-							}
-						}
-
-						wr := x.Resolve(&p)
-						gr := y.Resolve(&p)
-						if wr.Comparisons != gr.Comparisons || len(wr.Matches) != len(gr.Matches) {
-							t.Fatalf("%s resolve %s: loaded %d matches/%d comparisons, live %d/%d",
-								label, p.OriginalID, len(gr.Matches), gr.Comparisons,
-								len(wr.Matches), wr.Comparisons)
-						}
-						for i := range wr.Matches {
-							if wr.Matches[i].B != gr.Matches[i].B ||
-								math.Float64bits(wr.Matches[i].Score) != math.Float64bits(gr.Matches[i].Score) {
-								t.Fatalf("%s resolve %s match %d: %+v vs live %+v",
-									label, p.OriginalID, i, gr.Matches[i], wr.Matches[i])
-							}
+					wr := x.Resolve(&p)
+					gr := y.Resolve(&p)
+					if wr.Comparisons != gr.Comparisons || len(wr.Matches) != len(gr.Matches) {
+						t.Fatalf("%s resolve %s: loaded %d matches/%d comparisons, live %d/%d",
+							label, p.OriginalID, len(gr.Matches), gr.Comparisons,
+							len(wr.Matches), wr.Comparisons)
+					}
+					for i := range wr.Matches {
+						if wr.Matches[i].B != gr.Matches[i].B ||
+							math.Float64bits(wr.Matches[i].Score) != math.Float64bits(gr.Matches[i].Score) {
+							t.Fatalf("%s resolve %s match %d: %+v vs live %+v",
+								label, p.OriginalID, i, gr.Matches[i], wr.Matches[i])
 						}
 					}
 				}

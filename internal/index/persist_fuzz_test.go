@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -10,29 +11,23 @@ import (
 // consistent, queryable index that accounts for every input byte, or
 // returns an error — never a panic, and never an allocation proportional
 // to a lying length header rather than to the input actually supplied.
-// Seeds cover valid snapshots of both task types (with and without
-// entropy keys), the two legacy LSH images (testdata/, see
-// persist_legacy_test.go) and a must-fail one whose signature value is
-// out of range, three must-fail seeds with
-// bytes after the CRC (a stray byte, noise, and the delta tail of valid
-// op frames older builds appended there), plus the mutation classes the
-// decoder must reject: truncation, bit flips, version bumps, and 64-byte
-// inputs whose counts claim 2³⁰ items (refused before any slab or map is
-// sized from them).
+// Seeds cover valid snapshots of both task types, a must-fail one whose
+// key sits under an attribute cluster (a loose-schema image), the two
+// legacy LSH images (testdata/, see persist_legacy_test.go) and a
+// must-fail one whose signature value is out of range, three must-fail
+// seeds with bytes after the CRC (a stray byte, noise, and the delta tail
+// of valid op frames older builds appended there), plus the mutation
+// classes the decoder must reject: truncation, bit flips, version bumps,
+// and 64-byte inputs whose counts claim 2³⁰ items (refused before any
+// slab or map is sized from them).
 func FuzzLoadIndex(f *testing.F) {
 	dirty := encodeToBytes(f, smallTestIndex(f, false))
 	clean := encodeToBytes(f, smallTestIndex(f, true))
 
-	entCfg := DefaultConfig()
-	entCfg.Clustering = lenClustering{}
-	entCfg.Entropy = rampEntropy{}
-	ent := New(false, entCfg)
-	for _, p := range synthQueryProfiles(8, 1, 23) {
-		if _, _, err := ent.Upsert(p); err != nil {
-			f.Fatal(err)
-		}
+	looseKey, _ := looseSchemaImages(f, false)
+	if _, err := Decode(bytes.NewReader(looseKey), DefaultConfig()); !errors.Is(err, errLooseSchema) {
+		f.Fatalf("loose-schema seed: err = %v, want it refused", err)
 	}
-	entropy := encodeToBytes(f, ent)
 
 	empty := encodeToBytes(f, New(true, DefaultConfig()))
 
@@ -65,7 +60,7 @@ func FuzzLoadIndex(f *testing.F) {
 	}
 	delta := append(append([]byte(nil), deltaBase...), tail...)
 
-	for _, seed := range [][]byte{dirty, clean, entropy, empty, withLSH, cleanLSH, badSig, stray, noise, delta} {
+	for _, seed := range [][]byte{dirty, clean, looseKey, empty, withLSH, cleanLSH, badSig, stray, noise, delta} {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])                      // truncated
 		f.Add(seed[:len(seed)-3])                      // lost trailer

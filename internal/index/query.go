@@ -121,13 +121,13 @@ func (x *Index) queryBudget(p *profile.Profile, budget Budget, kb *keyBuf) *Quer
 		clk.Start()
 	}
 	// Dirty indexes store everything under source 0 (Upsert normalizes);
-	// queries must match, or self-exclusion and loose-schema keys break.
+	// queries must match, or self-exclusion breaks.
 	if !x.clean && p.SourceID != 0 {
 		q := *p
 		q.SourceID = 0
 		p = &q
 	}
-	kb.keys, kb.bag = x.opts.AppendKeysAndBag(kb.keys[:0], kb.bag[:0], p)
+	kb.derive(&x.opts, p)
 	keys := kb.keys
 	res.Keys = len(keys)
 	clk.Tick(res.StageNanos[:], int(StageTokenize))
@@ -198,7 +198,6 @@ func (x *Index) queryBudget(p *profile.Profile, budget Budget, kb *keyBuf) *Quer
 	// allocation at all.
 	sc := x.getScratch()
 	defer x.putScratch(sc)
-	useEntropy := x.cfg.Entropy != nil
 	for _, pr := range probes {
 		// Deadline boundary: one clock read per posting, only when a
 		// deadline is set. Candidates accumulated so far still rank and
@@ -215,11 +214,7 @@ func (x *Index) queryBudget(p *profile.Profile, budget Budget, kb *keyBuf) *Quer
 			continue
 		}
 		res.BlocksProbed++
-		entropy := 1.0
-		if useEntropy {
-			entropy = x.cfg.Entropy.EntropyOf(pl.cluster)
-		}
-		c := metablocking.BlockContribution(x.cfg.Scheme, useEntropy, entropy, pl.comparisons(x.clean))
+		c := metablocking.BlockContribution(x.cfg.Scheme, false, 1, pl.comparisons(x.clean))
 		visit := func(ids []profile.ID) {
 			res.PostingsScanned += len(ids)
 			sc.AddBlock(ids, selfID, c)
@@ -273,7 +268,6 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, budget 
 		return 0
 	}
 	numBlocks := float64(x.numBlocks.Load())
-	useEntropy := x.cfg.Entropy != nil
 	// Only the ratio schemes need each candidate's block count; CBS and
 	// ARCS skip the per-candidate profile lookups entirely.
 	needsCandKeys := x.cfg.Scheme.ReadsEndpoints()
@@ -303,7 +297,7 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, budget 
 			ID: id,
 			// The query is endpoint a, the candidate b. There is no degree
 			// factor: EJS never reaches here (withDefaults).
-			Weight:     metablocking.Weight(x.cfg.Scheme, a, useEntropy, queryKeys, candKeys, numBlocks, 1),
+			Weight:     metablocking.Weight(x.cfg.Scheme, a, false, queryKeys, candKeys, numBlocks, 1),
 			SharedKeys: int(a.CBS),
 		})
 	}

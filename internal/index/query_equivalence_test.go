@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"sparker/internal/blocking"
 	"sparker/internal/matching"
 	"sparker/internal/metablocking"
 	"sparker/internal/profile"
@@ -15,35 +14,26 @@ import (
 // This file retains the pre-flat-kernel map-based candidate accumulator
 // as a reference and proves the query hot path's dense scratch is an
 // exact drop-in: candidate sets, order, and weights must be
-// bitwise-identical for every scheme × prune rule × task type, with and
-// without entropy weighting.
+// bitwise-identical for every scheme × prune rule × task type.
 
 // candAcc is the historical per-candidate accumulator: refCandidates
 // fills it field by field in a map, sharing no accumulation code with
 // the flat kernel's PairStats.
 type candAcc struct {
-	cbs        int
-	arcs       float64
-	entropySum float64
-	entArcs    float64
+	cbs  int
+	arcs float64
 }
 
 // weight hands the reference's statistics to metablocking.Weight, the
 // one formula (pinned bitwise against the batch reference's own copy in
-// internal/metablocking/reference_test.go), folding the four sums into
-// the one Sum the scheme reads only here.
+// internal/metablocking/reference_test.go), picking the one Sum the
+// scheme reads only here.
 func (x *Index) weight(a *candAcc, queryKeys, candKeys int, numBlocks float64) float64 {
-	useEntropy := x.cfg.Entropy != nil
 	st := metablocking.PairStats{CBS: int32(a.cbs), Sum: float64(a.cbs)}
-	switch {
-	case x.cfg.Scheme == metablocking.ARCS && useEntropy:
-		st.Sum = a.entArcs
-	case x.cfg.Scheme == metablocking.ARCS:
+	if x.cfg.Scheme == metablocking.ARCS {
 		st.Sum = a.arcs
-	case useEntropy:
-		st.Sum = a.entropySum
 	}
-	return metablocking.Weight(x.cfg.Scheme, &st, useEntropy, queryKeys, candKeys, numBlocks, 1)
+	return metablocking.Weight(x.cfg.Scheme, &st, false, queryKeys, candKeys, numBlocks, 1)
 }
 
 // refCandidates replicates Query on the historical map accumulator path.
@@ -100,7 +90,6 @@ func refCandidates(x *Index, p *profile.Profile) []Candidate {
 	}
 
 	acc := make(map[profile.ID]candAcc)
-	useEntropy := x.cfg.Entropy != nil
 	for _, pr := range probes {
 		s := pr.sh
 		s.mu.RLock()
@@ -108,10 +97,6 @@ func refCandidates(x *Index, p *profile.Profile) []Candidate {
 		if pl == nil {
 			s.mu.RUnlock()
 			continue
-		}
-		entropy := 1.0
-		if useEntropy {
-			entropy = x.cfg.Entropy.EntropyOf(pl.cluster)
 		}
 		card := pl.comparisons(x.clean)
 		visit := func(ids []profile.ID) {
@@ -122,8 +107,6 @@ func refCandidates(x *Index, p *profile.Profile) []Candidate {
 				a := acc[id]
 				a.cbs++
 				a.arcs += 1 / card
-				a.entropySum += entropy
-				a.entArcs += entropy / card
 				acc[id] = a
 			}
 		}
@@ -167,39 +150,6 @@ func refCandidates(x *Index, p *profile.Profile) []Candidate {
 	return res.Candidates
 }
 
-// lenClustering assigns attribute clusters by name length, giving the
-// entropy path varied cluster IDs without a full loose-schema run.
-type lenClustering struct{}
-
-func (lenClustering) ClusterOf(_ int, attribute string) int { return len(attribute) % 3 }
-
-type rampEntropy struct{}
-
-func (rampEntropy) EntropyOf(cluster int) float64 { return 0.25 + 0.4*float64(cluster+2) }
-
-// nameClustering puts the "name" attribute in cluster 0 and every other
-// attribute in cluster 1.
-type nameClustering struct{}
-
-func (nameClustering) ClusterOf(_ int, attribute string) int {
-	if attribute == "name" {
-		return 0
-	}
-	return 1
-}
-
-// holeEntropy zeroes the entropy of cluster 0, so under nameClustering a
-// candidate that shares only name keys with the query sums to 0 and only
-// its shared-key count marks it touched.
-type holeEntropy struct{}
-
-func (holeEntropy) EntropyOf(cluster int) float64 {
-	if cluster == 0 {
-		return 0
-	}
-	return rampEntropy{}.EntropyOf(cluster)
-}
-
 // synthQueryProfiles builds overlapping-token profiles across sources.
 func synthQueryProfiles(n, sources int, seed uint64) []profile.Profile {
 	next := seed*2654435761 + 1
@@ -224,49 +174,34 @@ func TestQueryMatchesMapReference(t *testing.T) {
 		if clean {
 			sources = 2
 		}
-		for _, ent := range []struct {
-			name       string
-			clustering blocking.AttributeClustering
-			entropy    metablocking.EntropyProvider
-		}{{"flat", nil, nil}, {"entropy", lenClustering{}, rampEntropy{}}, {"zero-entropy", nameClustering{}, holeEntropy{}}} {
-			for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.EJS, metablocking.ARCS} {
-				for _, rule := range []PruneRule{PruneTopK, PruneMean, PruneNone} {
-					cfg := DefaultConfig()
-					cfg.Scheme = scheme
-					cfg.Prune = rule
-					cfg.Clustering = ent.clustering
-					cfg.Entropy = ent.entropy
-					x := New(clean, cfg)
-					if scheme == metablocking.EJS && x.cfg.Scheme != metablocking.JS {
-						t.Fatalf("an EJS index weighs by %v; want JS (no node degrees online)", x.cfg.Scheme)
+		for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.EJS, metablocking.ARCS} {
+			for _, rule := range []PruneRule{PruneTopK, PruneMean, PruneNone} {
+				cfg := DefaultConfig()
+				cfg.Scheme = scheme
+				cfg.Prune = rule
+				x := New(clean, cfg)
+				if scheme == metablocking.EJS && x.cfg.Scheme != metablocking.JS {
+					t.Fatalf("an EJS index weighs by %v; want JS (no node degrees online)", x.cfg.Scheme)
+				}
+				for _, p := range synthQueryProfiles(60, sources, 5) {
+					if _, _, err := x.Upsert(p); err != nil {
+						t.Fatal(err)
 					}
-					for _, p := range synthQueryProfiles(60, sources, 5) {
-						if _, _, err := x.Upsert(p); err != nil {
-							t.Fatal(err)
-						}
+				}
+				label := fmt.Sprintf("clean=%v %v/%v", clean, scheme, rule)
+				for _, p := range synthQueryProfiles(60, sources, 5) {
+					p := p
+					want := refCandidates(x, &p)
+					got := x.Query(&p).Candidates
+					if len(want) != len(got) {
+						t.Fatalf("%s query %s: %d candidates, reference %d", label, p.OriginalID, len(got), len(want))
 					}
-					label := fmt.Sprintf("clean=%v %s %v/%v", clean, ent.name, scheme, rule)
-					zeroes := 0
-					for _, p := range synthQueryProfiles(60, sources, 5) {
-						p := p
-						want := refCandidates(x, &p)
-						got := x.Query(&p).Candidates
-						if len(want) != len(got) {
-							t.Fatalf("%s query %s: %d candidates, reference %d", label, p.OriginalID, len(got), len(want))
+					for i := range want {
+						if want[i].ID != got[i].ID || want[i].SharedKeys != got[i].SharedKeys ||
+							math.Float64bits(want[i].Weight) != math.Float64bits(got[i].Weight) {
+							t.Fatalf("%s query %s candidate %d: %+v vs reference %+v",
+								label, p.OriginalID, i, got[i], want[i])
 						}
-						for i := range want {
-							if want[i].ID != got[i].ID || want[i].SharedKeys != got[i].SharedKeys ||
-								math.Float64bits(want[i].Weight) != math.Float64bits(got[i].Weight) {
-								t.Fatalf("%s query %s candidate %d: %+v vs reference %+v",
-									label, p.OriginalID, i, got[i], want[i])
-							}
-							if want[i].Weight == 0 {
-								zeroes++
-							}
-						}
-					}
-					if ent.entropy == (holeEntropy{}) && scheme == metablocking.CBS && rule == PruneNone && zeroes == 0 {
-						t.Fatalf("%s: no candidate is reached through zero-entropy keys only", label)
 					}
 				}
 			}

@@ -49,7 +49,7 @@ func sameCandidates(got, want []Candidate) error {
 }
 
 // TestTopKSelectionMatchesFullSort runs real queries: one index per
-// scheme × entropy × task type × purge bound, each query answered once
+// scheme × task type × purge bound, each query answered once
 // unpruned (the full ranking) and once per k. The synthetic profiles draw
 // from a few dozen tokens, so a neighbourhood is hundreds of candidates
 // on a handful of distinct weights and the ID tie-break decides the cut.
@@ -62,48 +62,42 @@ func TestTopKSelectionMatchesFullSort(t *testing.T) {
 			sources = 2
 		}
 		profiles := synthQueryProfiles(n, sources, 17)
-		for _, useEntropy := range []bool{false, true} {
-			for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.ARCS} {
-				for _, maxBlock := range []float64{0.5, 0.15} {
-					cfg := DefaultConfig()
-					cfg.Scheme = scheme
-					cfg.Prune = PruneNone
-					cfg.MaxBlockFraction = maxBlock // 0.15 purges the commonest tokens' postings
-					if useEntropy {
-						cfg.Clustering = lenClustering{}
-						cfg.Entropy = rampEntropy{}
+		for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.ARCS} {
+			for _, maxBlock := range []float64{0.5, 0.15} {
+				cfg := DefaultConfig()
+				cfg.Scheme = scheme
+				cfg.Prune = PruneNone
+				cfg.MaxBlockFraction = maxBlock // 0.15 purges the commonest tokens' postings
+				x := New(clean, cfg)
+				for _, p := range profiles {
+					if _, _, err := x.Upsert(p); err != nil {
+						t.Fatal(err)
 					}
-					x := New(clean, cfg)
-					for _, p := range profiles {
-						if _, _, err := x.Upsert(p); err != nil {
-							t.Fatal(err)
-						}
+				}
+				label := fmt.Sprintf("clean=%v %v max-block=%v", clean, scheme, maxBlock)
+				for qi := 0; qi < n; qi += 23 {
+					q := profiles[qi]
+					x.cfg.Prune = PruneNone
+					full := x.Query(&q)
+					want := oracleRank(full.Candidates)
+					if err := sameCandidates(full.Candidates, want); err != nil {
+						t.Fatalf("%s query %s unpruned: %v", label, q.OriginalID, err)
 					}
-					label := fmt.Sprintf("clean=%v entropy=%v %v max-block=%v", clean, useEntropy, scheme, maxBlock)
-					for qi := 0; qi < n; qi += 23 {
-						q := profiles[qi]
-						x.cfg.Prune = PruneNone
-						full := x.Query(&q)
-						want := oracleRank(full.Candidates)
-						if err := sameCandidates(full.Candidates, want); err != nil {
-							t.Fatalf("%s query %s unpruned: %v", label, q.OriginalID, err)
+					biggest = max(biggest, len(want))
+					for _, k := range []int{1, 3, 10, len(want) + 5} {
+						x.cfg.Prune = PruneTopK
+						x.cfg.MaxCandidates = k
+						got := x.Query(&q)
+						kept := min(k, len(want))
+						if err := sameCandidates(got.Candidates, want[:kept]); err != nil {
+							t.Fatalf("%s query %s k=%d: %v", label, q.OriginalID, k, err)
 						}
-						biggest = max(biggest, len(want))
-						for _, k := range []int{1, 3, 10, len(want) + 5} {
-							x.cfg.Prune = PruneTopK
-							x.cfg.MaxCandidates = k
-							got := x.Query(&q)
-							kept := min(k, len(want))
-							if err := sameCandidates(got.Candidates, want[:kept]); err != nil {
-								t.Fatalf("%s query %s k=%d: %v", label, q.OriginalID, k, err)
-							}
-							if got.Pruned != len(want)-kept {
-								t.Fatalf("%s query %s k=%d: pruned %d, want %d", label, q.OriginalID, k, got.Pruned, len(want)-kept)
-							}
-							if got.PostingsScanned != full.PostingsScanned {
-								t.Fatalf("%s query %s k=%d: postings %d, unpruned %d", label, q.OriginalID, k,
-									got.PostingsScanned, full.PostingsScanned)
-							}
+						if got.Pruned != len(want)-kept {
+							t.Fatalf("%s query %s k=%d: pruned %d, want %d", label, q.OriginalID, k, got.Pruned, len(want)-kept)
+						}
+						if got.PostingsScanned != full.PostingsScanned {
+							t.Fatalf("%s query %s k=%d: postings %d, unpruned %d", label, q.OriginalID, k,
+								got.PostingsScanned, full.PostingsScanned)
 						}
 					}
 				}
@@ -124,16 +118,14 @@ type weighFixture struct {
 	keys    []int
 }
 
-// index builds an empty index configured by the mode bits (scheme,
-// entropy, task type) that knows the fixture's candidates by block count
-// only — all weigh reads of a stored profile.
+// index builds an empty index configured by the mode bits (scheme in
+// bits 0–1, task type in bit 3; bit 2 selects nothing) that knows the
+// fixture's candidates by block count only — all weigh reads of a stored
+// profile.
 func (f weighFixture) index(mode uint8) *Index {
 	cfg := DefaultConfig()
 	cfg.DisableMetrics = true
 	cfg.Scheme = []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.ARCS}[mode&3]
-	if mode&4 != 0 {
-		cfg.Entropy = rampEntropy{}
-	}
 	x := New(mode&8 != 0, cfg)
 	x.numBlocks.Store(1000)
 	for i, n := range f.keys {
@@ -238,8 +230,8 @@ func selectionFixture(data []byte) weighFixture {
 }
 
 // FuzzTopKSelection checks a decoded neighbourhood (selectionFixture)
-// under the scheme, entropy and task type the mode bits pick. The seeds
-// are run by plain `go test`: sizes around the heap's edges (k = 1,
+// under the scheme and task type the mode bits pick. The seeds are run
+// by plain `go test`: sizes around the heap's edges (k = 1,
 // k = n, k just under and over n) for every scheme, and a 300-candidate
 // neighbourhood on five distinct byte values.
 func FuzzTopKSelection(f *testing.F) {
@@ -272,7 +264,7 @@ func FuzzTopKSelection(f *testing.F) {
 		}
 		x := fx.index(mode)
 		if err := fx.check(x, len(fx.touched), int(k)); err != nil {
-			t.Fatalf("%v entropy=%v: %v", x.cfg.Scheme, mode&4 != 0, err)
+			t.Fatalf("%v mode=%d: %v", x.cfg.Scheme, mode, err)
 		}
 	})
 }

@@ -316,9 +316,10 @@ func SaveIndex(x *Index, path string) (IndexPersistState, error) { return x.Save
 
 // LoadIndex restores a fully queryable index from a snapshot file
 // without re-tokenizing or re-indexing. The cfg must carry the same
-// tokenizer/clustering/entropy/measure the snapshot was saved under
-// (code is not serialized); the shard count comes from the file. An LSH
-// section written by an older build is read and discarded. A missing
+// tokenizer/measure the snapshot was saved under (code is not
+// serialized); the shard count comes from the file. An LSH section
+// written by an older build is read and discarded; an image whose keys
+// sit under attribute clusters (loose-schema) is refused. A missing
 // file surfaces as fs.ErrNotExist and any format version but the current
 // one as ErrIndexSnapshotVersion, both via errors.Is; bytes after the
 // file's checksum are a plain error. Use Index.SetReadOnly to serve the
