@@ -598,6 +598,26 @@ func BenchmarkIndexSave(b *testing.B) {
 	b.ReportMetric(float64(st.Bytes), "snapshot_bytes")
 }
 
+// BenchmarkIndexBuild times NewFromCollection over the serving benchmark
+// collection: the index a sparker-serve node builds from its input files
+// at a cold start, where BenchmarkIndexLoad is the restart from a
+// snapshot.
+func BenchmarkIndexBuild(b *testing.B) {
+	c := indexBenchCollection(b)
+	cfg := index.DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x, err := index.NewFromCollection(c, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if x.Size() != c.Size() {
+			b.Fatalf("built %d profiles, want %d", x.Size(), c.Size())
+		}
+	}
+}
+
 // BenchmarkIndexLoad times restoring a fully queryable index from the
 // snapshot — the work a sparker-serve restart pays instead of
 // re-tokenizing and re-indexing the whole collection.

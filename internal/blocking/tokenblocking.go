@@ -103,7 +103,7 @@ func resetSeen(m map[string]struct{}) map[string]struct{} {
 // (in first-occurrence order) and returns the extended slice. Hot-path
 // callers pass a reused buffer so key derivation allocates nothing per
 // profile in the steady state. The batch blockers derive the same keys
-// from a corpus (slotKeys), each value's cluster resolved once here as
+// from a corpus (SlotKeys), each value's cluster resolved once here as
 // there.
 func (o *Options) AppendKeysOf(dst []KeyedToken, p *profile.Profile) []KeyedToken {
 	ks := keyScratchPool.Get().(*keyScratch)
@@ -139,35 +139,70 @@ func (o *Options) KeysOf(p *profile.Profile) []KeyedToken {
 	return o.AppendKeysOf(nil, p)
 }
 
-// keyTable is the key derivation of a corpus, the batch form of
+// KeyTable is the key derivation of a corpus, the batch form of
 // AppendKeysOf: every distinct (cluster, token ID) key has a dense slot,
 // numbered in first-seen order, and profile i's distinct keys are the
 // slots profSlots[start[i]:start[i+1]], in first-occurrence order.
-type keyTable struct {
+type KeyTable struct {
 	keys      []keySlot
 	start     []int
 	profSlots []int32
+
+	opts  Options  // renders a slot's key string
+	vocab []string // the corpus vocabulary the slots' token IDs index
 }
 
 // keySlot is one distinct key. The slots of one token are chained
 // through next (one per cluster the token occurs under, so the chain is
-// short), which maps (cluster, token ID) to a slot with no hashing.
+// short), which maps (cluster, token ID) to a slot with no hashing. The
+// int comes first so the two 4-byte fields share a word: 16 bytes a slot.
 type keySlot struct {
-	tok     uint32
 	cluster int
+	tok     uint32
 	next    int32
+}
+
+// SlotKeys slots the keys of every profile of a corpus: the one key
+// derivation TokenBlockingCorpus and the online index's bulk build share.
+// Profile i's slots list the keys AppendKeysOf derives for it, in the
+// same order.
+func (o *Options) SlotKeys(cp *tokenize.Corpus) *KeyTable { return o.slotKeys(cp) }
+
+// NumKeys is the number of distinct keys, the slots 0 to NumKeys()-1.
+func (kt *KeyTable) NumKeys() int { return len(kt.keys) }
+
+// Slots returns profile i's distinct keys as slots, in first-occurrence
+// order.
+func (kt *KeyTable) Slots(i int) []int32 { return kt.profSlots[kt.start[i]:kt.start[i+1]] }
+
+// Key renders slot s as the key AppendKeysOf derives for it.
+func (kt *KeyTable) Key(s int32) KeyedToken {
+	k := kt.keys[s]
+	return KeyedToken{Key: kt.opts.key(kt.vocab[k.tok], k.cluster), Cluster: k.cluster}
 }
 
 // slotKeys resolves each attribute value's cluster once and slots every
 // token occurrence of the corpus.
-func (o *Options) slotKeys(cp *tokenize.Corpus) *keyTable {
+func (o *Options) slotKeys(cp *tokenize.Corpus) *KeyTable {
 	head := make([]int32, len(cp.Vocab)) // first slot of each token, -1 for none
 	for i := range head {
 		head[i] = -1
 	}
-	var last []int32 // the profile that last listed each slot
+	// Every token has a slot, and a profile lists a slot at most once per
+	// occurrence of its token: size the tables to those bounds up front.
 	ps := cp.Collection.Profiles
-	kt := &keyTable{start: make([]int, len(ps)+1)}
+	occurrences := 0
+	for i := range ps {
+		occurrences += len(cp.Tokens(i))
+	}
+	last := make([]int32, 0, len(cp.Vocab)) // the profile that last listed each slot
+	kt := &KeyTable{
+		keys:      make([]keySlot, 0, len(cp.Vocab)),
+		start:     make([]int, len(ps)+1),
+		profSlots: make([]int32, 0, occurrences),
+		opts:      *o,
+		vocab:     cp.Vocab,
+	}
 	for i := range ps {
 		p := &ps[i]
 		for k, kv := range p.Attributes {
@@ -203,7 +238,7 @@ func TokenBlocking(c *profile.Collection, opts Options) *Collection {
 
 // TokenBlockingCorpus is TokenBlocking over a collection already
 // tokenised (opts.Tokenizer is not read: the corpus carries its own).
-// Every profile's keys are slotted once (slotKeys), a counting pass
+// Every profile's keys are slotted once (SlotKeys), a counting pass
 // sizes every slot's [A | B] member segment in one flat ID array, and a
 // fill pass scatters the IDs in profile order — so members come out
 // ascending, and the blocks equal the historical map build's exactly.
@@ -213,7 +248,7 @@ func TokenBlockingCorpus(cp *tokenize.Corpus, opts Options) *Collection {
 	c := cp.Collection
 	clean := c.IsClean()
 	out := &Collection{CleanClean: clean, NumProfiles: c.Size()}
-	kt := opts.slotKeys(cp)
+	kt := opts.SlotKeys(cp)
 	sideB := func(i int) bool { return clean && c.Profiles[i].SourceID == 1 }
 
 	na, nb := make([]int32, len(kt.keys)), make([]int32, len(kt.keys))
@@ -222,7 +257,7 @@ func TokenBlockingCorpus(cp *tokenize.Corpus, opts Options) *Collection {
 		if sideB(i) {
 			n = nb
 		}
-		for _, s := range kt.profSlots[kt.start[i]:kt.start[i+1]] {
+		for _, s := range kt.Slots(i) {
 			n[s]++
 		}
 	}
@@ -245,8 +280,8 @@ func TokenBlockingCorpus(cp *tokenize.Corpus, opts Options) *Collection {
 		if curA[s] < 0 {
 			continue
 		}
-		k := kt.keys[s]
-		b := Block{Key: opts.key(cp.Vocab[k.tok], k.cluster), ClusterID: k.cluster, CleanClean: clean}
+		k := kt.Key(int32(s))
+		b := Block{Key: k.Key, ClusterID: k.Cluster, CleanClean: clean}
 		if o := curA[s]; na[s] > 0 {
 			b.A = ids[o : o+na[s] : o+na[s]]
 		}
@@ -260,7 +295,7 @@ func TokenBlockingCorpus(cp *tokenize.Corpus, opts Options) *Collection {
 		if sideB(i) {
 			cur = curB
 		}
-		for _, s := range kt.profSlots[kt.start[i]:kt.start[i+1]] {
+		for _, s := range kt.Slots(i) {
 			if cur[s] >= 0 {
 				ids[cur[s]] = c.Profiles[i].ID
 				cur[s]++

@@ -22,19 +22,6 @@ func Empty[T any](ctx *Context) *RDD[T] {
 	return newRDD(ctx, "empty", 1, nil, func(int, *TaskContext) ([]T, error) { return nil, nil })
 }
 
-// MapPartitionsWithIndex applies f to each whole partition along with its
-// partition index.
-func MapPartitionsWithIndex[T, U any](r *RDD[T], f func(int, []T) ([]U, error)) *RDD[U] {
-	return newRDD(r.ctx, r.name+".mapPartitions", r.parts, r.prepare, func(p int, tc *TaskContext) ([]U, error) {
-		in, err := r.partition(p, tc)
-		if err != nil {
-			return nil, err
-		}
-		r.ctx.metrics.RecordsProcessed.Add(int64(len(in)))
-		return f(p, in)
-	})
-}
-
 // ForEach applies f to every element on the driver, in partition order.
 func (r *RDD[T]) ForEach(f func(T)) error {
 	all, err := r.Collect()
@@ -45,11 +32,6 @@ func (r *RDD[T]) ForEach(f func(T)) error {
 		f(v)
 	}
 	return nil
-}
-
-// KeyBy turns an RDD into a keyed RDD using f to derive the key.
-func KeyBy[T any, K comparable](r *RDD[T], f func(T) K) *RDD[KV[K, T]] {
-	return Map(r, func(v T) KV[K, T] { return KV[K, T]{Key: f(v), Value: v} })
 }
 
 // Keys projects the keys of a keyed RDD.
@@ -105,22 +87,6 @@ func Distinct[T comparable](r *RDD[T], numPartitions int) *RDD[T] {
 	return Map(grouped, func(kv KV[T, []struct{}]) T { return kv.Key })
 }
 
-// CountByKey returns a map from key to occurrence count, computed on the
-// driver after a map-side combine.
-func CountByKey[K comparable, V any](r *RDD[KV[K, V]]) (map[K]int64, error) {
-	ones := MapValues(r, func(V) int64 { return 1 })
-	counted := ReduceByKey(ones, func(a, b int64) int64 { return a + b }, 0)
-	kvs, err := counted.Collect()
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[K]int64, len(kvs))
-	for _, kv := range kvs {
-		out[kv.Key] = kv.Value
-	}
-	return out, nil
-}
-
 // Accumulator is a write-only counter usable from any task, mirroring
 // Spark accumulators. Reads on the driver see the running total.
 type Accumulator struct {
@@ -147,28 +113,6 @@ func Fold[T any](r *RDD[T], zero T, combine func(T, T) T) (T, error) {
 		func() T { return zero },
 		combine,
 		combine)
-}
-
-func TestMapPartitionsWithIndexCoversAllPartitions(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	r := Parallelize(ctx, intsUpTo(40), 5)
-	idx := MapPartitionsWithIndex(r, func(p int, in []int) ([]int, error) {
-		return []int{p, len(in)}, nil
-	})
-	got, err := idx.Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 {
-		t.Fatalf("got %v", got)
-	}
-	total := 0
-	for i := 1; i < len(got); i += 2 {
-		total += got[i]
-	}
-	if total != 40 {
-		t.Fatalf("partition sizes sum to %d, want 40", total)
-	}
 }
 
 func TestAggregateByKey(t *testing.T) {
@@ -203,19 +147,6 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
-func TestCountByKey(t *testing.T) {
-	ctx := newTestContext(t, 2)
-	r := Parallelize(ctx, []KV[string, int]{{"a", 0}, {"a", 0}, {"b", 0}}, 2)
-	got, err := CountByKey(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int64{"a": 2, "b": 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestKeysValuesMapValues(t *testing.T) {
 	ctx := newTestContext(t, 2)
 	r := Parallelize(ctx, []KV[string, int]{{"a", 1}, {"b", 2}}, 1)
@@ -230,19 +161,6 @@ func TestKeysValuesMapValues(t *testing.T) {
 	doubled, err := Values(MapValues(r, func(v int) int { return v * 2 })).Collect()
 	if err != nil || !reflect.DeepEqual(doubled, []int{2, 4}) {
 		t.Fatalf("doubled=%v err=%v", doubled, err)
-	}
-}
-
-func TestKeyBy(t *testing.T) {
-	ctx := newTestContext(t, 2)
-	r := Parallelize(ctx, []string{"apple", "fig"}, 1)
-	got, err := KeyBy(r, func(s string) int { return len(s) }).Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []KV[int, string]{{5, "apple"}, {3, "fig"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v", got)
 	}
 }
 

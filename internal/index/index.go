@@ -291,24 +291,120 @@ func New(clean bool, cfg Config) *Index {
 
 // NewFromCollection builds the index from a batch collection, preserving
 // its internal profile IDs so that evaluation against an existing ground
-// truth keeps working.
+// truth keeps working. Like Decode it is a constructor, not a write: it
+// tokenises the collection once (tokenize.NewCorpus) and takes every
+// profile's keys from the slotting the batch blockers use
+// (blocking.Options.SlotKeys), then builds the postings column-wise —
+// each key's A and B members are counted, carved as exact-size runs of
+// one ID array, filled in ID order, and the key is inserted into its
+// shard once. Stored profiles, keys and bags come from slabs, and every
+// run's capacity is clipped to its length, as a restored image's is, so
+// a later Upsert copies a run out instead of writing into its neighbour.
+// The index equals, snapshot byte for snapshot byte, the one the write
+// path would build by inserting the profiles one at a time in ID order.
 func NewFromCollection(c *profile.Collection, cfg Config) (*Index, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}
 	x := New(c.IsClean(), cfg)
-	x.writeMu.Lock()
-	defer x.writeMu.Unlock()
-	for i := range c.Profiles {
-		p := c.Profiles[i]
-		if _, ok := x.byOrig[origKey(&p)]; ok {
-			return nil, fmt.Errorf("index: duplicate profile %d:%s", p.SourceID, p.OriginalID)
+	ps := c.Profiles
+	x.byID = make(map[profile.ID]*storedProfile, len(ps))
+	x.byOrig = make(map[string]profile.ID, len(ps))
+	for i := range ps {
+		key := origKey(&ps[i])
+		if _, ok := x.byOrig[key]; ok {
+			return nil, fmt.Errorf("index: duplicate profile %d:%s", ps[i].SourceID, ps[i].OriginalID)
 		}
-		x.putLocked(p)
-		if p.ID >= x.nextID {
-			x.nextID = p.ID + 1
+		x.byOrig[key] = ps[i].ID
+	}
+	kt := x.opts.SlotKeys(tokenize.NewCorpus(c, x.cfg.Tokenizer))
+	sideB := func(i int) bool { return x.clean && ps[i].SourceID == 1 }
+
+	// Every key's string, rendered once, and its members on each side.
+	keys := make([]blocking.KeyedToken, kt.NumKeys())
+	for s := range keys {
+		keys[s] = kt.Key(int32(s))
+	}
+	na, nb := make([]int32, len(keys)), make([]int32, len(keys))
+	total := 0
+	for i := range ps {
+		n := na
+		if sideB(i) {
+			n = nb
+		}
+		for _, s := range kt.Slots(i) {
+			n[s]++
+		}
+		total += len(kt.Slots(i))
+	}
+
+	// The stored profiles, their keys and bags copied out of the slots.
+	var profiles slab[storedProfile]
+	var keyRuns slab[blocking.KeyedToken]
+	var bags slab[string]
+	left := total // keys still to copy out: caps a slab chunk
+	for i := range ps {
+		slots := kt.Slots(i)
+		sp := &profiles.take(1, len(ps)-i)[0]
+		sp.p = ps[i]
+		if len(slots) > 0 {
+			sp.keys = keyRuns.take(len(slots), left)
+			for k, s := range slots {
+				sp.keys[k] = keys[s]
+			}
+			if x.cfg.defaultJaccard {
+				sp.bag = bags.take(len(slots), left)
+				for k, s := range slots {
+					sp.bag[k] = keys[s].Key
+				}
+			}
+			left -= len(slots)
+		}
+		x.byID[ps[i].ID] = sp
+	}
+
+	// The postings: each side an exact-size run of one ID array, filled
+	// in ID order, then each key inserted into its shard map once.
+	ids := make([]profile.ID, total)
+	pls := make([]posting, len(keys))
+	off := int32(0)
+	for s := range pls {
+		if na[s] > 0 {
+			pls[s].a = ids[off : off : off+na[s]]
+			off += na[s]
+		}
+		if nb[s] > 0 {
+			pls[s].b = ids[off : off : off+nb[s]]
+			off += nb[s]
 		}
 	}
+	for i := range ps {
+		id, b := ps[i].ID, sideB(i)
+		for _, s := range kt.Slots(i) {
+			if pl := &pls[s]; b {
+				pl.b = append(pl.b, id)
+			} else {
+				pl.a = append(pl.a, id)
+			}
+		}
+	}
+	shardOf := make([]int32, len(keys))
+	sizes := make([]int, len(x.shards))
+	for s := range keys {
+		shardOf[s] = int32(x.shardIndex(keys[s].Key))
+		sizes[shardOf[s]]++
+	}
+	for j, sh := range x.shards {
+		sh.postings = make(map[string]*posting, sizes[j])
+	}
+	for s := range keys {
+		x.shards[shardOf[s]].postings[keys[s].Key] = &pls[s]
+	}
+
+	x.nextID = profile.ID(len(ps))
+	x.idBound.Store(int64(len(ps)))
+	x.numProfiles.Store(int64(len(ps)))
+	x.numBlocks.Store(int64(len(keys)))
 	return x, nil
 }
 
@@ -323,16 +419,19 @@ func origKey(p *profile.Profile) string {
 	return strconv.Itoa(p.SourceID) + "|" + p.OriginalID
 }
 
-// shardFor hashes a blocking key onto its shard with inline FNV-1a —
+// shardFor returns the shard of a blocking key.
+func (x *Index) shardFor(key string) *shard { return x.shards[x.shardIndex(key)] }
+
+// shardIndex hashes a blocking key onto its shard with inline FNV-1a —
 // hash.Hash32 would heap-allocate on every key of the query/upsert hot
 // paths.
-func (x *Index) shardFor(key string) *shard {
+func (x *Index) shardIndex(key string) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return x.shards[int(h%uint32(len(x.shards)))]
+	return int(h % uint32(len(x.shards)))
 }
 
 // Upsert inserts the profile, or replaces the previous profile with the

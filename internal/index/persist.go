@@ -818,12 +818,13 @@ func (d *decoder) idList(wantSource int) ([]profile.ID, error) {
 	return ids, nil
 }
 
-// slabChunk is how many items a decode slab allocates at a time.
+// slabChunk is how many items a slab allocates at a time.
 const slabChunk = 4096
 
 // slab carves the runs of one item kind out of chunk allocations — one
 // allocation per few thousand items where the decoder used to make one
-// or two per item.
+// or two per item. NewFromCollection carves its stored profiles, keys
+// and bags the same way.
 type slab[T any] struct{ free []T }
 
 // take returns a zeroed run of n items, n > 0, with its capacity clipped

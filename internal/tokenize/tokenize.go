@@ -6,6 +6,7 @@ package tokenize
 
 import (
 	"maps"
+	"math"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -25,7 +26,8 @@ type Options struct {
 
 // DefaultStopWords is a small English stop-word list; blocking keys built
 // from these would put half the collection in one block, which Block
-// Purging would then discard anyway.
+// Purging would then discard anyway. It is read-only: the tokenizer sizes
+// its stop-word check to it once, at start-up.
 var DefaultStopWords = map[string]bool{
 	"a": true, "an": true, "and": true, "are": true, "as": true, "at": true,
 	"be": true, "by": true, "for": true, "from": true, "has": true, "in": true,
@@ -130,10 +132,24 @@ func (o Options) AppendTokens(dst []string, s string, sc *Scratch) []string {
 // eachToken calls yield with every token of s, in order, as a view into
 // the scratch's normalisation buffer that is valid only until yield
 // returns: AppendTokens interns the views, a Corpus maps them to IDs.
+// ASCII bytes normalise through asciiNorm; any other byte starts a rune
+// that takes the unicode path (invalid UTF-8 decodes to RuneError, which
+// becomes a space, as ranging over s would make it).
 func (o Options) eachToken(s string, sc *Scratch, yield func(tok []byte)) {
 	stop, minLen := o.stopWords(), o.minLength()
+	stopLen := math.MaxInt // a custom set may hold a stop word of any length
+	if o.StopWords == nil {
+		stopLen = defaultStopLen
+	}
 	buf := sc.buf[:0]
-	for _, r := range s {
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			buf = append(buf, asciiNorm[c])
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		i += size
 		if unicode.IsLetter(r) || unicode.IsDigit(r) {
 			buf = utf8.AppendRune(buf, unicode.ToLower(r))
 		} else {
@@ -152,7 +168,8 @@ func (o Options) eachToken(s string, sc *Scratch, yield func(tok []byte)) {
 		}
 		f := buf[i:j]
 		i = j
-		if utf8.RuneCount(f) < minLen || stop[string(f)] {
+		// A token is at least one rune long, so only MinLength > 1 counts.
+		if minLen > 1 && utf8.RuneCount(f) < minLen || len(f) <= stopLen && stop[string(f)] {
 			continue
 		}
 		if o.DropNumbers && isNumericBytes(f) {
@@ -161,6 +178,29 @@ func (o Options) eachToken(s string, sc *Scratch, yield func(tok []byte)) {
 		yield(f)
 	}
 }
+
+// asciiNorm is what normalisation writes for each ASCII byte: the lower
+// case of a letter or digit, a space for anything else.
+var asciiNorm = func() (t [utf8.RuneSelf]byte) {
+	for c := range t {
+		r := rune(c)
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			t[c] = byte(unicode.ToLower(r))
+		} else {
+			t[c] = ' '
+		}
+	}
+	return t
+}()
+
+// defaultStopLen is the byte length of the longest default stop word: a
+// longer token cannot be one, so eachToken does not look it up.
+var defaultStopLen = func() (n int) {
+	for w := range DefaultStopWords {
+		n = max(n, len(w))
+	}
+	return n
+}()
 
 func isNumericBytes(b []byte) bool {
 	for i := 0; i < len(b); {

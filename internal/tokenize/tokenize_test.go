@@ -166,3 +166,39 @@ func TestAppendTokensMatchesTokens(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzAppendTokens: AppendTokens ≡ Tokens on arbitrary bytes, invalid
+// UTF-8 included, under the default, a custom (with words longer than
+// any default stop word) and an empty stop-word set, MinLength 1 to 3,
+// with and without DropNumbers. AppendTokens normalises ASCII through a
+// byte table and skips checks Tokens always makes, so the two paths must
+// be pinned to each other byte for byte.
+func FuzzAppendTokens(f *testing.F) {
+	for _, s := range []string{
+		"Modèna Ünïversity",
+		"", "   ", "Acme Blender-3000, the BEST!", "İstanbul ısıtma STRASSE ß",
+		"ΣΊΣΥΦΟΣ τελος", "日本語 トークン", "á combining", "42 007 x9",
+		"the of and", "tab\tand\nnewline", "emoji 🚀 split",
+		"\xff\xfeab\xc3 ok\x80", "KELVIN K ﬁ ligature", "THE With wITh blenders",
+	} {
+		f.Add(s)
+	}
+	var opts []Options
+	for _, stop := range []map[string]bool{nil, {"acme": true, "blender": true, "über": true, "the": true}, {}} {
+		for minLen := 1; minLen <= 3; minLen++ {
+			for _, drop := range []bool{false, true} {
+				opts = append(opts, Options{MinLength: minLen, StopWords: stop, DropNumbers: drop})
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc := &Scratch{}
+		for _, o := range opts {
+			want := o.Tokens(s)
+			got := o.AppendTokens(nil, s, sc)
+			if !reflect.DeepEqual(append([]string{}, want...), append([]string{}, got...)) {
+				t.Fatalf("opts %+v input %q: AppendTokens %q != Tokens %q", o, s, got, want)
+			}
+		}
+	})
+}

@@ -342,7 +342,10 @@ const (
 func DefaultIndexConfig() IndexConfig { return index.DefaultConfig() }
 
 // NewIndex builds the online index from a batch collection, preserving
-// internal profile IDs.
+// internal profile IDs. Like LoadIndex it is a constructor: it tokenises
+// the collection once and builds the postings key by key from that
+// corpus, and the index equals, snapshot byte for snapshot byte, one
+// filled by upserting the profiles in ID order.
 func NewIndex(c *Collection, cfg IndexConfig) (*Index, error) {
 	return index.NewFromCollection(c, cfg)
 }
