@@ -601,13 +601,11 @@ func BenchmarkIndexSave(b *testing.B) {
 // BenchmarkIndexBuild times NewFromCollection over the serving benchmark
 // collection: the index a sparker-serve node builds from its input files
 // at a cold start, where BenchmarkIndexLoad is the restart from a
-// snapshot.
+// snapshot. heap_B/profile is the live heap the built index holds.
 func BenchmarkIndexBuild(b *testing.B) {
 	c := indexBenchCollection(b)
 	cfg := index.DefaultConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	build := func() *index.Index {
 		x, err := index.NewFromCollection(c, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -615,12 +613,41 @@ func BenchmarkIndexBuild(b *testing.B) {
 		if x.Size() != c.Size() {
 			b.Fatalf("built %d profiles, want %d", x.Size(), c.Size())
 		}
+		return x
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build()
+	}
+	reportHeapPerProfile(b, build)
+}
+
+// reportHeapPerProfile reports, as heap_B/profile, the live heap one
+// index made by build holds per indexed profile: the heap with the index
+// alive, less the heap before it was made, each read after two GCs (the
+// second frees what the first left in sync.Pool victim caches). Called
+// after the timed loop, it builds one extra index with the timer stopped.
+func reportHeapPerProfile(b *testing.B, build func() *index.Index) {
+	b.StopTimer()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	x := build()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	b.ReportMetric(float64(live)/float64(x.Size()), "heap_B/profile")
+	runtime.KeepAlive(x)
 }
 
 // BenchmarkIndexLoad times restoring a fully queryable index from the
 // snapshot — the work a sparker-serve restart pays instead of
-// re-tokenizing and re-indexing the whole collection.
+// re-tokenizing and re-indexing the whole collection. heap_B/profile is
+// the live heap the restored index holds, the snapshot-sized string its
+// decoded strings share included.
 func BenchmarkIndexLoad(b *testing.B) {
 	c := indexBenchCollection(b)
 	cfg := index.DefaultConfig()
@@ -632,9 +659,7 @@ func BenchmarkIndexLoad(b *testing.B) {
 	if _, err := idx.Save(path); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	load := func() *index.Index {
 		x, err := index.Load(path, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -642,7 +667,14 @@ func BenchmarkIndexLoad(b *testing.B) {
 		if x.Size() != c.Size() {
 			b.Fatalf("loaded %d profiles, want %d", x.Size(), c.Size())
 		}
+		return x
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		load()
+	}
+	reportHeapPerProfile(b, load)
 }
 
 // BenchmarkWALAppend times the durable-upsert path — tokenize, frame,

@@ -12,27 +12,9 @@ package dataflow
 import (
 	"reflect"
 	"sort"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
-
-// Empty returns an RDD with no elements and a single empty partition.
-func Empty[T any](ctx *Context) *RDD[T] {
-	return newRDD(ctx, "empty", 1, nil, func(int, *TaskContext) ([]T, error) { return nil, nil })
-}
-
-// ForEach applies f to every element on the driver, in partition order.
-func (r *RDD[T]) ForEach(f func(T)) error {
-	all, err := r.Collect()
-	if err != nil {
-		return err
-	}
-	for _, v := range all {
-		f(v)
-	}
-	return nil
-}
 
 // Keys projects the keys of a keyed RDD.
 func Keys[K comparable, V any](r *RDD[KV[K, V]]) *RDD[K] {
@@ -85,34 +67,6 @@ func Distinct[T comparable](r *RDD[T], numPartitions int) *RDD[T] {
 	keyed := Map(r, func(v T) KV[T, struct{}] { return KV[T, struct{}]{Key: v} })
 	grouped := GroupByKey(keyed, numPartitions)
 	return Map(grouped, func(kv KV[T, []struct{}]) T { return kv.Key })
-}
-
-// Accumulator is a write-only counter usable from any task, mirroring
-// Spark accumulators. Reads on the driver see the running total.
-type Accumulator struct {
-	v atomic.Int64
-}
-
-// NewAccumulator creates an accumulator registered on the context. The
-// context handle is unused today but keeps the call shape of Spark.
-func NewAccumulator(_ *Context) *Accumulator { return &Accumulator{} }
-
-// Add increments the accumulator.
-func (a *Accumulator) Add(delta int64) { a.v.Add(delta) }
-
-// Value reads the running total.
-func (a *Accumulator) Value() int64 { return a.v.Load() }
-
-// Fold aggregates with a zero value and a single combining function.
-// Exactly like Spark's fold, the zero value is applied once per partition
-// and once more when merging the partials, so it must be the identity of
-// combine (0 for addition, 1 for multiplication) or the result is
-// inflated.
-func Fold[T any](r *RDD[T], zero T, combine func(T, T) T) (T, error) {
-	return Aggregate(r,
-		func() T { return zero },
-		combine,
-		combine)
 }
 
 func TestAggregateByKey(t *testing.T) {
@@ -188,33 +142,5 @@ func TestQuickDistinctMatchesSet(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAccumulator(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	acc := NewAccumulator(ctx)
-	r := Parallelize(ctx, intsUpTo(100), 8)
-	if err := Map(r, func(x int) int { acc.Add(1); return x }).ForEach(func(int) {}); err != nil {
-		t.Fatal(err)
-	}
-	if acc.Value() != 100 {
-		t.Fatalf("acc=%d", acc.Value())
-	}
-}
-
-func TestFold(t *testing.T) {
-	ctx := newTestContext(t, 4)
-	r := Parallelize(ctx, intsUpTo(10), 3)
-	sum, err := Fold(r, 0, func(a, b int) int { return a + b })
-	if err != nil || sum != 45 {
-		t.Fatalf("sum=%d err=%v", sum, err)
-	}
-	// Spark semantics: the zero value is applied per partition plus once
-	// at the merge, so a non-identity zero inflates the result — Empty has
-	// one partition, hence 7 (partition) + 7 (merge) = 14.
-	empty, err := Fold(Empty[int](ctx), 7, func(a, b int) int { return a + b })
-	if err != nil || empty != 14 {
-		t.Fatalf("empty fold=%d err=%v", empty, err)
 	}
 }

@@ -23,8 +23,6 @@ package index
 
 import (
 	"fmt"
-	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -69,7 +67,8 @@ func (r PruneRule) String() string {
 type Config struct {
 	// Shards is the number of independent token shards (default 16).
 	Shards int
-	// Tokenizer derives blocking keys and matcher token bags.
+	// Tokenizer derives a profile's tokens: its blocking keys, and the
+	// token set the default Jaccard scores.
 	Tokenizer tokenize.Options
 	// Scheme weights candidates (CBS, ECBS, JS, ARCS). EJS scales JS by
 	// the blocking graph's node degrees, which an online index does not
@@ -89,8 +88,8 @@ type Config struct {
 	// MaxCandidates is the k of PruneTopK (default 10).
 	MaxCandidates int
 	// Measure scores Resolve candidates (default whole-profile Jaccard
-	// with Tokenizer). Leave nil for the default: Resolve then scores
-	// candidates from token bags cached at upsert time instead of
+	// with Tokenizer). Leave nil for the default: Resolve then scores a
+	// candidate from the token list it is indexed under instead of
 	// re-tokenizing both profiles per comparison (bitwise-identical
 	// scores, far fewer allocations per query).
 	Measure matching.Measure
@@ -118,7 +117,7 @@ type Config struct {
 	ScoreHook func()
 
 	// defaultJaccard records that Measure was nil and withDefaults
-	// installed the whole-profile Jaccard, enabling the cached-bag scorer.
+	// installed the whole-profile Jaccard, enabling the token-list scorer.
 	defaultJaccard bool
 }
 
@@ -199,11 +198,13 @@ type shard struct {
 // storedProfile is an immutable snapshot of one indexed profile; Upsert
 // replaces the whole struct, so readers holding a pointer stay safe.
 type storedProfile struct {
-	p    profile.Profile
-	keys []blocking.KeyedToken
-	// bag is the distinct whole-profile token set, cached for the default
-	// Jaccard scorer (nil when a custom Measure is configured).
-	bag []string
+	p profile.Profile
+	// tokens are the profile's distinct tokens in first-occurrence order
+	// (nil when it has none). The index is schema-agnostic, so a token is
+	// its own blocking key: the one list names the profile's postings,
+	// counts its blocks for the weighting schemes, and is the set the
+	// default Jaccard scores.
+	tokens []string
 }
 
 // Index is a concurrent, sharded, incrementally maintainable entity index.
@@ -219,7 +220,7 @@ type Index struct {
 	writeMu sync.Mutex
 	mu      sync.RWMutex // guards the profile maps below
 	byID    map[profile.ID]*storedProfile
-	byOrig  map[string]profile.ID
+	byOrig  map[Identity]profile.ID
 	nextID  profile.ID
 
 	numProfiles atomic.Int64
@@ -275,7 +276,7 @@ func New(clean bool, cfg Config) *Index {
 		clean:  clean,
 		shards: make([]*shard, cfg.Shards),
 		byID:   make(map[profile.ID]*storedProfile),
-		byOrig: make(map[string]profile.ID),
+		byOrig: make(map[Identity]profile.ID),
 	}
 	if !cfg.DisableMetrics {
 		x.metrics = &Metrics{}
@@ -297,7 +298,7 @@ func New(clean bool, cfg Config) *Index {
 // (blocking.Options.SlotKeys), then builds the postings column-wise —
 // each key's A and B members are counted, carved as exact-size runs of
 // one ID array, filled in ID order, and the key is inserted into its
-// shard once. Stored profiles, keys and bags come from slabs, and every
+// shard once. Stored profiles and their token lists come from slabs, and every
 // run's capacity is clipped to its length, as a restored image's is, so
 // a later Upsert copies a run out instead of writing into its neighbour.
 // The index equals, snapshot byte for snapshot byte, the one the write
@@ -309,9 +310,9 @@ func NewFromCollection(c *profile.Collection, cfg Config) (*Index, error) {
 	x := New(c.IsClean(), cfg)
 	ps := c.Profiles
 	x.byID = make(map[profile.ID]*storedProfile, len(ps))
-	x.byOrig = make(map[string]profile.ID, len(ps))
+	x.byOrig = make(map[Identity]profile.ID, len(ps))
 	for i := range ps {
-		key := origKey(&ps[i])
+		key := identityOf(&ps[i])
 		if _, ok := x.byOrig[key]; ok {
 			return nil, fmt.Errorf("index: duplicate profile %d:%s", ps[i].SourceID, ps[i].OriginalID)
 		}
@@ -321,9 +322,9 @@ func NewFromCollection(c *profile.Collection, cfg Config) (*Index, error) {
 	sideB := func(i int) bool { return x.clean && ps[i].SourceID == 1 }
 
 	// Every key's string, rendered once, and its members on each side.
-	keys := make([]blocking.KeyedToken, kt.NumKeys())
+	keys := make([]string, kt.NumKeys())
 	for s := range keys {
-		keys[s] = kt.Key(int32(s))
+		keys[s] = kt.Key(int32(s)).Key
 	}
 	na, nb := make([]int32, len(keys)), make([]int32, len(keys))
 	total := 0
@@ -338,25 +339,18 @@ func NewFromCollection(c *profile.Collection, cfg Config) (*Index, error) {
 		total += len(kt.Slots(i))
 	}
 
-	// The stored profiles, their keys and bags copied out of the slots.
+	// The stored profiles and their token lists, copied out of the slots.
 	var profiles slab[storedProfile]
-	var keyRuns slab[blocking.KeyedToken]
-	var bags slab[string]
-	left := total // keys still to copy out: caps a slab chunk
+	var tokens slab[string]
+	left := total // tokens still to copy out: caps a slab chunk
 	for i := range ps {
 		slots := kt.Slots(i)
 		sp := &profiles.take(1, len(ps)-i)[0]
 		sp.p = ps[i]
 		if len(slots) > 0 {
-			sp.keys = keyRuns.take(len(slots), left)
+			sp.tokens = tokens.take(len(slots), left)
 			for k, s := range slots {
-				sp.keys[k] = keys[s]
-			}
-			if x.cfg.defaultJaccard {
-				sp.bag = bags.take(len(slots), left)
-				for k, s := range slots {
-					sp.bag[k] = keys[s].Key
-				}
+				sp.tokens[k] = keys[s]
 			}
 			left -= len(slots)
 		}
@@ -391,14 +385,14 @@ func NewFromCollection(c *profile.Collection, cfg Config) (*Index, error) {
 	shardOf := make([]int32, len(keys))
 	sizes := make([]int, len(x.shards))
 	for s := range keys {
-		shardOf[s] = int32(x.shardIndex(keys[s].Key))
+		shardOf[s] = int32(x.shardIndex(keys[s]))
 		sizes[shardOf[s]]++
 	}
 	for j, sh := range x.shards {
 		sh.postings = make(map[string]*posting, sizes[j])
 	}
 	for s := range keys {
-		x.shards[shardOf[s]].postings[keys[s].Key] = &pls[s]
+		x.shards[shardOf[s]].postings[keys[s]] = &pls[s]
 	}
 
 	x.nextID = profile.ID(len(ps))
@@ -414,9 +408,10 @@ func (x *Index) Clean() bool { return x.clean }
 // Size returns the number of indexed profiles.
 func (x *Index) Size() int { return int(x.numProfiles.Load()) }
 
-// origKey is the replacement identity of a profile: source + original ID.
-func origKey(p *profile.Profile) string {
-	return strconv.Itoa(p.SourceID) + "|" + p.OriginalID
+// identityOf is the replacement identity of a profile: source + original
+// ID.
+func identityOf(p *profile.Profile) Identity {
+	return Identity{OriginalID: p.OriginalID, SourceID: p.SourceID}
 }
 
 // shardFor returns the shard of a blocking key.
@@ -456,7 +451,7 @@ func (x *Index) Upsert(p profile.Profile) (profile.ID, bool, error) {
 	x.writeMu.Lock()
 	defer x.writeMu.Unlock()
 
-	oldID, replacing := x.lookupOrig(origKey(&p))
+	oldID, replacing := x.lookupOrig(identityOf(&p))
 	if replacing {
 		p.ID = oldID
 	} else {
@@ -504,7 +499,7 @@ func (x *Index) Meta(id profile.ID) (originalID string, sourceID int, ok bool) {
 }
 
 // lookupOrig resolves a (source, original ID) identity under the read lock.
-func (x *Index) lookupOrig(key string) (profile.ID, bool) {
+func (x *Index) lookupOrig(key Identity) (profile.ID, bool) {
 	x.mu.RLock()
 	id, ok := x.byOrig[key]
 	x.mu.RUnlock()
@@ -519,23 +514,22 @@ func (x *Index) putLocked(p profile.Profile) {
 	if b := int64(p.ID) + 1; b > x.idBound.Load() {
 		x.idBound.Store(b)
 	}
-	sp := &storedProfile{p: p}
-	sp.keys, sp.bag = x.keysAndBag(&p)
+	sp := &storedProfile{p: p, tokens: x.tokensOf(&p)}
 	x.mu.Lock()
 	_, replaced := x.byID[p.ID]
 	x.byID[p.ID] = sp
-	x.byOrig[origKey(&p)] = p.ID
+	x.byOrig[identityOf(&p)] = p.ID
 	x.mu.Unlock()
 	if !replaced {
 		x.numProfiles.Add(1)
 	}
-	for _, kt := range sp.keys {
-		s := x.shardFor(kt.Key)
+	for _, key := range sp.tokens {
+		s := x.shardFor(key)
 		s.mu.Lock()
-		pl := s.postings[kt.Key]
+		pl := s.postings[key]
 		if pl == nil {
 			pl = &posting{}
-			s.postings[kt.Key] = pl
+			s.postings[key] = pl
 			x.numBlocks.Add(1)
 		}
 		if x.clean && p.SourceID == 1 {
@@ -559,17 +553,17 @@ func (x *Index) unlinkLocked(id profile.ID) {
 	if sp == nil {
 		return
 	}
-	for _, kt := range sp.keys {
-		s := x.shardFor(kt.Key)
+	for _, key := range sp.tokens {
+		s := x.shardFor(key)
 		s.mu.Lock()
-		if pl := s.postings[kt.Key]; pl != nil {
+		if pl := s.postings[key]; pl != nil {
 			if x.clean && sp.p.SourceID == 1 {
 				pl.b = removeID(pl.b, id)
 			} else {
 				pl.a = removeID(pl.a, id)
 			}
 			if pl.size() == 0 {
-				delete(s.postings, kt.Key)
+				delete(s.postings, key)
 				x.numBlocks.Add(-1)
 			}
 		}
@@ -577,45 +571,36 @@ func (x *Index) unlinkLocked(id profile.ID) {
 	}
 }
 
-// keyBuf is the pooled workspace of key+bag derivation. Every write
-// (putLocked), the restore fallback for a snapshot without bags, and
-// every query fill one through derive — a single tokenisation of each
-// attribute value yields the blocking keys and the distinct token bag.
-// The index's keys are schema-agnostic: a token is its own key, so the
-// bag is the key strings in the same first-occurrence order and shares
-// their bytes, and keys and bag cannot disagree about what a profile's
-// tokens are.
+// keyBuf is the pooled workspace of key derivation. Every write
+// (putLocked) and every query fill one through derive: a single
+// tokenisation of each attribute value yields the profile's distinct
+// keys. The index's keys are schema-agnostic, so a key is a token and the
+// key strings are the profile's distinct tokens.
 type keyBuf struct {
 	keys []blocking.KeyedToken
-	bag  []string
 }
 
 var keyBufPool = sync.Pool{New: func() any { return new(keyBuf) }}
 
-// derive fills kb with p's distinct keys and its token bag.
+// derive fills kb with p's distinct keys in first-occurrence order.
 func (kb *keyBuf) derive(opts *blocking.Options, p *profile.Profile) {
 	kb.keys = opts.AppendKeysOf(kb.keys[:0], p)
-	kb.bag = kb.bag[:0]
-	for _, kt := range kb.keys {
-		kb.bag = append(kb.bag, kt.Key)
-	}
 }
 
-// keysAndBag returns p's keys and bag in exact-size slices a stored
-// profile retains. Both are nil when p has no tokens (a nil bag is what
-// the snapshot's bag flag byte records), and the bag is nil under a
-// custom Measure, which scores from the profiles themselves.
-func (x *Index) keysAndBag(p *profile.Profile) (keys []blocking.KeyedToken, bag []string) {
+// tokensOf returns p's distinct tokens in an exact-size slice a stored
+// profile retains, nil when p has none.
+func (x *Index) tokensOf(p *profile.Profile) []string {
 	kb := keyBufPool.Get().(*keyBuf)
 	kb.derive(&x.opts, p)
+	var tokens []string
 	if len(kb.keys) > 0 {
-		keys = slices.Clone(kb.keys)
-	}
-	if x.cfg.defaultJaccard && len(kb.bag) > 0 {
-		bag = slices.Clone(kb.bag)
+		tokens = make([]string, len(kb.keys))
+		for i, kt := range kb.keys {
+			tokens[i] = kt.Key
+		}
 	}
 	keyBufPool.Put(kb)
-	return keys, bag
+	return tokens
 }
 
 // removeID deletes one ID from a posting list, preserving order.

@@ -27,7 +27,7 @@ package index
 //	string  original ID          (uvarint length + bytes)
 //	uvarint attribute count, then per attribute: string key, string value
 //
-// Blocking keys and token bags are pure functions of
+// A profile's tokens, which are its blocking keys, are a pure function of
 // (profile, config) and are re-derived on apply, so frames stay small and
 // a replayed index is structurally identical to the directly written one.
 //
@@ -515,7 +515,7 @@ func (x *Index) applyOpLocked(o op, payload []byte) error {
 	if want := x.seq.Load() + 1; o.seq != want {
 		return fmt.Errorf("op seq %d does not follow %d", o.seq, want-1)
 	}
-	oldID, replacing := x.lookupOrig(origKey(&o.p))
+	oldID, replacing := x.lookupOrig(identityOf(&o.p))
 	if replacing {
 		if oldID != o.p.ID {
 			return fmt.Errorf("op replaces profile %d, replica holds it as %d", o.p.ID, oldID)

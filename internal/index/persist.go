@@ -14,8 +14,9 @@ package index
 //	        posting count
 //	LSH     presence byte, always 0 when written (see below)
 //	profiles section: per profile ID, source, original ID, attributes,
-//	        blocking keys (each with a cluster), optional cached token bag
-//	        (and, in a legacy LSH image, an optional MinHash signature)
+//	        blocking keys (each with a cluster), a bag flag byte and, when
+//	        set, the bag (and, in a legacy LSH image, an optional MinHash
+//	        signature)
 //	per-shard sections: posting count, then per posting key, cluster,
 //	        and the source-A / source-B ID lists in live order
 //	trailer CRC-32 (IEEE) of every preceding byte
@@ -23,6 +24,12 @@ package index
 // Every cluster is blocking.NoCluster: the index derives schema-agnostic
 // keys only. Any other value marks a loose-schema image, which the
 // decoder refuses (errLooseSchema).
+//
+// The bag repeats the keys: a profile's keys are its distinct tokens, the
+// set the default Jaccard scores. The encoder writes it (flag 1, then the
+// key strings) exactly when the default Jaccard scores and the profile
+// has a token, flag 0 otherwise; the decoder checks a present bag against
+// the keys string for string (errBagNotKeys) and drops it.
 //
 // Nothing follows the trailer. A snapshot is a checkpoint at one sequence
 // number; the writes after it live in the WAL segments (wal.go), the only
@@ -45,9 +52,9 @@ package index
 // the file's size (Decode reads its stream to the end) and takes one
 // immutable string copy of it. A cursor then parses the varints in
 // place; every decoded string — original IDs, attribute keys and values,
-// blocking keys, bag tokens, posting keys — is a substring of that one
-// copy, and the items themselves (stored profiles, attribute, key and
-// bag runs, posting structs, ID lists) are carved out of slabs
+// tokens, posting keys — is a substring of that one copy, and the items
+// themselves (stored profiles, attribute and token runs, posting structs,
+// ID lists) are carved out of slabs
 // a few thousand items at a time, each run with its capacity clipped to
 // its length so a later append copies out instead of writing into its
 // neighbour. The CRC is one crc32 call over everything before the
@@ -122,6 +129,8 @@ var (
 	// errLooseSchema marks a key or posting under an attribute cluster:
 	// no query of this schema-agnostic index derives such a key.
 	errLooseSchema = errors.New("a loose-schema image (keys under attribute clusters); this build serves schema-agnostic keys only, so rebuild the index from its profiles")
+	// errBagNotKeys marks a present bag that does not repeat the keys.
+	errBagNotKeys = errors.New("a profile's token bag differs from its keys")
 )
 
 // PersistState describes the index's durable-snapshot state: the most
@@ -380,7 +389,7 @@ func decode(buf []byte, cfg Config) (*Index, error) {
 	// The counts were checked against the bytes that remain, so sizing
 	// the profile maps from them up front is safe.
 	x.byID = make(map[profile.ID]*storedProfile, numProfiles)
-	x.byOrig = make(map[string]profile.ID, numProfiles)
+	x.byOrig = make(map[Identity]profile.ID, numProfiles)
 
 	// Profiles section.
 	for i := uint64(0); i < numProfiles; i++ {
@@ -392,9 +401,10 @@ func decode(buf []byte, cfg Config) (*Index, error) {
 		if _, dup := x.byID[id]; dup {
 			return nil, fmt.Errorf("snapshot profile %d/%d: duplicate ID %d", i, numProfiles, id)
 		}
-		key := origKey(&sp.p)
+		key := identityOf(&sp.p)
 		if _, dup := x.byOrig[key]; dup {
-			return nil, fmt.Errorf("snapshot profile %d/%d: duplicate identity %s", i, numProfiles, key)
+			return nil, fmt.Errorf("snapshot profile %d/%d: duplicate identity %d:%s",
+				i, numProfiles, key.SourceID, key.OriginalID)
 		}
 		x.byID[id] = sp
 		x.byOrig[key] = id
@@ -489,8 +499,7 @@ func (x *Index) encodeLocked(w io.Writer, savedAt time.Time) (int64, error) {
 		sp := x.byID[id]
 		// Mirror the decoder's count bounds so Save fails loudly instead
 		// of writing a file Load would reject at restart.
-		if len(sp.p.Attributes) > maxSnapshotItems || len(sp.keys) > maxSnapshotItems ||
-			len(sp.bag) > maxSnapshotItems {
+		if len(sp.p.Attributes) > maxSnapshotItems || len(sp.tokens) > maxSnapshotItems {
 			cw.err = fmt.Errorf("profile %d exceeds snapshot item limits", sp.p.ID)
 			break
 		}
@@ -502,15 +511,15 @@ func (x *Index) encodeLocked(w io.Writer, savedAt time.Time) (int64, error) {
 			cw.string(kv.Key)
 			cw.string(kv.Value)
 		}
-		cw.uvarint(uint64(len(sp.keys)))
-		for _, kt := range sp.keys {
-			cw.string(kt.Key)
+		cw.uvarint(uint64(len(sp.tokens)))
+		for _, t := range sp.tokens {
+			cw.string(t)
 			cw.varint(blocking.NoCluster)
 		}
-		if sp.bag != nil {
-			cw.byte(1)
-			cw.uvarint(uint64(len(sp.bag)))
-			for _, t := range sp.bag {
+		if x.cfg.defaultJaccard && len(sp.tokens) > 0 {
+			cw.byte(1) // the bag: the keys again (see the file header)
+			cw.uvarint(uint64(len(sp.tokens)))
+			for _, t := range sp.tokens {
 				cw.string(t)
 			}
 		} else {
@@ -563,8 +572,7 @@ type decoder struct {
 
 	profiles slab[storedProfile]
 	attrs    slab[profile.KeyValue]
-	keys     slab[blocking.KeyedToken]
-	bags     slab[string]
+	tokens   slab[string]
 	postings slab[posting]
 	ids      slab[profile.ID]
 }
@@ -626,48 +634,18 @@ func (d *decoder) profile(idBound uint64, left int, sigLen int) (*storedProfile,
 		return nil, fmt.Errorf("key count %d: %w", nKeys, orBad(err, 0))
 	}
 	if nKeys > 0 {
-		sp.keys = d.keys.take(int(nKeys), d.rest()/minKeyBytes)
-		for i := range sp.keys {
-			kt := &sp.keys[i]
-			if kt.Key, err = d.string(); err != nil {
+		sp.tokens = d.tokens.take(int(nKeys), d.rest()/minKeyBytes)
+		for i := range sp.tokens {
+			if sp.tokens[i], err = d.string(); err != nil {
 				return nil, err
 			}
 			if err := d.noCluster(); err != nil {
-				return nil, fmt.Errorf("key %q: %w", kt.Key, err)
-			}
-			kt.Cluster = blocking.NoCluster
-		}
-	}
-
-	hasBag, err := d.byte()
-	if err != nil || hasBag > 1 {
-		return nil, fmt.Errorf("bag flag: %w", orBad(err, hasBag))
-	}
-	var bag []string
-	if hasBag == 1 {
-		nBag, err := d.count(1)
-		if err != nil || nBag > maxSnapshotItems {
-			return nil, fmt.Errorf("bag size %d: %w", nBag, orBad(err, 0))
-		}
-		// A present bag stays non-nil even when empty: the flag byte
-		// records nil-ness, and a re-save must reproduce it.
-		bag = []string{}
-		if nBag > 0 {
-			bag = d.bags.take(int(nBag), d.rest())
-		}
-		for i := range bag {
-			if bag[i], err = d.string(); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("key %q: %w", sp.tokens[i], err)
 			}
 		}
 	}
-	if x.cfg.defaultJaccard {
-		// The cached-bag scorer needs a bag; snapshots written under a
-		// custom measure carry none, so recompute it.
-		if bag == nil {
-			_, bag = x.keysAndBag(&sp.p)
-		}
-		sp.bag = bag
+	if err := d.bag(sp.tokens); err != nil {
+		return nil, err
 	}
 
 	if sigLen > 0 {
@@ -676,6 +654,36 @@ func (d *decoder) profile(idBound uint64, left int, sigLen int) (*storedProfile,
 		}
 	}
 	return sp, nil
+}
+
+// bag reads a profile record's bag flag and, when it is set, the bag,
+// which must repeat the profile's keys string for string. Nothing of it
+// is kept.
+func (d *decoder) bag(keys []string) error {
+	hasBag, err := d.byte()
+	if err != nil || hasBag > 1 {
+		return fmt.Errorf("bag flag: %w", orBad(err, hasBag))
+	}
+	if hasBag == 0 {
+		return nil
+	}
+	nBag, err := d.count(1)
+	if err != nil {
+		return fmt.Errorf("bag size %d: %w", nBag, err)
+	}
+	if nBag != uint64(len(keys)) {
+		return fmt.Errorf("bag of %d tokens, %d keys: %w", nBag, len(keys), errBagNotKeys)
+	}
+	for i, key := range keys {
+		t, err := d.string()
+		if err != nil {
+			return err
+		}
+		if t != key {
+			return fmt.Errorf("bag token %d is %q, key %q: %w", i, t, key, errBagNotKeys)
+		}
+	}
+	return nil
 }
 
 // legacyLSHHeader reads the LSH section header and returns the signature
@@ -823,8 +831,8 @@ const slabChunk = 4096
 
 // slab carves the runs of one item kind out of chunk allocations — one
 // allocation per few thousand items where the decoder used to make one
-// or two per item. NewFromCollection carves its stored profiles, keys
-// and bags the same way.
+// or two per item. NewFromCollection carves its stored profiles and
+// token lists the same way.
 type slab[T any] struct{ free []T }
 
 // take returns a zeroed run of n items, n > 0, with its capacity clipped

@@ -1,9 +1,9 @@
 package index
 
 // Pins around the in-place snapshot decoder (one buffer, one CRC pass,
-// substrings, slabs) and the single key+bag derivation under the write
-// path: what they must equal, what they must still reject, and what they
-// may allocate.
+// substrings, slabs) and the one token list under the write path: what
+// they must equal, what they must still reject, and what they may
+// allocate.
 
 import (
 	"bytes"
@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,10 +26,11 @@ import (
 	"sparker/internal/profile"
 )
 
-// distinctBag is the reference the write path's bag is checked against:
-// the profile tokenised on its own by the matcher's ProfileBag, then
-// deduplicated in first-occurrence order — how the index derived its
-// bags before keys and bag came out of one pass.
+// distinctBag is one reference the write path's token list is checked
+// against: the profile tokenised on its own by the matcher's ProfileBag,
+// then deduplicated in first-occurrence order — how the index derived
+// the bag its default Jaccard scores before that bag and the keys became
+// one list.
 func distinctBag(p *profile.Profile, cfg Config) []string {
 	bag := matching.ProfileBag(p, cfg.Tokenizer)
 	seen := make(map[string]struct{}, len(bag))
@@ -74,23 +76,28 @@ func randomProfiles(seed int64, n int) []profile.Profile {
 	return out
 }
 
-// TestKeysAndBagMatchReferences: the one-pass derivation yields exactly
-// the keys blocking's KeysOf yields and exactly the bag the separate
-// tokenisation used to — order, duplicates and nil-ness included (a
-// token-less profile stores a nil bag, which is what the snapshot's bag
-// flag byte records).
+// TestKeysAndBagMatchReferences: a profile's one token list is exactly
+// the key strings blocking's KeysOf yields and exactly the bag the
+// separate tokenisation used to — order, duplicates and nil-ness
+// included (a token-less profile stores a nil list). An image repeats
+// that list as the bag when the default Jaccard scores, and carries no
+// bag under a custom Measure, which scores from the profiles themselves.
 func TestKeysAndBagMatchReferences(t *testing.T) {
 	x := New(true, DefaultConfig())
 	tokenless := 0
 	for _, p := range randomProfiles(20260424, 400) {
 		p := p
-		keys, bag := x.keysAndBag(&p)
-		if want := x.opts.KeysOf(&p); !reflect.DeepEqual(keys, want) {
-			t.Fatalf("%+v: keys %v, want %v", p, keys, want)
+		tokens := x.tokensOf(&p)
+		var keys []string
+		for _, kt := range x.opts.KeysOf(&p) {
+			keys = append(keys, kt.Key)
+		}
+		if !reflect.DeepEqual(tokens, keys) {
+			t.Fatalf("%+v: tokens %v, want the keys %v", p, tokens, keys)
 		}
 		want := distinctBag(&p, x.cfg)
-		if !reflect.DeepEqual(bag, want) { // DeepEqual tells nil from empty
-			t.Fatalf("%+v: bag %#v, want %#v", p, bag, want)
+		if !reflect.DeepEqual(tokens, want) { // DeepEqual tells nil from empty
+			t.Fatalf("%+v: tokens %#v, want the bag %#v", p, tokens, want)
 		}
 		if want == nil {
 			tokenless++
@@ -99,27 +106,38 @@ func TestKeysAndBagMatchReferences(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sp := x.byID[id]; !reflect.DeepEqual(sp.keys, keys) || !reflect.DeepEqual(sp.bag, bag) {
-			t.Fatalf("%+v: stored keys/bag differ from the derivation", p)
+		if sp := x.byID[id]; !reflect.DeepEqual(sp.tokens, tokens) {
+			t.Fatalf("%+v: stored tokens differ from the derivation", p)
 		}
 	}
 	if tokenless == 0 {
 		t.Fatal("fixture drew no token-less profile")
 	}
+	recs, _, _ := walkImage(t, encodeToBytes(t, x))
+	for i, r := range recs {
+		if wantFlag := len(r.keys) > 0; r.hasBag != wantFlag || !slices.Equal(r.bag, r.keys) {
+			t.Fatalf("default measure, profile record %d: bag flag %v, bag %q; want flag %v and the keys %q",
+				i, r.hasBag, r.bag, wantFlag, r.keys)
+		}
+	}
 
-	// A custom Measure scores from the profiles themselves: no bag.
 	custom := DefaultConfig()
 	custom.Measure = matching.JaccardMeasure(custom.Tokenizer)
-	p := mkProfile("c", "name", "acme blender")
-	if keys, bag := New(false, custom).keysAndBag(&p); len(keys) != 2 || bag != nil {
-		t.Fatalf("custom measure: keys %v, bag %#v; want two keys and a nil bag", keys, bag)
+	y := New(true, custom)
+	upsertAll(t, y, randomProfiles(20260424, 60))
+	recs, _, _ = walkImage(t, encodeToBytes(t, y))
+	for i, r := range recs {
+		if r.hasBag {
+			t.Fatalf("custom measure, profile record %d: bag %q written", i, r.bag)
+		}
 	}
 }
 
-// TestLoadAllocs pins the slabs: Load of a 2000-profile snapshot makes
-// fewer than four allocations per profile (one is the profile's identity
-// key in byOrig; strings, attribute/key/bag runs, posting structs and ID
-// lists are all carved). The per-item decoder made about 76.
+// TestLoadAllocs pins the slabs and the struct-keyed identity map: Load
+// of a 2000-profile snapshot makes fewer allocations than it has
+// profiles (strings, attribute and token runs, posting structs and ID
+// lists are all carved, and an identity is a map key by value). The
+// per-item decoder made about 76 per profile.
 func TestLoadAllocs(t *testing.T) {
 	const n = 2000
 	cfg := DefaultConfig()
@@ -135,8 +153,8 @@ func TestLoadAllocs(t *testing.T) {
 			t.Fatalf("load: %v (size %d)", err, y.Size())
 		}
 	})
-	if perProfile := allocs / n; perProfile >= 4 {
-		t.Fatalf("Load made %.0f allocations, %.1f per profile; want under 4", allocs, perProfile)
+	if perProfile := allocs / n; perProfile >= 1 {
+		t.Fatalf("Load made %.0f allocations, %.2f per profile; want under 1", allocs, perProfile)
 	}
 }
 
@@ -361,10 +379,19 @@ type errReader struct{ err error }
 
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
-// clusterOffsets walks a valid image without an LSH section and returns
-// the offsets of two cluster varints: the first profile's first key's
-// and the first posting's.
-func clusterOffsets(t testing.TB, image []byte) (key, posting int) {
+// imageRecord is one profile record of an image as walkImage reads it,
+// with the offsets of its bag count and its first bag token's bytes (-1
+// when it has no bag).
+type imageRecord struct {
+	keys, bag           []string
+	hasBag              bool
+	bagCount, bagToken0 int
+}
+
+// walkImage walks a valid image without an LSH section and returns its
+// profile records and the offsets of two cluster varints: the first
+// profile's first key's and the first posting's.
+func walkImage(t testing.TB, image []byte) (recs []imageRecord, key, posting int) {
 	t.Helper()
 	c := cursor{b: image, s: string(image), off: len(snapshotMagic)}
 	var header [10]uint64 // version, then the nine header fields
@@ -381,20 +408,28 @@ func clusterOffsets(t testing.TB, image []byte) (key, posting int) {
 		for j := uint64(0); j < 2*nAttrs; j++ {
 			c.string()
 		}
+		r := imageRecord{bagCount: -1, bagToken0: -1}
 		nKeys, _ := c.uvarint()
 		for j := uint64(0); j < nKeys; j++ {
-			c.string()
+			k, _ := c.string()
+			r.keys = append(r.keys, k)
 			if key < 0 {
 				key = c.off
 			}
 			c.varint()
 		}
 		if hasBag, _ := c.byte(); hasBag == 1 {
+			r.hasBag, r.bagCount = true, c.off
 			nBag, _ := c.uvarint()
 			for j := uint64(0); j < nBag; j++ {
-				c.string()
+				if j == 0 {
+					r.bagToken0 = c.off
+				}
+				b, _ := c.string()
+				r.bag = append(r.bag, b)
 			}
 		}
+		recs = append(recs, r)
 	}
 	for posting = -1; posting < 0 && c.rest() > 4; {
 		if n, _ := c.uvarint(); n > 0 {
@@ -402,6 +437,14 @@ func clusterOffsets(t testing.TB, image []byte) (key, posting int) {
 			posting = c.off
 		}
 	}
+	return recs, key, posting
+}
+
+// clusterOffsets returns walkImage's two cluster offsets, checking that
+// each holds a NoCluster varint.
+func clusterOffsets(t testing.TB, image []byte) (key, posting int) {
+	t.Helper()
+	_, key, posting = walkImage(t, image)
 	for _, off := range []int{key, posting} {
 		if v, n := binary.Varint(image[max(off, 0):]); off < 0 || n != 1 || v != blocking.NoCluster {
 			t.Fatalf("cluster offsets %d, %d: not a NoCluster varint", key, posting)
@@ -456,5 +499,50 @@ func TestDecodeRefusesPostingCluster(t *testing.T) {
 	for _, clean := range []bool{false, true} {
 		_, badPosting := looseSchemaImages(t, clean)
 		refusesLooseSchema(t, badPosting)
+	}
+}
+
+// bagNotKeysImages are two copies of a valid default image, each with
+// the first profile record that holds a bag of at least two tokens
+// altered and its CRC recomputed: in badToken the bag's first token has
+// a changed byte, in badCount the bag count is one short of the key
+// count.
+func bagNotKeysImages(t testing.TB, clean bool) (badToken, badCount []byte) {
+	t.Helper()
+	image := encodeToBytes(t, smallTestIndex(t, clean))
+	recs, _, _ := walkImage(t, image)
+	for _, r := range recs {
+		if len(r.bag) < 2 || len(r.bag) > 127 || r.bag[0] == "" {
+			continue // the edits below need a one-byte count and a byte to change
+		}
+		badToken = append([]byte(nil), image...)
+		badToken[r.bagToken0+1] ^= 0x20 // the first byte after the length
+		badCount = image
+		badCount[r.bagCount]--
+		return reseal(badToken), reseal(badCount)
+	}
+	t.Fatal("no profile record with a bag of two or more tokens")
+	return nil, nil
+}
+
+// TestDecodeRefusesBagNotKeys: a present bag repeats the keys string for
+// string. An image whose bag names another token, or holds a different
+// number of them, was not written by this format's encoder, and both
+// Decode and Load refuse it.
+func TestDecodeRefusesBagNotKeys(t *testing.T) {
+	for _, clean := range []bool{false, true} {
+		badToken, badCount := bagNotKeysImages(t, clean)
+		for name, image := range map[string][]byte{"changed token": badToken, "short count": badCount} {
+			if _, err := Decode(bytes.NewReader(image), DefaultConfig()); !errors.Is(err, errBagNotKeys) {
+				t.Fatalf("clean=%v %s: Decode err = %v, want errBagNotKeys", clean, name, err)
+			}
+			path := filepath.Join(t.TempDir(), "bag.snap")
+			if err := os.WriteFile(path, image, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(path, DefaultConfig()); !errors.Is(err, errBagNotKeys) {
+				t.Fatalf("clean=%v %s: Load err = %v, want errBagNotKeys", clean, name, err)
+			}
+		}
 	}
 }

@@ -148,8 +148,8 @@ func TestPersistedCustomMeasure(t *testing.T) {
 }
 
 // TestPersistedBagFallback saves under a custom measure (no bags in the
-// file) and loads under the default config: the loaded index must
-// recompute the cached bags and agree with a directly built default
+// file) and loads under the default config: the loaded index scores from
+// the keys the file holds and must agree with a directly built default
 // index bit for bit.
 func TestPersistedBagFallback(t *testing.T) {
 	saveCfg := DefaultConfig()

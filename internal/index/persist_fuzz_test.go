@@ -12,7 +12,9 @@ import (
 // returns an error — never a panic, and never an allocation proportional
 // to a lying length header rather than to the input actually supplied.
 // Seeds cover valid snapshots of both task types, a must-fail one whose
-// key sits under an attribute cluster (a loose-schema image), the two
+// key sits under an attribute cluster (a loose-schema image), two
+// must-fail ones whose bag is not the profile's keys (a changed token, a
+// short count), the two
 // legacy LSH images (testdata/, see persist_legacy_test.go) and a
 // must-fail one whose signature value is out of range, three must-fail
 // seeds with bytes after the CRC (a stray byte, noise, and the delta tail
@@ -27,6 +29,13 @@ func FuzzLoadIndex(f *testing.F) {
 	looseKey, _ := looseSchemaImages(f, false)
 	if _, err := Decode(bytes.NewReader(looseKey), DefaultConfig()); !errors.Is(err, errLooseSchema) {
 		f.Fatalf("loose-schema seed: err = %v, want it refused", err)
+	}
+
+	badBagToken, badBagCount := bagNotKeysImages(f, false)
+	for _, seed := range [][]byte{badBagToken, badBagCount} {
+		if _, err := Decode(bytes.NewReader(seed), DefaultConfig()); !errors.Is(err, errBagNotKeys) {
+			f.Fatalf("bag-not-keys seed: err = %v, want it refused", err)
+		}
 	}
 
 	empty := encodeToBytes(f, New(true, DefaultConfig()))
@@ -60,7 +69,7 @@ func FuzzLoadIndex(f *testing.F) {
 	}
 	delta := append(append([]byte(nil), deltaBase...), tail...)
 
-	for _, seed := range [][]byte{dirty, clean, looseKey, empty, withLSH, cleanLSH, badSig, stray, noise, delta} {
+	for _, seed := range [][]byte{dirty, clean, looseKey, badBagToken, badBagCount, empty, withLSH, cleanLSH, badSig, stray, noise, delta} {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])                      // truncated
 		f.Add(seed[:len(seed)-3])                      // lost trailer

@@ -192,7 +192,7 @@ func TestFallbackRecoversPurgedTokenMatches(t *testing.T) {
 		cfg.MaxBlockFraction = maxBlock
 		x := New(false, cfg)
 		upsertAll(t, x, append(fillers, target))
-		targetID, ok := x.lookupOrig("0|target")
+		targetID, ok := x.lookupOrig(Identity{OriginalID: "target"})
 		if !ok {
 			t.Fatal("target not indexed")
 		}

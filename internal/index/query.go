@@ -105,8 +105,8 @@ func (x *Index) Query(p *profile.Profile) *QueryResult {
 // ResolveWithOptions. A zero budget takes exactly the historical path:
 // every deadline check hides behind a non-zero-field test, so unlimited
 // queries stay bitwise-identical and allocation-identical. The query's
-// keys and distinct token bag are derived into kb, the caller's pooled
-// buffer: Resolve scores from the bag after the call, so a query is
+// keys — its distinct tokens — are derived into kb, the caller's pooled
+// buffer: Resolve scores from them after the call, so a query is
 // tokenised exactly once.
 func (x *Index) queryBudget(p *profile.Profile, budget Budget, kb *keyBuf) *QueryResult {
 	x.queries.Add(1)
@@ -133,7 +133,7 @@ func (x *Index) queryBudget(p *profile.Profile, budget Budget, kb *keyBuf) *Quer
 	clk.Tick(res.StageNanos[:], int(StageTokenize))
 
 	selfID := profile.ID(-1)
-	if id, ok := x.lookupOrig(origKey(p)); ok {
+	if id, ok := x.lookupOrig(identityOf(p)); ok {
 		selfID = id
 	}
 
@@ -290,7 +290,7 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, budget 
 		candKeys := 0
 		if needsCandKeys {
 			if sp := x.byID[id]; sp != nil {
-				candKeys = len(sp.keys)
+				candKeys = len(sp.tokens)
 			}
 		}
 		top.offer(Candidate{
@@ -446,16 +446,15 @@ func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Res
 		clk.Start()
 	}
 
-	// Default-Jaccard fast path: candidates carry their distinct token
-	// bag from upsert time and the query's came out of the same single
-	// tokenisation as its keys, so each comparison is a set intersection
-	// — bitwise-identical scores to matching.JaccardMeasure with none of
-	// its per-pair tokenization.
+	// Default-Jaccard fast path: a candidate's distinct tokens are the
+	// list it is indexed under, and the query's are its keys, so each
+	// comparison is a set intersection — bitwise-identical scores to
+	// matching.JaccardMeasure with none of its per-pair tokenization.
 	var qset map[string]struct{}
 	if x.cfg.defaultJaccard {
-		qset = make(map[string]struct{}, len(kb.bag))
-		for _, t := range kb.bag {
-			qset[t] = struct{}{}
+		qset = make(map[string]struct{}, len(kb.keys))
+		for _, kt := range kb.keys {
+			qset[kt.Key] = struct{}{}
 		}
 	}
 	keyBufPool.Put(kb)
@@ -504,7 +503,7 @@ func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Res
 		}
 		r.Comparisons++
 		if x.cfg.defaultJaccard {
-			c.score = jaccardBagSet(qset, c.sp.bag)
+			c.score = jaccardBagSet(qset, c.sp.tokens)
 		} else {
 			c.score = x.cfg.Measure.Score(p, &c.sp.p)
 		}
@@ -540,8 +539,8 @@ func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Res
 }
 
 // jaccardBagSet computes |A∩B|/|A∪B| of a query token set against a
-// candidate's cached distinct bag, matching matching.JaccardTokens bit
-// for bit (same cardinalities, same division).
+// candidate's distinct tokens, matching matching.JaccardTokens bit for
+// bit (same cardinalities, same division).
 func jaccardBagSet(qset map[string]struct{}, bag []string) float64 {
 	inter := 0
 	for _, t := range bag {

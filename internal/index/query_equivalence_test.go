@@ -46,7 +46,7 @@ func refCandidates(x *Index, p *profile.Profile) []Candidate {
 	keys := x.opts.KeysOf(p)
 
 	selfID := profile.ID(-1)
-	if id, ok := x.lookupOrig(origKey(p)); ok {
+	if id, ok := x.lookupOrig(identityOf(p)); ok {
 		selfID = id
 	}
 	maxSize := int(x.cfg.MaxBlockFraction * float64(x.numProfiles.Load()))
@@ -134,7 +134,7 @@ func refCandidates(x *Index, p *profile.Profile) []Candidate {
 		candKeys := 0
 		if needsCandKeys {
 			if sp := x.byID[id]; sp != nil {
-				candKeys = len(sp.keys)
+				candKeys = len(sp.tokens)
 			}
 		}
 		out = append(out, Candidate{ID: id, Weight: x.weight(&a, liveKeys, candKeys, numBlocks), SharedKeys: a.cbs})

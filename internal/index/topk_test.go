@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"sparker/internal/blocking"
 	"sparker/internal/metablocking"
 	"sparker/internal/obs"
 	"sparker/internal/profile"
@@ -129,7 +128,7 @@ func (f weighFixture) index(mode uint8) *Index {
 	x := New(mode&8 != 0, cfg)
 	x.numBlocks.Store(1000)
 	for i, n := range f.keys {
-		x.byID[f.touched[i]] = &storedProfile{keys: make([]blocking.KeyedToken, n)}
+		x.byID[f.touched[i]] = &storedProfile{tokens: make([]string, n)}
 	}
 	return x
 }
