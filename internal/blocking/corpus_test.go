@@ -70,6 +70,42 @@ func TestCorpusKeysMatchAppendKeysOf(t *testing.T) {
 	}
 }
 
+// TestDistributedTokenBlockingMetersKeyRecords: the dataflow twin builds
+// the flat kernel's blocks as one task, whatever the executor and
+// partition counts, and meters one shuffle record per distinct key of
+// each profile — the (key, profile) records of token blocking on Spark.
+func TestDistributedTokenBlockingMetersKeyRecords(t *testing.T) {
+	for name, set := range corpusSets(t) {
+		cp := tokenize.NewCorpus(set.c, set.opts.Tokenizer)
+		want := TokenBlockingCorpus(cp, set.opts)
+		records := 0
+		var keys []KeyedToken
+		for i := range set.c.Profiles {
+			keys = set.opts.AppendKeysOf(keys[:0], &set.c.Profiles[i])
+			records += len(keys)
+		}
+		if kt := set.opts.SlotKeys(cp); len(kt.profSlots) != records {
+			t.Fatalf("%s: Σ|Slots(i)| = %d, %d distinct keys per profile summed", name, len(kt.profSlots), records)
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			for _, parts := range []int{0, 1, set.c.Size() + 5} {
+				label := fmt.Sprintf("%s/executors=%d/parts=%d", name, workers, parts)
+				ctx := dataflow.NewContext(dataflow.WithParallelism(workers))
+				got, err := DistributedTokenBlockingCorpus(ctx, cp, set.opts, parts)
+				m := ctx.Metrics()
+				ctx.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameCollection(t, label, want, got)
+				if m.ShuffleRecords != int64(records) || m.TasksLaunched != 1 {
+					t.Fatalf("%s: %d shuffle records in %d tasks, want %d in 1", label, m.ShuffleRecords, m.TasksLaunched, records)
+				}
+			}
+		}
+	}
+}
+
 // TestTokenBlockingCorpusMatchesReference: the corpus blocker, the
 // distributed corpus blocker and the retained map reference build the
 // same blocks on the generated families, at several worker counts.

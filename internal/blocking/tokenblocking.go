@@ -2,7 +2,6 @@ package blocking
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -244,11 +243,14 @@ func TokenBlocking(c *profile.Collection, opts Options) *Collection {
 // ascending, and the blocks equal the historical map build's exactly.
 // Each surviving slot renders its key string once.
 func TokenBlockingCorpus(cp *tokenize.Corpus, opts Options) *Collection {
+	return blocksOf(cp.Collection, opts.SlotKeys(cp), opts)
+}
+
+// blocksOf assembles the blocks of c from its key table.
+func blocksOf(c *profile.Collection, kt *KeyTable, opts Options) *Collection {
 	minSize := max(opts.MinBlockSize, 2)
-	c := cp.Collection
 	clean := c.IsClean()
 	out := &Collection{CleanClean: clean, NumProfiles: c.Size()}
-	kt := opts.SlotKeys(cp)
 	sideB := func(i int) bool { return clean && c.Profiles[i].SourceID == 1 }
 
 	na, nb := make([]int32, len(kt.keys)), make([]int32, len(kt.keys))
@@ -313,71 +315,25 @@ func DistributedTokenBlocking(ctx *dataflow.Context, c *profile.Collection, opts
 }
 
 // DistributedTokenBlockingCorpus is DistributedTokenBlocking over a
-// collection already tokenised (opts.Tokenizer is not read): profiles
-// are distributed, each task emits one (key, profile) pair per distinct
-// key of its profiles, and a groupByKey shuffle assembles the blocks —
-// the algorithm SparkER runs on Spark. Tasks map over profile indexes
-// into the shared corpus, resolve each value's cluster once, and key the
-// shuffle by (cluster, token ID) packed into one integer; a block
-// renders its key string once, after the shuffle.
+// collection already tokenised (opts.Tokenizer is not read). The
+// algorithm SparkER runs on Spark emits one (key, profile) record per
+// distinct key of each profile and groups the records by key in a
+// shuffle; here the job's one task builds the blocks as
+// TokenBlockingCorpus does, and the driver meters the records that
+// shuffle would move: Σ|KeyTable.Slots(i)|. The build is one sequential
+// pass, so numPartitions is not read.
 func DistributedTokenBlockingCorpus(ctx *dataflow.Context, cp *tokenize.Corpus, opts Options, numPartitions int) (*Collection, error) {
-	minSize := max(opts.MinBlockSize, 2)
-	c := cp.Collection
-	clean := c.IsClean()
-
-	indexes := make([]int32, len(c.Profiles))
-	for i := range indexes {
-		indexes[i] = int32(i)
+	type built struct {
+		blocks  *Collection
+		records int
 	}
-	profiles := dataflow.Parallelize(ctx, indexes, numPartitions)
-	type assign struct {
-		ID    profile.ID
-		SideB bool
-	}
-	keyed := dataflow.MapPartitions(profiles, func(in []int32) ([]dataflow.KV[int64, assign], error) {
-		out := make([]dataflow.KV[int64, assign], 0, 8*len(in))
-		var keys []int64
-		for _, i := range in {
-			p := &c.Profiles[i]
-			keys = keys[:0]
-			for k, kv := range p.Attributes {
-				cluster := int64(opts.clusterOf(p.SourceID, kv.Key)) << 32
-				for _, tok := range cp.Value(int(i), k) {
-					keys = append(keys, cluster|int64(tok))
-				}
-			}
-			slices.Sort(keys)
-			for _, key := range slices.Compact(keys) {
-				out = append(out, dataflow.KV[int64, assign]{Key: key, Value: assign{ID: p.ID, SideB: clean && p.SourceID == 1}})
-			}
-		}
-		return out, nil
+	out, err := dataflow.MapRanges(ctx, 1, 1, func(int, int) ([]built, error) {
+		kt := opts.SlotKeys(cp)
+		return []built{{blocksOf(cp.Collection, kt, opts), len(kt.profSlots)}}, nil
 	})
-	grouped := dataflow.GroupByKey(keyed, numPartitions)
-	blocks := dataflow.FlatMap(grouped, func(kv dataflow.KV[int64, []assign]) []Block {
-		var a, b []profile.ID
-		for _, as := range kv.Value {
-			if as.SideB {
-				b = append(b, as.ID)
-			} else {
-				a = append(a, as.ID)
-			}
-		}
-		if len(a)+len(b) < minSize {
-			return nil
-		}
-		if clean && (len(a) == 0 || len(b) == 0) {
-			return nil
-		}
-		cluster := int(kv.Key >> 32)
-		key := opts.key(cp.Vocab[uint32(kv.Key)], cluster)
-		return []Block{{Key: key, ClusterID: cluster, CleanClean: clean, A: a, B: b}}
-	})
-	collected, err := blocks.Collect()
 	if err != nil {
 		return nil, fmt.Errorf("blocking: distributed token blocking: %w", err)
 	}
-	out := &Collection{Blocks: collected, CleanClean: clean, NumProfiles: c.Size()}
-	sortBlocks(out.Blocks)
-	return out, nil
+	ctx.AddShuffleRecords(out[0].records)
+	return out[0].blocks, nil
 }

@@ -4,13 +4,16 @@
 // that every cluster holds all profiles of one real-world entity. The
 // default algorithm is connected components under the transitivity
 // assumption, the same algorithm the paper delegates to Spark GraphX; a
-// distributed label-propagation variant runs on the dataflow engine.
+// two-phase variant (union-find per range of matches, then on the
+// driver) runs on the dataflow engine.
 // Center and merge-center clustering [8] are provided as the alternatives
 // the entity-clustering literature evaluates.
 package clustering
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sparker/internal/dataflow"
@@ -69,6 +72,15 @@ func (u *UnionFind) Union(a, b profile.ID) {
 // Connected reports whether a and b are in the same set.
 func (u *UnionFind) Connected(a, b profile.ID) bool { return u.Find(a) == u.Find(b) }
 
+// entities returns the forest's sets as sorted entities.
+func (u *UnionFind) entities() []Entity {
+	rep := make(map[profile.ID]profile.ID, len(u.parent))
+	for id := range u.parent {
+		rep[id] = u.Find(id)
+	}
+	return entitiesFromAssignment(rep)
+}
+
 // entitiesFromAssignment turns a representative map into sorted entities.
 func entitiesFromAssignment(rep map[profile.ID]profile.ID) []Entity {
 	groups := map[profile.ID][]profile.ID{}
@@ -98,73 +110,43 @@ func ConnectedComponents(matches []matching.Match) []Entity {
 	for _, m := range matches {
 		uf.Union(m.A, m.B)
 	}
-	rep := map[profile.ID]profile.ID{}
-	for id := range uf.parent {
-		rep[id] = uf.Find(id)
-	}
-	return entitiesFromAssignment(rep)
+	return uf.entities()
 }
 
 // DistributedConnectedComponents computes the same clustering on the
-// dataflow engine with iterative label propagation (the Pregel-style
-// algorithm GraphX uses): every node starts labelled with its own ID and
-// repeatedly adopts the minimum label in its neighbourhood until no label
-// changes. Each iteration is one shuffle stage.
+// dataflow engine in two phases. Each task unions one contiguous range of
+// the matches and emits (profile, local root) for every profile it saw:
+// the records a shuffle to the driver would move, which the driver
+// meters. The driver then unions the emitted pairs. Two profiles share a
+// local root only if a path of matches joins them, and every match is in
+// some range, so the driver's components are the graph's — which are
+// unique, so the entities equal ConnectedComponents'.
 func DistributedConnectedComponents(ctx *dataflow.Context, matches []matching.Match, numPartitions int) ([]Entity, error) {
 	if len(matches) == 0 {
 		return nil, nil
 	}
-	if numPartitions < 1 {
-		numPartitions = ctx.DefaultPartitions()
-	}
-
-	// Undirected edges, both directions, plus self-loops to keep labels.
-	var edges []dataflow.KV[profile.ID, profile.ID]
-	nodeSet := map[profile.ID]bool{}
-	for _, m := range matches {
-		edges = append(edges,
-			dataflow.KV[profile.ID, profile.ID]{Key: m.A, Value: m.B},
-			dataflow.KV[profile.ID, profile.ID]{Key: m.B, Value: m.A})
-		nodeSet[m.A] = true
-		nodeSet[m.B] = true
-	}
-	edgeRDD := dataflow.Parallelize(ctx, edges, numPartitions).Persist()
-
-	labels := make(map[profile.ID]profile.ID, len(nodeSet))
-	for id := range nodeSet {
-		labels[id] = id
-	}
-
-	maxIters := len(nodeSet) + 1 // CC converges in <= diameter iterations
-	for iter := 0; iter < maxIters; iter++ {
-		blabels := dataflow.NewBroadcast(ctx, labels)
-		// Each edge proposes the neighbour's label to its endpoint; nodes
-		// adopt the minimum of their own and all proposed labels.
-		proposals := dataflow.Map(edgeRDD, func(e dataflow.KV[profile.ID, profile.ID]) dataflow.KV[profile.ID, profile.ID] {
-			return dataflow.KV[profile.ID, profile.ID]{Key: e.Key, Value: blabels.Value()[e.Value]}
-		})
-		minLabel := dataflow.ReduceByKey(proposals, func(a, b profile.ID) profile.ID {
-			if a < b {
-				return a
-			}
-			return b
-		}, numPartitions)
-		next, err := dataflow.CollectAsMap(minLabel)
-		if err != nil {
-			return nil, fmt.Errorf("clustering: distributed CC: %w", err)
+	roots, err := dataflow.MapRanges(ctx, len(matches), numPartitions, func(lo, hi int) ([][2]profile.ID, error) {
+		uf := NewUnionFind()
+		for _, m := range matches[lo:hi] {
+			uf.Union(m.A, m.B)
 		}
-		changed := 0
-		for id, proposed := range next {
-			if proposed < labels[id] {
-				labels[id] = proposed
-				changed++
-			}
+		out := make([][2]profile.ID, 0, len(uf.parent))
+		for id := range uf.parent {
+			out = append(out, [2]profile.ID{id, uf.Find(id)})
 		}
-		if changed == 0 {
-			break
-		}
+		// Profile order, so the driver unions in the same order every run.
+		slices.SortFunc(out, func(x, y [2]profile.ID) int { return cmp.Compare(x[0], y[0]) })
+		return out, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("clustering: distributed CC: %w", err)
 	}
-	return entitiesFromAssignment(labels), nil
+	ctx.AddShuffleRecords(len(roots))
+	uf := NewUnionFind()
+	for _, r := range roots {
+		uf.Union(r[0], r[1])
+	}
+	return uf.entities(), nil
 }
 
 // CenterClustering processes matches in descending score order: the first

@@ -3,10 +3,12 @@ package clustering
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"sparker/internal/dataflow"
+	"sparker/internal/kernel"
 	"sparker/internal/matching"
 	"sparker/internal/profile"
 )
@@ -90,6 +92,70 @@ func TestDistributedCCMatchesSequential(t *testing.T) {
 			}
 		}
 		ctx.Close()
+	}
+}
+
+// TestDistributedCCEveryCut holds the two-phase clusterer to the
+// sequential one for every executor and partition count, on no match,
+// one match, a chain whose every link lands in its own range (in both
+// directions) and a random graph; each range is one task, which ships
+// one (profile, local root) record per profile it saw.
+func TestDistributedCCEveryCut(t *testing.T) {
+	var chain []matching.Match
+	for i := 0; i < 40; i++ {
+		chain = append(chain, m(profile.ID(i), profile.ID(i+1), 1))
+	}
+	reversed := slices.Clone(chain)
+	slices.Reverse(reversed)
+	cases := []struct {
+		name    string
+		matches []matching.Match
+	}{
+		{"none", nil},
+		{"one", []matching.Match{m(3, 7, 1)}},
+		{"chain", chain},
+		{"reversed-chain", reversed},
+		{"random", randomMatches(3, 60)},
+	}
+	for _, tc := range cases {
+		want := ConnectedComponents(tc.matches)
+		n := len(tc.matches)
+		for _, workers := range []int{1, 2, 3, 8} {
+			for _, parts := range []int{0, 1, n + 5} {
+				ctx := dataflow.NewContext(dataflow.WithParallelism(workers))
+				got, err := DistributedConnectedComponents(ctx, tc.matches, parts)
+				metrics := ctx.Metrics()
+				ctx.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameClustering(want, got) {
+					t.Fatalf("%s executors=%d parts=%d: clusterings differ\nseq  %v\ndist %v", tc.name, workers, parts, want, got)
+				}
+				ranges, records := 0, 0
+				if n > 0 {
+					ranges = max(1, min(n, parts))
+					if parts < 1 {
+						ranges = min(n, workers)
+					}
+					seen := make([]int, ranges)
+					kernel.ForRanges(n, ranges, func(r, lo, hi int) {
+						ids := map[profile.ID]bool{}
+						for _, mt := range tc.matches[lo:hi] {
+							ids[mt.A], ids[mt.B] = true, true
+						}
+						seen[r] = len(ids)
+					})
+					for _, s := range seen {
+						records += s
+					}
+				}
+				if metrics.TasksLaunched != int64(ranges) || metrics.ShuffleRecords != int64(records) {
+					t.Fatalf("%s executors=%d parts=%d: %d tasks shipped %d records, want %d and %d",
+						tc.name, workers, parts, metrics.TasksLaunched, metrics.ShuffleRecords, ranges, records)
+				}
+			}
+		}
 	}
 }
 
@@ -296,8 +362,8 @@ func TestPairsOf(t *testing.T) {
 }
 
 func TestDistributedCCIterationsBounded(t *testing.T) {
-	// A long path graph needs several label-propagation rounds; the jobs
-	// counter shows iteration happened and terminated.
+	// A long path graph, its links split over the ranges, comes out as
+	// one entity.
 	var matches []matching.Match
 	for i := 0; i < 20; i++ {
 		matches = append(matches, m(profile.ID(i), profile.ID(i+1), 1))

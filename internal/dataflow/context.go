@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -13,9 +14,6 @@ type Config struct {
 	// Parallelism is the number of executor goroutines. It plays the role
 	// of the total executor-core count of a Spark cluster.
 	Parallelism int
-	// DefaultPartitions is the partition count used when a caller passes
-	// a non-positive value to Parallelize or to a shuffle operation.
-	DefaultPartitions int
 	// MaxTaskAttempts bounds retries for a failing task (>=1).
 	MaxTaskAttempts int
 	// FaultRate is the probability that a task attempt is killed by the
@@ -85,12 +83,11 @@ func (m *Metrics) snapshot() MetricsSnapshot {
 	}
 }
 
-// Context is the driver for a simulated cluster. It owns the executor pool
-// and must be closed when no more jobs will run.
+// Context is the driver for a simulated cluster: a scheduler that runs
+// the tasks of each job on Parallelism executors, retrying failed
+// attempts, and a meter of what the jobs did.
 type Context struct {
 	cfg     Config
-	tasks   chan func()
-	wg      sync.WaitGroup
 	metrics Metrics
 	faults  *faultInjector
 	stageID atomic.Int64
@@ -107,49 +104,21 @@ func NewContext(opts ...Option) *Context {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.Parallelism < 1 {
-		cfg.Parallelism = 1
-	}
-	if cfg.DefaultPartitions < 1 {
-		cfg.DefaultPartitions = cfg.Parallelism
-	}
-	if cfg.MaxTaskAttempts < 1 {
-		cfg.MaxTaskAttempts = 1
-	}
-	c := &Context{
-		cfg:   cfg,
-		tasks: make(chan func(), 4*cfg.Parallelism),
-	}
+	cfg.Parallelism = max(cfg.Parallelism, 1)
+	cfg.MaxTaskAttempts = max(cfg.MaxTaskAttempts, 1)
+	c := &Context{cfg: cfg}
 	if cfg.FaultRate > 0 {
 		c.faults = newFaultInjector(cfg.FaultRate, cfg.FaultSeed, cfg.MaxInjectedFaults)
-	}
-	for i := 0; i < cfg.Parallelism; i++ {
-		c.wg.Add(1)
-		go c.executor()
 	}
 	return c
 }
 
-func (c *Context) executor() {
-	defer c.wg.Done()
-	for task := range c.tasks {
-		task()
-	}
-}
-
-// Close shuts the executor pool down. Jobs submitted after Close fail.
-func (c *Context) Close() {
-	if c.closed.CompareAndSwap(false, true) {
-		close(c.tasks)
-		c.wg.Wait()
-	}
-}
+// Close marks the context closed: jobs submitted after Close fail, and a
+// job already running finishes on its own executors.
+func (c *Context) Close() { c.closed.Store(true) }
 
 // Parallelism reports the executor count.
 func (c *Context) Parallelism() int { return c.cfg.Parallelism }
-
-// DefaultPartitions reports the default partition count.
-func (c *Context) DefaultPartitions() int { return c.cfg.DefaultPartitions }
 
 // Metrics returns a snapshot of the cluster counters.
 func (c *Context) Metrics() MetricsSnapshot { return c.metrics.snapshot() }
@@ -159,11 +128,43 @@ func (c *Context) ResetMetrics() {
 	c.metrics = Metrics{}
 }
 
-// TaskContext is passed to every task attempt.
-type TaskContext struct {
-	Partition int
-	Attempt   int
-	StageID   int64
+// AddShuffleRecords meters records that a job moves between executors:
+// what a Spark shuffle would write and read. The jobs' drivers call it
+// with the record counts of the exchange their algorithm implies.
+func (c *Context) AddShuffleRecords(n int) { c.metrics.ShuffleRecords.Add(int64(n)) }
+
+// MapRanges runs one job of one stage. It cuts [0, n) into parts
+// contiguous, ascending ranges, as kernel.ForRanges does (parts is
+// clamped to [1, n], and a non-positive parts means one range per
+// executor), runs f on each range as one task, and returns the tasks'
+// outputs concatenated in range order, so the result does not depend on
+// the executor count. A failed task attempt is retried up to
+// MaxTaskAttempts, so f may run more than once for a range and must
+// return the same output each time.
+func MapRanges[T any](ctx *Context, n, parts int, f func(lo, hi int) ([]T, error)) ([]T, error) {
+	if parts < 1 {
+		parts = ctx.cfg.Parallelism
+	}
+	parts = max(1, min(parts, n))
+	ctx.metrics.JobsRun.Add(1)
+	outs := make([][]T, parts)
+	err := ctx.runStage(parts, func(p int) error {
+		lo, hi := p*n/parts, (p+1)*n/parts
+		out, err := f(lo, hi)
+		if err != nil {
+			return err
+		}
+		outs[p] = out
+		ctx.metrics.RecordsProcessed.Add(int64(hi - lo))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if all := slices.Concat(outs...); all != nil {
+		return all, nil
+	}
+	return []T{}, nil // no records is an empty result, not a nil one
 }
 
 // taskError wraps a failure with its partition for diagnostics.
@@ -179,10 +180,11 @@ func (e *taskError) Error() string {
 
 func (e *taskError) Unwrap() error { return e.err }
 
-// runStage executes fn once per partition on the executor pool, retrying
-// failed attempts up to MaxTaskAttempts. It returns the first unrecovered
-// error, if any.
-func (c *Context) runStage(partitions int, fn func(tc *TaskContext) error) error {
+// runStage executes fn once per partition, retrying failed attempts up
+// to MaxTaskAttempts, on min(Parallelism, partitions) executors started
+// for the stage that pull partition numbers until none is left. It
+// returns the first unrecovered error, in partition order, if any.
+func (c *Context) runStage(partitions int, fn func(partition int) error) error {
 	if c.closed.Load() {
 		return fmt.Errorf("dataflow: context is closed")
 	}
@@ -190,14 +192,16 @@ func (c *Context) runStage(partitions int, fn func(tc *TaskContext) error) error
 	c.metrics.StagesRun.Add(1)
 
 	errs := make([]error, partitions)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(partitions)
-	for p := 0; p < partitions; p++ {
-		p := p
-		c.tasks <- func() {
+	for range min(c.cfg.Parallelism, partitions) {
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			errs[p] = c.runTaskWithRetry(stage, p, fn)
-		}
+			for p := int(next.Add(1)) - 1; p < partitions; p = int(next.Add(1)) - 1 {
+				errs[p] = c.runTaskWithRetry(stage, p, fn)
+			}
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -208,7 +212,7 @@ func (c *Context) runStage(partitions int, fn func(tc *TaskContext) error) error
 	return nil
 }
 
-func (c *Context) runTaskWithRetry(stage int64, partition int, fn func(tc *TaskContext) error) error {
+func (c *Context) runTaskWithRetry(stage int64, partition int, fn func(partition int) error) error {
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.MaxTaskAttempts; attempt++ {
 		c.metrics.TasksLaunched.Add(1)
@@ -225,7 +229,7 @@ func (c *Context) runTaskWithRetry(stage int64, partition int, fn func(tc *TaskC
 	return lastErr
 }
 
-func (c *Context) runTaskAttempt(stage int64, partition, attempt int, fn func(tc *TaskContext) error) (err error) {
+func (c *Context) runTaskAttempt(stage int64, partition, attempt int, fn func(partition int) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("dataflow: task panic: %v", r)
@@ -234,7 +238,7 @@ func (c *Context) runTaskAttempt(stage int64, partition, attempt int, fn func(tc
 	if c.faults != nil && c.faults.shouldFail() {
 		return fmt.Errorf("dataflow: injected fault (stage %d partition %d attempt %d)", stage, partition, attempt)
 	}
-	return fn(&TaskContext{Partition: partition, Attempt: attempt, StageID: stage})
+	return fn(partition)
 }
 
 // faultInjector kills task attempts with a fixed probability, up to a cap.

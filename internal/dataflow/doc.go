@@ -1,42 +1,35 @@
-// Package dataflow is a from-scratch, in-process reimplementation of the
-// subset of Apache Spark that SparkER relies on — the operators the
-// pipeline calls and no others (surface_test.go fails on an exported
-// function without a caller elsewhere in the module): lazy, partitioned,
-// generic RDDs with lineage; narrow transformations that pipeline inside a
-// task; a hash shuffle with a stage barrier; broadcast variables; and a
-// scheduler that executes the tasks of each stage on a fixed pool of
-// simulated executors.
+// Package dataflow is the in-process cluster SparkER's distributed
+// algorithms run on: a scheduler that runs each job's tasks on a fixed
+// number of simulated executors, and a meter of what the jobs did. It
+// holds what the pipeline calls and no more (surface_test.go fails on an
+// exported function without a caller elsewhere in the module):
 //
-//   - sources and narrow transformations: Parallelize, Map, FlatMap,
-//     Filter, MapPartitions, and RDD.Persist;
-//   - the shuffle: GroupByKey, ReduceByKey (map-side combined);
-//   - actions: RDD.Collect, RDD.Count, Aggregate, CollectAsMap;
-//   - NewBroadcast; the Context with its metrics, task retries
+//   - MapRanges, the one job: [0, n) cut into contiguous ranges, one task
+//     per range, outputs concatenated in range order;
+//   - NewBroadcast, a read-only value shipped to every task, as the
+//     paper's meta-blocking ships the block index;
+//   - the Context with its metrics, AddShuffleRecords, task retries
 //     (WithMaxTaskAttempts) and fault injection (WithFaultInjection).
 //
-// The engine exists so that the distributed algorithms of the paper
-// (distributed token blocking, broadcast-join meta-blocking, iterative
-// connected components) can be expressed with the same primitives the
-// authors used on Spark, and so that scalability experiments can sweep the
-// executor count. Executors are goroutines and the shuffle is an in-memory
-// hash exchange, but all algorithmic structure is real: stages run to
-// completion before their dependents, shuffled records are counted, tasks
-// are retried on failure, and fault injection can kill task attempts to
-// exercise the recovery path.
-//
-// Because Go methods cannot introduce new type parameters, transformations
-// that change the element type are package-level functions:
+// The twins of the batch stages (blocking.DistributedTokenBlockingCorpus,
+// metablocking.RunDistributed, matching.MatchPairsDistributedCorpus,
+// clustering.DistributedConnectedComponents) run the same flat kernels
+// as the sequential pass, one range per task, so they return the same
+// blocks, edges, matches and entities. What the dataflow path adds is
+// the count of what Spark would do: tasks launched, failed and retried,
+// broadcasts built, and the records the algorithm on Spark would move
+// through a shuffle, which each twin's driver meters from its own
+// output. Executors are goroutines started per stage; tasks are retried
+// on failure, and the fault injector can kill task attempts to exercise
+// the recovery path.
 //
 //	ctx := dataflow.NewContext(dataflow.WithParallelism(4))
 //	defer ctx.Close()
-//	nums := dataflow.Parallelize(ctx, []int{1, 2, 3, 4}, 4)
-//	sq := dataflow.Map(nums, func(x int) int { return x * x })
-//	squares, err := sq.Collect()
-//
-// Keyed operations work on RDDs of KV pairs:
-//
-//	pairs := dataflow.Map(words, func(w string) dataflow.KV[string, int] {
-//		return dataflow.KV[string, int]{Key: w, Value: 1}
+//	squares, err := dataflow.MapRanges(ctx, len(xs), 0, func(lo, hi int) ([]int, error) {
+//		out := make([]int, 0, hi-lo)
+//		for _, x := range xs[lo:hi] {
+//			out = append(out, x*x)
+//		}
+//		return out, nil
 //	})
-//	counts := dataflow.ReduceByKey(pairs, func(a, b int) int { return a + b }, 0)
 package dataflow

@@ -94,8 +94,8 @@ func TestSurfaceIsWhatTheModuleCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fromCode["NewContext"] || !fromCode["Parallelize"] {
-		t.Fatalf("the walk found no caller of NewContext or Parallelize; references seen: %v", fromCode)
+	if !fromCode["NewContext"] || !fromCode["MapRanges"] {
+		t.Fatalf("the walk found no caller of NewContext or MapRanges; references seen: %v", fromCode)
 	}
 	for _, name := range exported {
 		if !fromCode[name] && !(testOnly[name] && fromTests[name]) {

@@ -23,6 +23,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"sparker/internal/blocking"
@@ -329,13 +330,15 @@ type ScaleRow struct {
 
 // Scalability sweeps executor counts over distributed token blocking +
 // broadcast meta-blocking, reporting wall time and engine counters.
+// Token blocking is one dataflow task at every executor count, so only
+// the meta-blocking column scales.
 func Scalability(cfg datagen.Config, executors []int) ([]ScaleRow, error) {
 	d, err := LoadSynthAbtBuy(cfg)
 	if err != nil {
 		return nil, err
 	}
 	var rows []ScaleRow
-	var base float64
+	var base time.Duration
 	for _, ex := range executors {
 		ctx := dataflow.NewContext(dataflow.WithParallelism(ex))
 		parts := 2 * ex
@@ -346,7 +349,7 @@ func Scalability(cfg datagen.Config, executors []int) ([]ScaleRow, error) {
 			ctx.Close()
 			return nil, err
 		}
-		blockingMS := time.Since(start).Milliseconds()
+		blockingTime := time.Since(start)
 
 		filtered := blocking.Filter(blocking.PurgeBySize(raw, 0.5), blocking.DefaultFilterRatio)
 		idx := blocking.BuildIndex(filtered)
@@ -359,25 +362,27 @@ func Scalability(cfg datagen.Config, executors []int) ([]ScaleRow, error) {
 			ctx.Close()
 			return nil, err
 		}
-		metaMS := time.Since(start).Milliseconds()
+		metaTime := time.Since(start)
 
 		m := ctx.Metrics()
 		ctx.Close()
-		total := blockingMS + metaMS
+		// Speedup is taken from the unrounded durations: on small inputs
+		// a run can take under a millisecond.
+		total := blockingTime + metaTime
 		row := ScaleRow{
 			Executors:      ex,
 			Profiles:       d.Collection.Size(),
-			BlockingMS:     blockingMS,
-			MetaBlockMS:    metaMS,
-			TotalMS:        total,
+			BlockingMS:     blockingTime.Milliseconds(),
+			MetaBlockMS:    metaTime.Milliseconds(),
+			TotalMS:        total.Milliseconds(),
 			ShuffleRecords: m.ShuffleRecords,
 			Tasks:          m.TasksLaunched,
 		}
 		if base == 0 {
-			base = float64(total)
+			base = total
 		}
 		if total > 0 {
-			row.Speedup = base / float64(total)
+			row.Speedup = float64(base) / float64(total)
 		}
 		rows = append(rows, row)
 	}
@@ -395,14 +400,25 @@ type BaselineRow struct {
 	Edges          int
 }
 
-// BroadcastVsNaive runs both plans on the same filtered blocks and
-// reports time and shuffled records; the outputs are verified identical.
+// BroadcastVsNaive runs both plans on the same filtered blocks under CBS
+// weighting and WEP pruning, and reports time and shuffled records; the
+// two edge lists are verified identical, pair for pair and weight for
+// weight.
 func BroadcastVsNaive(d *Dataset, executors int) ([]BaselineRow, error) {
+	return broadcastVsNaive(d, executors, metablocking.CBS)
+}
+
+// broadcastVsNaive is BroadcastVsNaive under scheme. The two plans sum an
+// edge's weight in different orders. CBS sums small integers, exact in
+// any order, so its weights must be bit-identical; other schemes' sums
+// may differ in their last bits, so their weights must agree to a
+// relative 1e-9. The pairs must match exactly under every scheme.
+func broadcastVsNaive(d *Dataset, executors int, scheme metablocking.Scheme) ([]BaselineRow, error) {
 	part := looseschema.Partition(d.Collection, looseschema.Options{Threshold: 0.3})
 	opts := blocking.Options{Clustering: part}
 	filtered := blocking.Filter(blocking.PurgeBySize(blocking.TokenBlocking(d.Collection, opts), 0.5), blocking.DefaultFilterRatio)
 	idx := blocking.BuildIndex(filtered)
-	mo := metablocking.Options{Scheme: metablocking.CBS, Pruning: metablocking.WEP}
+	mo := metablocking.Options{Scheme: scheme, Pruning: metablocking.WEP}
 
 	run := func(name string, f func(ctx *dataflow.Context) ([]metablocking.Edge, error)) (BaselineRow, []metablocking.Edge, error) {
 		ctx := dataflow.NewContext(dataflow.WithParallelism(executors))
@@ -432,10 +448,32 @@ func BroadcastVsNaive(d *Dataset, executors int) ([]BaselineRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(bEdges) != len(nEdges) {
-		return nil, fmt.Errorf("experiments: plans disagree: %d vs %d edges", len(bEdges), len(nEdges))
+	relTol := 1e-9
+	if scheme == metablocking.CBS {
+		relTol = 0
+	}
+	if err := sameEdges(bEdges, nEdges, relTol); err != nil {
+		return nil, fmt.Errorf("experiments: plans disagree: %w", err)
 	}
 	return []BaselineRow{bRow, nRow}, nil
+}
+
+// sameEdges reports the first difference between two sorted edge lists:
+// a count, a pair, or a weight more than relTol (relative) apart.
+func sameEdges(a, b []metablocking.Edge, relTol float64) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d vs %d edges", len(a), len(b))
+	}
+	for i, x := range a {
+		y := b[i]
+		if x.A != y.A || x.B != y.B {
+			return fmt.Errorf("edge %d is (%d, %d) vs (%d, %d)", i, x.A, x.B, y.A, y.B)
+		}
+		if math.Abs(x.Weight-y.Weight) > relTol*max(math.Abs(x.Weight), math.Abs(y.Weight)) {
+			return fmt.Errorf("edge %d (%d, %d) weighs %v vs %v", i, x.A, x.B, x.Weight, y.Weight)
+		}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sparker/internal/datagen"
@@ -250,5 +251,48 @@ func TestClustererAblation(t *testing.T) {
 	}
 	if len(rows) != 4 {
 		t.Fatalf("rows: %v", rows)
+	}
+}
+
+// TestBroadcastVsNaiveARCSWithinTolerance runs E7 under ARCS, whose
+// weights the two plans sum in different orders (on this set 28 of the
+// 1 024 weights differ in their last bits): the pairs must still match
+// exactly, and the weights to a relative 1e-9.
+func TestBroadcastVsNaiveARCSWithinTolerance(t *testing.T) {
+	rows, err := broadcastVsNaive(loadSmall(t), 2, metablocking.ARCS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows[0].Edges == 0 || rows[0].Edges != rows[1].Edges {
+		t.Fatalf("edges: %d vs %d", rows[0].Edges, rows[1].Edges)
+	}
+}
+
+func TestSameEdgesComparesPairsAndWeights(t *testing.T) {
+	w := 0.1 + 0.2
+	a := []metablocking.Edge{{A: 1, B: 2, Weight: 3}, {A: 1, B: 5, Weight: w}}
+	if err := sameEdges(a, slices.Clone(a), 0); err != nil {
+		t.Fatalf("identical lists: %v", err)
+	}
+	ulp := slices.Clone(a)
+	ulp[1].Weight = math.Nextafter(w, 1)
+	if sameEdges(a, ulp, 0) == nil {
+		t.Fatal("exact comparison passed a weight one ulp off")
+	}
+	if err := sameEdges(a, ulp, 1e-9); err != nil {
+		t.Fatalf("relative 1e-9 refused a weight one ulp off: %v", err)
+	}
+	far := slices.Clone(a)
+	far[1].Weight = w * (1 + 1e-6)
+	if sameEdges(a, far, 1e-9) == nil {
+		t.Fatal("relative 1e-9 passed a weight 1e-6 off")
+	}
+	swapped := slices.Clone(a)
+	swapped[1].B = 6
+	if sameEdges(a, swapped, 1e-9) == nil {
+		t.Fatal("a different pair passed")
+	}
+	if sameEdges(a, a[:1], 1e-9) == nil {
+		t.Fatal("a shorter list passed")
 	}
 }

@@ -259,8 +259,9 @@ func appendMatches(dst []Match, score PairScorer, pairs []blocking.Pair, thresho
 
 // MatchPairsDistributed is MatchPairs on the dataflow engine: the measure
 // is prepared once on the driver, the prepared scorer is broadcast, and
-// candidate pairs are scored partition-parallel, mirroring how SparkER
-// invokes a matcher over the blocker's output.
+// each task scores one contiguous range of the candidate pairs with the
+// loop MatchPairs runs, mirroring how SparkER invokes a matcher over the
+// blocker's output.
 func MatchPairsDistributed(ctx *dataflow.Context, c *profile.Collection, pairs []blocking.Pair,
 	measure Measure, threshold float64, numPartitions int) ([]Match, error) {
 	return matchDistributed(ctx, measure.Prepare(c), pairs, threshold, numPartitions)
@@ -275,11 +276,9 @@ func MatchPairsDistributedCorpus(ctx *dataflow.Context, cp *tokenize.Corpus, pai
 
 func matchDistributed(ctx *dataflow.Context, score PairScorer, pairs []blocking.Pair, threshold float64, numPartitions int) ([]Match, error) {
 	bscore := dataflow.NewBroadcast(ctx, score)
-	rdd := dataflow.Parallelize(ctx, pairs, numPartitions)
-	scored := dataflow.MapPartitions(rdd, func(part []blocking.Pair) ([]Match, error) {
-		return appendMatches(nil, bscore.Value(), part, threshold), nil
+	out, err := dataflow.MapRanges(ctx, len(pairs), numPartitions, func(lo, hi int) ([]Match, error) {
+		return appendMatches(nil, bscore.Value(), pairs[lo:hi], threshold), nil
 	})
-	out, err := scored.Collect()
 	if err != nil {
 		return nil, fmt.Errorf("matching: distributed matching: %w", err)
 	}
