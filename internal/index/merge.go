@@ -9,9 +9,10 @@ package index
 // Shard-local dense profile IDs are meaningless across processes —
 // every shard numbers its own profiles from zero — so partial results
 // carry each candidate's global identity (original ID + source)
-// instead. The JSON tags mirror the serving wire format exactly: a
-// coordinator decodes a shard's /v1/query response straight into
-// Partial and re-encodes the merged Partial without translation.
+// instead. A shard sends its Partial as a binary frame (AppendPartial,
+// DecodePartial in partialwire.go); the JSON tags mirror the serving
+// wire format exactly, so the coordinator encodes the merged Partial
+// to its client without translation.
 
 import (
 	"cmp"

@@ -19,11 +19,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,11 +41,18 @@ import (
 // coordinator's own fan-out and merge overhead.
 const shardBudgetFraction = 0.9
 
+// defaultShardIdleConns is how many idle connections the default
+// client keeps per shard when the admission gate is off. With the gate
+// on, the pool holds one per admitted request plus the prober's.
+const defaultShardIdleConns = 64
+
 // ClusterOptions configures the coordinator.
 type ClusterOptions struct {
 	// Client issues the fan-out and health-probe requests. Nil uses a
 	// dedicated client with no overall timeout (per-request budgets
-	// bound the fan-out; probes carry their own short timeout).
+	// bound the fan-out; probes carry their own short timeout) whose
+	// transport keeps enough idle connections per shard that concurrent
+	// fan-outs reuse them instead of dialling again.
 	Client *http.Client
 	// Logger receives shard-failure warnings. Nil uses slog.Default().
 	Logger *slog.Logger
@@ -89,6 +98,7 @@ type Cluster struct {
 	opts      ClusterOptions
 	retries   int
 	retryBase time.Duration
+	transport *http.Transport // the default client's, closed by Close; nil with ClusterOptions.Client
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -130,15 +140,24 @@ func NewCluster(shardURLs []string, opts ClusterOptions) (*Cluster, error) {
 	if len(shardURLs) == 0 {
 		return nil, fmt.Errorf("cluster: no shards configured")
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	c := &Cluster{
 		opts:      opts,
 		retries:   opts.ShardRetries,
 		retryBase: opts.RetryBase,
 		stop:      make(chan struct{}),
+	}
+	client := opts.Client
+	if client == nil {
+		// http.DefaultTransport keeps two idle connections per host, so
+		// every fan-out beyond two concurrent ones would close its
+		// connection after use and dial again the next time.
+		c.transport = http.DefaultTransport.(*http.Transport).Clone()
+		c.transport.MaxIdleConns = 0 // no fleet-wide cap; the per-shard one holds
+		c.transport.MaxIdleConnsPerHost = defaultShardIdleConns
+		if opts.MaxInFlight > 0 {
+			c.transport.MaxIdleConnsPerHost = opts.MaxInFlight + 1
+		}
+		client = &http.Client{Transport: c.transport}
 	}
 	if c.retries == 0 {
 		c.retries = 1
@@ -173,11 +192,15 @@ func trimSlash(u string) string {
 	return u
 }
 
-// Close stops the background health prober. The handler keeps
-// answering (against the last probed health) until the server drops it.
+// Close stops the background health prober and closes the default
+// client's idle shard connections. The handler keeps answering
+// (against the last probed health) until the server drops it.
 func (c *Cluster) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.probeWG.Wait()
+	if c.transport != nil {
+		c.transport.CloseIdleConnections()
+	}
 }
 
 // probeLoop re-probes every shard's /readyz on a fixed cadence.
@@ -242,9 +265,10 @@ func (c *Cluster) healthyCount() int {
 
 // do issues one shard call with bounded retries: transport errors and
 // 5xx/429 retry with doubling jittered backoff (the follower loop's
-// pacing); any other response is the shard's final word. The caller
-// owns the returned response body.
-func (s *shardClient) do(ctx context.Context, method, pathAndQuery string, body []byte, retries int, base time.Duration) (*http.Response, error) {
+// pacing); any other response is the shard's final word. A non-empty
+// accept is sent as the Accept header. The caller owns the returned
+// response body.
+func (s *shardClient) do(ctx context.Context, method, pathAndQuery, accept string, body []byte, retries int, base time.Duration) (*http.Response, error) {
 	s.requests.Inc()
 	var backoff time.Duration
 	for attempt := 0; ; attempt++ {
@@ -258,6 +282,9 @@ func (s *shardClient) do(ctx context.Context, method, pathAndQuery string, body 
 		}
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
 		}
 		resp, err := s.client.Do(req)
 		if err == nil {
@@ -288,13 +315,58 @@ func (s *shardClient) fail(err error) {
 	s.lastErr.Store(err.Error())
 }
 
-// shardQueryResponse is a shard's /v1/query answer as the coordinator
-// decodes it: the mergeable partial plus the shard-side degradation
-// level and debug breakdown.
-type shardQueryResponse struct {
-	index.Partial
-	Degraded int        `json:"degraded"`
-	Debug    *debugJSON `json:"debug"`
+// partialContentType is the media type of the binary shard partial
+// (index.AppendPartial): a node answers /v1/query with the frame when
+// the request's Accept is exactly this type, and JSON otherwise.
+const partialContentType = "application/x-sparker-partial"
+
+// frameBufs recycles the byte buffers a shard encodes its frame into
+// and the coordinator reads a shard's frame into.
+var frameBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledFrame bounds the buffers frameBufs keeps: one huge answer
+// must not pin its buffer for every later query.
+const maxPooledFrame = 64 << 10
+
+func putFrameBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledFrame {
+		buf.Reset()
+		frameBufs.Put(buf)
+	}
+}
+
+// writePartial answers a coordinator with res's binary frame.
+func writePartial(w http.ResponseWriter, res *index.Resolution, level int) {
+	buf := frameBufs.Get().(*bytes.Buffer)
+	defer putFrameBuf(buf)
+	buf.Write(index.AppendPartial(buf.AvailableBuffer(), res, level))
+	w.Header().Set("Content-Type", partialContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	_, _ = w.Write(buf.Bytes())
+}
+
+// readPartial reads one shard's /v1/query answer to EOF and decodes its
+// frame. Anything but a 200 carrying the partial type fails the shard:
+// the coordinator and its shards are one build, so no JSON fallback is
+// kept.
+func readPartial(resp *http.Response) (*index.ShardAnswer, error) {
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, errors.New(httpStatusError(resp))
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != partialContentType {
+		return nil, fmt.Errorf("answered %q, want %s", ct, partialContentType)
+	}
+	buf := frameBufs.Get().(*bytes.Buffer)
+	defer putFrameBuf(buf)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return nil, fmt.Errorf("read: %w", err)
+	}
+	a, err := index.DecodePartial(buf.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("decode: %w", err)
+	}
+	return a, nil
 }
 
 // clusterInfoJSON is the cluster section of every coordinator query
@@ -324,19 +396,16 @@ type clusterQueryResponse struct {
 func (c *Cluster) query(w http.ResponseWriter, r *http.Request, q call) {
 	// The forwarded knobs: the client's, after the default budget and
 	// the ladder (pressure at the coordinator tightens what the shards
-	// are asked to do), with the budget split for the parallel fan-out
-	// and debug forced on so the coordinator can aggregate per-shard
-	// stage timings. The client's own debug choice governs the
-	// response, not the wire.
+	// are asked to do), with the budget split for the parallel fan-out.
+	// Every shard frame carries its stage timings, so debug stays off
+	// the wire: the client's own debug choice governs the response only.
 	fwd, body, level := q.params, q.body, q.level
 	c.throttle(&fwd, level)
 	fwd.BudgetMS *= shardBudgetFraction
-	fwd.Debug = true
+	fwd.Debug = false
 	pathAndQuery := "/v1/query?" + fwd.Encode()
 
-	parts := make([]*index.Partial, len(c.shards))
-	debugs := make([]*debugJSON, len(c.shards))
-	shardLevels := make([]int, len(c.shards))
+	answers := make([]*index.ShardAnswer, len(c.shards))
 	var mu sync.Mutex
 	var failed []string
 	var wg sync.WaitGroup
@@ -344,24 +413,13 @@ func (c *Cluster) query(w http.ResponseWriter, r *http.Request, q call) {
 		wg.Add(1)
 		go func(i int, s *shardClient) {
 			defer wg.Done()
-			resp, err := s.do(r.Context(), http.MethodPost, pathAndQuery, body, c.retries, c.retryBase)
-			if err == nil && resp.StatusCode != http.StatusOK {
-				err = fmt.Errorf("shard %s: %s", s.url, httpStatusError(resp))
-				resp.Body.Close()
-				resp = nil
-			}
+			resp, err := s.do(r.Context(), http.MethodPost, pathAndQuery, partialContentType, body, c.retries, c.retryBase)
 			if err == nil {
-				var sq shardQueryResponse
-				err = json.NewDecoder(resp.Body).Decode(&sq)
-				resp.Body.Close()
-				if err == nil {
-					parts[i] = &sq.Partial
-					debugs[i] = sq.Debug
-					shardLevels[i] = sq.Degraded
+				if answers[i], err = readPartial(resp); err == nil {
 					return
 				}
-				err = fmt.Errorf("shard %s: decode: %w", s.url, err)
 			}
+			err = fmt.Errorf("shard %s: %w", s.url, err)
 			s.fail(err)
 			c.logger.Warn("shard query failed", slog.String("shard", s.url), slog.String("error", err.Error()))
 			mu.Lock()
@@ -379,17 +437,34 @@ func (c *Cluster) query(w http.ResponseWriter, r *http.Request, q call) {
 		return
 	}
 
+	// The reported degradation level is the worst the query saw on
+	// either side of the fan-out; the stage timings are the per-stage
+	// maximum over the shards, which ran in parallel.
+	parts := make([]*index.Partial, len(answers))
+	degraded := level
+	var stageMax [index.NumStages]int64
+	for i, a := range answers {
+		if a == nil {
+			continue
+		}
+		parts[i] = &a.Partial
+		degraded = max(degraded, a.Level)
+		for s, n := range a.StageNanos {
+			c.stageNanos[s].Observe(n)
+			stageMax[s] = max(stageMax[s], n)
+		}
+	}
 	start := obs.Now()
 	merged := index.MergePartials(parts)
 	c.mergeNanos.Observe(obs.Now() - start)
-	c.observeStages(debugs)
 
 	if len(failed) > 0 {
 		c.degradedFanouts.Inc()
 	}
 	c.countQuery(level, merged.Truncated)
 	resp := clusterQueryResponse{
-		Partial: *merged,
+		Partial:  *merged,
+		Degraded: degraded,
 		Cluster: clusterInfoJSON{
 			Shards:    len(c.shards),
 			Responded: responded,
@@ -397,58 +472,10 @@ func (c *Cluster) query(w http.ResponseWriter, r *http.Request, q call) {
 			Degraded:  len(failed) > 0,
 		},
 	}
-	// The reported degradation level is the worst the query saw on
-	// either side of the fan-out.
-	resp.Degraded = level
-	for i, l := range shardLevels {
-		if parts[i] != nil && l > resp.Degraded {
-			resp.Degraded = l
-		}
-	}
 	if q.params.Debug {
-		resp.Debug = mergeDebug(debugs)
+		resp.Debug = newDebugJSON(&stageMax)
 	}
 	writeJSON(w, resp)
-}
-
-// observeStages feeds each responding shard's per-stage timings into
-// the sparker_cluster_stage_seconds histograms.
-func (c *Cluster) observeStages(debugs []*debugJSON) {
-	for _, d := range debugs {
-		if d == nil {
-			continue
-		}
-		for _, row := range d.Stages {
-			// A newer shard may report stages this coordinator does not know.
-			if s, ok := index.StageByName(row.Stage); ok {
-				c.stageNanos[s].Observe(row.Nanos)
-			}
-		}
-	}
-}
-
-// mergeDebug merges shard debug breakdowns by per-stage maximum: the
-// shards run in parallel, so the slowest shard per stage approximates
-// where the fan-out's wall clock went.
-func mergeDebug(debugs []*debugJSON) *debugJSON {
-	d := &debugJSON{Stages: make([]stageNanosJSON, 0, index.NumStages)}
-	for s := 0; s < index.NumStages; s++ {
-		name := index.Stage(s).String()
-		var max int64
-		for _, sd := range debugs {
-			if sd == nil {
-				continue
-			}
-			for _, row := range sd.Stages {
-				if row.Stage == name && row.Nanos > max {
-					max = row.Nanos
-				}
-			}
-		}
-		d.Stages = append(d.Stages, stageNanosJSON{Stage: name, Nanos: max})
-		d.TotalNanos += max
-	}
-	return d
 }
 
 // decodeRecords splits a JSONL body into its raw records and their
@@ -515,7 +542,7 @@ func (c *Cluster) upsert(w http.ResponseWriter, r *http.Request, q call) {
 	}
 	shard := ShardFor(ids[0], len(c.shards))
 	s := c.shards[shard]
-	resp, err := s.do(r.Context(), http.MethodPost, "/v1/upsert?"+q.params.Encode(), raws[0], c.retries, c.retryBase)
+	resp, err := s.do(r.Context(), http.MethodPost, "/v1/upsert?"+q.params.Encode(), "", raws[0], c.retries, c.retryBase)
 	if err != nil {
 		s.fail(err)
 		httpError(w, http.StatusServiceUnavailable, ErrCodeUnavailable,
@@ -577,7 +604,7 @@ func (c *Cluster) bulk(w http.ResponseWriter, r *http.Request, q call) {
 		wg.Add(1)
 		go func(s *shardClient, group []byte) {
 			defer wg.Done()
-			resp, err := s.do(r.Context(), http.MethodPost, qs, group, c.retries, c.retryBase)
+			resp, err := s.do(r.Context(), http.MethodPost, qs, "", group, c.retries, c.retryBase)
 			if err != nil {
 				s.fail(err)
 				mu.Lock()

@@ -365,14 +365,17 @@ func TestNumericIDsKeepTheirText(t *testing.T) {
 
 // TestClusterForwardsKnobsVerbatim pins the knob forwarding contract:
 // what the coordinator sends a shard is the canonical encoding of the
-// client's decoded knobs — with exactly two deliberate changes (the
-// per-shard budget split and debug forced on for stage telemetry).
+// client's decoded knobs — with exactly one deliberate change, the
+// per-shard budget split. The stage timings ride in every shard frame,
+// so debug is never forwarded.
 func TestClusterForwardsKnobsVerbatim(t *testing.T) {
 	captured := make(chan string, 4)
+	empty := index.AppendPartial(nil, &index.Resolution{Query: &index.QueryResult{}}, 0)
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/v1/query") {
 			captured <- r.URL.RawQuery
-			fmt.Fprint(w, `{}`)
+			w.Header().Set("Content-Type", partialContentType)
+			w.Write(empty)
 			return
 		}
 		fmt.Fprint(w, `{"status": "ok"}`)
@@ -389,7 +392,7 @@ func TestClusterForwardsKnobsVerbatim(t *testing.T) {
 	// The retired probe knobs are unknown parameters now: dropped, not
 	// forwarded.
 	code, body := postBody(t,
-		coord.URL+"/v1/query?probe_floor=2&max_comparisons=64&source=1&budget_ms=100&probe=fallback",
+		coord.URL+"/v1/query?probe_floor=2&max_comparisons=64&source=1&budget_ms=100&probe=fallback&debug=1",
 		clusterQuery)
 	if code != http.StatusOK {
 		t.Fatalf("query via fake shard: %d %s", code, body)
@@ -400,7 +403,6 @@ func TestClusterForwardsKnobsVerbatim(t *testing.T) {
 		BudgetSet:         true,
 		MaxComparisons:    64,
 		MaxComparisonsSet: true,
-		Debug:             true,
 		Source:            1,
 		SourceSet:         true,
 	}.Encode()
@@ -415,7 +417,7 @@ func TestClusterForwardsKnobsVerbatim(t *testing.T) {
 		t.Fatalf("budget_ms=0 query: %d", code)
 	}
 	got = <-captured
-	want = QueryParams{BudgetSet: true, Debug: true}.Encode()
+	want = QueryParams{BudgetSet: true}.Encode()
 	if got != want {
 		t.Errorf("budget_ms=0 forwarded as %q, want %q", got, want)
 	}

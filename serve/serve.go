@@ -171,7 +171,7 @@ func (h *Handler) Index() *index.Index { return h.idx.Load() }
 // path: in-flight requests finish on the index they started with.
 func (h *Handler) SetIndex(x *index.Index) { h.idx.Store(x) }
 
-func (h *Handler) query(w http.ResponseWriter, _ *http.Request, c call) {
+func (h *Handler) query(w http.ResponseWriter, r *http.Request, c call) {
 	x := h.Index()
 	ps, ok := decodeProfiles(w, x, c, true)
 	if !ok {
@@ -194,10 +194,14 @@ func (h *Handler) query(w http.ResponseWriter, _ *http.Request, c call) {
 	if opts.Budget != (index.Budget{}) {
 		h.budgetSpent.Observe(int64(res.Comparisons))
 	}
+	if r.Header.Get("Accept") == partialContentType {
+		writePartial(w, res, c.level)
+		return
+	}
 	resp := newQueryResponse(res)
 	resp.Degraded = c.level
 	if params.Debug {
-		resp.Debug = newDebugJSON(res)
+		resp.Debug = newDebugJSON(&res.Query.StageNanos)
 	}
 	writeJSON(w, resp)
 }
@@ -362,10 +366,9 @@ type debugJSON struct {
 	TotalNanos int64            `json:"total_nanos"`
 }
 
-func newDebugJSON(r *index.Resolution) *debugJSON {
+func newDebugJSON(stageNanos *[index.NumStages]int64) *debugJSON {
 	d := &debugJSON{Stages: make([]stageNanosJSON, 0, index.NumStages)}
-	for s := 0; s < index.NumStages; s++ {
-		n := r.Query.StageNanos[s]
+	for s, n := range stageNanos {
 		d.Stages = append(d.Stages, stageNanosJSON{Stage: index.Stage(s).String(), Nanos: n})
 		d.TotalNanos += n
 	}
