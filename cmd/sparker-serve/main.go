@@ -7,6 +7,16 @@
 //
 //	sparker-serve -a abt.csv -b buy.csv -id id -addr :8080
 //
+// The resolve knobs — purge factor, filter ratio, meta-blocking, scheme,
+// pruning rule and its top_k, measure, match threshold — come from one
+// configuration file, the JSON `sparker -save-config` writes and
+// `sparker -config` reads, with the same meaning for every field and
+// every zero. A field the index cannot honour (loose schema, entropy,
+// EJS, cosine-TF-IDF, a pruning rule other than CNP or WNP) is refused
+// at boot, never remapped:
+//
+//	sparker-serve -generate -config resolve.json
+//
 // A single dirty source:
 //
 //	sparker-serve -dirty products.csv -id id
@@ -122,11 +132,10 @@ import (
 	"syscall"
 	"time"
 
+	"sparker/internal/core"
 	"sparker/internal/datagen"
 	"sparker/internal/index"
 	"sparker/internal/loader"
-	"sparker/internal/matching"
-	"sparker/internal/metablocking"
 	"sparker/internal/profile"
 	"sparker/serve"
 )
@@ -191,7 +200,7 @@ type cli struct {
 	shards        string
 	probeInterval time.Duration
 
-	scheme, prune, measure, oplogFsync string
+	configFile, oplogFsync string
 }
 
 func newCLI() *cli {
@@ -230,14 +239,7 @@ func newCLI() *cli {
 	fs.DurationVar(&o.SlowQuery, "slow-query", 0, "log queries slower than this with a per-stage breakdown (0 disables)")
 
 	fs.IntVar(&ix.Shards, "index-shards", 16, "index shard count (a restored snapshot keeps its saved count)")
-	fs.StringVar(&c.scheme, "scheme", "CBS", "candidate weight scheme: cbs|ecbs|js|arcs, any case")
-	fs.StringVar(&c.prune, "prune", "top-k", "candidate pruning rule (mean, top-k, none)")
-	fs.IntVar(&ix.MaxCandidates, "k", 10, "candidates kept by top-k pruning")
-	fs.StringVar(&c.measure, "measure", "jaccard", "match measure (jaccard, dice)")
-	fs.Float64Var(&ix.MatchThreshold, "threshold", 0.3, "match threshold (negative keeps every scored candidate)")
-
-	fs.Float64Var(&ix.FilterRatio, "filter-ratio", 0, "block filtering: keep this fraction of a query's smallest hit postings (0: package default; 1 disables — required for shard-count-independent answers)")
-	fs.Float64Var(&ix.MaxBlockFraction, "max-block-fraction", 0, "block purging: skip postings holding more than this fraction of profiles (0: package default; 1 disables — required for shard-count-independent answers)")
+	fs.StringVar(&c.configFile, "config", "", "resolve configuration file: the JSON sparker -save-config writes, read as sparker -config reads it (absent fields are zero); refused if the index cannot honour it. Without it: CBS weights, CNP keeping the top 10, Jaccard at 0.3")
 	return c
 }
 
@@ -290,9 +292,6 @@ func parseConfig(args []string) (config, error) {
 	if ix.Shards <= 0 {
 		return config{}, fmt.Errorf("-index-shards must be positive, got %d", ix.Shards)
 	}
-	if ix.MaxCandidates <= 0 {
-		return config{}, fmt.Errorf("-k must be positive, got %d", ix.MaxCandidates)
-	}
 	if n.follow != "" {
 		if err := serve.ValidateLeaderURL(n.follow); err != nil {
 			return config{}, err
@@ -327,39 +326,15 @@ func parseConfig(args []string) (config, error) {
 	// serves, and its memory is bounded by the retention window
 	// regardless of index size.
 	ix.OpLog.Enabled = true
-	if ix.FilterRatio < 0 || ix.FilterRatio > 1 {
-		return config{}, fmt.Errorf("-filter-ratio must be in [0, 1], got %g", ix.FilterRatio)
-	}
-	if ix.MaxBlockFraction < 0 || ix.MaxBlockFraction > 1 {
-		return config{}, fmt.Errorf("-max-block-fraction must be in [0, 1], got %g", ix.MaxBlockFraction)
-	}
-	if ix.MatchThreshold == 0 {
-		ix.MatchThreshold = -1 // keep everything scoring >= 0, as asked
-	}
-	if ix.Scheme, err = metablocking.ParseScheme(c.scheme); err != nil {
-		return config{}, err
-	}
-	if ix.Scheme == metablocking.EJS {
-		return config{}, fmt.Errorf("-scheme %s: the online index keeps no node degrees, which EJS scales JS by; use js", c.scheme)
-	}
-	switch c.prune {
-	case "mean":
-		ix.Prune = index.PruneMean
-	case "top-k":
-		ix.Prune = index.PruneTopK
-	case "none":
-		ix.Prune = index.PruneNone
-	default:
-		return config{}, fmt.Errorf("unknown pruning rule %q", c.prune)
-	}
-	switch c.measure {
-	case "jaccard":
-		// Leave Measure nil: the index installs whole-profile Jaccard
-		// itself and unlocks its cached-token-bag scoring fast path.
-	case "dice":
-		ix.Measure = matching.DiceMeasure(ix.Tokenizer)
-	default:
-		return config{}, fmt.Errorf("unknown measure %q", c.measure)
+	if c.configFile != "" {
+		rc, err := core.LoadConfigFile(c.configFile)
+		if err == nil {
+			err = rc.Validate()
+		}
+		if err != nil {
+			return config{}, fmt.Errorf("-config %s: %w", c.configFile, err)
+		}
+		ix.ResolveConfig = rc.ResolveConfig
 	}
 	cfg.node = n
 	return cfg, nil

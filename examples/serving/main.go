@@ -445,14 +445,14 @@ func main() {
 	// deterministically on global (original_id, source) identity.
 	//
 	// The equivalence config disables the knobs that depend on
-	// shard-local collection statistics (top-k pruning, purge/filter
-	// thresholds), so the sharded ranking is *exactly* the single-node
-	// ranking. On the command line these are
-	// `-prune none -filter-ratio 1 -max-block-fraction 1`.
+	// shard-local collection statistics (meta-blocking's pruning,
+	// purge/filter thresholds), so the sharded ranking is *exactly* the
+	// single-node ranking. For sparker-serve these are the -config file
+	// {"meta_blocking": false, "filter_ratio": 1, "purge_factor": 1, ...}.
 	equivCfg := sparker.DefaultIndexConfig()
-	equivCfg.Prune = sparker.IndexPruneNone
+	equivCfg.MetaBlocking = false
 	equivCfg.FilterRatio = 1
-	equivCfg.MaxBlockFraction = 1
+	equivCfg.PurgeFactor = 1
 
 	var shardURLs []string
 	var shardSrvs []*httptest.Server

@@ -122,40 +122,6 @@ func TestPurgeBySizeDropsStopWordBlocks(t *testing.T) {
 	}
 }
 
-func TestPurgeByComparisonLevelKeepsSmallBlocks(t *testing.T) {
-	// Many small blocks plus one huge block: the huge one must go.
-	var blocks []Block
-	for i := 0; i < 50; i++ {
-		blocks = append(blocks, Block{
-			Key: fmt.Sprintf("k%d", i), CleanClean: true,
-			A: []profile.ID{profile.ID(i)}, B: []profile.ID{profile.ID(1000 + i)},
-		})
-	}
-	var bigA, bigB []profile.ID
-	for i := 0; i < 100; i++ {
-		bigA = append(bigA, profile.ID(i))
-		bigB = append(bigB, profile.ID(1000+i))
-	}
-	blocks = append(blocks, Block{Key: "huge", CleanClean: true, A: bigA, B: bigB})
-	col := &Collection{Blocks: blocks, CleanClean: true, NumProfiles: 2000}
-	purged := PurgeByComparisonLevel(col, 0)
-	for i := range purged.Blocks {
-		if purged.Blocks[i].Key == "huge" {
-			t.Fatal("huge block survived comparison-level purging")
-		}
-	}
-	if purged.NumBlocks() != 50 {
-		t.Fatalf("kept %d blocks, want 50", purged.NumBlocks())
-	}
-}
-
-func TestPurgeByComparisonLevelEmpty(t *testing.T) {
-	purged := PurgeByComparisonLevel(&Collection{}, 0)
-	if purged.NumBlocks() != 0 {
-		t.Fatal("expected empty result")
-	}
-}
-
 func TestFilterRemovesLargestBlocksPerProfile(t *testing.T) {
 	// Profile 0 appears in 5 blocks of growing size; ratio 0.8 keeps the 4
 	// smallest.

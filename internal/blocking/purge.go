@@ -1,7 +1,5 @@
 package blocking
 
-import "sort"
-
 // PurgeBySize removes blocks whose size exceeds maxFraction of the profile
 // universe. The paper uses maxFraction = 0.5: "Block Purging discards all
 // the blocks that contain more than half of the profiles in the
@@ -22,71 +20,6 @@ func PurgeBySize(c *Collection, maxFraction float64) *Collection {
 	out.Blocks = make([]Block, 0, survivors)
 	for i := range c.Blocks {
 		if float64(c.Blocks[i].Size()) <= limit {
-			out.Blocks = append(out.Blocks, c.Blocks[i])
-		}
-	}
-	return out
-}
-
-// PurgeByComparisonLevel is the comparison-based block purging of the
-// meta-blocking literature [10]: it finds the largest per-block comparison
-// cardinality T such that admitting the next larger blocks would raise the
-// ratio of total comparisons to total block assignments by more than
-// smoothFactor, and discards every block whose own cardinality exceeds T.
-// smoothFactor defaults to 1.025 (the value used by JedAI / SparkER).
-func PurgeByComparisonLevel(c *Collection, smoothFactor float64) *Collection {
-	if smoothFactor <= 1 {
-		smoothFactor = 1.025
-	}
-	if len(c.Blocks) == 0 {
-		return &Collection{CleanClean: c.CleanClean, NumProfiles: c.NumProfiles}
-	}
-
-	// Aggregate comparisons and assignments per distinct cardinality
-	// level: one flat entry per block sorted by cardinality, with equal-
-	// cardinality runs merged in place — no per-level map or pointer
-	// allocation.
-	type level struct {
-		cardinality int64
-		comparisons int64
-		assignments int64
-	}
-	levels := make([]level, len(c.Blocks))
-	for i := range c.Blocks {
-		card := c.Blocks[i].Comparisons()
-		levels[i] = level{cardinality: card, comparisons: card, assignments: int64(c.Blocks[i].Size())}
-	}
-	sort.Slice(levels, func(i, j int) bool { return levels[i].cardinality < levels[j].cardinality })
-	merged := levels[:1]
-	for _, lv := range levels[1:] {
-		if last := &merged[len(merged)-1]; last.cardinality == lv.cardinality {
-			last.comparisons += lv.comparisons
-			last.assignments += lv.assignments
-		} else {
-			merged = append(merged, lv)
-		}
-	}
-	levels = merged
-
-	// Cumulative CC/BC ratio from the smallest level up; stop raising the
-	// threshold once the ratio jump exceeds the smoothing factor.
-	threshold := levels[len(levels)-1].cardinality
-	var cc, bc int64
-	prevRatio := 0.0
-	for _, lv := range levels {
-		cc += lv.comparisons
-		bc += lv.assignments
-		ratio := float64(cc) / float64(bc)
-		if prevRatio > 0 && ratio > smoothFactor*prevRatio {
-			threshold = lv.cardinality - 1
-			break
-		}
-		prevRatio = ratio
-	}
-
-	out := &Collection{CleanClean: c.CleanClean, NumProfiles: c.NumProfiles}
-	for i := range c.Blocks {
-		if c.Blocks[i].Comparisons() <= threshold {
 			out.Blocks = append(out.Blocks, c.Blocks[i])
 		}
 	}

@@ -25,6 +25,7 @@ type configJSON struct {
 	MetaBlocking    bool    `json:"meta_blocking"`
 	Scheme          string  `json:"scheme"`
 	Pruning         string  `json:"pruning"`
+	TopK            int     `json:"top_k,omitempty"`
 	UseEntropy      bool    `json:"use_entropy"`
 	Measure         string  `json:"measure"`
 	MatchThreshold  float64 `json:"match_threshold"`
@@ -43,6 +44,7 @@ func SaveConfig(w io.Writer, cfg Config) error {
 		MetaBlocking:    cfg.MetaBlocking,
 		Scheme:          cfg.Scheme.Name(),
 		Pruning:         cfg.Pruning.Name(),
+		TopK:            cfg.TopK,
 		UseEntropy:      cfg.UseEntropy,
 		Measure:         string(cfg.Measure),
 		MatchThreshold:  cfg.MatchThreshold,
@@ -66,14 +68,17 @@ func LoadConfig(r io.Reader) (Config, error) {
 		return Config{}, fmt.Errorf("core: loading config: %w", err)
 	}
 	cfg := Config{
+		ResolveConfig: ResolveConfig{
+			PurgeFactor:    cj.PurgeFactor,
+			FilterRatio:    cj.FilterRatio,
+			MetaBlocking:   cj.MetaBlocking,
+			TopK:           cj.TopK,
+			Measure:        MeasureKind(cj.Measure),
+			MatchThreshold: cj.MatchThreshold,
+		},
 		LooseSchema:     cj.LooseSchema,
 		SchemaThreshold: cj.SchemaThreshold,
-		PurgeFactor:     cj.PurgeFactor,
-		FilterRatio:     cj.FilterRatio,
-		MetaBlocking:    cj.MetaBlocking,
 		UseEntropy:      cj.UseEntropy,
-		Measure:         MeasureKind(cj.Measure),
-		MatchThreshold:  cj.MatchThreshold,
 		Clusterer:       ClusterAlgorithm(cj.Clusterer),
 		Partitions:      cj.Partitions,
 		Seed:            cj.Seed,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -121,5 +122,90 @@ func TestSavedConfigIsHumanReadable(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("missing %q in:\n%s", want, s)
 		}
+	}
+}
+
+// TestStoredConfigsReloadByteIdentical: files an earlier build saved load
+// to the configuration they were saved from, and SaveConfig writes them
+// back byte for byte (top_k, absent from them, is omitted at zero).
+func TestStoredConfigsReloadByteIdentical(t *testing.T) {
+	agnostic := SchemaAgnosticConfig()
+	agnostic.Scheme = metablocking.ARCS
+	agnostic.Pruning = metablocking.CNP
+	agnostic.Measure = MeasureDice
+	agnostic.Clusterer = ClusterCenter
+	agnostic.MatchThreshold = 0.45
+	agnostic.Partitions = 8
+	for file, want := range map[string]Config{
+		"default-config.json":             DefaultConfig(),
+		"schema-agnostic-cnp-config.json": agnostic,
+	} {
+		path := filepath.Join("testdata", file)
+		stored, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadConfigFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s loads to\n%+v, want\n%+v", file, got, want)
+		}
+		var buf bytes.Buffer
+		if err := SaveConfig(&buf, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), stored) {
+			t.Fatalf("%s re-saves as\n%s\nwant\n%s", file, buf.Bytes(), stored)
+		}
+	}
+	k := DefaultConfig()
+	k.TopK = 7
+	var buf bytes.Buffer
+	if err := SaveConfig(&buf, k); err != nil {
+		t.Fatal(err)
+	}
+	if back, err := LoadConfig(&buf); err != nil || back.TopK != 7 {
+		t.Fatalf("top_k 7 came back as %d (%v)", back.TopK, err)
+	}
+}
+
+// TestValidateNamesEveryRefusal: the online index refuses the batch
+// default for three reasons, and one error names all of them; the fields
+// of batch-only stages are not among them.
+func TestValidateNamesEveryRefusal(t *testing.T) {
+	err := DefaultConfig().Validate()
+	if err == nil {
+		t.Fatal("the batch default (loose schema, entropy, Blast) validated for serving")
+	}
+	for _, want := range []string{"loose_schema", "use_entropy", "blast"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Validate error %q does not name %s", err, want)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.LooseSchema, cfg.UseEntropy = false, false
+	cfg.Scheme, cfg.Measure = metablocking.EJS, MeasureCosineTFIDF
+	for _, p := range []metablocking.Pruning{metablocking.WEP, metablocking.CEP, metablocking.ReciprocalWNP, metablocking.ReciprocalCNP, metablocking.BlastPruning} {
+		cfg.Pruning = p
+		err := cfg.Validate()
+		for _, want := range []string{"scheme ejs", "measure cosine-tfidf", "pruning " + p.Name()} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Validate error %v does not name %s", err, want)
+			}
+		}
+	}
+	served := SchemaAgnosticConfig()
+	served.Clusterer, served.Partitions, served.Seed, served.SchemaThreshold = ClusterCenter, 8, 7, 0.9
+	for _, p := range []metablocking.Pruning{metablocking.CNP, metablocking.WNP} {
+		served.Pruning = p
+		if err := served.Validate(); err != nil {
+			t.Errorf("%v: %v", p, err)
+		}
+	}
+	served.MetaBlocking, served.Pruning = false, metablocking.BlastPruning // pruning is not read with meta-blocking off
+	if err := served.Validate(); err != nil {
+		t.Errorf("meta-blocking off: %v", err)
 	}
 }

@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"sparker/internal/blocking"
 	"sparker/internal/clustering"
@@ -52,62 +53,125 @@ const (
 	ClusterUniqueMapping ClusterAlgorithm = "unique-mapping"
 )
 
-// Config holds every tunable of the pipeline; the zero value is invalid,
-// start from DefaultConfig (the unsupervised mode) and override.
-type Config struct {
-	// LooseSchema enables Blast attribute partitioning + entropy.
-	LooseSchema bool
-	// SchemaThreshold is the LSH similarity threshold of the attribute
-	// partitioner (the Figure 6 slider).
-	SchemaThreshold float64
-	// PurgeFactor is the max block size as a fraction of all profiles.
+// ResolveConfig holds the resolve knobs the batch pipeline and the online
+// index share: what blocks are kept, how candidates are weighed and
+// pruned, and how they are matched. core.Config and index.Config both
+// embed it, so one stored configuration means the same thing in both
+// layers, zero values included.
+type ResolveConfig struct {
+	// PurgeFactor is the max block size as a fraction of all profiles
+	// (0 reads as 0.5, blocking.PurgeBySize's default).
 	PurgeFactor float64
 	// FilterRatio keeps each profile in this fraction of its smallest
-	// blocks.
+	// blocks (0 reads as blocking.DefaultFilterRatio).
 	FilterRatio float64
-	// MetaBlocking enables graph-based comparison pruning.
+	// MetaBlocking enables graph-based comparison pruning; off, every
+	// co-occurring pair is a candidate.
 	MetaBlocking bool
 	// Scheme is the edge-weighting scheme.
 	Scheme metablocking.Scheme
 	// Pruning is the edge-pruning rule.
 	Pruning metablocking.Pruning
-	// UseEntropy scales edge weights by attribute-cluster entropy
-	// (requires LooseSchema).
-	UseEntropy bool
-	// Measure picks the matcher similarity.
+	// TopK is the K of CEP or the per-node k of CNP. 0 is the layer's
+	// default: the batch derives it from the blocks (BC/2, BC/|P|), the
+	// online index keeps 10.
+	TopK int
+	// Measure picks the matcher similarity ("" is Jaccard).
 	Measure MeasureKind
 	// MatchThreshold labels a scored pair a match at or above it.
 	MatchThreshold float64
-	// Clusterer picks the entity-clustering algorithm.
-	Clusterer ClusterAlgorithm
 	// Tokenizer is shared by blocking, loose schema and matching.
 	Tokenizer tokenize.Options
+}
+
+// Validate reports, in one error, every knob the online index cannot
+// honour: EJS (the index keeps no node degrees), cosine-TF-IDF (it keeps
+// no document frequencies) and, with meta-blocking on, every pruning rule
+// but CNP and WNP.
+func (r ResolveConfig) Validate() error { return unservable(r.refusals()) }
+
+func (r ResolveConfig) refusals() []string {
+	var bad []string
+	if r.Scheme == metablocking.EJS {
+		bad = append(bad, "scheme "+r.Scheme.Name())
+	}
+	if r.Measure == MeasureCosineTFIDF {
+		bad = append(bad, "measure "+string(r.Measure))
+	}
+	if r.MetaBlocking && r.Pruning != metablocking.CNP && r.Pruning != metablocking.WNP {
+		bad = append(bad, "pruning "+r.Pruning.Name())
+	}
+	return bad
+}
+
+func unservable(bad []string) error {
+	if len(bad) == 0 {
+		return nil
+	}
+	return fmt.Errorf("the online index cannot serve %s (it weighs with cbs, ecbs, js or arcs, prunes with cnp, wnp or meta_blocking off, and matches with jaccard or dice)",
+		strings.Join(bad, ", "))
+}
+
+// Config holds every tunable of the pipeline; the zero value is invalid,
+// start from DefaultConfig (the unsupervised mode) and override.
+type Config struct {
+	ResolveConfig
+	// LooseSchema enables Blast attribute partitioning + entropy.
+	LooseSchema bool
+	// SchemaThreshold is the LSH similarity threshold of the attribute
+	// partitioner (the Figure 6 slider).
+	SchemaThreshold float64
+	// UseEntropy scales edge weights by attribute-cluster entropy
+	// (requires LooseSchema).
+	UseEntropy bool
+	// Clusterer picks the entity-clustering algorithm.
+	Clusterer ClusterAlgorithm
 	// Partitions used by distributed stages (0 = context default).
 	Partitions int
 	// Seed drives LSH.
 	Seed int64
 }
 
+// Validate reports, in one error, every field the online index cannot
+// honour: the shared knobs ResolveConfig.Validate refuses, plus loose
+// schema and entropy, which the schema-agnostic index does not build.
+// Clusterer, partitions, seed and the schema threshold describe
+// batch-only stages, which the index does not run, so it does not read
+// them.
+func (c Config) Validate() error {
+	var bad []string
+	if c.LooseSchema {
+		bad = append(bad, "loose_schema")
+	}
+	if c.UseEntropy {
+		bad = append(bad, "use_entropy")
+	}
+	return unservable(append(bad, c.ResolveConfig.refusals()...))
+}
+
 // DefaultConfig is the unsupervised mode: loose-schema meta-blocking with
 // Blast pruning and entropy, Jaccard matching, connected components.
 func DefaultConfig() Config {
 	return Config{
+		ResolveConfig: ResolveConfig{
+			PurgeFactor:  0.5,
+			FilterRatio:  blocking.DefaultFilterRatio,
+			MetaBlocking: true,
+			Scheme:       metablocking.CBS,
+			Pruning:      metablocking.BlastPruning,
+			Measure:      MeasureJaccard,
+			// Whole-profile Jaccard between a verbose and a terse
+			// rendering of the same entity rarely exceeds ~0.5 (the
+			// verbose side's extra tokens inflate the union), so the
+			// unsupervised default is deliberately permissive; the
+			// supervised tuner refines it.
+			MatchThreshold: 0.3,
+		},
 		LooseSchema:     true,
 		SchemaThreshold: 0.3,
-		PurgeFactor:     0.5,
-		FilterRatio:     blocking.DefaultFilterRatio,
-		MetaBlocking:    true,
-		Scheme:          metablocking.CBS,
-		Pruning:         metablocking.BlastPruning,
 		UseEntropy:      true,
-		Measure:         MeasureJaccard,
-		// Whole-profile Jaccard between a verbose and a terse rendering of
-		// the same entity rarely exceeds ~0.5 (the verbose side's extra
-		// tokens inflate the union), so the unsupervised default is
-		// deliberately permissive; the supervised tuner refines it.
-		MatchThreshold: 0.3,
-		Clusterer:      ClusterConnectedComponents,
-		Seed:           42,
+		Clusterer:       ClusterConnectedComponents,
+		Seed:            42,
 	}
 }
 
@@ -223,7 +287,7 @@ func (p *Pipeline) RunBlockerWithPartitioning(c *profile.Collection, res *Blocke
 		return res, nil
 	}
 
-	mbOpts := metablocking.Options{Scheme: cfg.Scheme, Pruning: cfg.Pruning}
+	mbOpts := metablocking.Options{Scheme: cfg.Scheme, Pruning: cfg.Pruning, TopK: cfg.TopK}
 	if cfg.UseEntropy {
 		if res.Partitioning == nil {
 			return nil, fmt.Errorf("core: UseEntropy requires LooseSchema")

@@ -17,7 +17,7 @@ import (
 // truncate with the tripping stage reported.
 
 // budgetTestIndex builds a dirty index with enough co-occurrence to
-// produce multi-candidate neighbourhoods; PruneNone + threshold -1
+// produce multi-candidate neighbourhoods; meta-blocking off + threshold -1
 // keeps every ranked candidate flowing into scoring.
 func budgetTestIndex(t testing.TB, cfg Config) *Index {
 	t.Helper()
@@ -34,7 +34,7 @@ func TestResolveUnlimitedBudgetEquivalence(t *testing.T) {
 	for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.ARCS} {
 		cfg := DefaultConfig()
 		cfg.Scheme = scheme
-		cfg.Prune = PruneNone
+		cfg.MetaBlocking = false
 		cfg.MatchThreshold = -1
 		x := budgetTestIndex(t, cfg)
 		for _, p := range synthQueryProfiles(80, 1, 21) {
@@ -69,7 +69,7 @@ func TestResolveUnlimitedBudgetEquivalence(t *testing.T) {
 
 func TestBudgetMaxComparisonsMonotonic(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Prune = PruneNone
+	cfg.MetaBlocking = false
 	cfg.MatchThreshold = -1
 	x := budgetTestIndex(t, cfg)
 	for _, p := range synthQueryProfiles(20, 1, 21) {
@@ -128,7 +128,7 @@ func TestBudgetMaxComparisonsMonotonic(t *testing.T) {
 
 func TestBudgetDeadlineTruncatesScoring(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Prune = PruneNone
+	cfg.MetaBlocking = false
 	cfg.MatchThreshold = -1
 	// Fault injection: every comparison costs ~1ms, so a ~3ms deadline
 	// trips after a handful of the candidates.
@@ -160,9 +160,9 @@ func TestBudgetDeadlineTruncatesScoring(t *testing.T) {
 func TestBudgetExpiredDeadlineTruncatesCandidates(t *testing.T) {
 	// Bounded selection (top-k) and keep-all alike: nothing is touched, so
 	// nothing is ranked and nothing counts as pruned.
-	for _, rule := range []PruneRule{PruneNone, PruneTopK} {
+	for _, rule := range []string{"off", "cnp"} {
 		cfg := DefaultConfig()
-		cfg.Prune = rule
+		cfg.MetaBlocking = rule == "cnp"
 		x := budgetTestIndex(t, cfg)
 		for _, p := range synthQueryProfiles(5, 1, 21) {
 			p := p

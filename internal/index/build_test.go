@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"sparker/internal/core"
 	"sparker/internal/datagen"
-	"sparker/internal/matching"
 	"sparker/internal/profile"
 )
 
@@ -64,7 +64,7 @@ func TestNewFromCollectionMatchesWritePath(t *testing.T) {
 		"dirty":         datagen.GenerateDirty(600, 3).Collection,
 	}
 	custom := DefaultConfig()
-	custom.Measure = matching.JaccardMeasure(custom.Tokenizer)
+	custom.Measure = core.MeasureDice
 	oneShard := DefaultConfig()
 	oneShard.Shards = 1
 	configs := map[string]Config{"default": DefaultConfig(), "custom measure": custom, "one shard": oneShard}

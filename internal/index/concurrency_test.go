@@ -107,8 +107,8 @@ func TestConcurrentQueryUpsert(t *testing.T) {
 func TestOverwriteNeverHidesProfile(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scheme = metablocking.JS // reads every candidate's stored profile in weigh
-	cfg.Prune = PruneNone
-	cfg.MaxBlockFraction = 1
+	cfg.MetaBlocking = false
+	cfg.PurgeFactor = 1
 	cfg.FilterRatio = 1
 	cfg.MatchThreshold = -1 // every scored candidate is a match
 	x := New(false, cfg)

@@ -8,10 +8,11 @@
 //	Query(p)   — rank the candidate matches of one profile by probing only
 //	             the postings its blocking keys hit, weighting candidates
 //	             with the meta-blocking schemes (CBS/ECBS/JS/ARCS) and
-//	             pruning them WNP-style (local mean) or CNP-style (top-k).
+//	             pruning them with the node rules WNP (local mean) or CNP
+//	             (top-k), as the batch meta-blocker does.
 //	Upsert(p)  — insert or replace one profile, touching only the postings
 //	             of its blocking keys.
-//	Resolve(p) — Query plus similarity scoring with a matching.Measure,
+//	Resolve(p) — Query plus similarity scoring with the configured measure,
 //	             the online analogue of the batch matcher stage.
 //
 // Concurrency model: queries take only per-shard read locks and scale
@@ -27,6 +28,7 @@ import (
 	"sync/atomic"
 
 	"sparker/internal/blocking"
+	"sparker/internal/core"
 	"sparker/internal/matching"
 	"sparker/internal/metablocking"
 	"sparker/internal/obs"
@@ -34,69 +36,32 @@ import (
 	"sparker/internal/tokenize"
 )
 
-// PruneRule selects how a query's ranked candidates are pruned, mirroring
-// the node-centric meta-blocking rules.
-type PruneRule int
-
-const (
-	// PruneTopK keeps the MaxCandidates heaviest candidates (CNP-style),
-	// bounding per-query matcher work to a constant. The default.
-	PruneTopK PruneRule = iota
-	// PruneMean keeps candidates at or above the mean weight of the
-	// query's neighbourhood (WNP-style).
-	PruneMean
-	// PruneNone returns every co-occurring candidate.
-	PruneNone
-)
-
-// String names the rule for reports.
-func (r PruneRule) String() string {
-	switch r {
-	case PruneMean:
-		return "mean"
-	case PruneTopK:
-		return "top-k"
-	case PruneNone:
-		return "none"
-	}
-	return "unknown"
-}
-
-// Config holds the tunables of an entity index. The zero value is usable;
-// DefaultConfig documents the defaults it resolves to.
+// Config holds the tunables of an entity index. Its resolve knobs are the
+// batch pipeline's own (core.ResolveConfig), read the same way:
+//
+//   - PurgeFactor is block purging applied per query: postings holding
+//     more than this fraction of the indexed profiles are skipped (0
+//     reads as 0.5; 1 disables it).
+//   - FilterRatio is block filtering applied per query: of the postings
+//     a query hits, only the smallest ceil(ratio·n) are scanned (0 reads
+//     as blocking.DefaultFilterRatio; 1 disables it).
+//   - Scheme weighs candidates (CBS, ECBS, JS or ARCS).
+//   - MetaBlocking off keeps every weighed candidate. On, Pruning is CNP,
+//     which keeps exactly the TopK best (0 reads as 10; ties broken by
+//     ID), or WNP, which keeps candidates at or above the mean weight of
+//     the query's neighbourhood.
+//   - Measure scores Resolve candidates ("" or jaccard: whole-profile
+//     Jaccard from the token lists the profiles are indexed under; dice),
+//     and MatchThreshold labels a match at or above it: 0 keeps every
+//     scored candidate.
+//
+// Validate names every knob the index cannot honour; the constructors
+// refuse such a config. The zero value is usable; DefaultConfig documents
+// the serving defaults.
 type Config struct {
+	core.ResolveConfig
 	// Shards is the number of independent token shards (default 16).
 	Shards int
-	// Tokenizer derives a profile's tokens: its blocking keys, and the
-	// token set the default Jaccard scores.
-	Tokenizer tokenize.Options
-	// Scheme weights candidates (CBS, ECBS, JS, ARCS). EJS scales JS by
-	// the blocking graph's node degrees, which an online index does not
-	// maintain: withDefaults resolves it to JS.
-	Scheme metablocking.Scheme
-	// MaxBlockFraction is the online analogue of block purging: postings
-	// holding more than this fraction of the indexed profiles are skipped
-	// at query time (default 0.5; set to 1 to disable).
-	MaxBlockFraction float64
-	// FilterRatio is the online analogue of block filtering: of the
-	// postings a query hits, only the smallest ceil(ratio·n) are scanned,
-	// dropping the least distinctive (largest) ones (default 0.8, the
-	// pipeline default; set to 1 to disable).
-	FilterRatio float64
-	// Prune selects the candidate pruning rule (default PruneTopK).
-	Prune PruneRule
-	// MaxCandidates is the k of PruneTopK (default 10).
-	MaxCandidates int
-	// Measure scores Resolve candidates (default whole-profile Jaccard
-	// with Tokenizer). Leave nil for the default: Resolve then scores a
-	// candidate from the token list it is indexed under instead of
-	// re-tokenizing both profiles per comparison (bitwise-identical
-	// scores, far fewer allocations per query).
-	Measure matching.Measure
-	// MatchThreshold labels a Resolve candidate a match at or above it.
-	// Zero resolves to 0.3 (the unsupervised pipeline default); use a
-	// negative value to keep every scored candidate.
-	MatchThreshold float64
 	// OpLog enables the bounded in-memory op log (oplog.go): every
 	// upsert is framed and retained, enabling HTTP replication to
 	// followers (OpsSince/ApplyOps) and the durable WAL (OpenWAL). The
@@ -116,53 +81,59 @@ type Config struct {
 	// branch per comparison and changes nothing.
 	ScoreHook func()
 
-	// defaultJaccard records that Measure was nil and withDefaults
-	// installed the whole-profile Jaccard, enabling the token-list scorer.
-	defaultJaccard bool
+	// measure scores Resolve candidates when Measure is not Jaccard
+	// (withDefaults); nil selects the token-list Jaccard scorer, which
+	// scores a candidate from the list it is indexed under instead of
+	// re-tokenizing both profiles per comparison (bitwise-identical to
+	// matching.JaccardMeasure, far fewer allocations per query).
+	measure matching.Measure
 }
 
 // DefaultConfig is the unsupervised serving configuration: schema-agnostic
-// keys, CBS weights, CNP-style top-10 pruning (bounding per-query matcher
-// work to a constant), Jaccard matching.
+// keys, CBS weights, CNP keeping the top 10 (bounding per-query matcher
+// work to a constant), Jaccard matching at 0.3.
 func DefaultConfig() Config {
 	return Config{
-		Shards:           16,
-		Scheme:           metablocking.CBS,
-		MaxBlockFraction: 0.5,
-		FilterRatio:      blocking.DefaultFilterRatio,
-		Prune:            PruneTopK,
-		MaxCandidates:    10,
-		MatchThreshold:   0.3,
+		ResolveConfig: core.ResolveConfig{
+			PurgeFactor:    0.5,
+			FilterRatio:    blocking.DefaultFilterRatio,
+			MetaBlocking:   true,
+			Scheme:         metablocking.CBS,
+			Pruning:        metablocking.CNP,
+			TopK:           10,
+			Measure:        core.MeasureJaccard,
+			MatchThreshold: 0.3,
+		},
+		Shards: 16,
 	}
 }
 
-// withDefaults resolves zero fields to their documented defaults.
+// withDefaults resolves zero fields to their documented defaults, reading
+// PurgeFactor and FilterRatio as blocking.PurgeBySize and blocking.Filter
+// do.
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 16
 	}
-	if c.MaxBlockFraction <= 0 {
-		c.MaxBlockFraction = 0.5
+	if c.PurgeFactor <= 0 {
+		c.PurgeFactor = 0.5
 	}
-	if c.FilterRatio <= 0 {
+	if c.FilterRatio <= 0 || c.FilterRatio > 1 {
 		c.FilterRatio = blocking.DefaultFilterRatio
 	}
-	if c.MaxCandidates <= 0 {
-		c.MaxCandidates = 10
+	if c.TopK <= 0 {
+		c.TopK = 10
 	}
-	if c.Scheme == metablocking.EJS {
-		c.Scheme = metablocking.JS // no node degrees online: see Scheme
-	}
-	if c.MatchThreshold == 0 {
-		c.MatchThreshold = 0.3 // negative = keep every scored candidate
-	}
-	if c.Measure == nil {
-		c.Measure = matching.JaccardMeasure(c.Tokenizer)
-		c.defaultJaccard = true
+	if c.Measure == core.MeasureDice {
+		c.measure = matching.DiceMeasure(c.Tokenizer)
 	}
 	c.OpLog = c.OpLog.withDefaults()
 	return c
 }
+
+// cnp and wnp report the pruning rule the config applies, if any.
+func (c *Config) cnp() bool { return c.MetaBlocking && c.Pruning == metablocking.CNP }
+func (c *Config) wnp() bool { return c.MetaBlocking && c.Pruning == metablocking.WNP }
 
 // posting is the online form of a block: the profiles one blocking key
 // currently hits, split by source for clean-clean tasks.
@@ -268,7 +239,12 @@ type Index struct {
 
 // New creates an empty index; clean selects clean-clean semantics (two
 // duplicate-free sources, queries from one source only match the other).
+// It panics with Config.Validate's error on a config the index cannot
+// honour; NewFromCollection, Load and Decode return that error instead.
 func New(clean bool, cfg Config) *Index {
+	if err := cfg.Validate(); err != nil {
+		panic("index: " + err.Error())
+	}
 	cfg = cfg.withDefaults()
 	x := &Index{
 		cfg:    cfg,
@@ -304,6 +280,9 @@ func New(clean bool, cfg Config) *Index {
 // The index equals, snapshot byte for snapshot byte, the one the write
 // path would build by inserting the profiles one at a time in ID order.
 func NewFromCollection(c *profile.Collection, cfg Config) (*Index, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("index: %w", err)
+	}
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sparker/internal/blocking"
 	"sparker/internal/datagen"
 	"sparker/internal/evaluation"
+	"sparker/internal/matching"
 	"sparker/internal/metablocking"
 	"sparker/internal/profile"
 )
@@ -67,9 +68,9 @@ func TestQueryMatchesBatchBlocking(t *testing.T) {
 	// set for a profile must equal the batch token-blocking candidate set.
 	c := testCollection()
 	cfg := DefaultConfig()
-	cfg.MaxBlockFraction = 1
+	cfg.PurgeFactor = 1
 	cfg.FilterRatio = 1
-	cfg.Prune = PruneNone
+	cfg.MetaBlocking = false
 	x, err := NewFromCollection(c, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +209,8 @@ func TestFilterSkipsLeastDistinctivePostings(t *testing.T) {
 	// every profile; FilterRatio 0.8 must drop the big one, so the noise
 	// profiles never become candidates.
 	cfg := DefaultConfig()
-	cfg.MaxBlockFraction = 1 // isolate filtering from purging
-	cfg.Prune = PruneNone
+	cfg.PurgeFactor = 1 // isolate filtering from purging
+	cfg.MetaBlocking = false
 	x := New(false, cfg)
 	if _, _, err := x.Upsert(mkProfile("target", "name", "alpha beta gamma delta common")); err != nil {
 		t.Fatal(err)
@@ -231,9 +232,9 @@ func TestFilterSkipsLeastDistinctivePostings(t *testing.T) {
 
 func TestPruneTopK(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Prune = PruneTopK
-	cfg.MaxCandidates = 2
-	cfg.MaxBlockFraction = 1 // keep the shared "alpha" posting probeable
+	cfg.Pruning = metablocking.CNP
+	cfg.TopK = 2
+	cfg.PurgeFactor = 1 // keep the shared "alpha" posting probeable
 	x := New(false, cfg)
 	for _, name := range []string{"alpha beta", "alpha beta gamma", "alpha", "alpha beta gamma delta"} {
 		if _, _, err := x.Upsert(mkProfile(name, "name", name)); err != nil {
@@ -255,8 +256,8 @@ func TestPruneTopK(t *testing.T) {
 
 func TestPruneMean(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Prune = PruneMean
-	cfg.MaxBlockFraction = 1
+	cfg.Pruning = metablocking.WNP
+	cfg.PurgeFactor = 1
 	x := New(false, cfg)
 	for _, name := range []string{"alpha beta gamma delta", "alpha", "beta"} {
 		if _, _, err := x.Upsert(mkProfile(name, "name", name)); err != nil {
@@ -281,7 +282,7 @@ func TestWeightSchemes(t *testing.T) {
 	} {
 		cfg := DefaultConfig()
 		cfg.Scheme = scheme
-		cfg.Prune = PruneNone
+		cfg.MetaBlocking = false
 		c := testCollection()
 		x, err := NewFromCollection(c, cfg)
 		if err != nil {
@@ -306,7 +307,7 @@ func TestECBSWeightsSurviveNovelTokens(t *testing.T) {
 	// clamps to zero and every ECBS weight collapses.
 	cfg := DefaultConfig()
 	cfg.Scheme = metablocking.ECBS
-	cfg.Prune = PruneNone
+	cfg.MetaBlocking = false
 	x := New(false, cfg)
 	for _, name := range []string{"alpha beta", "alpha", "gamma delta"} {
 		if _, _, err := x.Upsert(mkProfile(name, "name", name)); err != nil {
@@ -425,5 +426,44 @@ func TestMetaAndGet(t *testing.T) {
 	p.Attributes[0].Value = "mutated"
 	if got, _ := x.Get(0); got.Attributes[0].Value == "mutated" {
 		t.Fatal("Get returned a view into the stored profile")
+	}
+}
+
+// TestMatchThresholdZeroKeepsEveryScoredCandidate: a stored 0 means 0 in
+// both layers. Every candidate the index scores is a match, as the batch
+// matcher keeps every pair at threshold 0; the index no longer reads 0
+// as 0.3.
+func TestMatchThresholdZeroKeepsEveryScoredCandidate(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MatchThreshold = 0
+	cfg.MetaBlocking = false
+	x := New(false, cfg)
+	profiles := synthQueryProfiles(60, 1, 23)
+	for _, p := range profiles {
+		if _, _, err := x.Upsert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := profile.NewDirty(profiles)
+	low := 0
+	for i := range profiles {
+		p := profiles[i]
+		r := x.Resolve(&p)
+		if r.Comparisons == 0 || len(r.Matches) != r.Comparisons {
+			t.Fatalf("query %s: %d matches of %d scored", p.OriginalID, len(r.Matches), r.Comparisons)
+		}
+		pairs := make([]blocking.Pair, len(r.Matches))
+		for j, m := range r.Matches {
+			pairs[j] = blocking.Pair{A: profile.ID(i), B: m.B}.Canonical()
+			if m.Score < 0.3 {
+				low++
+			}
+		}
+		if batch := matching.MatchPairs(c, pairs, matching.JaccardMeasure(cfg.Tokenizer), 0); len(batch) != len(pairs) {
+			t.Fatalf("query %s: the batch matcher keeps %d of %d pairs at threshold 0", p.OriginalID, len(batch), len(pairs))
+		}
+	}
+	if low == 0 {
+		t.Fatal("no match scored under 0.3: the fixture cannot tell 0 from 0.3")
 	}
 }

@@ -18,9 +18,9 @@ import (
 func partialTestIndex(t testing.TB) *Index {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Prune = PruneNone
+	cfg.MetaBlocking = false
 	cfg.FilterRatio = 1
-	cfg.MaxBlockFraction = 1
+	cfg.PurgeFactor = 1
 	cfg.MatchThreshold = 0.1
 	x := New(true, cfg)
 	for _, p := range []profile.Profile{

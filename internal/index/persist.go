@@ -317,6 +317,9 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 // decode restores an index from a whole snapshot image (see the file
 // header for how the image is read and what the restored index retains).
 func decode(buf []byte, cfg Config) (*Index, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	d := &decoder{cursor: cursor{b: buf, s: string(buf)}}
 	if d.rest() < len(snapshotMagic) {
 		return nil, fmt.Errorf("snapshot magic: %w", io.ErrUnexpectedEOF)
@@ -516,7 +519,7 @@ func (x *Index) encodeLocked(w io.Writer, savedAt time.Time) (int64, error) {
 			cw.string(t)
 			cw.varint(blocking.NoCluster)
 		}
-		if x.cfg.defaultJaccard && len(sp.tokens) > 0 {
+		if x.cfg.measure == nil && len(sp.tokens) > 0 {
 			cw.byte(1) // the bag: the keys again (see the file header)
 			cw.uvarint(uint64(len(sp.tokens)))
 			for _, t := range sp.tokens {

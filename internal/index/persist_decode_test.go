@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"sparker/internal/blocking"
+	"sparker/internal/core"
 	"sparker/internal/matching"
 	"sparker/internal/profile"
 )
@@ -122,7 +123,7 @@ func TestKeysAndBagMatchReferences(t *testing.T) {
 	}
 
 	custom := DefaultConfig()
-	custom.Measure = matching.JaccardMeasure(custom.Tokenizer)
+	custom.Measure = core.MeasureDice
 	y := New(true, custom)
 	upsertAll(t, y, randomProfiles(20260424, 60))
 	recs, _, _ = walkImage(t, encodeToBytes(t, y))
@@ -337,7 +338,7 @@ func TestRestoredSlabsDoNotAlias(t *testing.T) {
 // section is all they lose.
 func TestParentImageReloadsByteIdentical(t *testing.T) {
 	custom := DefaultConfig()
-	custom.Measure = matching.JaccardMeasure(custom.Tokenizer)
+	custom.Measure = core.MeasureDice
 	for name, cfg := range map[string]Config{
 		"default":        DefaultConfig(),
 		"custom measure": custom,

@@ -6,7 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"sparker/internal/matching"
+	"sparker/internal/core"
 	"sparker/internal/metablocking"
 )
 
@@ -24,10 +24,10 @@ func TestPersistedQueryEquivalence(t *testing.T) {
 			sources = 2
 		}
 		for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.ARCS} {
-			for _, rule := range []PruneRule{PruneTopK, PruneMean, PruneNone} {
+			for _, rule := range servedRules {
 				cfg := DefaultConfig()
 				cfg.Scheme = scheme
-				cfg.Prune = rule
+				rule.apply(&cfg)
 				cfg.MatchThreshold = -1 // keep every scored candidate
 				label := fmt.Sprintf("clean=%v %v/%v", clean, scheme, rule)
 
@@ -81,7 +81,7 @@ func TestPersistedQueryEquivalence(t *testing.T) {
 // churned order — and queries still agree bit for bit.
 func TestPersistedEquivalenceAfterChurn(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Prune = PruneNone
+	cfg.MetaBlocking = false
 	cfg.MatchThreshold = -1
 	x := New(false, cfg)
 	batch := synthQueryProfiles(80, 1, 9)
@@ -123,7 +123,7 @@ func TestPersistedEquivalenceAfterChurn(t *testing.T) {
 // index scores through the same measure implementation.
 func TestPersistedCustomMeasure(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Measure = matching.DiceMeasure(cfg.Tokenizer)
+	cfg.Measure = core.MeasureDice
 	cfg.MatchThreshold = -1
 	x := New(false, cfg)
 	for _, p := range synthQueryProfiles(40, 1, 17) {
@@ -153,7 +153,7 @@ func TestPersistedCustomMeasure(t *testing.T) {
 // index bit for bit.
 func TestPersistedBagFallback(t *testing.T) {
 	saveCfg := DefaultConfig()
-	saveCfg.Measure = matching.DiceMeasure(saveCfg.Tokenizer)
+	saveCfg.Measure = core.MeasureDice
 	saveCfg.MatchThreshold = -1
 	x := New(false, saveCfg)
 	defCfg := DefaultConfig()

@@ -1,7 +1,7 @@
 package index
 
 // Token-blind queries: a query whose every blocking key hits a posting
-// over the purge bound (MaxBlockFraction) reaches no candidate at all.
+// over the purge bound (PurgeFactor) reaches no candidate at all.
 // An LSH fallback probe once rescued them; it added no recall on any
 // generated set at the default bound and was deleted. These tests pin
 // what is left: the purge bound alone makes a query token-blind, and
@@ -50,9 +50,9 @@ func TestFallbackRecallOnDatagen(t *testing.T) {
 	c := recallCollection(t)
 
 	cfg := DefaultConfig()
-	cfg.Prune = PruneNone // membership, not rank, is the question
+	cfg.MetaBlocking = false // membership, not rank, is the question
 	strict := cfg
-	strict.MaxBlockFraction = 0.02 // purge postings above ~2% of the collection
+	strict.PurgeFactor = 0.02 // purge postings above ~2% of the collection
 	x, err := NewFromCollection(c, strict)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestFallbackRecallOnDatagen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxSize := int(strict.MaxBlockFraction * float64(c.Size()))
+	maxSize := int(strict.PurgeFactor * float64(c.Size()))
 
 	// Document frequency of every distinct token, to find each profile's
 	// "too common" subset without peeking at index internals.
@@ -189,7 +189,7 @@ func TestFallbackRecoversPurgedTokenMatches(t *testing.T) {
 	fillers, target, query := commonTokenProfiles(120)
 	for _, maxBlock := range []float64{0.2, 1} {
 		cfg := DefaultConfig()
-		cfg.MaxBlockFraction = maxBlock
+		cfg.PurgeFactor = maxBlock
 		x := New(false, cfg)
 		upsertAll(t, x, append(fillers, target))
 		targetID, ok := x.lookupOrig(Identity{OriginalID: "target"})

@@ -137,7 +137,7 @@ func (x *Index) queryBudget(p *profile.Profile, budget Budget, kb *keyBuf) *Quer
 		selfID = id
 	}
 
-	maxSize := int(x.cfg.MaxBlockFraction * float64(x.numProfiles.Load()))
+	maxSize := int(x.cfg.PurgeFactor * float64(x.numProfiles.Load()))
 	if maxSize < 2 {
 		maxSize = 2
 	}
@@ -189,6 +189,12 @@ func (x *Index) queryBudget(p *profile.Profile, budget Budget, kb *keyBuf) *Quer
 		}
 		res.BlocksFiltered = len(probes) - keep
 		probes = probes[:keep]
+	}
+	if x.cfg.Scheme == metablocking.ARCS {
+		// ARCS sums one float per shared posting, and float addition is
+		// not associative: scan in ascending key order, the batch
+		// graph's block order, so that both layers agree bitwise.
+		slices.SortFunc(probes, func(a, b probe) int { return cmp.Compare(a.key, b.key) })
 	}
 	clk.Tick(res.StageNanos[:], int(StagePurgeFilter))
 
@@ -250,30 +256,35 @@ func (x *Index) queryBudget(p *profile.Profile, budget Budget, kb *keyBuf) *Quer
 	return res
 }
 
-// weigh converts the accumulated co-occurrence statistics into ranked
-// weighted candidates using the configured meta-blocking scheme, filling
+// weigh converts the accumulated co-occurrence statistics into weighted
+// candidates using the configured meta-blocking scheme, filling
 // res.Candidates.
 //
-// The prune rule decides how many ranked candidates can survive, and
-// weigh keeps no more than that: under PruneTopK the touched list streams
-// through a MaxCandidates-slot selection (cardinality pruning needs the
-// k heaviest, not a total order of the neighbourhood), while PruneMean
-// and PruneNone keep every candidate and sort them all. Either way
-// res.Candidates is exactly the leading part of the full ranking. It
-// returns how many weighed candidates the selection dropped, which prune
-// adds to its own count.
+// The pruning rule decides how many candidates can survive, and weigh
+// keeps no more than that: under CNP the touched list streams through a
+// TopK-slot selection (cardinality pruning needs the k heaviest, not a
+// total order of the neighbourhood); WNP and meta-blocking off keep
+// every candidate. WNP's are left in ascending ID order for prune, which
+// sums them in that order and ranks the survivors; the others are ranked
+// here, so res.Candidates is exactly the leading part of the full
+// ranking. It returns how many weighed candidates the selection dropped,
+// which prune adds to its own count.
 func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, budget Budget) (dropped int) {
 	touched := sc.Touched()
 	if len(touched) == 0 {
 		return 0
+	}
+	wnp := x.cfg.wnp()
+	if wnp {
+		slices.Sort(touched)
 	}
 	numBlocks := float64(x.numBlocks.Load())
 	// Only the ratio schemes need each candidate's block count; CBS and
 	// ARCS skip the per-candidate profile lookups entirely.
 	needsCandKeys := x.cfg.Scheme.ReadsEndpoints()
 	keep := len(touched)
-	if x.cfg.Prune == PruneTopK && x.cfg.MaxCandidates < keep {
-		keep = x.cfg.MaxCandidates
+	if x.cfg.cnp() && x.cfg.TopK < keep {
+		keep = x.cfg.TopK
 	}
 	top := topK{keep: keep, best: make([]Candidate, 0, keep)}
 	weighed := len(touched)
@@ -296,13 +307,15 @@ func (x *Index) weigh(res *QueryResult, queryKeys int, sc *queryScratch, budget 
 		top.offer(Candidate{
 			ID: id,
 			// The query is endpoint a, the candidate b. There is no degree
-			// factor: EJS never reaches here (withDefaults).
+			// factor: Validate refuses EJS.
 			Weight:     metablocking.Weight(x.cfg.Scheme, a, false, queryKeys, candKeys, numBlocks, 1),
 			SharedKeys: int(a.CBS),
 		})
 	}
 	x.mu.RUnlock()
-	slices.SortFunc(top.best, compareRank)
+	if !wnp {
+		slices.SortFunc(top.best, compareRank)
+	}
 	res.Candidates = top.best
 	return weighed - len(top.best)
 }
@@ -366,30 +379,26 @@ func (t *topK) siftDown(i int) {
 	}
 }
 
-// prune applies the configured rule to the ranked candidates in place and
-// returns how many were dropped.
+// prune applies WNP's node threshold to the candidates weigh left in
+// ascending ID order: the mean of their weights, summed in that order as
+// the batch plan sums a node's neighbourhood, then ranks the survivors.
+// Under CNP weigh has already kept the k best, and with meta-blocking off
+// every candidate stays. It returns how many were dropped.
 func (x *Index) prune(res *QueryResult) int {
-	before := len(res.Candidates)
-	switch x.cfg.Prune {
-	case PruneTopK:
-		if before > x.cfg.MaxCandidates {
-			res.Candidates = res.Candidates[:x.cfg.MaxCandidates]
-		}
-	case PruneMean:
-		var sum float64
-		for _, c := range res.Candidates {
-			sum += c.Weight
-		}
-		mean := sum / float64(before)
-		keep := res.Candidates[:0]
-		for _, c := range res.Candidates {
-			if c.Weight >= mean {
-				keep = append(keep, c)
-			}
-		}
-		res.Candidates = keep
+	cs := res.Candidates
+	if !x.cfg.wnp() || len(cs) == 0 {
+		return 0
 	}
-	return before - len(res.Candidates)
+	mean := metablocking.NodeMean(cs, func(c Candidate) float64 { return c.Weight })
+	keep := cs[:0]
+	for _, c := range cs {
+		if c.Weight >= mean {
+			keep = append(keep, c)
+		}
+	}
+	slices.SortFunc(keep, compareRank)
+	res.Candidates = keep
+	return len(cs) - len(keep)
 }
 
 // Identity is a profile's identity outside this index: the original ID
@@ -451,7 +460,7 @@ func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Res
 	// comparison is a set intersection — bitwise-identical scores to
 	// matching.JaccardMeasure with none of its per-pair tokenization.
 	var qset map[string]struct{}
-	if x.cfg.defaultJaccard {
+	if x.cfg.measure == nil {
 		qset = make(map[string]struct{}, len(kb.keys))
 		for _, kt := range kb.keys {
 			qset[kt.Key] = struct{}{}
@@ -502,10 +511,10 @@ func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Res
 			hook()
 		}
 		r.Comparisons++
-		if x.cfg.defaultJaccard {
+		if x.cfg.measure == nil {
 			c.score = jaccardBagSet(qset, c.sp.tokens)
 		} else {
-			c.score = x.cfg.Measure.Score(p, &c.sp.p)
+			c.score = x.cfg.measure.Score(p, &c.sp.p)
 		}
 		if c.score >= x.cfg.MatchThreshold {
 			matched = append(matched, c)

@@ -1,9 +1,11 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"sparker/internal/matching"
@@ -15,6 +17,25 @@ import (
 // as a reference and proves the query hot path's dense scratch is an
 // exact drop-in: candidate sets, order, and weights must be
 // bitwise-identical for every scheme × prune rule × task type.
+
+// servedRule is one pruning setting the index serves: meta-blocking off,
+// or on with a node rule.
+type servedRule struct {
+	on   bool
+	rule metablocking.Pruning
+}
+
+// servedRules are every pruning setting the index serves.
+var servedRules = []servedRule{{true, metablocking.CNP}, {true, metablocking.WNP}, {false, 0}}
+
+func (r servedRule) apply(cfg *Config) { cfg.MetaBlocking, cfg.Pruning = r.on, r.rule }
+
+func (r servedRule) String() string {
+	if !r.on {
+		return "off"
+	}
+	return r.rule.String()
+}
 
 // candAcc is the historical per-candidate accumulator: refCandidates
 // fills it field by field in a map, sharing no accumulation code with
@@ -49,7 +70,7 @@ func refCandidates(x *Index, p *profile.Profile) []Candidate {
 	if id, ok := x.lookupOrig(identityOf(p)); ok {
 		selfID = id
 	}
-	maxSize := int(x.cfg.MaxBlockFraction * float64(x.numProfiles.Load()))
+	maxSize := int(x.cfg.PurgeFactor * float64(x.numProfiles.Load()))
 	if maxSize < 2 {
 		maxSize = 2
 	}
@@ -87,6 +108,9 @@ func refCandidates(x *Index, p *profile.Profile) []Candidate {
 			keep = 1
 		}
 		probes = probes[:keep]
+	}
+	if x.cfg.Scheme == metablocking.ARCS {
+		sort.Slice(probes, func(i, j int) bool { return probes[i].key < probes[j].key })
 	}
 
 	acc := make(map[profile.ID]candAcc)
@@ -139,15 +163,32 @@ func refCandidates(x *Index, p *profile.Profile) []Candidate {
 		}
 		out = append(out, Candidate{ID: id, Weight: x.weight(&a, liveKeys, candKeys, numBlocks), SharedKeys: a.cbs})
 	}
+	if x.cfg.wnp() && len(out) > 0 {
+		// WNP: the mean weight, summed in ascending ID order.
+		sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+		var sum float64
+		for _, c := range out {
+			sum += c.Weight
+		}
+		mean := sum / float64(len(out))
+		keep := out[:0]
+		for _, c := range out {
+			if c.Weight >= mean {
+				keep = append(keep, c)
+			}
+		}
+		out = keep
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Weight != out[j].Weight {
 			return out[i].Weight > out[j].Weight
 		}
 		return out[i].ID < out[j].ID
 	})
-	res := &QueryResult{Candidates: out}
-	x.prune(res)
-	return res.Candidates
+	if x.cfg.cnp() && len(out) > x.cfg.TopK {
+		out = out[:x.cfg.TopK]
+	}
+	return out
 }
 
 // synthQueryProfiles builds overlapping-token profiles across sources.
@@ -175,14 +216,17 @@ func TestQueryMatchesMapReference(t *testing.T) {
 			sources = 2
 		}
 		for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.EJS, metablocking.ARCS} {
-			for _, rule := range []PruneRule{PruneTopK, PruneMean, PruneNone} {
+			for _, rule := range servedRules {
 				cfg := DefaultConfig()
 				cfg.Scheme = scheme
-				cfg.Prune = rule
-				x := New(clean, cfg)
-				if scheme == metablocking.EJS && x.cfg.Scheme != metablocking.JS {
-					t.Fatalf("an EJS index weighs by %v; want JS (no node degrees online)", x.cfg.Scheme)
+				rule.apply(&cfg)
+				if scheme == metablocking.EJS {
+					// EJS scales JS by node degrees, which the index does
+					// not keep: refused, never weighed as JS.
+					requireRefused(t, cfg, "scheme ejs")
+					continue
 				}
+				x := New(clean, cfg)
 				for _, p := range synthQueryProfiles(60, sources, 5) {
 					if _, _, err := x.Upsert(p); err != nil {
 						t.Fatal(err)
@@ -209,15 +253,38 @@ func TestQueryMatchesMapReference(t *testing.T) {
 	}
 }
 
+// requireRefused checks that every constructor refuses cfg with an error
+// naming want: New by panicking, NewFromCollection and Decode by
+// returning it.
+func requireRefused(t *testing.T, cfg Config, want string) {
+	t.Helper()
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Validate = %v, want an error naming %q", err, want)
+	}
+	if _, err := NewFromCollection(profile.NewDirty(nil), cfg); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("NewFromCollection error = %v, want one naming %q", err, want)
+	}
+	image := encodeToBytes(t, New(false, DefaultConfig()))
+	if _, err := Decode(bytes.NewReader(image), cfg); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Decode error = %v, want one naming %q", err, want)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("New panicked with %v, want a refusal naming %q", r, want)
+		}
+	}()
+	New(false, cfg)
+}
+
 // TestResolveFastPathMatchesJaccardMeasure is the cross-layer scoring
-// pin: for the same pair, the index's cached-bag scorer, the generic
-// matching.JaccardMeasure one-off path (Measure.Score, what a configured
-// measure runs) and the batch matcher's prepared scorer over the same
-// profiles agree bit for bit.
+// pin: for the same pair, the index's token-list scorer, the generic
+// matching.JaccardMeasure one-off path (Measure.Score, the path dice
+// takes) and the batch matcher's prepared scorer over the same profiles
+// agree bit for bit.
 func TestResolveFastPathMatchesJaccardMeasure(t *testing.T) {
-	fastCfg := DefaultConfig() // Measure nil: fast path
+	fastCfg := DefaultConfig()
 	slowCfg := DefaultConfig()
-	slowCfg.Measure = matching.JaccardMeasure(slowCfg.Tokenizer)
+	slowCfg.measure = matching.JaccardMeasure(slowCfg.Tokenizer)
 	slowCfg.MatchThreshold = -1 // keep every scored candidate
 	fastCfg.MatchThreshold = -1
 	fast := New(false, fastCfg)

@@ -12,8 +12,8 @@ import (
 	"sparker/internal/profile"
 )
 
-// weigh's bounded selection (PruneTopK) against its keep-everything mode
-// (PruneMean, PruneNone): the k candidates the selection keeps must be
+// weigh's bounded selection (CNP) against its keep-everything mode
+// (meta-blocking off): the k candidates the selection keeps must be
 // the first k of the full ranking, bit for bit, and Pruned must count the
 // rest. The oracle below ranks with its own comparison-sort, so a wrong
 // compareRank cannot vouch for itself.
@@ -65,8 +65,8 @@ func TestTopKSelectionMatchesFullSort(t *testing.T) {
 			for _, maxBlock := range []float64{0.5, 0.15} {
 				cfg := DefaultConfig()
 				cfg.Scheme = scheme
-				cfg.Prune = PruneNone
-				cfg.MaxBlockFraction = maxBlock // 0.15 purges the commonest tokens' postings
+				cfg.MetaBlocking = false
+				cfg.PurgeFactor = maxBlock // 0.15 purges the commonest tokens' postings
 				x := New(clean, cfg)
 				for _, p := range profiles {
 					if _, _, err := x.Upsert(p); err != nil {
@@ -76,7 +76,7 @@ func TestTopKSelectionMatchesFullSort(t *testing.T) {
 				label := fmt.Sprintf("clean=%v %v max-block=%v", clean, scheme, maxBlock)
 				for qi := 0; qi < n; qi += 23 {
 					q := profiles[qi]
-					x.cfg.Prune = PruneNone
+					x.cfg.MetaBlocking = false
 					full := x.Query(&q)
 					want := oracleRank(full.Candidates)
 					if err := sameCandidates(full.Candidates, want); err != nil {
@@ -84,8 +84,8 @@ func TestTopKSelectionMatchesFullSort(t *testing.T) {
 					}
 					biggest = max(biggest, len(want))
 					for _, k := range []int{1, 3, 10, len(want) + 5} {
-						x.cfg.Prune = PruneTopK
-						x.cfg.MaxCandidates = k
+						x.cfg.MetaBlocking = true
+						x.cfg.TopK = k
 						got := x.Query(&q)
 						kept := min(k, len(want))
 						if err := sameCandidates(got.Candidates, want[:kept]); err != nil {
@@ -150,7 +150,7 @@ func (f weighFixture) weigh(x *Index, n int, budget Budget) (*QueryResult, int) 
 // check asserts that selecting k of the fixture's first n candidates
 // equals the first k of their full ranking.
 func (f weighFixture) check(x *Index, n, k int) error {
-	x.cfg.Prune = PruneNone
+	x.cfg.MetaBlocking = false
 	full, dropped := f.weigh(x, n, Budget{})
 	if dropped != 0 || len(full.Candidates) != n {
 		return fmt.Errorf("keep-all weigh kept %d of %d, dropped %d", len(full.Candidates), n, dropped)
@@ -159,8 +159,8 @@ func (f weighFixture) check(x *Index, n, k int) error {
 	if err := sameCandidates(full.Candidates, want); err != nil {
 		return fmt.Errorf("full ranking: %v", err)
 	}
-	x.cfg.Prune = PruneTopK
-	x.cfg.MaxCandidates = k
+	x.cfg.MetaBlocking = true
+	x.cfg.TopK = k
 	got, dropped := f.weigh(x, n, Budget{})
 	kept := min(k, n)
 	if err := sameCandidates(got.Candidates, want[:kept]); err != nil {
@@ -185,8 +185,8 @@ func TestTopKSelectionMidWeighDeadline(t *testing.T) {
 	}
 	x := f.index(0)
 	for d := 5 * time.Microsecond; d < time.Second; d += d / 2 {
-		x.cfg.Prune = PruneTopK
-		x.cfg.MaxCandidates = 10
+		x.cfg.MetaBlocking = true
+		x.cfg.TopK = 10
 		got, dropped := f.weigh(x, n, Budget{Deadline: obs.Now() + int64(d)})
 		weighed := dropped + len(got.Candidates)
 		if weighed == 0 {
@@ -198,7 +198,7 @@ func TestTopKSelectionMidWeighDeadline(t *testing.T) {
 		if got.TruncatedStage != StageWeigh.String() || weighed%weighCheckInterval != 0 || weighed >= n {
 			t.Fatalf("deadline %v: stage %q after %d of %d candidates", d, got.TruncatedStage, weighed, n)
 		}
-		x.cfg.Prune = PruneNone
+		x.cfg.MetaBlocking = false
 		prefix, _ := f.weigh(x, weighed, Budget{})
 		if err := sameCandidates(got.Candidates, oracleRank(prefix.Candidates)[:10]); err != nil {
 			t.Fatalf("deadline %v, %d candidates weighed: %v", d, weighed, err)

@@ -23,7 +23,7 @@ type Match struct {
 
 // Measure scores the similarity of two profiles in [0, 1]. Every entry
 // point that scores many pairs of one collection (MatchPairs,
-// MatchPairsDistributed, ScorePairs, TuneThreshold) calls Prepare once
+// MatchPairsDistributed, TuneThreshold) calls Prepare once
 // and scores from the result, so a measure does its per-profile work —
 // tokenising, weighing — once per profile, not once per pair.
 type Measure interface {
@@ -140,83 +140,6 @@ func (c cosineMeasure) prepareCorpus(cp *tokenize.Corpus) PairScorer { return c.
 // CosineMeasure scores profiles with TF-IDF cosine similarity (the CSA
 // stand-in).
 func CosineMeasure(m *TFIDF) Measure { return cosineMeasure{m} }
-
-// AttributeMeasure compares one attribute of each profile with a string
-// similarity; useful for schema-aware supervised configurations.
-func AttributeMeasure(attrA, attrB string, sim func(a, b string) float64) Measure {
-	return MeasureFunc(func(a, b *profile.Profile) float64 {
-		return sim(a.Value(attrA), b.Value(attrB))
-	})
-}
-
-// ensemble is a weighted average of measures.
-type ensemble struct {
-	measures []Measure
-	weights  []float64
-	total    float64
-}
-
-// Ensemble averages several measures with weights. Weights are normalised;
-// a nil weight slice averages uniformly. A non-empty weight slice must
-// have one weight per measure: anything else is a programming error and
-// panics here, at construction.
-func Ensemble(measures []Measure, weights []float64) Measure {
-	if len(weights) == 0 {
-		weights = make([]float64, len(measures))
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	if len(weights) != len(measures) {
-		panic(fmt.Sprintf("matching: Ensemble of %d measures given %d weights", len(measures), len(weights)))
-	}
-	e := ensemble{measures: measures, weights: weights}
-	for _, w := range weights {
-		e.total += w
-	}
-	return e
-}
-
-func (e ensemble) Score(a, b *profile.Profile) float64 {
-	var s float64
-	for i, m := range e.measures {
-		s += e.weights[i] * m.Score(a, b)
-	}
-	return e.normalise(s)
-}
-
-// Prepare prepares every member once.
-func (e ensemble) Prepare(c *profile.Collection) PairScorer {
-	scorers := make([]PairScorer, len(e.measures))
-	for i, m := range e.measures {
-		scorers[i] = m.Prepare(c)
-	}
-	return func(a, b profile.ID) float64 {
-		var s float64
-		for i, score := range scorers {
-			s += e.weights[i] * score(a, b)
-		}
-		return e.normalise(s)
-	}
-}
-
-func (e ensemble) normalise(sum float64) float64 {
-	if e.total == 0 {
-		return 0
-	}
-	return sum / e.total
-}
-
-// ScorePairs scores every candidate pair without thresholding; used by the
-// debug workflow and the supervised tuner.
-func ScorePairs(c *profile.Collection, pairs []blocking.Pair, measure Measure) []Match {
-	score := measure.Prepare(c)
-	out := make([]Match, len(pairs))
-	for i, p := range pairs {
-		out[i] = Match{A: p.A, B: p.B, Score: score(p.A, p.B)}
-	}
-	return out
-}
 
 // MatchPairs scores candidate pairs and keeps those at or above the
 // threshold, sorted by (A, B). The result is never nil.

@@ -266,6 +266,8 @@ type neighbourWeight struct {
 	w  float64
 }
 
+func (nw neighbourWeight) weight() float64 { return nw.w }
+
 // weightedNeighbours materialises the neighbourhood of id and returns its
 // weighted edges in first-touch order. That is all a maximum, a k-th
 // largest weight (CNP) or a best-first schedule needs; a float sum over

@@ -102,7 +102,7 @@ func (p *plan) stats(part []profile.ID, s *neighbourScratch) []nodeStat {
 			}
 		case WNP, ReciprocalWNP:
 			if nws := g.orderedNeighbours(id, s); len(nws) > 0 {
-				out = append(out, nodeStat{id: id, v: nodeMean(nws)})
+				out = append(out, nodeStat{id: id, v: NodeMean(nws, neighbourWeight.weight)})
 			}
 		case CNP, ReciprocalCNP:
 			if nws := g.weightedNeighbours(id, s); len(nws) > 0 {
@@ -169,13 +169,15 @@ func (p *plan) foldMaxima(part []profile.ID, s *neighbourScratch) []nodeStat {
 	return out
 }
 
-// nodeMean is WNP's node threshold: the mean weight over the node's
-// ordered neighbourhood. The summation order is fixed (ascending
-// neighbour ID) so that every driver agrees bitwise.
-func nodeMean(nws []neighbourWeight) float64 {
+// NodeMean is WNP's node threshold: the mean weight over a node's
+// neighbourhood, summed in the order given. Every caller — the batch
+// plan over orderedNeighbours, the online index over a query's weighed
+// candidates — passes it ascending by neighbour ID, so that all of them
+// agree bitwise.
+func NodeMean[E any](nws []E, weight func(E) float64) float64 {
 	sum := 0.0
 	for _, nw := range nws {
-		sum += nw.w
+		sum += weight(nw)
 	}
 	return sum / float64(len(nws))
 }

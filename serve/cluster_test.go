@@ -17,16 +17,16 @@ import (
 )
 
 // equivCfg is the configuration under which sharded resolution is
-// exactly equivalent to single-node resolution: no top-k pruning (a
-// shard's local top-k is not the global top-k), no purge/filter
+// exactly equivalent to single-node resolution: meta-blocking off (a
+// shard's local CNP top-k or WNP mean is not the global one), no purge/filter
 // thresholds that depend on shard-local collection sizes, and the CBS
 // scheme (shared-key counts are shard-independent; ECBS folds in
 // collection-wide block statistics).
 func equivCfg() index.Config {
 	cfg := index.DefaultConfig()
-	cfg.Prune = index.PruneNone
+	cfg.MetaBlocking = false
 	cfg.FilterRatio = 1
-	cfg.MaxBlockFraction = 1
+	cfg.PurgeFactor = 1
 	cfg.Scheme = metablocking.CBS
 	cfg.MatchThreshold = 0.1
 	return cfg

@@ -222,7 +222,10 @@ type (
 	// Index is the concurrent, sharded, incrementally maintainable entity
 	// index behind sparker-serve.
 	Index = index.Index
-	// IndexConfig holds the index tunables.
+	// IndexConfig holds the index tunables. Its resolve knobs (purge
+	// factor, filter ratio, meta-blocking, scheme, pruning, TopK, measure,
+	// match threshold, tokenizer) are Config's own, read the same way; a
+	// knob the index cannot honour is refused (IndexConfig.Validate).
 	IndexConfig = index.Config
 	// IndexCandidate is one ranked blocking candidate of a query.
 	IndexCandidate = index.Candidate
@@ -326,18 +329,6 @@ func SaveIndex(x *Index, path string) (IndexPersistState, error) { return x.Save
 // restored index as a write-rejecting replica.
 func LoadIndex(path string, cfg IndexConfig) (*Index, error) { return index.Load(path, cfg) }
 
-// Index candidate-pruning rules.
-const (
-	// IndexPruneMean keeps candidates at or above the neighbourhood mean
-	// weight (WNP-style).
-	IndexPruneMean = index.PruneMean
-	// IndexPruneTopK keeps the MaxCandidates heaviest candidates
-	// (CNP-style).
-	IndexPruneTopK = index.PruneTopK
-	// IndexPruneNone disables candidate pruning.
-	IndexPruneNone = index.PruneNone
-)
-
 // DefaultIndexConfig is the unsupervised serving configuration.
 func DefaultIndexConfig() IndexConfig { return index.DefaultConfig() }
 
@@ -350,9 +341,10 @@ func NewIndex(c *Collection, cfg IndexConfig) (*Index, error) {
 	return index.NewFromCollection(c, cfg)
 }
 
-// NewEmptyIndex starts an empty index to be filled through Upsert. To
-// serve an index over HTTP, see the sparker/serve subpackage (kept out
-// of this package so batch-only consumers do not link net/http).
+// NewEmptyIndex starts an empty index to be filled through Upsert. It
+// panics on a config IndexConfig.Validate refuses. To serve an index over
+// HTTP, see the sparker/serve subpackage (kept out of this package so
+// batch-only consumers do not link net/http).
 func NewEmptyIndex(clean bool, cfg IndexConfig) *Index { return index.New(clean, cfg) }
 
 // Synthetic benchmark.
