@@ -34,9 +34,10 @@
 //
 // Durable snapshots make restarts warm: with -snapshot the server
 // restores the index from the file at boot (falling back to a fresh
-// build from the input flags when the file is absent or written by an
-// incompatible format version; an LSH section an older -lsh build wrote
-// is read and dropped), saves it on SIGTERM/SIGINT and on POST
+// build from the input flags when the file is absent or written by
+// another format version, version 3 included; with -oplog-dir the log
+// is replayed onto that build, and boot fails on a sequence gap instead
+// of dropping logged writes), saves it on SIGTERM/SIGINT and on POST
 // /v1/snapshot/save, and with -snapshot-interval also on a timer. A
 // snapshot is a checkpoint at one sequence number; what was written
 // after it survives a crash only in the op log (-oplog-dir, below).

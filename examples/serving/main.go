@@ -154,11 +154,10 @@ func main() {
 	// the file. This is what `sparker-serve -snapshot idx.snap` does at
 	// boot and on SIGTERM — restores without re-tokenizing anything.
 	//
-	// Snapshot format note: Save writes format version 3 and Load reads
-	// exactly that version. A version-3 file from an older node started
-	// with -lsh carries an LSH section (MinHash parameters and
-	// per-profile signatures); it still loads, the section is dropped,
-	// and the next save writes the file without it.
+	// Snapshot format note: Save writes format version 4 and Load reads
+	// exactly that version. A version-3 file from an older build answers
+	// ErrIndexSnapshotVersion; sparker-serve then rebuilds from its
+	// inputs.
 	dir, err := os.MkdirTemp("", "sparker-serving")
 	if err != nil {
 		log.Fatal(err)

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"sparker/internal/core"
@@ -52,9 +53,9 @@ func buildWrites(c *profile.Collection) []profile.Profile {
 
 // TestNewFromCollectionMatchesWritePath: the column-wise bulk build is
 // the write path's index. On the generated families, under the default
-// config, a custom Measure (no bags) and one shard, the two images are
-// byte-identical; after the same overwrites and inserts through Upsert
-// they still are, and they resolve a sample of profiles alike.
+// config, Dice and one shard, the two images are byte-identical; after
+// the same overwrites and inserts through Upsert they still are, and
+// they resolve a sample of profiles alike.
 func TestNewFromCollectionMatchesWritePath(t *testing.T) {
 	bib := datagen.BibDefault()
 	bib.CorePapers, bib.AOnly, bib.BOnly = 300, 30, 30
@@ -120,5 +121,24 @@ func TestNewFromCollectionRejects(t *testing.T) {
 	}
 	if !bytes.Equal(encodePinned(t, empty), encodePinned(t, New(false, DefaultConfig()))) {
 		t.Fatal("empty collection: image differs from an empty index's")
+	}
+}
+
+// sameAnswers pins two indexes to bitwise-identical resolutions of q:
+// candidates (ID, shared keys, weight bits) and matches (ID, score bits).
+func sameAnswers(t *testing.T, what string, want, got *Index, q *profile.Profile) {
+	t.Helper()
+	w, g := want.Resolve(q), got.Resolve(q)
+	if err := sameCandidates(g.Query.Candidates, w.Query.Candidates); err != nil {
+		t.Fatalf("%s: query %s: %v", what, q.OriginalID, err)
+	}
+	if len(g.Matches) != len(w.Matches) || g.Comparisons != w.Comparisons {
+		t.Fatalf("%s: query %s: %d matches / %d comparisons, want %d / %d",
+			what, q.OriginalID, len(g.Matches), g.Comparisons, len(w.Matches), w.Comparisons)
+	}
+	for i := range w.Matches {
+		if g.Matches[i].B != w.Matches[i].B || math.Float64bits(g.Matches[i].Score) != math.Float64bits(w.Matches[i].Score) {
+			t.Fatalf("%s: query %s match %d: %+v, want %+v", what, q.OriginalID, i, g.Matches[i], w.Matches[i])
+		}
 	}
 }

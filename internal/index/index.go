@@ -29,7 +29,6 @@ import (
 
 	"sparker/internal/blocking"
 	"sparker/internal/core"
-	"sparker/internal/matching"
 	"sparker/internal/metablocking"
 	"sparker/internal/obs"
 	"sparker/internal/profile"
@@ -80,13 +79,6 @@ type Config struct {
 	// and degradation ladder. Nil (the default) costs one predictable
 	// branch per comparison and changes nothing.
 	ScoreHook func()
-
-	// measure scores Resolve candidates when Measure is not Jaccard
-	// (withDefaults); nil selects the token-list Jaccard scorer, which
-	// scores a candidate from the list it is indexed under instead of
-	// re-tokenizing both profiles per comparison (bitwise-identical to
-	// matching.JaccardMeasure, far fewer allocations per query).
-	measure matching.Measure
 }
 
 // DefaultConfig is the unsupervised serving configuration: schema-agnostic
@@ -123,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TopK <= 0 {
 		c.TopK = 10
-	}
-	if c.Measure == core.MeasureDice {
-		c.measure = matching.DiceMeasure(c.Tokenizer)
 	}
 	c.OpLog = c.OpLog.withDefaults()
 	return c

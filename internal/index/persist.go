@@ -8,41 +8,29 @@ package index
 // File layout (integers are varints, strings are uvarint length + bytes):
 //
 //	magic   "SPKRIDX1" (8 bytes)
-//	uvarint format version (3; any other answers ErrSnapshotVersion)
+//	uvarint format version (4; any other answers ErrSnapshotVersion)
 //	header  clean flag, shard count, save timestamp, nextID,
 //	        queries/upserts counters, sequence number, profile count,
 //	        posting count
-//	LSH     presence byte, always 0 when written (see below)
 //	profiles section: per profile ID, source, original ID, attributes,
-//	        blocking keys (each with a cluster), a bag flag byte and, when
-//	        set, the bag (and, in a legacy LSH image, an optional MinHash
-//	        signature)
-//	per-shard sections: posting count, then per posting key, cluster,
-//	        and the source-A / source-B ID lists in live order
+//	        and its keys (its distinct tokens in first-occurrence order)
+//	per-shard sections: posting count, then per posting key and the
+//	        source-A / source-B ID lists in live order
 //	trailer CRC-32 (IEEE) of every preceding byte
 //
-// Every cluster is blocking.NoCluster: the index derives schema-agnostic
-// keys only. Any other value marks a loose-schema image, which the
-// decoder refuses (errLooseSchema).
-//
-// The bag repeats the keys: a profile's keys are its distinct tokens, the
-// set the default Jaccard scores. The encoder writes it (flag 1, then the
-// key strings) exactly when the default Jaccard scores and the profile
-// has a token, flag 0 otherwise; the decoder checks a present bag against
-// the keys string for string (errBagNotKeys) and drops it.
+// The image holds what the index is and nothing of how it scores: the
+// keys are schema-agnostic tokens, so a key is its own block, and the
+// same writes encode to the same bytes under every served measure.
 //
 // Nothing follows the trailer. A snapshot is a checkpoint at one sequence
 // number; the writes after it live in the WAL segments (wal.go), the only
 // on-disk delta store, and bytes past the CRC fail the load.
 //
-// The LSH section is a legacy of the online MinHash probe, which older
-// builds could enable (sparker-serve -lsh). Its presence byte set, the
-// header carries the signature length, MinHash seed, banding threshold
-// bits and two probe counters, and every profile record ends with a flag
-// byte and, when set, a signature of exactly that length. This build
-// writes the byte as 0. It still reads such an image, validating the
-// section as strictly as the rest of the file, and discards it: the
-// restored index is the one the same profiles build without it.
+// A version-3 image answers ErrSnapshotVersion like any other, and
+// sparker-serve rebuilds from its input files. With a WAL that rebuild
+// replays the log from sequence 1, and a log whose start a save has
+// pruned is a sequence gap, a hard error (wal.go): no acknowledged write
+// is dropped silently.
 //
 // Encoding is deterministic (profiles by ID, postings by key within each
 // shard, ID lists verbatim): save → load → save reproduces the exact
@@ -87,7 +75,6 @@ import (
 	"sort"
 	"time"
 
-	"sparker/internal/blocking"
 	"sparker/internal/obs"
 	"sparker/internal/profile"
 )
@@ -95,7 +82,7 @@ import (
 const (
 	snapshotMagic = "SPKRIDX1"
 	// snapshotVersion is the one format this build writes and reads.
-	snapshotVersion = 3
+	snapshotVersion = 4
 
 	// maxSnapshotString bounds any single length-prefixed string
 	// (attribute values, blocking keys) a snapshot may carry. Enforced
@@ -103,19 +90,11 @@ const (
 	// is always loadable. Decode makes a string a substring of the image,
 	// so a corrupt length prefix allocates nothing at all.
 	maxSnapshotString = 1 << 30
-	// maxSnapshotItems bounds per-profile attribute/key/bag counts, also
+	// maxSnapshotItems bounds per-profile attribute/key counts, also
 	// enforced on both sides.
 	maxSnapshotItems = 1 << 26
 	// maxSnapshotShards bounds the decoded shard count.
 	maxSnapshotShards = 1 << 12
-	// maxSnapshotSigLen bounds the signature length of a legacy LSH
-	// section.
-	maxSnapshotSigLen = 1 << 12
-	// maxSignatureValue is one past the largest value a MinHash position
-	// can hold: lsh's Mersenne prime 2^61-1. Legacy images stored
-	// signatures only for non-empty token bags, so every position is a
-	// real hash minimum.
-	maxSignatureValue = (1 << 61) - 1
 )
 
 var (
@@ -126,11 +105,6 @@ var (
 	ErrSnapshotVersion = errors.New("index: unsupported snapshot version")
 	// errSnapshotTrailing marks bytes after a snapshot's CRC trailer.
 	errSnapshotTrailing = errors.New("snapshot has trailing data after its checksum (a snapshot ends at its CRC; deltas live in the WAL)")
-	// errLooseSchema marks a key or posting under an attribute cluster:
-	// no query of this schema-agnostic index derives such a key.
-	errLooseSchema = errors.New("a loose-schema image (keys under attribute clusters); this build serves schema-agnostic keys only, so rebuild the index from its profiles")
-	// errBagNotKeys marks a present bag that does not repeat the keys.
-	errBagNotKeys = errors.New("a profile's token bag differs from its keys")
 )
 
 // PersistState describes the index's durable-snapshot state: the most
@@ -278,11 +252,11 @@ func (x *Index) Image() (image []byte, seq int64, err error) {
 	return buf.Bytes(), seq, nil
 }
 
-// Load restores an index from a snapshot file. The tokenizer and measure
-// of cfg must match the configuration the snapshot was saved under (they
-// are code, not data, and are not serialized); the shard count is
-// restored from the file and overrides cfg.Shards. A missing file
-// surfaces as fs.ErrNotExist and an incompatible format as
+// Load restores an index from a snapshot file. The tokenizer of cfg must
+// match the configuration the snapshot was saved under (it is code, not
+// data, and is not serialized; the image holds nothing of the measure);
+// the shard count is restored from the file and overrides cfg.Shards. A
+// missing file surfaces as fs.ErrNotExist and an incompatible format as
 // ErrSnapshotVersion, both via errors.Is.
 func Load(path string, cfg Config) (*Index, error) {
 	start := obs.Now()
@@ -381,11 +355,6 @@ func decode(buf []byte, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("snapshot posting count: %w", err)
 	}
 
-	sigLen, err := d.legacyLSHHeader()
-	if err != nil {
-		return nil, err
-	}
-
 	cfg.Shards = int(shards)
 	x := New(clean, cfg)
 	d.x = x
@@ -396,7 +365,7 @@ func decode(buf []byte, cfg Config) (*Index, error) {
 
 	// Profiles section.
 	for i := uint64(0); i < numProfiles; i++ {
-		sp, err := d.profile(nextID, int(numProfiles-i), sigLen)
+		sp, err := d.profile(nextID, int(numProfiles-i))
 		if err != nil {
 			return nil, fmt.Errorf("snapshot profile %d/%d: %w", i, numProfiles, err)
 		}
@@ -491,7 +460,6 @@ func (x *Index) encodeLocked(w io.Writer, savedAt time.Time) (int64, error) {
 	cw.uvarint(uint64(x.seq.Load()))
 	cw.uvarint(uint64(len(x.byID)))
 	cw.uvarint(uint64(x.numBlocks.Load()))
-	cw.byte(0) // no (legacy) LSH section
 
 	ids := make([]profile.ID, 0, len(x.byID))
 	for id := range x.byID {
@@ -517,16 +485,6 @@ func (x *Index) encodeLocked(w io.Writer, savedAt time.Time) (int64, error) {
 		cw.uvarint(uint64(len(sp.tokens)))
 		for _, t := range sp.tokens {
 			cw.string(t)
-			cw.varint(blocking.NoCluster)
-		}
-		if x.cfg.measure == nil && len(sp.tokens) > 0 {
-			cw.byte(1) // the bag: the keys again (see the file header)
-			cw.uvarint(uint64(len(sp.tokens)))
-			for _, t := range sp.tokens {
-				cw.string(t)
-			}
-		} else {
-			cw.byte(0)
 		}
 	}
 
@@ -542,7 +500,6 @@ func (x *Index) encodeLocked(w io.Writer, savedAt time.Time) (int64, error) {
 		for _, key := range keys {
 			pl := sh.postings[key]
 			cw.string(key)
-			cw.varint(blocking.NoCluster)
 			cw.uvarint(uint64(len(pl.a)))
 			for _, id := range pl.a {
 				cw.uvarint(uint64(id))
@@ -583,16 +540,15 @@ type decoder struct {
 // The fewest bytes one item of each kind can occupy in the image: what a
 // claimed count is checked against before a slab is sized from it.
 const (
-	minProfileBytes = 6 // ID, source, original-ID length, attribute count, key count, bag flag
+	minProfileBytes = 5 // ID, source, original-ID length, attribute count, key count
 	minAttrBytes    = 2 // key length, value length
-	minKeyBytes     = 2 // key length, cluster
-	minPostingBytes = 6 // key length, one key byte, cluster, two list lengths, one ID
+	minKeyBytes     = 1 // key length
+	minPostingBytes = 5 // key length, one key byte, two list lengths, one ID
 )
 
 // profile reads one profiles-section record, the first of left that
-// remain. In a legacy LSH image (sigLen > 0) the record ends with an
-// optional signature of exactly sigLen values, validated and discarded.
-func (d *decoder) profile(idBound uint64, left int, sigLen int) (*storedProfile, error) {
+// remain.
+func (d *decoder) profile(idBound uint64, left int) (*storedProfile, error) {
 	x := d.x
 	id, err := d.uvarint()
 	if err != nil {
@@ -642,106 +598,9 @@ func (d *decoder) profile(idBound uint64, left int, sigLen int) (*storedProfile,
 			if sp.tokens[i], err = d.string(); err != nil {
 				return nil, err
 			}
-			if err := d.noCluster(); err != nil {
-				return nil, fmt.Errorf("key %q: %w", sp.tokens[i], err)
-			}
-		}
-	}
-	if err := d.bag(sp.tokens); err != nil {
-		return nil, err
-	}
-
-	if sigLen > 0 {
-		if err := d.legacySignature(sigLen); err != nil {
-			return nil, err
 		}
 	}
 	return sp, nil
-}
-
-// bag reads a profile record's bag flag and, when it is set, the bag,
-// which must repeat the profile's keys string for string. Nothing of it
-// is kept.
-func (d *decoder) bag(keys []string) error {
-	hasBag, err := d.byte()
-	if err != nil || hasBag > 1 {
-		return fmt.Errorf("bag flag: %w", orBad(err, hasBag))
-	}
-	if hasBag == 0 {
-		return nil
-	}
-	nBag, err := d.count(1)
-	if err != nil {
-		return fmt.Errorf("bag size %d: %w", nBag, err)
-	}
-	if nBag != uint64(len(keys)) {
-		return fmt.Errorf("bag of %d tokens, %d keys: %w", nBag, len(keys), errBagNotKeys)
-	}
-	for i, key := range keys {
-		t, err := d.string()
-		if err != nil {
-			return err
-		}
-		if t != key {
-			return fmt.Errorf("bag token %d is %q, key %q: %w", i, t, key, errBagNotKeys)
-		}
-	}
-	return nil
-}
-
-// legacyLSHHeader reads the LSH section header and returns the signature
-// length every profile record then carries, or 0 when the image has no
-// section. The MinHash parameters and probe counters are validated and
-// dropped: nothing in this build reads them.
-func (d *decoder) legacyLSHHeader() (sigLen int, err error) {
-	present, err := d.byte()
-	if err != nil || present > 1 {
-		return 0, fmt.Errorf("snapshot LSH flag: %w", orBad(err, present))
-	}
-	if present == 0 {
-		return 0, nil
-	}
-	n, err := d.uvarint()
-	if err != nil || n < 1 || n > maxSnapshotSigLen {
-		return 0, fmt.Errorf("snapshot signature length %d: %w", n, orBad(err, 0))
-	}
-	if _, err := d.varint(); err != nil {
-		return 0, fmt.Errorf("snapshot LSH seed: %w", err)
-	}
-	bits, err := d.uvarint()
-	// NaN fails the comparison chain too: the threshold must be a real
-	// similarity in (0, 1].
-	if threshold := math.Float64frombits(bits); err != nil || !(threshold > 0 && threshold <= 1) {
-		return 0, fmt.Errorf("snapshot LSH threshold %v: %w", threshold, orBad(err, 0))
-	}
-	for _, what := range []string{"probe", "candidate"} {
-		if c, err := d.uvarint(); err != nil || c > math.MaxInt64 {
-			return 0, fmt.Errorf("snapshot LSH %s counter: %w", what, orBad(err, 0))
-		}
-	}
-	return int(n), nil
-}
-
-// legacySignature reads the optional MinHash signature that ends a
-// profile record in a legacy LSH image.
-func (d *decoder) legacySignature(sigLen int) error {
-	hasSig, err := d.byte()
-	if err != nil || hasSig > 1 {
-		return fmt.Errorf("signature flag: %w", orBad(err, hasSig))
-	}
-	if hasSig == 0 {
-		return nil
-	}
-	for i := 0; i < sigLen; i++ {
-		v, err := d.uvarint()
-		if err != nil {
-			return fmt.Errorf("signature value %d/%d: %w", i, sigLen, err)
-		}
-		if v >= maxSignatureValue {
-			return fmt.Errorf("signature value %d out of range", v)
-		}
-	}
-	return nil
 }
 
 // posting reads one posting record, the first of left that remain in its
@@ -754,9 +613,6 @@ func (d *decoder) posting(left int) error {
 	}
 	if key == "" {
 		return fmt.Errorf("empty posting key")
-	}
-	if err := d.noCluster(); err != nil {
-		return fmt.Errorf("posting %q: %w", key, err)
 	}
 	pl := &d.postings.take(1, left)[0]
 	if pl.a, err = d.idList(0); err != nil {
@@ -776,19 +632,6 @@ func (d *decoder) posting(left int) error {
 		return fmt.Errorf("posting %q: duplicate key", key)
 	}
 	sh.postings[key] = pl
-	return nil
-}
-
-// noCluster reads the cluster of a key or posting, which must be
-// blocking.NoCluster.
-func (d *decoder) noCluster() error {
-	c, err := d.varint()
-	if err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	if c != blocking.NoCluster {
-		return fmt.Errorf("cluster %d: %w", c, errLooseSchema)
-	}
 	return nil
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -21,7 +20,6 @@ import (
 	"sync"
 	"testing"
 
-	"sparker/internal/blocking"
 	"sparker/internal/core"
 	"sparker/internal/matching"
 	"sparker/internal/profile"
@@ -80,9 +78,9 @@ func randomProfiles(seed int64, n int) []profile.Profile {
 // TestKeysAndBagMatchReferences: a profile's one token list is exactly
 // the key strings blocking's KeysOf yields and exactly the bag the
 // separate tokenisation used to — order, duplicates and nil-ness
-// included (a token-less profile stores a nil list). An image repeats
-// that list as the bag when the default Jaccard scores, and carries no
-// bag under a custom Measure, which scores from the profiles themselves.
+// included (a token-less profile stores a nil list). The image writes
+// that list as the profile's keys, and nothing of the scoring config:
+// the same writes under Dice encode to the same bytes.
 func TestKeysAndBagMatchReferences(t *testing.T) {
 	x := New(true, DefaultConfig())
 	tokenless := 0
@@ -114,23 +112,23 @@ func TestKeysAndBagMatchReferences(t *testing.T) {
 	if tokenless == 0 {
 		t.Fatal("fixture drew no token-less profile")
 	}
-	recs, _, _ := walkImage(t, encodeToBytes(t, x))
-	for i, r := range recs {
-		if wantFlag := len(r.keys) > 0; r.hasBag != wantFlag || !slices.Equal(r.bag, r.keys) {
-			t.Fatalf("default measure, profile record %d: bag flag %v, bag %q; want flag %v and the keys %q",
-				i, r.hasBag, r.bag, wantFlag, r.keys)
+	image := encodePinned(t, x)
+	recs := imageKeys(t, image)
+	if len(recs) != x.Size() {
+		t.Fatalf("image holds %d profile records, index %d profiles", len(recs), x.Size())
+	}
+	for i, keys := range recs {
+		if want := x.byID[profile.ID(i)].tokens; !slices.Equal(keys, want) {
+			t.Fatalf("profile record %d: keys %q, want the stored tokens %q", i, keys, want)
 		}
 	}
 
-	custom := DefaultConfig()
-	custom.Measure = core.MeasureDice
-	y := New(true, custom)
-	upsertAll(t, y, randomProfiles(20260424, 60))
-	recs, _, _ = walkImage(t, encodeToBytes(t, y))
-	for i, r := range recs {
-		if r.hasBag {
-			t.Fatalf("custom measure, profile record %d: bag %q written", i, r.bag)
-		}
+	dice := DefaultConfig()
+	dice.Measure = core.MeasureDice
+	y := New(true, dice)
+	upsertAll(t, y, randomProfiles(20260424, 400))
+	if !bytes.Equal(encodePinned(t, y), image) {
+		t.Fatal("the Dice index encodes other bytes than the Jaccard one")
 	}
 }
 
@@ -165,7 +163,6 @@ func craftedSnapshot(numProfiles, numBlocks uint64, body func(cw *crcWriter)) []
 	var out bytes.Buffer
 	cw := &crcWriter{w: &out}
 	craftedHeader(cw, numProfiles, numBlocks)
-	cw.byte(0) // no LSH section
 	if body != nil {
 		body(cw)
 	}
@@ -178,8 +175,7 @@ func craftedSnapshot(numProfiles, numBlocks uint64, body func(cw *crcWriter)) []
 	return out.Bytes()
 }
 
-// craftedHeader writes a dirty one-shard header up to the LSH presence
-// byte.
+// craftedHeader writes a dirty one-shard header.
 func craftedHeader(cw *crcWriter, numProfiles, numBlocks uint64) {
 	cw.bytes([]byte(snapshotMagic))
 	cw.uvarint(snapshotVersion)
@@ -216,13 +212,6 @@ func lyingCountSnapshots() map[string][]byte {
 			cw.uvarint(0)
 			cw.uvarint(maxSnapshotItems)
 		}),
-		"bag": craftedSnapshot(1, 0, func(cw *crcWriter) {
-			profileHead(cw)
-			cw.uvarint(0)
-			cw.uvarint(0)
-			cw.byte(1)
-			cw.uvarint(maxSnapshotItems)
-		}),
 		"shard section": craftedSnapshot(0, 0, func(cw *crcWriter) {
 			cw.uvarint(huge)
 		}),
@@ -230,24 +219,27 @@ func lyingCountSnapshots() map[string][]byte {
 			profileHead(cw)
 			cw.uvarint(0)
 			cw.uvarint(0)
-			cw.byte(0)
 			cw.uvarint(1) // shard 0: one posting
 			cw.string("k")
-			cw.varint(-1)
 			cw.uvarint(huge)
 		}),
 	}
 }
 
 // TestDecodeHardening pins what the in-place decoder must keep refusing:
-// every proper prefix of a valid snapshot (a current one and the two
-// legacy LSH images), every single-byte corruption
+// every proper prefix of a valid snapshot (clean, dirty, and churned by
+// overwrites), every single-byte corruption
 // (by the CRC or by validation — and without panicking), and counts the
 // remaining bytes cannot hold, refused before anything is sized from
 // them. The trailing-byte refusal is TestDecodeRejectsTrailingBytes.
 func TestDecodeHardening(t *testing.T) {
 	cfg := DefaultConfig()
-	for _, valid := range [][]byte{encodeToBytes(t, smallTestIndex(t, true)), legacyImage(t, false), legacyImage(t, true)} {
+	valids := [][]byte{
+		encodeToBytes(t, smallTestIndex(t, true)),
+		encodeToBytes(t, smallTestIndex(t, false)),
+		encodeToBytes(t, churnedTestIndex(t, true)),
+	}
+	for _, valid := range valids {
 		if _, err := Decode(bytes.NewReader(valid), cfg); err != nil {
 			t.Fatalf("valid snapshot rejected: %v", err)
 		}
@@ -287,7 +279,7 @@ func TestDecodeHardening(t *testing.T) {
 }
 
 // TestRestoredSlabsDoNotAlias: restored posting lists, profiles and their
-// attribute/key/bag runs are neighbours in shared slabs. Writes that
+// attribute/key runs are neighbours in shared slabs. Writes that
 // append to restored postings, shrink them, and overwrite restored
 // profiles — with Resolve running beside them — must leave everything
 // they did not touch bit-identical: the restored index stays equal, byte
@@ -330,18 +322,15 @@ func TestRestoredSlabsDoNotAlias(t *testing.T) {
 	encodesEqual(t, "after writes", orig, restored)
 }
 
-// TestParentImageReloadsByteIdentical: the byte format did not move. An
-// image written by the encoder this build shares with its parent decodes,
-// and re-encodes to the same bytes — clean and dirty, and without bags
-// (custom measure). The legacy LSH images, written by an older build,
-// re-encode to exactly the image the same collection builds fresh: the
-// section is all they lose.
+// TestParentImageReloadsByteIdentical: an image decodes and re-encodes
+// to the same bytes — clean and dirty, after overwrites that churn the
+// list order, and under Dice as under the default Jaccard.
 func TestParentImageReloadsByteIdentical(t *testing.T) {
-	custom := DefaultConfig()
-	custom.Measure = core.MeasureDice
+	dice := DefaultConfig()
+	dice.Measure = core.MeasureDice
 	for name, cfg := range map[string]Config{
-		"default":        DefaultConfig(),
-		"custom measure": custom,
+		"default": DefaultConfig(),
+		"dice":    dice,
 	} {
 		for _, clean := range []bool{false, true} {
 			x := New(clean, cfg)
@@ -355,12 +344,6 @@ func TestParentImageReloadsByteIdentical(t *testing.T) {
 			if !bytes.Equal(encodePinned(t, y), image) {
 				t.Fatalf("%s clean=%v: re-encoded image differs", name, clean)
 			}
-		}
-	}
-	for _, clean := range []bool{false, true} {
-		fresh := encodePinned(t, legacyFresh(t, clean, DefaultConfig()))
-		if !bytes.Equal(encodePinned(t, legacyDecode(t, clean, DefaultConfig())), fresh) {
-			t.Fatalf("legacy LSH image clean=%v: re-encoded image differs from the fresh build's", clean)
 		}
 	}
 }
@@ -380,28 +363,20 @@ type errReader struct{ err error }
 
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
-// imageRecord is one profile record of an image as walkImage reads it,
-// with the offsets of its bag count and its first bag token's bytes (-1
-// when it has no bag).
-type imageRecord struct {
-	keys, bag           []string
-	hasBag              bool
-	bagCount, bagToken0 int
-}
-
-// walkImage walks a valid image without an LSH section and returns its
-// profile records and the offsets of two cluster varints: the first
-// profile's first key's and the first posting's.
-func walkImage(t testing.TB, image []byte) (recs []imageRecord, key, posting int) {
+// imageKeys walks a valid image and returns the keys of each profile
+// record, in record order.
+func imageKeys(t testing.TB, image []byte) [][]string {
 	t.Helper()
 	c := cursor{b: image, s: string(image), off: len(snapshotMagic)}
 	var header [10]uint64 // version, then the nine header fields
 	for i := range header {
 		header[i], _ = c.uvarint()
 	}
-	c.byte() // LSH presence byte
-	key = -1
-	for i := uint64(0); i < header[8]; i++ {
+	if header[0] != snapshotVersion {
+		t.Fatalf("image has version %d, want %d", header[0], snapshotVersion)
+	}
+	recs := make([][]string, header[8])
+	for i := range recs {
 		c.uvarint() // ID
 		c.byte()    // source
 		c.string()  // original ID
@@ -409,141 +384,11 @@ func walkImage(t testing.TB, image []byte) (recs []imageRecord, key, posting int
 		for j := uint64(0); j < 2*nAttrs; j++ {
 			c.string()
 		}
-		r := imageRecord{bagCount: -1, bagToken0: -1}
 		nKeys, _ := c.uvarint()
 		for j := uint64(0); j < nKeys; j++ {
 			k, _ := c.string()
-			r.keys = append(r.keys, k)
-			if key < 0 {
-				key = c.off
-			}
-			c.varint()
-		}
-		if hasBag, _ := c.byte(); hasBag == 1 {
-			r.hasBag, r.bagCount = true, c.off
-			nBag, _ := c.uvarint()
-			for j := uint64(0); j < nBag; j++ {
-				if j == 0 {
-					r.bagToken0 = c.off
-				}
-				b, _ := c.string()
-				r.bag = append(r.bag, b)
-			}
-		}
-		recs = append(recs, r)
-	}
-	for posting = -1; posting < 0 && c.rest() > 4; {
-		if n, _ := c.uvarint(); n > 0 {
-			c.string()
-			posting = c.off
+			recs[i] = append(recs[i], k)
 		}
 	}
-	return recs, key, posting
-}
-
-// clusterOffsets returns walkImage's two cluster offsets, checking that
-// each holds a NoCluster varint.
-func clusterOffsets(t testing.TB, image []byte) (key, posting int) {
-	t.Helper()
-	_, key, posting = walkImage(t, image)
-	for _, off := range []int{key, posting} {
-		if v, n := binary.Varint(image[max(off, 0):]); off < 0 || n != 1 || v != blocking.NoCluster {
-			t.Fatalf("cluster offsets %d, %d: not a NoCluster varint", key, posting)
-		}
-	}
-	return key, posting
-}
-
-// looseSchemaImages are two copies of a valid default image, each with
-// one cluster varint set to 0 and its CRC recomputed, which is what a
-// loose-schema image holds there: the first profile's first key's in
-// badKey, the first posting's in badPosting.
-func looseSchemaImages(t testing.TB, clean bool) (badKey, badPosting []byte) {
-	t.Helper()
-	image := encodeToBytes(t, smallTestIndex(t, clean))
-	keyOff, postingOff := clusterOffsets(t, image)
-	badKey = append([]byte(nil), image...)
-	badKey[keyOff] = 0 // zigzag varint 0
-	badPosting = image
-	badPosting[postingOff] = 0
-	return reseal(badKey), reseal(badPosting)
-}
-
-// refusesLooseSchema asserts that Decode and Load both fail image with
-// the error that names a loose-schema image.
-func refusesLooseSchema(t *testing.T, image []byte) {
-	t.Helper()
-	if _, err := Decode(bytes.NewReader(image), DefaultConfig()); !errors.Is(err, errLooseSchema) {
-		t.Fatalf("Decode: err = %v, want a loose-schema refusal", err)
-	}
-	path := filepath.Join(t.TempDir(), "loose.snap")
-	if err := os.WriteFile(path, image, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path, DefaultConfig()); !errors.Is(err, errLooseSchema) {
-		t.Fatalf("Load: err = %v, want a loose-schema refusal", err)
-	}
-}
-
-// TestDecodeRefusesKeyCluster: a stored key under attribute cluster 0 is
-// a loose-schema key, which no query of this index derives.
-func TestDecodeRefusesKeyCluster(t *testing.T) {
-	for _, clean := range []bool{false, true} {
-		badKey, _ := looseSchemaImages(t, clean)
-		refusesLooseSchema(t, badKey)
-	}
-}
-
-// TestDecodeRefusesPostingCluster: a posting under attribute cluster 0
-// would load as a posting that no query can reach.
-func TestDecodeRefusesPostingCluster(t *testing.T) {
-	for _, clean := range []bool{false, true} {
-		_, badPosting := looseSchemaImages(t, clean)
-		refusesLooseSchema(t, badPosting)
-	}
-}
-
-// bagNotKeysImages are two copies of a valid default image, each with
-// the first profile record that holds a bag of at least two tokens
-// altered and its CRC recomputed: in badToken the bag's first token has
-// a changed byte, in badCount the bag count is one short of the key
-// count.
-func bagNotKeysImages(t testing.TB, clean bool) (badToken, badCount []byte) {
-	t.Helper()
-	image := encodeToBytes(t, smallTestIndex(t, clean))
-	recs, _, _ := walkImage(t, image)
-	for _, r := range recs {
-		if len(r.bag) < 2 || len(r.bag) > 127 || r.bag[0] == "" {
-			continue // the edits below need a one-byte count and a byte to change
-		}
-		badToken = append([]byte(nil), image...)
-		badToken[r.bagToken0+1] ^= 0x20 // the first byte after the length
-		badCount = image
-		badCount[r.bagCount]--
-		return reseal(badToken), reseal(badCount)
-	}
-	t.Fatal("no profile record with a bag of two or more tokens")
-	return nil, nil
-}
-
-// TestDecodeRefusesBagNotKeys: a present bag repeats the keys string for
-// string. An image whose bag names another token, or holds a different
-// number of them, was not written by this format's encoder, and both
-// Decode and Load refuse it.
-func TestDecodeRefusesBagNotKeys(t *testing.T) {
-	for _, clean := range []bool{false, true} {
-		badToken, badCount := bagNotKeysImages(t, clean)
-		for name, image := range map[string][]byte{"changed token": badToken, "short count": badCount} {
-			if _, err := Decode(bytes.NewReader(image), DefaultConfig()); !errors.Is(err, errBagNotKeys) {
-				t.Fatalf("clean=%v %s: Decode err = %v, want errBagNotKeys", clean, name, err)
-			}
-			path := filepath.Join(t.TempDir(), "bag.snap")
-			if err := os.WriteFile(path, image, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Load(path, DefaultConfig()); !errors.Is(err, errBagNotKeys) {
-				t.Fatalf("clean=%v %s: Load err = %v, want errBagNotKeys", clean, name, err)
-			}
-		}
-	}
+	return recs
 }

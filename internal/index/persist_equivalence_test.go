@@ -118,9 +118,9 @@ func TestPersistedEquivalenceAfterChurn(t *testing.T) {
 	}
 }
 
-// TestPersistedCustomMeasure round-trips an index configured with a
-// custom (non-default) measure: no bags are serialized, and the loaded
-// index scores through the same measure implementation.
+// TestPersistedCustomMeasure round-trips an index configured with Dice,
+// the measure other than the default: the loaded index scores every
+// candidate exactly as the live one.
 func TestPersistedCustomMeasure(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Measure = core.MeasureDice
@@ -147,10 +147,10 @@ func TestPersistedCustomMeasure(t *testing.T) {
 	}
 }
 
-// TestPersistedBagFallback saves under a custom measure (no bags in the
-// file) and loads under the default config: the loaded index scores from
-// the keys the file holds and must agree with a directly built default
-// index bit for bit.
+// TestPersistedBagFallback saves under Dice and loads under the default
+// Jaccard: the image holds nothing of the measure, so the loaded index
+// scores from the keys the file holds and must agree with a directly
+// built default index bit for bit.
 func TestPersistedBagFallback(t *testing.T) {
 	saveCfg := DefaultConfig()
 	saveCfg.Measure = core.MeasureDice
@@ -184,7 +184,7 @@ func TestPersistedBagFallback(t *testing.T) {
 		for i := range wr.Matches {
 			if wr.Matches[i].B != gr.Matches[i].B ||
 				math.Float64bits(wr.Matches[i].Score) != math.Float64bits(gr.Matches[i].Score) {
-				t.Fatalf("resolve %s match %d diverged from recomputed-bag reference", p.OriginalID, i)
+				t.Fatalf("resolve %s match %d diverged from the default-built reference", p.OriginalID, i)
 			}
 		}
 	}

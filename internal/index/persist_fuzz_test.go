@@ -11,40 +11,31 @@ import (
 // consistent, queryable index that accounts for every input byte, or
 // returns an error — never a panic, and never an allocation proportional
 // to a lying length header rather than to the input actually supplied.
-// Seeds cover valid snapshots of both task types, a must-fail one whose
-// key sits under an attribute cluster (a loose-schema image), two
-// must-fail ones whose bag is not the profile's keys (a changed token, a
-// short count), the two
-// legacy LSH images (testdata/, see persist_legacy_test.go) and a
-// must-fail one whose signature value is out of range, three must-fail
-// seeds with bytes after the CRC (a stray byte, noise, and the delta tail
-// of valid op frames older builds appended there), plus the mutation
-// classes the decoder must reject: truncation, bit flips, version bumps,
-// and 64-byte inputs whose counts claim 2³⁰ items (refused before any
-// slab or map is sized from them).
+// Seeds cover valid images of both task types (as built, empty, churned
+// by overwrites, and one profile), a must-fail version-3 image, three
+// must-fail seeds with bytes after the CRC (a stray byte, noise, and the
+// delta tail of valid op frames older builds appended there), plus the
+// mutation classes the decoder must reject: truncation, bit flips,
+// version bumps, a dropped byte, and 64-byte inputs whose counts claim
+// 2³⁰ items (refused before any slab or map is sized from them).
 func FuzzLoadIndex(f *testing.F) {
 	dirty := encodeToBytes(f, smallTestIndex(f, false))
 	clean := encodeToBytes(f, smallTestIndex(f, true))
-
-	looseKey, _ := looseSchemaImages(f, false)
-	if _, err := Decode(bytes.NewReader(looseKey), DefaultConfig()); !errors.Is(err, errLooseSchema) {
-		f.Fatalf("loose-schema seed: err = %v, want it refused", err)
-	}
-
-	badBagToken, badBagCount := bagNotKeysImages(f, false)
-	for _, seed := range [][]byte{badBagToken, badBagCount} {
-		if _, err := Decode(bytes.NewReader(seed), DefaultConfig()); !errors.Is(err, errBagNotKeys) {
-			f.Fatalf("bag-not-keys seed: err = %v, want it refused", err)
-		}
-	}
-
 	empty := encodeToBytes(f, New(true, DefaultConfig()))
+	churnedDirty := encodeToBytes(f, churnedTestIndex(f, false))
+	churnedClean := encodeToBytes(f, churnedTestIndex(f, true))
+	one := New(false, DefaultConfig())
+	upsertAll(f, one, synthQueryProfiles(1, 1, 3))
+	single := encodeToBytes(f, one)
 
-	// Legacy LSH images (an older build's -lsh section) and a crafted one
-	// whose signature value is out of range, which must stay refused.
-	withLSH := legacyImage(f, false)
-	cleanLSH := legacyImage(f, true)
-	badSig := legacySigSnapshot(1, maxSignatureValue)
+	// The version-3 format carried more fields; whatever follows its
+	// version varint, it is refused as a version.
+	v3 := append([]byte(nil), dirty...)
+	v3[len(snapshotMagic)] = 3
+	if _, err := Decode(bytes.NewReader(v3), DefaultConfig()); !errors.Is(err, ErrSnapshotVersion) {
+		f.Fatalf("version-3 seed: err = %v, want ErrSnapshotVersion", err)
+	}
+
 	stray := append(append([]byte(nil), dirty...), 0xaa)
 	noise := append(append([]byte(nil), clean...), bytes.Repeat([]byte{0xde, 0xad, 0xbe, 0xef}, 16)...)
 
@@ -68,8 +59,13 @@ func FuzzLoadIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 	delta := append(append([]byte(nil), deltaBase...), tail...)
+	for _, seed := range [][]byte{stray, noise, delta} {
+		if _, err := Decode(bytes.NewReader(seed), DefaultConfig()); !errors.Is(err, errSnapshotTrailing) {
+			f.Fatalf("trailing-bytes seed: err = %v, want it refused", err)
+		}
+	}
 
-	for _, seed := range [][]byte{dirty, clean, looseKey, badBagToken, badBagCount, empty, withLSH, cleanLSH, badSig, stray, noise, delta} {
+	for _, seed := range [][]byte{dirty, clean, empty, churnedDirty, churnedClean, single, v3, stray, noise, delta} {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])                      // truncated
 		f.Add(seed[:len(seed)-3])                      // lost trailer
@@ -82,6 +78,13 @@ func FuzzLoadIndex(f *testing.F) {
 		bumped := append([]byte(nil), seed...)
 		bumped[len(snapshotMagic)] = snapshotVersion + 1 // future version
 		f.Add(bumped)
+
+		crc := append([]byte(nil), seed...)
+		crc[len(crc)-1] ^= 0x01 // checksum bit flip
+		f.Add(crc)
+
+		mid := len(seed) / 2 // one byte dropped mid-image
+		f.Add(append(append([]byte(nil), seed[:mid]...), seed[mid+1:]...))
 	}
 	for _, lying := range lyingCountSnapshots() {
 		f.Add(lying)

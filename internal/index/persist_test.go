@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"sparker/internal/profile"
 )
@@ -330,6 +331,21 @@ func encodeToBytes(t testing.TB, x *Index) []byte {
 	return image
 }
 
+// encodePinned encodes the index at a fixed save timestamp (zero, as a
+// crafted header writes it), so two indexes in the same state encode to
+// the same bytes.
+func encodePinned(t testing.TB, x *Index) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	x.writeMu.Lock()
+	_, err := x.encodeLocked(&buf, time.Unix(0, 0))
+	x.writeMu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func smallTestIndex(t testing.TB, clean bool) *Index {
 	t.Helper()
 	sources := 1
@@ -340,6 +356,33 @@ func smallTestIndex(t testing.TB, clean bool) *Index {
 	for _, p := range synthQueryProfiles(12, sources, 7) {
 		if _, _, err := x.Upsert(p); err != nil {
 			t.Fatal(err)
+		}
+	}
+	return x
+}
+
+// churnedTestIndex is smallTestIndex after a third of its profiles were
+// overwritten, half of those by token-less profiles: posting lists in
+// live rather than ID order, and profile records with no keys.
+func churnedTestIndex(t testing.TB, clean bool) *Index {
+	t.Helper()
+	x := smallTestIndex(t, clean)
+	sources := 1
+	if clean {
+		sources = 2
+	}
+	for i, p := range synthQueryProfiles(12, sources, 7) {
+		if i%3 != 0 {
+			continue
+		}
+		q := profile.Profile{OriginalID: p.OriginalID, SourceID: p.SourceID}
+		if i%2 == 0 {
+			q.Add("name", "..?!")
+		} else {
+			q.Add("name", "churned tok1 shared0 "+p.OriginalID)
+		}
+		if _, created, err := x.Upsert(q); err != nil || created {
+			t.Fatalf("overwriting %s: created=%v err=%v", p.OriginalID, created, err)
 		}
 	}
 	return x
@@ -368,12 +411,17 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	mutate("empty input", func(b []byte) []byte { return nil })
 
 	// Every format version but the one this build writes surfaces as
-	// ErrSnapshotVersion, so boot code can fall back to a fresh build.
-	for _, v := range []byte{1, 2, snapshotVersion + 1} {
+	// ErrSnapshotVersion, so boot code can fall back to a fresh build;
+	// the message names the file's version and the one this build reads.
+	for _, v := range []byte{1, 2, 3, snapshotVersion + 1} {
 		other := append([]byte(nil), valid...)
 		other[len(snapshotMagic)] = v
-		if _, err := Decode(bytes.NewReader(other), cfg); !errors.Is(err, ErrSnapshotVersion) {
+		_, err := Decode(bytes.NewReader(other), cfg)
+		if !errors.Is(err, ErrSnapshotVersion) {
 			t.Fatalf("version %d error = %v, want ErrSnapshotVersion", v, err)
+		}
+		if want := fmt.Sprintf("version %d, this build reads %d", v, snapshotVersion); !strings.Contains(err.Error(), want) {
+			t.Fatalf("version %d error = %q, want it to name %q", v, err, want)
 		}
 	}
 }
@@ -434,6 +482,7 @@ func TestDecodeRejectsInflatedIDBound(t *testing.T) {
 	cw.uvarint(math.MaxInt32) // nextID: lying ID bound
 	cw.uvarint(0)             // queries
 	cw.uvarint(0)             // upserts
+	cw.uvarint(0)             // seq
 	cw.uvarint(0)             // numProfiles
 	cw.uvarint(0)             // numBlocks
 	cw.uvarint(0)             // shard 0: no postings
@@ -445,5 +494,67 @@ func TestDecodeRejectsInflatedIDBound(t *testing.T) {
 	}
 	if _, err := Decode(bytes.NewReader(body.Bytes()), DefaultConfig()); err == nil {
 		t.Fatal("snapshot with inflated ID bound accepted")
+	}
+}
+
+// TestSmallestImageLoads pins the per-item minimums a claimed count is
+// checked against: the smallest profile record, key and posting record
+// the format holds are exactly minProfileBytes, minKeyBytes and
+// minPostingBytes long (a minimum set any higher would refuse a valid
+// image), and a one-profile, one-posting image written field by field as
+// the file header lays it out loads and re-encodes to the same bytes.
+func TestSmallestImageLoads(t *testing.T) {
+	record := func(write func(cw *crcWriter)) []byte {
+		var b bytes.Buffer
+		write(&crcWriter{w: &b})
+		return b.Bytes()
+	}
+	profileRecord := func(orig string, keys ...string) []byte {
+		return record(func(cw *crcWriter) {
+			cw.uvarint(0) // ID
+			cw.byte(0)    // source
+			cw.string(orig)
+			cw.uvarint(0) // attributes
+			cw.uvarint(uint64(len(keys)))
+			for _, k := range keys {
+				cw.string(k)
+			}
+		})
+	}
+	postingRecord := record(func(cw *crcWriter) {
+		cw.string("k")
+		cw.uvarint(1) // source-A list: one ID
+		cw.uvarint(0)
+		cw.uvarint(0) // source-B list: empty
+	})
+	for name, got := range map[string][2]int{
+		"profile record": {len(profileRecord("")), minProfileBytes},
+		"key":            {len(record(func(cw *crcWriter) { cw.string("") })), minKeyBytes},
+		"posting record": {len(postingRecord), minPostingBytes},
+	} {
+		if got[0] != got[1] {
+			t.Errorf("smallest %s is %d bytes, its minimum says %d", name, got[0], got[1])
+		}
+	}
+
+	var image bytes.Buffer
+	cw := &crcWriter{w: &image}
+	craftedHeader(cw, 1, 1)
+	cw.bytes(profileRecord("p", "k"))
+	cw.uvarint(1) // shard 0: one posting
+	cw.bytes(postingRecord)
+	var trailer [4]byte
+	binary.LittleEndian.PutUint32(trailer[:], cw.sum)
+	image.Write(trailer[:])
+
+	x, err := Decode(bytes.NewReader(image.Bytes()), DefaultConfig())
+	if err != nil {
+		t.Fatalf("one-profile, one-posting image refused: %v", err)
+	}
+	if s := x.Snapshot(); s.Profiles != 1 || s.Blocks != 1 {
+		t.Fatalf("decoded %d profiles and %d blocks, want 1 and 1", s.Profiles, s.Blocks)
+	}
+	if got := encodePinned(t, x); !bytes.Equal(got, image.Bytes()) {
+		t.Fatalf("re-encoded image %x, want %x", got, image.Bytes())
 	}
 }

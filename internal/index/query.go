@@ -455,17 +455,15 @@ func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Res
 		clk.Start()
 	}
 
-	// Default-Jaccard fast path: a candidate's distinct tokens are the
-	// list it is indexed under, and the query's are its keys, so each
-	// comparison is a set intersection — bitwise-identical scores to
-	// matching.JaccardMeasure with none of its per-pair tokenization.
-	var qset map[string]struct{}
-	if x.cfg.measure == nil {
-		qset = make(map[string]struct{}, len(kb.keys))
-		for _, kt := range kb.keys {
-			qset[kt.Key] = struct{}{}
-		}
+	// A candidate's distinct tokens are the list it is indexed under, and
+	// the query's are its keys, so each comparison is one overlap count
+	// of two sets — bitwise-identical scores to matching.JaccardMeasure
+	// and matching.DiceMeasure with none of their per-pair tokenization.
+	qset := make(map[string]struct{}, len(kb.keys))
+	for _, kt := range kb.keys {
+		qset[kt.Key] = struct{}{}
 	}
+	dice := x.cfg.Measure == core.MeasureDice
 	keyBufPool.Put(kb)
 
 	// Collect candidate profile snapshots and identities under the read
@@ -511,11 +509,7 @@ func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Res
 			hook()
 		}
 		r.Comparisons++
-		if x.cfg.measure == nil {
-			c.score = jaccardBagSet(qset, c.sp.tokens)
-		} else {
-			c.score = x.cfg.measure.Score(p, &c.sp.p)
-		}
+		c.score = setSimilarity(qset, c.sp.tokens, dice)
 		if c.score >= x.cfg.MatchThreshold {
 			matched = append(matched, c)
 		}
@@ -547,17 +541,25 @@ func (x *Index) ResolveWithOptions(p *profile.Profile, opts ResolveOptions) *Res
 	return r
 }
 
-// jaccardBagSet computes |A∩B|/|A∪B| of a query token set against a
-// candidate's distinct tokens, matching matching.JaccardTokens bit for
-// bit (same cardinalities, same division).
-func jaccardBagSet(qset map[string]struct{}, bag []string) float64 {
+// setSimilarity scores a query token set against a candidate's distinct
+// tokens: |A∩B|/|A∪B|, or with dice 2|A∩B|/(|A|+|B|), each written as
+// matching.JaccardMeasure and matching.DiceMeasure write it (same
+// cardinalities, same division).
+func setSimilarity(qset map[string]struct{}, tokens []string, dice bool) float64 {
 	inter := 0
-	for _, t := range bag {
+	for _, t := range tokens {
 		if _, ok := qset[t]; ok {
 			inter++
 		}
 	}
-	union := len(qset) + len(bag) - inter
+	na, nb := len(qset), len(tokens)
+	if dice {
+		if na+nb == 0 {
+			return 0
+		}
+		return 2 * float64(inter) / float64(na+nb)
+	}
+	union := na + nb - inter
 	if union == 0 {
 		return 0
 	}

@@ -8,9 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"sparker/internal/core"
 	"sparker/internal/matching"
 	"sparker/internal/metablocking"
 	"sparker/internal/profile"
+	"sparker/internal/tokenize"
 )
 
 // This file retains the pre-flat-kernel map-based candidate accumulator
@@ -277,55 +279,52 @@ func requireRefused(t *testing.T, cfg Config, want string) {
 }
 
 // TestResolveFastPathMatchesJaccardMeasure is the cross-layer scoring
-// pin: for the same pair, the index's token-list scorer, the generic
-// matching.JaccardMeasure one-off path (Measure.Score, the path dice
-// takes) and the batch matcher's prepared scorer over the same profiles
-// agree bit for bit.
+// pin: for the same pair, the index's token-list scorer, the matching
+// measure's one-off path (Measure.Score over the two profiles) and the
+// batch matcher's prepared scorer over the same profiles agree bit for
+// bit — for Jaccard and for Dice, the two measures the index serves.
 func TestResolveFastPathMatchesJaccardMeasure(t *testing.T) {
-	fastCfg := DefaultConfig()
-	slowCfg := DefaultConfig()
-	slowCfg.measure = matching.JaccardMeasure(slowCfg.Tokenizer)
-	slowCfg.MatchThreshold = -1 // keep every scored candidate
-	fastCfg.MatchThreshold = -1
-	fast := New(false, fastCfg)
-	slow := New(false, slowCfg)
 	profiles := synthQueryProfiles(80, 1, 13)
-	batchID := map[profile.ID]profile.ID{} // index ID -> ID in the batch collection
-	for i, p := range profiles {
-		id, _, err := fast.Upsert(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batchID[id] = profile.ID(i)
-		if _, _, err := slow.Upsert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	batch := matching.JaccardMeasure(fastCfg.Tokenizer).Prepare(profile.NewDirty(profiles))
-	scored := 0
-	for i, p := range profiles {
-		p := p
-		fr := fast.Resolve(&p)
-		sr := slow.Resolve(&p)
-		if fr.Comparisons != sr.Comparisons || len(fr.Matches) != len(sr.Matches) {
-			t.Fatalf("query %s: fast %d matches/%d comparisons, slow %d/%d",
-				p.OriginalID, len(fr.Matches), fr.Comparisons, len(sr.Matches), sr.Comparisons)
-		}
-		for k := range fr.Matches {
-			if fr.Matches[k].B != sr.Matches[k].B ||
-				math.Float64bits(fr.Matches[k].Score) != math.Float64bits(sr.Matches[k].Score) {
-				t.Fatalf("query %s match %d: fast %+v vs slow %+v",
-					p.OriginalID, k, fr.Matches[k], sr.Matches[k])
+	for kind, measure := range map[core.MeasureKind]func(tokenize.Options) matching.Measure{
+		core.MeasureJaccard: matching.JaccardMeasure,
+		core.MeasureDice:    matching.DiceMeasure,
+	} {
+		cfg := DefaultConfig()
+		cfg.Measure = kind
+		cfg.MatchThreshold = -1 // keep every scored candidate
+		ref := measure(cfg.Tokenizer)
+		x := New(false, cfg)
+		batchID := map[profile.ID]profile.ID{} // index ID -> ID in the batch collection
+		for i, p := range profiles {
+			id, _, err := x.Upsert(p)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got := batch(profile.ID(i), batchID[fr.Matches[k].B]); math.Float64bits(got) != math.Float64bits(fr.Matches[k].Score) {
-				t.Fatalf("query %s match %d: batch scorer %v vs index %v",
-					p.OriginalID, k, got, fr.Matches[k].Score)
-			}
-			scored++
+			batchID[id] = profile.ID(i)
 		}
-	}
-	if scored == 0 {
-		t.Fatal("no pair was scored")
+		batch := ref.Prepare(profile.NewDirty(profiles))
+		scored := 0
+		for i, p := range profiles {
+			p := p
+			r := x.Resolve(&p)
+			if len(r.Matches) != r.Comparisons {
+				t.Fatalf("%s query %s: %d matches of %d comparisons at threshold -1",
+					kind, p.OriginalID, len(r.Matches), r.Comparisons)
+			}
+			for k, m := range r.Matches {
+				stored := profiles[batchID[m.B]]
+				if want := ref.Score(&p, &stored); math.Float64bits(m.Score) != math.Float64bits(want) {
+					t.Fatalf("%s query %s match %d: index %v, %s measure %v", kind, p.OriginalID, k, m.Score, kind, want)
+				}
+				if want := batch(profile.ID(i), batchID[m.B]); math.Float64bits(m.Score) != math.Float64bits(want) {
+					t.Fatalf("%s query %s match %d: index %v, batch scorer %v", kind, p.OriginalID, k, m.Score, want)
+				}
+				scored++
+			}
+		}
+		if scored == 0 {
+			t.Fatalf("%s: no pair was scored", kind)
+		}
 	}
 }
 

@@ -216,23 +216,6 @@ func isNumericBytes(b []byte) bool {
 // Tokens tokenizes with the default options.
 func Tokens(s string) []string { return Default.Tokens(s) }
 
-// TokenSet returns the distinct tokens of s (default options), preserving
-// first-seen order.
-func TokenSet(s string) []string { return UniqueTokens(Tokens(s)) }
-
-// UniqueTokens deduplicates a token slice, preserving first-seen order.
-func UniqueTokens(tokens []string) []string {
-	seen := make(map[string]bool, len(tokens))
-	out := tokens[:0:0]
-	for _, t := range tokens {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 func isNumeric(s string) bool {
 	for _, r := range s {
 		if !unicode.IsDigit(r) {
@@ -240,23 +223,4 @@ func isNumeric(s string) bool {
 		}
 	}
 	return len(s) > 0
-}
-
-// NGrams returns the character n-grams of s after normalisation (spaces
-// removed), used by similarity measures that are robust to token-order
-// changes. Returns nil when the string is shorter than n runes.
-func NGrams(s string, n int) []string {
-	if n < 1 {
-		return nil
-	}
-	compact := strings.ReplaceAll(Normalize(s), " ", "")
-	runes := []rune(compact)
-	if len(runes) < n {
-		return nil
-	}
-	out := make([]string, 0, len(runes)-n+1)
-	for i := 0; i+n <= len(runes); i++ {
-		out = append(out, string(runes[i:i+n]))
-	}
-	return out
 }

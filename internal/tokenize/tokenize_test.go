@@ -50,36 +50,6 @@ func TestTokensCustomStopWords(t *testing.T) {
 	}
 }
 
-func TestTokenSetDeduplicates(t *testing.T) {
-	got := TokenSet("spark spark SPARK data")
-	want := []string{"spark", "data"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-}
-
-func TestUniqueTokensPreservesOrder(t *testing.T) {
-	got := UniqueTokens([]string{"b", "a", "b", "c", "a"})
-	want := []string{"b", "a", "c"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-}
-
-func TestNGrams(t *testing.T) {
-	got := NGrams("ab cd", 2)
-	want := []string{"ab", "bc", "cd"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	if NGrams("a", 2) != nil {
-		t.Fatal("short string must yield nil")
-	}
-	if NGrams("abc", 0) != nil {
-		t.Fatal("n<1 must yield nil")
-	}
-}
-
 func TestUnicodeHandling(t *testing.T) {
 	got := Tokens("Modèna Ünïversity")
 	if len(got) != 2 {
