@@ -644,10 +644,11 @@ func reportHeapPerProfile(b *testing.B, build func() *index.Index) {
 }
 
 // BenchmarkIndexLoad times restoring a fully queryable index from the
-// snapshot — the work a sparker-serve restart pays instead of
-// re-tokenizing and re-indexing the whole collection. heap_B/profile is
-// the live heap the restored index holds, the snapshot-sized string its
-// decoded strings share included.
+// snapshot — the work a sparker-serve restart pays instead of reading
+// its input files: a decode of the profile records plus the build
+// BenchmarkIndexBuild times. heap_B/profile is the live heap the
+// restored index holds, the snapshot-sized string its decoded strings
+// share included.
 func BenchmarkIndexLoad(b *testing.B) {
 	c := indexBenchCollection(b)
 	cfg := index.DefaultConfig()

@@ -239,7 +239,7 @@ func newCLI() *cli {
 
 	fs.DurationVar(&o.SlowQuery, "slow-query", 0, "log queries slower than this with a per-stage breakdown (0 disables)")
 
-	fs.IntVar(&ix.Shards, "index-shards", 16, "index shard count (a restored snapshot keeps its saved count)")
+	fs.IntVar(&ix.Shards, "index-shards", 16, "index shard count")
 	fs.StringVar(&c.configFile, "config", "", "resolve configuration file: the JSON sparker -save-config writes, read as sparker -config reads it (absent fields are zero); refused if the index cannot honour it. Without it: CBS weights, CNP keeping the top 10, Jaccard at 0.3")
 	return c
 }

@@ -152,12 +152,13 @@ func main() {
 	// 5. Kill and restart: snapshot the index, "crash" the process
 	// (drop the server and the in-memory index), then warm-restart from
 	// the file. This is what `sparker-serve -snapshot idx.snap` does at
-	// boot and on SIGTERM — restores without re-tokenizing anything.
+	// boot and on SIGTERM — restores without reading the input files.
 	//
-	// Snapshot format note: Save writes format version 4 and Load reads
-	// exactly that version. A version-3 file from an older build answers
-	// ErrIndexSnapshotVersion; sparker-serve then rebuilds from its
-	// inputs.
+	// Snapshot format note: Save writes format version 5 (the profiles
+	// and nothing derived from them; Load rebuilds the postings) and Load
+	// reads exactly that version. A version-4 file from an older build
+	// answers ErrIndexSnapshotVersion; sparker-serve then rebuilds from
+	// its inputs.
 	dir, err := os.MkdirTemp("", "sparker-serving")
 	if err != nil {
 		log.Fatal(err)

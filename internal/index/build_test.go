@@ -1,7 +1,6 @@
 package index
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -53,9 +52,9 @@ func buildWrites(c *profile.Collection) []profile.Profile {
 
 // TestNewFromCollectionMatchesWritePath: the column-wise bulk build is
 // the write path's index. On the generated families, under the default
-// config, Dice and one shard, the two images are byte-identical; after
-// the same overwrites and inserts through Upsert they still are, and
-// they resolve a sample of profiles alike.
+// config, Dice and one shard, the two are in one state (indexState);
+// after the same overwrites and inserts through Upsert they still are,
+// and they resolve a sample of profiles alike.
 func TestNewFromCollectionMatchesWritePath(t *testing.T) {
 	bib := datagen.BibDefault()
 	bib.CorePapers, bib.AOnly, bib.BOnly = 300, 30, 30
@@ -83,15 +82,11 @@ func TestNewFromCollectionMatchesWritePath(t *testing.T) {
 				t.Fatalf("%s: %d profiles / %d postings, write path %d / %d",
 					label, got.Size(), got.numBlocks.Load(), want.Size(), want.numBlocks.Load())
 			}
-			if !bytes.Equal(encodePinned(t, got), encodePinned(t, want)) {
-				t.Fatalf("%s: bulk-built image differs from the write path's", label)
-			}
+			sameState(t, label+": built", want, got)
 
 			upsertAll(t, want, writes)
 			upsertAll(t, got, writes)
-			if !bytes.Equal(encodePinned(t, got), encodePinned(t, want)) {
-				t.Fatalf("%s: images differ after %d upserts", label, len(writes))
-			}
+			sameState(t, fmt.Sprintf("%s: after %d upserts", label, len(writes)), want, got)
 			for i := 0; i < c.Size(); i += 53 {
 				sameAnswers(t, label, want, got, &c.Profiles[i])
 			}
@@ -119,18 +114,21 @@ func TestNewFromCollectionRejects(t *testing.T) {
 	if err != nil || empty.Size() != 0 || empty.numBlocks.Load() != 0 {
 		t.Fatalf("empty collection: %v", err)
 	}
-	if !bytes.Equal(encodePinned(t, empty), encodePinned(t, New(false, DefaultConfig()))) {
-		t.Fatal("empty collection: image differs from an empty index's")
-	}
+	sameState(t, "empty collection", New(false, DefaultConfig()), empty)
 }
 
 // sameAnswers pins two indexes to bitwise-identical resolutions of q:
-// candidates (ID, shared keys, weight bits) and matches (ID, score bits).
+// candidates (ID, shared keys, weight bits), postings scanned, pruned
+// count, and matches (ID, score bits).
 func sameAnswers(t *testing.T, what string, want, got *Index, q *profile.Profile) {
 	t.Helper()
 	w, g := want.Resolve(q), got.Resolve(q)
 	if err := sameCandidates(g.Query.Candidates, w.Query.Candidates); err != nil {
 		t.Fatalf("%s: query %s: %v", what, q.OriginalID, err)
+	}
+	if g.Query.PostingsScanned != w.Query.PostingsScanned || g.Query.Pruned != w.Query.Pruned {
+		t.Fatalf("%s: query %s: %d postings scanned / %d pruned, want %d / %d", what, q.OriginalID,
+			g.Query.PostingsScanned, g.Query.Pruned, w.Query.PostingsScanned, w.Query.Pruned)
 	}
 	if len(g.Matches) != len(w.Matches) || g.Comparisons != w.Comparisons {
 		t.Fatalf("%s: query %s: %d matches / %d comparisons, want %d / %d",

@@ -257,17 +257,17 @@ func New(clean bool, cfg Config) *Index {
 
 // NewFromCollection builds the index from a batch collection, preserving
 // its internal profile IDs so that evaluation against an existing ground
-// truth keeps working. Like Decode it is a constructor, not a write: it
-// tokenises the collection once (tokenize.NewCorpus) and takes every
-// profile's keys from the slotting the batch blockers use
+// truth keeps working. Like Decode it is a constructor, not a write: both
+// run build, which tokenises the profiles once (tokenize.NewCorpus),
+// takes every profile's keys from the slotting the batch blockers use
 // (blocking.Options.SlotKeys), then builds the postings column-wise —
 // each key's A and B members are counted, carved as exact-size runs of
 // one ID array, filled in ID order, and the key is inserted into its
-// shard once. Stored profiles and their token lists come from slabs, and every
-// run's capacity is clipped to its length, as a restored image's is, so
-// a later Upsert copies a run out instead of writing into its neighbour.
-// The index equals, snapshot byte for snapshot byte, the one the write
-// path would build by inserting the profiles one at a time in ID order.
+// shard once. Stored profiles and their token lists come from slabs, and
+// every run's capacity is clipped to its length, so a later Upsert
+// copies a run out instead of writing into its neighbour. The index
+// equals the one the write path would build by inserting the profiles
+// one at a time in ID order.
 func NewFromCollection(c *profile.Collection, cfg Config) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("index: %w", err)
@@ -275,18 +275,32 @@ func NewFromCollection(c *profile.Collection, cfg Config) (*Index, error) {
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("index: %w", err)
 	}
-	x := New(c.IsClean(), cfg)
-	ps := c.Profiles
+	x, err := build(c.IsClean(), c.Profiles, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("index: %w", err)
+	}
+	return x, nil
+}
+
+// build is the one constructor core: the index of the profiles ps, which
+// are dense (ps[i].ID == i) and each carry their own source, so the
+// sources of a clean-clean task may interleave (a restored index after
+// inserts into both). cfg must be valid. It fails on an identity that
+// occurs twice.
+func build(clean bool, ps []profile.Profile, cfg Config) (*Index, error) {
+	x := New(clean, cfg)
 	x.byID = make(map[profile.ID]*storedProfile, len(ps))
 	x.byOrig = make(map[Identity]profile.ID, len(ps))
 	for i := range ps {
 		key := identityOf(&ps[i])
 		if _, ok := x.byOrig[key]; ok {
-			return nil, fmt.Errorf("index: duplicate profile %d:%s", ps[i].SourceID, ps[i].OriginalID)
+			return nil, fmt.Errorf("duplicate profile %d:%s", ps[i].SourceID, ps[i].OriginalID)
 		}
 		x.byOrig[key] = ps[i].ID
 	}
-	kt := x.opts.SlotKeys(tokenize.NewCorpus(c, x.cfg.Tokenizer))
+	// The corpus reads only the profiles, never the collection's
+	// separator, so interleaved sources tokenise as they are.
+	kt := x.opts.SlotKeys(tokenize.NewCorpus(&profile.Collection{Profiles: ps}, x.cfg.Tokenizer))
 	sideB := func(i int) bool { return x.clean && ps[i].SourceID == 1 }
 
 	// Every key's string, rendered once, and its members on each side.

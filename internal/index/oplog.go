@@ -23,9 +23,10 @@ package index
 //	        never index state)
 //	byte    op type (1 = upsert; others reserved)
 //	uvarint assigned internal profile ID
-//	byte    source ID
-//	string  original ID          (uvarint length + bytes)
-//	uvarint attribute count, then per attribute: string key, string value
+//	record  the profile record a snapshot holds (persist.go,
+//	        appendRecord): byte source ID, string original ID (uvarint
+//	        length + bytes), uvarint attribute count, then per attribute
+//	        string key, string value
 //
 // A profile's tokens, which are its blocking keys, are a pure function of
 // (profile, config) and are re-derived on apply, so frames stay small and
@@ -61,7 +62,7 @@ const (
 	// breaking it: unknown types fail apply.
 	opUpsert byte = 1
 
-	// maxOpPayload bounds one frame's payload, mirroring the snapshot
+	// maxOpPayload bounds one frame's payload, mirroring the record
 	// string bound: a frame that encodes must decode.
 	maxOpPayload = 1 << 30
 
@@ -284,30 +285,6 @@ func (l *opLog) newestSeq() (int64, bool) {
 	return l.recs[len(l.recs)-1].seq, true
 }
 
-// appendOpString appends a uvarint length-prefixed string.
-func appendOpString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// checkOpBounds mirrors the snapshot encode bounds for one profile so an
-// op that is accepted always frames, persists and decodes. Checked
-// before the write mutates anything.
-func checkOpBounds(p *profile.Profile) error {
-	if len(p.Attributes) > maxSnapshotItems {
-		return fmt.Errorf("index: profile %s exceeds op attribute limit", p.OriginalID)
-	}
-	if len(p.OriginalID) > maxSnapshotString {
-		return fmt.Errorf("index: profile original ID exceeds op string limit")
-	}
-	for _, kv := range p.Attributes {
-		if len(kv.Key) > maxSnapshotString || len(kv.Value) > maxSnapshotString {
-			return fmt.Errorf("index: profile %s exceeds op string limit", p.OriginalID)
-		}
-	}
-	return nil
-}
-
 // encodeOpFrame encodes one complete upsert frame (length prefix,
 // payload, CRC) for the given already-normalized, ID-assigned profile.
 func encodeOpFrame(seq, tstamp int64, p *profile.Profile) []byte {
@@ -316,13 +293,7 @@ func encodeOpFrame(seq, tstamp int64, p *profile.Profile) []byte {
 	payload = binary.AppendVarint(payload, tstamp)
 	payload = append(payload, opUpsert)
 	payload = binary.AppendUvarint(payload, uint64(p.ID))
-	payload = append(payload, byte(p.SourceID))
-	payload = appendOpString(payload, p.OriginalID)
-	payload = binary.AppendUvarint(payload, uint64(len(p.Attributes)))
-	for _, kv := range p.Attributes {
-		payload = appendOpString(payload, kv.Key)
-		payload = appendOpString(payload, kv.Value)
-	}
+	payload = appendRecord(payload, p)
 	return frameOf(payload)
 }
 
@@ -364,116 +335,40 @@ type op struct {
 	p      profile.Profile
 }
 
-// opCursor walks an op payload with sticky errors.
-type opCursor struct {
-	b   []byte
-	err error
-}
-
-func (c *opCursor) uvarint() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(c.b)
-	if n <= 0 {
-		c.err = errors.New("bad uvarint")
-		return 0
-	}
-	c.b = c.b[n:]
-	return v
-}
-
-func (c *opCursor) varint() int64 {
-	if c.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(c.b)
-	if n <= 0 {
-		c.err = errors.New("bad varint")
-		return 0
-	}
-	c.b = c.b[n:]
-	return v
-}
-
-func (c *opCursor) byte() byte {
-	if c.err != nil {
-		return 0
-	}
-	if len(c.b) == 0 {
-		c.err = io.ErrUnexpectedEOF
-		return 0
-	}
-	b := c.b[0]
-	c.b = c.b[1:]
-	return b
-}
-
-func (c *opCursor) string() string {
-	n := c.uvarint()
-	if c.err == nil && n > maxSnapshotString {
-		c.err = fmt.Errorf("string of %d bytes exceeds limit", n)
-	}
-	if c.err != nil {
-		return ""
-	}
-	if uint64(len(c.b)) < n {
-		c.err = io.ErrUnexpectedEOF
-		return ""
-	}
-	s := string(c.b[:n])
-	c.b = c.b[n:]
-	return s
-}
-
-// capped bounds up-front slice capacity for decoded counts: growth past
-// it is paid for by input actually read, so a lying header cannot force
-// a large allocation.
-func capped(n uint64) int {
-	if n > 4096 {
-		return 4096
-	}
-	return int(n)
-}
-
 // decodeOpPayload parses and validates one frame payload against the
-// index's task semantics (clean-clean source discipline, ID range).
+// index's task semantics (clean-clean source discipline, ID range). The
+// profile's strings are substrings of one copy of the payload.
 func decodeOpPayload(payload []byte, clean bool) (op, error) {
-	c := opCursor{b: payload}
+	c := cursor{b: payload, s: string(payload)}
 	var o op
-	o.seq = int64(c.uvarint())
-	o.tstamp = c.varint()
-	o.typ = c.byte()
-	if c.err == nil && o.typ != opUpsert {
+	seq, err := c.uvarint()
+	if err == nil {
+		o.tstamp, err = c.varint()
+	}
+	if err == nil {
+		o.typ, err = c.byte()
+	}
+	if err != nil {
+		return o, fmt.Errorf("op payload: %w", err)
+	}
+	if o.typ != opUpsert {
 		return o, fmt.Errorf("unknown op type %d", o.typ)
 	}
-	id := c.uvarint()
-	if c.err == nil && id > math.MaxInt32 {
+	id, err := c.uvarint()
+	if err == nil && id > math.MaxInt32 {
 		return o, fmt.Errorf("op profile ID %d out of range", id)
 	}
-	src := c.byte()
-	if c.err == nil && (src > 1 || (!clean && src != 0)) {
-		return o, fmt.Errorf("op source %d invalid for this task", src)
+	if err == nil {
+		err = c.record(&o.p, clean, nil)
 	}
-	o.p = profile.Profile{ID: profile.ID(id), OriginalID: c.string(), SourceID: int(src)}
-	nAttrs := c.uvarint()
-	if c.err == nil && nAttrs > maxSnapshotItems {
-		return o, fmt.Errorf("op attribute count %d out of range", nAttrs)
+	if err != nil {
+		return o, fmt.Errorf("op payload: %w", err)
 	}
-	if c.err == nil && nAttrs > 0 {
-		o.p.Attributes = make([]profile.KeyValue, 0, capped(nAttrs))
-		for i := uint64(0); i < nAttrs && c.err == nil; i++ {
-			k := c.string()
-			v := c.string()
-			o.p.Attributes = append(o.p.Attributes, profile.KeyValue{Key: k, Value: v})
-		}
+	if c.rest() != 0 {
+		return o, fmt.Errorf("op payload: %d trailing bytes", c.rest())
 	}
-	if c.err != nil {
-		return o, fmt.Errorf("op payload: %w", c.err)
-	}
-	if len(c.b) != 0 {
-		return o, fmt.Errorf("op payload: %d trailing bytes", len(c.b))
-	}
+	o.seq = int64(seq)
+	o.p.ID = profile.ID(id)
 	return o, nil
 }
 
@@ -574,7 +469,7 @@ func (x *Index) nextOpRec(p *profile.Profile) (opRec, error) {
 	if x.oplog == nil {
 		return rec, nil
 	}
-	if err := checkOpBounds(p); err != nil {
+	if err := checkRecordBounds(p); err != nil {
 		return opRec{}, err
 	}
 	rec.tstamp = time.Now().UnixNano()

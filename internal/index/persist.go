@@ -2,64 +2,59 @@ package index
 
 // Durable snapshots: the index serializes to a single versioned,
 // length-prefixed binary file and restores to a fully queryable index,
-// so sparker-serve restarts (and read-only replicas) skip re-tokenizing
-// and re-indexing the whole collection.
+// so sparker-serve restarts (and read-only replicas) skip reading and
+// parsing the input files.
 //
 // File layout (integers are varints, strings are uvarint length + bytes):
 //
 //	magic   "SPKRIDX1" (8 bytes)
-//	uvarint format version (4; any other answers ErrSnapshotVersion)
-//	header  clean flag, shard count, save timestamp, nextID,
-//	        queries/upserts counters, sequence number, profile count,
-//	        posting count
-//	profiles section: per profile ID, source, original ID, attributes,
-//	        and its keys (its distinct tokens in first-occurrence order)
-//	per-shard sections: posting count, then per posting key and the
-//	        source-A / source-B ID lists in live order
+//	uvarint format version (5; any other answers ErrSnapshotVersion)
+//	header  clean flag, save timestamp, nextID, queries/upserts
+//	        counters, sequence number, profile count
+//	records one profile record per profile, in ID order: source,
+//	        original ID, attributes (the record an op frame carries
+//	        after its ID; see appendRecord)
 //	trailer CRC-32 (IEEE) of every preceding byte
 //
-// The image holds what the index is and nothing of how it scores: the
-// keys are schema-agnostic tokens, so a key is its own block, and the
-// same writes encode to the same bytes under every served measure.
+// The image is the collection and nothing derived from it. Under
+// schema-agnostic token blocking every posting and every token list is a
+// pure function of the profiles, so the image holds neither: a record's
+// ID is its position (IDs are dense, 0..n-1, because the index never
+// deletes a profile outright), and Load builds the index from the
+// decoded profiles with the constructor core NewFromCollection runs
+// (build). The op log already works this way: its frames carry profiles
+// only and tokens are re-derived on apply. A restored index therefore
+// equals a built one; its postings list their members in ID order where
+// the live index had them in write order, which no answer depends on.
+// Nothing of the scoring config or the shard count is written: the
+// loaded index takes both from its Config.
 //
 // Nothing follows the trailer. A snapshot is a checkpoint at one sequence
 // number; the writes after it live in the WAL segments (wal.go), the only
 // on-disk delta store, and bytes past the CRC fail the load.
 //
-// A version-3 image answers ErrSnapshotVersion like any other, and
-// sparker-serve rebuilds from its input files. With a WAL that rebuild
-// replays the log from sequence 1, and a log whose start a save has
-// pruned is a sequence gap, a hard error (wal.go): no acknowledged write
-// is dropped silently.
+// A version-4 (or older) image answers ErrSnapshotVersion like any other,
+// and sparker-serve rebuilds from its input files. With a WAL that
+// rebuild replays the log from sequence 1, and a log whose start a save
+// has pruned is a sequence gap, a hard error (wal.go): no acknowledged
+// write is dropped silently.
 //
-// Encoding is deterministic (profiles by ID, postings by key within each
-// shard, ID lists verbatim): save → load → save reproduces the exact
-// bytes apart from the save-timestamp varint and the CRC that covers it.
+// Encoding is deterministic (records by ID): save → load → save
+// reproduces the exact bytes apart from the save-timestamp varint and the
+// CRC that covers it.
 //
 // How a snapshot is read. Load reads the file whole into one buffer of
 // the file's size (Decode reads its stream to the end) and takes one
-// immutable string copy of it. A cursor then parses the varints in
-// place; every decoded string — original IDs, attribute keys and values,
-// tokens, posting keys — is a substring of that one copy, and the items
-// themselves (stored profiles, attribute and token runs, posting structs,
-// ID lists) are carved out of slabs
-// a few thousand items at a time, each run with its capacity clipped to
-// its length so a later append copies out instead of writing into its
-// neighbour. The CRC is one crc32 call over everything before the
-// trailer. Every count is checked against the bytes that remain before
-// anything is sized from it (each item occupies at least a byte or a
-// few), and every length and cross-reference is validated as it is read,
-// so corrupt input fails with an error rather than a panic or an
-// allocation out of proportion to the input actually supplied.
-//
-// What that retains: a restored index keeps the snapshot-sized string
-// and its slab chunks alive for as long as anything restored from them
-// is still referenced. Overwriting one restored profile frees nothing by
-// itself — its chunk goes when every item in it is gone, and the string
-// stays while any restored posting key or token is in use, which for
-// practical purposes is the life of the index. The bound is the file's
-// size plus the slabs, less than the two allocations per stored string
-// and one per list that they replace.
+// immutable string copy of it. A cursor parses the varints in place;
+// every decoded string (original IDs, attribute keys and values) is a
+// substring of that one copy, and the attribute runs are carved out of a
+// slab a few thousand at a time, each with its capacity clipped to its
+// length. The CRC is one crc32 call over everything before the trailer,
+// checked before the build. Every count is checked against the bytes
+// that remain before anything is sized from it, so corrupt input fails
+// with an error rather than a panic or an allocation out of proportion
+// to the input actually supplied. A restored index keeps the
+// snapshot-sized string alive while any restored profile is referenced.
 
 import (
 	"bufio"
@@ -72,7 +67,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"sparker/internal/obs"
@@ -82,19 +76,18 @@ import (
 const (
 	snapshotMagic = "SPKRIDX1"
 	// snapshotVersion is the one format this build writes and reads.
-	snapshotVersion = 4
+	snapshotVersion = 5
 
-	// maxSnapshotString bounds any single length-prefixed string
-	// (attribute values, blocking keys) a snapshot may carry. Enforced
-	// symmetrically: encode rejects longer strings, so a successful Save
-	// is always loadable. Decode makes a string a substring of the image,
-	// so a corrupt length prefix allocates nothing at all.
+	// maxSnapshotString bounds any single length-prefixed string (an
+	// original ID, an attribute key or value) a profile record may carry.
+	// Enforced symmetrically: checkRecordBounds refuses longer strings
+	// before a write or a save, so a record that encodes always decodes.
+	// Decode makes a string a substring of its input, so a corrupt length
+	// prefix allocates nothing at all.
 	maxSnapshotString = 1 << 30
-	// maxSnapshotItems bounds per-profile attribute/key counts, also
-	// enforced on both sides.
+	// maxSnapshotItems bounds a record's attribute count, also enforced
+	// on both sides.
 	maxSnapshotItems = 1 << 26
-	// maxSnapshotShards bounds the decoded shard count.
-	maxSnapshotShards = 1 << 12
 )
 
 var (
@@ -254,8 +247,8 @@ func (x *Index) Image() (image []byte, seq int64, err error) {
 
 // Load restores an index from a snapshot file. The tokenizer of cfg must
 // match the configuration the snapshot was saved under (it is code, not
-// data, and is not serialized; the image holds nothing of the measure);
-// the shard count is restored from the file and overrides cfg.Shards. A
+// data, and is not serialized; the image holds nothing of the measure),
+// and the shard count is cfg.Shards: the image holds no postings. A
 // missing file surfaces as fs.ErrNotExist and an incompatible format as
 // ErrSnapshotVersion, both via errors.Is.
 func Load(path string, cfg Config) (*Index, error) {
@@ -288,21 +281,21 @@ func Decode(r io.Reader, cfg Config) (*Index, error) {
 	return decode(buf, cfg)
 }
 
-// decode restores an index from a whole snapshot image (see the file
-// header for how the image is read and what the restored index retains).
+// decode checks a whole snapshot image — header, records, CRC — and
+// builds the index from its profiles (see the file header).
 func decode(buf []byte, cfg Config) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &decoder{cursor: cursor{b: buf, s: string(buf)}}
-	if d.rest() < len(snapshotMagic) {
+	c := cursor{b: buf, s: string(buf)}
+	if c.rest() < len(snapshotMagic) {
 		return nil, fmt.Errorf("snapshot magic: %w", io.ErrUnexpectedEOF)
 	}
-	if magic := d.s[:len(snapshotMagic)]; magic != snapshotMagic {
+	if magic := c.s[:len(snapshotMagic)]; magic != snapshotMagic {
 		return nil, fmt.Errorf("not an index snapshot (bad magic %q)", magic)
 	}
-	d.off = len(snapshotMagic)
-	version, err := d.uvarint()
+	c.off = len(snapshotMagic)
+	version, err := c.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("snapshot version: %w", err)
 	}
@@ -311,36 +304,32 @@ func decode(buf []byte, cfg Config) (*Index, error) {
 			ErrSnapshotVersion, version, snapshotVersion)
 	}
 
-	cleanByte, err := d.byte()
+	cleanByte, err := c.byte()
 	if err != nil || cleanByte > 1 {
 		return nil, fmt.Errorf("snapshot clean flag: %w", orBad(err, cleanByte))
 	}
 	clean := cleanByte == 1
-	shards, err := d.uvarint()
-	if err != nil || shards < 1 || shards > maxSnapshotShards {
-		return nil, fmt.Errorf("snapshot shard count %d: %w", shards, orBad(err, 0))
-	}
-	savedAtNanos, err := d.varint()
+	savedAtNanos, err := c.varint()
 	if err != nil {
 		return nil, fmt.Errorf("snapshot timestamp: %w", err)
 	}
-	nextID, err := d.uvarint()
+	nextID, err := c.uvarint()
 	if err != nil || nextID > math.MaxInt32 {
 		return nil, fmt.Errorf("snapshot nextID %d: %w", nextID, orBad(err, 0))
 	}
-	queries, err := d.uvarint()
+	queries, err := c.uvarint()
 	if err != nil || queries > math.MaxInt64 {
 		return nil, fmt.Errorf("snapshot query counter: %w", orBad(err, 0))
 	}
-	upserts, err := d.uvarint()
+	upserts, err := c.uvarint()
 	if err != nil || upserts > math.MaxInt64 {
 		return nil, fmt.Errorf("snapshot upsert counter: %w", orBad(err, 0))
 	}
-	seq, err := d.uvarint()
+	seq, err := c.uvarint()
 	if err != nil || seq > math.MaxInt64 {
 		return nil, fmt.Errorf("snapshot sequence number: %w", orBad(err, 0))
 	}
-	numProfiles, err := d.count(minProfileBytes)
+	numProfiles, err := c.count(minRecordBytes)
 	// The index never deletes a profile outright (removals only happen
 	// inside a replace), so every assigned ID is live: the ID bound must
 	// equal the profile count exactly. This also caps the dense query
@@ -350,65 +339,20 @@ func decode(buf []byte, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("snapshot profile count %d does not match ID bound %d: %w",
 			numProfiles, nextID, orBad(err, 0))
 	}
-	numBlocks, err := d.count(minPostingBytes)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot posting count: %w", err)
-	}
 
-	cfg.Shards = int(shards)
-	x := New(clean, cfg)
-	d.x = x
-	// The counts were checked against the bytes that remain, so sizing
-	// the profile maps from them up front is safe.
-	x.byID = make(map[profile.ID]*storedProfile, numProfiles)
-	x.byOrig = make(map[Identity]profile.ID, numProfiles)
-
-	// Profiles section.
-	for i := uint64(0); i < numProfiles; i++ {
-		sp, err := d.profile(nextID, int(numProfiles-i))
-		if err != nil {
+	// The records, in ID order: a record's ID is its position.
+	ps := make([]profile.Profile, numProfiles)
+	var attrs slab[profile.KeyValue]
+	for i := range ps {
+		if err := c.record(&ps[i], clean, &attrs); err != nil {
 			return nil, fmt.Errorf("snapshot profile %d/%d: %w", i, numProfiles, err)
 		}
-		id := sp.p.ID
-		if _, dup := x.byID[id]; dup {
-			return nil, fmt.Errorf("snapshot profile %d/%d: duplicate ID %d", i, numProfiles, id)
-		}
-		key := identityOf(&sp.p)
-		if _, dup := x.byOrig[key]; dup {
-			return nil, fmt.Errorf("snapshot profile %d/%d: duplicate identity %d:%s",
-				i, numProfiles, key.SourceID, key.OriginalID)
-		}
-		x.byID[id] = sp
-		x.byOrig[key] = id
-	}
-
-	// Per-shard posting sections. Postings are re-distributed through
-	// shardFor, so the section boundaries only structure the file — and
-	// hint at each shard's map size, since the encoder writes shard s's
-	// postings in section s.
-	var totalPostings uint64
-	for s := uint64(0); s < shards; s++ {
-		n, err := d.count(minPostingBytes)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot shard %d: %w", s, err)
-		}
-		if sh := x.shards[s]; len(sh.postings) == 0 {
-			sh.postings = make(map[string]*posting, n)
-		}
-		for i := uint64(0); i < n; i++ {
-			if err := d.posting(int(n - i)); err != nil {
-				return nil, fmt.Errorf("snapshot shard %d posting %d: %w", s, i, err)
-			}
-		}
-		totalPostings += n
-	}
-	if totalPostings != numBlocks {
-		return nil, fmt.Errorf("snapshot holds %d postings, header says %d", totalPostings, numBlocks)
+		ps[i].ID = profile.ID(i)
 	}
 
 	// Trailer: CRC of everything before it, in one pass.
-	end := d.off
-	if d.rest() < 4 {
+	end := c.off
+	if c.rest() < 4 {
 		return nil, fmt.Errorf("snapshot checksum: %w", io.ErrUnexpectedEOF)
 	}
 	sum := crc32.ChecksumIEEE(buf[:end])
@@ -423,10 +367,10 @@ func decode(buf []byte, cfg Config) (*Index, error) {
 		return nil, fmt.Errorf("%w: %d bytes", errSnapshotTrailing, extra)
 	}
 
-	x.nextID = profile.ID(nextID)
-	x.idBound.Store(int64(nextID))
-	x.numProfiles.Store(int64(numProfiles))
-	x.numBlocks.Store(int64(totalPostings))
+	x, err := build(clean, ps, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
 	x.queries.Store(int64(queries))
 	x.upserts.Store(int64(upserts))
 	x.seq.Store(int64(seq))
@@ -442,7 +386,7 @@ func decode(buf []byte, cfg Config) (*Index, error) {
 }
 
 // encodeLocked streams the snapshot; caller holds writeMu, so no writer
-// can interleave and the byID/shard reads need no further locking.
+// can interleave and the byID reads need no further locking.
 func (x *Index) encodeLocked(w io.Writer, savedAt time.Time) (int64, error) {
 	cw := &crcWriter{w: w}
 	cw.bytes([]byte(snapshotMagic))
@@ -452,64 +396,25 @@ func (x *Index) encodeLocked(w io.Writer, savedAt time.Time) (int64, error) {
 	} else {
 		cw.byte(0)
 	}
-	cw.uvarint(uint64(len(x.shards)))
 	cw.varint(savedAt.UnixNano())
 	cw.uvarint(uint64(x.nextID))
 	cw.uvarint(uint64(x.queries.Load()))
 	cw.uvarint(uint64(x.upserts.Load()))
 	cw.uvarint(uint64(x.seq.Load()))
 	cw.uvarint(uint64(len(x.byID)))
-	cw.uvarint(uint64(x.numBlocks.Load()))
 
-	ids := make([]profile.ID, 0, len(x.byID))
-	for id := range x.byID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	// Every ID below nextID is live (no profile is deleted outright, and
+	// every insert takes nextID), so walking the IDs in order walks byID
+	// in order.
+	var rec []byte
+	for id := profile.ID(0); id < x.nextID && cw.err == nil; id++ {
 		sp := x.byID[id]
-		// Mirror the decoder's count bounds so Save fails loudly instead
-		// of writing a file Load would reject at restart.
-		if len(sp.p.Attributes) > maxSnapshotItems || len(sp.tokens) > maxSnapshotItems {
-			cw.err = fmt.Errorf("profile %d exceeds snapshot item limits", sp.p.ID)
-			break
+		// Mirror the decoder's bounds so Save fails loudly instead of
+		// writing a file Load would reject at restart.
+		if cw.err = checkRecordBounds(&sp.p); cw.err == nil {
+			rec = appendRecord(rec[:0], &sp.p)
+			cw.bytes(rec)
 		}
-		cw.uvarint(uint64(sp.p.ID))
-		cw.byte(byte(sp.p.SourceID))
-		cw.string(sp.p.OriginalID)
-		cw.uvarint(uint64(len(sp.p.Attributes)))
-		for _, kv := range sp.p.Attributes {
-			cw.string(kv.Key)
-			cw.string(kv.Value)
-		}
-		cw.uvarint(uint64(len(sp.tokens)))
-		for _, t := range sp.tokens {
-			cw.string(t)
-		}
-	}
-
-	keys := make([]string, 0, 64)
-	for _, sh := range x.shards {
-		sh.mu.RLock()
-		keys = keys[:0]
-		for key := range sh.postings {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		cw.uvarint(uint64(len(keys)))
-		for _, key := range keys {
-			pl := sh.postings[key]
-			cw.string(key)
-			cw.uvarint(uint64(len(pl.a)))
-			for _, id := range pl.a {
-				cw.uvarint(uint64(id))
-			}
-			cw.uvarint(uint64(len(pl.b)))
-			for _, id := range pl.b {
-				cw.uvarint(uint64(id))
-			}
-		}
-		sh.mu.RUnlock()
 	}
 
 	var trailer [4]byte
@@ -524,165 +429,105 @@ func (x *Index) encodeLocked(w io.Writer, savedAt time.Time) (int64, error) {
 	return cw.n, cw.err
 }
 
-// decoder is the state of one decode: the cursor over the image, the
-// index being filled, and one slab per kind of item the image holds.
-type decoder struct {
-	cursor
-	x *Index
-
-	profiles slab[storedProfile]
-	attrs    slab[profile.KeyValue]
-	tokens   slab[string]
-	postings slab[posting]
-	ids      slab[profile.ID]
-}
-
-// The fewest bytes one item of each kind can occupy in the image: what a
-// claimed count is checked against before a slab is sized from it.
+// The fewest bytes one item of each kind can occupy in an image or an op
+// payload: what a claimed count is checked against before anything is
+// sized from it.
 const (
-	minProfileBytes = 5 // ID, source, original-ID length, attribute count, key count
-	minAttrBytes    = 2 // key length, value length
-	minKeyBytes     = 1 // key length
-	minPostingBytes = 5 // key length, one key byte, two list lengths, one ID
+	minRecordBytes = 3 // source, original-ID length, attribute count
+	minAttrBytes   = 2 // key length, value length
 )
 
-// profile reads one profiles-section record, the first of left that
-// remain.
-func (d *decoder) profile(idBound uint64, left int) (*storedProfile, error) {
-	x := d.x
-	id, err := d.uvarint()
-	if err != nil {
-		return nil, err
+// appendRecord appends p's profile record — source, original ID,
+// attributes — to dst. It is the unit an op frame and a snapshot share:
+// a frame carries it after the profile's ID, an image in the ID's place.
+func appendRecord(dst []byte, p *profile.Profile) []byte {
+	dst = append(dst, byte(p.SourceID))
+	dst = appendString(dst, p.OriginalID)
+	dst = binary.AppendUvarint(dst, uint64(len(p.Attributes)))
+	for _, kv := range p.Attributes {
+		dst = appendString(dst, kv.Key)
+		dst = appendString(dst, kv.Value)
 	}
-	if id >= idBound {
-		return nil, fmt.Errorf("ID %d beyond bound %d", id, idBound)
-	}
-	src, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	if src > 1 || (!x.clean && src != 0) {
-		return nil, fmt.Errorf("bad source %d", src)
-	}
-	orig, err := d.string()
-	if err != nil {
-		return nil, err
-	}
-	sp := &d.profiles.take(1, left)[0]
-	sp.p = profile.Profile{ID: profile.ID(id), OriginalID: orig, SourceID: int(src)}
-
-	nAttrs, err := d.count(minAttrBytes)
-	if err != nil || nAttrs > maxSnapshotItems {
-		return nil, fmt.Errorf("attribute count %d: %w", nAttrs, orBad(err, 0))
-	}
-	if nAttrs > 0 {
-		sp.p.Attributes = d.attrs.take(int(nAttrs), d.rest()/minAttrBytes)
-		for i := range sp.p.Attributes {
-			kv := &sp.p.Attributes[i]
-			if kv.Key, err = d.string(); err != nil {
-				return nil, err
-			}
-			if kv.Value, err = d.string(); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	nKeys, err := d.count(minKeyBytes)
-	if err != nil || nKeys > maxSnapshotItems {
-		return nil, fmt.Errorf("key count %d: %w", nKeys, orBad(err, 0))
-	}
-	if nKeys > 0 {
-		sp.tokens = d.tokens.take(int(nKeys), d.rest()/minKeyBytes)
-		for i := range sp.tokens {
-			if sp.tokens[i], err = d.string(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return sp, nil
+	return dst
 }
 
-// posting reads one posting record, the first of left that remain in its
-// section, and installs it on its shard.
-func (d *decoder) posting(left int) error {
-	x := d.x
-	key, err := d.string()
-	if err != nil {
-		return err
+// appendString appends a uvarint length-prefixed string.
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// checkRecordBounds holds a profile to the bounds the record reader
+// enforces, so a profile that is written, saved or shipped always reads
+// back. The write path checks it before anything mutates, the encoder
+// before every record.
+func checkRecordBounds(p *profile.Profile) error {
+	if len(p.Attributes) > maxSnapshotItems {
+		return fmt.Errorf("index: profile %s exceeds the attribute limit", p.OriginalID)
 	}
-	if key == "" {
-		return fmt.Errorf("empty posting key")
+	if len(p.OriginalID) > maxSnapshotString {
+		return fmt.Errorf("index: profile original ID exceeds the string limit")
 	}
-	pl := &d.postings.take(1, left)[0]
-	if pl.a, err = d.idList(0); err != nil {
-		return fmt.Errorf("posting %q: %w", key, err)
+	for _, kv := range p.Attributes {
+		if len(kv.Key) > maxSnapshotString || len(kv.Value) > maxSnapshotString {
+			return fmt.Errorf("index: profile %s exceeds the string limit", p.OriginalID)
+		}
 	}
-	if pl.b, err = d.idList(1); err != nil {
-		return fmt.Errorf("posting %q: %w", key, err)
-	}
-	if !x.clean && len(pl.b) > 0 {
-		return fmt.Errorf("posting %q: source-B entries in a dirty snapshot", key)
-	}
-	if pl.size() == 0 {
-		return fmt.Errorf("posting %q: empty", key)
-	}
-	sh := x.shardFor(key)
-	if _, dup := sh.postings[key]; dup {
-		return fmt.Errorf("posting %q: duplicate key", key)
-	}
-	sh.postings[key] = pl
 	return nil
 }
 
-// idList reads one posting side, validating every entry against the
-// already-decoded profiles (existence and source side).
-func (d *decoder) idList(wantSource int) ([]profile.ID, error) {
-	x := d.x
-	n, err := d.count(1)
+// record reads one profile record into p, leaving its ID to the caller,
+// and checks its source against the task (clean-clean: 0 or 1; dirty: 0).
+// Strings are substrings of the cursor's input. A non-nil attrs carves
+// the attribute run from that slab; nil allocates it exactly.
+func (c *cursor) record(p *profile.Profile, clean bool, attrs *slab[profile.KeyValue]) error {
+	src, err := c.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
+	if src > 1 || (!clean && src != 0) {
+		return fmt.Errorf("source %d invalid for this task", src)
+	}
+	orig, err := c.string()
+	if err != nil {
+		return err
+	}
+	n, err := c.count(minAttrBytes)
+	if err != nil || n > maxSnapshotItems {
+		return fmt.Errorf("attribute count %d: %w", n, orBad(err, 0))
+	}
+	*p = profile.Profile{OriginalID: orig, SourceID: int(src)}
 	if n == 0 {
-		return nil, nil
+		return nil
 	}
-	if n > uint64(len(x.byID)) {
-		return nil, fmt.Errorf("posting side of %d entries exceeds %d profiles", n, len(x.byID))
+	if attrs != nil {
+		p.Attributes = attrs.take(int(n), c.rest()/minAttrBytes)
+	} else {
+		p.Attributes = make([]profile.KeyValue, n)
 	}
-	ids := d.ids.take(int(n), d.rest())
-	for i := range ids {
-		raw, err := d.uvarint()
-		if err != nil {
-			return nil, err
+	for i := range p.Attributes {
+		kv := &p.Attributes[i]
+		if kv.Key, err = c.string(); err != nil {
+			return err
 		}
-		if raw > math.MaxInt32 {
-			return nil, fmt.Errorf("posting entry %d out of range", raw)
+		if kv.Value, err = c.string(); err != nil {
+			return err
 		}
-		id := profile.ID(raw)
-		sp, ok := x.byID[id]
-		if !ok {
-			return nil, fmt.Errorf("posting references unknown profile %d", id)
-		}
-		if x.clean && sp.p.SourceID != wantSource {
-			return nil, fmt.Errorf("profile %d (source %d) on the source-%d side",
-				id, sp.p.SourceID, wantSource)
-		}
-		ids[i] = id
 	}
-	return ids, nil
+	return nil
 }
 
 // slabChunk is how many items a slab allocates at a time.
 const slabChunk = 4096
 
 // slab carves the runs of one item kind out of chunk allocations — one
-// allocation per few thousand items where the decoder used to make one
-// or two per item. NewFromCollection carves its stored profiles and
-// token lists the same way.
+// allocation per few thousand items instead of one per item. build
+// carves its stored profiles and token lists this way, the decoder its
+// attribute runs.
 type slab[T any] struct{ free []T }
 
 // take returns a zeroed run of n items, n > 0, with its capacity clipped
-// to n: an append to a restored posting list or profile field copies out
+// to n: an append to a carved posting list or profile field copies out
 // instead of writing into a neighbour's run. atMost bounds how many more
 // items the input can still ask for (callers derive it from a checked
 // count or from the bytes that remain) and caps the chunk, so allocation
@@ -713,8 +558,6 @@ type crcWriter struct {
 	n   int64
 	err error
 	buf [binary.MaxVarintLen64]byte
-	// str stages string payloads so writing them allocates nothing.
-	str [4096]byte
 }
 
 func (c *crcWriter) bytes(p []byte) {
@@ -733,25 +576,9 @@ func (c *crcWriter) byte(b byte)      { c.buf[0] = b; c.bytes(c.buf[:1]) }
 func (c *crcWriter) uvarint(v uint64) { c.bytes(c.buf[:binary.PutUvarint(c.buf[:], v)]) }
 func (c *crcWriter) varint(v int64)   { c.bytes(c.buf[:binary.PutVarint(c.buf[:], v)]) }
 
-// string enforces the same length bound the decoder checks, so a
-// snapshot that saves successfully always loads. The payload is staged
-// through a reusable scratch buffer: a []byte(s) conversion per string
-// would allocate roughly the snapshot's size in per-token garbage on
-// every save.
-func (c *crcWriter) string(s string) {
-	if c.err == nil && len(s) > maxSnapshotString {
-		c.err = fmt.Errorf("string of %d bytes exceeds snapshot limit", len(s))
-		return
-	}
-	c.uvarint(uint64(len(s)))
-	for off := 0; off < len(s) && c.err == nil; off += len(c.str) {
-		n := copy(c.str[:], s[off:])
-		c.bytes(c.str[:n])
-	}
-}
-
-// cursor walks a snapshot image in place: b is the input as read, s the
-// one immutable copy of it that every decoded string is a substring of.
+// cursor walks a snapshot image or an op payload in place: b is the
+// input as read, s the one immutable copy of it that every decoded string
+// is a substring of.
 // Running off the end is io.ErrUnexpectedEOF.
 type cursor struct {
 	b   []byte

@@ -1,9 +1,9 @@
 package index
 
 // Pins around the in-place snapshot decoder (one buffer, one CRC pass,
-// substrings, slabs) and the one token list under the write path: what
-// they must equal, what they must still reject, and what they may
-// allocate.
+// substrings, one attribute slab, then the build) and the one token list
+// under the write path: what they must equal, what they must still
+// reject, and what they may allocate.
 
 import (
 	"bytes"
@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -78,9 +77,10 @@ func randomProfiles(seed int64, n int) []profile.Profile {
 // TestKeysAndBagMatchReferences: a profile's one token list is exactly
 // the key strings blocking's KeysOf yields and exactly the bag the
 // separate tokenisation used to — order, duplicates and nil-ness
-// included (a token-less profile stores a nil list). The image writes
-// that list as the profile's keys, and nothing of the scoring config:
-// the same writes under Dice encode to the same bytes.
+// included (a token-less profile stores a nil list). The image holds
+// neither the list nor anything of the scoring config: the same writes
+// under Dice encode to the same bytes, and a restored index re-derives
+// every list.
 func TestKeysAndBagMatchReferences(t *testing.T) {
 	x := New(true, DefaultConfig())
 	tokenless := 0
@@ -113,15 +113,11 @@ func TestKeysAndBagMatchReferences(t *testing.T) {
 		t.Fatal("fixture drew no token-less profile")
 	}
 	image := encodePinned(t, x)
-	recs := imageKeys(t, image)
-	if len(recs) != x.Size() {
-		t.Fatalf("image holds %d profile records, index %d profiles", len(recs), x.Size())
+	restored, err := Decode(bytes.NewReader(image), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, keys := range recs {
-		if want := x.byID[profile.ID(i)].tokens; !slices.Equal(keys, want) {
-			t.Fatalf("profile record %d: keys %q, want the stored tokens %q", i, keys, want)
-		}
-	}
+	sameState(t, "restored", x, restored)
 
 	dice := DefaultConfig()
 	dice.Measure = core.MeasureDice
@@ -133,10 +129,11 @@ func TestKeysAndBagMatchReferences(t *testing.T) {
 }
 
 // TestLoadAllocs pins the slabs and the struct-keyed identity map: Load
-// of a 2000-profile snapshot makes fewer allocations than it has
-// profiles (strings, attribute and token runs, posting structs and ID
-// lists are all carved, and an identity is a map key by value). The
-// per-item decoder made about 76 per profile.
+// of a 2000-profile snapshot, a decode plus a build, makes fewer
+// allocations than it has profiles (strings are substrings of the image,
+// attribute and token runs, stored profiles and posting lists are all
+// carved, and an identity is a map key by value). The per-item decoder
+// made about 76 per profile.
 func TestLoadAllocs(t *testing.T) {
 	const n = 2000
 	cfg := DefaultConfig()
@@ -159,10 +156,10 @@ func TestLoadAllocs(t *testing.T) {
 
 // craftedSnapshot frames a header plus body the way the encoder would,
 // CRC included, so only the decoder's own validation can refuse it.
-func craftedSnapshot(numProfiles, numBlocks uint64, body func(cw *crcWriter)) []byte {
+func craftedSnapshot(numProfiles uint64, body func(cw *crcWriter)) []byte {
 	var out bytes.Buffer
 	cw := &crcWriter{w: &out}
-	craftedHeader(cw, numProfiles, numBlocks)
+	craftedHeader(cw, numProfiles)
 	if body != nil {
 		body(cw)
 	}
@@ -175,52 +172,32 @@ func craftedSnapshot(numProfiles, numBlocks uint64, body func(cw *crcWriter)) []
 	return out.Bytes()
 }
 
-// craftedHeader writes a dirty one-shard header.
-func craftedHeader(cw *crcWriter, numProfiles, numBlocks uint64) {
+// craftedHeader writes a dirty header.
+func craftedHeader(cw *crcWriter, numProfiles uint64) {
 	cw.bytes([]byte(snapshotMagic))
 	cw.uvarint(snapshotVersion)
 	cw.byte(0)              // dirty
-	cw.uvarint(1)           // shards
 	cw.varint(0)            // savedAt
 	cw.uvarint(numProfiles) // nextID
 	cw.uvarint(0)           // queries
 	cw.uvarint(0)           // upserts
 	cw.uvarint(0)           // seq
 	cw.uvarint(numProfiles)
-	cw.uvarint(numBlocks)
 }
 
-// lyingCountSnapshots are 64-byte inputs whose counts claim far more
-// items than 64 bytes can hold, one per count the decoder sizes a slab or
-// a map from.
+// lyingCountSnapshots are 64-byte inputs whose counts or lengths claim
+// far more than 64 bytes can hold, one per count the decoder sizes a
+// slice or a slab from, and one string length.
 func lyingCountSnapshots() map[string][]byte {
 	const huge = 1 << 30
-	profileHead := func(cw *crcWriter) {
-		cw.uvarint(0) // ID
-		cw.byte(0)    // source
-		cw.string("p")
-	}
 	return map[string][]byte{
-		"profiles": craftedSnapshot(huge, 0, nil),
-		"postings": craftedSnapshot(0, huge, nil),
-		"attributes": craftedSnapshot(1, 0, func(cw *crcWriter) {
-			profileHead(cw)
+		"profiles": craftedSnapshot(huge, nil),
+		"attributes": craftedSnapshot(1, func(cw *crcWriter) {
+			cw.bytes(appendString([]byte{0}, "p")) // source, original ID
 			cw.uvarint(maxSnapshotItems)
 		}),
-		"keys": craftedSnapshot(1, 0, func(cw *crcWriter) {
-			profileHead(cw)
-			cw.uvarint(0)
-			cw.uvarint(maxSnapshotItems)
-		}),
-		"shard section": craftedSnapshot(0, 0, func(cw *crcWriter) {
-			cw.uvarint(huge)
-		}),
-		"id list": craftedSnapshot(1, 1, func(cw *crcWriter) {
-			profileHead(cw)
-			cw.uvarint(0)
-			cw.uvarint(0)
-			cw.uvarint(1) // shard 0: one posting
-			cw.string("k")
+		"original ID": craftedSnapshot(1, func(cw *crcWriter) {
+			cw.byte(0) // source
 			cw.uvarint(huge)
 		}),
 	}
@@ -279,11 +256,11 @@ func TestDecodeHardening(t *testing.T) {
 }
 
 // TestRestoredSlabsDoNotAlias: restored posting lists, profiles and their
-// attribute/key runs are neighbours in shared slabs. Writes that
+// attribute and token runs are neighbours in shared slabs. Writes that
 // append to restored postings, shrink them, and overwrite restored
 // profiles — with Resolve running beside them — must leave everything
-// they did not touch bit-identical: the restored index stays equal, byte
-// for byte, to the never-saved original taken through the same writes.
+// they did not touch as it was: the restored index stays in the state of
+// the never-saved original taken through the same writes.
 func TestRestoredSlabsDoNotAlias(t *testing.T) {
 	cfg := DefaultConfig()
 	orig := New(true, cfg)
@@ -293,7 +270,7 @@ func TestRestoredSlabsDoNotAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encodesEqual(t, "before writes", orig, restored)
+	sameState(t, "before writes", orig, restored)
 
 	// Overwrites move profiles between restored postings (remove + append
 	// in place); inserts append past every restored list's length.
@@ -319,7 +296,7 @@ func TestRestoredSlabsDoNotAlias(t *testing.T) {
 	for i := 0; i < queries; i++ {
 		orig.Query(&base[i%len(base)]) // level the query counter the image carries
 	}
-	encodesEqual(t, "after writes", orig, restored)
+	sameState(t, "after writes", orig, restored)
 }
 
 // TestParentImageReloadsByteIdentical: an image decodes and re-encodes
@@ -362,33 +339,3 @@ func TestDecodeReportsStreamError(t *testing.T) {
 type errReader struct{ err error }
 
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
-
-// imageKeys walks a valid image and returns the keys of each profile
-// record, in record order.
-func imageKeys(t testing.TB, image []byte) [][]string {
-	t.Helper()
-	c := cursor{b: image, s: string(image), off: len(snapshotMagic)}
-	var header [10]uint64 // version, then the nine header fields
-	for i := range header {
-		header[i], _ = c.uvarint()
-	}
-	if header[0] != snapshotVersion {
-		t.Fatalf("image has version %d, want %d", header[0], snapshotVersion)
-	}
-	recs := make([][]string, header[8])
-	for i := range recs {
-		c.uvarint() // ID
-		c.byte()    // source
-		c.string()  // original ID
-		nAttrs, _ := c.uvarint()
-		for j := uint64(0); j < 2*nAttrs; j++ {
-			c.string()
-		}
-		nKeys, _ := c.uvarint()
-		for j := uint64(0); j < nKeys; j++ {
-			k, _ := c.string()
-			recs[i] = append(recs[i], k)
-		}
-	}
-	return recs
-}

@@ -8,6 +8,7 @@ import (
 
 	"sparker/internal/core"
 	"sparker/internal/metablocking"
+	"sparker/internal/profile"
 )
 
 // This file proves a restored snapshot is an exact stand-in for the live
@@ -75,44 +76,58 @@ func TestPersistedQueryEquivalence(t *testing.T) {
 	}
 }
 
-// TestPersistedEquivalenceAfterChurn replays upsert churn (replacements
-// that tombstone postings and inserts that extend the ID space) before
-// the save, so the snapshot captures posting lists in their live,
-// churned order — and queries still agree bit for bit.
+// TestPersistedEquivalenceAfterChurn replays upsert churn before the
+// save — replacements that move profiles to the ends of their postings,
+// and inserts into source A after source B's, so that a clean-clean
+// restore holds interleaved sources — and then requires the restored
+// index, which rebuilds its postings in ID order, to answer like the
+// live one bit for bit: candidates with their weights, postings scanned,
+// pruned counts and matches, for every scheme × pruning rule × task.
 func TestPersistedEquivalenceAfterChurn(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MetaBlocking = false
-	cfg.MatchThreshold = -1
-	x := New(false, cfg)
-	batch := synthQueryProfiles(80, 1, 9)
-	for _, p := range batch {
-		if _, _, err := x.Upsert(p); err != nil {
-			t.Fatal(err)
+	for _, clean := range []bool{false, true} {
+		sources := 1
+		if clean {
+			sources = 2
 		}
-	}
-	// Replace every third profile with shuffled token content, twice.
-	for round := 0; round < 2; round++ {
-		alt := synthQueryProfiles(80, 1, uint64(21+round))
-		for i := 0; i < len(batch); i += 3 {
-			p := alt[i]
-			p.OriginalID = batch[i].OriginalID
-			if _, created, err := x.Upsert(p); err != nil || created {
-				t.Fatalf("churn replace %d: created=%v err=%v", i, created, err)
-			}
-		}
-	}
-	y := saveLoad(t, x, cfg)
-	for _, p := range synthQueryProfiles(80, 1, 9) {
-		p := p
-		want := x.Query(&p).Candidates
-		got := y.Query(&p).Candidates
-		if len(want) != len(got) {
-			t.Fatalf("query %s: %d candidates, live %d", p.OriginalID, len(got), len(want))
-		}
-		for i := range want {
-			if want[i].ID != got[i].ID ||
-				math.Float64bits(want[i].Weight) != math.Float64bits(got[i].Weight) {
-				t.Fatalf("query %s candidate %d: %+v vs live %+v", p.OriginalID, i, got[i], want[i])
+		for _, scheme := range []metablocking.Scheme{metablocking.CBS, metablocking.ECBS, metablocking.JS, metablocking.ARCS} {
+			for _, rule := range servedRules {
+				cfg := DefaultConfig()
+				cfg.Scheme = scheme
+				rule.apply(&cfg)
+				cfg.MatchThreshold = -1 // keep every scored candidate
+				label := fmt.Sprintf("clean=%v %v/%v", clean, scheme, rule)
+
+				x := New(clean, cfg)
+				batch := synthQueryProfiles(80, sources, 9)
+				upsertAll(t, x, batch)
+				// Replace every third profile with other token content, twice.
+				for round := 0; round < 2; round++ {
+					alt := synthQueryProfiles(80, sources, uint64(21+round))
+					for i := 0; i < len(batch); i += 3 {
+						p := alt[i]
+						p.OriginalID = batch[i].OriginalID
+						if _, created, err := x.Upsert(p); err != nil || created {
+							t.Fatalf("%s: churn replace %d: created=%v err=%v", label, i, created, err)
+						}
+					}
+				}
+				// Inserts: source B first, then source A after it.
+				late := synthQueryProfiles(20, 1, 33)
+				for i := range late {
+					late[i].OriginalID = fmt.Sprintf("late%d", i)
+					if clean && i < len(late)/2 {
+						late[i].SourceID = 1
+					}
+				}
+				upsertAll(t, x, late)
+
+				y := saveLoad(t, x, cfg)
+				sameState(t, label, x, y)
+				for _, ps := range [][]profile.Profile{batch, late, synthQueryProfiles(40, sources, 44)} {
+					for i := range ps {
+						sameAnswers(t, label, x, y, &ps[i])
+					}
+				}
 			}
 		}
 	}

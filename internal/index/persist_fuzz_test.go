@@ -12,12 +12,13 @@ import (
 // returns an error — never a panic, and never an allocation proportional
 // to a lying length header rather than to the input actually supplied.
 // Seeds cover valid images of both task types (as built, empty, churned
-// by overwrites, and one profile), a must-fail version-3 image, three
-// must-fail seeds with bytes after the CRC (a stray byte, noise, and the
-// delta tail of valid op frames older builds appended there), plus the
-// mutation classes the decoder must reject: truncation, bit flips,
-// version bumps, a dropped byte, and 64-byte inputs whose counts claim
-// 2³⁰ items (refused before any slab or map is sized from them).
+// by overwrites, and one profile), must-fail version-3 and version-4
+// images, three must-fail seeds with bytes after the CRC (a stray byte,
+// noise, and the delta tail of valid op frames older builds appended
+// there), plus the mutation classes the decoder must reject: truncation,
+// bit flips, version bumps, a dropped byte, and 64-byte inputs whose
+// counts claim 2³⁰ items or bytes (refused before anything is sized from
+// them).
 func FuzzLoadIndex(f *testing.F) {
 	dirty := encodeToBytes(f, smallTestIndex(f, false))
 	clean := encodeToBytes(f, smallTestIndex(f, true))
@@ -28,12 +29,16 @@ func FuzzLoadIndex(f *testing.F) {
 	upsertAll(f, one, synthQueryProfiles(1, 1, 3))
 	single := encodeToBytes(f, one)
 
-	// The version-3 format carried more fields; whatever follows its
-	// version varint, it is refused as a version.
+	// Versions 3 and 4 carried key lists and posting sections; whatever
+	// follows their version varint, they are refused as a version.
 	v3 := append([]byte(nil), dirty...)
 	v3[len(snapshotMagic)] = 3
-	if _, err := Decode(bytes.NewReader(v3), DefaultConfig()); !errors.Is(err, ErrSnapshotVersion) {
-		f.Fatalf("version-3 seed: err = %v, want ErrSnapshotVersion", err)
+	v4 := append([]byte(nil), clean...)
+	v4[len(snapshotMagic)] = 4
+	for _, old := range [][]byte{v3, v4} {
+		if _, err := Decode(bytes.NewReader(old), DefaultConfig()); !errors.Is(err, ErrSnapshotVersion) {
+			f.Fatalf("version-%d seed: err = %v, want ErrSnapshotVersion", old[len(snapshotMagic)], err)
+		}
 	}
 
 	stray := append(append([]byte(nil), dirty...), 0xaa)
@@ -65,7 +70,7 @@ func FuzzLoadIndex(f *testing.F) {
 		}
 	}
 
-	for _, seed := range [][]byte{dirty, clean, empty, churnedDirty, churnedClean, single, v3, stray, noise, delta} {
+	for _, seed := range [][]byte{dirty, clean, empty, churnedDirty, churnedClean, single, v3, v4, stray, noise, delta} {
 		f.Add(seed)
 		f.Add(seed[:len(seed)/2])                      // truncated
 		f.Add(seed[:len(seed)-3])                      // lost trailer

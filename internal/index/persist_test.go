@@ -6,9 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -69,6 +72,20 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 				t.Fatalf("profile %d attribute %d diverged", id, i)
 			}
 		}
+	}
+	sameState(t, "save → load", x, y)
+
+	// The image holds no postings, so the loaded index stripes them over
+	// the shard count its own config asks for.
+	three := cfg
+	three.Shards = 3
+	z := saveLoad(t, x, three)
+	if got := z.Snapshot().Shards; got != 3 {
+		t.Fatalf("loaded under 3 shards: %d", got)
+	}
+	sameState(t, "load under 3 shards", x, z)
+	for i := 0; i < c.Size(); i += 7 {
+		sameAnswers(t, "load under 3 shards", x, z, &c.Profiles[i])
 	}
 }
 
@@ -159,8 +176,8 @@ func TestRemovalsSurviveSaveLoad(t *testing.T) {
 	if len(res.Candidates) != 1 || res.Candidates[0].ID != 0 {
 		t.Fatalf("replacement lost after load: %+v", res.Candidates)
 	}
-	// A further replace on the loaded index unindexes via the restored
-	// keys — the stored key list must match the restored postings.
+	// A further replace on the loaded index unindexes via the rebuilt
+	// token list — it must name exactly the rebuilt postings.
 	if _, _, err := y.Upsert(mkProfile("p1", "name", "thirdtoken unique")); err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +238,9 @@ func TestReadOnlyReplicaRejectsWrites(t *testing.T) {
 	}
 }
 
-// TestSaveLoadSaveByteStable: encoding is canonical (profiles by ID,
-// postings by key), so re-saving a loaded index reproduces the original
-// bytes except for the save timestamp and the CRC that covers it.
+// TestSaveLoadSaveByteStable: encoding is canonical (records by ID), so
+// re-saving a loaded index reproduces the original bytes except for the
+// save timestamp and the CRC that covers it.
 func TestSaveLoadSaveByteStable(t *testing.T) {
 	cfg := DefaultConfig()
 	x := New(true, cfg)
@@ -255,8 +272,8 @@ func TestSaveLoadSaveByteStable(t *testing.T) {
 	}
 	// The save timestamp (and therefore the CRC) differ; compare the
 	// sections after it. The header prefix up to the timestamp is
-	// magic(8) + version(1) + clean(1) + shards varint; timestamps are
-	// varints of equal width in practice, so align from the tail.
+	// magic(8) + version(1) + clean(1); timestamps are varints of equal
+	// width in practice, so the two files align byte for byte.
 	if len(b1) != len(b2) {
 		t.Fatalf("generations differ in size: %d vs %d", len(b1), len(b2))
 	}
@@ -413,7 +430,7 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	// Every format version but the one this build writes surfaces as
 	// ErrSnapshotVersion, so boot code can fall back to a fresh build;
 	// the message names the file's version and the one this build reads.
-	for _, v := range []byte{1, 2, 3, snapshotVersion + 1} {
+	for _, v := range []byte{1, 2, 3, 4, snapshotVersion + 1} {
 		other := append([]byte(nil), valid...)
 		other[len(snapshotMagic)] = v
 		_, err := Decode(bytes.NewReader(other), cfg)
@@ -455,13 +472,9 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsLyingCounts hand-corrupts structural counts (which a
-// CRC recompute would otherwise launder) by re-encoding with a tampered
-// writer; here we just check the bound guards directly.
+// TestDecodeBoundsGuards checks the string bound fits the lengths the
+// decoder slices with; lying counts are TestDecodeHardening's.
 func TestDecodeBoundsGuards(t *testing.T) {
-	if capped(10) != 10 || capped(1<<40) != 4096 {
-		t.Fatalf("capped misbehaves: %d %d", capped(10), capped(1<<40))
-	}
 	if math.MaxInt32 < maxSnapshotString {
 		t.Fatal("string bound exceeds int32 range")
 	}
@@ -477,15 +490,12 @@ func TestDecodeRejectsInflatedIDBound(t *testing.T) {
 	cw.bytes([]byte(snapshotMagic))
 	cw.uvarint(snapshotVersion)
 	cw.byte(0)                // dirty
-	cw.uvarint(1)             // shards
 	cw.varint(0)              // savedAt
 	cw.uvarint(math.MaxInt32) // nextID: lying ID bound
 	cw.uvarint(0)             // queries
 	cw.uvarint(0)             // upserts
 	cw.uvarint(0)             // seq
 	cw.uvarint(0)             // numProfiles
-	cw.uvarint(0)             // numBlocks
-	cw.uvarint(0)             // shard 0: no postings
 	var trailer [4]byte
 	binary.LittleEndian.PutUint32(trailer[:], cw.sum)
 	cw.bytes(trailer[:])
@@ -498,39 +508,15 @@ func TestDecodeRejectsInflatedIDBound(t *testing.T) {
 }
 
 // TestSmallestImageLoads pins the per-item minimums a claimed count is
-// checked against: the smallest profile record, key and posting record
-// the format holds are exactly minProfileBytes, minKeyBytes and
-// minPostingBytes long (a minimum set any higher would refuse a valid
-// image), and a one-profile, one-posting image written field by field as
-// the file header lays it out loads and re-encodes to the same bytes.
+// checked against: the smallest profile record and attribute the format
+// holds are exactly minRecordBytes and minAttrBytes long (a minimum set
+// any higher would refuse a valid image), and a one-profile image written
+// field by field as the file header lays it out loads, builds the
+// profile's postings, and re-encodes to the same bytes.
 func TestSmallestImageLoads(t *testing.T) {
-	record := func(write func(cw *crcWriter)) []byte {
-		var b bytes.Buffer
-		write(&crcWriter{w: &b})
-		return b.Bytes()
-	}
-	profileRecord := func(orig string, keys ...string) []byte {
-		return record(func(cw *crcWriter) {
-			cw.uvarint(0) // ID
-			cw.byte(0)    // source
-			cw.string(orig)
-			cw.uvarint(0) // attributes
-			cw.uvarint(uint64(len(keys)))
-			for _, k := range keys {
-				cw.string(k)
-			}
-		})
-	}
-	postingRecord := record(func(cw *crcWriter) {
-		cw.string("k")
-		cw.uvarint(1) // source-A list: one ID
-		cw.uvarint(0)
-		cw.uvarint(0) // source-B list: empty
-	})
 	for name, got := range map[string][2]int{
-		"profile record": {len(profileRecord("")), minProfileBytes},
-		"key":            {len(record(func(cw *crcWriter) { cw.string("") })), minKeyBytes},
-		"posting record": {len(postingRecord), minPostingBytes},
+		"profile record": {len(appendRecord(nil, &profile.Profile{})), minRecordBytes},
+		"attribute":      {len(appendString(appendString(nil, ""), "")), minAttrBytes},
 	} {
 		if got[0] != got[1] {
 			t.Errorf("smallest %s is %d bytes, its minimum says %d", name, got[0], got[1])
@@ -539,22 +525,122 @@ func TestSmallestImageLoads(t *testing.T) {
 
 	var image bytes.Buffer
 	cw := &crcWriter{w: &image}
-	craftedHeader(cw, 1, 1)
-	cw.bytes(profileRecord("p", "k"))
-	cw.uvarint(1) // shard 0: one posting
-	cw.bytes(postingRecord)
+	craftedHeader(cw, 1)
+	cw.bytes(appendRecord(nil, &profile.Profile{OriginalID: "p", Attributes: []profile.KeyValue{{Key: "name", Value: "k"}}}))
 	var trailer [4]byte
 	binary.LittleEndian.PutUint32(trailer[:], cw.sum)
 	image.Write(trailer[:])
 
 	x, err := Decode(bytes.NewReader(image.Bytes()), DefaultConfig())
 	if err != nil {
-		t.Fatalf("one-profile, one-posting image refused: %v", err)
+		t.Fatalf("one-profile image refused: %v", err)
 	}
 	if s := x.Snapshot(); s.Profiles != 1 || s.Blocks != 1 {
 		t.Fatalf("decoded %d profiles and %d blocks, want 1 and 1", s.Profiles, s.Blocks)
 	}
 	if got := encodePinned(t, x); !bytes.Equal(got, image.Bytes()) {
 		t.Fatalf("re-encoded image %x, want %x", got, image.Bytes())
+	}
+}
+
+// indexState is what an index is, independent of how it came to be: its
+// counters, its profiles with their token lists, its identity map, and
+// each posting's members per side as sets. Two indexes in one state
+// answer every query alike — no answer depends on the order inside a
+// posting — whether one was written live, replayed, built or restored.
+type indexState struct {
+	clean                                   bool
+	nextID                                  profile.ID
+	profiles, blocks, queries, upserts, seq int64
+	byID                                    map[profile.ID]storedProfile
+	byOrig                                  map[Identity]profile.ID
+	postings                                map[string][2][]profile.ID
+	// misplaced counts postings held by a shard other than their key's.
+	misplaced int
+}
+
+// stateOf reads x's state under its writer lock; empty attribute and
+// token lists read as nil, and posting members are sorted.
+func stateOf(x *Index) indexState {
+	x.writeMu.Lock()
+	defer x.writeMu.Unlock()
+	s := indexState{
+		clean:    x.clean,
+		nextID:   x.nextID,
+		profiles: x.numProfiles.Load(),
+		blocks:   x.numBlocks.Load(),
+		queries:  x.queries.Load(),
+		upserts:  x.upserts.Load(),
+		seq:      x.seq.Load(),
+		byID:     make(map[profile.ID]storedProfile, len(x.byID)),
+		byOrig:   maps.Clone(x.byOrig),
+		postings: make(map[string][2][]profile.ID),
+	}
+	for id, sp := range x.byID {
+		c := *sp
+		if len(c.p.Attributes) == 0 {
+			c.p.Attributes = nil
+		}
+		if len(c.tokens) == 0 {
+			c.tokens = nil
+		}
+		s.byID[id] = c
+	}
+	for i, sh := range x.shards {
+		for key, pl := range sh.postings {
+			if x.shardIndex(key) != i {
+				s.misplaced++
+			}
+			s.postings[key] = [2][]profile.ID{sortedIDs(pl.a), sortedIDs(pl.b)}
+		}
+	}
+	return s
+}
+
+// sortedIDs is a sorted copy of ids, nil when it is empty.
+func sortedIDs(ids []profile.ID) []profile.ID {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := slices.Clone(ids)
+	slices.Sort(out)
+	return out
+}
+
+// diff names the first part of s that o does not share, or "".
+func (s indexState) diff(o indexState) string {
+	switch {
+	case s.clean != o.clean || s.nextID != o.nextID || s.profiles != o.profiles || s.blocks != o.blocks ||
+		s.queries != o.queries || s.upserts != o.upserts || s.seq != o.seq:
+		return fmt.Sprintf("counters: clean %v, nextID %d, profiles %d, blocks %d, queries %d, upserts %d, seq %d vs %v, %d, %d, %d, %d, %d, %d",
+			s.clean, s.nextID, s.profiles, s.blocks, s.queries, s.upserts, s.seq,
+			o.clean, o.nextID, o.profiles, o.blocks, o.queries, o.upserts, o.seq)
+	case s.misplaced != 0 || o.misplaced != 0:
+		return fmt.Sprintf("%d and %d postings in the wrong shard", s.misplaced, o.misplaced)
+	case !maps.Equal(s.byOrig, o.byOrig):
+		return "identity maps differ"
+	case len(s.byID) != len(o.byID):
+		return fmt.Sprintf("%d vs %d profiles", len(s.byID), len(o.byID))
+	case len(s.postings) != len(o.postings):
+		return fmt.Sprintf("%d vs %d postings", len(s.postings), len(o.postings))
+	}
+	for id, sp := range s.byID {
+		if op, ok := o.byID[id]; !ok || !reflect.DeepEqual(sp, op) {
+			return fmt.Sprintf("profile %d: %+v vs %+v", id, sp, op)
+		}
+	}
+	for key, m := range s.postings {
+		if om, ok := o.postings[key]; !ok || !reflect.DeepEqual(m, om) {
+			return fmt.Sprintf("posting %q: %v vs %v", key, m, om)
+		}
+	}
+	return ""
+}
+
+// sameState fails the test unless a and b are in one state (indexState).
+func sameState(t *testing.T, what string, a, b *Index) {
+	t.Helper()
+	if d := stateOf(a).diff(stateOf(b)); d != "" {
+		t.Fatalf("%s: states differ: %s", what, d)
 	}
 }

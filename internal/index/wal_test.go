@@ -110,7 +110,7 @@ func TestWALOpenRequirements(t *testing.T) {
 }
 
 // TestWALRecoverFresh is the no-snapshot restart: a fresh index replays
-// the whole log and converges bitwise-identical to the writer.
+// the whole log and converges to the writer's state.
 func TestWALRecoverFresh(t *testing.T) {
 	dir := t.TempDir()
 	leader := walIndex(t, dir, 25)
@@ -131,7 +131,7 @@ func TestWALRecoverFresh(t *testing.T) {
 	if rec.Replayed != leader.Seq() || rec.SkippedOps != 0 || rec.TruncatedBytes != 0 {
 		t.Fatalf("recovery = %+v, want %d replayed and nothing skipped or truncated", rec, leader.Seq())
 	}
-	encodesEqual(t, "fresh recovery", leader, restarted)
+	sameState(t, "fresh recovery", leader, restarted)
 
 	// The restarted index keeps writing into the same log.
 	upsertAll(t, restarted, []profile.Profile{mkProfile("new", "name", "post restart tok")})
@@ -142,11 +142,11 @@ func TestWALRecoverFresh(t *testing.T) {
 	if _, err := again.OpenWAL(walConfig(dir)); err != nil {
 		t.Fatal(err)
 	}
-	encodesEqual(t, "second recovery", restarted, again)
+	sameState(t, "second recovery", restarted, again)
 }
 
 // TestWALRecoverWithSnapshot is the acceptance pin: a leader restarted
-// from snapshot + WAL tail is bitwise-identical to one that never died,
+// from snapshot + WAL tail is in the state of one that never died,
 // answers queries identically, and serves OpsSince across the restart so
 // a follower needs no resync.
 func TestWALRecoverWithSnapshot(t *testing.T) {
@@ -176,7 +176,7 @@ func TestWALRecoverWithSnapshot(t *testing.T) {
 	if rec.Replayed != 10 {
 		t.Fatalf("recovery replayed %d ops, want 10 (recovery = %+v)", rec.Replayed, rec)
 	}
-	encodesEqual(t, "snapshot+WAL recovery", leader, restarted)
+	sameState(t, "snapshot+WAL recovery", leader, restarted)
 
 	// Queries answer identically to the leader that never died.
 	q := mkProfile("probe", "name", "tok3 tok7 shared1")
@@ -254,7 +254,7 @@ func TestWALTornTailTruncates(t *testing.T) {
 	if rec2.TruncatedBytes != 0 {
 		t.Fatalf("second recovery = %+v, want no truncation", rec2)
 	}
-	encodesEqual(t, "healed log", restarted, again)
+	sameState(t, "healed log", restarted, again)
 }
 
 func TestWALBitFlippedTailTruncates(t *testing.T) {
@@ -371,7 +371,7 @@ func TestWALRotationAndPrune(t *testing.T) {
 	if _, err := restarted.OpenWAL(cfg); err != nil {
 		t.Fatal(err)
 	}
-	encodesEqual(t, "post-prune recovery", x, restarted)
+	sameState(t, "post-prune recovery", x, restarted)
 }
 
 // TestWALSeqGapIsHardError: a pruned-too-far log (first segment deleted
@@ -455,7 +455,7 @@ func TestWALSyncPolicies(t *testing.T) {
 			if _, err := restarted.OpenWAL(cfg); err != nil {
 				t.Fatal(err)
 			}
-			encodesEqual(t, policy.String()+" recovery", x, restarted)
+			sameState(t, policy.String()+" recovery", x, restarted)
 		})
 	}
 }
@@ -494,10 +494,10 @@ func copyDir(t *testing.T, src string) string {
 // TestWALCrashImageBattery is the fault-injection battery: take the
 // final log, cut the tail segment at every byte boundary in its last two
 // frames (and a spread of earlier offsets), and require each image to
-// recover without error to some sequence S whose state is bitwise
-// exactly the first S ops — never a torn half-op, never a panic. Then a
+// recover without error to some sequence S whose state is exactly
+// that of the first S ops — never a torn half-op, never a panic. Then a
 // checkpoint mid-history: a crash between any two steps of Save (encode
-// to .tmp, rename, prune) recovers bitwise to the acknowledged state.
+// to .tmp, rename, prune) recovers to the acknowledged state.
 func TestWALCrashImageBattery(t *testing.T) {
 	dir := t.TempDir()
 	leader := walIndex(t, dir, 15)
@@ -561,7 +561,7 @@ func TestWALCrashImageBattery(t *testing.T) {
 		if s > leader.Seq() {
 			t.Fatalf("cut %d: recovered seq %d beyond writer's %d", cut, s, leader.Seq())
 		}
-		encodesEqual(t, "crash image", reference(s), recovered)
+		sameState(t, "crash image", reference(s), recovered)
 		_ = rec
 	}
 
@@ -626,7 +626,7 @@ func TestWALCrashImageBattery(t *testing.T) {
 		if _, err := recovered.OpenWAL(cfg); err != nil {
 			t.Fatalf("%s: recovery: %v", img.name, err)
 		}
-		encodesEqual(t, img.name, x, recovered)
+		sameState(t, img.name, x, recovered)
 		if err := recovered.CloseWAL(); err != nil {
 			t.Fatalf("%s: %v", img.name, err)
 		}
@@ -700,7 +700,7 @@ func TestWALFailureIsSticky(t *testing.T) {
 			if _, err := reopened.OpenWAL(cfg); err != nil {
 				t.Fatal(err)
 			}
-			encodesEqual(t, "reopened log", x, reopened)
+			sameState(t, "reopened log", x, reopened)
 			upsertAll(t, reopened, []profile.Profile{mkProfile("healed", "name", "acknowledged again")})
 			if err := reopened.CloseWAL(); err != nil {
 				t.Fatal(err)

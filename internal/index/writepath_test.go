@@ -30,10 +30,10 @@ func hugeString(t *testing.T, n int) string {
 
 // TestOneWritePath: Upsert on a leader and ApplyOps on a WAL-attached
 // replica are the same write. After inserts and overwrites shipped as
-// the leader's OpsSince frames, the two agree byte for byte in memory
-// (Image), on disk (segment files, rotation points included) and on
-// the wire (OpsSince(0)); a profile the op bounds reject changes none of
-// the three on the leader and gives the replica nothing to apply.
+// the leader's OpsSince frames, the two agree in memory (indexState)
+// and byte for byte on disk (segment files, rotation points included)
+// and on the wire (OpsSince(0)); a profile the op bounds reject changes
+// none of the three on the leader and gives the replica nothing to apply.
 func TestOneWritePath(t *testing.T) {
 	open := func() (*Index, string) {
 		dir := t.TempDir()
@@ -72,7 +72,7 @@ func TestOneWritePath(t *testing.T) {
 		if leader.Seq() != replica.Seq() {
 			t.Fatalf("%s: leader at seq %d, replica at %d", what, leader.Seq(), replica.Seq())
 		}
-		encodesEqual(t, what, leader, replica)
+		sameState(t, what, leader, replica)
 		if !bytes.Equal(wire(leader), wire(replica)) {
 			t.Fatalf("%s: OpsSince(0) frames differ", what)
 		}
@@ -110,15 +110,15 @@ func TestOneWritePath(t *testing.T) {
 
 	// A profile past the op bounds is refused before anything is written
 	// ahead, applied, numbered or retained.
-	before, beforeDisk, beforeWire := encodePinned(t, leader), dirBytes(t, leaderDir), wire(leader)
+	before, beforeDisk, beforeWire := stateOf(leader), dirBytes(t, leaderDir), wire(leader)
 	tooBig := profile.Profile{OriginalID: "huge", Attributes: []profile.KeyValue{
 		{Key: "name", Value: hugeString(t, maxSnapshotString+1)},
 	}}
 	if _, _, err := leader.Upsert(tooBig); err == nil {
 		t.Fatal("profile beyond the op string limit accepted")
 	}
-	if !bytes.Equal(before, encodePinned(t, leader)) || !bytes.Equal(beforeWire, wire(leader)) {
-		t.Fatal("rejected profile changed the leader's state or op window")
+	if d := before.diff(stateOf(leader)); d != "" || !bytes.Equal(beforeWire, wire(leader)) {
+		t.Fatalf("rejected profile changed the leader's state (%s) or op window", d)
 	}
 	for name, b := range dirBytes(t, leaderDir) {
 		if !bytes.Equal(b, beforeDisk[name]) {

@@ -394,7 +394,8 @@ func (l smallBufferListener) Accept() (net.Conn, error) {
 // handler used to encode straight into the ResponseWriter under the
 // index writer lock, so one stuck client froze every upsert.
 func TestSnapshotStalledReaderDoesNotBlockWrites(t *testing.T) {
-	x := oplogIndex(t, oplogConfig(), 5000)
+	// Enough profiles for an image of more than 256 KiB (~49 bytes each).
+	x := oplogIndex(t, oplogConfig(), 8000)
 	srv := httptest.NewUnstartedServer(NewHandlerOptions(x, Options{Logger: quietLogger()}))
 	srv.Listener = smallBufferListener{srv.Listener}
 	srv.Start()

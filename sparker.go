@@ -318,13 +318,14 @@ func ParseWALSyncPolicy(s string) (IndexWALSyncPolicy, error) {
 func SaveIndex(x *Index, path string) (IndexPersistState, error) { return x.Save(path) }
 
 // LoadIndex restores a fully queryable index from a snapshot file
-// without re-tokenizing or re-indexing. The cfg must carry the same
-// tokenizer the snapshot was saved under (code is not serialized); the
-// image holds nothing of the measure, and the shard count comes from the
-// file. A missing file surfaces as fs.ErrNotExist and any format version
-// but the current one (4; a version-3 image included) as
-// ErrIndexSnapshotVersion, both via errors.Is; bytes after the file's
-// checksum are a plain error. Use Index.SetReadOnly to serve the
+// without reading the input files again: the image holds the profiles,
+// and the index is built from them as NewIndex builds one.
+// The cfg must carry the same tokenizer the snapshot was saved under
+// (code is not serialized); the image holds nothing of the measure, and
+// the shard count comes from cfg. A missing file surfaces as
+// fs.ErrNotExist and any format version but the current one (5; a
+// version-4 image included) as ErrIndexSnapshotVersion, both via
+// errors.Is; bytes after the file's checksum are a plain error. Use Index.SetReadOnly to serve the
 // restored index as a write-rejecting replica.
 func LoadIndex(path string, cfg IndexConfig) (*Index, error) { return index.Load(path, cfg) }
 
@@ -334,8 +335,8 @@ func DefaultIndexConfig() IndexConfig { return index.DefaultConfig() }
 // NewIndex builds the online index from a batch collection, preserving
 // internal profile IDs. Like LoadIndex it is a constructor: it tokenises
 // the collection once and builds the postings key by key from that
-// corpus, and the index equals, snapshot byte for snapshot byte, one
-// filled by upserting the profiles in ID order.
+// corpus, and the index equals one filled by upserting the profiles in
+// ID order.
 func NewIndex(c *Collection, cfg IndexConfig) (*Index, error) {
 	return index.NewFromCollection(c, cfg)
 }
