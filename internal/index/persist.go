@@ -47,13 +47,15 @@ package index
 // the file's size (Decode reads its stream to the end) and takes one
 // immutable string copy of it. A cursor parses the varints in place;
 // every decoded string (original IDs, attribute keys and values) is a
-// substring of that one copy, and the attribute runs are carved out of a
-// slab a few thousand at a time, each with its capacity clipped to its
-// length. The CRC is one crc32 call over everything before the trailer,
-// checked before the build. Every count is checked against the bytes
-// that remain before anything is sized from it, so corrupt input fails
-// with an error rather than a panic or an allocation out of proportion
-// to the input actually supplied. A restored index keeps the
+// substring of that one copy, the profiles grow as their records are
+// read, and the attribute runs are carved out of a slab a few thousand at
+// a time, each with its capacity clipped to its length. The CRC is one
+// crc32 call over everything before the trailer, checked before the
+// build. Every count is checked against the bytes that remain, and
+// nothing is sized from a count beyond a few thousand items or twice the
+// records read so far, so corrupt input fails with an error rather than
+// a panic or an allocation out of proportion to the input actually
+// supplied. A restored index keeps the
 // snapshot-sized string alive while any restored profile is referenced.
 
 import (
@@ -67,6 +69,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"sparker/internal/obs"
@@ -340,10 +343,18 @@ func decode(buf []byte, cfg Config) (*Index, error) {
 			numProfiles, nextID, orBad(err, 0))
 	}
 
-	// The records, in ID order: a record's ID is its position.
-	ps := make([]profile.Profile, numProfiles)
+	// The records, in ID order: a record's ID is its position. The
+	// profiles double as records are read, up to the count, so a count
+	// that merely fits the bytes sizes nothing past twice the records
+	// actually supplied.
+	n := int(numProfiles)
+	ps := make([]profile.Profile, 0, min(n, slabChunk))
 	var attrs slab[profile.KeyValue]
-	for i := range ps {
+	for i := range n {
+		if i == cap(ps) {
+			ps = slices.Grow(ps, min(i, n-i))
+		}
+		ps = append(ps, profile.Profile{})
 		if err := c.record(&ps[i], clean, &attrs); err != nil {
 			return nil, fmt.Errorf("snapshot profile %d/%d: %w", i, numProfiles, err)
 		}

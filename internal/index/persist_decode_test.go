@@ -185,13 +185,22 @@ func craftedHeader(cw *crcWriter, numProfiles uint64) {
 	cw.uvarint(numProfiles)
 }
 
-// lyingCountSnapshots are 64-byte inputs whose counts or lengths claim
-// far more than 64 bytes can hold, one per count the decoder sizes a
-// slice or a slab from, and one string length.
+// lyingCountSnapshots are inputs whose counts or lengths claim more than
+// the input supplies, one per count the decoder sizes a slice or a slab
+// from, and one string length. Most are 64 bytes claiming far more than
+// 64 bytes can hold. "profiles in 128 KiB" claims a profile count its
+// bytes could hold, three bytes a record, but its first record is
+// corrupt: a decoder that sized its profiles from that count would
+// allocate about 19× the input before reading a record.
 func lyingCountSnapshots() map[string][]byte {
 	const huge = 1 << 30
+	const big = 128 << 10
+	fits := craftedSnapshot(big/minRecordBytes-64, func(cw *crcWriter) {
+		cw.byte(2) // no task has source 2
+	})
 	return map[string][]byte{
-		"profiles": craftedSnapshot(huge, nil),
+		"profiles":            craftedSnapshot(huge, nil),
+		"profiles in 128 KiB": append(fits, make([]byte, big-len(fits))...),
 		"attributes": craftedSnapshot(1, func(cw *crcWriter) {
 			cw.bytes(appendString([]byte{0}, "p")) // source, original ID
 			cw.uvarint(maxSnapshotItems)
@@ -237,9 +246,6 @@ func TestDecodeHardening(t *testing.T) {
 	}
 
 	for name, in := range lyingCountSnapshots() {
-		if len(in) != 64 {
-			t.Fatalf("%s: crafted input is %d bytes, want 64", name, len(in))
-		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := Decode(bytes.NewReader(in), cfg)
@@ -247,10 +253,11 @@ func TestDecodeHardening(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: lying count accepted", name)
 		}
-		// An empty index and its error cost a few tens of KiB; one slab
-		// or map sized from the claimed count would be hundreds of MiB.
+		// An empty index and its error cost a few tens of KiB, reading
+		// and copying a 128 KiB input a few hundred more; one slab or map
+		// sized from a claimed count would be MiBs to hundreds of MiB.
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-			t.Errorf("%s: refusing a 64-byte input allocated %d bytes (err: %v)", name, grew, err)
+			t.Errorf("%s: refusing a %d-byte input allocated %d bytes (err: %v)", name, len(in), grew, err)
 		}
 	}
 }

@@ -16,9 +16,10 @@ import (
 // images, three must-fail seeds with bytes after the CRC (a stray byte,
 // noise, and the delta tail of valid op frames older builds appended
 // there), plus the mutation classes the decoder must reject: truncation,
-// bit flips, version bumps, a dropped byte, and 64-byte inputs whose
-// counts claim 2³⁰ items or bytes (refused before anything is sized from
-// them).
+// bit flips, version bumps, a dropped byte, 64-byte inputs whose counts
+// claim 2³⁰ items or bytes (refused before anything is sized from them),
+// and a 128 KiB input whose profile count fits its bytes but whose first
+// record is corrupt (refused before its count sizes anything).
 func FuzzLoadIndex(f *testing.F) {
 	dirty := encodeToBytes(f, smallTestIndex(f, false))
 	clean := encodeToBytes(f, smallTestIndex(f, true))

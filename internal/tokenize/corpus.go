@@ -52,28 +52,6 @@ type rangeBuilder struct {
 
 var builderPool = sync.Pool{New: func() any { return &rangeBuilder{intern: map[string]uint32{}} }}
 
-// sizeFor gives a builder fresh from the pool room for the range ps —
-// about one token per six bytes of value text and one distinct token per
-// sixty — so the first build in a process (a node's boot or restart)
-// does not regrow its tables and rehash its maps as it goes. A builder
-// back from the pool keeps the room of its last build.
-func (b *rangeBuilder) sizeFor(ps []profile.Profile) {
-	if cap(b.ids) > 0 {
-		return
-	}
-	n := 0
-	for i := range ps {
-		for _, kv := range ps[i].Attributes {
-			n += len(kv.Value)
-		}
-	}
-	distinct := min(n/60, maxInterned)
-	b.ids = make([]uint32, 0, n/6)
-	b.vocab = make([]string, 0, distinct)
-	b.intern = make(map[string]uint32, distinct)
-	b.sc.intern = make(map[string]string, distinct)
-}
-
 func putBuilder(b *rangeBuilder) {
 	if len(b.intern) > maxInterned { // a huge table would tax every later build
 		return
@@ -103,7 +81,6 @@ func NewCorpus(c *profile.Collection, o Options) *Corpus {
 	}
 	kernel.ForRanges(len(ps), len(parts), func(r, lo, hi int) {
 		b := parts[r]
-		b.sizeFor(ps[lo:hi])
 		v := cp.values[lo]
 		for i := lo; i < hi; i++ {
 			for _, kv := range ps[i].Attributes {
